@@ -10,9 +10,9 @@ ablation pursues it twice over:
   (``simulate_parallel_makespan``) for each scenario — MF->MF (24
   independent transfers) parallelizes best, MF->LF (3 expressions, one
   huge) barely benefits, the shape the paper predicts;
-* it then actually *runs* the Figure 9 MF->MF scenario on the
-  DAG-scheduled ``ParallelProgramExecutor`` over a sleeping channel
-  and checks the measured wall-clock speedup against the estimate —
+* it then actually *runs* the Figure 9 MF->MF scenario with
+  ``ProgramExecutor(workers=4)`` over a sleeping channel and checks
+  the measured wall-clock speedup against the estimate —
   the estimator is a checkable prediction, not a fiction.
 """
 
@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.program.executor import ProgramExecutor
 from repro.core.program.parallel import simulate_parallel_makespan
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.net.transport import NetworkProfile, SimulatedChannel
 from repro.services.exchange import run_optimized_exchange
 
@@ -105,7 +104,7 @@ def test_measured_parallel_speedup(benchmark, size_labels, sources,
 
         parallel_target = fresh_target("MF")
         channel = SimulatedChannel(profile, realtime=True)
-        parallel_report = ParallelProgramExecutor(
+        parallel_report = ProgramExecutor(
             source, parallel_target, channel, workers=4
         ).run(program, placement)
         return (sequential_report, sequential_wall,

@@ -12,7 +12,7 @@ import pytest
 
 from repro.relational.publisher import publish_document
 from repro.relational.shredder import shred_document
-from repro.reporting.timers import Timer
+from repro.obs.metrics import Timer
 
 from support import SCENARIOS
 

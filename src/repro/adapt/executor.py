@@ -1,8 +1,8 @@
 """Mid-flight adaptive execution: checkpoint, compare, re-place.
 
-:class:`AdaptiveRun` wraps the ordinary executors.  As operations
-complete it compares their observed cost against what the negotiation
-probe predicted (per :func:`~repro.core.cost.calibrate.strategy_key`,
+:class:`AdaptiveRun` wraps the program executor.  As segments of the
+program complete it compares their operations' observed cost against
+what the negotiation probe predicted (per :func:`~repro.core.cost.calibrate.strategy_key`,
 with cross-edge shipments tracked as the ``"comm"`` pseudo-kind).
 When the per-kind ratios diverge beyond ``replan_threshold`` —
 *spread* between kinds, not uniform slowdown, is what re-ranks
@@ -19,24 +19,19 @@ actually consumed, so the written target stays byte-identical to the
 static run (the differential suite asserts this with replanning forced
 at every checkpoint).
 
-Checkpoint granularity follows the dataplane:
-
-* **per operation** — the sequential materialized path hands the run
-  a monitor hook; every op boundary is a checkpoint and the very next
-  op already sees the re-placed suffix.
-* **per expression** — the parallel and streaming dataplanes compile
-  or schedule placement ahead of execution, so the run executes the
-  program one segment at a time — write-rooted expressions
-  (Definition 3.10), merged when they share operations — and
-  checkpoints between segments.
+The executor compiles placement into its batch pipeline before
+anything runs, so the run executes the program one *segment* at a time
+— write-rooted expressions (Definition 3.10), merged when they share
+operations — and checkpoints between segments, whatever the worker
+count, batch size or dataplane.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import PlacementError
 from repro.adapt.replan import ScaledProbe, replan_placement
@@ -51,14 +46,10 @@ from repro.core.program.dag import Placement, TransferProgram
 from repro.core.program.executor import (
     ExecutionReport,
     ProgramExecutor,
-    Shipment,
     critical_path_seconds,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.program.dag import Edge
 
 __all__ = ["AdaptiveConfig", "AdaptiveRun", "RatioTracker"]
 
@@ -157,9 +148,6 @@ class AdaptiveConfig:
     stats_store: StatisticsStore | None = None
     pair: str | None = None
     statistics: StatisticsCatalog | None = None
-    #: "op" (sequential materialized only), "expression", or "auto"
-    #: (op when the dataplane supports it, expression otherwise).
-    granularity: str = "auto"
 
 
 class AdaptiveRun:
@@ -183,16 +171,6 @@ class AdaptiveRun:
                  retry=None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
-        if config.granularity not in ("auto", "op", "expression"):
-            raise ValueError(
-                f"unknown granularity {config.granularity!r}"
-            )
-        per_op_capable = parallel_workers == 1 and batch_rows is None
-        if config.granularity == "op" and not per_op_capable:
-            raise ValueError(
-                "per-op granularity needs the sequential materialized "
-                "dataplane (parallel_workers=1, batch_rows=None)"
-            )
         self.program = program
         self.placement = dict(placement)
         self.source = source
@@ -206,10 +184,6 @@ class AdaptiveRun:
         self.retry = retry
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
-        self.granularity = (
-            config.granularity if config.granularity != "auto"
-            else ("op" if per_op_capable else "expression")
-        )
         self.tracker = RatioTracker()
         self.replans = 0
         self.ops_moved = 0
@@ -228,20 +202,14 @@ class AdaptiveRun:
         report (same shape as a static run's).
 
         Raises:
-            ProgramError/PlacementError: as the static executors do.
+            ProgramError/PlacementError: as a static run does.
         """
         self.program.validate()
         self.program.validate_placement(self.placement)
         started = time.perf_counter()
         with self.tracer.span("adaptive run", "adapt",
-                              granularity=self.granularity,
                               threshold=self.config.replan_threshold):
-            if self.granularity == "op":
-                report = self._executor().run(
-                    self.program, self.placement, monitor=self
-                )
-            else:
-                report = self._run_expressions()
+            report = self._run_segments()
         report.wall_seconds = time.perf_counter() - started
         report.critical_path_seconds = critical_path_seconds(
             self.program, report
@@ -249,35 +217,19 @@ class AdaptiveRun:
         self._ingest(report)
         return report
 
-    def _executor(self) -> ProgramExecutor:
-        return ProgramExecutor(
+    def _run_segments(self) -> ExecutionReport:
+        executor = ProgramExecutor(
             self.source, self.target, self.channel,
+            workers=self.parallel_workers,
             batch_rows=self.batch_rows, retry=self.retry,
             tracer=self.tracer, metrics=self.metrics,
             columnar=self.columnar, join_strategy=self.join_strategy,
         )
-
-    def _run_expressions(self) -> ExecutionReport:
         total = ExecutionReport(batch_rows=self.batch_rows)
         segments = _expression_groups(self.program)
         for index, members in enumerate(segments):
             segment = _subprogram(self.program, set(members))
             snapshot = dict(self.placement)
-            if self.parallel_workers > 1:
-                from repro.core.program.parallel_executor import (
-                    ParallelProgramExecutor,
-                )
-
-                executor = ParallelProgramExecutor(
-                    self.source, self.target, self.channel,
-                    workers=self.parallel_workers,
-                    batch_rows=self.batch_rows, retry=self.retry,
-                    tracer=self.tracer, metrics=self.metrics,
-                    columnar=self.columnar,
-                    join_strategy=self.join_strategy,
-                )
-            else:
-                executor = self._executor()
             part = executor.run(segment, snapshot)
             _merge_report(total, part)
             self._observe_segment(segment, snapshot, part)
@@ -289,7 +241,7 @@ class AdaptiveRun:
                 self._maybe_replan()
         return total
 
-    # -- observation (shared by both granularities) ----------------------------
+    # -- observation -----------------------------------------------------------
 
     def _observe_op(self, node: Operation, location: Location,
                     seconds: float, strategy: str) -> None:
@@ -334,26 +286,6 @@ class AdaptiveRun:
             if seconds is None:
                 continue
             self._observe_edge(edge.fragment, seconds)
-
-    # -- the monitor hooks (per-op granularity) --------------------------------
-
-    def op_started(self, node: Operation) -> Location:
-        """Pin ``node`` where the current placement puts it and
-        return that location (the executor's read point)."""
-        location = self.placement[node.op_id]
-        self._pinned[node.op_id] = location
-        return location
-
-    def edge_shipped(self, edge: "Edge", shipment: Shipment) -> None:
-        self._observe_edge(edge.fragment, shipment.seconds)
-
-    def op_finished(self, node: Operation, location: Location,
-                    seconds: float, rows: int,
-                    strategy: str = "row") -> None:
-        self._observe_op(node, location, seconds, strategy)
-        self.checkpoints += 1
-        self._count("checkpoints")
-        self._maybe_replan()
 
     # -- replanning ------------------------------------------------------------
 

@@ -5,7 +5,7 @@ Usage::
     python -m repro program MF LF            # print the negotiated program
     python -m repro exchange MF LF --size 25 # run DE vs publish&map
     python -m repro exchange MF MF --workers 4   # parallel DE execution
-    python -m repro exchange MF MF --batch-rows 64  # streaming dataplane
+    python -m repro exchange MF MF --batch-rows 64  # bounded-memory batches
     python -m repro exchange MF LF --columnar    # columnar dataplane
     python -m repro exchange MF LF --fault-plan drop=0.1,corrupt=0.05 \
         --retries 6                          # lossy channel, healed
@@ -350,7 +350,7 @@ def _run_delta_exchange(args: argparse.Namespace, out: TextIO,
 
 def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
     """Run DE vs publish&map on XMark data; ``--workers N`` executes
-    the DE program phase on the N-way parallel executor; ``--sessions
+    the DE program phase with N executor workers; ``--sessions
     N`` brokers N concurrent DE sessions (``--plan-cache`` memoizes
     their negotiations so only the first pays the optimizer)."""
     if args.source.upper() not in _XMARK_KEYS \
@@ -399,8 +399,8 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 f"--since must be >= 0, got {args.since}"
             )
     if args.columnar and args.batch_rows is None:
-        # The columnar dataplane is a streaming dataplane; give it the
-        # standard batch size rather than refusing.
+        # The CLI's columnar runs default to the standard batch size
+        # (bounded memory) rather than one unbounded batch per feed.
         args.batch_rows = DEFAULT_BATCH_ROWS
     fault_plan = None
     if args.fault_plan:
@@ -812,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     exchange.add_argument(
         "--batch-rows", type=int, default=None,
         help="stream the DE program phase in row batches of this size "
-             "(bounded memory; default: materialized instances)",
+             "(bounded memory; default: one unbounded batch per feed)",
     )
     exchange.add_argument(
         "--columnar", action="store_true",

@@ -226,7 +226,7 @@ class ColumnBatch:
                  "stop", "_rows", "_estimated", "_feed", "_row_sizes")
 
     def __init__(self, fragment: Fragment, columns: list[list],
-                 seq: int, layout: ColumnLayout | None = None,
+                 seq: int | None, layout: ColumnLayout | None = None,
                  start: int = 0, stop: int | None = None) -> None:
         self.fragment = fragment
         self.layout = layout or layout_of(fragment)
@@ -248,7 +248,7 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(cls, fragment: Fragment, rows: "list[FragmentRow]",
-                  seq: int, layout: ColumnLayout | None = None
+                  seq: int | None, layout: ColumnLayout | None = None
                   ) -> "ColumnBatch":
         """Flatten row trees into columns (the row→columnar bridge)."""
         layout = layout or layout_of(fragment)

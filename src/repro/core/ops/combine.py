@@ -7,13 +7,16 @@ repetition of the inlined element are recovered from the schema
 (:meth:`repro.core.instance.ElementData.to_xml` serializes children in
 schema order).
 
-Two evaluation strategies share these semantics: :meth:`Combine.apply`
-consumes whole materialized instances, and :meth:`Combine.apply_batches`
-runs a streaming grouped merge over :class:`~repro.core.stream.RowBatch`
-pipelines — child rows are buffered (grouped by their PARENT key, the
-frontier of rows still awaiting their parents) while the parent side,
-which accumulates the combined result and is the large side in a
-combine chain, streams through batch by batch.
+The operation runs over batch streams
+(:class:`~repro.core.stream.RowBatch` pipelines): child rows are
+buffered first (grouped by their PARENT key, the frontier of rows still
+awaiting their parents) while the parent side, which accumulates the
+combined result and is the large side in a combine chain, streams
+through batch by batch.  :meth:`Combine.apply_batches` does this over
+row trees (a grouped merge), :meth:`Combine.apply_column_batches` over
+column arrays (a build/probe join); an unbatched run is the same
+kernels fed one unbounded batch per side.  Each output batch keeps its
+parent batch's ``seq``.
 """
 
 from __future__ import annotations
@@ -72,15 +75,21 @@ class Combine(Operation):
 
     def apply(self, parent: FragmentInstance,
               child: FragmentInstance) -> FragmentInstance:
-        """Instance-level combine (consumes both inputs)."""
-        return parent.combine(child, self.result.name)
+        """Instance-level combine (consumes both inputs): one
+        unbatched pass through :meth:`apply_batches`."""
+        [combined] = self.apply_batches(
+            [RowBatch(parent.fragment, parent.rows, None)],
+            [RowBatch(child.fragment, child.rows, None)],
+        )
+        return combined.to_instance()
 
     def apply_batches(self, parent: Iterable[RowBatch],
                       child: Iterable[RowBatch], *,
                       tick: Callable[[float, int], None] | None = None,
                       meter: ResidencyMeter | None = None
                       ) -> Iterator[RowBatch]:
-        """Streaming grouped merge (same semantics as :meth:`apply`).
+        """Grouped merge over row batches (Definition 3.7's semantics,
+        :meth:`~repro.core.instance.FragmentInstance.combine`).
 
         The child stream is drained first into a PARENT-keyed frontier
         of pending rows; parent batches then stream through, each row
@@ -88,8 +97,8 @@ class Combine(Operation):
         result fragment — so only the child frontier plus one parent
         batch is resident here at any time.  Emitted rows are the
         parent's own row objects in their original order, and children
-        attach per anchor in child-feed order: byte-identical to the
-        materialized path.
+        attach per anchor in child-feed order: byte-identical whatever
+        the batch size.
 
         ``tick(seconds, rows)`` reports local work (excluding upstream
         production time) to the executor's per-operation accounting;
@@ -99,8 +108,8 @@ class Combine(Operation):
             OperationError: if child rows reference parent occurrences
                 that never arrive.  Detection happens at end-of-stream,
                 after earlier parent batches were already forwarded
-                downstream — a failed streaming run may leave partial
-                output behind where the materialized path leaves none.
+                downstream — a failed run may leave partial output
+                behind.
         """
         result_fragment = self.result
         anchor = self.child_fragment.parent_element()
@@ -119,7 +128,6 @@ class Combine(Operation):
                     pending.setdefault(row.parent, []).append(row)
                 if tick is not None:
                     tick(time.perf_counter() - started, 0)
-            seq = 0
             for batch in parent:
                 started = time.perf_counter()
                 in_rows = len(batch.rows)
@@ -138,8 +146,7 @@ class Combine(Operation):
                                     child_row
                                 )
                             occurrence.add_child(child_row.data)
-                out = RowBatch(result_fragment, batch.rows, seq)
-                seq += 1
+                out = RowBatch(result_fragment, batch.rows, batch.seq)
                 if tick is not None:
                     tick(time.perf_counter() - started, len(out.rows))
                 if meter is not None:
@@ -166,7 +173,8 @@ class Combine(Operation):
         observe: Callable[[str, int, int], None] | None = None,
         force: str | None = None,
     ) -> Iterator[ColumnBatch]:
-        """Columnar build/probe join (same semantics as :meth:`apply`).
+        """Columnar build/probe join (same semantics as
+        :meth:`apply_batches`).
 
         **Build**: the child stream — the small side, since a combine
         chain accumulates everything into the parent — is drained into
@@ -271,7 +279,6 @@ class Combine(Operation):
 
             # ---- probe: stream parent batches through the index ----
             probe_rows = 0
-            seq = 0
             for batch in parent:
                 started = time.perf_counter()
                 in_rows = batch.row_count()
@@ -301,9 +308,8 @@ class Combine(Operation):
                     if meter is not None:
                         attached_rows += 1
                         attached_bytes += child_sizes[hit]
-                out = ColumnBatch(result_fragment, out_columns, seq,
-                                  result_layout)
-                seq += 1
+                out = ColumnBatch(result_fragment, out_columns,
+                                  batch.seq, result_layout)
                 if tick is not None:
                     tick(time.perf_counter() - started,
                          out.row_count())

@@ -4,11 +4,10 @@
 ``PARENT`` attributes of each row.  How that happens is the producing
 system's business — a relational endpoint runs a SQL query, a directory
 endpoint walks its tree — so the executor delegates to the endpoint and
-this node only records *which* fragment is read.  Under the streaming
-dataplane the delegation is ``endpoint.scan_stream(fragment,
-batch_rows)``: the endpoint yields the same feed as bounded
-:class:`~repro.core.stream.RowBatch` slices instead of one whole
-instance.
+this node only records *which* fragment is read.  The delegation is
+``endpoint.scan_stream(fragment, batch_rows)``: the endpoint yields the
+feed as :class:`~repro.core.stream.RowBatch` slices (one slice holding
+the whole feed on an unbatched run).
 """
 
 from __future__ import annotations

@@ -4,14 +4,18 @@
 ``f1 ... fn``, introducing fresh ``ID``/``PARENT`` exposure on each piece
 to preserve the parent/child relationships the schema dictates.
 
-Like ``Combine``, the operation evaluates two ways: :meth:`Split.apply`
-over whole instances, and :meth:`Split.apply_batches`, which maps the
-instance-level split over each input batch independently — splitting is
-row-local, so concatenating the per-batch piece rows reproduces the
-materialized output exactly.  Because the n piece streams are drained
-by different consumers, undrained piece batches queue inside a shared
-(thread-safe) state; at most one input batch is split ahead of the
-slowest consumer's need.
+Splitting is row-local, so the operation runs batch by batch:
+:meth:`Split.apply_batches` maps the instance-level split
+(:meth:`~repro.core.instance.FragmentInstance.split`) over each input
+batch, :meth:`Split.apply_column_batches` projects columns instead, and
+concatenating the per-batch piece rows reproduces the split of the
+whole feed exactly.  The two differ only in that per-batch partition;
+the n piece streams are drained by different consumers, so undrained
+piece batches queue inside one shared (thread-safe) :class:`_SplitState`
+— at most one input batch is split ahead of the slowest consumer's
+need.  An unbatched input (one ``seq``-less batch) yields exactly one
+``seq``-less batch per piece, empty pieces included; a batched input
+drops empty piece batches and numbers the rest.
 """
 
 from __future__ import annotations
@@ -53,23 +57,40 @@ class Split(Operation):
         return self.outputs
 
     def apply(self, instance: FragmentInstance) -> list[FragmentInstance]:
-        """Instance-level split (consumes the input)."""
-        return instance.split(list(self.pieces))
+        """Instance-level split (consumes the input): one unbatched
+        pass through :meth:`apply_batches`."""
+        whole = RowBatch(instance.fragment, instance.rows, None)
+        return [
+            next(stream).to_instance()
+            for stream in self.apply_batches([whole])
+        ]
 
     def apply_batches(self, batches: Iterable[RowBatch], *,
                       tick: Callable[[float, int], None] | None = None,
                       meter: ResidencyMeter | None = None
                       ) -> list[Iterator[RowBatch]]:
-        """Streaming split: one output batch iterator per piece.
+        """Row split: one output batch iterator per piece.
 
         Each pulled input batch is split with the instance-level
         semantics and its piece rows are queued on every piece's
         output; pulling any piece refills from the input as needed.
-        Safe to drain from concurrent threads (the parallel executor
-        runs each downstream expression in its own task).
+        Safe to drain from concurrent threads (a run with several
+        workers drains each downstream expression in its own task).
         """
-        state = _SplitBatchState(self, iter(batches), tick, meter)
-        return [state.stream(index) for index in range(len(self.pieces))]
+        pieces = list(self.pieces)
+
+        def partition(batch: RowBatch) -> list[RowBatch]:
+            return [
+                RowBatch(piece.fragment, piece.rows, None)
+                for piece in FragmentInstance(
+                    self.fragment, batch.rows
+                ).split(pieces)
+            ]
+
+        state = _SplitState(
+            len(pieces), partition, iter(batches), tick, meter
+        )
+        return [state.stream(index) for index in range(len(pieces))]
 
     def apply_column_batches(
         self, batches: Iterable[ColumnBatch], *,
@@ -84,27 +105,92 @@ class Split(Operation):
         parent becomes its ``parent`` (fresh ID/PARENT exposure straight
         from existing key columns).  The root piece keeps every row and
         reuses the input's column arrays zero-copy.  Queueing/refill
-        discipline matches :meth:`apply_batches`.
+        discipline is :meth:`apply_batches`'s.
         """
-        state = _ColumnSplitState(self, iter(batches), tick, meter)
-        return [state.stream(index) for index in range(len(self.pieces))]
+        pieces = len(self.pieces)
+        state = _SplitState(
+            pieces, self._column_partition(), iter(batches), tick, meter
+        )
+        return [state.stream(index) for index in range(pieces)]
+
+    def _column_partition(
+        self,
+    ) -> Callable[[ColumnBatch], list[ColumnBatch]]:
+        """The per-batch projection of :meth:`apply_column_batches`."""
+        input_layout = layout_of(self.fragment)
+        schema = self.fragment.schema
+        # Per piece: (layout, key column in the input, input column
+        # name per piece spec).
+        plans = []
+        for piece in self.pieces:
+            layout = layout_of(piece)
+            key_column = input_layout.eid_column(piece.root_name)
+            sources: list[str] = []
+            for spec in layout.specs:
+                if spec.role == "id":
+                    sources.append(key_column)
+                elif spec.role == "parent":
+                    if piece.root_name == self.fragment.root_name:
+                        sources.append("parent")
+                    else:
+                        anchor = schema.parent_name(piece.root_name)
+                        sources.append(
+                            input_layout.eid_column(anchor)
+                        )
+                else:
+                    sources.append(spec.name)
+            plans.append((piece, layout, key_column, sources))
+
+        def partition(batch: ColumnBatch) -> list[ColumnBatch]:
+            in_rows = batch.row_count()
+            out: list[ColumnBatch] = []
+            for piece, layout, key_column, sources in plans:
+                if key_column == "id":
+                    kept = None  # the root piece keeps every row
+                else:
+                    kept = [
+                        position for position, key
+                        in enumerate(batch.column(key_column))
+                        if key is not None
+                    ]
+                if kept is None or len(kept) == in_rows:
+                    columns = [batch.column(name) for name in sources]
+                elif not kept:
+                    columns = [[] for _ in sources]
+                else:
+                    columns = [
+                        [cells[position] for position in kept]
+                        for cells in (batch.column(name)
+                                      for name in sources)
+                    ]
+                out.append(ColumnBatch(piece, columns, None, layout))
+            return out
+
+        return partition
 
 
-class _SplitBatchState:
-    """Shared refill state behind the piece streams of one Split."""
+class _SplitState:
+    """Shared refill state behind the piece streams of one Split.
 
-    def __init__(self, op: Split, batches: Iterator[RowBatch],
+    ``partition`` turns one input batch into one batch per piece (row
+    trees or column projections — the only thing the two dataplanes do
+    differently here).
+    """
+
+    def __init__(self, pieces: int,
+                 partition: Callable[[RowBatch], list[RowBatch]],
+                 batches: Iterator[RowBatch],
                  tick: Callable[[float, int], None] | None,
                  meter: ResidencyMeter | None) -> None:
-        self._op = op
+        self._partition = partition
         self._batches = batches
         self._tick = tick
         self._meter = meter
         self._lock = threading.Lock()
         self._queues: list[deque[RowBatch]] = [
-            deque() for _ in op.pieces
+            deque() for _ in range(pieces)
         ]
-        self._seqs = [0] * len(op.pieces)
+        self._seqs = [0] * pieces
         self._exhausted = False
         self._failure: BaseException | None = None
 
@@ -117,25 +203,28 @@ class _SplitBatchState:
         batch = next(self._batches)
         started = time.perf_counter()
         in_bytes = batch.estimated_size() if self._meter else 0
-        pieces = FragmentInstance(
-            self._op.fragment, batch.rows
-        ).split(list(self._op.pieces))
-        rows = sum(len(piece.rows) for piece in pieces)
+        pieces = self._partition(batch)
         if self._tick is not None:
-            self._tick(time.perf_counter() - started, rows)
+            self._tick(
+                time.perf_counter() - started,
+                sum(piece.row_count() for piece in pieces),
+            )
+        # An unbatched stream is exactly one seq-less batch per piece,
+        # empty or not; a batched one skips empty slices and numbers
+        # the rest.
         for index, piece in enumerate(pieces):
-            if not piece.rows:
-                continue
+            if batch.seq is not None:
+                if not piece.row_count():
+                    continue
+                piece.seq = self._seqs[index]
+                self._seqs[index] += 1
             if self._meter is not None:
                 self._meter.acquire(
-                    len(piece.rows), piece.estimated_size()
+                    piece.row_count(), piece.estimated_size()
                 )
-            self._queues[index].append(
-                RowBatch(piece.fragment, piece.rows, self._seqs[index])
-            )
-            self._seqs[index] += 1
+            self._queues[index].append(piece)
         if self._meter is not None:
-            self._meter.release(len(batch.rows), in_bytes)
+            self._meter.release(batch.row_count(), in_bytes)
 
     def _pull(self, index: int) -> RowBatch | None:
         with self._lock:
@@ -154,124 +243,6 @@ class _SplitBatchState:
             return self._queues[index].popleft()
 
     def stream(self, index: int) -> Iterator[RowBatch]:
-        while True:
-            batch = self._pull(index)
-            if batch is None:
-                return
-            yield batch
-
-
-class _ColumnSplitState:
-    """Shared refill state behind the columnar piece streams.
-
-    Same locking/queueing discipline as :class:`_SplitBatchState`; the
-    per-batch work is column projection instead of tree surgery.
-    """
-
-    def __init__(self, op: Split, batches: Iterator[ColumnBatch],
-                 tick: Callable[[float, int], None] | None,
-                 meter: ResidencyMeter | None) -> None:
-        self._op = op
-        self._batches = batches
-        self._tick = tick
-        self._meter = meter
-        self._lock = threading.Lock()
-        self._queues: list[deque[ColumnBatch]] = [
-            deque() for _ in op.pieces
-        ]
-        self._seqs = [0] * len(op.pieces)
-        self._exhausted = False
-        self._failure: BaseException | None = None
-        # Per-piece projection plan: (layout, key column in the input,
-        # input column name per piece spec).
-        input_layout = layout_of(op.fragment)
-        schema = op.fragment.schema
-        self._plans = []
-        for piece in op.pieces:
-            layout = layout_of(piece)
-            key_column = input_layout.eid_column(piece.root_name)
-            sources: list[str] = []
-            for spec in layout.specs:
-                if spec.role == "id":
-                    sources.append(key_column)
-                elif spec.role == "parent":
-                    if piece.root_name == op.fragment.root_name:
-                        sources.append("parent")
-                    else:
-                        anchor = schema.parent_name(piece.root_name)
-                        sources.append(
-                            input_layout.eid_column(anchor)
-                        )
-                else:
-                    sources.append(spec.name)
-            self._plans.append((layout, key_column, sources))
-
-    def _refill(self) -> None:
-        """Project one more input batch into the queues (lock held).
-
-        Raises:
-            StopIteration: when the input stream is exhausted.
-        """
-        batch = next(self._batches)
-        started = time.perf_counter()
-        in_bytes = batch.estimated_size() if self._meter else 0
-        in_rows = batch.row_count()
-        out: list[ColumnBatch | None] = []
-        rows = 0
-        for index, piece in enumerate(self._op.pieces):
-            layout, key_column, sources = self._plans[index]
-            keys = batch.column(key_column)
-            if key_column == "id":
-                kept = None  # the root piece keeps every row
-                count = in_rows
-            else:
-                kept = [position for position, key in enumerate(keys)
-                        if key is not None]
-                count = len(kept)
-            if count == 0:
-                out.append(None)
-                continue
-            if kept is None or count == in_rows:
-                columns = [batch.column(name) for name in sources]
-            else:
-                columns = [
-                    [cells[position] for position in kept]
-                    for cells in (batch.column(name)
-                                  for name in sources)
-                ]
-            out.append(ColumnBatch(piece, columns,
-                                   self._seqs[index], layout))
-            rows += count
-        if self._tick is not None:
-            self._tick(time.perf_counter() - started, rows)
-        for index, piece_batch in enumerate(out):
-            if piece_batch is None:
-                continue
-            if self._meter is not None:
-                self._meter.acquire(piece_batch.row_count(),
-                                    piece_batch.estimated_size())
-            self._queues[index].append(piece_batch)
-            self._seqs[index] += 1
-        if self._meter is not None:
-            self._meter.release(in_rows, in_bytes)
-
-    def _pull(self, index: int) -> ColumnBatch | None:
-        with self._lock:
-            while not self._queues[index]:
-                if self._failure is not None:
-                    raise self._failure
-                if self._exhausted:
-                    return None
-                try:
-                    self._refill()
-                except StopIteration:
-                    self._exhausted = True
-                except BaseException as exc:
-                    self._failure = exc
-                    raise
-            return self._queues[index].popleft()
-
-    def stream(self, index: int) -> Iterator[ColumnBatch]:
         while True:
             batch = self._pull(index)
             if batch is None:

@@ -4,10 +4,10 @@ What "store" means is the executing system's business: the relational
 endpoint LOADs rows into the fragment's table (and maintains indexes),
 the directory endpoint adds entries under their parents, and a
 file-system endpoint would publish documents.  The node records only the
-fragment written.  Under the streaming dataplane the delegation is
-``endpoint.write_stream(fragment, stream)``: batches are stored as they
-arrive (the relational endpoint bulk-loads each batch), so the write
-never holds the whole instance.
+fragment written.  The delegation is ``endpoint.write_stream(fragment,
+stream)``: batches are stored as they arrive (the relational endpoint
+bulk-loads each batch), so a batched write never holds the whole
+instance.
 """
 
 from __future__ import annotations

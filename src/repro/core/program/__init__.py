@@ -5,7 +5,8 @@ describe data flow.  :mod:`repro.core.program.dag` is the graph model,
 :mod:`repro.core.program.builder` implements the G0 → G1 → completed
 program construction of Section 4.2 (including combine-order
 enumeration), :mod:`repro.core.program.executor` runs placed programs
-against system endpoints, and :mod:`repro.core.program.render` prints
+against system endpoints (on the one batch pipeline of
+:mod:`repro.core.program.run`), and :mod:`repro.core.program.render` prints
 programs in the style of Figures 3–6 and 8.
 """
 
@@ -25,7 +26,6 @@ from repro.core.program.parallel import (
     partition_expressions,
     simulate_parallel_makespan,
 )
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.core.program.serialize import (
     program_from_dict,
     program_from_json,
@@ -41,7 +41,6 @@ __all__ = [
     "build_transfer_program",
     "enumerate_transfer_programs",
     "ProgramExecutor",
-    "ParallelProgramExecutor",
     "critical_path_seconds",
     "ParallelEstimate",
     "partition_expressions",

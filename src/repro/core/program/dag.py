@@ -115,21 +115,10 @@ class TransferProgram:
         """Edges consuming ``node``'s outputs."""
         return list(self._out_edges.get(node.op_id, ()))
 
-    def consumers_by_port(self) -> dict[tuple[int, int], Edge]:
-        """Map each producing ``(op_id, output_index)`` port to its
-        consuming edge.  Every port feeds at most one consumer
-        (:meth:`validate` enforces it), so the executors can route a
-        produced value — or each batch of one — without scanning the
-        edge list."""
-        return {
-            (edge.producer.op_id, edge.output_index): edge
-            for edge in self.edges
-        }
-
     def dangling_ports(self) -> list[tuple[int, int]]:
         """Output ports no edge consumes, sorted.  A well-formed
-        program has none; executors report them as unconsumed program
-        outputs."""
+        program has none; the executor reports them as unconsumed
+        program outputs."""
         consumed = {
             (edge.producer.op_id, edge.output_index)
             for edge in self.edges

@@ -1,45 +1,30 @@
 """Execute placed data-transfer programs against system endpoints.
 
-The executor walks the DAG in topological order.  ``Scan`` and ``Write``
-are delegated to the owning endpoint (each system implements its own,
-Defs. 3.6/3.9); ``Combine`` and ``Split`` run wherever their node is
-placed, and their elapsed time is attributed to that system.  When an
-edge crosses systems the value is shipped through the channel, which
-accounts bytes and simulated transfer time (Section 4.1's ``comm_cost``).
+``Scan`` and ``Write`` are delegated to the owning endpoint (each
+system implements its own, Defs. 3.6/3.9); ``Combine`` and ``Split``
+run wherever their node is placed, and their elapsed time is attributed
+to that system.  When an edge crosses systems its batches are shipped
+through the channel, which accounts bytes and simulated transfer time
+(Section 4.1's ``comm_cost``).
 
-Two dataplanes share this interface.  With ``batch_rows=None`` (the
-default, the paper's setup) every edge carries a whole materialized
-:class:`~repro.core.instance.FragmentInstance`.  With ``batch_rows=N``
-the run moves :class:`~repro.core.stream.RowBatch` slices end to end
-instead (see :mod:`repro.core.program.streaming`): scans produce
-batches, combines/splits transform them, writes store them as they
-arrive, and cross-edges ship them chunked — peak resident rows are
-bounded by the batch size times the pipeline depth rather than by the
-document, while the written output stays byte-identical.
+This module holds the executor's interface — the endpoint and channel
+protocols, :class:`ExecutionReport`, and :class:`ProgramExecutor`, the
+configuration a program is run under.  The one engine that schedules,
+ships, journals, meters and traces a run is
+:class:`~repro.core.program.run.ProgramRun`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
-from repro.errors import ProgramError
 from repro.core.fragment import Fragment
-from repro.core.instance import FragmentInstance
-from repro.core.ops.base import Location, Operation
-from repro.core.ops.combine import Combine
-from repro.core.ops.scan import Scan
-from repro.core.ops.split import Split
-from repro.core.ops.write import Write
+from repro.core.ops.base import Location
 from repro.core.program.dag import Placement, TransferProgram
-from repro.core.program.journal import ExchangeJournal, write_key
-from repro.core.stream import FragmentStream, ResidencyMeter, RowBatch
-from repro.obs.metrics import (
-    MetricsRegistry,
-    observe_operation,
-    observe_shipment,
-)
+from repro.core.program.journal import ExchangeJournal
+from repro.core.stream import FragmentStream, RowBatch
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,48 +32,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class DataEndpoint(Protocol):
-    """What the executor needs from a system (source or target)."""
+    """What the executor needs from a system (source or target).
 
-    def scan(self, fragment: Fragment) -> FragmentInstance:
-        """Produce the instance of ``fragment`` (Scan, Def. 3.6)."""
-        ...
-
-    def write(self, fragment: Fragment,
-              instance: FragmentInstance) -> None:
-        """Store ``instance`` (Write, Def. 3.9)."""
-        ...
+    A columnar run additionally calls ``scan_stream_columnar`` (same
+    signature as :meth:`scan_stream`, yielding
+    :class:`~repro.core.columnar.ColumnBatch`).
+    """
 
     def scan_stream(self, fragment: Fragment,
                     batch_rows: int) -> FragmentStream:
-        """Produce the feed of ``fragment`` as a batch stream."""
+        """Produce the feed of ``fragment`` as a batch stream (Scan,
+        Def. 3.6)."""
         ...
 
     def write_stream(self, fragment: Fragment,
                      stream: FragmentStream) -> None:
-        """Store a batch stream incrementally."""
-        ...
-
-
-class ExecutionMonitor(Protocol):
-    """Per-operation observer of a materialized sequential run.
-
-    The executor asks the monitor where each starting operation runs
-    (letting it pin the op and serve a freshly re-placed location) and
-    reports completions and cross-edge shipments back.  See
-    :class:`~repro.adapt.executor.AdaptiveRun`.
-    """
-
-    def op_started(self, node: Operation) -> Location:
-        """Commit and return the location ``node`` executes at."""
-        ...
-
-    def op_finished(self, node: Operation, location: Location,
-                    seconds: float, rows: int) -> None:
-        """``node`` finished; the monitor may re-place unstarted ops."""
-        ...
-
-    def edge_shipped(self, edge, shipment: "Shipment") -> None:
-        """A cross-edge value was shipped at consume time."""
+        """Store a batch stream (Write, Def. 3.9)."""
         ...
 
 
@@ -100,12 +59,8 @@ class ShippingChannel(Protocol):
     protocol; the core stays import-free of :mod:`repro.net`.
     """
 
-    def ship_fragment(self, instance: FragmentInstance) -> "Shipment":
-        """Transfer an instance source → target; return the receipt."""
-        ...
-
     def ship_batch(self, batch: RowBatch) -> "Shipment":
-        """Transfer one batch (chunked streaming); return the receipt."""
+        """Transfer one batch source → target; return the receipt."""
         ...
 
 
@@ -122,7 +77,7 @@ class OperationTiming:
     """Wall-clock timing of one executed operation.
 
     ``strategy`` names the dataplane variant that actually ran:
-    ``"row"`` for the materialized and row-batch paths, ``"columnar"``
+    ``"row"`` for row batches, ``"columnar"``
     for columnar scan/split/write, and ``"hash"``/``"merge"`` for the
     two columnar join strategies of Combine — the key the cost
     calibration uses to fit per-strategy unit costs.
@@ -141,12 +96,12 @@ class OperationTiming:
 class ExecutionReport:
     """Aggregate metrics of one program execution.
 
-    Produced identically by the sequential and the parallel executor,
-    for both dataplanes; consumers should not need to know which ran.
+    The same for every worker count, batch size and dataplane;
+    consumers should not need to know which ran.
 
     **Time.** ``wall_seconds`` is the end-to-end wall-clock time of the
-    run; sequentially it equals ``total_seconds`` up to bookkeeping
-    overhead, in parallel it is the measured makespan.
+    run; with one worker it equals ``total_seconds`` up to bookkeeping
+    overhead, with several it is the measured makespan.
     ``critical_path_seconds`` is the longest compute+ship chain through
     the DAG — the floor no amount of parallelism can beat.
 
@@ -156,17 +111,17 @@ class ExecutionReport:
     accumulate in ``comm_bytes``/``comm_seconds`` and, keyed by
     producer port ``(op_id, output_index)``, in ``shipment_bytes``/
     ``shipment_seconds`` so makespan estimators can attribute
-    communication by actual volume.  Under the streaming dataplane an
-    edge ships many chunks; ``shipment_batches`` records how many per
-    edge (empty for materialized runs, where each edge is one
-    monolithic message).
+    communication by actual volume.  ``shipment_batches`` records how
+    many messages each edge shipped: one per batch, so exactly 1 on an
+    unbatched run (``batch_rows=None``), where each edge is one
+    monolithic message.
 
     **Peak memory.** ``peak_resident_rows``/``peak_resident_bytes``
     are the high-water marks of fragment rows resident in the
     dataplane (instances in flight, batch frontiers, combine/split
     buffers) as measured by :class:`~repro.core.stream.ResidencyMeter`
-    — the quantity the streaming dataplane bounds.  ``batch_rows``
-    records the knob the run used (``None`` = materialized).
+    — the quantity ``batch_rows`` bounds.  ``batch_rows`` records the
+    knob the run used (``None`` = unbatched).
 
     **Robustness** (zero on a fault-free run over a perfect channel):
     ``retries`` counts re-sends the reliable shipping layer performed
@@ -244,20 +199,27 @@ class ExecutionReport:
 class _ZeroCostChannel:
     """Accounts bytes but charges no transfer time (LAN-of-zero-latency)."""
 
-    def ship_fragment(self, instance: FragmentInstance) -> Shipment:
-        return Shipment(instance.estimated_size(), 0.0)
-
     def ship_batch(self, batch: RowBatch) -> Shipment:
         return Shipment(batch.estimated_size(), 0.0)
 
 
 class ProgramExecutor:
-    """Runs a placed program against a source and a target endpoint.
+    """Runs placed programs against a source and a target endpoint.
 
-    ``batch_rows`` selects the dataplane: ``None`` (default) moves
-    whole materialized instances, an integer moves row batches of that
-    size through the streaming pipeline instead — same written output,
-    bounded resident rows.
+    ``workers`` is how many Write-rooted chains run concurrently: 1
+    (default) drives them one after another on the calling thread, more
+    run them on a thread pool with cross-edge shipping overlapped
+    against computation — the channel and both endpoints must then be
+    thread-safe (every bundled :class:`~repro.net.transport.Transport`
+    and the relational / in-memory endpoints are).
+
+    ``batch_rows`` is the size of the batches that flow along the
+    edges: ``None`` (default, the paper's setup) moves each feed as one
+    unbounded batch, an integer moves slices of that many rows — same
+    written output, resident rows bounded by the batch size times the
+    pipeline depth.  ``columnar`` moves flat-storable fragments as
+    :class:`~repro.core.columnar.ColumnBatch` columns instead of row
+    trees; ``join_strategy`` pins the columnar Combine's join.
 
     ``retry`` arms the reliable shipping layer (see
     :mod:`repro.net.faults`): cross-edge sends that fail with a
@@ -272,6 +234,7 @@ class ProgramExecutor:
 
     def __init__(self, source: DataEndpoint, target: DataEndpoint,
                  channel: ShippingChannel | None = None,
+                 workers: int = 1,
                  batch_rows: int | None = None,
                  retry: "RetryPolicy | None" = None,
                  journal: ExchangeJournal | None = None,
@@ -279,16 +242,14 @@ class ProgramExecutor:
                  metrics: MetricsRegistry | None = None,
                  columnar: bool = False,
                  join_strategy: str | None = None) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         if batch_rows is not None and batch_rows < 1:
             raise ValueError("batch_rows must be >= 1 or None")
-        if columnar and batch_rows is None:
-            raise ValueError(
-                "columnar execution requires batch_rows (the columnar "
-                "dataplane is a streaming dataplane)"
-            )
         self.source = source
         self.target = target
         self.channel: ShippingChannel = channel or _ZeroCostChannel()
+        self.workers = workers
         self.batch_rows = batch_rows
         self.retry = retry
         self.journal = journal
@@ -297,228 +258,37 @@ class ProgramExecutor:
         self.columnar = columnar
         self.join_strategy = join_strategy
 
-    def _endpoint(self, location: Location) -> DataEndpoint:
-        return self.source if location is Location.SOURCE else self.target
-
     def run(self, program: TransferProgram,
-            placement: Placement | None = None,
-            monitor: "ExecutionMonitor | None" = None
-            ) -> ExecutionReport:
+            placement: Placement | None = None) -> ExecutionReport:
         """Execute ``program`` under ``placement`` and return metrics.
 
-        ``monitor`` (materialized dataplane only) observes the run at
-        operation granularity: it supplies each starting op's location
-        and is told about completions and shipments — the hook
-        :class:`~repro.adapt.executor.AdaptiveRun` uses to re-place
-        the not-yet-started suffix between operations.  Values ship
-        lazily at consume time against the location the monitor
-        returns, so suffix moves stay byte-identical.
-
         Raises:
-            ProgramError: if the program is malformed.
+            ProgramError: if the program is malformed or leaves
+                unconsumed outputs.
             PlacementError: if the placement is illegal or incomplete.
-            ValueError: if a monitor is combined with the streaming
-                dataplane (its placement is compiled before any
-                execution — see :mod:`repro.core.program.streaming`).
         """
+        # Deferred: the run imports the reliable shipping layer, which
+        # imports this module for :class:`Shipment`.
+        from repro.core.program.run import ProgramRun
+
         program.validate()
         if placement is None:
             placement = program.placement_from_nodes()
         program.validate_placement(placement)
-        if monitor is not None and self.batch_rows is not None:
-            raise ValueError(
-                "execution monitors need the materialized dataplane "
-                "(batch_rows=None); the streaming pipeline compiles "
-                "its placement before execution starts"
-            )
-
-        if self.batch_rows is not None:
-            from repro.core.program.streaming import StreamingRun
-
-            return StreamingRun(
-                program, placement, self.source, self.target,
-                self.channel, self.batch_rows,
-                retry=self.retry, journal=self.journal,
-                tracer=self.tracer, metrics=self.metrics,
-                columnar=self.columnar,
-                join_strategy=self.join_strategy,
-            ).execute_sequential()
-
-        started = time.perf_counter()
-        tracer = self.tracer
-        report = ExecutionReport()
-        if self.journal is not None:
-            report.resume_count = self.journal.begin_run()
-        channel = self.channel
-        stats = None
-        if self.retry is not None:
-            from repro.net.faults import ReliableChannel, RobustnessStats
-
-            stats = RobustnessStats()
-            channel = ReliableChannel(
-                self.channel, self.retry, stats, tracer=tracer
-            )
-        meter = ResidencyMeter()
-        # In-flight values keyed by producer port, tagged with the
-        # system currently holding them.
-        values: dict[tuple[int, int], tuple[FragmentInstance, Location]]
-        values = {}
-        consumed: set[tuple[int, int]] = set()
-
-        for node in program.topological_order():
-            if monitor is not None:
-                location = monitor.op_started(node)
-            else:
-                location = placement[node.op_id]
-            # A write acknowledged by an earlier attempt is skipped
-            # wholesale on resume: its inputs are consumed (the
-            # producers still ran — they may feed other writes) but
-            # nothing is shipped or stored again.
-            skip = (
-                self.journal is not None
-                and isinstance(node, Write)
-                and self.journal.write_done(
-                    write_key(node.op_id, node.fragment.name)
-                )
-            )
-            inputs: list[FragmentInstance] = []
-            for edge in program.in_edges(node):
-                key = (edge.producer.op_id, edge.output_index)
-                try:
-                    instance, holder = values.pop(key)
-                except KeyError as exc:
-                    if key in consumed:
-                        detail = "consumed twice"
-                    else:
-                        detail = (
-                            "was never produced (malformed edge or "
-                            "missing operation output)"
-                        )
-                    raise ProgramError(
-                        f"value for {edge.producer.label()} output "
-                        f"{edge.output_index} {detail}"
-                    ) from exc
-                consumed.add(key)
-                if holder is not location and not skip:
-                    ship_started = time.perf_counter()
-                    if stats is not None:
-                        shipment = channel.ship_fragment(
-                            instance, edge=key
-                        )
-                    else:
-                        shipment = channel.ship_fragment(instance)
-                    report.comm_bytes += shipment.bytes_sent
-                    report.comm_seconds += shipment.seconds
-                    report.shipments += 1
-                    report.shipment_bytes[key] = shipment.bytes_sent
-                    report.shipment_seconds[key] = shipment.seconds
-                    tracer.record(
-                        f"ship {edge.fragment.name}", "ship",
-                        start=ship_started, seconds=shipment.seconds,
-                        edge_op=key[0], edge_port=key[1],
-                        bytes=shipment.bytes_sent,
-                        fragment=edge.fragment.name,
-                    )
-                    observe_shipment(
-                        self.metrics, shipment.bytes_sent,
-                        shipment.seconds,
-                    )
-                    if monitor is not None:
-                        monitor.edge_shipped(edge, shipment)
-                inputs.append(instance)
-            input_sizes = [
-                (instance.row_count(), instance.estimated_size())
-                for instance in inputs
-            ]
-            op_started = time.perf_counter()
-            if skip:
-                outputs, elapsed, rows = [], 0.0, 0
-            else:
-                outputs, elapsed, rows = self._execute(
-                    node, location, inputs
-                )
-                tracer.record(
-                    node.label(), "op", start=op_started,
-                    seconds=elapsed, op_id=node.op_id, kind=node.kind,
-                    location=location.name.lower(), rows=rows,
-                )
-                observe_operation(self.metrics, node.kind, elapsed, rows)
-            for in_rows, in_bytes in input_sizes:
-                meter.release(in_rows, in_bytes)
-            for output in outputs:
-                meter.acquire(output.row_count(), output.estimated_size())
-            report.op_timings.append(
-                OperationTiming(node.label(), node.kind, location,
-                                elapsed, rows, node.op_id)
-            )
-            report.comp_seconds[location] += elapsed
-            if node.kind == "write":
-                report.rows_written += rows
-                if self.journal is not None and not skip:
-                    self.journal.ack_write(
-                        write_key(node.op_id, node.fragment.name)
-                    )
-            for index, output in enumerate(outputs):
-                values[(node.op_id, index)] = (output, location)
-            if monitor is not None:
-                monitor.op_finished(node, location, elapsed, rows)
-        if values:
-            leftovers = ", ".join(
-                f"op {op_id} port {port}" for op_id, port in values
-            )
-            raise ProgramError(f"unconsumed program outputs: {leftovers}")
-        report.peak_resident_rows = meter.peak_rows
-        report.peak_resident_bytes = meter.peak_bytes
-        if stats is not None:
-            apply_robustness(report, stats)
-        report.wall_seconds = time.perf_counter() - started
-        report.critical_path_seconds = critical_path_seconds(
-            program, report
-        )
-        return report
-
-    def _execute(self, node: Operation, location: Location,
-                 inputs: list[FragmentInstance]
-                 ) -> tuple[list[FragmentInstance], float, int]:
-        return execute_operation(node, self._endpoint(location), inputs)
-
-
-def execute_operation(node: Operation, endpoint: DataEndpoint,
-                      inputs: list[FragmentInstance]
-                      ) -> tuple[list[FragmentInstance], float, int]:
-    """Run one primitive operation against ``endpoint`` and time it.
-
-    Shared by the sequential and the parallel executor so both delegate
-    Scan/Write identically and measure the same thing.
-
-    Raises:
-        ProgramError: on an unknown operation kind.
-    """
-    start = time.perf_counter()
-    if isinstance(node, Scan):
-        outputs = [endpoint.scan(node.fragment)]
-        rows = outputs[0].row_count()
-    elif isinstance(node, Combine):
-        outputs = [node.apply(inputs[0], inputs[1])]
-        rows = outputs[0].row_count()
-    elif isinstance(node, Split):
-        outputs = node.apply(inputs[0])
-        rows = sum(output.row_count() for output in outputs)
-    elif isinstance(node, Write):
-        endpoint.write(node.fragment, inputs[0])
-        outputs = []
-        rows = inputs[0].row_count()
-    else:
-        raise ProgramError(f"unknown operation kind {node.kind!r}")
-    elapsed = time.perf_counter() - start
-    return outputs, elapsed, rows
+        return ProgramRun(
+            program, placement, self.source, self.target,
+            self.channel, self.batch_rows,
+            retry=self.retry, journal=self.journal,
+            tracer=self.tracer, metrics=self.metrics,
+            columnar=self.columnar, join_strategy=self.join_strategy,
+        ).execute(self.workers)
 
 
 def apply_robustness(report: ExecutionReport, stats) -> None:
     """Fold a :class:`~repro.net.faults.RobustnessStats` into the
     report.
 
-    Shared by all three executors.  Per-edge counters are *added* to
+    Per-edge counters are *added* to
     whatever the report already holds — when several reliable links
     (or several runs merging into one stats object) touched the same
     edge, their counts sum instead of the last writer winning.

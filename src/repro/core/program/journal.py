@@ -1,13 +1,13 @@
 """Exchange checkpointing: resume a killed run where it stopped.
 
 An :class:`ExchangeJournal` is an append-only acknowledgement log kept
-by the executors while a program runs.  Two grain sizes:
+by the executor while a program runs.  Two grain sizes:
 
-* **whole writes** — every executor acks a Write operation once its
+* **whole writes** — every run acks a Write operation once its
   fragment is fully stored.  A resumed run skips the entire producer
   chain of an acked write (nothing is recomputed or re-shipped).
-* **batches** — under the streaming dataplane, writes into endpoints
-  that load incrementally (``incremental_writes = True``, e.g. the
+* **batches** — on a batched run (``batch_rows=N``), writes into
+  endpoints that load incrementally (``incremental_writes = True``, e.g. the
   relational endpoint's per-batch bulk load) additionally ack each
   stored batch by sequence number.  A resumed run replays the stream
   but suppresses shipping and re-loading through the acknowledged
@@ -33,8 +33,8 @@ from typing import IO
 class ExchangeJournal:
     """Append-only acknowledgement log for one exchange.
 
-    Thread-safe: the parallel executors ack from worker threads.  Keys
-    identify Write operations stably across runs (the executors use
+    Thread-safe: multi-worker runs ack from worker threads.  Keys
+    identify Write operations stably across runs (the executor uses
     ``"<op_id>:<fragment name>"``), so a fresh process replaying the
     same program resolves its acknowledgements.
     """

@@ -91,14 +91,14 @@ def simulate_parallel_makespan(program: TransferProgram,
     accounting every cross-edge weighs the same.  Groups are then
     list-scheduled longest-first onto the workers.
 
-    ``comm_overlap`` (0..1) credits *intra-edge* pipelining: under the
-    streaming dataplane a cross-edge ships chunk *i* while chunk *i+1*
-    is still being produced, so up to ``min(compute, comm)`` of a
-    group's communication hides behind its computation.  ``0`` models
-    the materialized dataplane (each edge is one monolithic transfer
-    that cannot start until its producer finishes); ``1`` models
-    perfect chunk-level overlap — a fully streamed run with many small
-    batches approaches it.
+    ``comm_overlap`` (0..1) credits *intra-edge* pipelining: on a
+    batched run a cross-edge ships chunk *i* while chunk *i+1* is
+    still being produced, so up to ``min(compute, comm)`` of a group's
+    communication hides behind its computation.  ``0`` models an
+    unbatched run (each edge is one monolithic transfer that cannot
+    start until its producer finishes); ``1`` models perfect
+    chunk-level overlap — a run with many small batches approaches
+    it.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

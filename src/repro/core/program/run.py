@@ -1,34 +1,44 @@
-"""Streaming execution of placed programs over RowBatch pipelines.
+"""The execution core: one placed program, run as a batch pipeline.
 
-This is the bounded-memory dataplane behind the executors'
-``batch_rows`` knob.  The placed DAG is compiled into a network of lazy
-batch iterators — Scan streams off the endpoint, Combine/Split
-transform per batch (:meth:`~repro.core.ops.combine.Combine.
-apply_batches` / :meth:`~repro.core.ops.split.Split.apply_batches`),
-cross-edges ship each batch through the channel as its own message —
-and the Write nodes *drive* the network by pulling: a batch travels the
-whole chain scan → transform → ship → load before the next one is
-produced, so resident rows stay bounded by the batch size times the
-pipeline depth (plus Combine's child frontier) instead of the document
-size.
+The placed DAG is compiled into a network of lazy batch iterators —
+Scan streams off the endpoint, Combine/Split transform per batch
+(:meth:`~repro.core.ops.combine.Combine.apply_batches` /
+:meth:`~repro.core.ops.split.Split.apply_batches`, or their columnar
+forms), cross-edges ship each batch through the channel as its own
+message — and the Write nodes *drive* the network by pulling: a batch
+travels the whole chain scan → transform → ship → load before the next
+one is produced.
 
-Sequentially the Writes drive one after another in topological order.
-In parallel mode every Write's chain is one task on the compute pool —
-independent expressions stream concurrently — and each cross-edge gets
-a prefetch stage on a second pool so producing batch *i+1* overlaps
-shipping batch *i* within a single edge (the intra-edge pipelining the
-materialized dataplane cannot do).
+What a batch is depends on ``batch_rows`` alone.  ``None`` makes every
+stream exactly one unbounded batch without a ``seq`` — each edge ships
+one monolithic message, the paper's setup.  An integer cuts streams
+into numbered slices of that many rows, so resident rows stay bounded
+by the batch size times the pipeline depth (plus Combine's child
+frontier) instead of the document size.
 
-Accounting matches the materialized executors': per-operation seconds
-measure each node's own work (upstream production pulled from inside a
-consumer is charged to the producer, not the consumer), and shipment /
-peak-memory fields follow the single definition on
+With one worker the Writes drive one after another in topological
+order on the calling thread.  With more, every Write's chain is one
+task on the compute pool — independent expressions run concurrently —
+and each cross-edge gets a prefetch stage on a second pool so producing
+batch *i+1* overlaps shipping batch *i* within a single edge.
+
+Journal resume, adaptive re-placement and delta views wrap this one
+graph: the journal decides which Writes get a drive and which batches
+bypass the wire, :class:`~repro.adapt.executor.AdaptiveRun` runs the
+program one Write-rooted segment at a time, and the delta views stand
+in for the endpoints.
+
+Accounting: per-operation seconds measure each node's own work
+(upstream production pulled from inside a consumer is charged to the
+producer, not the consumer), and shipment / peak-memory fields follow
+the single definition on
 :class:`~repro.core.program.executor.ExecutionReport`.
 """
 
 from __future__ import annotations
 
 import queue
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -66,6 +76,11 @@ from repro.obs.metrics import (
 from repro.obs.trace import NULL_TRACER, Tracer
 
 
+#: ``batch_rows`` an unbatched run asks the endpoints for: the whole
+#: feed in one batch.
+_WHOLE_FEED = sys.maxsize
+
+
 class _AbortedRun(RuntimeError):
     """Internal: a task bailed because another task already failed."""
 
@@ -73,11 +88,35 @@ class _AbortedRun(RuntimeError):
 class _NodeStats:
     """Per-node accumulators filled while batches flow."""
 
-    __slots__ = ("seconds", "rows")
+    __slots__ = ("started", "seconds", "rows")
 
     def __init__(self) -> None:
+        #: When the node first did any work (its span's start).
+        self.started: float | None = None
         self.seconds = 0.0
         self.rows = 0
+
+
+def _whole_feed(batches: Iterator[RowBatch], fragment,
+                columnar: bool) -> Iterator[RowBatch]:
+    """An unbatched stream: the whole feed as exactly one ``seq``-less
+    batch.  An empty feed still crosses its edges, as one empty
+    message.
+
+    Raises:
+        ProgramError: if the endpoint cut the feed up regardless.
+    """
+    batch = next(batches, None)
+    if batch is None:
+        make = ColumnBatch.from_rows if columnar else RowBatch
+        batch = make(fragment, [], None)
+    batch.seq = None
+    yield batch
+    if next(batches, None) is not None:
+        raise ProgramError(
+            f"scan of fragment {fragment.name!r} returned several "
+            f"batches for batch_rows={_WHOLE_FEED}"
+        )
 
 
 class _Prefetch:
@@ -126,7 +165,7 @@ class _Prefetch:
                 item = self._queue.get(timeout=self._POLL_SECONDS)
             except queue.Empty:
                 if self._abort.is_set():
-                    raise _AbortedRun("streaming run aborted") from None
+                    raise _AbortedRun("run aborted") from None
                 continue
             if item is self._DONE:
                 raise StopIteration
@@ -135,12 +174,12 @@ class _Prefetch:
             return item
 
 
-class StreamingRun:
-    """One streaming execution of a placed program."""
+class ProgramRun:
+    """One execution of a placed program."""
 
     def __init__(self, program: TransferProgram, placement: Placement,
                  source: DataEndpoint, target: DataEndpoint,
-                 channel: ShippingChannel, batch_rows: int,
+                 channel: ShippingChannel, batch_rows: int | None,
                  retry: RetryPolicy | None = None,
                  journal: ExchangeJournal | None = None,
                  tracer: Tracer | None = None,
@@ -182,38 +221,33 @@ class StreamingRun:
 
     # -- driving ----------------------------------------------------------------
 
-    def execute_sequential(self) -> ExecutionReport:
-        """Drive every Write in topological order, single-threaded."""
+    def execute(self, workers: int = 1) -> ExecutionReport:
+        """Drive every Write: in topological order on this thread
+        (``workers == 1``), or each as its own task on a
+        ``workers``-wide pool with cross-edge prefetch on a second
+        pool."""
         started = time.perf_counter()
         if self.journal is not None:
             self.report.resume_count = self.journal.begin_run()
-        drives = self._build()
-        for drive in drives:
-            self._drive_write(*drive)
-        return self._finish(started)
-
-    def execute_parallel(self, workers: int) -> ExecutionReport:
-        """Drive every Write as its own task on a ``workers``-wide
-        pool, with cross-edge prefetch on a second pool."""
-        started = time.perf_counter()
-        if self.journal is not None:
-            self.report.resume_count = self.journal.begin_run()
+        if workers == 1:
+            for drive in self._build():
+                self._drive_write(*drive)
+            return self._finish(started)
         # One prefetch thread per cross-edge: a producer occupies its
         # thread while blocked on its bounded queue, so a smaller pool
         # deadlocks whenever the running producers feed writes that are
         # queued behind writes whose own producers never got a thread
         # (placements with multi-input cross chains hit this).
         with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-stream",
+            max_workers=workers, thread_name_prefix="repro-run",
         ) as compute, ThreadPoolExecutor(
             max_workers=max(workers, self._cross_edge_count(), 1),
             thread_name_prefix="repro-prefetch",
         ) as prefetch:
             self._prefetch_pool = prefetch
-            drives = self._build()
             futures = [
                 compute.submit(self._drive_write, *drive)
-                for drive in drives
+                for drive in self._build()
             ]
             failure: BaseException | None = None
             for future in as_completed(futures):
@@ -229,7 +263,8 @@ class StreamingRun:
 
     def _cross_edge_count(self) -> int:
         """Edges whose producer and consumer are placed apart — each
-        one becomes a :class:`_Prefetch` producer in parallel mode."""
+        one becomes a :class:`_Prefetch` producer with several
+        workers."""
         count = 0
         for node in self.program.nodes:
             location = self.placement[node.op_id]
@@ -258,11 +293,13 @@ class StreamingRun:
             report.comp_seconds[location] += stats.seconds
             if node.kind == "write":
                 report.rows_written += stats.rows
-            # Streaming work is interleaved batch by batch, so a
-            # node's span is the per-node aggregate, anchored at run
-            # start (see docs/observability.md).
+            # Work is interleaved batch by batch, so a node's span is
+            # the per-node aggregate, anchored where the node first
+            # did any work (see docs/observability.md).
             self.tracer.record(
-                node.label(), "op", start=started,
+                node.label(), "op",
+                start=started if stats.started is None
+                else stats.started,
                 seconds=stats.seconds, op_id=node.op_id,
                 kind=node.kind, location=location.name.lower(),
                 rows=stats.rows, strategy=strategy,
@@ -294,8 +331,10 @@ class StreamingRun:
         the pipeline but bypass the wire and the store.
         """
         wire_format = getattr(self.channel, "wire_format", False)
+        # Output streams by producer port; None once consumed.
         streams: dict[tuple[int, int],
-                      tuple[Iterator[RowBatch], Location, bool]] = {}
+                      tuple[Iterator[RowBatch], Location, bool] | None
+                      ] = {}
         drives: list[tuple[Write, DataEndpoint,
                            Iterator[RowBatch], int]] = []
         for node in self.program.topological_order():
@@ -309,14 +348,24 @@ class StreamingRun:
             if isinstance(node, Write) and self.journal is not None:
                 jkey = write_key(node.op_id, node.fragment.name)
                 done = self.journal.write_done(jkey)
-                if not done and getattr(
-                        endpoint, "incremental_writes", False):
+                if not done and self._acks_batches(endpoint):
                     skip_through = self.journal.acked_through(jkey)
             inputs: list[Iterator[RowBatch]] = []
             input_columnar: list[bool] = []
             for edge in self.program.in_edges(node):
                 key = (edge.producer.op_id, edge.output_index)
-                iterator, holder, is_columnar = streams.pop(key)
+                wired = streams.get(key)
+                if wired is None:
+                    detail = "consumed twice" if key in streams else (
+                        "was never produced (malformed edge or "
+                        "missing operation output)"
+                    )
+                    raise ProgramError(
+                        f"value for {edge.producer.label()} output "
+                        f"{edge.output_index} {detail}"
+                    )
+                streams[key] = None
+                iterator, holder, is_columnar = wired
                 if holder is not location and not done:
                     if is_columnar and wire_format:
                         # The wire moves serialized *rows*; hop to the
@@ -407,16 +456,34 @@ class StreamingRun:
                 streams[(node.op_id, index)] = (
                     output, location, columnar_out
                 )
-        # Whatever was wired but never popped is exactly the program's
-        # statically dangling ports.
+        # Whatever was wired but never consumed is exactly the
+        # program's statically dangling ports.
         self._leftovers = self.program.dangling_ports()
-        assert sorted(streams) == self._leftovers
+        assert self._leftovers == sorted(
+            key for key, wired in streams.items() if wired is not None
+        )
         return drives
 
+    def _acks_batches(self, endpoint: DataEndpoint) -> bool:
+        """Whether writes into ``endpoint`` are journaled batch by
+        batch.  Per-batch acknowledgements are only meaningful for
+        endpoints that store each batch as it arrives; a materializing
+        endpoint replaces the whole instance at end of stream — and an
+        unbatched stream *is* one batch — so a partial run stored
+        nothing and only the whole-write ack holds."""
+        return (
+            self.journal is not None
+            and self.batch_rows is not None
+            and getattr(endpoint, "incremental_writes", False)
+        )
+
     def _ticker(self, node: Operation):
+        stats = self._stats[node.op_id]
+
         def tick(seconds: float, rows: int) -> None:
             with self._lock:
-                stats = self._stats[node.op_id]
+                if stats.started is None:
+                    stats.started = time.perf_counter() - seconds
                 stats.seconds += seconds
                 stats.rows += rows
 
@@ -449,17 +516,19 @@ class StreamingRun:
     def _scan_batches(self, node: Scan, endpoint: DataEndpoint,
                       columnar: bool = False) -> Iterator[RowBatch]:
         tick = self._ticker(node)
+        scan = (
+            endpoint.scan_stream_columnar if columnar
+            else endpoint.scan_stream
+        )
 
         def generate() -> Iterator[RowBatch]:
-            if columnar:
-                stream = endpoint.scan_stream_columnar(
-                    node.fragment, self.batch_rows
+            iterator = iter(scan(
+                node.fragment, self.batch_rows or _WHOLE_FEED
+            ))
+            if self.batch_rows is None:
+                iterator = _whole_feed(
+                    iterator, node.fragment, columnar
                 )
-            else:
-                stream = endpoint.scan_stream(
-                    node.fragment, self.batch_rows
-                )
-            iterator = iter(stream)
             while True:
                 started = time.perf_counter()
                 try:
@@ -499,21 +568,24 @@ class StreamingRun:
                 report.shipment_bytes[key] += shipment.bytes_sent
                 report.shipment_seconds[key] += shipment.seconds
                 report.shipment_batches[key] += 1
+            fragment = batch.fragment.name
+            chunked = batch.seq is not None
             self.tracer.record(
-                f"batch {batch.seq} {batch.fragment.name}", "batch",
+                f"batch {batch.seq} {fragment}" if chunked
+                else f"ship {fragment}",
+                "batch" if chunked else "ship",
                 start=started, seconds=shipment.seconds,
                 edge_op=key[0], edge_port=key[1], seq=batch.seq,
-                bytes=shipment.bytes_sent,
-                fragment=batch.fragment.name,
+                bytes=shipment.bytes_sent, fragment=fragment,
             )
             observe_shipment(
                 self.metrics, shipment.bytes_sent, shipment.seconds,
-                batch=True,
+                batch=chunked,
             )
 
         def generate() -> Iterator[RowBatch]:
             for batch in iterator:
-                if batch.seq <= skip_through:
+                if skip_through >= 0 and batch.seq <= skip_through:
                     # Already stored by the consumer in an earlier
                     # attempt — replay it past the wire unshipped (the
                     # write skips it too).
@@ -537,16 +609,9 @@ class StreamingRun:
                      batches: Iterator[RowBatch],
                      skip_through: int = -1) -> None:
         if self._abort.is_set():
-            raise _AbortedRun("streaming run aborted")
+            raise _AbortedRun("run aborted")
         jkey = write_key(node.op_id, node.fragment.name)
-        # Per-batch acknowledgements are only meaningful for endpoints
-        # that store each batch as it arrives; a materializing endpoint
-        # replaces the whole instance at end of stream, so a partial
-        # run stored nothing and only the whole-write ack holds.
-        incremental = (
-            self.journal is not None
-            and getattr(endpoint, "incremental_writes", False)
-        )
+        incremental = self._acks_batches(endpoint)
         pull_seconds = 0.0
         rows_total = 0
         pending_release: tuple[int, int] | None = None
@@ -573,7 +638,7 @@ class StreamingRun:
                 if pending_release is not None:
                     self.meter.release(*pending_release)
                     pending_release = None
-                if batch.seq <= skip_through:
+                if skip_through >= 0 and batch.seq <= skip_through:
                     # Stored by an earlier attempt; don't load again.
                     self.meter.release(
                         batch.row_count(), batch.estimated_size()

@@ -1,16 +1,17 @@
-"""Bounded-memory fragment streams: the batch dataplane.
+"""Fragment streams: what flows along every edge of a running program.
 
-The materialized dataplane moves whole :class:`~repro.core.instance.
-FragmentInstance` values between operations, so peak memory and
-per-edge latency scale with document size.  This module provides the
-streamed alternative: a :class:`RowBatch` is an ordered slice of a
-fragment's feed (rows ``seq * batch_rows .. len(rows)``), and a
-:class:`FragmentStream` is a single-use iterator of batches with
-bridges to and from the materialized representation.  Operations that
-move batches instead of instances hold only a bounded frontier of rows
-resident at any time; :class:`ResidencyMeter` measures that frontier
+The execution core (:mod:`repro.core.program.run`) moves batches, never
+whole instances.  A :class:`RowBatch` is an ordered slice of a
+fragment's feed and a :class:`FragmentStream` is a single-use iterator
+of batches, with bridges to and from the materialized
+:class:`~repro.core.instance.FragmentInstance`.  With ``batch_rows=N``
+a stream is cut into numbered slices of ``N`` rows, so operations hold
+only a bounded frontier of rows; with ``batch_rows=None`` a stream is
+exactly one unbounded batch with no ``seq`` — the whole feed, shipped
+as the single message the paper's setup sends per fragment.
+:class:`ResidencyMeter` measures the resident frontier
 (``peak_resident_rows`` / ``peak_resident_bytes`` in the execution
-report) for both dataplanes so the bound is checkable.
+report) so the bound is checkable.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ class RowBatch:
     Attributes:
         fragment: the fragment every row conforms to.
         rows: the slice, in feed order.
-        seq: 0-based position of this batch within its stream.
+        seq: 0-based position of this batch within its stream;
+            ``None`` on the single batch of an unbatched stream.
     """
 
     fragment: Fragment
     rows: list[FragmentRow]
-    seq: int
+    seq: int | None
     #: Memoized size sums.  Several pipeline stages (residency meter,
     #: transport charging, shipping accounting) each ask for the size of
     #: the same immutable slice; walking every row's tree per ask is
@@ -89,8 +91,7 @@ class FragmentStream:
     Concatenating the batches of a stream in ``seq`` order yields
     exactly the rows of the materialized instance — that equivalence
     (checked by the determinism tests for every batch size) is what
-    lets the streaming dataplane stay byte-identical to the
-    materialized one.
+    keeps the written output byte-identical whatever ``batch_rows``.
     """
 
     __slots__ = ("fragment", "_batches", "_consumed")
@@ -183,8 +184,8 @@ class ResidencyMeter:
     Producers :meth:`acquire` rows when they enter the dataplane (a
     Scan yields a batch, a Split queues a piece) and consumers
     :meth:`release` them when absorbed (a Write loaded the batch, a
-    Combine inlined a buffered child row).  Thread-safe, since the
-    parallel executor produces and consumes from many threads.
+    Combine inlined a buffered child row).  Thread-safe, since a run
+    with ``workers > 1`` produces and consumes from many threads.
     """
 
     __slots__ = ("_lock", "_rows", "_bytes", "peak_rows", "peak_bytes")

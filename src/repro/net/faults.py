@@ -770,7 +770,8 @@ class ReliableBatchLink:
     exactly the order a fault-free channel would have.  Deliveries are
     absorbed *before* the timeout verdict, so a late-but-delivered
     message is never lost — its re-send is simply discarded as a
-    duplicate.
+    duplicate.  The single ``seq``-less batch of an unbatched stream
+    counts as batch 0.
     """
 
     def __init__(self, channel: object, policy: RetryPolicy | None,
@@ -791,11 +792,12 @@ class ReliableBatchLink:
     def _absorb(self, delivered: Iterable[RowBatch]) -> list[RowBatch]:
         ready: list[RowBatch] = []
         for batch in delivered:
-            if batch.seq in self._seen or batch.seq < self._expected:
+            seq = batch.seq or 0
+            if seq in self._seen or seq < self._expected:
                 self.stats.count_redelivered()
                 continue
-            self._seen.add(batch.seq)
-            self._buffer[batch.seq] = batch
+            self._seen.add(seq)
+            self._buffer[seq] = batch
         while self._expected in self._buffer:
             ready.append(self._buffer.pop(self._expected))
             self._seen.discard(self._expected)
@@ -849,16 +851,3 @@ class ReliableBatchLink:
                 f"(received {arrived} past it)"
             )
         return ready
-
-
-def reliable_ship_fragment(
-    channel: object, policy: RetryPolicy | None,
-    instance: FragmentInstance, stats: RobustnessStats,
-) -> Shipment:
-    """Ship one materialized feed through the reliable layer (or
-    straight through when no policy is configured)."""
-    if policy is None:
-        return channel.ship_fragment(instance)
-    return ReliableChannel(channel, policy, stats).ship_fragment(
-        instance
-    )

@@ -2,7 +2,7 @@
 
 The paper's machines were connected through the Internet; Table 3 times
 TCP transfers of fragments and full documents.  Everything that ships
-data — the executors, the reliable/faulty channel wrappers, the
+data — the executor, the reliable/faulty channel wrappers, the
 exchange service, the broker, and the simulator — depends only on the
 :class:`Transport` interface defined here, so the wire under an
 exchange is interchangeable:
@@ -284,8 +284,10 @@ class Transport(abc.ABC):
         return shipment
 
     def ship_batch(self, batch: RowBatch) -> Shipment:
-        """Ship one batch of a fragment feed (chunked cross-edge
-        traffic of the streaming dataplane).
+        """Ship one batch of a fragment feed — what the executor
+        sends along every cross-edge.  An unbatched run's single
+        ``seq``-less batch is byte-for-byte the
+        :meth:`ship_fragment` message.
 
         Each batch is one message: it pays the per-message latency —
         finer batching buys pipelining at the price of more handshakes,
@@ -344,7 +346,7 @@ class SimulatedChannel(Transport):
 class InProcessTransport(Transport):
     """Zero-cost transport: bytes are counted, no time is charged.
 
-    The degenerate perfect-LAN link — what the executors' implicit
+    The degenerate perfect-LAN link — what the executor's implicit
     default channel models, promoted to a full :class:`Transport` so
     zero-cost runs still get byte accounting, close enforcement, and
     (optionally) the true SOAP encode/decode path of ``wire_format``.

@@ -9,8 +9,9 @@ Three cooperating pieces (see ``docs/observability.md``):
   it unconditionally and pays one attribute lookup plus an early
   return when tracing is off.
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, and
-  fixed-bucket histograms replacing the ad-hoc accounting that used to
-  live in ``repro.reporting.timers`` and around the executors.
+  fixed-bucket histograms (plus the :class:`~repro.obs.metrics.Timer`
+  context manager) replacing the ad-hoc accounting that used to live
+  around the executors.
 * :mod:`repro.obs.drift` — joins a recorded trace (or an
   :class:`~repro.core.program.executor.ExecutionReport`) against the
   optimizer's predicted ``comp_cost``/``comm_cost`` and reports

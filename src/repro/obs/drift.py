@@ -285,8 +285,8 @@ def report_from_trace(program: TransferProgram,
     """Rebuild an :class:`ExecutionReport` from a recorded trace.
 
     Op spans (category ``op``) become ``op_timings`` in topological
-    order; ship and batch spans (categories ``ship``/``batch``)
-    rebuild the per-edge shipment accounting.  The result carries
+    order; ship and batch spans (categories ``ship``/``batch``, one
+    per shipped message) rebuild the per-edge shipment accounting.  The result carries
     exactly the fields drift reporting and calibration consume —
     robustness counters and peaks stay zero (they are not per-span
     facts).
@@ -319,10 +319,9 @@ def report_from_trace(program: TransferProgram,
             report.shipment_bytes[key] = (
                 report.shipment_bytes.get(key, 0) + size
             )
-            if span.category == "batch":
-                report.shipment_batches[key] = (
-                    report.shipment_batches.get(key, 0) + 1
-                )
+            report.shipment_batches[key] = (
+                report.shipment_batches.get(key, 0) + 1
+            )
             report.comm_seconds += span.seconds
             report.comm_bytes += size
     for node in program.topological_order():

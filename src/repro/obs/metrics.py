@@ -1,10 +1,9 @@
 """Metrics: counters, gauges, fixed-bucket histograms, one registry.
 
 This replaces the ad-hoc accounting that used to be scattered across
-the pipeline — ``repro.reporting.timers`` now delegates here, the
-executors feed per-op-kind rows/bytes/seconds histograms, the parallel
-executor reports its in-flight queue depth as a gauge, and the fault
-layer counts retries and discarded duplicates.  Metric names are
+the pipeline — the executor feeds per-op-kind rows/bytes/seconds
+histograms and the fault layer counts retries and discarded
+duplicates.  Metric names are
 dotted lowercase (``op.combine.seconds``, ``ship.bytes``,
 ``retry.resends``); the full catalogue lives in
 ``docs/observability.md``.
@@ -83,9 +82,9 @@ class Counter:
 class Gauge:
     """A level that moves both ways, with a high-water mark.
 
-    The parallel executor's queue depth is the motivating use:
-    ``add(+1)`` on submit, ``add(-1)`` on completion, and ``peak``
-    answers "how deep did the ready queue ever get".
+    A queue depth is the motivating use: ``add(+1)`` on submit,
+    ``add(-1)`` on completion, and ``peak`` answers "how deep did the
+    queue ever get".
     """
 
     __slots__ = ("name", "_lock", "_value", "peak")
@@ -321,11 +320,9 @@ class Timer:
             work()
         print(timer.seconds)
 
-    This is the engine behind :class:`repro.reporting.timers.Timer`
-    (kept there as a thin alias for compatibility).  Optionally bind a
-    registry: each exit observes the elapsed seconds into the named
-    histogram, so ad-hoc timers feed the same metric namespace as the
-    executors.
+    Optionally bind a registry: each exit observes the elapsed seconds
+    into the named histogram, so ad-hoc timers feed the same metric
+    namespace as the executor.
     """
 
     __slots__ = ("seconds", "_started", "_histogram")

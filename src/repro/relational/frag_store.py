@@ -157,7 +157,7 @@ class FragmentRelationMapper:
             fragment.name: _FragmentLayout(fragment)
             for fragment in fragmentation
         }
-        # One lock per fragment table: the parallel executor scans and
+        # One lock per fragment table: a multi-worker run scans and
         # writes concurrently, and while distinct fragments always hit
         # distinct tables, same-table access must serialize.
         self._table_locks: dict[str, threading.Lock] = {

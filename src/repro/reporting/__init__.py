@@ -1,6 +1,6 @@
 """Reporting helpers: aligned text tables and timers for the benches."""
 
 from repro.reporting.tables import format_table
-from repro.reporting.timers import Timer
+from repro.obs.metrics import Timer
 
 __all__ = ["format_table", "Timer"]

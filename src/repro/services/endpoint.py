@@ -55,7 +55,7 @@ class SystemEndpoint(abc.ABC):
         #: :meth:`enable_versioning` arms delta exchange.
         self.versions: VersionLog | None = None
         # Serializes whole-store access for endpoints without finer
-        # locking; the parallel executor calls scan/write concurrently.
+        # locking; a multi-worker run calls scan/write concurrently.
         self._store_lock = threading.RLock()
 
     # -- data interface (used by the program executor) ---------------------

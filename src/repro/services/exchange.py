@@ -27,7 +27,6 @@ from repro.core.delta import (
 from repro.core.program.dag import Placement, TransferProgram
 from repro.core.program.executor import ExecutionReport, ProgramExecutor
 from repro.core.program.journal import ExchangeJournal
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.net.faults import (
     FaultPlan,
     FaultyChannel,
@@ -75,7 +74,7 @@ class ExchangeOutcome:
     #: summed per-step attribution sequentially; with parallel workers
     #: it is the real makespan (smaller when overlap pays off).
     wall_seconds: float = 0.0
-    #: Dataplane the program phase used (None = materialized).
+    #: Batch size the program phase used (None = unbatched).
     batch_rows: int | None = None
     #: Whether the program phase ran the columnar dataplane.
     columnar: bool = False
@@ -161,21 +160,22 @@ def run_optimized_exchange(
 ) -> ExchangeOutcome:
     """Run the optimized data exchange (Section 5.2 steps 1–5).
 
-    With ``parallel_workers > 1`` the program phase runs on the
-    DAG-scheduled :class:`~repro.core.program.parallel_executor.
-    ParallelProgramExecutor`: independent expressions execute
+    The program phase runs on the one
+    :class:`~repro.core.program.executor.ProgramExecutor`.  With
+    ``parallel_workers > 1`` independent expressions execute
     concurrently and cross-edge shipping overlaps computation.  Written
     fragments are identical either way; the per-step attribution keeps
     its sequential meaning while ``wall_seconds`` carries the measured
     makespan.
 
-    ``batch_rows`` selects the executor's dataplane: ``None`` moves
-    materialized instances, an integer streams row batches of that size
-    (bounded peak residency, chunked shipping, same written fragments).
-    ``columnar=True`` (requires ``batch_rows``) streams flat-storable
-    fragments as :class:`~repro.core.columnar.ColumnBatch` columns
-    instead — Combine runs the build/probe join, Split projects
-    columns, and the written fragments stay byte-identical.
+    ``batch_rows`` sizes the batches that flow along the program's
+    edges: ``None`` moves each feed as one unbounded batch (one message
+    per cross-edge), an integer moves slices of that many rows (bounded
+    peak residency, chunked shipping, same written fragments).
+    ``columnar=True`` moves flat-storable fragments as
+    :class:`~repro.core.columnar.ColumnBatch` columns instead — Combine
+    runs the build/probe join, Split projects columns, and the written
+    fragments stay byte-identical.
     ``join_strategy`` pins the columnar join ("hash"/"merge"; default
     auto-selects from the observed feed order).
 
@@ -185,10 +185,10 @@ def run_optimized_exchange(
     includes the wasted transmissions — loss is charged, not hidden.
 
     ``adaptive`` runs the program phase through the
-    :class:`~repro.adapt.executor.AdaptiveRun` wrapper instead: per-op
-    (or per-expression) checkpoints compare observed against predicted
-    costs and re-place the not-yet-started DAG suffix when they
-    diverge.  Written fragments stay byte-identical; the outcome's
+    :class:`~repro.adapt.executor.AdaptiveRun` wrapper instead:
+    checkpoints between write-rooted segments compare observed against
+    predicted costs and re-place the not-yet-started DAG suffix when
+    they diverge.  Written fragments stay byte-identical; the outcome's
     ``replans``/``ops_moved`` count what the wrapper did.  Adaptive
     runs do not compose with ``journal`` (resume bookkeeping assumes
     the placement it recorded is the placement that finishes the run).
@@ -318,23 +318,12 @@ def run_optimized_exchange(
         outcome.replans = runner.replans
         outcome.ops_moved = runner.ops_moved
     else:
-        if parallel_workers > 1:
-            executor: ProgramExecutor | ParallelProgramExecutor = \
-                ParallelProgramExecutor(
-                    exec_source, exec_target, wire,
-                    workers=parallel_workers,
-                    batch_rows=batch_rows,
-                    retry=retry_policy, journal=journal,
-                    tracer=tracer, metrics=metrics,
-                    columnar=columnar, join_strategy=join_strategy,
-                )
-        else:
-            executor = ProgramExecutor(
-                exec_source, exec_target, wire, batch_rows=batch_rows,
-                retry=retry_policy, journal=journal,
-                tracer=tracer, metrics=metrics,
-                columnar=columnar, join_strategy=join_strategy,
-            )
+        executor = ProgramExecutor(
+            exec_source, exec_target, wire, workers=parallel_workers,
+            batch_rows=batch_rows, retry=retry_policy, journal=journal,
+            tracer=tracer, metrics=metrics,
+            columnar=columnar, join_strategy=join_strategy,
+        )
         with tracer.span("execute program", "step", scenario=scenario,
                          method="DE", workers=parallel_workers):
             report = executor.run(program, placement)

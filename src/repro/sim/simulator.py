@@ -349,8 +349,7 @@ class ExchangeSimulator:
         monolithic query and stays sequential, exactly the asymmetry
         the Section 5.2 remark points at.
 
-        ``batch_rows`` prices the streaming dataplane's intra-edge
-        pipelining: chunked shipping lets transfer of batch *i* hide
+        ``batch_rows`` prices batched runs' intra-edge pipelining: chunked shipping lets transfer of batch *i* hide
         behind production of batch *i+1*, so up to ``min(comm, comp)``
         of the communication cost disappears, scaled by the pipeline
         efficiency ``(n-1)/n`` for ``n`` batches per feed (one batch
@@ -359,8 +358,8 @@ class ExchangeSimulator:
         publishing baseline ships one monolithic document and gets no
         credit.
 
-        ``columnar=True`` (requires ``batch_rows``, like the live
-        executors) prices DE's computation at the columnar dataplane's
+        ``columnar=True`` prices DE's computation at the columnar
+        dataplane's
         per-strategy work scales (:data:`~repro.core.cost.model.
         DEFAULT_STRATEGY_SCALES`): scans, splits and writes at the
         ``"columnar"`` scale and combines at the ``"merge"`` scale —
@@ -378,11 +377,6 @@ class ExchangeSimulator:
         burn the wire too, and both methods pay the same per-message
         inflation.
         """
-        if columnar and batch_rows is None:
-            raise ValueError(
-                "columnar pricing requires batch_rows (the columnar "
-                "dataplane is a streaming dataplane)"
-            )
         model = self.model(source, target)
         mapping = derive_mapping(
             source_fragmentation, target_fragmentation

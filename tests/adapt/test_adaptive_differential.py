@@ -10,9 +10,9 @@ Two families of assertions:
   probe that overprices Combine 4x; injected feedback reveals the true
   model mid-flight, the run re-places the suffix (``ops_moved > 0``,
   realized cost strictly improves), and the output is still identical.
-  The flip scenarios are chosen so an *earlier* combine always yields
-  the evidence before the mis-placed one starts, whatever topological
-  order the builder emits.
+  The flip scenarios are chosen so an *earlier* segment's combine
+  always yields the evidence before the mis-placed one starts,
+  whatever topological order the builder emits.
 """
 
 import random
@@ -41,6 +41,7 @@ DATAPLANES = [
     pytest.param(1, 7, False, id="streaming"),
     pytest.param(2, None, False, id="parallel"),
     pytest.param(2, 4, True, id="parallel-columnar"),
+    pytest.param(1, None, True, id="columnar-unbatched"),
 ]
 
 
@@ -110,6 +111,9 @@ class TestMiscalibratedFlip:
     @pytest.mark.parametrize(
         "schema_seed,rng_seed,granularity_kwargs",
         [
+            # Both checkpoint between write-rooted segments; "per-op"
+            # is the default dataplane's id from when it had a per-op
+            # mode of its own.
             pytest.param(0, 3, {}, id="per-op"),
             pytest.param(2, 2, {"batch_rows": 7}, id="expression"),
         ],
@@ -196,31 +200,6 @@ class TestGuards:
                 adaptive=AdaptiveConfig(probe=model),
                 journal=ExchangeJournal(tmp_path / "journal.db"),
             )
-
-    def test_per_op_granularity_needs_sequential_dataplane(self):
-        schema, sf, tf, document = _case(41, 42)
-        source = _loaded_source(sf, document)
-        model = CostModel(StatisticsCatalog.synthetic(schema))
-        program = build_transfer_program(derive_mapping(sf, tf))
-        placement, _ = cost_based_optim(program, model)
-        target = RelationalEndpoint("T", tf)
-        config = AdaptiveConfig(probe=model, granularity="op")
-        with pytest.raises(ValueError, match="per-op granularity"):
-            AdaptiveRun(program, placement, source, target,
-                        SimulatedChannel(), config=config,
-                        parallel_workers=2)
-
-    def test_unknown_granularity_rejected(self):
-        schema, sf, tf, document = _case(41, 42)
-        source = _loaded_source(sf, document)
-        model = CostModel(StatisticsCatalog.synthetic(schema))
-        program = build_transfer_program(derive_mapping(sf, tf))
-        placement, _ = cost_based_optim(program, model)
-        config = AdaptiveConfig(probe=model, granularity="bogus")
-        with pytest.raises(ValueError, match="granularity"):
-            AdaptiveRun(program, placement, source,
-                        RelationalEndpoint("T", tf),
-                        SimulatedChannel(), config=config)
 
 
 class TestStatsIngestion:

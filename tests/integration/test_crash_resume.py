@@ -173,12 +173,8 @@ class TestCrashResume:
 
     def test_parallel_executor_skips_acked_writes(
             self, exchange, tmp_path):
-        """The DAG scheduler honours the same journal: writes acked by
-        a previous (sequential) run are not repeated."""
-        from repro.core.program.parallel_executor import (
-            ParallelProgramExecutor,
-        )
-
+        """A multi-worker run honours the same journal: writes acked
+        by a previous (sequential) run are not repeated."""
         source, target_frag, program, placement = exchange
         reference, _ = run_uninterrupted(exchange)
         journal_path = tmp_path / "cross.journal"
@@ -192,7 +188,7 @@ class TestCrashResume:
 
         idle_channel = SimulatedChannel(wire_format=True)
         with ExchangeJournal(journal_path) as journal:
-            report = ParallelProgramExecutor(
+            report = ProgramExecutor(
                 source, target, idle_channel, workers=2,
                 journal=journal,
             ).run(program, placement)

@@ -2,9 +2,9 @@
 
 For seeded random (schema, fragmentation, document) scenarios the
 optimized exchange must publish a byte-identical target document from
-every executor configuration — sequential materialized, streaming at
-several batch sizes, and the parallel DAG scheduler at several worker
-counts — and that answer must not change when the channel drops,
+every executor configuration — unbatched, batched at several batch
+sizes, and several worker counts — and that answer must not change
+when the channel drops,
 corrupts, duplicates or reorders messages, as long as the retry layer
 is allowed to heal it.
 
@@ -20,7 +20,6 @@ from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.net.faults import FaultPlan, FaultyChannel, RetryPolicy
 from repro.net.transport import SimulatedChannel
 from repro.relational.publisher import publish_document
@@ -32,19 +31,16 @@ from tests.integration.test_random_roundtrips import flat_fragmentation
 
 pytestmark = pytest.mark.faults
 
-# Every executor configuration the repo ships.  ``None`` batch_rows on
-# ProgramExecutor is the materialized dataplane; an int selects the
-# streaming dataplane at that granularity.
+# The executor configurations under test.  No ``batch_rows`` is one
+# unbounded batch per feed; an int cuts feeds into batches that size.
 EXECUTORS = [
-    ("sequential", ProgramExecutor, {}),
-    ("stream-rows1", ProgramExecutor, {"batch_rows": 1}),
-    ("stream-rows7", ProgramExecutor, {"batch_rows": 7}),
-    ("stream-rows64", ProgramExecutor, {"batch_rows": 64}),
-    ("parallel-w1", ParallelProgramExecutor, {"workers": 1}),
-    ("parallel-w2", ParallelProgramExecutor, {"workers": 2}),
-    ("parallel-w4", ParallelProgramExecutor, {"workers": 4}),
-    ("parallel-w2-stream", ParallelProgramExecutor,
-     {"workers": 2, "batch_rows": 7}),
+    ("sequential", {}),
+    ("stream-rows1", {"batch_rows": 1}),
+    ("stream-rows7", {"batch_rows": 7}),
+    ("stream-rows64", {"batch_rows": 64}),
+    ("parallel-w2", {"workers": 2}),
+    ("parallel-w4", {"workers": 4}),
+    ("parallel-w2-stream", {"workers": 2, "batch_rows": 7}),
 ]
 
 # The acceptance bar from the issue (10% drop + 5% corruption) plus a
@@ -85,22 +81,21 @@ def scenario(request):
 
 
 @pytest.mark.parametrize(
-    "executor_cls,options",
-    [pytest.param(cls, opts, id=name)
-     for name, cls, opts in EXECUTORS],
+    "options",
+    [pytest.param(opts, id=name) for name, opts in EXECUTORS],
 )
 @pytest.mark.parametrize(
     "plan",
     [pytest.param(plan, id=name) for name, plan in FAULT_PLANS],
 )
 def test_every_executor_agrees_under_every_plan(
-        scenario, executor_cls, options, plan):
+        scenario, options, plan):
     source, target_frag, program, placement, reference = scenario
     target = RelationalEndpoint("B", target_frag)
     channel = SimulatedChannel(wire_format=True)
     wire = channel if plan is None else FaultyChannel(channel, plan)
     retry = None if plan is None else RetryPolicy(max_attempts=10)
-    report = executor_cls(
+    report = ProgramExecutor(
         source, target, wire, retry=retry, **options
     ).run(program, placement)
     published = publish_document(target.db, target.mapper).document

@@ -18,7 +18,6 @@ from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.net.transport import SimulatedChannel
 from repro.obs import (
     DriftReport,
@@ -120,6 +119,31 @@ class TestTraceReconciliation:
             report.shipment_seconds
         )
         assert rebuilt.rows_written == report.rows_written
+        # An unbatched edge is one message: one ship span, one batch.
+        assert rebuilt.shipment_batches == report.shipment_batches
+        assert set(report.shipment_batches.values()) == {1}
+
+    def test_op_spans_start_at_their_first_tick(self, traced_run):
+        """Each op span is anchored where the node first did any work,
+        not stacked at the run start: the MF->MF writes drive one
+        after another, so every scan starts after the previous
+        write did."""
+        program, _, _, tracer = traced_run
+        start = {
+            span.attrs["op_id"]: span.start
+            for span in tracer.spans_of("op")
+        }
+        scans = sorted(start[node.op_id] for node in program.scans())
+        writes = sorted(start[node.op_id] for node in program.writes())
+        assert len(set(scans)) == len(scans)
+        assert all(
+            earlier < later
+            for earlier, later in zip(writes, scans[1:])
+        )
+        # A write's own work begins after its input was produced.
+        for node in program.writes():
+            [edge] = program.in_edges(node)
+            assert start[edge.producer.op_id] < start[node.op_id]
 
 
 class TestDriftReport:
@@ -181,13 +205,13 @@ class TestDegenerateRatios:
 
 
 class TestOtherDataplanes:
-    """Span coverage must hold on the parallel and streaming paths."""
+    """Span coverage must hold for multi-worker and batched runs."""
 
     def test_parallel_executor_trace_is_complete(self, auction_mf,
                                                  auction_document):
         program, placement, report, tracer = mf_to_mf(
             auction_mf, auction_document,
-            lambda source, target, tracer: ParallelProgramExecutor(
+            lambda source, target, tracer: ProgramExecutor(
                 source, target, SimulatedChannel(), workers=4,
                 tracer=tracer,
             ),

@@ -167,8 +167,3 @@ class TestTimer:
         with Timer() as timer:
             pass
         assert timer.seconds >= 0.0
-
-    def test_reporting_shim_is_the_same_class(self):
-        from repro.reporting.timers import Timer as ShimTimer
-
-        assert ShimTimer is Timer

@@ -14,7 +14,6 @@ from repro.core.ops.combine import Combine
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.net.transport import SimulatedChannel
 from repro.obs.metrics import MetricsRegistry
 from repro.services.endpoint import RelationalEndpoint
@@ -127,7 +126,7 @@ class TestByteIdentity:
         program, placement = mf_to_lf
         expected = _row_reference(mf_source, mf_to_lf, auction_lf)
         target = RelationalEndpoint("col-par", auction_lf)
-        ParallelProgramExecutor(
+        ProgramExecutor(
             mf_source, target, SimulatedChannel(), workers=4,
             batch_rows=32, columnar=True,
         ).run(program, placement)

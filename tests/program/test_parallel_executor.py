@@ -1,4 +1,5 @@
-"""The DAG-scheduled parallel executor: determinism and reporting."""
+"""Multi-worker runs (``ProgramExecutor(workers=N)``): determinism and
+reporting."""
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.dag import Edge
 from repro.core.program.executor import ProgramExecutor
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.net.transport import NetworkProfile, SimulatedChannel
 from repro.services.endpoint import InMemoryEndpoint
 from repro.workloads.customer import fragment_customers
@@ -58,7 +58,7 @@ class TestDeterminism:
         expected = _written_documents(sequential_target)
 
         source, parallel_target = make()
-        ParallelProgramExecutor(
+        ProgramExecutor(
             source, parallel_target, workers=workers
         ).run(program, placement)
         assert _written_documents(parallel_target) == expected
@@ -69,7 +69,7 @@ class TestDeterminism:
         results = []
         for _ in range(3):
             source, target = make()
-            ParallelProgramExecutor(source, target, workers=4).run(
+            ProgramExecutor(source, target, workers=4).run(
                 program, placement
             )
             results.append(_written_documents(target))
@@ -86,7 +86,7 @@ class TestReport:
             program, placement
         )
         source, target = make()
-        parallel = ParallelProgramExecutor(
+        parallel = ProgramExecutor(
             source, target, workers=4
         ).run(program, placement)
         return program, placement, sequential, parallel
@@ -131,7 +131,7 @@ class TestReport:
             latency_seconds=0.001,
         )
         source, target = make()
-        report = ParallelProgramExecutor(
+        report = ProgramExecutor(
             source, target,
             SimulatedChannel(profile, realtime=True), workers=4,
         ).run(program, placement)
@@ -149,7 +149,7 @@ class TestErrors:
         make, _ = setup
         source, target = make()
         with pytest.raises(ValueError):
-            ParallelProgramExecutor(source, target, workers=0)
+            ProgramExecutor(source, target, workers=0)
 
     def test_operation_failure_propagates(self, setup):
         make, build = setup
@@ -157,7 +157,7 @@ class TestErrors:
         source, target = make()
         source.store.clear()  # every Scan now raises EndpointError
         with pytest.raises(EndpointError):
-            ParallelProgramExecutor(source, target, workers=4).run(
+            ProgramExecutor(source, target, workers=4).run(
                 program, placement
             )
 

@@ -1,4 +1,5 @@
-"""The streaming dataplane: byte-identity, bounded memory, accounting."""
+"""Batched runs (``batch_rows=N``) against the unbatched default
+("materialized" below): byte-identity, bounded memory, accounting."""
 
 import pytest
 
@@ -8,7 +9,6 @@ from repro.core.ops.combine import Combine
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.core.stream import FragmentStream
 from repro.net.transport import NetworkProfile, SimulatedChannel
 from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
@@ -77,7 +77,7 @@ class TestByteIdentity:
         expected = _written_documents(materialized_target)
 
         source, streaming_target = make()
-        ParallelProgramExecutor(
+        ProgramExecutor(
             source, streaming_target, workers=workers,
             batch_rows=batch_rows,
         ).run(program, placement)
@@ -116,7 +116,7 @@ class TestByteIdentity:
         results = []
         for _ in range(3):
             source, target = make()
-            ParallelProgramExecutor(
+            ProgramExecutor(
                 source, target, workers=4, batch_rows=8
             ).run(program, placement)
             results.append(_written_documents(target))
@@ -143,14 +143,15 @@ class TestReport:
         cross = len(program.cross_edges(placement))
         assert streaming.shipments == cross
         assert streaming.shipments == materialized.shipments
-        # Every cross-edge shipped at least one chunk, and the chunk
-        # counts are only recorded by the streaming dataplane.
+        # Every cross-edge shipped at least one chunk; an unbatched
+        # edge is exactly one message.
         assert set(streaming.shipment_batches) == \
             set(streaming.shipment_bytes)
         assert all(
             count >= 1 for count in streaming.shipment_batches.values()
         )
-        assert materialized.shipment_batches == {}
+        assert materialized.shipment_batches == \
+            dict.fromkeys(materialized.shipment_bytes, 1)
         assert sum(streaming.shipment_bytes.values()) == \
             streaming.comm_bytes
 
@@ -237,7 +238,7 @@ class TestChannelInteraction:
             latency_seconds=0.0,
         )
         source, target = make()
-        report = ParallelProgramExecutor(
+        report = ProgramExecutor(
             source, target,
             SimulatedChannel(profile, realtime=True),
             workers=4, batch_rows=4,
@@ -257,7 +258,7 @@ class TestErrors:
         with pytest.raises(ValueError, match="batch_rows"):
             ProgramExecutor(source, target, batch_rows=0)
         with pytest.raises(ValueError, match="batch_rows"):
-            ParallelProgramExecutor(source, target, batch_rows=-1)
+            ProgramExecutor(source, target, batch_rows=-1)
 
     def test_scan_failure_propagates(self, setup):
         from repro.errors import EndpointError
@@ -273,7 +274,7 @@ class TestErrors:
         source, target = make()
         source.store.clear()
         with pytest.raises(EndpointError):
-            ParallelProgramExecutor(
+            ProgramExecutor(
                 source, target, workers=4, batch_rows=4
             ).run(program, placement)
 

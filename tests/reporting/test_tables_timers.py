@@ -3,7 +3,7 @@
 import time
 
 from repro.reporting.tables import format_table
-from repro.reporting.timers import Timer
+from repro.obs.metrics import Timer
 
 
 class TestFormatTable:

@@ -131,15 +131,23 @@ class TestExchangeCosts:
             row.exchange.communication
         )
 
-    def test_columnar_requires_batch_rows(self, simulator,
-                                          fragmentations):
+    def test_columnar_prices_unbatched(self, simulator,
+                                       fragmentations):
+        """Columnar pricing needs no ``batch_rows`` (an unbatched
+        columnar run is one unbounded batch per feed)."""
         source_fragmentation, target_fragmentation = fragmentations
-        with pytest.raises(ValueError, match="batch_rows"):
-            simulator.exchange_costs(
+        costs = {
+            columnar: simulator.exchange_costs(
                 source_fragmentation, target_fragmentation,
                 MachineProfile("s"), MachineProfile("t"),
-                order_limit=40, columnar=True,
-            )
+                order_limit=40, columnar=columnar,
+            ).exchange
+            for columnar in (False, True)
+        }
+        assert costs[True].computation < costs[False].computation
+        assert costs[True].communication == pytest.approx(
+            costs[False].communication
+        )
 
     def test_publish_cost_all_at_source(self, simulator,
                                         fragmentations):
