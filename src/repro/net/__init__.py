@@ -28,6 +28,7 @@ from repro.net.faults import (
     RobustnessStats,
 )
 from repro.net.soap import (
+    encode_fragment_feed,
     parse_envelope,
     soap_envelope,
     soap_fault,
@@ -66,6 +67,7 @@ __all__ = [
     "soap_fault",
     "parse_envelope",
     "wrap_fragment_feed",
+    "encode_fragment_feed",
     "unwrap_fragment_feed",
     "wrap_document",
     "unwrap_document",

@@ -12,6 +12,15 @@ the receiver verifies the checksum (corruption in flight surfaces as a
 :class:`~repro.errors.SoapFault` instead of silently wrong data) and
 the sequence numbers let the reliable shipping layer de-duplicate and
 re-order deliveries (see :mod:`repro.net.faults`).
+
+One encode, one decode.  :func:`encode_fragment_feed` writes every row
+once, straight from its ``ElementData``, and returns the checksum with
+the message; :func:`unwrap_fragment_feed` (a receiver that knows the
+fragment) and :func:`verify_fragment_feed` (one that does not — the
+feed sink) are the only decoders, and a message is decoded by whoever
+receives it, never by its sender.  Everything a receiver reads is
+input from outside the process: whatever is malformed, numbers
+included, is a :class:`~repro.errors.SoapFault`.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import zlib
 from repro.errors import SoapFault
 from repro.core.fragment import ID_ATTR, PARENT_ATTR, Fragment
 from repro.core.instance import ElementData, FragmentInstance, FragmentRow
+from repro.xmlkit.escape import escape_attr, escape_text
 from repro.xmlkit.tree import Element, parse_tree
 from repro.xmlkit.writer import serialize
 
@@ -102,27 +112,21 @@ def parse_envelope(text: str) -> Element:
     return payload
 
 
-def _element_to_wire(data: ElementData,
-                     expose_parent: int | None = None,
-                     expose: bool = False) -> Element:
-    attrs = dict(data.attrs)
-    attrs[_EID_ATTR] = str(data.eid)
-    if expose:
-        attrs[ID_ATTR] = str(data.eid)
-        attrs[PARENT_ATTR] = (
-            "" if expose_parent is None else str(expose_parent)
-        )
-    element = Element(data.name, attrs, text=data.text)
-    for group in data.children.values():
-        for child in group:
-            element.children.append(_element_to_wire(child))
-    return element
+def _number(element: Element, attr: str, raw: str) -> int:
+    """A numeric wire attribute; input from outside the process, so a
+    value that is no number is the sender's fault, not a crash."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise SoapFault(
+            f"<{element.name}> carries a non-numeric {attr}={raw!r}"
+        ) from None
 
 
 def _element_from_wire(element: Element) -> ElementData:
     attrs = dict(element.attrs)
     try:
-        eid = int(attrs.pop(_EID_ATTR))
+        eid = _number(element, _EID_ATTR, attrs.pop(_EID_ATTR))
     except KeyError as exc:
         raise SoapFault(
             f"wire element <{element.name}> is missing its {_EID_ATTR}"
@@ -135,6 +139,10 @@ def _element_from_wire(element: Element) -> ElementData:
     return data
 
 
+def _digest(value: int) -> str:
+    return format(value & 0xFFFFFFFF, "08x")
+
+
 def feed_digest(rows: list[Element]) -> str:
     """Adler-32 digest over the canonical serialization of wire rows.
 
@@ -143,8 +151,12 @@ def feed_digest(rows: list[Element]) -> str:
     sender's bytes — any in-flight mutation of row content changes the
     digest.
     """
-    blob = "".join(serialize(row, indent=None) for row in rows)
-    return format(zlib.adler32(blob.encode("utf-8")) & 0xFFFFFFFF, "08x")
+    running = zlib.adler32(b"")
+    for row in rows:
+        running = zlib.adler32(
+            serialize(row, indent=None).encode("utf-8"), running
+        )
+    return _digest(running)
 
 
 def wrap_document(text: str) -> str:
@@ -167,7 +179,8 @@ def unwrap_document(payload: Element) -> str:
         raise SoapFault(f"expected a Document, got <{payload.name}>")
     text = payload.text
     declared = payload.get("bytes")
-    if declared is not None and int(declared) != len(text):
+    if declared is not None \
+            and _number(payload, "bytes", declared) != len(text):
         raise SoapFault(
             f"document declares {declared} bytes but carries "
             f"{len(text)}"
@@ -205,12 +218,89 @@ def verify_fragment_feed(payload: Element) -> tuple[str, int, str]:
         )
     declared_count = payload.get("count")
     if declared_count is not None \
-            and int(declared_count) != len(payload.children):
+            and _number(payload, "count", declared_count) \
+            != len(payload.children):
         raise SoapFault(
             f"feed declares {declared_count} rows but carries "
             f"{len(payload.children)}"
         )
     return name, len(payload.children), digest
+
+
+def _wire_element(data: ElementData, keys: str = "") -> str:
+    """One element occurrence in wire form: its own attributes, its
+    ``_eid``, then ``keys`` (a fragment root's ``ID``/``PARENT``).
+
+    The wire carries element text without leading or trailing
+    whitespace — every receiver's tree parser strips it, as the
+    shredder does for publish&map — so the stripped text is what is
+    written, digested, and left on the row: sender and receiver hold
+    the same value whether or not the row is decoded again.
+    """
+    name = data.name
+    attrs = "".join([
+        f' {key}="{escape_attr(value)}"'
+        for key, value in data.attrs.items()
+    ]) if data.attrs else ""
+    text = data.text
+    if text:
+        stripped = text.strip()
+        if stripped is not text:
+            data.text = text = stripped
+        text = escape_text(text)
+    children = "".join([
+        _wire_element(child)
+        for group in data.children.values() for child in group
+    ]) if data.children else ""
+    if text or children:
+        return (
+            f'<{name}{attrs} {_EID_ATTR}="{data.eid}"{keys}>'
+            f"{text}{children}</{name}>"
+        )
+    return f'<{name}{attrs} {_EID_ATTR}="{data.eid}"{keys}/>'
+
+
+# ``soap_envelope`` around a feed, cut where the feed goes.
+_ENVELOPE_HEAD, _ENVELOPE_TAIL = soap_envelope(
+    Element("FragmentFeed")
+).split("<FragmentFeed/>")
+# ``feed_digest`` serializes each row as a document of its own.
+_ROW_PROLOG = serialize(Element("row"), indent=None).removesuffix("<row/>")
+
+
+def encode_fragment_feed(instance: FragmentInstance,
+                         seq: int | None = None) -> tuple[str, str]:
+    """Encode a fragment instance; returns ``(message, checksum)``.
+
+    The message is :func:`wrap_fragment_feed`'s; the checksum is the
+    one written into it, which a sender keeps to hold the receiver's
+    ack against.  Every row is written once, straight from its
+    :class:`~repro.core.instance.ElementData`; the checksum covers
+    exactly the bytes :func:`feed_digest` covers on the receiving
+    side (each row as its own compact document).
+    """
+    rows = [
+        _wire_element(
+            row.data,
+            f' {ID_ATTR}="{row.data.eid}" {PARENT_ATTR}='
+            f'"{"" if row.parent is None else row.parent}"',
+        )
+        for row in instance.rows
+    ]
+    checksum = _digest(zlib.adler32(
+        _ROW_PROLOG.join(["", *rows]).encode("utf-8")
+    ))
+    numbering = "" if seq is None else f' {SEQ_ATTR}="{seq}"'
+    feed = (
+        f'{_ENVELOPE_HEAD}<FragmentFeed'
+        f' fragment="{escape_attr(instance.fragment.name)}"'
+        f' count="{len(rows)}"{numbering} {CHECKSUM_ATTR}="{checksum}"'
+    )
+    if rows:
+        rows.insert(0, f"{feed}>")
+        rows.append(f"</FragmentFeed>{_ENVELOPE_TAIL}")
+        return "".join(rows), checksum
+    return f"{feed}/>{_ENVELOPE_TAIL}", checksum
 
 
 def wrap_fragment_feed(instance: FragmentInstance,
@@ -220,19 +310,7 @@ def wrap_fragment_feed(instance: FragmentInstance,
     The message carries a content ``checksum``; ``seq`` (set for
     chunked streaming transfers) numbers this message within its feed.
     """
-    attrs = {
-        "fragment": instance.fragment.name,
-        "count": str(instance.row_count()),
-    }
-    if seq is not None:
-        attrs[SEQ_ATTR] = str(seq)
-    feed = Element("FragmentFeed", attrs)
-    for row in instance.rows:
-        feed.children.append(
-            _element_to_wire(row.data, row.parent, expose=True)
-        )
-    feed.attrs[CHECKSUM_ATTR] = feed_digest(feed.children)
-    return soap_envelope(feed)
+    return encode_fragment_feed(instance, seq)[0]
 
 
 def unwrap_fragment_feed(text: str,
@@ -240,33 +318,22 @@ def unwrap_fragment_feed(text: str,
     """Parse a SOAP fragment-feed message back into an instance.
 
     Raises:
-        SoapFault: on structural problems (wrong fragment, bad counts,
-            missing keys).
+        SoapFault: on anything :func:`verify_fragment_feed` rejects, a
+            feed of another fragment, or missing / non-numeric keys.
     """
     payload = parse_envelope(text)
-    if payload.local_name() != "FragmentFeed":
-        raise SoapFault(f"expected a FragmentFeed, got <{payload.name}>")
-    declared = payload.get("fragment")
+    declared, _, _ = verify_fragment_feed(payload)
     if declared != fragment.name:
         raise SoapFault(
             f"feed carries fragment {declared!r}, expected "
             f"{fragment.name!r}"
         )
-    declared_digest = payload.get(CHECKSUM_ATTR)
-    if declared_digest is not None \
-            and declared_digest != feed_digest(payload.children):
-        raise SoapFault(
-            f"feed of fragment {declared!r} failed its checksum "
-            "(message corrupted in flight)"
-        )
     rows: list[FragmentRow] = []
     for child in payload.children:
         parent_raw = child.get(PARENT_ATTR, "")
-        parent = int(parent_raw) if parent_raw else None
-        rows.append(FragmentRow(_element_from_wire(child), parent))
-    declared_count = payload.get("count")
-    if declared_count is not None and int(declared_count) != len(rows):
-        raise SoapFault(
-            f"feed declares {declared_count} rows but carries {len(rows)}"
+        parent = (
+            _number(child, PARENT_ATTR, parent_raw) if parent_raw
+            else None
         )
+        rows.append(FragmentRow(_element_from_wire(child), parent))
     return FragmentInstance(fragment, rows)

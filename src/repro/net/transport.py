@@ -18,9 +18,15 @@ exchange is interchangeable:
 All three account thread-safely, enforce send-after-close uniformly
 (:class:`~repro.errors.TransportError`), and support the optional
 ``wire_format`` fidelity level: each fragment feed is serialized into
-its SOAP message and parsed back on the other side — the full encode/
-ship/decode path (always on for :class:`TcpTransport`, where the wire
+its SOAP message (always on for :class:`TcpTransport`, where the wire
 is real).
+
+A hop costs one encode and one decode.  Whoever *receives* a message
+decodes and verifies it, and nobody else does: over TCP that is the
+:class:`~repro.net.server.FeedSink`, whose ack the sender checks
+against the checksum it computed while encoding; the simulated and
+in-process wires have no peer, so there the transport plays its own
+receiver and hands the decoded rows on.
 """
 
 from __future__ import annotations
@@ -31,11 +37,15 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import TransportError
+from repro.errors import SoapFault, TransportError
 from repro.core.instance import FragmentInstance
 from repro.core.program.executor import Shipment
 from repro.core.stream import RowBatch
 from repro.net.soap import (
+    CHECKSUM_ATTR,
+    SEQ_ATTR,
+    encode_fragment_feed,
+    parse_envelope,
     unwrap_fragment_feed,
     wrap_document,
     wrap_fragment_feed,
@@ -269,10 +279,12 @@ class Transport(abc.ABC):
     def ship_fragment(self, instance: FragmentInstance) -> Shipment:
         """Ship one fragment feed (cross-edge traffic).
 
-        In wire format the feed is SOAP-encoded, charged at its actual
-        message size, decoded again, and the decoded rows *replace* the
-        instance's rows — so downstream operations consume exactly what
-        crossed the network.
+        In wire format the feed is SOAP-encoded and charged at its
+        actual message size.  This base path has no peer, so it plays
+        the receiver itself: the message is decoded and verified once,
+        and the decoded rows *replace* the instance's rows — downstream
+        operations consume exactly what crossed the network.
+        (:class:`TcpTransport` has a real receiver and overrides this.)
         """
         if not self.wire_format:
             # Fragments travel as tabular sorted feeds (Section 4.1).
@@ -292,9 +304,9 @@ class Transport(abc.ABC):
         Each batch is one message: it pays the per-message latency —
         finer batching buys pipelining at the price of more handshakes,
         exactly the chunk-size trade-off of a streamed transfer.  Wire
-        format encodes/decodes the batch like :meth:`ship_fragment`
-        does the whole feed, replacing the batch's rows with what
-        crossed the network.
+        format encodes the batch and, playing the receiver, decodes it
+        like :meth:`ship_fragment` does the whole feed, replacing the
+        batch's rows with what crossed the network.
         """
         if not self.wire_format:
             return self._charge(batch.feed_size())
@@ -378,12 +390,16 @@ class TcpTransport(Transport):
     sent.  ``transfer_cost`` (the probes' question) answers from
     ``profile`` — default :data:`LOOPBACK_PROFILE`.
 
-    Wire format is always on — the wire is real — and, like the
-    simulated wire path, the decoded rows replace the shipped
-    instance's rows so downstream operations consume exactly what
-    crossed the network.  Round trips are serialized per transport
-    (one in-flight message per connection); concurrent sessions get
-    their own connections.
+    Wire format is always on — the wire is real — and so is the
+    receiver: a send encodes once, the sink decodes and verifies once,
+    and this side checks the ``Ack`` (kind, fragment, count, checksum,
+    ``seq``; ``bytes`` for a document) against what it sent, raising
+    :class:`~repro.errors.SoapFault` on any difference.  The message
+    is *not* decoded again here: the shipped instance or batch keeps
+    its row objects (the encoder has already left on them exactly the
+    text it wrote — see :func:`~repro.net.soap.encode_fragment_feed`).
+    Round trips are serialized per transport (one in-flight message
+    per connection); concurrent sessions get their own connections.
     """
 
     def __init__(self, sock: socket.socket,
@@ -425,16 +441,18 @@ class TcpTransport(Transport):
             pass
         self._sock.close()
 
-    def _roundtrip(self, message: str) -> Shipment:
-        """Send one framed SOAP message, await and verify the reply.
+    def _roundtrip(self, message: str,
+                   sent: dict[str, str | None]) -> Shipment:
+        """Send one framed SOAP message, await the reply, and hold the
+        receiver's ``Ack`` against ``sent`` (ack attribute → the value
+        this side computed; ``None`` for one that must be absent).
 
         Raises:
             TransportError: on socket failure or send-after-close.
             SoapFault: when the receiver replies with a SOAP Fault
-                (its verification rejected the message).
+                (its verification rejected the message), or
+                acknowledges something other than what was sent.
         """
-        from repro.net.soap import parse_envelope
-
         self._ensure_open()
         payload = message.encode("utf-8")
         started = time.perf_counter()
@@ -457,7 +475,17 @@ class TcpTransport(Transport):
             bytes=len(payload),
         )
         # Raises SoapFault when the receiver rejected the message.
-        parse_envelope(reply.decode("utf-8"))
+        ack = parse_envelope(reply.decode("utf-8", "replace"))
+        if ack.local_name() != "Ack":
+            raise SoapFault(
+                f"feed sink replied with a <{ack.name}>, not an Ack"
+            )
+        for attr, value in sent.items():
+            if ack.get(attr) != value:
+                raise SoapFault(
+                    f"feed sink acknowledged {attr}={ack.get(attr)!r} "
+                    f"but {value!r} was sent"
+                )
         return Shipment(len(payload), seconds)
 
     def _charge(self, size_bytes: int, lost: bool = False) -> Shipment:
@@ -470,20 +498,27 @@ class TcpTransport(Transport):
         self._account(size_bytes, seconds, lost=lost)
         return Shipment(size_bytes, seconds)
 
+    def _ship_feed(self, instance: FragmentInstance,
+                   seq: int | None) -> Shipment:
+        message, checksum = encode_fragment_feed(instance, seq)
+        return self._roundtrip(message, {
+            "of": "FragmentFeed",
+            "fragment": instance.fragment.name,
+            "count": str(len(instance.rows)),
+            CHECKSUM_ATTR: checksum,
+            SEQ_ATTR: None if seq is None else str(seq),
+        })
+
     def ship_fragment(self, instance: FragmentInstance) -> Shipment:
-        message = wrap_fragment_feed(instance)
-        shipment = self._roundtrip(message)
-        received = unwrap_fragment_feed(message, instance.fragment)
-        instance.rows[:] = received.rows
-        return shipment
+        return self._ship_feed(instance, None)
 
     def ship_batch(self, batch: RowBatch) -> Shipment:
-        instance = FragmentInstance(batch.fragment, batch.rows)
-        message = wrap_fragment_feed(instance, seq=batch.seq)
-        shipment = self._roundtrip(message)
-        received = unwrap_fragment_feed(message, batch.fragment)
-        batch.rows[:] = received.rows
-        return shipment
+        return self._ship_feed(
+            FragmentInstance(batch.fragment, batch.rows), batch.seq
+        )
 
     def ship_document(self, text: str) -> Shipment:
-        return self._roundtrip(wrap_document(text))
+        return self._roundtrip(
+            wrap_document(text),
+            {"of": "Document", "bytes": str(len(text))},
+        )

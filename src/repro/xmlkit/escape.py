@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import XmlSyntaxError
 
 _NAMED_ENTITIES = {
@@ -36,6 +38,38 @@ def escape_attr(value: str) -> str:
     )
 
 
+# A reference runs to the first ``;``.  The terminator is optional in
+# the pattern so that an unterminated ``&`` still matches (and is
+# reported) at once instead of being retried from every later ``&``.
+_REFERENCE = re.compile(r"&([^;]*)(;?)")
+
+
+def _resolve(reference: re.Match[str]) -> str:
+    name, terminator = reference.groups()
+    if not terminator:
+        raise XmlSyntaxError("unterminated entity reference")
+    if not name:
+        raise XmlSyntaxError("empty entity reference")
+    if name.startswith("#x") or name.startswith("#X"):
+        try:
+            return chr(int(name[2:], 16))
+        except ValueError as exc:
+            raise XmlSyntaxError(
+                f"bad hexadecimal character reference &{name};"
+            ) from exc
+    if name.startswith("#"):
+        try:
+            return chr(int(name[1:], 10))
+        except ValueError as exc:
+            raise XmlSyntaxError(
+                f"bad decimal character reference &{name};"
+            ) from exc
+    try:
+        return _NAMED_ENTITIES[name]
+    except KeyError as exc:
+        raise XmlSyntaxError(f"unknown entity &{name};") from exc
+
+
 def unescape(text: str) -> str:
     """Resolve entity and character references in ``text``.
 
@@ -47,39 +81,4 @@ def unescape(text: str) -> str:
     """
     if "&" not in text:
         return text
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i + 1)
-        if end == -1:
-            raise XmlSyntaxError("unterminated entity reference")
-        name = text[i + 1 : end]
-        if not name:
-            raise XmlSyntaxError("empty entity reference")
-        if name.startswith("#x") or name.startswith("#X"):
-            try:
-                out.append(chr(int(name[2:], 16)))
-            except ValueError as exc:
-                raise XmlSyntaxError(
-                    f"bad hexadecimal character reference &{name};"
-                ) from exc
-        elif name.startswith("#"):
-            try:
-                out.append(chr(int(name[1:], 10)))
-            except ValueError as exc:
-                raise XmlSyntaxError(
-                    f"bad decimal character reference &{name};"
-                ) from exc
-        else:
-            try:
-                out.append(_NAMED_ENTITIES[name])
-            except KeyError as exc:
-                raise XmlSyntaxError(f"unknown entity &{name};") from exc
-        i = end + 1
-    return "".join(out)
+    return _REFERENCE.sub(_resolve, text)

@@ -1,13 +1,17 @@
 """A streaming XML parser.
 
 The paper's shredder uses the Expat SAX parser; this module is its
-pure-Python stand-in.  Two entry points are provided:
+pure-Python stand-in.  One tokenizer, :func:`tokens`, with two views
+over it:
 
 * :func:`iterparse` — a generator of :mod:`repro.xmlkit.events` events,
-  convenient for pull-style consumers (the tree builder, the WSDL reader).
+  convenient for pull-style consumers.
 * :func:`push_parse` — a SAX-style push API that drives a
   :class:`ContentHandler`, used by the relational shredder
   (:mod:`repro.relational.shredder`) exactly like the paper drives Expat.
+
+The tree builder (:func:`repro.xmlkit.tree.parse_tree`, under every
+SOAP envelope) reads the tokens directly.
 
 Supported syntax: the XML declaration, elements with attributes (both
 quote styles), character data with entity/character references, CDATA
@@ -18,6 +22,7 @@ whose internal subset is skipped (DTDs are parsed separately by
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 from repro.errors import XmlSyntaxError
@@ -41,6 +46,28 @@ _NAME_START = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:"
 )
 _NAME_CHARS = _NAME_START | set("0123456789.-")
+
+# The fast path: one well-formed end, start or empty-element tag per
+# match, built from the name alphabet and whitespace of the scanner
+# below.  It accepts a subset of what the character-level branches
+# accept (attributes must be whitespace-separated); whatever it does
+# not match is left to them, and they alone report errors.  Every
+# repetition starts with mandatory whitespace and every quantified
+# class excludes the character that must follow it, so a tag that
+# fails to match fails in time linear in its length.
+_S = f"[{re.escape(_WS)}]"
+_NAME_RE = (
+    f"[{re.escape(''.join(sorted(_NAME_START)))}]"
+    f"[{re.escape(''.join(sorted(_NAME_CHARS)))}]*"
+)
+_VALUE_RE = r"""(?:"[^"<]*"|'[^'<]*')"""
+_TAG = re.compile(
+    rf"</({_NAME_RE}){_S}*>"
+    rf"|<({_NAME_RE})((?:{_S}+{_NAME_RE}{_S}*={_S}*{_VALUE_RE})*){_S}*(/?)>"
+)
+_ATTR = re.compile(
+    rf"""({_NAME_RE}){_S}*={_S}*(?:"([^"<]*)"|'([^'<]*)')"""
+)
 
 
 class _Scanner:
@@ -161,11 +188,21 @@ def _skip_doctype(scanner: _Scanner) -> None:
             return
 
 
-def iterparse(text: str) -> Iterator[Event]:
-    """Parse ``text`` and yield a stream of events.
+# Token kinds of :func:`tokens`.
+START, END, TEXT, COMMENT, PI, DECLARATION = range(6)
 
-    The element structure is validated (tags must nest and match) and
-    exactly one root element is required.
+
+def tokens(text: str) -> Iterator[tuple]:
+    """Tokenize ``text`` into ``(kind, value, extra)`` tuples.
+
+    The one tokenizer under :func:`iterparse` and :func:`push_parse`,
+    for consumers that want neither an object nor a type test per
+    event.
+
+    ``value`` is the element name (``START``/``END``), the character
+    data (``TEXT``), the comment text, the PI target, or the declared
+    version; ``extra`` is a ``START``'s attribute dict, a ``PI``'s
+    data, a ``DECLARATION``'s ``(encoding, standalone)``, else ``None``.
 
     Raises:
         XmlSyntaxError: on any well-formedness violation.
@@ -181,36 +218,68 @@ def iterparse(text: str) -> Iterator[Event]:
         attrs = _read_attributes(scanner)
         scanner.skip_ws()
         scanner.expect("?>")
-        yield XmlDeclaration(
-            version=attrs.get("version", "1.0"),
-            encoding=attrs.get("encoding"),
-            standalone=attrs.get("standalone"),
+        yield DECLARATION, attrs.get("version", "1.0"), (
+            attrs.get("encoding"), attrs.get("standalone"),
         )
 
-    while not scanner.at_end():
-        if scanner.peek() != "<":
-            start = scanner.pos
-            idx = scanner.text.find("<", start)
+    size = len(text)
+    match_tag = _TAG.match
+    find_attrs = _ATTR.findall
+    pos = scanner.pos
+    while pos < size:
+        if text[pos] != "<":
+            idx = text.find("<", pos)
             if idx == -1:
-                idx = len(scanner.text)
-            raw = scanner.text[start:idx]
-            scanner.pos = idx
+                idx = size
+            raw = text[pos:idx]
             if stack:
-                yield Characters(unescape(raw))
+                yield TEXT, unescape(raw), None
             elif raw.strip():
                 raise scanner.error(
-                    "character data outside the root element", pos=start
+                    "character data outside the root element", pos=pos
                 )
+            pos = idx
             continue
 
+        tag = match_tag(text, pos)
+        if tag is not None:
+            end_name, name, raw_attrs, empty = tag.groups()
+            if name is None:
+                if stack and stack[-1] == end_name:
+                    stack.pop()
+                    pos = tag.end()
+                    yield END, end_name, None
+                    continue
+            elif stack or not seen_root:
+                found = find_attrs(raw_attrs) if raw_attrs else ()
+                attrs = {
+                    key: double or single
+                    for key, double, single in found
+                }
+                if len(attrs) == len(found):
+                    if "&" in raw_attrs:
+                        for key, value in attrs.items():
+                            attrs[key] = unescape(value)
+                    pos = tag.end()
+                    seen_root = True
+                    yield START, name, attrs
+                    if empty:
+                        yield END, name, None
+                    else:
+                        stack.append(name)
+                    continue
+            # A misplaced tag or a duplicate attribute: the branches
+            # below find it again and raise from where they always did.
+
+        scanner.pos = pos
         if scanner.startswith("<!--"):
             scanner.pos += 4
-            yield Comment(scanner.read_until("-->", "comment"))
+            yield COMMENT, scanner.read_until("-->", "comment"), None
         elif scanner.startswith("<![CDATA["):
             if not stack:
                 raise scanner.error("CDATA outside the root element")
             scanner.pos += len("<![CDATA[")
-            yield Characters(scanner.read_until("]]>", "CDATA section"))
+            yield TEXT, scanner.read_until("]]>", "CDATA section"), None
         elif scanner.startswith("<!DOCTYPE"):
             if seen_root:
                 raise scanner.error("DOCTYPE after the root element")
@@ -219,7 +288,7 @@ def iterparse(text: str) -> Iterator[Event]:
             scanner.pos += 2
             target = scanner.read_name()
             data = scanner.read_until("?>", "processing instruction").strip()
-            yield ProcessingInstruction(target, data)
+            yield PI, target, data
         elif scanner.startswith("</"):
             scanner.pos += 2
             name = scanner.read_name()
@@ -232,7 +301,7 @@ def iterparse(text: str) -> Iterator[Event]:
                 raise scanner.error(
                     f"mismatched end tag </{name}>, expected </{expected}>"
                 )
-            yield EndElement(name)
+            yield END, name, None
         else:
             scanner.expect("<")
             if seen_root and not stack:
@@ -243,18 +312,44 @@ def iterparse(text: str) -> Iterator[Event]:
             if scanner.startswith("/>"):
                 scanner.pos += 2
                 seen_root = True
-                yield StartElement(name, attrs)
-                yield EndElement(name)
+                yield START, name, attrs
+                yield END, name, None
             else:
                 scanner.expect(">")
                 seen_root = True
                 stack.append(name)
-                yield StartElement(name, attrs)
+                yield START, name, attrs
+        pos = scanner.pos
 
+    scanner.pos = pos
     if stack:
         raise scanner.error(f"unclosed element <{stack[-1]}>")
     if not seen_root:
         raise scanner.error("document has no root element")
+
+
+def iterparse(text: str) -> Iterator[Event]:
+    """Parse ``text`` and yield a stream of events.
+
+    The element structure is validated (tags must nest and match) and
+    exactly one root element is required.
+
+    Raises:
+        XmlSyntaxError: on any well-formedness violation.
+    """
+    for kind, value, extra in tokens(text):
+        if kind == START:
+            yield StartElement(value, extra)
+        elif kind == END:
+            yield EndElement(value)
+        elif kind == TEXT:
+            yield Characters(value)
+        elif kind == COMMENT:
+            yield Comment(value)
+        elif kind == PI:
+            yield ProcessingInstruction(value, extra)
+        else:
+            yield XmlDeclaration(value, *extra)
 
 
 class ContentHandler:
@@ -282,14 +377,17 @@ class ContentHandler:
 
 def push_parse(text: str, handler: ContentHandler) -> None:
     """Parse ``text``, pushing events into ``handler`` (SAX style)."""
-    for event in iterparse(text):
-        if isinstance(event, StartElement):
-            handler.start_element(event.name, event.attrs)
-        elif isinstance(event, EndElement):
-            handler.end_element(event.name)
-        elif isinstance(event, Characters):
-            handler.characters(event.text)
-        elif isinstance(event, ProcessingInstruction):
-            handler.processing_instruction(event.target, event.data)
-        elif isinstance(event, Comment):
-            handler.comment(event.text)
+    start_element = handler.start_element
+    end_element = handler.end_element
+    characters = handler.characters
+    for kind, value, extra in tokens(text):
+        if kind == START:
+            start_element(value, extra)
+        elif kind == END:
+            end_element(value)
+        elif kind == TEXT:
+            characters(value)
+        elif kind == PI:
+            handler.processing_instruction(value, extra)
+        elif kind == COMMENT:
+            handler.comment(value)

@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import XmlSyntaxError
-from repro.xmlkit.events import Characters, EndElement, StartElement
-from repro.xmlkit.parser import iterparse
+from repro.xmlkit.parser import END, START, TEXT, tokens
 
 
 @dataclass(slots=True)
@@ -67,21 +66,19 @@ def parse_tree(text: str) -> Element:
     """
     root: Element | None = None
     stack: list[Element] = []
-    for event in iterparse(text):
-        if isinstance(event, StartElement):
-            node = Element(event.name, dict(event.attrs))
+    for kind, value, attrs in tokens(text):
+        if kind == START:
+            node = Element(value, attrs)
             if stack:
                 stack[-1].children.append(node)
             elif root is None:
                 root = node
             stack.append(node)
-        elif isinstance(event, EndElement):
-            stack.pop()
-        elif isinstance(event, Characters):
-            if stack:
-                stack[-1].text += event.text
+        elif kind == END:
+            node = stack.pop()
+            node.text = node.text.strip()
+        elif kind == TEXT:
+            stack[-1].text += value
     if root is None:
         raise XmlSyntaxError("document has no root element")
-    for node in root.iter():
-        node.text = node.text.strip()
     return root

@@ -8,7 +8,7 @@ full document from sorted relational feeds without materializing a tree
 from __future__ import annotations
 
 from io import StringIO
-from typing import TextIO
+from typing import Callable
 
 from repro.errors import ReproError
 from repro.xmlkit.escape import escape_attr, escape_text
@@ -26,38 +26,37 @@ def serialize(root: Element, indent: int | None = 2,
         indent: spaces per nesting level, or ``None`` for compact output.
         declaration: whether to emit ``<?xml version="1.0"?>``.
     """
-    out = StringIO()
+    out: list[str] = []
     if declaration:
-        out.write(_DECLARATION)
+        out.append(_DECLARATION)
         if indent is not None:
-            out.write("\n")
-    _write_element(out, root, 0, indent)
+            out.append("\n")
+    _write_element(out.append, root, 0, indent)
     if indent is not None:
-        out.write("\n")
-    return out.getvalue()
+        out.append("\n")
+    return "".join(out)
 
 
-def _write_element(out: TextIO, node: Element, depth: int,
-                   indent: int | None) -> None:
+def _write_element(write: Callable[[str], object], node: Element,
+                   depth: int, indent: int | None) -> None:
     pad = "" if indent is None else " " * (indent * depth)
     newline = "" if indent is None else "\n"
-    out.write(pad)
-    out.write(f"<{node.name}")
+    write(f"{pad}<{node.name}")
     for key, value in node.attrs.items():
-        out.write(f' {key}="{escape_attr(value)}"')
+        write(f' {key}="{escape_attr(value)}"')
     if not node.children and not node.text:
-        out.write("/>")
+        write("/>")
         return
-    out.write(">")
+    write(">")
     if node.text:
-        out.write(escape_text(node.text))
+        write(escape_text(node.text))
     if node.children:
         for child in node.children:
-            out.write(newline)
-            _write_element(out, child, depth + 1, indent)
-        out.write(newline)
-        out.write(pad)
-    out.write(f"</{node.name}>")
+            write(newline)
+            _write_element(write, child, depth + 1, indent)
+        write(newline)
+        write(pad)
+    write(f"</{node.name}>")
 
 
 class XmlStreamWriter:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.fragmentation import Fragmentation
 from repro.core.instance import ElementData
@@ -19,6 +20,10 @@ from repro.workloads.xmark import (
     xmark_mf_fragmentation,
     xmark_schema,
 )
+
+# CI selects this with ``--hypothesis-profile=ci``: the same examples on
+# every run of a commit, so a failure there is reproducible from it.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -76,6 +76,17 @@ class TestFeedSink:
         assert "checksum" in reply.get("message")
         assert metrics.counter("server.faults").value == 1
 
+    def test_malformed_number_gets_fault_naming_it(self, feed):
+        message = wrap_fragment_feed(feed).replace(
+            f'count="{feed.row_count()}"', 'count="abc"'
+        )
+        metrics = MetricsRegistry()
+        with FeedSink(metrics=metrics) as sink:
+            reply = raw_call(sink, message)
+        assert reply.name == "Fault"
+        assert "non-numeric count='abc'" in reply.get("message")
+        assert metrics.counter("server.faults").value == 1
+
     def test_multi_child_body_gets_fault(self):
         message = (
             '<soap:Envelope xmlns:soap="ns"><soap:Body>'

@@ -4,7 +4,10 @@ import pytest
 
 from repro.errors import SoapFault
 from repro.core.fragment import Fragment
+from repro.core.instance import ElementData, FragmentInstance, FragmentRow
 from repro.net.soap import (
+    encode_fragment_feed,
+    feed_digest,
     parse_envelope,
     soap_envelope,
     soap_fault,
@@ -222,9 +225,156 @@ class TestVerifyFragmentFeed:
     def test_count_mismatch_rejected(self, order_payload):
         order_payload.children.pop()
         # Recompute the digest so only the count is wrong.
-        from repro.net.soap import feed_digest
         order_payload.attrs["checksum"] = feed_digest(
             order_payload.children
         )
         with pytest.raises(SoapFault, match="declares"):
             verify_fragment_feed(order_payload)
+
+
+# -- the wire bytes, pinned -------------------------------------------------------
+
+_HEAD = (
+    '<?xml version="1.0"?><soap:Envelope xmlns:soap='
+    '"http://schemas.xmlsoap.org/soap/envelope/"><soap:Body>'
+)
+_TAIL = "</soap:Body></soap:Envelope>"
+#: Rows of :func:`golden_feed` as the commit before the single-pass
+#: encoder wrote them (captured from it, checksum included).
+_GOLDEN_ROWS = (
+    '<Order note="a &quot;quoted&quot; &lt;b&gt; &amp; c&#10;&#9;z"'
+    ' _eid="7" ID="7" PARENT=""><Service _eid="8">x &lt; y &amp; z &gt; w'
+    '<ServiceName k="v\'" _eid="9">café ☃</ServiceName></Service>'
+    '<Service _eid="10"/><Line _eid="11">in\rner</Line></Order>'
+    '<Order _eid="12" ID="12" PARENT="3">text and child'
+    '<Line _eid="13"/></Order>'
+    '<Order _eid="14" ID="14" PARENT="0"/>'
+)
+_GOLDEN_CHECKSUM = "bf3e80b1"
+
+
+@pytest.fixture
+def golden_feed(customers_schema):
+    """Nested children, text beside children, escaped text and
+    attribute values, non-ASCII text, an inner ``\\r``, a ``None``
+    parent, a parent of 0, and a child group left empty."""
+    first = ElementData("Order", 7, {"note": 'a "quoted" <b> & c\n\tz'})
+    service = first.add_child(
+        ElementData("Service", 8, {}, "x < y & z > w")
+    )
+    service.add_child(
+        ElementData("ServiceName", 9, {"k": "v'"}, "café ☃")
+    )
+    first.add_child(ElementData("Service", 10))
+    first.add_child(ElementData("Line", 11, {}, "in\rner"))
+    second = ElementData("Order", 12, {}, "text and child")
+    second.add_child(ElementData("Line", 13))
+    third = ElementData("Order", 14)
+    third.children["Line"] = []
+    return FragmentInstance(Fragment(customers_schema, ["Order"]), [
+        FragmentRow(first, None), FragmentRow(second, 3),
+        FragmentRow(third, 0),
+    ])
+
+
+class TestGoldenMessages:
+    """``wrap_fragment_feed`` is byte-for-byte what it always was."""
+
+    @pytest.mark.parametrize("seq, numbering", [
+        (None, ""), (0, ' seq="0"'), (41, ' seq="41"'),
+    ])
+    def test_rows_and_checksum(self, golden_feed, seq, numbering):
+        assert wrap_fragment_feed(golden_feed, seq) == (
+            f'{_HEAD}<FragmentFeed fragment="Order" count="3"{numbering}'
+            f' checksum="{_GOLDEN_CHECKSUM}">{_GOLDEN_ROWS}'
+            f"</FragmentFeed>{_TAIL}"
+        )
+
+    @pytest.mark.parametrize("seq, numbering", [
+        (None, ""), (5, ' seq="5"'),
+    ])
+    def test_empty_feed(self, golden_feed, seq, numbering):
+        empty = FragmentInstance(golden_feed.fragment)
+        assert wrap_fragment_feed(empty, seq) == (
+            f'{_HEAD}<FragmentFeed fragment="Order" count="0"{numbering}'
+            f' checksum="00000001"/>{_TAIL}'
+        )
+
+    def test_encoder_returns_the_checksum_it_wrote(self, golden_feed):
+        message, checksum = encode_fragment_feed(golden_feed, 3)
+        assert message == wrap_fragment_feed(golden_feed, 3)
+        assert checksum == _GOLDEN_CHECKSUM
+        # ... which is the digest a receiver recomputes.
+        assert feed_digest(parse_envelope(message).children) == checksum
+
+    def test_decodes_to_the_rows_it_encoded(self, golden_feed):
+        received = unwrap_fragment_feed(
+            wrap_fragment_feed(golden_feed), golden_feed.fragment
+        )
+        assert [row.parent for row in received.rows] == [None, 3, 0]
+        assert [row.data for row in received.rows[:2]] == [
+            row.data for row in golden_feed.rows[:2]
+        ]
+        # An empty child group does not exist on the wire.
+        assert received.rows[2].data == ElementData("Order", 14)
+
+    def test_padded_text_is_normalised_by_the_encoder(self, golden_feed):
+        """A receiver's tree parser strips element text, so the encoder
+        writes, digests and leaves on the row the stripped text: the
+        checksum verifies and sender and receiver hold the same rows
+        whether or not the sender decodes its own message."""
+        leaf = golden_feed.rows[0].data.child_list("Line")[0]
+        leaf.text = " \r\n padded\rtext \t\r "
+        golden_feed.rows[1].data.text = "   "
+        message = wrap_fragment_feed(golden_feed)
+        assert ">padded\rtext</Line>" in message
+        assert leaf.text == "padded\rtext"
+        assert golden_feed.rows[1].data.text == ""
+        received = unwrap_fragment_feed(message, golden_feed.fragment)
+        assert received.rows[0].data == golden_feed.rows[0].data
+        assert received.rows[1].data == golden_feed.rows[1].data
+
+
+class TestMalformedNumbers:
+    """Numbers arrive from outside the process: a value that is not one
+    is a ``SoapFault`` naming the attribute, never a ``ValueError``."""
+
+    @pytest.fixture
+    def message(self, golden_feed):
+        return wrap_fragment_feed(golden_feed)
+
+    def _rechecksummed(self, message):
+        """``message`` with its checksum recomputed, so that only the
+        malformed number is wrong."""
+        payload = parse_envelope(message)
+        payload.attrs["checksum"] = feed_digest(payload.children)
+        return payload
+
+    def test_count(self, message, golden_feed):
+        tampered = message.replace('count="3"', 'count="abc"')
+        with pytest.raises(SoapFault, match="count='abc'"):
+            verify_fragment_feed(parse_envelope(tampered))
+        with pytest.raises(SoapFault, match="count='abc'"):
+            unwrap_fragment_feed(tampered, golden_feed.fragment)
+
+    def test_parent(self, message, golden_feed):
+        payload = self._rechecksummed(
+            message.replace('PARENT="3"', 'PARENT="zz"')
+        )
+        with pytest.raises(SoapFault, match="PARENT='zz'"):
+            unwrap_fragment_feed(
+                soap_envelope(payload), golden_feed.fragment
+            )
+
+    @pytest.mark.parametrize("eid", ['_eid="12"', '_eid="13"'])
+    def test_eid(self, message, golden_feed, eid):
+        payload = self._rechecksummed(message.replace(eid, '_eid="x1"'))
+        with pytest.raises(SoapFault, match="_eid='x1'"):
+            unwrap_fragment_feed(
+                soap_envelope(payload), golden_feed.fragment
+            )
+
+    def test_document_bytes(self):
+        payload = Element("Document", {"bytes": "4 KB"}, text="tiny")
+        with pytest.raises(SoapFault, match="bytes='4 KB'"):
+            unwrap_document(payload)

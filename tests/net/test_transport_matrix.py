@@ -3,26 +3,41 @@ drop-in interchangeable behind ``Transport``, with uniform lifecycle
 (idempotent close, send-after-close errors) and byte-identical
 end-to-end results — TcpTransport over a real loopback socket."""
 
+import contextlib
+import socket
 import threading
 
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import SoapFault, TransportError
 from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
+from repro.core.stream import RowBatch
 from repro.net.server import FeedSink
+from repro.net.soap import (
+    parse_envelope,
+    soap_envelope,
+    verify_fragment_feed,
+)
 from repro.net.transport import (
     InProcessTransport,
     LOOPBACK_PROFILE,
     SimulatedChannel,
     TcpTransport,
     Transport,
+    recv_frame,
+    send_frame,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.relational.publisher import publish_document
 from repro.services.endpoint import RelationalEndpoint
-from repro.services.exchange import run_optimized_exchange
+from repro.services.exchange import (
+    run_optimized_exchange,
+    run_publish_and_map,
+)
 from repro.workloads.customer import fragment_customers
+from repro.xmlkit.tree import Element
 
 
 @pytest.fixture
@@ -155,12 +170,108 @@ class TestTcpTransport:
         assert transport.transfer_cost(1000) == pytest.approx(expected)
         transport.close()
 
-    def test_rows_replaced_with_decoded_wire_rows(self, sink, feed):
-        transport = TcpTransport.connect(sink.host, sink.port)
-        eids_before = sorted(row.eid for row in feed.rows)
-        transport.ship_fragment(feed)
-        assert sorted(row.eid for row in feed.rows) == eids_before
-        transport.close()
+    def test_shipped_batch_keeps_its_rows_and_the_sink_verified_them(
+            self, feed):
+        """One encode here, one decode + verify at the sink: the batch
+        is not decoded again on the sending side, and the sink's ack
+        is held against what was sent."""
+        metrics = MetricsRegistry()
+        batch = RowBatch(feed.fragment, list(feed.rows), 3)
+        rows_before = list(batch.rows)
+        with FeedSink(metrics=metrics) as live:
+            transport = TcpTransport.connect(live.host, live.port)
+            transport.ship_batch(batch)
+            transport.ship_fragment(feed)
+            transport.close()
+        assert all(
+            after is before
+            for after, before in zip(batch.rows, rows_before, strict=True)
+        )
+        assert metrics.counter("server.rows_in").value \
+            == 2 * len(rows_before)
+        assert metrics.counter("server.faults").value == 0
+
+
+@contextlib.contextmanager
+def lying_sink(**wrong):
+    """A feed sink that verifies like the real one, then acknowledges
+    ``wrong`` attribute values (``None`` drops the attribute)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            while (frame := recv_frame(conn)) is not None:
+                payload = parse_envelope(frame.decode("utf-8"))
+                if payload.name == "Document":
+                    attrs = {"of": "Document",
+                             "bytes": str(len(payload.text))}
+                else:
+                    name, count, digest = verify_fragment_feed(payload)
+                    attrs = {"of": "FragmentFeed", "fragment": name,
+                             "count": str(count), "checksum": digest,
+                             "seq": payload.get("seq")}
+                attrs.update(wrong)
+                ack = Element(attrs.pop("element", "Ack"), {
+                    key: value for key, value in attrs.items()
+                    if value is not None
+                })
+                send_frame(conn, soap_envelope(ack).encode("utf-8"))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        listener.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+class TestAckIsChecked:
+    """The ack is the end-to-end check: the sink's recomputed values
+    must be the ones this side computed while encoding."""
+
+    def test_honest_ack_accepted(self, feed):
+        with lying_sink() as (host, port):
+            transport = TcpTransport.connect(host, port)
+            transport.ship_fragment(feed)
+            transport.ship_batch(RowBatch(feed.fragment, feed.rows, 0))
+            transport.ship_document("<doc/>")
+            transport.close()
+
+    @pytest.mark.parametrize("wrong", [
+        {"checksum": "0badf00d"},
+        {"count": "1"},
+        {"seq": "8"},
+        {"seq": None},
+        {"fragment": "Other"},
+        {"of": "Document"},
+        {"checksum": None},
+        {"element": "Nod"},
+    ])
+    def test_wrong_feed_ack_is_a_fault(self, feed, wrong):
+        with lying_sink(**wrong) as (host, port):
+            transport = TcpTransport.connect(host, port)
+            with pytest.raises(SoapFault, match="feed sink"):
+                transport.ship_batch(
+                    RowBatch(feed.fragment, feed.rows, 7)
+                )
+            transport.close()
+
+    def test_seq_acknowledged_for_a_feed_sent_without_one(self, feed):
+        with lying_sink(seq="0") as (host, port):
+            transport = TcpTransport.connect(host, port)
+            with pytest.raises(SoapFault, match="seq='0'"):
+                transport.ship_fragment(feed)
+            transport.close()
+
+    def test_wrong_document_ack_is_a_fault(self):
+        with lying_sink(bytes="5") as (host, port):
+            transport = TcpTransport.connect(host, port)
+            with pytest.raises(SoapFault, match="bytes='5'"):
+                transport.ship_document("<doc/>")
+            transport.close()
 
 
 class TestEndToEndInterchangeability:
@@ -173,19 +284,29 @@ class TestEndToEndInterchangeability:
             auction_document):
         source = RelationalEndpoint(f"S-{kind}", auction_mf)
         source.load_document(auction_document)
+        # One row no document load produces: text the receiver's parser
+        # would strip.  The sim/inproc wires decode it back stripped,
+        # the TCP path hands on the row it encoded — the encoder
+        # normalises it, so all three write what publish&map (whose
+        # shredder strips too) writes.
+        padded = auction_mf.fragments[-1]
+        row = source.scan(padded).rows[0]
+        leaf = next(n for n in row.data.iter_all() if n.text)
+        leaf.text = f" \r\n {leaf.text}\rmore \t\r"
+        source.merge_rows(padded, [row])
         program = build_transfer_program(
             derive_mapping(auction_mf, auction_lf)
         )
         placement = source_heavy_placement(program)
 
         reference_target = RelationalEndpoint("ref", auction_lf)
-        run_optimized_exchange(
-            program, placement, source, reference_target,
-            SimulatedChannel(), "reference",
+        run_publish_and_map(
+            source, reference_target, SimulatedChannel(), "reference",
         )
         reference = publish_document(
             reference_target.db, reference_target.mapper
         ).document
+        assert "\rmore<" in reference
 
         transport = make_transport(kind, sink)
         assert isinstance(transport, Transport)
