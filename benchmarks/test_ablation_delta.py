@@ -41,7 +41,6 @@ _DATAPLANES = {
     "materialized": {},
     "parallel": {"parallel_workers": 3},
     "streaming": {"batch_rows": 64},
-    "columnar": {"batch_rows": 64, "columnar": True},
 }
 _SWEEP: dict[float, dict[str, object]] = {}
 _PLANES: dict[str, dict[str, object]] = {}

@@ -59,16 +59,6 @@ CompFeedback = Callable[[Operation, Location, str, float], float]
 CommFeedback = Callable[[Fragment, float], float]
 
 
-def _predict_comp(probe: CostProbe, node: Operation,
-                  location: Location, strategy: str) -> float:
-    if strategy in ("", "row"):
-        return probe.comp_cost(node, location)
-    try:
-        return probe.comp_cost(node, location, strategy)
-    except TypeError:
-        return probe.comp_cost(node, location)
-
-
 class RatioTracker:
     """Running measured-vs-predicted sums per strategy key."""
 
@@ -166,8 +156,6 @@ class AdaptiveRun:
                  config: AdaptiveConfig,
                  parallel_workers: int = 1,
                  batch_rows: int | None = None,
-                 columnar: bool = False,
-                 join_strategy: str | None = None,
                  retry=None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
@@ -179,8 +167,6 @@ class AdaptiveRun:
         self.config = config
         self.parallel_workers = parallel_workers
         self.batch_rows = batch_rows
-        self.columnar = columnar
-        self.join_strategy = join_strategy
         self.retry = retry
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
@@ -223,7 +209,6 @@ class AdaptiveRun:
             workers=self.parallel_workers,
             batch_rows=self.batch_rows, retry=self.retry,
             tracer=self.tracer, metrics=self.metrics,
-            columnar=self.columnar, join_strategy=self.join_strategy,
         )
         total = ExecutionReport(batch_rows=self.batch_rows)
         segments = _expression_groups(self.program)
@@ -250,9 +235,9 @@ class AdaptiveRun:
             observed = self.config.comp_feedback(
                 node, location, strategy, seconds
             )
-        predicted = _predict_comp(
-            self.config.probe, node, location, strategy
-        )
+        # Priced the way the replanner will ask (no strategy): the
+        # ratio corrects exactly the number it is later applied to.
+        predicted = self.config.probe.comp_cost(node, location)
         self.tracker.observe(
             strategy_key(node.kind, strategy), observed, predicted
         )

@@ -6,7 +6,6 @@ Usage::
     python -m repro exchange MF LF --size 25 # run DE vs publish&map
     python -m repro exchange MF MF --workers 4   # parallel DE execution
     python -m repro exchange MF MF --batch-rows 64  # bounded-memory batches
-    python -m repro exchange MF LF --columnar    # columnar dataplane
     python -m repro exchange MF LF --fault-plan drop=0.1,corrupt=0.05 \
         --retries 6                          # lossy channel, healed
     python -m repro exchange MF MF --trace run.trace \
@@ -42,7 +41,6 @@ from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.render import summary, to_dot, to_text
-from repro.core.stream import DEFAULT_BATCH_ROWS
 from repro.net.faults import FaultPlan, RetryPolicy
 from repro.net.loadgen import run_load
 from repro.net.server import ExchangeServer, FeedSink
@@ -181,7 +179,6 @@ def _run_sharded_exchange(args: argparse.Namespace, out: TextIO,
         channel_factory=make_channel,
         parallel_workers=args.workers,
         batch_rows=args.batch_rows,
-        columnar=args.columnar,
         retry_policy=retry_policy,
         fault_plans=(
             {index: fault_plan for index in range(args.shards)}
@@ -214,7 +211,6 @@ def _run_sharded_exchange(args: argparse.Namespace, out: TextIO,
         f"{args.source}->{args.target}",
         parallel_workers=args.workers,
         batch_rows=args.batch_rows,
-        columnar=args.columnar,
     )
     identical = publish_document(
         outcome.merged_target.db, outcome.merged_target.mapper
@@ -282,7 +278,6 @@ def _run_delta_exchange(args: argparse.Namespace, out: TextIO,
     run_kwargs = dict(
         parallel_workers=args.workers,
         batch_rows=args.batch_rows,
-        columnar=args.columnar,
         retry_policy=retry_policy,
         fault_plan=fault_plan,
         tracer=tracer,
@@ -398,10 +393,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
             raise SystemExit(
                 f"--since must be >= 0, got {args.since}"
             )
-    if args.columnar and args.batch_rows is None:
-        # The CLI's columnar runs default to the standard batch size
-        # (bounded memory) rather than one unbounded batch per feed.
-        args.batch_rows = DEFAULT_BATCH_ROWS
     fault_plan = None
     if args.fault_plan:
         try:
@@ -484,7 +475,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 plan_knobs={
                     "parallel_workers": args.workers,
                     "batch_rows": args.batch_rows,
-                    "columnar": args.columnar,
                 },
                 stats_store=stats_store,
                 metrics=metrics,
@@ -499,7 +489,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 probe=model,
                 parallel_workers=args.workers,
                 batch_rows=args.batch_rows,
-                columnar=args.columnar,
                 retry_policy=retry_policy,
                 fault_plan=fault_plan,
                 stats_store=stats_store,
@@ -550,7 +539,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 f"{args.source}->{args.target}",
                 parallel_workers=args.workers,
                 batch_rows=args.batch_rows,
-                columnar=args.columnar,
                 retry_policy=retry_policy,
                 fault_plan=fault_plan,
                 adaptive=adaptive_config,
@@ -590,9 +578,8 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 file=out,
             )
         if args.batch_rows is not None:
-            dataplane = "columnar" if args.columnar else "streaming"
             print(
-                f"{dataplane} dataplane (batch_rows={args.batch_rows}): "
+                f"streaming dataplane (batch_rows={args.batch_rows}): "
                 f"peak {de.peak_resident_rows} resident rows "
                 f"({de.peak_resident_bytes:,} bytes)",
                 file=out,
@@ -700,7 +687,6 @@ def cmd_loadgen(args: argparse.Namespace, out: TextIO) -> int:
         document_bytes=scaled_bytes(args.size, scale=args.scale),
         seed=args.seed,
         batch_rows=args.batch_rows,
-        columnar=args.columnar,
         out=args.out,
     )
     print(report.render(), file=out)
@@ -811,16 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exchange.add_argument(
         "--batch-rows", type=int, default=None,
-        help="stream the DE program phase in row batches of this size "
+        help="stream the DE program phase in batches of this many rows "
              "(bounded memory; default: one unbounded batch per feed)",
-    )
-    exchange.add_argument(
-        "--columnar", action="store_true",
-        help="run the DE program phase on the columnar dataplane: "
-             "flat fragments stream as column batches and Combine "
-             "runs the build/probe join (implies --batch-rows "
-             f"{DEFAULT_BATCH_ROWS} when not set; written fragments "
-             "are byte-identical to the row path)",
     )
     exchange.add_argument(
         "--sessions", type=int, default=1,
@@ -949,7 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fraction of the paper size")
     loadgen.add_argument("--seed", type=int, default=99)
     loadgen.add_argument("--batch-rows", type=int, default=None)
-    loadgen.add_argument("--columnar", action="store_true")
     loadgen.add_argument("--out", default=None, metavar="FILE",
                          help="write the JSON report here "
                               "(e.g. BENCH_load.json)")

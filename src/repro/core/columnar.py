@@ -1,36 +1,41 @@
-"""Columnar fragment batches: the vectorized dataplane.
+"""Columnar fragment batches: the dataplane of flat-storable fragments.
 
-The row dataplane (:mod:`repro.core.stream`) moves one nested
-:class:`~repro.core.instance.ElementData` tree per fragment-root
-occurrence.  Building those trees at ``Scan`` and flattening them back
-at ``Write`` dominates CPU time on the Figure 9 scenarios — the data
-spends its whole journey tabular (it comes out of a relational sorted
-feed and goes back into a relational bulk load), and the trees exist
-only to satisfy the operator API.
+A fragment whose repeated elements are all fragment roots
+(:meth:`~repro.core.fragment.Fragment.is_flat_storable`) spends its
+whole journey tabular — it comes out of a relational sorted feed and
+goes back into a relational bulk load — so the execution core moves it
+as a :class:`ColumnBatch`: one parallel array per column of the
+fragment's relational layout — ``id``, ``parent``, an
+``<element>_eid`` key per non-root element, a text column per leaf, a
+column per XML attribute — in exactly the order
+:class:`~repro.relational.frag_store.FragmentRelationMapper` stores
+them, so a scan is a slice of the raw sorted feed and a write is a
+straight bulk load.  ``Combine`` is a build/probe join on the key
+columns, ``Split`` a column projection; no trees are built anywhere in
+between.  Row batches (:mod:`repro.core.stream`, one nested
+:class:`~repro.core.instance.ElementData` tree per occurrence) remain
+only as the adapter for fragments that do *not* flatten: repeated
+inner elements, which only in-memory and directory endpoints hold.
 
-This module provides the flat alternative.  A :class:`ColumnBatch`
-holds one parallel array per column of the fragment's relational
-layout — ``id``, ``parent``, an ``<element>_eid`` key per non-root
-element, a text column per leaf, a column per XML attribute — in
-exactly the order :class:`~repro.relational.frag_store.
-FragmentRelationMapper` stores them, so a columnar scan is a slice of
-the raw sorted feed and a columnar write is a straight bulk load.
-``Combine`` becomes a build/probe join on the key columns,``Split`` a
-column projection; no trees are built anywhere in between.
-
-Invariant: column cells hold the values the *row* dataplane would
-store — text cells of present elements are strings (SQL ``NULL``
-normalizes to ``""``, mirroring the tree round-trip), cells of absent
-elements are ``None``.  That is what keeps the two dataplanes
+Invariant: column cells hold the values the row adapter would store —
+text cells of present elements are strings (SQL ``NULL`` normalizes to
+``""``, mirroring the tree round-trip), cells of absent elements
+(every column of an element whose key cell is ``None``, and of its
+descendants) are ``None``.  That is what keeps the two representations
 byte-identical in the target tables for every batch size.
 
-:meth:`ColumnBatch.estimated_size` / :meth:`~ColumnBatch.feed_size`
-are computed column-wise but agree exactly with the per-row formulas
+Size accounting is per column and inherited.  A batch keeps, for each
+column, how many cells are present and how many characters they hold
+(:data:`ColumnStats`); :meth:`~ColumnBatch.estimated_size` and
+:meth:`~ColumnBatch.feed_size` are sums over those and agree exactly with the per-row formulas
 (:func:`~repro.core.instance.row_estimated_size` /
 :func:`~repro.core.instance.row_feed_size`), so the
 :class:`~repro.core.stream.ResidencyMeter` and the channel charge the
-same bytes on either dataplane.  Slicing is zero-copy: a slice shares
-the parent's column lists and narrows ``start``/``stop``.
+same bytes whatever the batch representation.  An operator that reuses
+a column zero-copy hands its stats to the output batch, so a chain of
+combines measures each cell once, where it enters the chain.  Slicing
+is zero-copy: a slice shares the parent's column lists and narrows
+``start``/``stop``.
 """
 
 from __future__ import annotations
@@ -71,17 +76,17 @@ class ColumnLayout:
     Raises:
         OperationError: if the fragment has repeated inner elements —
             such fragments do not flatten to one row per occurrence
-            and must use the row dataplane.
+            and travel as row batches.
     """
 
-    __slots__ = ("fragment", "specs", "positions")
+    __slots__ = ("fragment", "specs", "positions", "_elements")
 
     def __init__(self, fragment: Fragment) -> None:
         if not fragment.is_flat_storable():
             raise OperationError(
                 f"fragment {fragment.name!r} has repeated inner "
-                "elements and no flat column layout (use the row "
-                "dataplane)"
+                "elements and no flat column layout (it travels as "
+                "row batches)"
             )
         self.fragment = fragment
         specs: list[ColumnSpec] = [
@@ -111,6 +116,21 @@ class ColumnLayout:
         self.specs = specs
         self.positions = {
             spec.name: index for index, spec in enumerate(specs)
+        }
+        #: Per element, where :meth:`row_from_cells` finds it: key
+        #: position, text position (``None`` off the leaves),
+        #: ``(attribute, position)`` pairs, child elements.
+        self._elements = {
+            element: (
+                self.positions[self.eid_column(element)],
+                self.positions[element.lower()]
+                if schema.node(element).is_leaf else None,
+                [(spec.attribute, self.positions[spec.name])
+                 for spec in specs
+                 if spec.role == "attr" and spec.element == element],
+                [child.name for child in fragment.children_of(element)],
+            )
+            for element in fragment.elements
         }
 
     def __len__(self) -> int:
@@ -156,48 +176,35 @@ class ColumnLayout:
         return cells
 
     def row_from_cells(self, cells: "list[object] | tuple") -> FragmentRow:
-        """Rebuild the nested occurrence from one row of cells."""
-        positions = self.positions
-        fragment = self.fragment
+        """Rebuild the nested occurrence from one row of cells (a
+        batch's row, or a stored tuple of the fragment's table)."""
+        elements = self._elements
 
         def build(element: str) -> ElementData | None:
-            eid = cells[positions[self.eid_column(element)]]
+            eid_at, text_at, attr_ats, children = elements[element]
+            eid = cells[eid_at]
             if eid is None:
                 return None
-            attrs: dict[str, str] = {}
-            text = ""
-            node_specs = _element_specs(self, element)
-            for spec in node_specs:
-                value = cells[positions[spec.name]]
-                if value is None:
-                    continue
-                if spec.role == "text":
-                    text = str(value)
-                elif spec.role == "attr":
-                    attrs[spec.attribute or ""] = str(value)
-            data = ElementData(element, int(eid), attrs, text)
-            for child in fragment.children_of(element):
-                built = build(child.name)
+            text = None if text_at is None else cells[text_at]
+            data = ElementData(
+                element, int(eid),
+                {attribute: str(cells[at]) for attribute, at in attr_ats
+                 if cells[at] is not None},
+                "" if text is None else str(text),
+            )
+            for child in children:
+                built = build(child)
                 if built is not None:
                     data.add_child(built)
             return data
 
-        root = build(fragment.root_name)
+        root = build(self.fragment.root_name)
         if root is None:
             raise OperationError(
-                f"columnar row of {fragment.name!r} has NULL id"
+                f"columnar row of {self.fragment.name!r} has NULL id"
             )
-        parent = cells[positions["parent"]]
+        parent = cells[self.positions["parent"]]
         return FragmentRow(root, None if parent is None else int(parent))
-
-
-def _element_specs(layout: ColumnLayout,
-                   element: str) -> list[ColumnSpec]:
-    """Text/attr specs belonging to ``element`` (layout order)."""
-    return [
-        spec for spec in layout.specs
-        if spec.element == element and spec.role in ("text", "attr")
-    ]
 
 
 #: Shared layout cache — layouts are pure functions of the fragment.
@@ -212,6 +219,14 @@ def layout_of(fragment: Fragment) -> ColumnLayout:
     return layout
 
 
+#: Per-column size statistics: ``(present, chars)`` — how many cells
+#: are not ``None``, and the total string length of those (0 for key
+#: columns).  Both size formulas are linear in these two numbers.
+ColumnStats = tuple[int, int]
+
+_STR_OR_NONE = frozenset((str, type(None)))
+
+
 class ColumnBatch:
     """An ordered slice of a fragment's feed, stored column-wise.
 
@@ -220,14 +235,22 @@ class ColumnBatch:
     ``estimated_size``/``feed_size``/``to_instance`` and a lazily
     materialized ``rows`` view — so channels, the reliable shipping
     layer and the residency meter handle either batch kind unchanged.
+
+    ``stats`` hands over per-column :data:`ColumnStats` the producer
+    already knows (``None`` entries are measured on first use): an
+    operator passes on the stats of every column it reuses, so only
+    the cells it gathered are ever measured again.
     """
 
     __slots__ = ("fragment", "layout", "columns", "seq", "start",
-                 "stop", "_rows", "_estimated", "_feed", "_row_sizes")
+                 "stop", "_rows", "_stats", "_estimated", "_feed",
+                 "_row_sizes")
 
     def __init__(self, fragment: Fragment, columns: list[list],
                  seq: int | None, layout: ColumnLayout | None = None,
-                 start: int = 0, stop: int | None = None) -> None:
+                 start: int = 0, stop: int | None = None,
+                 stats: "list[ColumnStats | None] | None" = None
+                 ) -> None:
         self.fragment = fragment
         self.layout = layout or layout_of(fragment)
         if len(columns) != len(self.layout.specs):
@@ -240,6 +263,9 @@ class ColumnBatch:
         self.start = start
         self.stop = len(columns[0]) if stop is None else stop
         self._rows: list[FragmentRow] | None = None
+        self._stats: list[ColumnStats | None] = (
+            [None] * len(columns) if stats is None else stats
+        )
         self._estimated: int | None = None
         self._feed: int | None = None
         self._row_sizes: list[int] | None = None
@@ -274,16 +300,19 @@ class ColumnBatch:
     def slice(self, start: int, stop: int,
               seq: int | None = None) -> "ColumnBatch":
         """A view of rows ``[start, stop)`` sharing the column arrays
-        (no cell is copied)."""
-        if not 0 <= start <= stop <= self.row_count():
+        (no cell is copied).  A view of every row keeps the measured
+        column stats; a narrower one measures its own range."""
+        count = self.row_count()
+        if not 0 <= start <= stop <= count:
             raise OperationError(
                 f"slice [{start}:{stop}) out of range for "
-                f"{self.row_count()} rows"
+                f"{count} rows"
             )
         return ColumnBatch(
             self.fragment, self.columns,
             self.seq if seq is None else seq, self.layout,
             self.start + start, self.start + stop,
+            list(self._stats) if stop - start == count else None,
         )
 
     def column(self, name: str) -> list:
@@ -292,7 +321,10 @@ class ColumnBatch:
         A full-range batch returns the underlying array itself
         (zero-copy); a narrowed view pays one list slice.
         """
-        cells = self.columns[self.layout.positions[name]]
+        return self._cells(self.layout.positions[name])
+
+    def _cells(self, position: int) -> list:
+        cells = self.columns[position]
         if self.start == 0 and self.stop == len(cells):
             return cells
         return cells[self.start:self.stop]
@@ -329,12 +361,36 @@ class ColumnBatch:
         return FragmentInstance(self.fragment, self.rows)
 
     def row_tuples(self) -> list[tuple]:
-        """The slice as storage tuples in layout order (what a
-        columnar Write bulk-loads, no trees involved)."""
-        return list(zip(*(self.column(spec.name)
-                          for spec in self.layout.specs)))
+        """The slice as storage tuples in layout order (a columnar
+        Write's bulk-load without the type checks; tests use it)."""
+        return list(zip(*map(self._cells, range(len(self.columns)))))
 
     # -- per-column byte accounting ---------------------------------------------
+
+    def known_stats(self, position: int) -> ColumnStats | None:
+        """The stats of the column at ``position`` if they have been
+        measured or inherited, else ``None`` — what an operator passes
+        on with a column it reuses."""
+        return self._stats[position]
+
+    def _stats_at(self, position: int) -> ColumnStats:
+        """``(present, chars)`` of the column at ``position`` over
+        this slice's rows — measured once, or never if the producer
+        handed the numbers over."""
+        stats = self._stats[position]
+        if stats is None:
+            cells = self._cells(position)
+            present = len(cells) - cells.count(None)
+            chars = 0
+            if self.layout.specs[position].role in ("text", "attr"):
+                if set(map(type, cells)) <= _STR_OR_NONE:
+                    # filter(None) also drops "", which weighs nothing.
+                    chars = sum(map(len, filter(None, cells)))
+                else:
+                    chars = sum(len(str(cell)) for cell in cells
+                                if cell is not None)
+            stats = self._stats[position] = (present, chars)
+        return stats
 
     def column_sizes(self) -> dict[str, int]:
         """Estimated (tagged-XML) bytes attributed to each column.
@@ -345,35 +401,26 @@ class ColumnBatch:
         exposure per row reproduces :meth:`estimated_size`.
         """
         sizes: dict[str, int] = {}
-        layout = self.layout
-        for spec in layout.specs:
-            cells = self.column(spec.name)
-            if spec.role == "id":
-                element = spec.element or ""
-                sizes[spec.name] = (2 * len(element) + 5) * len(cells)
-            elif spec.role == "parent":
+        for position, spec in enumerate(self.layout.specs):
+            if spec.role == "parent":
                 sizes[spec.name] = 0
-            elif spec.role == "eid":
-                element = spec.element or ""
-                tag = 2 * len(element) + 5
-                sizes[spec.name] = tag * sum(
-                    1 for cell in cells if cell is not None
+                continue
+            present, chars = self._stats_at(position)
+            if spec.role in ("id", "eid"):
+                sizes[spec.name] = (
+                    (2 * len(spec.element or "") + 5) * present
                 )
             elif spec.role == "text":
-                sizes[spec.name] = sum(
-                    len(str(cell)) for cell in cells if cell is not None
-                )
+                sizes[spec.name] = chars
             else:  # attr
-                overhead = len(spec.attribute or "") + 4
-                sizes[spec.name] = sum(
-                    len(str(cell)) + overhead
-                    for cell in cells if cell is not None
+                sizes[spec.name] = (
+                    chars + (len(spec.attribute or "") + 4) * present
                 )
         return sizes
 
     def estimated_size(self) -> int:
         """Approximate serialized (tagged XML) size in bytes — agrees
-        with the row dataplane's per-row accounting exactly."""
+        with the row adapter's per-row accounting exactly."""
         if self._estimated is None:
             self._estimated = (
                 sum(self.column_sizes().values())
@@ -385,13 +432,11 @@ class ColumnBatch:
         """Per-row estimated sizes (the combine frontier accounting
         releases child rows one by one)."""
         if self._row_sizes is None:
-            layout = self.layout
-            count = self.row_count()
-            sizes = [24] * count
-            for spec in layout.specs:
+            sizes = [24] * self.row_count()
+            for position, spec in enumerate(self.layout.specs):
                 if spec.role == "parent":
                     continue
-                cells = self.column(spec.name)
+                cells = self._cells(position)
                 if spec.role in ("id", "eid"):
                     tag = 2 * len(spec.element or "") + 5
                     for index, cell in enumerate(cells):
@@ -414,23 +459,16 @@ class ColumnBatch:
         agrees with :func:`~repro.core.instance.row_feed_size`."""
         if self._feed is None:
             total = 8 * self.row_count()  # the PARENT key per row
-            for spec in self.layout.specs:
-                cells = self.column(spec.name)
-                if spec.role in ("id", "eid"):
-                    # key + separators per present element; non-leaf
-                    # elements carry no text of their own.
-                    total += 10 * sum(
-                        1 for cell in cells if cell is not None
-                    )
-                elif spec.role == "text":
-                    total += sum(
-                        len(str(cell))
-                        for cell in cells if cell is not None
-                    )
-                elif spec.role == "attr":
-                    total += sum(
-                        len(str(cell))
-                        for cell in cells if cell is not None
-                    )
+            for position, spec in enumerate(self.layout.specs):
+                if spec.role == "parent":
+                    continue
+                present, chars = self._stats_at(position)
+                # key + separators per present element (non-leaf
+                # elements carry no text of their own); values only
+                # for text and attribute cells.
+                total += (
+                    10 * present if spec.role in ("id", "eid")
+                    else chars
+                )
             self._feed = total
         return self._feed

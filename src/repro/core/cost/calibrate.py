@@ -62,19 +62,23 @@ class Calibration:
 
     def predict(self, op: Operation, strategy: str = "row") -> float:
         """Predicted execution seconds for ``op`` on the calibrated
-        machine under the given dataplane strategy (falls back to the
-        row fit for uncalibrated strategies, then to the mean scale
-        for entirely unseen kinds)."""
+        machine under the given dataplane strategy.  An uncalibrated
+        strategy falls back to the row fit, then to whichever strategy
+        of the kind *was* fitted — which strategy an operation runs is
+        read off its fragments, so a measured run fits exactly one per
+        kind and that is the one a default-priced query means — and an
+        entirely unseen kind to the mean scale."""
         work = operation_work(op, self.statistics)
-        scale = self.seconds_per_unit.get(
-            strategy_key(op.kind, strategy)
-        )
+        scales = self.seconds_per_unit
+        scale = scales.get(strategy_key(op.kind, strategy))
         if scale is None:
-            scale = self.seconds_per_unit.get(op.kind)
+            scale = scales.get(op.kind)
         if scale is None:
-            fitted = [
-                value for value in self.seconds_per_unit.values()
-                if value > 0
+            prefix = f"{op.kind}."
+            of_kind = [value for key, value in scales.items()
+                       if key.startswith(prefix)]
+            fitted = of_kind or [
+                value for value in scales.values() if value > 0
             ]
             scale = sum(fitted) / len(fitted) if fitted else 0.0
         return work * scale

@@ -16,8 +16,8 @@ keeping the merged target *byte-identical* to a full re-exchange:
   wrappers that filter the scan side to the ship set and turn the
   write side into an eid-keyed merge.  They present the ordinary
   endpoint data interface, so the existing transfer program runs
-  unmodified over any dataplane (materialized, parallel, streaming,
-  columnar).
+  unmodified at any worker count and batch size, on columnar and row
+  streams alike.
 
 **Why shipping just the changed rows is not enough.**  A changed source
 row rebuilds the target rows it contributes to — but those target rows

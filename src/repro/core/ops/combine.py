@@ -7,22 +7,23 @@ repetition of the inlined element are recovered from the schema
 (:meth:`repro.core.instance.ElementData.to_xml` serializes children in
 schema order).
 
-The operation runs over batch streams
-(:class:`~repro.core.stream.RowBatch` pipelines): child rows are
-buffered first (grouped by their PARENT key, the frontier of rows still
-awaiting their parents) while the parent side, which accumulates the
-combined result and is the large side in a combine chain, streams
-through batch by batch.  :meth:`Combine.apply_batches` does this over
-row trees (a grouped merge), :meth:`Combine.apply_column_batches` over
-column arrays (a build/probe join); an unbatched run is the same
-kernels fed one unbounded batch per side.  Each output batch keeps its
-parent batch's ``seq``.
+The operation runs over batch streams: child rows are buffered first
+(keyed by PARENT, the frontier of rows still awaiting their parents)
+while the parent side, which accumulates the combined result and is
+the large side in a combine chain, streams through batch by batch.
+:meth:`Combine.apply_column_batches` — a build/probe join over column
+arrays — is the kernel whenever the result is flat-storable;
+:meth:`Combine.apply_batches` does the same over row trees (a grouped
+merge) for results that inline a repeated child and therefore do not
+flatten.  An unbatched run is the same kernels fed one unbounded batch
+per side.  Each output batch keeps its parent batch's ``seq``.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import OperationError
@@ -40,12 +41,40 @@ from repro.core.stream import ResidencyMeter, RowBatch
 #: Join strategies of the columnar combine.
 JOIN_STRATEGIES = ("hash", "merge")
 
+@dataclass(frozen=True, slots=True)
+class JoinStatistics:
+    """What one build/probe join did (after SNIPPETS.md Snippet 1).
+
+    Seconds are the join's own work — upstream production pulled from
+    inside it is not included; ``hash_table_rows`` is the size of the
+    hash join's dict index (0 for a merge join, which probes the
+    sorted key array itself).
+    """
+
+    strategy: str
+    build_rows: int
+    probe_rows: int
+    build_seconds: float = 0.0
+    probe_seconds: float = 0.0
+    hash_table_rows: int = 0
+
+
 #: Columnar build-side stand-in for a NULL PARENT key.  It orders
 #: strictly before every real eid (so the merge join's sortedness check
 #: and binary search stay valid) and can never equal one — unlike the
 #: old sentinel ``-1``, which a genuine negative eid would collide
 #: with.  Orphan reports translate it back to ``None``.
 _NO_PARENT = float("-inf")
+
+
+def _repeated_key(keys: list) -> int | None:
+    """The first real PARENT key that occurs twice in ``keys``."""
+    seen: set = set()
+    for key in keys:
+        if key in seen and key != _NO_PARENT:
+            return key
+        seen.add(key)
+    return None
 
 
 class Combine(Operation):
@@ -170,11 +199,12 @@ class Combine(Operation):
         child: Iterable[ColumnBatch], *,
         tick: Callable[[float, int], None] | None = None,
         meter: ResidencyMeter | None = None,
-        observe: Callable[[str, int, int], None] | None = None,
+        observe: Callable[[JoinStatistics], None] | None = None,
         force: str | None = None,
     ) -> Iterator[ColumnBatch]:
         """Columnar build/probe join (same semantics as
-        :meth:`apply_batches`).
+        :meth:`apply_batches`) — what runs whenever the result is
+        flat-storable.
 
         **Build**: the child stream — the small side, since a combine
         chain accumulates everything into the parent — is drained into
@@ -183,8 +213,9 @@ class Combine(Operation):
         anchor key (its own ``id`` when the anchor is the parent root,
         the anchor's ``eid`` column otherwise) probes the index, and
         result columns are assembled without building a single tree:
-        parent-derived columns are reused zero-copy, child-derived
-        columns are gathered by match position.
+        parent-derived columns are reused zero-copy — their measured
+        sizes with them — and child-derived columns are gathered by
+        match position.
 
         Strategy selection: the sorted-outer-union feeds arrive
         ``ORDER BY parent, id``, so when the child's PARENT keys are
@@ -192,14 +223,19 @@ class Combine(Operation):
         **merge** join (binary search on the sorted key array); shuffled
         feeds fall back to a **hash** join (dict index).  ``force``
         pins ``"hash"`` or ``"merge"`` regardless (a forced merge over
-        unsorted keys sorts a permutation first).
+        unsorted keys sorts a permutation first); it exists for the
+        unit tests of the two strategies.
 
-        ``observe(strategy, build_rows, probe_rows)`` fires once after
-        probing, feeding the ``join.*`` metrics.
+        ``observe(statistics)`` fires once after probing with the
+        join's :class:`JoinStatistics`, feeding the ``join.*`` metrics.
 
         Raises:
-            OperationError: end-of-stream, listing orphaned PARENT
-                keys, exactly as the row paths do.
+            OperationError: after the build, if two child rows carry
+                the same PARENT key — a flat result means the child is
+                not repeated under its anchor, so the data is wrong
+                and nothing has been emitted yet; at end of stream,
+                listing orphaned PARENT keys exactly as the row kernel
+                does.
         """
         if force is not None and force not in JOIN_STRATEGIES:
             raise OperationError(
@@ -210,51 +246,63 @@ class Combine(Operation):
         result_layout = layout_of(result_fragment)
         parent_fragment = self.parent_fragment
         child_fragment = self.child_fragment
-        parent_layout = layout_of(parent_fragment)
-        child_layout = layout_of(child_fragment)
+        parent_positions = layout_of(parent_fragment).positions
         anchor = child_fragment.parent_element()
-        anchor_column = parent_layout.eid_column(anchor)
+        anchor_column = layout_of(parent_fragment).eid_column(anchor)
         child_elements = child_fragment.elements
         child_root = child_fragment.root_name
 
-        # Result columns come from one side each: (from_child, name).
-        column_plan: list[tuple[bool, str]] = []
+        # Result columns come from one side each: the parent's column
+        # position (reused, stats and all) or the child's column name
+        # (gathered).
+        column_plan: list[tuple[int | None, str]] = []
         for spec in result_layout.specs:
-            if spec.role in ("id", "parent"):
-                column_plan.append((False, spec.name))
-            elif spec.element in child_elements:
+            if spec.role not in ("id", "parent") \
+                    and spec.element in child_elements:
                 source = ("id" if spec.role == "eid"
                           and spec.element == child_root else spec.name)
-                column_plan.append((True, source))
+                column_plan.append((None, source))
             else:
-                column_plan.append((False, spec.name))
+                column_plan.append(
+                    (parent_positions[spec.name], spec.name)
+                )
 
         def generate() -> Iterator[ColumnBatch]:
             # ---- build: drain the child side into column arrays ----
+            build_seconds = 0.0
             keys: list[int | float] = []
             child_columns: dict[str, list] = {
-                name: [] for from_child, name in column_plan
-                if from_child
+                name: [] for position, name in column_plan
+                if position is None
             }
             child_sizes: list[int] = []
             sorted_keys = True
+            repeated = None  # a real PARENT key on two child rows
             for batch in child:
                 started = time.perf_counter()
                 for key in batch.column("parent"):
                     normalized = _NO_PARENT if key is None else key
-                    if keys and normalized < keys[-1]:
-                        sorted_keys = False
+                    if keys:
+                        if normalized < keys[-1]:
+                            sorted_keys = False
+                        elif normalized == keys[-1] \
+                                and key is not None:
+                            repeated = key
                     keys.append(normalized)
                 for name, cells in child_columns.items():
                     cells.extend(batch.column(name))
                 if meter is not None:
                     child_sizes.extend(batch.row_sizes())
+                elapsed = time.perf_counter() - started
+                build_seconds += elapsed
                 if tick is not None:
-                    tick(time.perf_counter() - started, 0)
+                    tick(elapsed, 0)
 
+            started = time.perf_counter()
             strategy = force or ("merge" if sorted_keys else "hash")
             build_rows = len(keys)
             matched = [False] * build_rows
+            hash_table_rows = 0
             if strategy == "merge":
                 if sorted_keys:
                     order = None
@@ -273,32 +321,52 @@ class Combine(Operation):
             else:
                 by_key = {key: index
                           for index, key in enumerate(keys)}
-
-                def lookup(key: int) -> int | None:
-                    return by_key.get(key)
+                hash_table_rows = len(by_key)
+                lookup = by_key.get
+            # Sorted keys showed any repeat as neighbours while they
+            # arrived; shuffled ones show it as a short hash table.
+            if not sorted_keys and repeated is None and (
+                    strategy == "merge"
+                    or hash_table_rows < build_rows):
+                repeated = _repeated_key(keys)
+            elapsed = time.perf_counter() - started
+            build_seconds += elapsed
+            if tick is not None:
+                tick(elapsed, 0)
+            if repeated is not None:
+                raise OperationError(
+                    f"combine({parent_fragment.name!r}, "
+                    f"{child_fragment.name!r}): PARENT key {repeated} "
+                    f"appears on {keys.count(repeated)} child rows, "
+                    f"but {child_root!r} is not repeated under "
+                    f"{anchor!r}"
+                )
 
             # ---- probe: stream parent batches through the index ----
             probe_rows = 0
+            probe_seconds = 0.0
             for batch in parent:
                 started = time.perf_counter()
                 in_rows = batch.row_count()
                 in_bytes = batch.estimated_size() if meter else 0
                 probe_rows += in_rows
-                anchor_cells = batch.column(anchor_column)
                 matches: list[int | None] = [
                     None if key is None else lookup(key)
-                    for key in anchor_cells
+                    for key in batch.column(anchor_column)
                 ]
                 out_columns: list[list] = []
-                for from_child, name in column_plan:
-                    if from_child:
+                out_stats: list = []
+                for position, name in column_plan:
+                    if position is None:
                         cells = child_columns[name]
                         out_columns.append([
                             None if hit is None else cells[hit]
                             for hit in matches
                         ])
+                        out_stats.append(None)
                     else:
                         out_columns.append(batch.column(name))
+                        out_stats.append(batch.known_stats(position))
                 attached_rows = 0
                 attached_bytes = 0
                 for hit in matches:
@@ -309,10 +377,12 @@ class Combine(Operation):
                         attached_rows += 1
                         attached_bytes += child_sizes[hit]
                 out = ColumnBatch(result_fragment, out_columns,
-                                  batch.seq, result_layout)
+                                  batch.seq, result_layout,
+                                  stats=out_stats)
+                elapsed = time.perf_counter() - started
+                probe_seconds += elapsed
                 if tick is not None:
-                    tick(time.perf_counter() - started,
-                         out.row_count())
+                    tick(elapsed, out.row_count())
                 if meter is not None:
                     meter.acquire(out.row_count(),
                                   out.estimated_size())
@@ -320,7 +390,10 @@ class Combine(Operation):
                                   in_bytes + attached_bytes)
                 yield out
             if observe is not None:
-                observe(strategy, build_rows, probe_rows)
+                observe(JoinStatistics(
+                    strategy, build_rows, probe_rows, build_seconds,
+                    probe_seconds, hash_table_rows,
+                ))
             if not all(matched):
                 raise OperationError(combine_orphan_message(
                     parent_fragment.name, child_fragment.name,

@@ -5,9 +5,12 @@
 system's business — a relational endpoint runs a SQL query, a directory
 endpoint walks its tree — so the executor delegates to the endpoint and
 this node only records *which* fragment is read.  The delegation is
-``endpoint.scan_stream(fragment, batch_rows)``: the endpoint yields the
-feed as :class:`~repro.core.stream.RowBatch` slices (one slice holding
-the whole feed on an unbatched run).
+``endpoint.scan_stream_columnar(fragment, batch_rows)`` for a
+flat-storable fragment — the endpoint yields the feed as
+:class:`~repro.core.columnar.ColumnBatch` slices — and
+``endpoint.scan_stream(fragment, batch_rows)``, yielding
+:class:`~repro.core.stream.RowBatch` slices, for one that does not
+flatten (one slice holding the whole feed on an unbatched run).
 """
 
 from __future__ import annotations

@@ -5,14 +5,16 @@
 to preserve the parent/child relationships the schema dictates.
 
 Splitting is row-local, so the operation runs batch by batch:
+:meth:`Split.apply_column_batches` projects columns — the kernel
+whenever the input is flat-storable (its pieces then are too) —
 :meth:`Split.apply_batches` maps the instance-level split
-(:meth:`~repro.core.instance.FragmentInstance.split`) over each input
-batch, :meth:`Split.apply_column_batches` projects columns instead, and
-concatenating the per-batch piece rows reproduces the split of the
-whole feed exactly.  The two differ only in that per-batch partition;
-the n piece streams are drained by different consumers, so undrained
-piece batches queue inside one shared (thread-safe) :class:`_SplitState`
-— at most one input batch is split ahead of the slowest consumer's
+(:meth:`~repro.core.instance.FragmentInstance.split`) over row batches
+of an input that does not flatten, and concatenating the per-batch
+piece rows reproduces the split of the whole feed exactly.  The two
+differ only in that per-batch partition; the n piece streams are
+drained by different consumers, so undrained piece batches queue
+inside one shared (thread-safe) :class:`_SplitState` — at most one
+input batch is split ahead of the slowest consumer's
 need.  An unbatched input (one ``seq``-less batch) yields exactly one
 ``seq``-less batch per piece, empty pieces included; a batched input
 drops empty piece batches and numbers the rest.
@@ -104,8 +106,11 @@ class Split(Operation):
         piece root's key becomes its ``id``, the key of its schema
         parent becomes its ``parent`` (fresh ID/PARENT exposure straight
         from existing key columns).  The root piece keeps every row and
-        reuses the input's column arrays zero-copy.  Queueing/refill
-        discipline is :meth:`apply_batches`'s.
+        reuses the input's column arrays zero-copy.  Every piece
+        inherits the measured sizes of the columns it projects: the
+        rows a piece drops are the ones where its root is absent, and
+        an absent element's cells are all ``None`` and weigh nothing.
+        Queueing/refill discipline is :meth:`apply_batches`'s.
         """
         pieces = len(self.pieces)
         state = _SplitState(
@@ -140,6 +145,7 @@ class Split(Operation):
                 else:
                     sources.append(spec.name)
             plans.append((piece, layout, key_column, sources))
+        positions = input_layout.positions
 
         def partition(batch: ColumnBatch) -> list[ColumnBatch]:
             in_rows = batch.row_count()
@@ -163,7 +169,16 @@ class Split(Operation):
                         for cells in (batch.column(name)
                                       for name in sources)
                     ]
-                out.append(ColumnBatch(piece, columns, None, layout))
+                stats = [
+                    batch.known_stats(positions[name])
+                    for name in sources
+                ]
+                # PARENT takes an anchor's key cells, not its weight.
+                stats[layout.positions["parent"]] = None
+                out.append(
+                    ColumnBatch(piece, columns, None, layout,
+                                stats=stats)
+                )
             return out
 
         return partition
@@ -173,7 +188,7 @@ class _SplitState:
     """Shared refill state behind the piece streams of one Split.
 
     ``partition`` turns one input batch into one batch per piece (row
-    trees or column projections — the only thing the two dataplanes do
+    trees or column projections — the only thing the two kernels do
     differently here).
     """
 

@@ -32,17 +32,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class DataEndpoint(Protocol):
-    """What the executor needs from a system (source or target).
+    """What the executor needs from a system (source or target)."""
 
-    A columnar run additionally calls ``scan_stream_columnar`` (same
-    signature as :meth:`scan_stream`, yielding
-    :class:`~repro.core.columnar.ColumnBatch`).
-    """
+    def scan_stream_columnar(self, fragment: Fragment,
+                             batch_rows: int) -> FragmentStream:
+        """Produce the feed of a flat-storable ``fragment`` as a
+        stream of :class:`~repro.core.columnar.ColumnBatch` (Scan,
+        Def. 3.6)."""
+        ...
 
     def scan_stream(self, fragment: Fragment,
                     batch_rows: int) -> FragmentStream:
-        """Produce the feed of ``fragment`` as a batch stream (Scan,
-        Def. 3.6)."""
+        """Produce the feed of a ``fragment`` that does not flatten
+        as a stream of :class:`~repro.core.stream.RowBatch`."""
         ...
 
     def write_stream(self, fragment: Fragment,
@@ -76,11 +78,13 @@ class Shipment:
 class OperationTiming:
     """Wall-clock timing of one executed operation.
 
-    ``strategy`` names the dataplane variant that actually ran:
-    ``"row"`` for row batches, ``"columnar"``
-    for columnar scan/split/write, and ``"hash"``/``"merge"`` for the
-    two columnar join strategies of Combine — the key the cost
-    calibration uses to fit per-strategy unit costs.
+    ``strategy`` names the batch representation the operation ran on
+    — a fact derived from its fragments, not a setting: ``"columnar"``
+    for a scan/split/write of a flat-storable fragment,
+    ``"hash"``/``"merge"`` for the join strategy a columnar Combine
+    selected, ``"row"`` for the row adapter of fragments that do not
+    flatten — the key the cost calibration uses to fit per-strategy
+    unit costs.
     """
 
     label: str
@@ -96,8 +100,8 @@ class OperationTiming:
 class ExecutionReport:
     """Aggregate metrics of one program execution.
 
-    The same for every worker count, batch size and dataplane;
-    consumers should not need to know which ran.
+    The same for every worker count, batch size and batch
+    representation; consumers should not need to know which ran.
 
     **Time.** ``wall_seconds`` is the end-to-end wall-clock time of the
     run; with one worker it equals ``total_seconds`` up to bookkeeping
@@ -217,9 +221,10 @@ class ProgramExecutor:
     edges: ``None`` (default, the paper's setup) moves each feed as one
     unbounded batch, an integer moves slices of that many rows — same
     written output, resident rows bounded by the batch size times the
-    pipeline depth.  ``columnar`` moves flat-storable fragments as
-    :class:`~repro.core.columnar.ColumnBatch` columns instead of row
-    trees; ``join_strategy`` pins the columnar Combine's join.
+    pipeline depth.  How a batch is represented is not a setting: a
+    flat-storable fragment moves as
+    :class:`~repro.core.columnar.ColumnBatch` columns, any other as
+    row trees (see :mod:`repro.core.program.run`).
 
     ``retry`` arms the reliable shipping layer (see
     :mod:`repro.net.faults`): cross-edge sends that fail with a
@@ -239,9 +244,7 @@ class ProgramExecutor:
                  retry: "RetryPolicy | None" = None,
                  journal: ExchangeJournal | None = None,
                  tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 columnar: bool = False,
-                 join_strategy: str | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if batch_rows is not None and batch_rows < 1:
@@ -255,8 +258,6 @@ class ProgramExecutor:
         self.journal = journal
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
-        self.columnar = columnar
-        self.join_strategy = join_strategy
 
     def run(self, program: TransferProgram,
             placement: Placement | None = None) -> ExecutionReport:
@@ -280,7 +281,6 @@ class ProgramExecutor:
             self.channel, self.batch_rows,
             retry=self.retry, journal=self.journal,
             tracer=self.tracer, metrics=self.metrics,
-            columnar=self.columnar, join_strategy=self.join_strategy,
         ).execute(self.workers)
 
 

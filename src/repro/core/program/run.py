@@ -1,20 +1,29 @@
 """The execution core: one placed program, run as a batch pipeline.
 
 The placed DAG is compiled into a network of lazy batch iterators —
-Scan streams off the endpoint, Combine/Split transform per batch
-(:meth:`~repro.core.ops.combine.Combine.apply_batches` /
-:meth:`~repro.core.ops.split.Split.apply_batches`, or their columnar
-forms), cross-edges ship each batch through the channel as its own
-message — and the Write nodes *drive* the network by pulling: a batch
-travels the whole chain scan → transform → ship → load before the next
-one is produced.
+Scan streams off the endpoint, Combine/Split transform per batch,
+cross-edges ship each batch through the channel as its own message —
+and the Write nodes *drive* the network by pulling: a batch travels
+the whole chain scan → transform → ship → load before the next one is
+produced.
 
-What a batch is depends on ``batch_rows`` alone.  ``None`` makes every
-stream exactly one unbounded batch without a ``seq`` — each edge ships
-one monolithic message, the paper's setup.  An integer cuts streams
-into numbered slices of that many rows, so resident rows stay bounded
-by the batch size times the pipeline depth (plus Combine's child
-frontier) instead of the document size.
+How a stream is represented is read off its fragment, not chosen: a
+flat-storable fragment moves as
+:class:`~repro.core.columnar.ColumnBatch` columns (Scan slices the
+sorted feed, Combine is the build/probe join, Split a projection,
+Write a bulk load — no trees anywhere), and only a fragment with
+repeated inner elements, which does not flatten, moves as
+:class:`~repro.core.stream.RowBatch` trees through the row kernels.
+Where the two meet — a Combine that inlines a repeated child, a Split
+of a non-flat fragment into flat pieces — the flat side is converted
+at that node.
+
+How large a batch is depends on ``batch_rows`` alone.  ``None`` makes
+every stream exactly one unbounded batch without a ``seq`` — each edge
+ships one monolithic message, the paper's setup.  An integer cuts
+streams into numbered slices of that many rows, so resident rows stay
+bounded by the batch size times the pipeline depth (plus Combine's
+child frontier) instead of the document size.
 
 With one worker the Writes drive one after another in topological
 order on the calling thread.  With more, every Write's chain is one
@@ -47,7 +56,7 @@ from typing import Iterator
 from repro.errors import ProgramError
 from repro.core.columnar import ColumnBatch
 from repro.core.ops.base import Location, Operation
-from repro.core.ops.combine import Combine
+from repro.core.ops.combine import Combine, JoinStatistics
 from repro.core.ops.scan import Scan
 from repro.core.ops.split import Split
 from repro.core.ops.write import Write
@@ -183,9 +192,7 @@ class ProgramRun:
                  retry: RetryPolicy | None = None,
                  journal: ExchangeJournal | None = None,
                  tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 columnar: bool = False,
-                 join_strategy: str | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.program = program
         self.placement = placement
         self.source = source
@@ -196,14 +203,6 @@ class ProgramRun:
         self.journal = journal
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
-        #: Columnar dataplane: flat-storable fragments move as
-        #: :class:`~repro.core.columnar.ColumnBatch` (Combine runs the
-        #: build/probe join, Split projects columns); non-flat
-        #: fragments fall back to row batches per stream.
-        self.columnar = columnar
-        #: Pins the columnar Combine's join strategy ("hash"/"merge");
-        #: ``None`` auto-selects from observed feed order.
-        self.join_strategy = join_strategy
         self._rstats = RobustnessStats()
         self.report = ExecutionReport(batch_rows=batch_rows)
         self.meter = ResidencyMeter()
@@ -211,9 +210,10 @@ class ProgramRun:
         self._stats = {
             node.op_id: _NodeStats() for node in program.nodes
         }
-        #: Per-op dataplane strategy actually used ("row" when absent;
-        #: "columnar" for columnar scan/split/write, the join strategy
-        #: for a columnar combine) — reported on each OperationTiming.
+        #: Per-op batch representation actually used ("row" when
+        #: absent; "columnar" for a columnar scan/split/write, the
+        #: join strategy for a columnar combine) — reported on each
+        #: OperationTiming.
         self._strategies: dict[int, str] = {}
         self._abort = threading.Event()
         self._prefetch_pool: ThreadPoolExecutor | None = None
@@ -333,7 +333,7 @@ class ProgramRun:
         wire_format = getattr(self.channel, "wire_format", False)
         # Output streams by producer port; None once consumed.
         streams: dict[tuple[int, int],
-                      tuple[Iterator[RowBatch], Location, bool] | None
+                      tuple[Iterator[RowBatch], Location] | None
                       ] = {}
         drives: list[tuple[Write, DataEndpoint,
                            Iterator[RowBatch], int]] = []
@@ -365,15 +365,16 @@ class ProgramRun:
                         f"{edge.output_index} {detail}"
                     )
                 streams[key] = None
-                iterator, holder, is_columnar = wired
+                iterator, holder = wired
+                # The one dataplane rule: a flat-storable fragment
+                # travels as columns, anything else as row trees.
+                is_columnar = edge.fragment.is_flat_storable()
                 if holder is not location and not done:
                     if is_columnar and wire_format:
                         # The wire moves serialized *rows*; hop to the
                         # row representation around the ship and come
                         # back columnar on the far side.
-                        iterator = (
-                            batch.to_row_batch() for batch in iterator
-                        )
+                        iterator = self._as_rows(iterator, True)
                     if self._prefetch_pool is not None:
                         iterator = _Prefetch(
                             iterator, self._prefetch_pool, self._abort
@@ -382,34 +383,27 @@ class ProgramRun:
                         key, iterator, skip_through
                     )
                     if is_columnar and wire_format:
-                        iterator = (
-                            ColumnBatch.from_row_batch(batch)
-                            for batch in iterator
-                        )
+                        iterator = self._as_columns(iterator)
                 inputs.append(iterator)
                 input_columnar.append(is_columnar)
             outputs: list[Iterator[RowBatch]]
-            columnar_out = False
+            strategy = "columnar"
             if isinstance(node, Scan):
-                columnar_out = (
-                    self.columnar
-                    and node.fragment.is_flat_storable()
-                )
-                outputs = [self._scan_batches(
-                    node, endpoint, columnar_out
-                )]
+                flat = node.fragment.is_flat_storable()
+                outputs = [self._scan_batches(node, endpoint, flat)]
             elif isinstance(node, Combine):
-                columnar_out = (
-                    all(input_columnar)
-                    and node.result.is_flat_storable()
-                )
-                if columnar_out:
+                # A flat result means both inputs are flat too.
+                flat = node.result.is_flat_storable()
+                if flat:
                     outputs = [node.apply_column_batches(
                         inputs[0], inputs[1],
                         tick=self._ticker(node), meter=self.meter,
                         observe=self._join_observer(node),
-                        force=self.join_strategy,
                     )]
+                    # Pre-seed; the join observer overwrites with the
+                    # strategy actually selected once the build
+                    # finishes.
+                    strategy = "hash"
                 else:
                     outputs = [node.apply_batches(
                         self._as_rows(inputs[0], input_columnar[0]),
@@ -417,45 +411,40 @@ class ProgramRun:
                         tick=self._ticker(node), meter=self.meter,
                     )]
             elif isinstance(node, Split):
-                columnar_out = (
-                    input_columnar[0]
-                    and all(piece.is_flat_storable()
-                            for piece in node.pieces)
-                )
-                if columnar_out:
+                # The pieces of a flat fragment are flat too.
+                flat = input_columnar[0]
+                if flat:
                     outputs = node.apply_column_batches(
                         inputs[0], tick=self._ticker(node),
                         meter=self.meter,
                     )
                 else:
-                    outputs = node.apply_batches(
-                        self._as_rows(inputs[0], input_columnar[0]),
-                        tick=self._ticker(node), meter=self.meter,
-                    )
+                    outputs = [
+                        self._as_columns(pieces)
+                        if piece.is_flat_storable() else pieces
+                        for piece, pieces in zip(
+                            node.pieces,
+                            node.apply_batches(
+                                inputs[0], tick=self._ticker(node),
+                                meter=self.meter,
+                            ),
+                        )
+                    ]
             elif isinstance(node, Write):
                 if not done:
                     drives.append(
                         (node, endpoint, inputs[0], skip_through)
                     )
-                if input_columnar[0]:
-                    self._strategies[node.op_id] = "columnar"
+                flat = input_columnar[0]
                 outputs = []
             else:
                 raise ProgramError(
                     f"unknown operation kind {node.kind!r}"
                 )
-            if columnar_out and not isinstance(node, Combine):
-                self._strategies[node.op_id] = "columnar"
-            elif columnar_out:
-                # Pre-seed; the join observer overwrites with the
-                # strategy actually selected once the build finishes.
-                self._strategies[node.op_id] = (
-                    self.join_strategy or "hash"
-                )
+            if flat:
+                self._strategies[node.op_id] = strategy
             for index, output in enumerate(outputs):
-                streams[(node.op_id, index)] = (
-                    output, location, columnar_out
-                )
+                streams[(node.op_id, index)] = (output, location)
         # Whatever was wired but never consumed is exactly the
         # program's statically dangling ports.
         self._leftovers = self.program.dangling_ports()
@@ -492,12 +481,13 @@ class ProgramRun:
     def _join_observer(self, node: Combine):
         """Callback recording a columnar combine's join statistics."""
 
-        def observe(strategy: str, build_rows: int,
-                    probe_rows: int) -> None:
+        def observe(join: JoinStatistics) -> None:
             with self._lock:
-                self._strategies[node.op_id] = strategy
+                self._strategies[node.op_id] = join.strategy
             observe_join(
-                self.metrics, strategy, build_rows, probe_rows
+                self.metrics, join.strategy, join.build_rows,
+                join.probe_rows, join.build_seconds,
+                join.probe_seconds, join.hash_table_rows,
             )
 
         return observe
@@ -505,16 +495,23 @@ class ProgramRun:
     @staticmethod
     def _as_rows(iterator: Iterator[RowBatch],
                  is_columnar: bool) -> Iterator[RowBatch]:
-        """Bridge a columnar stream back to row batches (fallback for
-        operators whose output cannot stay flat)."""
+        """Bridge a columnar stream to row batches (a flat input of a
+        Combine whose result does not flatten)."""
         if not is_columnar:
             return iterator
         return (batch.to_row_batch() for batch in iterator)
 
+    @staticmethod
+    def _as_columns(iterator: Iterator[RowBatch]
+                    ) -> Iterator[RowBatch]:
+        """Bridge a row stream to columnar batches (a flat piece of a
+        Split whose input does not flatten)."""
+        return (ColumnBatch.from_row_batch(batch) for batch in iterator)
+
     # -- per-kind batch stages -----------------------------------------------------
 
     def _scan_batches(self, node: Scan, endpoint: DataEndpoint,
-                      columnar: bool = False) -> Iterator[RowBatch]:
+                      columnar: bool) -> Iterator[RowBatch]:
         tick = self._ticker(node)
         scan = (
             endpoint.scan_stream_columnar if columnar

@@ -158,7 +158,7 @@ def run_load(sessions: int = 100, workers: int = 8, *,
              host: str | None = None,
              http_port: int = 0, feed_port: int = 0,
              document_bytes: int = 40_000, seed: int = 99,
-             batch_rows: int | None = None, columnar: bool = False,
+             batch_rows: int | None = None,
              out: str | None = None,
              metrics: MetricsRegistry | None = None,
              tracer: Tracer | None = None) -> LoadReport:
@@ -260,7 +260,7 @@ def run_load(sessions: int = 100, workers: int = 8, *,
             agency, plan_cache=cache, max_workers=workers,
             max_pending=sessions, probe=probe,
             channel_factory=open_transport,
-            batch_rows=batch_rows, columnar=columnar,
+            batch_rows=batch_rows,
             metrics=metrics, tracer=tracer,
         ) as broker:
             futures = [

@@ -284,15 +284,24 @@ def observe_operation(registry: MetricsRegistry | None, kind: str,
 
 
 def observe_join(registry: MetricsRegistry | None, strategy: str,
-                 build_rows: int, probe_rows: int) -> None:
+                 build_rows: int, probe_rows: int,
+                 build_seconds: float = 0.0,
+                 probe_seconds: float = 0.0,
+                 hash_table_rows: int = 0) -> None:
     """Record one columnar combine's build/probe statistics into the
     join metrics: ``join.build_rows``/``join.probe_rows`` accumulate
-    the side sizes and ``join.strategy.<strategy>`` counts how often
-    each join strategy was selected."""
+    the side sizes, ``join.build_seconds``/``join.probe_seconds`` the
+    join's own time in each phase (one observation per join),
+    ``join.hash_table_rows`` the entries hash joins indexed, and
+    ``join.strategy.<strategy>`` counts how often each join strategy
+    was selected."""
     if registry is None:
         return
     registry.counter("join.build_rows").add(build_rows)
     registry.counter("join.probe_rows").add(probe_rows)
+    registry.histogram("join.build_seconds").observe(build_seconds)
+    registry.histogram("join.probe_seconds").observe(probe_seconds)
+    registry.counter("join.hash_table_rows").add(hash_table_rows)
     registry.counter(f"join.strategy.{strategy}").add(1)
 
 

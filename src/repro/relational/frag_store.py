@@ -16,19 +16,13 @@ import threading
 from typing import Iterable, Iterator
 
 from repro.errors import RelationalError, TableError
-from repro.core.columnar import ColumnBatch, ColumnLayout, ColumnSpec
+from repro.core.columnar import ColumnBatch, ColumnLayout
 from repro.core.fragment import Fragment
 from repro.core.fragmentation import Fragmentation
 from repro.core.instance import ElementData, FragmentInstance, FragmentRow
-from repro.core.stream import RowBatch
 from repro.relational.engine import Database
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import ColumnType
-
-#: The table layout and the columnar dataplane share one spec type —
-#: a fragment's table columns ARE its :class:`~repro.core.columnar.
-#: ColumnBatch` columns, in the same order.
-_ColumnSpec = ColumnSpec
 
 
 class _FragmentLayout(ColumnLayout):
@@ -37,8 +31,9 @@ class _FragmentLayout(ColumnLayout):
     Extends the dataplane's :class:`~repro.core.columnar.ColumnLayout`
     (same specs, same order — that identity is what makes a columnar
     scan a straight slice of the sorted feed and a columnar write a
-    straight bulk load) with the table name, DDL generation and the
-    row<->occurrence converters of the materialized paths.
+    straight bulk load, and gives the materialized scan/write the
+    same row <-> cells converters) with the table name and DDL
+    generation.
     """
 
     def __init__(self, fragment: Fragment) -> None:
@@ -66,86 +61,6 @@ class _FragmentLayout(ColumnLayout):
             nullable = spec.role != "id"
             columns.append(Column(spec.name, column_type, nullable))
         return TableSchema(self.table_name, columns, primary_key="id")
-
-    # -- ElementData -> row -------------------------------------------------------
-
-    def row_from_occurrence(self, occurrence: ElementData,
-                            parent_eid: int | None) -> tuple:
-        """Flatten one fragment-root occurrence into a table row."""
-        found: dict[str, ElementData] = {}
-
-        def collect(node: ElementData) -> None:
-            found[node.name] = node
-            for child_name, group in node.children.items():
-                if child_name in self.fragment.elements:
-                    for child in group:
-                        collect(child)
-
-        collect(occurrence)
-        values: list[object] = []
-        for spec in self.specs:
-            if spec.role == "id":
-                values.append(occurrence.eid)
-            elif spec.role == "parent":
-                values.append(parent_eid)
-            else:
-                node = found.get(spec.element or "")
-                if node is None:
-                    values.append(None)
-                elif spec.role == "eid":
-                    values.append(node.eid)
-                elif spec.role == "text":
-                    values.append(node.text)
-                else:
-                    values.append(node.attrs.get(spec.attribute or ""))
-        return tuple(values)
-
-    # -- row -> ElementData ---------------------------------------------------------
-
-    def occurrence_from_row(self, row: tuple,
-                            positions: dict[str, int]
-                            ) -> tuple[ElementData, int | None]:
-        """Rebuild the nested occurrence (and its PARENT) from a row."""
-        by_element_eid: dict[str, object] = {}
-        texts: dict[str, str] = {}
-        attrs: dict[str, dict[str, str]] = {}
-        for spec in self.specs:
-            value = row[positions[spec.name]]
-            if spec.role in ("id", "eid") and spec.element:
-                by_element_eid[spec.element] = value
-            elif spec.role == "text" and spec.element:
-                if value is not None:
-                    texts[spec.element] = str(value)
-            elif spec.role == "attr" and spec.element and spec.attribute:
-                if value is not None:
-                    attrs.setdefault(spec.element, {})[
-                        spec.attribute
-                    ] = str(value)
-        parent_value = row[positions["parent"]]
-        parent_eid = None if parent_value is None else int(parent_value)
-
-        def build(element: str) -> ElementData | None:
-            eid = by_element_eid.get(element)
-            if eid is None:
-                return None
-            node = ElementData(
-                element,
-                int(eid),
-                dict(attrs.get(element, {})),
-                texts.get(element, ""),
-            )
-            for child in self.fragment.children_of(element):
-                built = build(child.name)
-                if built is not None:
-                    node.add_child(built)
-            return node
-
-        root = build(self.fragment.root_name)
-        if root is None:
-            raise RelationalError(
-                f"row in {self.table_name!r} has NULL id"
-            )
-        return root, parent_eid
 
 
 class FragmentRelationMapper:
@@ -221,9 +136,9 @@ class FragmentRelationMapper:
             fragment = self.fragmentation.fragment_of(node.name)
             if fragment.root_name == node.name:
                 layout = self.layouts[fragment.name]
-                buffers[fragment.name].append(
-                    layout.row_from_occurrence(node, parent_eid)
-                )
+                buffers[fragment.name].append(tuple(
+                    layout.cells_from_row(FragmentRow(node, parent_eid))
+                ))
             for group in node.children.values():
                 for child in group:
                     walk(child, node.eid)
@@ -244,10 +159,7 @@ class FragmentRelationMapper:
         """Bulk-load a slice of a fragment's feed into its table — the
         per-batch unit of a streaming Write."""
         layout = self.layout_for(fragment)
-        flat = [
-            layout.row_from_occurrence(row.data, row.parent)
-            for row in rows
-        ]
+        flat = [tuple(layout.cells_from_row(row)) for row in rows]
         with self._table_locks[fragment.name]:
             return db.load(layout.table_name, flat)
 
@@ -264,58 +176,24 @@ class FragmentRelationMapper:
     # -- scanning ----------------------------------------------------------------------
 
     def _sorted_feed(self, db: Database, fragment: Fragment
-                     ) -> tuple["_FragmentLayout", dict[str, int],
-                                list[tuple]]:
-        """The raw sorted feed of a fragment's table plus its layout."""
+                     ) -> tuple["_FragmentLayout", list[tuple]]:
+        """The fragment's layout and the raw sorted feed of its table
+        (``SELECT *`` returns the table's columns, which are the
+        layout's, in order)."""
         layout = self.layout_for(fragment)
         with self._table_locks[fragment.name]:
             result = db.execute(
                 f"SELECT * FROM {layout.table_name} ORDER BY parent, id"
             )
-        positions = {
-            name.lower(): index
-            for index, name in enumerate(result.columns)
-        }
-        return layout, positions, result.rows
+        return layout, result.rows
 
     def scan_fragment(self, db: Database,
                       fragment: Fragment) -> FragmentInstance:
         """Read a fragment back as a sorted feed (Scan, Def. 3.6)."""
-        layout, positions, raw_rows = self._sorted_feed(db, fragment)
-        rows = []
-        for raw in raw_rows:
-            data, parent_eid = layout.occurrence_from_row(raw, positions)
-            rows.append(FragmentRow(data, parent_eid))
-        return FragmentInstance(fragment, rows)
-
-    def scan_fragment_batches(self, db: Database, fragment: Fragment,
-                              batch_rows: int) -> Iterator[RowBatch]:
-        """Read a fragment as a stream of batches (streaming Scan).
-
-        The raw tuples come from the same sorted ``SELECT`` as
-        :meth:`scan_fragment`, but the nested :class:`ElementData`
-        occurrences — the expensive, memory-heavy representation — are
-        built lazily one batch at a time, so only ``batch_rows`` worth
-        of trees exist per pulled batch.
-        """
-        layout, positions, raw_rows = self._sorted_feed(db, fragment)
-
-        def generate() -> Iterator[RowBatch]:
-            buffer: list[FragmentRow] = []
-            seq = 0
-            for raw in raw_rows:
-                data, parent_eid = layout.occurrence_from_row(
-                    raw, positions
-                )
-                buffer.append(FragmentRow(data, parent_eid))
-                if len(buffer) >= batch_rows:
-                    yield RowBatch(fragment, buffer, seq)
-                    seq += 1
-                    buffer = []
-            if buffer:
-                yield RowBatch(fragment, buffer, seq)
-
-        return generate()
+        layout, raw_rows = self._sorted_feed(db, fragment)
+        return FragmentInstance(
+            fragment, map(layout.row_from_cells, raw_rows)
+        )
 
     def scan_fragment_columns(self, db: Database, fragment: Fragment,
                               batch_rows: int
@@ -329,8 +207,9 @@ class FragmentRelationMapper:
         is a string — SQL ``NULL`` normalizes to ``""`` exactly as the
         tree round-trip does; cells of absent elements are ``None``).
         """
-        layout, positions, raw_rows = self._sorted_feed(db, fragment)
+        layout, raw_rows = self._sorted_feed(db, fragment)
         specs = layout.specs
+        positions = layout.positions
         # Presence of an element is keyed by its id/eid column.
         key_positions = {
             spec.element: positions[spec.name]
@@ -385,13 +264,15 @@ class FragmentRelationMapper:
     def load_columns(self, db: Database, fragment: Fragment,
                      batch: ColumnBatch) -> int:
         """Bulk-load one columnar batch into the fragment's table —
-        the per-batch unit of a columnar Write.  The batch's layout
-        matches the table's column order by construction, so this is a
-        straight transpose-and-load with no tree flattening."""
+        the per-batch unit of a Write.  The batch's layout matches the
+        table's column order by construction, so the columns go to
+        :meth:`~repro.relational.table.Table.load_columns` as they
+        are: checked a column at a time, transposed once, no tree
+        flattening."""
         layout = self.layout_for(fragment)
-        rows = batch.row_tuples()
+        columns = [batch.column(spec.name) for spec in layout.specs]
         with self._table_locks[fragment.name]:
-            return db.load(layout.table_name, rows)
+            return db.table(layout.table_name).load_columns(columns)
 
     def truncate_all(self, db: Database) -> None:
         """Empty every fragment table (fresh target before a run)."""

@@ -18,7 +18,6 @@ from repro.errors import RelationalError
 from repro.core.fragment import Fragment
 from repro.core.fragmentation import Fragmentation
 from repro.core.instance import ElementData
-from repro.core.stream import DEFAULT_BATCH_ROWS
 from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
 from repro.xmlkit.writer import XmlStreamWriter
@@ -41,44 +40,23 @@ class PublishReport:
         return len(self.document)
 
 
-def fetch_feeds(db: Database, mapper: FragmentRelationMapper,
-                columnar: bool = False,
-                batch_rows: int = DEFAULT_BATCH_ROWS
+def fetch_feeds(db: Database, mapper: FragmentRelationMapper
                 ) -> dict[str, GroupedFeed]:
-    """Run the per-fragment sorted-feed queries and group by PARENT.
-
-    ``columnar=True`` consumes each feed through the columnar scan
-    (:meth:`~repro.relational.frag_store.FragmentRelationMapper.
-    scan_fragment_columns`): column batches flow out of the store and
-    rows are only built here, batch by batch, at the tagging boundary
-    — the publisher-side mirror of the dataplane rule that columns
-    convert to rows only where serialization demands trees.
-    """
+    """Run the per-fragment sorted-feed queries and group by PARENT."""
     feeds: dict[str, GroupedFeed] = {}
     for fragment in mapper.fragmentation:
         grouped: GroupedFeed = {}
-        if columnar:
-            for batch in mapper.scan_fragment_columns(
-                    db, fragment, batch_rows):
-                for row in batch.rows:
-                    grouped.setdefault(row.parent, []).append(row.data)
-        else:
-            instance = mapper.scan_fragment(db, fragment)
-            for row in instance.rows:
-                grouped.setdefault(row.parent, []).append(row.data)
+        instance = mapper.scan_fragment(db, fragment)
+        for row in instance.rows:
+            grouped.setdefault(row.parent, []).append(row.data)
         feeds[fragment.name] = grouped
     return feeds
 
 
-def publish_document(db: Database, mapper: FragmentRelationMapper,
-                     columnar: bool = False,
-                     batch_rows: int = DEFAULT_BATCH_ROWS
+def publish_document(db: Database, mapper: FragmentRelationMapper
                      ) -> PublishReport:
     """Publish the full XML document stored under ``mapper``'s
     fragmentation (publish&map steps 1–2: execute queries, tag).
-
-    ``columnar=True`` fetches the feeds through the columnar scan (see
-    :func:`fetch_feeds`); the published document is identical.
 
     Raises:
         RelationalError: if the stored data does not contain exactly one
@@ -86,7 +64,7 @@ def publish_document(db: Database, mapper: FragmentRelationMapper,
     """
     fragmentation = mapper.fragmentation
     schema = fragmentation.schema
-    feeds = fetch_feeds(db, mapper, columnar, batch_rows)
+    feeds = fetch_feeds(db, mapper)
     rows_merged = sum(
         len(group) for feed in feeds.values() for group in feed.values()
     )

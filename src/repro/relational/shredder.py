@@ -11,10 +11,7 @@ published document carries no keys, exactly like the paper's pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from repro.core.columnar import ColumnBatch
-from repro.core.stream import DEFAULT_BATCH_ROWS
 from repro.errors import RelationalError, SchemaError
 from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
@@ -38,42 +35,6 @@ class ShredResult:
         loaded = 0
         for table_name, rows in self.rows.items():
             loaded += db.load(table_name, rows)
-        return loaded
-
-    def column_batches(self, mapper: FragmentRelationMapper,
-                       batch_rows: int = DEFAULT_BATCH_ROWS
-                       ) -> Iterator[ColumnBatch]:
-        """The shredded tuples as columnar batches (columnar emit).
-
-        The shredder's per-table tuple layout *is* each fragment's
-        :class:`~repro.core.columnar.ColumnLayout` (same specs, same
-        order), so this is a straight transpose with no tree building
-        — the publish&map load can then go through the same columnar
-        bulk-load as a columnar Write (:meth:`load_into_columnar`).
-        """
-        if batch_rows < 1:
-            raise ValueError(
-                f"batch_rows must be >= 1, got {batch_rows}"
-            )
-        for layout in mapper.layouts.values():
-            rows = self.rows.get(layout.table_name, [])
-            seq = 0
-            for start in range(0, len(rows), batch_rows):
-                chunk = rows[start:start + batch_rows]
-                columns = [list(cells) for cells in zip(*chunk)]
-                yield ColumnBatch(
-                    layout.fragment, columns, seq, layout
-                )
-                seq += 1
-
-    def load_into_columnar(self, db: Database,
-                           mapper: FragmentRelationMapper,
-                           batch_rows: int = DEFAULT_BATCH_ROWS) -> int:
-        """Bulk-load through the columnar dataplane — row-identical
-        to :meth:`load_into`, batched at ``batch_rows``."""
-        loaded = 0
-        for batch in self.column_batches(mapper, batch_rows):
-            loaded += mapper.load_columns(db, batch.fragment, batch)
         return loaded
 
 

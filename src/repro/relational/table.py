@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from types import NoneType
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import TableError
@@ -58,6 +59,33 @@ class Table:
         for index in self.indexes.values():
             index.built = False
         return count
+
+    def load_columns(self, columns: Sequence[list]) -> int:
+        """:meth:`bulk_load` for rows that arrive as one list per
+        column (same LOAD semantics, same checks, same errors).
+
+        Each column is tested once for what :meth:`_coerced` would
+        leave untouched — every cell already of the column's storage
+        type or ``None``, no ``None`` in a NOT NULL column — and if all
+        pass, the transposed tuples are appended as they are.  Anything
+        else (a wrong width, a cell that needs coercing or cannot be
+        stored, a missing NOT NULL value) goes through the per-cell
+        path, which coerces what can be and raises what it always
+        raised.
+        """
+        schema_columns = self.schema.columns
+        stored_as_is = len(columns) == len(schema_columns) and all(
+            set(map(type, cells)) <= {column.type.python_type, NoneType}
+            and (column.nullable or None not in cells)
+            for column, cells in zip(schema_columns, columns)
+        )
+        if not stored_as_is:
+            return self.bulk_load(zip(*columns))
+        before = len(self.rows)
+        self.rows.extend(zip(*columns))
+        for index in self.indexes.values():
+            index.built = False
+        return len(self.rows) - before
 
     def truncate(self) -> None:
         """Remove all rows (indexes are emptied too)."""

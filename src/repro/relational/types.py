@@ -35,6 +35,12 @@ class ColumnType(enum.Enum):
         except KeyError as exc:
             raise TableError(f"unknown column type {token!r}") from exc
 
+    @property
+    def python_type(self) -> type:
+        """The exact Python type :meth:`coerce` stores values as (a
+        value already of it passes through unchanged)."""
+        return _PYTHON_TYPES[self]
+
     def coerce(self, value: object) -> object:
         """Coerce ``value`` to this type (``None`` passes through).
 
@@ -55,3 +61,10 @@ class ColumnType(enum.Enum):
             raise TableError(
                 f"cannot store {value!r} in a {self.value} column"
             ) from exc
+
+
+_PYTHON_TYPES = {
+    ColumnType.INTEGER: int,
+    ColumnType.TEXT: str,
+    ColumnType.REAL: float,
+}

@@ -451,7 +451,6 @@ class ExchangeBroker:
                  = SimulatedChannel,
                  parallel_workers: int = 1,
                  batch_rows: int | None = None,
-                 columnar: bool = False,
                  delta: bool = False,
                  retry_policy: "RetryPolicy | None" = None,
                  fault_plan: "FaultPlan | None" = None,
@@ -481,7 +480,6 @@ class ExchangeBroker:
         self.channel_factory = channel_factory
         self.parallel_workers = parallel_workers
         self.batch_rows = batch_rows
-        self.columnar = columnar
         #: Broker-wide default for delta sessions.  Deliberately NOT a
         #: plan knob: a delta run executes the same negotiated program
         #: over a filtered feed, so full and delta sessions share one
@@ -658,7 +656,6 @@ class ExchangeBroker:
                         plan_knobs={
                             "parallel_workers": self.parallel_workers,
                             "batch_rows": self.batch_rows,
-                            "columnar": self.columnar,
                         },
                         stats_store=self.stats_store,
                         metrics=self.metrics,
@@ -673,7 +670,6 @@ class ExchangeBroker:
                     scenario=scenario,
                     parallel_workers=self.parallel_workers,
                     batch_rows=self.batch_rows,
-                    columnar=self.columnar,
                     retry_policy=retry_policy,
                     fault_plan=fault_plan,
                     journal=journal,

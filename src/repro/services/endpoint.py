@@ -70,16 +70,20 @@ class SystemEndpoint(abc.ABC):
         """Store ``instance``."""
 
     # -- streaming data interface (the batch dataplane) --------------------
+    #
+    # The executor reads a flat-storable fragment through
+    # scan_stream_columnar and any other through scan_stream; either
+    # kind of batch may arrive at write_stream.
 
     def scan_stream(self, fragment: Fragment,
                     batch_rows: int = DEFAULT_BATCH_ROWS
                     ) -> FragmentStream:
-        """Produce the stored feed of ``fragment`` as a batch stream.
+        """Produce the stored feed of ``fragment`` as a stream of row
+        batches — how a fragment that does not flatten travels.
 
         The default re-batches the materialized :meth:`scan` result;
-        endpoints that can produce incrementally (the relational one
-        streams straight off its table scan) override this to bound
-        memory for real.
+        an endpoint that holds trees (the in-memory one) overrides it
+        to copy lazily.
         """
         return FragmentStream.from_instance(
             self.scan(fragment), batch_rows
@@ -100,7 +104,8 @@ class SystemEndpoint(abc.ABC):
                              batch_rows: int = DEFAULT_BATCH_ROWS
                              ) -> "FragmentStream":
         """Produce the stored feed as :class:`~repro.core.columnar.
-        ColumnBatch` batches.
+        ColumnBatch` batches — how every flat-storable fragment
+        travels.
 
         The default flattens the row-batch stream batch by batch;
         endpoints whose store is already tabular (the relational one)
@@ -295,18 +300,6 @@ class RelationalEndpoint(SystemEndpoint):
               instance: FragmentInstance) -> None:
         self.mapper.load_instance(self.db, fragment, instance)
 
-    def scan_stream(self, fragment: Fragment,
-                    batch_rows: int = DEFAULT_BATCH_ROWS
-                    ) -> FragmentStream:
-        """Stream the fragment straight off the table scan: occurrence
-        trees are built lazily, one batch at a time."""
-        return FragmentStream(
-            fragment,
-            self.mapper.scan_fragment_batches(
-                self.db, fragment, batch_rows
-            ),
-        )
-
     def scan_stream_columnar(self, fragment: Fragment,
                              batch_rows: int = DEFAULT_BATCH_ROWS
                              ) -> FragmentStream:
@@ -322,8 +315,9 @@ class RelationalEndpoint(SystemEndpoint):
     def write_stream(self, fragment: Fragment,
                      stream: FragmentStream) -> None:
         """Bulk-load each arriving batch into the fragment's table.
-        Columnar batches load without flattening any trees; row
-        batches flatten per row as before."""
+        Columnar batches — all the executor sends, since every stored
+        fragment is flat — load without flattening any trees; row
+        batches from other callers flatten per row."""
         for batch in stream:
             if isinstance(batch, ColumnBatch):
                 self.mapper.load_columns(self.db, fragment, batch)

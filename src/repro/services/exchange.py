@@ -76,8 +76,6 @@ class ExchangeOutcome:
     wall_seconds: float = 0.0
     #: Batch size the program phase used (None = unbatched).
     batch_rows: int | None = None
-    #: Whether the program phase ran the columnar dataplane.
-    columnar: bool = False
     #: Peak fragment rows / bytes resident in the dataplane (see
     #: :class:`~repro.core.program.executor.ExecutionReport`).
     peak_resident_rows: int = 0
@@ -147,7 +145,6 @@ def run_optimized_exchange(
     parallel_workers: int = 1,
     batch_rows: int | None = None,
     columnar: bool = False,
-    join_strategy: str | None = None,
     retry_policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     journal: ExchangeJournal | None = None,
@@ -172,12 +169,11 @@ def run_optimized_exchange(
     edges: ``None`` moves each feed as one unbounded batch (one message
     per cross-edge), an integer moves slices of that many rows (bounded
     peak residency, chunked shipping, same written fragments).
-    ``columnar=True`` moves flat-storable fragments as
-    :class:`~repro.core.columnar.ColumnBatch` columns instead — Combine
-    runs the build/probe join, Split projects columns, and the written
-    fragments stay byte-identical.
-    ``join_strategy`` pins the columnar join ("hash"/"merge"; default
-    auto-selects from the observed feed order).
+    How batches are represented is read off each fragment — columns
+    for every flat-storable one, row trees otherwise (see
+    :mod:`repro.core.program.run`) — so ``columnar`` is accepted and
+    **ignored**: it is kept only because ``bench/adapter.py`` still
+    passes it on every operation.
 
     ``fault_plan`` makes the channel lossy (see :mod:`repro.net.
     faults`); ``retry_policy`` arms the reliable layer that heals the
@@ -202,7 +198,7 @@ def run_optimized_exchange(
     DeltaSourceView`, and the target merges by eid through
     :class:`~repro.core.delta.DeltaTargetView` (tombstoned target rows
     are deleted first).  The merged target is byte-identical to a full
-    re-exchange on every dataplane; only the changed subset crosses
+    re-exchange; only the changed subset crosses
     the wire.  A completed run records the covered high-water version
     in the ``journal`` (``sync`` event), so the next delta resumes
     where this one *finished* — a killed run never advances it.  Delta
@@ -232,7 +228,7 @@ def run_optimized_exchange(
     tracer = tracer or NULL_TRACER
     outcome = ExchangeOutcome(
         scenario, "DE", parallel_workers=parallel_workers,
-        batch_rows=batch_rows, columnar=columnar,
+        batch_rows=batch_rows,
     )
     if reset_channel:
         channel.reset()
@@ -307,8 +303,7 @@ def run_optimized_exchange(
         runner = AdaptiveRun(
             program, placement, source, target, wire,
             config=adaptive, parallel_workers=parallel_workers,
-            batch_rows=batch_rows, columnar=columnar,
-            join_strategy=join_strategy, retry=retry_policy,
+            batch_rows=batch_rows, retry=retry_policy,
             tracer=tracer, metrics=metrics,
         )
         with tracer.span("execute program", "step", scenario=scenario,
@@ -322,7 +317,6 @@ def run_optimized_exchange(
             exec_source, exec_target, wire, workers=parallel_workers,
             batch_rows=batch_rows, retry=retry_policy, journal=journal,
             tracer=tracer, metrics=metrics,
-            columnar=columnar, join_strategy=join_strategy,
         )
         with tracer.span("execute program", "step", scenario=scenario,
                          method="DE", workers=parallel_workers):

@@ -243,7 +243,6 @@ class ScatterGatherCoordinator:
                  = SimulatedChannel,
                  parallel_workers: int = 1,
                  batch_rows: int | None = None,
-                 columnar: bool = False,
                  retry_policy: object | None = None,
                  fault_plans: Mapping[int, object] | None = None,
                  max_workers: int | None = None,
@@ -261,7 +260,6 @@ class ScatterGatherCoordinator:
         self.channel_factory = channel_factory
         self.parallel_workers = parallel_workers
         self.batch_rows = batch_rows
-        self.columnar = columnar
         self.retry_policy = retry_policy
         self.fault_plans = dict(fault_plans or {})
         self.max_workers = max_workers or spec.shards
@@ -350,7 +348,6 @@ class ScatterGatherCoordinator:
             channel_factory=self.channel_factory,
             parallel_workers=self.parallel_workers,
             batch_rows=self.batch_rows,
-            columnar=self.columnar,
             retry_policy=self.retry_policy,  # type: ignore[arg-type]
             metrics=self.metrics,
             tracer=self.tracer,

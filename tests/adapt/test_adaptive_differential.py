@@ -37,11 +37,12 @@ from repro.workloads.docgen import generate_document
 from tests.integration.test_random_roundtrips import flat_fragmentation
 
 DATAPLANES = [
-    pytest.param(1, None, False, id="sequential"),
-    pytest.param(1, 7, False, id="streaming"),
-    pytest.param(2, None, False, id="parallel"),
-    pytest.param(2, 4, True, id="parallel-columnar"),
-    pytest.param(1, None, True, id="columnar-unbatched"),
+    pytest.param(1, None, id="sequential"),
+    pytest.param(1, 7, id="streaming"),
+    pytest.param(2, None, id="parallel"),
+    # Every stream here is columnar (flat fragmentations); the id
+    # dates from when that was a knob this cell alone turned on.
+    pytest.param(2, 4, id="parallel-columnar"),
 ]
 
 
@@ -67,9 +68,9 @@ def _published(target):
 
 class TestForcedReplans:
     @pytest.mark.parametrize("seed", [41, 7])
-    @pytest.mark.parametrize("workers,batch_rows,columnar", DATAPLANES)
-    def test_byte_identical_to_static(self, seed, workers, batch_rows,
-                                      columnar):
+    @pytest.mark.parametrize("workers,batch_rows", DATAPLANES)
+    def test_byte_identical_to_static(self, seed, workers,
+                                      batch_rows):
         schema, sf, tf, document = _case(seed, seed + 1)
         source = _loaded_source(sf, document)
         reference = _published(source)
@@ -82,7 +83,6 @@ class TestForcedReplans:
             program, placement, source, static_target,
             SimulatedChannel(), "static",
             parallel_workers=workers, batch_rows=batch_rows,
-            columnar=columnar,
         )
         static_doc = _published(static_target)
         assert static_doc == reference
@@ -93,7 +93,6 @@ class TestForcedReplans:
             program, placement, source, adaptive_target,
             SimulatedChannel(), config=config,
             parallel_workers=workers, batch_rows=batch_rows,
-            columnar=columnar,
         )
         run.run()
         assert run.checkpoints > 0

@@ -96,7 +96,7 @@ class TestCalibrateTimings:
         program, report, _, statistics = traced
         anonymous = [
             OperationTiming(t.label, t.kind, t.location, t.seconds,
-                            t.rows, -1)
+                            t.rows, -1, t.strategy)
             for t in report.op_timings
         ]
         fitted = calibrate_timings(program, anonymous, statistics)

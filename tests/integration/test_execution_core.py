@@ -1,10 +1,11 @@
 """One execution core: every configuration writes the same bytes.
 
 The byte-identity invariant over the product of the executor's knobs —
-batch size × worker count × dataplane × journal (none, or killed
-mid-run and resumed) — plus the wire contract of unbatched runs: a
-``batch_rows=None`` exchange ships exactly the one ``ship_fragment``
-message per cross-edge that the paper's setup sends.
+batch size × worker count × journal (none, or killed mid-run and
+resumed) — on inputs whose streams are all columnar and on inputs
+where row and columnar streams meet, plus the wire contract of
+unbatched runs: a ``batch_rows=None`` exchange ships exactly the one
+``ship_fragment`` message per cross-edge that the paper's setup sends.
 """
 
 import random
@@ -27,7 +28,12 @@ from repro.net.transport import (
 )
 from repro.relational.publisher import publish_document
 from repro.schema.generator import random_schema
-from repro.services.endpoint import RelationalEndpoint
+from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
+from repro.services.exchange import run_publish_and_map
+from repro.workloads.customer import (
+    fragment_customers,
+    generate_customer_document,
+)
 from repro.workloads.docgen import generate_document
 
 from tests.integration.test_crash_resume import KillSwitch
@@ -50,36 +56,131 @@ def exchange():
     return source, target_frag, program, reference
 
 
+def _assembled(endpoint, fragmentation):
+    """The document an in-memory endpoint's fragments add up to."""
+    pending = [endpoint.scan(fragment) for fragment in fragmentation]
+    whole = next(instance for instance in pending
+                 if instance.fragment.parent_element() is None)
+    pending.remove(whole)
+    while pending:
+        child = next(
+            instance for instance in pending
+            if instance.fragment.parent_element()
+            in whole.fragment.elements
+        )
+        pending.remove(child)
+        whole = whole.combine(child)
+    [row] = whole.rows
+    return row.data
+
+
+@pytest.fixture(scope="module")
+def adapter_exchanges(customers_s, customers_t):
+    """Where rows and columns meet: the customer scenario on in-memory
+    endpoints, in both directions.  S holds ``Line_Feature`` with its
+    repeated ``Feature`` inside, which does not flatten and travels as
+    row batches: S -> T splits it into flat pieces, T -> S combines
+    two flat columnar streams into it.  The reference is what
+    publish&map leaves a relational target publishing."""
+    document = generate_customer_document(seed=11)
+    flat = customers_t  # every T fragment flattens
+    relational = RelationalEndpoint("S-flat", flat)
+    relational.load_document(document)
+    mapped = RelationalEndpoint("T-flat", flat)
+    run_publish_and_map(relational, mapped, SimulatedChannel())
+    reference = publish_document(mapped.db, mapped.mapper).document
+    exchanges = []
+    for source_frag, target_frag in ((customers_s, customers_t),
+                                     (customers_t, customers_s)):
+        source = InMemoryEndpoint(source_frag.name)
+        for instance in fragment_customers(
+            [document], source_frag
+        ).values():
+            source.put(instance)
+        program = build_transfer_program(
+            derive_mapping(source_frag, target_frag)
+        )
+        exchanges.append((source, target_frag, program))
+    (_, _, split_side), (_, _, combine_side) = exchanges
+    assert any(  # a non-flat Split feeding flat pieces
+        node.kind == "split" and not node.inputs[0].is_flat_storable()
+        and all(piece.is_flat_storable() for piece in node.outputs)
+        for node in split_side.nodes
+    )
+    assert any(  # flat streams feeding a Combine that inlines a
+        # repeated child
+        node.kind == "combine"
+        and all(side.is_flat_storable() for side in node.inputs)
+        and not node.outputs[0].is_flat_storable()
+        for node in combine_side.nodes
+    )
+
+    def check(target, target_frag):
+        loaded = RelationalEndpoint("check", flat)
+        loaded.load_document(_assembled(target, target_frag))
+        assert publish_document(
+            loaded.db, loaded.mapper
+        ).document == reference
+
+    return [
+        (source, lambda: InMemoryEndpoint("target"), program,
+         lambda target, frag=target_frag: check(target, frag))
+        for source, target_frag, program in exchanges
+    ]
+
+
+@pytest.fixture(scope="module")
+def flat_exchanges(exchange):
+    source, target_frag, program, reference = exchange
+
+    def check(target):
+        assert publish_document(
+            target.db, target.mapper
+        ).document == reference
+
+    return [(source, lambda: RelationalEndpoint("B", target_frag),
+             program, check)]
+
+
 @pytest.mark.parametrize("resumed", [False, True],
                          ids=["fresh", "resumed-after-kill"])
-@pytest.mark.parametrize("columnar", [False, True],
-                         ids=["row", "columnar"])
+@pytest.mark.parametrize("streams", ["row", "columnar"])
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("batch_rows", [None, 1, 7, 64])
-def test_byte_identity(exchange, batch_rows, workers, columnar,
+def test_byte_identity(request, batch_rows, workers, streams,
                        resumed):
-    source, target_frag, program, reference = exchange
-    placement = source_heavy_placement(program)
-    assert len(program.cross_edges(placement)) > 2
-    target = RelationalEndpoint("B", target_frag)
-    knobs = dict(workers=workers, batch_rows=batch_rows,
-                 columnar=columnar)
-    journal = ExchangeJournal() if resumed else None
-    if resumed:
-        # The first attempt dies after two shipped messages; the
-        # second finishes against the surviving target store.
-        dying = KillSwitch(SimulatedChannel(wire_format=True), lives=2)
-        with pytest.raises(RuntimeError, match="process death"):
-            ProgramExecutor(
-                source, target, dying, journal=journal, **knobs
-            ).run(program, placement)
-    report = ProgramExecutor(
-        source, target, SimulatedChannel(wire_format=True),
-        journal=journal, **knobs
-    ).run(program, placement)
-    assert report.resume_count == int(resumed)
-    assert publish_document(target.db, target.mapper).document \
-        == reference
+    """``streams`` is not a knob — how a stream travels is read off
+    its fragment — so the axis varies the input: ``columnar`` is flat
+    fragmentations between relational endpoints (no row batch
+    anywhere), ``row`` the exchanges of :func:`adapter_exchanges`
+    (row batches, columnar batches and both conversions between
+    them)."""
+    exchanges = request.getfixturevalue(
+        "flat_exchanges" if streams == "columnar"
+        else "adapter_exchanges"
+    )
+    for source, new_target, program, check in exchanges:
+        placement = source_heavy_placement(program)
+        assert len(program.cross_edges(placement)) > 2
+        target = new_target()
+        knobs = dict(workers=workers, batch_rows=batch_rows)
+        journal = ExchangeJournal() if resumed else None
+        if resumed:
+            # The first attempt dies after two shipped messages; the
+            # second finishes against the surviving target store.
+            dying = KillSwitch(
+                SimulatedChannel(wire_format=True), lives=2
+            )
+            with pytest.raises(RuntimeError, match="process death"):
+                ProgramExecutor(
+                    source, target, dying, journal=journal, **knobs
+                ).run(program, placement)
+        report = ProgramExecutor(
+            source, target, SimulatedChannel(wire_format=True),
+            journal=journal, **knobs
+        ).run(program, placement)
+        assert report.resume_count == int(resumed)
+        check(target)
 
 
 class TestUnbatchedWire:
@@ -116,8 +217,6 @@ class TestUnbatchedWire:
         ).document == reference
         return report
 
-    @pytest.mark.parametrize("columnar", [False, True],
-                             ids=["row", "columnar"])
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize(
         "make_channel",
@@ -126,12 +225,11 @@ class TestUnbatchedWire:
         ids=["simulated", "in-process"],
     )
     def test_comm_bytes_are_the_ship_fragment_messages(
-            self, exchange, shipped_scans, make_channel, workers,
-            columnar):
+            self, exchange, shipped_scans, make_channel, workers):
         placement, messages = shipped_scans
         channel = make_channel()
         report = self.run(exchange, placement, channel,
-                          workers=workers, columnar=columnar)
+                          workers=workers)
         assert report.comm_bytes == sum(map(len, messages))
         assert channel.total_bytes == report.comm_bytes
         assert channel.messages == report.shipments == len(messages)

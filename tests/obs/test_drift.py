@@ -169,7 +169,8 @@ class TestDriftReport:
 
     def test_kind_ratios_cover_executed_kinds_plus_comm(self, drift):
         ratios = drift.kind_ratios()
-        assert {"scan", "write", "comm"} <= set(ratios)
+        assert {"scan.columnar", "write.columnar", "comm"} \
+            <= set(ratios)
         assert all(ratio > 0 for ratio in ratios.values())
 
     def test_to_dict_and_render(self, drift):

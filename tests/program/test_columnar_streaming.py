@@ -1,5 +1,6 @@
-"""The columnar dataplane end to end: byte-identity, join strategies,
-orphan accounting and the size-memoization guard."""
+"""The columnar dataplane end to end: byte-identity against the row
+plane, join strategies, orphan and duplicate-key diagnosis, and the
+size-memoization guard."""
 
 import random
 
@@ -16,8 +17,11 @@ from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
 from repro.net.transport import SimulatedChannel
 from repro.obs.metrics import MetricsRegistry
-from repro.services.endpoint import RelationalEndpoint
+from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
+from repro.workloads.customer import fragment_customers
 from repro.xmlkit.writer import serialize
+
+from tests.program.rowplane import run_on_rows
 
 
 def _docs(fragment, rows):
@@ -65,17 +69,15 @@ def _table_dump(endpoint):
 
 
 def _row_reference(mf_source, mf_to_lf, auction_lf):
-    program, placement = mf_to_lf
+    program, _ = mf_to_lf
     target = RelationalEndpoint("row-ref", auction_lf)
-    ProgramExecutor(
-        mf_source, target, SimulatedChannel(), batch_rows=64
-    ).run(program, placement)
+    run_on_rows(program, mf_source, target)
     return _table_dump(target)
 
 
 class TestByteIdentity:
-    """The columnar dataplane must write byte-identical tables for
-    every batch size and both pinned join strategies (satellite 3)."""
+    """The columnar dataplane must write the tables the row plane
+    writes, for every batch size and both pinned join strategies."""
 
     @pytest.mark.parametrize("batch_rows", [1, 7, 64, 10 ** 9])
     def test_combine_heavy_exchange(self, mf_source, mf_to_lf,
@@ -87,7 +89,7 @@ class TestByteIdentity:
         )
         report = ProgramExecutor(
             mf_source, target, SimulatedChannel(),
-            batch_rows=batch_rows, columnar=True,
+            batch_rows=batch_rows,
         ).run(program, placement)
         assert _table_dump(target) == expected
         assert report.rows_written > 0
@@ -95,29 +97,40 @@ class TestByteIdentity:
     @pytest.mark.parametrize("join_strategy", ["hash", "merge"])
     @pytest.mark.parametrize("batch_rows", [1, 7, 64, 10 ** 9])
     def test_forced_strategies(self, mf_source, mf_to_lf, auction_lf,
-                               join_strategy, batch_rows):
+                               join_strategy, batch_rows,
+                               monkeypatch):
         program, placement = mf_to_lf
         expected = _row_reference(mf_source, mf_to_lf, auction_lf)
         target = RelationalEndpoint(
             f"col-{join_strategy}-{batch_rows}", auction_lf
         )
-        ProgramExecutor(
+        # The executor never pins a strategy (selection from observed
+        # feed order is the behaviour); pin it under the executor.
+        join = Combine.apply_column_batches
+        monkeypatch.setattr(
+            Combine, "apply_column_batches",
+            lambda self, *streams, **hooks: join(
+                self, *streams, force=join_strategy, **hooks
+            ),
+        )
+        report = ProgramExecutor(
             mf_source, target, SimulatedChannel(),
-            batch_rows=batch_rows, columnar=True,
-            join_strategy=join_strategy,
+            batch_rows=batch_rows,
         ).run(program, placement)
+        assert {
+            timing.strategy for timing in report.op_timings
+            if timing.kind == "combine"
+        } == {join_strategy}
         assert _table_dump(target) == expected
 
     def test_split_heavy_exchange(self, lf_to_mf, auction_mf):
         source, program, placement = lf_to_mf
         row_target = RelationalEndpoint("row-mf", auction_mf)
-        ProgramExecutor(
-            source, row_target, SimulatedChannel(), batch_rows=16
-        ).run(program, placement)
+        run_on_rows(program, source, row_target)
         columnar_target = RelationalEndpoint("col-mf", auction_mf)
         ProgramExecutor(
             source, columnar_target, SimulatedChannel(),
-            batch_rows=16, columnar=True,
+            batch_rows=16,
         ).run(program, placement)
         assert _table_dump(columnar_target) == _table_dump(row_target)
 
@@ -128,14 +141,15 @@ class TestByteIdentity:
         target = RelationalEndpoint("col-par", auction_lf)
         ProgramExecutor(
             mf_source, target, SimulatedChannel(), workers=4,
-            batch_rows=32, columnar=True,
+            batch_rows=32,
         ).run(program, placement)
         assert _table_dump(target) == expected
 
 
 class TestStrategySelection:
     """Document-order feeds must auto-select the merge join, shuffled
-    feeds the hash join (satellite 3)."""
+    feeds the hash join; every timing names the representation its
+    operation actually ran on."""
 
     def test_sorted_feeds_select_merge(self, mf_source, mf_to_lf,
                                        auction_lf):
@@ -144,7 +158,7 @@ class TestStrategySelection:
         target = RelationalEndpoint("col-merge-sel", auction_lf)
         report = ProgramExecutor(
             mf_source, target, SimulatedChannel(),
-            batch_rows=64, columnar=True, metrics=metrics,
+            batch_rows=64, metrics=metrics,
         ).run(program, placement)
         combines = sum(
             1 for node in program.nodes if node.kind == "combine"
@@ -153,6 +167,12 @@ class TestStrategySelection:
         assert metrics.counter("join.strategy.merge").value == combines
         assert metrics.counter("join.build_rows").value > 0
         assert metrics.counter("join.probe_rows").value > 0
+        # The time split: one observation per join and phase, no hash
+        # table behind a merge join.
+        for phase in ("build", "probe"):
+            seconds = metrics.histogram(f"join.{phase}_seconds")
+            assert seconds.count == combines and seconds.total > 0
+        assert metrics.counter("join.hash_table_rows").value == 0
         strategies = {
             timing.strategy for timing in report.op_timings
             if timing.kind == "combine"
@@ -164,21 +184,39 @@ class TestStrategySelection:
         program, placement = mf_to_lf
         target = RelationalEndpoint("col-strat", auction_lf)
         report = ProgramExecutor(
-            mf_source, target, SimulatedChannel(),
-            batch_rows=64, columnar=True,
+            mf_source, target, SimulatedChannel(), batch_rows=64,
         ).run(program, placement)
         for timing in report.op_timings:
             if timing.kind in ("scan", "write"):
                 assert timing.strategy == "columnar"
 
-    def test_row_dataplane_reports_row(self, mf_source, mf_to_lf,
-                                       auction_lf):
-        program, placement = mf_to_lf
-        target = RelationalEndpoint("row-strat", auction_lf)
+    def test_row_dataplane_reports_row(self, customers_s, customers_t,
+                                       customer_documents):
+        """A non-flat stream reports ``row``, a flat one never does:
+        the label is read off the operation's fragments."""
+        source = InMemoryEndpoint("sales")
+        for instance in fragment_customers(
+            customer_documents, customers_s
+        ).values():
+            source.put(instance)
+        program = build_transfer_program(
+            derive_mapping(customers_s, customers_t)
+        )
         report = ProgramExecutor(
-            mf_source, target, SimulatedChannel(), batch_rows=64
-        ).run(program, placement)
-        assert {t.strategy for t in report.op_timings} == {"row"}
+            source, InMemoryEndpoint("provisioning"), batch_rows=2,
+        ).run(program, source_heavy_placement(program))
+        fragments = {
+            node.op_id: node.inputs + node.outputs
+            for node in program.nodes
+        }
+        assert {t.strategy for t in report.op_timings} >= {
+            "row", "columnar", "merge",
+        }
+        for timing in report.op_timings:
+            flat = all(fragment.is_flat_storable()
+                       for fragment in fragments[timing.op_id])
+            assert (timing.strategy == "row") == (not flat), \
+                timing.label
 
 
 def _service_combine(schema):
@@ -225,9 +263,12 @@ class TestJoinUnit:
                 )
             )
 
+        def observed(join):
+            observe((join.strategy, join.build_rows, join.probe_rows))
+
         out = list(combine.apply_column_batches(
             batches(order, parents), batches(service, children),
-            observe=observe, force=force,
+            observe=observed if observe else None, force=force,
         ))
         return _docs(
             combine.result,
@@ -246,7 +287,7 @@ class TestJoinUnit:
         combine, order, service, parents, children = parts
         observed = []
         got = self._run(combine, order, service, parents, children,
-                        observe=lambda *args: observed.append(args))
+                        observe=observed.append)
         assert got == self._materialized(
             combine, order, service, parents, children
         )
@@ -260,7 +301,7 @@ class TestJoinUnit:
             [r.parent for r in children]
         observed = []
         got = self._run(combine, order, service, parents, shuffled,
-                        observe=lambda *args: observed.append(args))
+                        observe=observed.append)
         assert got == self._materialized(
             combine, order, service, parents, children
         )
@@ -272,8 +313,7 @@ class TestJoinUnit:
         random.Random(5).shuffle(shuffled)
         observed = []
         got = self._run(combine, order, service, parents, shuffled,
-                        observe=lambda *args: observed.append(args),
-                        force="merge")
+                        observe=observed.append, force="merge")
         assert got == self._materialized(
             combine, order, service, parents, children
         )
@@ -288,7 +328,8 @@ class TestJoinUnit:
 
 class TestOrphanAccounting:
     """Orphaned PARENT keys must be listed, identically across the
-    materialized, row-streaming and columnar paths (satellite 1)."""
+    materialized, row-streaming and columnar paths; a duplicated key
+    is diagnosed as what it is, under both join strategies."""
 
     @pytest.fixture
     def orphans(self, customers_schema):
@@ -367,6 +408,59 @@ class TestOrphanAccounting:
                 FragmentInstance(service, children).copy(),
             )
         assert message == str(materialized.value)
+
+    @pytest.mark.parametrize("force", ["merge", "hash", None])
+    def test_duplicate_parent_key_is_not_an_orphan(
+            self, customers_schema, force):
+        # Regression: two Service rows under Order 10 left one build
+        # row unmatched (hash keeps the last index, merge finds the
+        # first) and were reported as "1 orphaned PARENT key(s)
+        # reference missing parents: [10]" although Order 10 exists.
+        combine, order, service = _service_combine(customers_schema)
+        parents = [_order_row(10, 1), _order_row(20, 1)]
+        children = [
+            _service_row(100, 10),
+            _service_row(110, 10),
+            _service_row(120, 20),
+        ]
+        with pytest.raises(OperationError) as failure:
+            TestJoinUnit._run(
+                combine, order, service, parents, children,
+                force=force,
+            )
+        message = str(failure.value)
+        assert "PARENT key 10 appears on 2 child rows" in message
+        assert "'Service' is not repeated under 'Order'" in message
+        assert "orphan" not in message
+
+    def test_duplicate_found_among_shuffled_children(
+            self, customers_schema):
+        combine, order, service = _service_combine(customers_schema)
+        parents = [_order_row(eid, 1) for eid in (10, 20, 30)]
+        children = [
+            _service_row(100, 30),
+            _service_row(110, 10),
+            _service_row(120, 20),
+            _service_row(130, 10),
+        ]
+        for force in ("merge", None):  # sorted permutation / hash
+            with pytest.raises(OperationError,
+                               match="PARENT key 10 appears on 2"):
+                TestJoinUnit._run(
+                    combine, order, service, parents, children,
+                    force=force,
+                )
+
+    def test_two_parentless_children_stay_orphans(
+            self, customers_schema):
+        # NULL never matches an anchor, so two NULL-parent rows are
+        # two orphans, not one duplicated key.
+        combine, order, service = _service_combine(customers_schema)
+        children = [_service_row(100, None), _service_row(110, None)]
+        with pytest.raises(OperationError, match="orphaned PARENT"):
+            TestJoinUnit._run(
+                combine, order, service, [_order_row(10, 1)], children
+            )
 
     def test_many_orphans_truncate(self, customers_schema):
         combine, order, service = _service_combine(customers_schema)

@@ -60,16 +60,6 @@ class TestPublisher:
         with pytest.raises(RelationalError, match="root"):
             publish_document(db, mapper)
 
-    def test_columnar_publish_is_identical(self, mf_store):
-        db, mapper = mf_store
-        row = publish_document(db, mapper)
-        for batch_rows in (1, 7, 10 ** 9):
-            columnar = publish_document(
-                db, mapper, columnar=True, batch_rows=batch_rows
-            )
-            assert columnar.document == row.document
-            assert columnar.rows_merged == row.rows_merged
-
 
 class TestShredder:
     def test_shred_tuple_counts(self, mf_store, auction_lf):
@@ -112,6 +102,9 @@ class TestShredder:
 
     def test_columnar_load_matches_row_load(self, mf_store,
                                             auction_lf):
+        """``Table.load_columns`` (what a Write does with a columnar
+        batch) stores what ``bulk_load`` stores, on the tuples a real
+        shred produces."""
         db, mapper_mf = mf_store
         document = publish_document(db, mapper_mf).document
         mapper_lf = FragmentRelationMapper(auction_lf)
@@ -121,30 +114,19 @@ class TestShredder:
         mapper_lf.create_tables(row_db)
         row_loaded = shredded.load_into(row_db)
 
-        for batch_rows in (1, 7, 10 ** 9):
-            columnar_db = Database(f"T-col-{batch_rows}")
-            mapper_lf.create_tables(columnar_db)
-            loaded = shredded.load_into_columnar(
-                columnar_db, mapper_lf, batch_rows
+        columnar_db = Database("T-col")
+        mapper_lf.create_tables(columnar_db)
+        loaded = sum(
+            columnar_db.table(table_name).load_columns(
+                [list(cells) for cells in zip(*rows)]
             )
-            assert loaded == row_loaded == shredded.tuple_count
-            for layout in mapper_lf.layouts.values():
-                assert list(
-                    columnar_db.table(layout.table_name).scan()
-                ) == list(row_db.table(layout.table_name).scan())
-
-    def test_columnar_batches_respect_batch_rows(self, mf_store,
-                                                 auction_lf):
-        db, mapper_mf = mf_store
-        document = publish_document(db, mapper_mf).document
-        mapper_lf = FragmentRelationMapper(auction_lf)
-        shredded = shred_document(document, mapper_lf)
-        batches = list(shredded.column_batches(mapper_lf, 8))
-        assert all(batch.row_count() <= 8 for batch in batches)
-        assert sum(batch.row_count() for batch in batches) == \
-            shredded.tuple_count
-        with pytest.raises(ValueError, match="batch_rows"):
-            next(shredded.column_batches(mapper_lf, 0))
+            for table_name, rows in shredded.rows.items()
+        )
+        assert loaded == row_loaded == shredded.tuple_count
+        for layout in mapper_lf.layouts.values():
+            assert list(
+                columnar_db.table(layout.table_name).scan()
+            ) == list(row_db.table(layout.table_name).scan())
 
     def test_unknown_element_rejected(self, auction_lf):
         mapper = FragmentRelationMapper(auction_lf)

@@ -94,3 +94,72 @@ class TestSortedIndex:
         assert list(index.row_ids_in_order()) == [5, 0]
         index.add(6, (None,))  # NULLs are not indexed
         assert len(index) == 2
+
+
+class TestLoadColumns:
+    """``load_columns`` against ``bulk_load`` of the same rows: the
+    column-wise fast path and the per-cell fallback must store the
+    same tuples and fail the same way, rows loaded so far included."""
+
+    @staticmethod
+    def _both(table_factory, rows, width=2):
+        """``(stored rows, error text or None)`` per loader."""
+        outcomes = []
+        columns = [list(cells) for cells in zip(*rows)] \
+            or [[] for _ in range(width)]
+        for load in (
+            lambda table: table.bulk_load(rows),
+            lambda table: table.load_columns(columns),
+        ):
+            table = table_factory()
+            index = table.create_index("id")
+            try:
+                loaded, error = load(table), None
+                assert loaded == len(rows) and not index.built
+            except TableError as exc:
+                error = str(exc)
+            outcomes.append((list(table.scan()), error))
+        return outcomes
+
+    @pytest.fixture
+    def factory(self):
+        return lambda: Table(TableSchema("t", [
+            Column("id", ColumnType.INTEGER, nullable=False),
+            Column("name", ColumnType.TEXT),
+        ], primary_key="id"))
+
+    def test_fast_path_stores_the_same_tuples(self, factory):
+        rows = [(1, "a"), (2, None), (3, "")]
+        by_row, by_column = self._both(factory, rows)
+        assert by_column == by_row == (rows, None)
+
+    def test_empty_and_appending_loads(self, factory):
+        assert self._both(factory, []) == [([], None)] * 2
+        table = factory()
+        table.load_columns([[1], ["a"]])
+        table.load_columns([[2, 3], ["b", None]])
+        assert list(table.scan()) == [(1, "a"), (2, "b"), (3, None)]
+
+    def test_coercible_cells_take_the_per_cell_path(self, factory):
+        rows = [(1, "a"), ("2", 7), (3, None)]
+        by_row, by_column = self._both(factory, rows)
+        assert by_column == by_row
+        assert by_column[0] == [(1, "a"), (2, "7"), (3, None)]
+
+    @pytest.mark.parametrize("rows,message", [
+        ([(1, "a"), ("zz", "b"), (3, "c")],
+         "cannot store 'zz' in a INTEGER column"),
+        ([(1, "a"), (True, "b")],
+         "cannot store True in a INTEGER column"),
+        ([(1, "a"), (None, "b"), (3, "c")],
+         "column 'id' of 't' is NOT NULL"),
+        ([(1, "a", "extra"), (2, "b", "extra")],
+         "table 't' expects 2 values, got 3"),
+    ], ids=["wrong-type", "bool-is-no-integer", "null-in-not-null",
+            "width-mismatch"])
+    def test_errors_are_the_row_loaders(self, factory, rows, message):
+        by_row, by_column = self._both(factory, rows)
+        assert by_column == by_row
+        stored, error = by_column
+        assert error == message
+        assert len(stored) < len(rows)

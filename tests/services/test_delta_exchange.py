@@ -24,7 +24,6 @@ DATAPLANES = {
     "materialized": {},
     "parallel": {"parallel_workers": 3},
     "streaming": {"batch_rows": 64},
-    "columnar": {"batch_rows": 64, "columnar": True},
 }
 
 

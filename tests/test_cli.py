@@ -87,19 +87,14 @@ class TestExchangeCommand:
                 io.StringIO(),
             )
 
-    def test_columnar_defaults_batch_rows(self):
-        output = run_cli(
-            "exchange", "MF", "LF", "--size", "2.5",
-            "--scale", "0.02", "--columnar",
-        )
-        assert "columnar dataplane (batch_rows=256)" in output
-
     def test_columnar_keeps_explicit_batch_rows(self):
+        # MF -> LF: the combine-heavy direction, batched (the
+        # streaming test above has nothing to combine).
         output = run_cli(
             "exchange", "MF", "LF", "--size", "2.5",
-            "--scale", "0.02", "--columnar", "--batch-rows", "32",
+            "--scale", "0.02", "--batch-rows", "32",
         )
-        assert "columnar dataplane (batch_rows=32)" in output
+        assert "streaming dataplane (batch_rows=32)" in output
 
 
 class TestAdaptiveExchange:
@@ -296,7 +291,7 @@ class TestServiceTier:
 
     def test_delta_exchange_columnar(self):
         output = run_cli(
-            "exchange", "MF", "LF", "--delta", "--columnar",
+            "exchange", "MF", "LF", "--delta",
             "--change-rate", "0.05",
             "--size", "1.0", "--scale", "0.02",
         )
