@@ -9,8 +9,3 @@ SCENARIOS = ("MF->MF", "MF->LF", "LF->MF", "LF->LF")
 
 #: Trials per configuration in the simulation benches (paper: 10).
 N_TRIALS = int(os.environ.get("REPRO_TRIALS", "5"))
-
-#: Combine-order cap for exhaustive searches (the paper notes optimal
-#: generation is impractical beyond ~40-node schemas; the cap keeps the
-#: bench suite bounded while still searching a meaningful space).
-ORDER_LIMIT = int(os.environ.get("REPRO_ORDER_LIMIT", "60"))

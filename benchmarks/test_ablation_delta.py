@@ -159,7 +159,7 @@ def test_delta_bound_and_trajectory_file(fragmentations, results):
         for estimate in simulator.delta_exchange_costs(
             fragmentations["LF"], fragmentations["MF"],
             MachineProfile("s"), MachineProfile("t"),
-            list(_CHANGE_RATES), order_limit=40,
+            list(_CHANGE_RATES),
         )
     }
 

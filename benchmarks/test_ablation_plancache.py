@@ -29,8 +29,6 @@ from repro.services.broker import PlanCache
 from repro.services.exchange import run_optimized_exchange
 from repro.sim.simulator import ExchangeSimulator
 
-from support import ORDER_LIMIT
-
 _N_REPEATS = 4
 _SCENARIO = "MF->LF"
 _RESULTS: dict[str, dict] = {}
@@ -50,8 +48,7 @@ def _repeated_exchanges(schema, source, fragmentations, fresh_target,
         started = time.perf_counter()
         plan = agency.negotiate(
             "src", "tgt", optimizer="optimal", probe=model,
-            order_limit=ORDER_LIMIT, plan_cache=plan_cache,
-            metrics=metrics,
+            plan_cache=plan_cache, metrics=metrics,
         )
         target = fresh_target("LF")
         outcome = run_optimized_exchange(
@@ -100,8 +97,7 @@ def test_plancache_repeats(benchmark, mode, schema, sources,
         "ablation-plancache", mode, "total s",
         round(sum(latencies), 3),
         title=f"Ablation: plan cache on {_N_REPEATS} repeated "
-              f"{_SCENARIO} exchanges (optimal optimizer, "
-              f"order limit {ORDER_LIMIT})",
+              f"{_SCENARIO} exchanges (optimal optimizer)",
     )
     results.record("ablation-plancache", mode, "exchange 1 s",
                    round(latencies[0], 3))
@@ -131,7 +127,7 @@ def test_plancache_shape_and_trajectory_file(schema, fragmentations,
     predicted = ExchangeSimulator(schema).repeated_exchange_costs(
         fragmentations["MF"], fragmentations["LF"],
         MachineProfile("s"), MachineProfile("t"),
-        n_exchanges=_N_REPEATS, order_limit=ORDER_LIMIT,
+        n_exchanges=_N_REPEATS,
     )
     out = pathlib.Path(__file__).resolve().parent.parent \
         / "BENCH_plancache.json"
@@ -141,7 +137,6 @@ def test_plancache_shape_and_trajectory_file(schema, fragmentations,
         "document": "25MB ladder entry x REPRO_SCALE",
         "n_exchanges": _N_REPEATS,
         "optimizer": "optimal",
-        "order_limit": ORDER_LIMIT,
         "measured": _RESULTS,
         "measured_speedup": round(
             cold["total_seconds"] / warm["total_seconds"], 3

@@ -15,7 +15,7 @@ from repro.schema.generator import balanced_schema
 from repro.sim.random_fragmentation import random_fragmentation
 from repro.sim.simulator import ExchangeSimulator
 
-from support import N_TRIALS, ORDER_LIMIT
+from support import N_TRIALS
 
 _REDUCTIONS: list[float] = []
 
@@ -38,7 +38,6 @@ def test_figure10_equal_machines(benchmark, results):
                 simulator.exchange_costs(
                     source, target,
                     MachineProfile("source"), MachineProfile("target"),
-                    order_limit=ORDER_LIMIT,
                 )
             )
         return measurements

@@ -16,7 +16,7 @@ from repro.schema.generator import balanced_schema
 from repro.sim.random_fragmentation import random_fragmentation
 from repro.sim.simulator import ExchangeSimulator
 
-from support import N_TRIALS, ORDER_LIMIT
+from support import N_TRIALS
 
 _STATE: dict[str, float] = {}
 
@@ -42,7 +42,6 @@ def test_figure11_fast_target(benchmark, results):
             measurements.append(
                 simulator.exchange_costs(
                     source, target, source_machine, fast_target,
-                    order_limit=ORDER_LIMIT,
                 )
             )
         return measurements, fragment_pairs
@@ -89,7 +88,6 @@ def test_figure11_fast_target(benchmark, results):
     model = simulator.model(source_machine, fast_target)
     best = optimal_exchange(
         derive_mapping(source, target), model,
-        order_limit=ORDER_LIMIT,
     )
     from repro.core.ops.base import Location
     combine_locations = {

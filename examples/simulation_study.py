@@ -21,7 +21,6 @@ from repro.sim.random_fragmentation import random_fragmentation
 from repro.sim.simulator import ExchangeSimulator
 
 N_TRIALS = 5
-ORDER_LIMIT = 60
 
 
 def figures_10_and_11() -> None:
@@ -45,7 +44,6 @@ def figures_10_and_11() -> None:
         measurements = [
             simulator.exchange_costs(
                 source, sink, MachineProfile("s"), target,
-                order_limit=ORDER_LIMIT,
             )
             for source, sink in pairs
         ]
@@ -72,7 +70,7 @@ def table_5() -> None:
                 n_fragments=11,
                 source=MachineProfile("s", speed=source_speed),
                 target=MachineProfile("t", speed=target_speed),
-                rng=rng, order_limit=ORDER_LIMIT,
+                rng=rng,
             )
             for _ in range(N_TRIALS)
         ]

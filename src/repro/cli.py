@@ -123,7 +123,6 @@ def cmd_program(args: argparse.Namespace, out: TextIO) -> int:
     agency.register("target", target)
     plan = agency.negotiate(
         "source", "target", optimizer=args.optimizer, probe=model,
-        order_limit=args.order_limit,
     )
     program = plan.annotate()
     print(f"# {args.source} -> {args.target}: {summary(program)} "
@@ -717,7 +716,7 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
             n_fragments=args.fragments,
             source=MachineProfile("s", speed=source_speed),
             target=MachineProfile("t", speed=target_speed),
-            rng=rng, order_limit=args.order_limit,
+            rng=rng,
         )
         for _ in range(args.trials)
     ]
@@ -758,7 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     program.add_argument("target", help="MF|LF or S|T|DOC")
     program.add_argument("--optimizer", default="canonical",
                          choices=("canonical", "greedy", "optimal"))
-    program.add_argument("--order-limit", type=int, default=60)
     program.add_argument("--dot", action="store_true",
                          help="emit Graphviz DOT instead of text")
     program.set_defaults(handler=cmd_program)
@@ -939,7 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="source/target speed, e.g. 5/1")
     simulate.add_argument("--trials", type=int, default=5)
     simulate.add_argument("--fragments", type=int, default=11)
-    simulate.add_argument("--order-limit", type=int, default=60)
     simulate.add_argument("--seed", type=int, default=42)
     simulate.add_argument("--trace", default=None, metavar="FILE",
                           help="record the optimizer-phase trace")

@@ -83,8 +83,14 @@ class Combine(Operation):
     kind = "combine"
 
     def __init__(self, parent: Fragment, child: Fragment,
-                 location: Location | None = None) -> None:
-        result = parent.combined_with(child)
+                 location: Location | None = None, *,
+                 result: Fragment | None = None) -> None:
+        # ``result`` spares rebuilding (and re-validating) a combined
+        # fragment the caller already holds — the plan search prices
+        # many Combines that produce the same one.
+        if (result is None or not parent.can_combine(child)
+                or result.elements != parent.elements | child.elements):
+            result = parent.combined_with(child)
         super().__init__((parent, child), (result,), location)
 
     @property

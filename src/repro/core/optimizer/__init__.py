@@ -7,9 +7,9 @@
   needed for Table 5),
 * :mod:`repro.core.optimizer.greedy` — the greedy combine ordering and
   greedy distributed-processing heuristic,
-* :mod:`repro.core.optimizer.search` — couples combine-order
-  enumeration with placement optimization and returns the best/worst/
-  greedy exchange programs for a mapping.
+* :mod:`repro.core.optimizer.search` — the plan search: the exact
+  best/worst program over combine orders × placements (a DP over
+  combine subtrees, no enumeration) and the greedy one for a mapping.
 """
 
 from repro.core.optimizer.exhaustive import (

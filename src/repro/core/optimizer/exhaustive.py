@@ -1,5 +1,12 @@
 """Algorithm 1: ``Cost_Based_Optim`` — exhaustive placement search.
 
+Placement of *one given program*.  The plan search
+(:mod:`repro.core.optimizer.search`, the engine) runs it once, on the
+program its recurrence picked; run over every program of
+:func:`~repro.core.program.builder.enumerate_transfer_programs` it is
+the exhaustive *oracle* the tests hold that search equal to — the
+paper's own formulation, too slow beyond ~40-node schemas.
+
 Two implementations of the same search space:
 
 * :func:`cost_based_optim_literal` — the worklist algorithm exactly as
@@ -34,6 +41,7 @@ from repro.core.optimizer.placement import (
     placement_cost,
     resolve_weights,
     unassigned_nodes,
+    weighted,
 )
 from repro.core.ops.base import Location, Operation
 from repro.core.ops.scan import Scan
@@ -54,13 +62,14 @@ def _topological_search(program: TransferProgram, probe: CostProbe,
     comp: list[dict[Location, float]] = []
     for node in order:
         comp.append({
-            Location.SOURCE: w_comp * probe.comp_cost(
-                node, Location.SOURCE),
-            Location.TARGET: w_comp * probe.comp_cost(
-                node, Location.TARGET),
+            Location.SOURCE: weighted(w_comp, probe.comp_cost(
+                node, Location.SOURCE)),
+            Location.TARGET: weighted(w_comp, probe.comp_cost(
+                node, Location.TARGET)),
         })
     comm = [
-        [w_com * probe.comm_cost(edge.fragment) for edge in edges]
+        [weighted(w_com, probe.comm_cost(edge.fragment))
+         for edge in edges]
         for edges in in_edges
     ]
 

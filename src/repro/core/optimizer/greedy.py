@@ -25,6 +25,7 @@ from repro.core.optimizer.placement import (
     initial_placement,
     resolve_weights,
     unassigned_nodes,
+    weighted,
 )
 from repro.core.program.builder import MergeStep, ProgramBuilder
 from repro.core.program.dag import Placement, TransferProgram
@@ -85,14 +86,6 @@ def _fix(program: TransferProgram, placement: Placement,
     raise PlacementError(f"no legal location for {node.label()}")
 
 
-def _weighted(weight: float, cost: float) -> float:
-    """``weight * cost`` with ``0 x inf == 0``: a zero formula-1 weight
-    mutes that term outright, never poisoning comparisons with NaN."""
-    if weight == 0.0:
-        return 0.0
-    return weight * cost
-
-
 def greedy_placement(program: TransferProgram, probe: CostProbe,
                      weights: CostWeights | None = None) -> Placement:
     """Greedy distributed processing (Section 4.3); returns a complete
@@ -119,10 +112,10 @@ def greedy_placement(program: TransferProgram, probe: CostProbe,
         best_diff = 0.0
         best_location = Location.SOURCE
         for node in pending:
-            at_source = _weighted(
+            at_source = weighted(
                 w_comp, probe.comp_cost(node, Location.SOURCE)
             )
-            at_target = _weighted(
+            at_target = weighted(
                 w_comp, probe.comp_cost(node, Location.TARGET)
             )
             if at_source == at_target:
@@ -149,7 +142,7 @@ def greedy_placement(program: TransferProgram, probe: CostProbe,
         if candidate_edges:
             edge = min(
                 candidate_edges,
-                key=lambda edge: _weighted(
+                key=lambda edge: weighted(
                     w_com, probe.comm_cost(edge.fragment)
                 ),
             )

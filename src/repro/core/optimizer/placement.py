@@ -99,6 +99,15 @@ def resolve_weights(probe: CostProbe,
     return CostWeights()
 
 
+def weighted(weight: float, cost: float) -> float:
+    """``weight * cost`` with ``0 x inf == 0``: a zero formula-1 weight
+    mutes that term outright, never poisoning comparisons with NaN (a
+    dumb client prices its Combines at infinity)."""
+    if weight == 0.0:
+        return 0.0
+    return weight * cost
+
+
 def placement_cost(program: TransferProgram, placement: Placement,
                    probe: CostProbe,
                    weights: CostWeights | None = None) -> float:
@@ -113,6 +122,6 @@ def placement_cost(program: TransferProgram, placement: Placement,
         for edge in program.cross_edges(placement)
     )
     return (
-        weights.computation * computation
-        + weights.communication * communication
+        weighted(weights.computation, computation)
+        + weighted(weights.communication, communication)
     )

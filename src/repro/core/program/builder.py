@@ -17,8 +17,9 @@ Construction proceeds exactly as the paper describes:
 :func:`build_transfer_program` produces one program with a deterministic
 ("canonical") or caller-supplied combine order;
 :func:`enumerate_transfer_programs` lazily enumerates all structurally
-distinct orders, which the exhaustive optimizer feeds to
-``Cost_Based_Optim``.
+distinct orders — the paper's search space, kept as the oracle the
+tests check :mod:`repro.core.optimizer.search` against (the plan search
+itself never enumerates).
 """
 
 from __future__ import annotations
@@ -230,11 +231,14 @@ class ProgramBuilder:
 
     # -- materialization ------------------------------------------------------------
 
-    def materialize(self, orders: dict[str, Sequence[MergeStep]]
-                    ) -> TransferProgram:
+    def materialize(self, orders: dict[str, Sequence[MergeStep]],
+                    skeleton: tuple[TransferProgram, list[Assembly]]
+                    | None = None) -> TransferProgram:
         """Build a complete program applying the given merge order per
-        dangling target fragment (keyed by target fragment name)."""
-        program, assemblies = self.skeleton()
+        dangling target fragment (keyed by target fragment name).
+        ``skeleton`` is completed in place when the caller already
+        built one (it must come from :meth:`skeleton` of this builder)."""
+        program, assemblies = skeleton or self.skeleton()
         for assembly in assemblies:
             steps = orders[assembly.target.name]
             ports: list[Port] = list(assembly.ports)

@@ -209,7 +209,6 @@ class DiscoveryAgency:
                   probe: CostProbe | None = None,
                   channel: Transport | None = None,
                   weights: CostWeights | None = None,
-                  order_limit: int | None = None,
                   plan_cache: "PlanCache | None" = None,
                   plan_knobs: MappingType[str, object] | None = None,
                   stats_store: "StatisticsStore | None" = None,
@@ -224,12 +223,12 @@ class DiscoveryAgency:
 
         With a ``plan_cache`` the negotiation is memoized: the setup is
         fingerprinted (fragmentations, probe cost signature, optimizer,
-        weights, ``order_limit`` plus any extra ``plan_knobs``) and a
-        hit skips the optimizer entirely — the returned plan carries
-        ``cached=True`` and ``optimizer_seconds=0.0``.  ``metrics``
-        counts actual optimizer executions (``optimizer.runs`` and
-        ``optimizer.<kind>.runs``), which is how callers assert that a
-        warm cache really skipped optimization.
+        weights plus any ``plan_knobs``) and a hit skips the optimizer
+        entirely — the returned plan carries ``cached=True`` and
+        ``optimizer_seconds=0.0``.  ``metrics`` counts actual optimizer
+        executions (``optimizer.runs`` and ``optimizer.<kind>.runs``,
+        with the plan search's ``optimizer.subproblems``), which is how
+        callers assert that a warm cache really skipped optimization.
 
         A ``stats_store`` corrects the *pricing* the optimizer sees
         with the learned per-kind scales for this endpoint pair
@@ -263,11 +262,9 @@ class DiscoveryAgency:
         )
         fingerprint = None
         if plan_cache is not None:
-            knobs: dict[str, object] = {"order_limit": order_limit}
-            knobs.update(plan_knobs or {})
             fingerprint = plan_cache.fingerprint(
                 source.fragmentation, target.fragmentation, probe,
-                optimizer, weights, knobs, mapping=mapping,
+                optimizer, weights, plan_knobs, mapping=mapping,
             )
             hit = plan_cache.load(fingerprint, self.schema)
             if hit is not None:
@@ -287,9 +284,7 @@ class DiscoveryAgency:
         if optimizer == "greedy":
             result = greedy_exchange(mapping, pricing_probe, weights)
         elif optimizer == "optimal":
-            result = optimal_exchange(
-                mapping, pricing_probe, weights, order_limit
-            )
+            result = optimal_exchange(mapping, pricing_probe, weights)
         else:  # canonical order + Algorithm 1 placement
             program = build_transfer_program(mapping)
             placement, cost = cost_based_optim(
@@ -299,6 +294,9 @@ class DiscoveryAgency:
         if metrics is not None:
             metrics.counter("optimizer.runs").add(1)
             metrics.counter(f"optimizer.{optimizer}.runs").add(1)
+            metrics.counter("optimizer.subproblems").add(
+                result.subproblems
+            )
         if plan_cache is not None and fingerprint is not None:
             plan_cache.put(
                 fingerprint, result.program, result.placement,

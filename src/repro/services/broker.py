@@ -148,9 +148,9 @@ def plan_fingerprint(source: Fragmentation, target: Fragmentation,
     """Fingerprint one negotiation setup.
 
     ``knobs`` carries whatever else the plan's consumer keys on (the
-    agency passes ``order_limit``; the broker adds its executor knobs);
-    it must be JSON-serializable.  ``mapping`` avoids re-deriving when
-    the caller already holds the source → target mapping.
+    broker passes its executor knobs); it must be JSON-serializable.
+    ``mapping`` avoids re-deriving when the caller already holds the
+    source → target mapping.
     """
     if mapping is None:
         mapping = derive_mapping(source, target)
@@ -446,7 +446,6 @@ class ExchangeBroker:
                  optimizer: str = "greedy",
                  probe: CostProbe | None = None,
                  weights: CostWeights | None = None,
-                 order_limit: int | None = None,
                  channel_factory: Callable[[], Transport]
                  = SimulatedChannel,
                  parallel_workers: int = 1,
@@ -476,7 +475,6 @@ class ExchangeBroker:
         self.optimizer = optimizer
         self.probe = probe
         self.weights = weights
-        self.order_limit = order_limit
         self.channel_factory = channel_factory
         self.parallel_workers = parallel_workers
         self.batch_rows = batch_rows
@@ -651,7 +649,6 @@ class ExchangeBroker:
                         optimizer=self.optimizer,
                         probe=self.probe,
                         weights=self.weights,
-                        order_limit=self.order_limit,
                         plan_cache=self.plan_cache,
                         plan_knobs={
                             "parallel_workers": self.parallel_workers,

@@ -238,7 +238,6 @@ class ScatterGatherCoordinator:
                  plan_cache: PlanCache | None = None,
                  optimizer: str = "greedy",
                  weights: CostWeights | None = None,
-                 order_limit: int | None = None,
                  channel_factory: Callable[[], Transport]
                  = SimulatedChannel,
                  parallel_workers: int = 1,
@@ -256,7 +255,6 @@ class ScatterGatherCoordinator:
         self.plan_cache = plan_cache
         self.optimizer = optimizer
         self.weights = weights
-        self.order_limit = order_limit
         self.channel_factory = channel_factory
         self.parallel_workers = parallel_workers
         self.batch_rows = batch_rows
@@ -344,7 +342,6 @@ class ScatterGatherCoordinator:
             optimizer=self.optimizer,
             probe=probe,
             weights=self.weights,
-            order_limit=self.order_limit,
             channel_factory=self.channel_factory,
             parallel_workers=self.parallel_workers,
             batch_rows=self.batch_rows,

@@ -33,10 +33,7 @@ from repro.core.fragmentation import Fragmentation
 from repro.core.mapping import derive_mapping
 from repro.core.ops.base import Location
 from repro.core.ops.write import Write
-from repro.core.optimizer.exhaustive import (
-    cost_based_optim,
-    cost_based_pessim,
-)
+from repro.core.optimizer.exhaustive import cost_based_optim
 from repro.core.optimizer.search import (
     greedy_exchange,
     optimal_exchange,
@@ -330,7 +327,6 @@ class ExchangeSimulator:
     def exchange_costs(self, source_fragmentation: Fragmentation,
                        target_fragmentation: Fragmentation,
                        source: MachineProfile, target: MachineProfile,
-                       order_limit: int | None = 200,
                        parallel: ParallelEstimate | None = None,
                        batch_rows: int | None = None,
                        columnar: bool = False,
@@ -381,11 +377,8 @@ class ExchangeSimulator:
         mapping = derive_mapping(
             source_fragmentation, target_fragmentation
         )
-        with self.tracer.span("optimize exchange", "sim",
-                              order_limit=order_limit or 0):
-            best = optimal_exchange(
-                mapping, model, self.weights, order_limit
-            )
+        with self.tracer.span("optimize exchange", "sim"):
+            best = optimal_exchange(mapping, model, self.weights)
         strategies: dict[str, str] | None = None
         if columnar:
             strategies = {
@@ -445,7 +438,7 @@ class ExchangeSimulator:
             self, source_fragmentation: Fragmentation,
             target_fragmentation: Fragmentation,
             source: MachineProfile, target: MachineProfile,
-            shards: int, order_limit: int | None = 200,
+            shards: int,
             grains: "list[str] | tuple[str, ...] | None" = None
             ) -> ShardedCostEstimate:
         """Predict the scatter/gather speedup of K shard sessions.
@@ -473,11 +466,8 @@ class ExchangeSimulator:
         mapping = derive_mapping(
             source_fragmentation, target_fragmentation
         )
-        with self.tracer.span("optimize exchange", "sim",
-                              order_limit=order_limit or 0):
-            best = optimal_exchange(
-                mapping, model, self.weights, order_limit
-            )
+        with self.tracer.span("optimize exchange", "sim"):
+            best = optimal_exchange(mapping, model, self.weights)
         with self.tracer.span("price exchange", "sim"):
             base = model.breakdown(best.program, best.placement).total
         statistics = self.statistics
@@ -584,8 +574,7 @@ class ExchangeSimulator:
             self, source_fragmentation: Fragmentation,
             target_fragmentation: Fragmentation,
             source: MachineProfile, target: MachineProfile,
-            n_exchanges: int,
-            order_limit: int | None = 200) -> AmortizedPlanCosts:
+            n_exchanges: int) -> AmortizedPlanCosts:
         """Price ``n_exchanges`` identical exchanges under plan caching.
 
         Without a cache every exchange renegotiates, so each pays the
@@ -604,11 +593,8 @@ class ExchangeSimulator:
         mapping = derive_mapping(
             source_fragmentation, target_fragmentation
         )
-        with self.tracer.span("optimize exchange", "sim",
-                              order_limit=order_limit or 0):
-            best = optimal_exchange(
-                mapping, model, self.weights, order_limit
-            )
+        with self.tracer.span("optimize exchange", "sim"):
+            best = optimal_exchange(mapping, model, self.weights)
         with self.tracer.span("price exchange", "sim"):
             per_exchange = model.breakdown(
                 best.program, best.placement
@@ -629,7 +615,6 @@ class ExchangeSimulator:
             target_fragmentation: Fragmentation,
             source: MachineProfile, target: MachineProfile,
             change_rates: "list[float] | tuple[float, ...]",
-            order_limit: int | None = 200,
             amplification: float = 1.0) -> list[DeltaCostEstimate]:
         """Price incremental delta syncs over a change-rate sweep.
 
@@ -667,11 +652,8 @@ class ExchangeSimulator:
         mapping = derive_mapping(
             source_fragmentation, target_fragmentation
         )
-        with self.tracer.span("optimize exchange", "sim",
-                              order_limit=order_limit or 0):
-            best = optimal_exchange(
-                mapping, model, self.weights, order_limit
-            )
+        with self.tracer.span("optimize exchange", "sim"):
+            best = optimal_exchange(mapping, model, self.weights)
         with self.tracer.span("price exchange", "sim"):
             breakdown = model.breakdown(best.program, best.placement)
         full = breakdown.total
@@ -699,8 +681,7 @@ class ExchangeSimulator:
     def greedy_quality_trial(self, *, n_fragments: int,
                              source: MachineProfile,
                              target: MachineProfile,
-                             rng: random.Random,
-                             order_limit: int | None = 200
+                             rng: random.Random
                              ) -> GreedyQualityTrial:
         """One random-fragmentation trial: optimal vs greedy vs worst."""
         source_fragmentation = random_fragmentation(
@@ -713,32 +694,21 @@ class ExchangeSimulator:
         mapping = derive_mapping(
             source_fragmentation, target_fragmentation
         )
-        with self.tracer.span("optimal search", "sim",
-                              n_fragments=n_fragments):
-            best = optimal_exchange(
-                mapping, model, self.weights, order_limit
-            )
-        with self.tracer.span("worst search", "sim",
-                              n_fragments=n_fragments):
-            worst = worst_exchange(
-                mapping, model, self.weights, order_limit
-            )
-        with self.tracer.span("greedy search", "sim",
-                              n_fragments=n_fragments):
-            greedy = greedy_exchange(mapping, model, self.weights)
-        # A capped enumeration can miss the greedy combine order; fold
-        # the greedy program into both search frontiers so the ratios
-        # are well defined (greedy/optimal >= 1 by construction).
-        greedy_best = cost_based_optim(
-            greedy.program, model, self.weights
-        )[1]
-        greedy_worst = cost_based_pessim(
-            greedy.program, model, self.weights
-        )[1]
+        found = {}
+        for name, search in (("optimal", optimal_exchange),
+                             ("worst", worst_exchange),
+                             ("greedy", greedy_exchange)):
+            with self.tracer.span(f"{name} search", "sim",
+                                  n_fragments=n_fragments) as span:
+                result = found[name] = search(mapping, model, self.weights)
+                span.annotate(
+                    programs_considered=result.programs_considered,
+                    subproblems=result.subproblems,
+                )
         return GreedyQualityTrial(
-            optimal_cost=min(best.cost, greedy_best),
-            greedy_cost=greedy.cost,
-            worst_cost=max(worst.cost, greedy_worst),
-            optimal_seconds=best.elapsed_seconds,
-            greedy_seconds=greedy.elapsed_seconds,
+            optimal_cost=found["optimal"].cost,
+            greedy_cost=found["greedy"].cost,
+            worst_cost=found["worst"].cost,
+            optimal_seconds=found["optimal"].elapsed_seconds,
+            greedy_seconds=found["greedy"].elapsed_seconds,
         )

@@ -6,7 +6,10 @@ machine-speed configuration:
 * the fast Algorithm-1 search and the literal worklist agree,
 * greedy placement is never better than the optimal one,
 * the worst placement is never better than any other,
-* all returned placements are legal.
+* all returned placements are legal,
+* the plan search (DP over combine subtrees) returns exactly the
+  minimum / maximum of the exhaustive enumeration, dumb clients and
+  zero formula-1 weights included.
 """
 
 import random
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost.estimates import StatisticsCatalog
-from repro.core.cost.model import CostModel, MachineProfile
+from repro.core.cost.model import CostModel, CostWeights, MachineProfile
 from repro.core.mapping import derive_mapping
 from repro.core.optimizer.exhaustive import (
     cost_based_optim,
@@ -28,9 +31,11 @@ from repro.core.program.builder import build_transfer_program
 from repro.schema.generator import random_schema
 from repro.sim.random_fragmentation import random_fragmentation
 
+from tests.optimizer.oracle import assert_search_is_exact
+
 
 @st.composite
-def exchange_cases(draw):
+def exchange_cases(draw, dumb_clients=False):
     n_nodes = draw(st.integers(min_value=3, max_value=10))
     schema = random_schema(
         n_nodes,
@@ -51,10 +56,17 @@ def exchange_cases(draw):
     )
     source_speed = draw(st.sampled_from([0.2, 0.5, 1.0, 2.0, 5.0]))
     target_speed = draw(st.sampled_from([0.2, 0.5, 1.0, 2.0, 5.0]))
+    able = st.booleans() if dumb_clients else st.just(True)
     model = CostModel(
         StatisticsCatalog.synthetic(schema),
-        source=MachineProfile("s", speed=source_speed),
-        target=MachineProfile("t", speed=target_speed),
+        source=MachineProfile(
+            "s", speed=source_speed,
+            can_combine=draw(able), can_split=draw(able),
+        ),
+        target=MachineProfile(
+            "t", speed=target_speed,
+            can_combine=draw(able), can_split=draw(able),
+        ),
         bandwidth=draw(st.sampled_from([10.0, 1000.0])),
     )
     return derive_mapping(source, target), model
@@ -95,3 +107,16 @@ def test_returned_placements_are_legal(case):
         greedy_placement(program, model),
     ):
         program.validate_placement(placement)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exchange_cases(dumb_clients=True),
+    st.sampled_from([
+        None, CostWeights(0.0, 1.0), CostWeights(1.0, 0.0),
+        CostWeights(0.3, 2.0),
+    ]),
+)
+def test_plan_search_equals_exhaustion(case, weights):
+    mapping, model = case
+    assert_search_is_exact(mapping, model, weights)

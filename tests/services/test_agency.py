@@ -7,6 +7,7 @@ from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel
 from repro.core.program.render import summary
 from repro.net.transport import SimulatedChannel
+from repro.obs.metrics import MetricsRegistry
 from repro.services.agency import DiscoveryAgency
 from repro.services.endpoint import RelationalEndpoint
 from repro.wsdl.model import parse_wsdl
@@ -122,11 +123,15 @@ class TestNegotiation:
         agency.register("s", customers_s)
         agency.register("t", customers_t)
         model = CostModel(StatisticsCatalog.synthetic(customers_schema))
+        metrics = MetricsRegistry()
         plan = agency.negotiate(
-            "s", "t", optimizer="optimal", probe=model, order_limit=20
+            "s", "t", optimizer="optimal", probe=model, metrics=metrics
         )
         greedy = agency.negotiate("s", "t", probe=model)
         assert plan.estimated_cost <= greedy.estimated_cost + 1e-9
+        # One search, counted with the DP states it priced.
+        assert metrics.counter("optimizer.optimal.runs").value == 1
+        assert metrics.counter("optimizer.subproblems").value > 0
 
     def test_unknown_optimizer_rejected(self, agency, auction_mf,
                                         auction_lf, model):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.cost.model import MachineProfile
+from repro.obs.trace import Tracer
 from repro.schema.generator import balanced_schema
 from repro.sim.random_fragmentation import random_fragmentation
 from repro.sim.simulator import ExchangeSimulator
@@ -36,7 +37,6 @@ class TestExchangeCosts:
         costs = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
             MachineProfile("s"), MachineProfile("t"),
-            order_limit=40,
         )
         # Figure 10: a healthy reduction at equal speeds.
         assert costs.reduction_percent > 20.0
@@ -47,12 +47,11 @@ class TestExchangeCosts:
         source_fragmentation, target_fragmentation = fragmentations
         equal = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
         )
         fast = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
             MachineProfile("s"), MachineProfile("t", speed=10.0),
-            order_limit=40,
         )
         # Figure 11: the reduction grows with a 10x faster target.
         assert fast.reduction_percent > equal.reduction_percent
@@ -64,11 +63,11 @@ class TestExchangeCosts:
         source_fragmentation, target_fragmentation = fragmentations
         sequential = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
         )
         parallel = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
             parallel=ParallelEstimate(
                 sequential_seconds=2.0, parallel_seconds=1.0,
                 groups=4, workers=4,
@@ -85,11 +84,11 @@ class TestExchangeCosts:
         source_fragmentation, target_fragmentation = fragmentations
         materialized = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
         )
         streamed = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
             batch_rows=1,
         )
         # Pipelined shipping hides communication behind computation;
@@ -107,8 +106,7 @@ class TestExchangeCosts:
         with pytest.raises(ValueError):
             simulator.exchange_costs(
                 source_fragmentation, target_fragmentation,
-                MachineProfile("s"), MachineProfile("t"),
-                order_limit=40, batch_rows=0,
+                MachineProfile("s"), MachineProfile("t"), batch_rows=0,
             )
 
     def test_columnar_prices_below_row(self, simulator,
@@ -116,12 +114,12 @@ class TestExchangeCosts:
         source_fragmentation, target_fragmentation = fragmentations
         row = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
             batch_rows=64,
         )
         columnar = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
             batch_rows=64, columnar=True,
         )
         # The per-strategy scales shrink every priced operator, so the
@@ -139,8 +137,7 @@ class TestExchangeCosts:
         costs = {
             columnar: simulator.exchange_costs(
                 source_fragmentation, target_fragmentation,
-                MachineProfile("s"), MachineProfile("t"),
-                order_limit=40, columnar=columnar,
+                MachineProfile("s"), MachineProfile("t"), columnar=columnar,
             ).exchange
             for columnar in (False, True)
         }
@@ -168,12 +165,25 @@ class TestGreedyQuality:
             n_fragments=5,
             source=MachineProfile("s", speed=5.0),
             target=MachineProfile("t"),
-            rng=rng, order_limit=40,
+            rng=rng,
         )
         assert trial.greedy_over_optimal >= 1.0 - 1e-9
         assert trial.worst_over_optimal >= trial.greedy_over_optimal \
             - 1e-9
         assert trial.greedy_seconds < trial.optimal_seconds + 1.0
+
+    def test_search_spans_report_the_work(self):
+        tracer = Tracer()
+        ExchangeSimulator(
+            balanced_schema(2, 4, seed=5), tracer=tracer
+        ).greedy_quality_trial(
+            n_fragments=5, source=MachineProfile("s"),
+            target=MachineProfile("t"), rng=random.Random(11),
+        )
+        spans = {span.name: span for span in tracer.spans_of("sim")}
+        for name in ("optimal search", "worst search"):
+            assert spans[name].attrs["programs_considered"] == 1
+            assert spans[name].attrs["subproblems"] > 0
 
     def test_window_grows_with_speed_gap(self, simulator):
         def average_window(source_speed, target_speed):
@@ -184,7 +194,7 @@ class TestGreedyQuality:
                     n_fragments=5,
                     source=MachineProfile("s", speed=source_speed),
                     target=MachineProfile("t", speed=target_speed),
-                    rng=rng, order_limit=40,
+                    rng=rng,
                 )
                 ratios.append(trial.worst_over_optimal)
             return sum(ratios) / len(ratios)
@@ -201,12 +211,12 @@ class TestLossyCosts:
         source_fragmentation, target_fragmentation = fragmentations
         clean = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
         )
         plan = FaultPlan(drop=0.2, corrupt=0.05, duplicate=0.1)
         lossy = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
             fault_plan=plan, retry_attempts=4,
         )
         factor = plan.expected_transmission_factor(4)
@@ -229,11 +239,11 @@ class TestLossyCosts:
         source_fragmentation, target_fragmentation = fragmentations
         clean = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
         )
         delay_only = simulator.exchange_costs(
             source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"), order_limit=40,
+            MachineProfile("s"), MachineProfile("t"),
             fault_plan=FaultPlan(delay=0.3), retry_attempts=4,
         )
         assert delay_only.exchange.communication == pytest.approx(
@@ -280,7 +290,7 @@ class TestShardedExchangeCosts:
         estimates = [
             simulator.sharded_exchange_costs(
                 mf, lf, MachineProfile("s"), MachineProfile("t"),
-                shards, order_limit=40,
+                shards,
             )
             for shards in (1, 2, 4, 8)
         ]
@@ -295,10 +305,10 @@ class TestShardedExchangeCosts:
         simulator, mf, lf = xmark
         machines = (MachineProfile("s"), MachineProfile("t"))
         one = simulator.sharded_exchange_costs(
-            mf, lf, *machines, 1, order_limit=40
+            mf, lf, *machines, 1
         )
         four = simulator.sharded_exchange_costs(
-            mf, lf, *machines, 4, order_limit=40
+            mf, lf, *machines, 4
         )
         assert one.replication_overhead == pytest.approx(0.0)
         assert four.replication_overhead > 0.0
@@ -315,7 +325,7 @@ class TestShardedExchangeCosts:
         with pytest.raises(ShardingError):
             simulator.sharded_exchange_costs(
                 mf, whole, MachineProfile("s"), MachineProfile("t"),
-                4, order_limit=40,
+                4,
             )
 
     def test_shard_floor(self, xmark):
@@ -337,7 +347,7 @@ class TestDeltaExchangeCosts:
         estimates = simulator.delta_exchange_costs(
             source_fragmentation, target_fragmentation,
             MachineProfile("s"), MachineProfile("t"),
-            rates, order_limit=40,
+            rates,
         )
         assert [e.change_rate for e in estimates] == rates
         deltas = [e.delta_cost for e in estimates]
@@ -359,17 +369,17 @@ class TestDeltaExchangeCosts:
         machines = (MachineProfile("s"), MachineProfile("t"))
         plain = simulator.delta_exchange_costs(
             source_fragmentation, target_fragmentation, *machines,
-            [0.1], order_limit=40,
+            [0.1],
         )[0]
         inflated = simulator.delta_exchange_costs(
             source_fragmentation, target_fragmentation, *machines,
-            [0.1], order_limit=40, amplification=4.0,
+            [0.1], amplification=4.0,
         )[0]
         assert inflated.delta_cost > plain.delta_cost
         # The closure can never cost more than shipping everything.
         capped = simulator.delta_exchange_costs(
             source_fragmentation, target_fragmentation, *machines,
-            [0.5], order_limit=40, amplification=100.0,
+            [0.5], amplification=100.0,
         )[0]
         assert capped.delta_cost == pytest.approx(capped.full_cost)
 
@@ -379,10 +389,10 @@ class TestDeltaExchangeCosts:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             simulator.delta_exchange_costs(
                 source_fragmentation, target_fragmentation,
-                *machines, [1.5], order_limit=40,
+                *machines, [1.5],
             )
         with pytest.raises(ValueError, match="amplification"):
             simulator.delta_exchange_costs(
                 source_fragmentation, target_fragmentation,
-                *machines, [0.1], order_limit=40, amplification=0.5,
+                *machines, [0.1], amplification=0.5,
             )

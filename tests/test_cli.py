@@ -143,7 +143,7 @@ class TestSimulateCommand:
     def test_table5_config(self):
         output = run_cli(
             "simulate", "--ratio", "5/1", "--trials", "2",
-            "--fragments", "6", "--order-limit", "30",
+            "--fragments", "6",
         )
         assert "Worst/Optimal" in output
         assert "Greedy/Optimal" in output
