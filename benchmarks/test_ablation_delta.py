@@ -15,6 +15,13 @@ are their own contribution islands, so the closure stays row-sized.
 the whole subtree under it — that amplification is recorded in the
 sweep, not asserted against.)
 
+Detection is held to a *count*, not a time: the rows the source
+endpoint hands out during a delta round — to ``compute_delta``'s keyed
+lookups and to the program's scans alike — stay within a small
+constant of the rows shipped plus the rows tombstoned, at 1 % and 5 %
+change.  A return to whole-document detection reads every stored row
+and cannot pass.
+
 The measured ablation is written to ``BENCH_delta.json`` at the repo
 root (committed: the perf trajectory across PRs).
 """
@@ -22,12 +29,14 @@ root (committed: the perf trajectory across PRs).
 import json
 import pathlib
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.delta import endpoint_digest
 from repro.core.cost.model import MachineProfile
 from repro.core.program.journal import ExchangeJournal
+from repro.core.stream import FragmentStream
 from repro.net.transport import SimulatedChannel
 from repro.services.endpoint import RelationalEndpoint
 from repro.services.exchange import run_optimized_exchange
@@ -37,6 +46,11 @@ from repro.workloads.mutate import mutate_endpoint
 _SCENARIO = "LF->MF"
 _CHANGE_RATES = (0.01, 0.05, 0.10, 0.30)
 _COMM_CEILING_AT_10PCT = 0.3
+#: Source rows read per row shipped or tombstoned: each shipped row is
+#: read once to seed the closure and once by the scan, each tombstone
+#: looks up the row its parent occurrence is in.
+_READS_PER_CHANGE = 3
+_READ_BOUND_RATES = (0.01, 0.05)
 _DATAPLANES = {
     "materialized": {},
     "parallel": {"parallel_workers": 3},
@@ -46,9 +60,57 @@ _SWEEP: dict[float, dict[str, object]] = {}
 _PLANES: dict[str, dict[str, object]] = {}
 
 
+class _CountingSource:
+    """The source endpoint, counting every stored row it hands out:
+    scanned (any representation) or returned by a keyed lookup."""
+
+    def __init__(self, endpoint) -> None:
+        self._endpoint = endpoint
+        self.rows_read = 0
+
+    def __getattr__(self, name: str):
+        return getattr(self._endpoint, name)
+
+    def scan(self, fragment):
+        instance = self._endpoint.scan(fragment)
+        self.rows_read += instance.row_count()
+        return instance
+
+    def _counted(self, stream):
+        for batch in stream:
+            self.rows_read += batch.row_count()
+            yield batch
+
+    def scan_stream(self, fragment, *args):
+        return FragmentStream(fragment, self._counted(
+            self._endpoint.scan_stream(fragment, *args)
+        ))
+
+    def scan_stream_columnar(self, fragment, *args):
+        return FragmentStream(fragment, self._counted(
+            self._endpoint.scan_stream_columnar(fragment, *args)
+        ))
+
+    def rows_by_id(self, fragment, eids):
+        found = self._endpoint.rows_by_id(fragment, eids)
+        self.rows_read += len(found)
+        return found
+
+    def rows_by_parent(self, fragment, parent):
+        found = self._endpoint.rows_by_parent(fragment, parent)
+        self.rows_read += len(found)
+        return found
+
+    def row_holding(self, fragment, element, eid):
+        found = self._endpoint.row_holding(fragment, element, eid)
+        self.rows_read += found is not None
+        return found
+
+
 def _sync_pair(fragmentations, documents, size, knobs, rate, seed):
     """One full exchange, a mutation at ``rate``, a delta re-sync and
-    a fresh full reference — returns the outcomes and digests."""
+    a fresh full reference — returns the outcomes, the rows the source
+    read during the delta run, and whether the digests agree."""
     source_frag = fragmentations["LF"]
     target_frag = fragmentations["MF"]
     source = RelationalEndpoint(f"delta-src-{seed}", source_frag)
@@ -71,9 +133,10 @@ def _sync_pair(fragmentations, documents, size, knobs, rate, seed):
     mutate_endpoint(
         source, rate, seed=seed, delete_fraction=rate / 5.0
     )
+    counting = _CountingSource(source)
     started = time.perf_counter()
     delta = run_optimized_exchange(
-        program, placement, source, target, SimulatedChannel(),
+        program, placement, counting, target, SimulatedChannel(),
         _SCENARIO, journal=journal, delta=True, **knobs,
     )
     delta_wall = time.perf_counter() - started
@@ -85,18 +148,30 @@ def _sync_pair(fragmentations, documents, size, knobs, rate, seed):
     fragments = list(target_frag)
     identical = endpoint_digest(target, fragments) \
         == endpoint_digest(reference, fragments)
-    return full, delta, delta_wall, identical
+    return SimpleNamespace(
+        full=full, delta=delta, delta_wall=delta_wall,
+        rows_read=counting.rows_read,
+        tombstoned=len(source.versions.tombstones),
+        identical=identical,
+    )
 
 
 @pytest.mark.parametrize("rate", _CHANGE_RATES)
 def test_change_rate_sweep(rate, fragmentations, documents,
                            size_labels, results):
     size = size_labels[0]
-    full, delta, delta_wall, identical = _sync_pair(
+    pair = _sync_pair(
         fragmentations, documents, size, {}, rate,
         seed=int(rate * 1000),
     )
-    assert identical, f"delta diverged at change rate {rate}"
+    full, delta, rows_read = pair.full, pair.delta, pair.rows_read
+    assert pair.identical, f"delta diverged at change rate {rate}"
+    if rate in _READ_BOUND_RATES:
+        # Detection proportional to the change: a count, not a time.
+        assert rows_read <= _READS_PER_CHANGE * (
+            delta.delta_shipped_rows + pair.tombstoned
+        ), (rows_read, delta.delta_shipped_rows, pair.tombstoned)
+        assert rows_read < delta.delta_total_rows
     ratio = delta.comm_bytes / full.comm_bytes
     _SWEEP[rate] = {
         "full_comm_bytes": full.comm_bytes,
@@ -106,7 +181,8 @@ def test_change_rate_sweep(rate, fragmentations, documents,
         "shipped_rows": delta.delta_shipped_rows,
         "deleted_rows": delta.delta_deleted_rows,
         "total_rows": delta.delta_total_rows,
-        "delta_wall_seconds": round(delta_wall, 4),
+        "source_rows_read": rows_read,
+        "delta_wall_seconds": round(pair.delta_wall, 4),
     }
     results.record(
         "ablation-delta", f"r={rate:g}", "comm ratio",
@@ -124,12 +200,12 @@ def test_change_rate_sweep(rate, fragmentations, documents,
 def test_dataplane_byte_identity(plane, fragmentations, documents,
                                  size_labels, results):
     size = size_labels[0]
-    full, delta, _, identical = _sync_pair(
+    pair = _sync_pair(
         fragmentations, documents, size, _DATAPLANES[plane], 0.10,
         seed=100,
     )
-    assert identical, f"{plane} dataplane diverged"
-    ratio = delta.comm_bytes / full.comm_bytes
+    assert pair.identical, f"{plane} dataplane diverged"
+    ratio = pair.delta.comm_bytes / pair.full.comm_bytes
     _PLANES[plane] = {
         "comm_ratio": round(ratio, 4),
         "identical": True,

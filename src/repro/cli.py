@@ -265,6 +265,7 @@ def _run_delta_exchange(args: argparse.Namespace, out: TextIO,
     divergence."""
     from repro.core.delta import endpoint_digest
     from repro.core.program.journal import ExchangeJournal
+    from repro.errors import EndpointError
     from repro.workloads.mutate import mutate_endpoint
 
     program = build_transfer_program(
@@ -291,11 +292,15 @@ def _run_delta_exchange(args: argparse.Namespace, out: TextIO,
         source, args.change_rate, seed=args.seed,
         delete_fraction=args.change_rate / 5.0,
     )
-    delta = run_optimized_exchange(
-        program, placement, source, de_target, make_channel(),
-        scenario, journal=journal, delta=True, since=args.since,
-        **run_kwargs,
-    )
+    try:
+        delta = run_optimized_exchange(
+            program, placement, source, de_target, make_channel(),
+            scenario, journal=journal, delta=True, since=args.since,
+            **run_kwargs,
+        )
+    except EndpointError as exc:
+        # --since names a version the source has not reached.
+        raise SystemExit(f"--since: {exc}") from exc
     # The reference: re-exchange the mutated source from scratch.
     reference = RelationalEndpoint("reference-target", target_frag)
     run_optimized_exchange(

@@ -79,7 +79,7 @@ class ColumnLayout:
             and travel as row batches.
     """
 
-    __slots__ = ("fragment", "specs", "positions", "_elements")
+    __slots__ = ("fragment", "specs", "positions", "keys", "_elements")
 
     def __init__(self, fragment: Fragment) -> None:
         if not fragment.is_flat_storable():
@@ -117,6 +117,20 @@ class ColumnLayout:
         self.positions = {
             spec.name: index for index, spec in enumerate(specs)
         }
+        #: The key columns in schema pre-order (the root's ``id``
+        #: first) as ``(position, element, position of the key of the
+        #: element's parent in the fragment)`` — the last ``None`` at
+        #: the root.  What a stored tuple's occurrences are read off.
+        self.keys = [
+            (
+                self.positions[self.eid_column(spec.element)],
+                spec.element,
+                None if spec.role == "id" else self.positions[
+                    self.eid_column(schema.parent_name(spec.element))
+                ],
+            )
+            for spec in specs if spec.role in ("id", "eid")
+        ]
         #: Per element, where :meth:`row_from_cells` finds it: key
         #: position, text position (``None`` off the leaves),
         #: ``(attribute, position)`` pairs, child elements.
@@ -334,6 +348,25 @@ class ColumnBatch:
     def row_count(self) -> int:
         """Number of fragment-root occurrences in the slice."""
         return self.stop - self.start
+
+    __len__ = row_count
+
+    def where_id_in(self, keep: "set[int]") -> "ColumnBatch":
+        """The rows whose ``id`` is in ``keep``, in order — this batch
+        itself when that is all of them, else their cells gathered
+        into a new one."""
+        ids = self.column("id")
+        positions = [
+            index for index, eid in enumerate(ids) if eid in keep
+        ]
+        if len(positions) == len(ids):
+            return self
+        return ColumnBatch(
+            self.fragment,
+            [[cells[index] for index in positions]
+             for cells in map(self._cells, range(len(self.columns)))],
+            self.seq, self.layout,
+        )
 
     @property
     def rows(self) -> list[FragmentRow]:

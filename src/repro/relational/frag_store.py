@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 
 from repro.errors import RelationalError, TableError
 from repro.core.columnar import ColumnBatch, ColumnLayout
+from repro.core.delta import RowKeys
 from repro.core.fragment import Fragment
 from repro.core.fragmentation import Fragmentation
 from repro.core.instance import ElementData, FragmentInstance, FragmentRow
@@ -114,11 +115,7 @@ class FragmentRelationMapper:
             table = db.table(layout.table_name)
             for column in ("id", "parent"):
                 if table.get_index(column) is None:
-                    key = f"hash:{column}"
-                    if key in table.indexes:
-                        table.indexes[key].build(table.rows)
-                    else:
-                        table.create_index(column, "hash")
+                    table.lookup_index(column)
                     built += 1
         return built
 
@@ -173,19 +170,68 @@ class FragmentRelationMapper:
                 "id", eids
             )
 
+    def merge_rows(self, db: Database, fragment: Fragment,
+                   rows: "Iterable[FragmentRow] | ColumnBatch") -> int:
+        """Upsert by root eid — the storing half of a delta merge:
+        stored ids are replaced in place, new ones appended, the
+        table's built indexes patched row by row (no LOAD, so nothing
+        goes stale).  A columnar batch goes in as its columns, row
+        trees are flattened per row."""
+        layout = self.layout_for(fragment)
+        with self._table_locks[fragment.name]:
+            table = db.table(layout.table_name)
+            if isinstance(rows, ColumnBatch):
+                return table.upsert_columns(
+                    [rows.column(spec.name) for spec in layout.specs]
+                )
+            return table.upsert(map(layout.cells_from_row, rows))
+
+    # -- keyed reads (delta detection) ---------------------------------------------
+
+    def row_keys(self, db: Database, fragment: Fragment, column: str,
+                 values: Iterable[int]) -> list[RowKeys]:
+        """The keys of the rows whose key ``column`` — ``id``,
+        ``parent`` or an ``<element>_eid`` — holds one of ``values``,
+        read through a hash index on that column.  The index is made
+        by the first read that needs it: ``id``, ``parent`` and the
+        anchor columns child fragments point into, on the tables
+        delta detection reads and on no other."""
+        layout = self.layout_for(fragment)
+        with self._table_locks[fragment.name]:
+            found = db.table(layout.table_name).rows_where(
+                column, values
+            )
+        plan = layout.keys
+        return [
+            RowKeys(raw[0], raw[1], tuple([
+                (raw[at], name, None if up is None else raw[up])
+                for at, name, up in plan if raw[at] is not None
+            ]))
+            for raw in found
+        ]
+
     # -- scanning ----------------------------------------------------------------------
 
-    def _sorted_feed(self, db: Database, fragment: Fragment
+    def _sorted_feed(self, db: Database, fragment: Fragment,
+                     eids: "set[int] | None" = None
                      ) -> tuple["_FragmentLayout", list[tuple]]:
         """The fragment's layout and the raw sorted feed of its table
         (``SELECT *`` returns the table's columns, which are the
-        layout's, in order)."""
+        layout's, in order).  With ``eids`` the feed of just those
+        rows: fetched by id, then put in the same ``parent`` (NULLs
+        first), ``id`` order — work proportional to the answer."""
         layout = self.layout_for(fragment)
         with self._table_locks[fragment.name]:
-            result = db.execute(
-                f"SELECT * FROM {layout.table_name} ORDER BY parent, id"
-            )
-        return layout, result.rows
+            if eids is None:
+                return layout, db.execute(
+                    f"SELECT * FROM {layout.table_name} "
+                    "ORDER BY parent, id"
+                ).rows
+            found = db.table(layout.table_name).rows_where("id", eids)
+        found.sort(
+            key=lambda raw: (raw[1] is not None, raw[1] or 0, raw[0])
+        )
+        return layout, found
 
     def scan_fragment(self, db: Database,
                       fragment: Fragment) -> FragmentInstance:
@@ -196,9 +242,11 @@ class FragmentRelationMapper:
         )
 
     def scan_fragment_columns(self, db: Database, fragment: Fragment,
-                              batch_rows: int
+                              batch_rows: int,
+                              eids: "set[int] | None" = None
                               ) -> Iterator[ColumnBatch]:
-        """Read a fragment as a stream of columnar batches.
+        """Read a fragment — or just its rows ``eids`` — as a stream
+        of columnar batches.
 
         Same sorted ``SELECT`` as :meth:`scan_fragment`, but no trees
         are built at all: the raw tuples are transposed into the
@@ -207,7 +255,7 @@ class FragmentRelationMapper:
         is a string — SQL ``NULL`` normalizes to ``""`` exactly as the
         tree round-trip does; cells of absent elements are ``None``).
         """
-        layout, raw_rows = self._sorted_feed(db, fragment)
+        layout, raw_rows = self._sorted_feed(db, fragment, eids)
         specs = layout.specs
         positions = layout.positions
         # Presence of an element is keyed by its id/eid column.

@@ -4,7 +4,10 @@ Index maintenance is what Table 4 of the paper times separately from
 loading; :class:`Table` therefore does *not* maintain indexes during
 bulk loads — they are built explicitly afterwards, and
 :meth:`HashIndex.build` / :meth:`SortedIndex.build` do the measurable
-work.
+work.  Row-at-a-time writes (``insert``, ``upsert``, ``delete_where``)
+are the other discipline: they patch every *built* hash index for
+exactly the rows they touch (:meth:`HashIndex.add` / ``discard`` /
+``renumber``), so a delta merge leaves nothing to rebuild.
 """
 
 from __future__ import annotations
@@ -34,8 +37,28 @@ class HashIndex:
         self.built = True
 
     def add(self, row_id: int, row: tuple) -> None:
-        """Index one appended row (incremental maintenance)."""
-        self._buckets.setdefault(row[self.position], []).append(row_id)
+        """Index one row (incremental maintenance).  Buckets stay in
+        ascending row-id order, as :meth:`build` leaves them."""
+        bucket = self._buckets.setdefault(row[self.position], [])
+        if bucket and bucket[-1] > row_id:
+            bisect.insort(bucket, row_id)
+        else:
+            bucket.append(row_id)
+
+    def discard(self, row_id: int, row: tuple) -> None:
+        """Forget that ``row`` is stored at ``row_id``."""
+        value = row[self.position]
+        bucket = self._buckets[value]
+        if len(bucket) == 1:
+            del self._buckets[value]
+        else:
+            del bucket[bisect.bisect_left(bucket, row_id)]
+
+    def renumber(self, old_id: int, new_id: int, row: tuple) -> None:
+        """``row`` moved from ``old_id`` to ``new_id`` (a swap-remove
+        filled a hole with the table's last row)."""
+        self.discard(old_id, row)
+        self.add(new_id, row)
 
     def lookup(self, value: object) -> list[int]:
         """Row ids whose column equals ``value``."""

@@ -11,7 +11,17 @@ from repro.relational.schema import TableSchema
 
 
 class Table:
-    """An append-oriented heap of typed rows plus its indexes."""
+    """A heap of typed rows plus its indexes.
+
+    Two write disciplines.  ``bulk_load`` / ``load_columns`` append
+    and leave every index stale (LOAD, then INDEX — the paper's Table
+    4 times them separately).  ``insert`` / ``upsert`` /
+    ``delete_where`` touch single rows and patch every *built* hash
+    index for exactly those rows, so they cost what they change; an
+    index that is not built, and any sorted index, is left stale for
+    the next :meth:`build_indexes`.  Heap order carries no meaning
+    (a delete fills its hole with the last row): ordered reads sort.
+    """
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
@@ -93,11 +103,70 @@ class Table:
         for index in self.indexes.values():
             index.build(self.rows)
 
+    def upsert(self, rows: Iterable[Sequence[object]]) -> int:
+        """Store ``rows`` by primary key: a row whose key is already
+        stored replaces that row in place, any other is appended.
+        Checked per cell like :meth:`bulk_load`; indexes are patched,
+        not invalidated.  Returns the number of rows stored.
+
+        Raises:
+            TableError: if the table declares no primary key.
+        """
+        return self._upsert([self._coerced(values) for values in rows])
+
+    def upsert_columns(self, columns: Sequence[list]) -> int:
+        """:meth:`upsert` for rows that arrive as one list per column,
+        with :meth:`load_columns`' one type test per column (that
+        method's own copy of the test is left alone: it is the
+        full-exchange hot path)."""
+        schema_columns = self.schema.columns
+        stored_as_is = len(columns) == len(schema_columns) and all(
+            set(map(type, cells)) <= {column.type.python_type, NoneType}
+            and (column.nullable or None not in cells)
+            for column, cells in zip(schema_columns, columns)
+        )
+        if not stored_as_is:
+            return self.upsert(zip(*columns))
+        return self._upsert(list(zip(*columns)))
+
+    def _upsert(self, rows: list[tuple]) -> int:
+        key = self.schema.primary_key
+        if key is None:
+            raise TableError(
+                f"table {self.schema.name!r} has no primary key to "
+                "upsert by"
+            )
+        key_at = self.schema.position(key)
+        by_key = self.lookup_index(key)
+        live = self._live_indexes()
+        stored = self.rows
+        for row in rows:
+            held = by_key.lookup(row[key_at])
+            if len(held) > 1:
+                # Duplicates of one key (only a LOAD can leave them)
+                # collapse into the one incoming row.
+                self._remove(list(held))
+                held = []
+            if held:
+                row_id = held[0]
+                old = stored[row_id]
+                stored[row_id] = row
+                for index in live:
+                    if old[index.position] != row[index.position]:
+                        index.discard(row_id, old)
+                        index.add(row_id, row)
+            else:
+                stored.append(row)
+                for index in live:
+                    index.add(len(stored) - 1, row)
+        return len(rows)
+
     def delete_where(self, column: str,
                      keys: Iterable[object]) -> int:
         """Delete rows whose ``column`` value is in ``keys``; returns
-        how many were removed.  Indexes go stale (DELETE then rebuild,
-        matching the separately timed LOAD/INDEX discipline).
+        how many were removed.  The rows are found through a built
+        hash index on ``column`` when there is one (else by reading
+        the column) and swap-removed with the indexes patched.
 
         Raises:
             TableError: for unknown columns.
@@ -106,15 +175,46 @@ class Table:
         wanted = set(keys)
         if not wanted:
             return 0
-        before = len(self.rows)
-        self.rows = [
-            row for row in self.rows if row[position] not in wanted
-        ]
-        deleted = before - len(self.rows)
-        if deleted:
-            for index in self.indexes.values():
+        index = self.get_index(column)
+        if index is not None:
+            doomed = [
+                row_id for key in wanted for row_id in index.lookup(key)
+            ]
+        else:
+            doomed = [
+                row_id for row_id, row in enumerate(self.rows)
+                if row[position] in wanted
+            ]
+        self._remove(doomed)
+        return len(doomed)
+
+    def _live_indexes(self) -> list[HashIndex]:
+        """The indexes a row-at-a-time write patches — every built
+        hash index; all others are marked stale here."""
+        live = []
+        for index in self.indexes.values():
+            if index.built and index.kind == "hash":
+                live.append(index)
+            else:
                 index.built = False
-        return deleted
+        return live
+
+    def _remove(self, row_ids: list[int]) -> None:
+        """Swap-remove the rows at ``row_ids`` (distinct), highest
+        first so that the row filling a hole is never itself doomed."""
+        if not row_ids:
+            return
+        live = self._live_indexes()
+        rows = self.rows
+        for row_id in sorted(row_ids, reverse=True):
+            doomed = rows[row_id]
+            last = rows.pop()
+            for index in live:
+                index.discard(row_id, doomed)
+            if row_id != len(rows):
+                rows[row_id] = last
+                for index in live:
+                    index.renumber(len(rows), row_id, last)
 
     # -- indexes ------------------------------------------------------------------
 
@@ -153,6 +253,19 @@ class Table:
                 rebuilt += 1
         return rebuilt
 
+    def lookup_index(self, column: str) -> HashIndex:
+        """The hash index on ``column``, built: created here if the
+        table has none, rebuilt here if a LOAD left it stale.  The
+        keyed reads and writes (:meth:`rows_where`, :meth:`upsert`)
+        come through this, so an index exists only on tables that
+        are read or written by key, from the first time they are."""
+        index = self.indexes.get(f"hash:{column.lower()}")
+        if index is None:
+            return self.create_index(column)
+        if not index.built:
+            index.build(self.rows)
+        return index
+
     def get_index(self, column: str,
                   kind: str = "hash") -> HashIndex | SortedIndex | None:
         """Return a *built* index on ``column`` of ``kind``, else None."""
@@ -167,8 +280,17 @@ class Table:
         return len(self.rows)
 
     def scan(self) -> Iterator[tuple]:
-        """All rows in insertion order."""
+        """All rows in heap order (insertion order until a delete
+        moves the last row into the hole it leaves)."""
         return iter(self.rows)
+
+    def rows_where(self, column: str,
+                   keys: Iterable[object]) -> list[tuple]:
+        """Rows whose ``column`` value is in ``keys`` (distinct), read
+        through :meth:`lookup_index` — proportional to the answer."""
+        lookup = self.lookup_index(column).lookup
+        rows = self.rows
+        return [rows[row_id] for key in keys for row_id in lookup(key)]
 
     def column_values(self, column: str) -> list[object]:
         """All values of one column, in row order."""

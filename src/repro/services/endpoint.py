@@ -21,7 +21,7 @@ from repro.core.cost.model import (
     MachineProfile,
     operation_work,
 )
-from repro.core.delta import VersionLog
+from repro.core.delta import RowKeys, VersionLog
 from repro.core.fragment import Fragment
 from repro.core.fragmentation import Fragmentation
 from repro.core.instance import ElementData, FragmentInstance, FragmentRow
@@ -54,6 +54,9 @@ class SystemEndpoint(abc.ABC):
         #: Version log of the stored data; ``None`` until
         #: :meth:`enable_versioning` arms delta exchange.
         self.versions: VersionLog | None = None
+        # The default keyed-lookup surface: one scan per fragment,
+        # kept until that fragment is written (see _stored_keys).
+        self._scanned_keys: dict[str, _ScannedKeys] = {}
         # Serializes whole-store access for endpoints without finer
         # locking; a multi-worker run calls scan/write concurrently.
         self._store_lock = threading.RLock()
@@ -101,22 +104,71 @@ class SystemEndpoint(abc.ABC):
         self.write(fragment, stream.materialize())
 
     def scan_stream_columnar(self, fragment: Fragment,
-                             batch_rows: int = DEFAULT_BATCH_ROWS
+                             batch_rows: int = DEFAULT_BATCH_ROWS,
+                             eids: "set[int] | None" = None
                              ) -> "FragmentStream":
         """Produce the stored feed as :class:`~repro.core.columnar.
         ColumnBatch` batches — how every flat-storable fragment
-        travels.
+        travels.  With ``eids``, the feed of just the rows with those
+        root eids, in feed order (a delta run's ship set).
 
-        The default flattens the row-batch stream batch by batch;
-        endpoints whose store is already tabular (the relational one)
-        override this to skip tree building entirely.
+        The default flattens the row-batch stream (filtering it first
+        when ``eids`` is given); endpoints whose store is already
+        tabular (the relational one) override this to skip tree
+        building entirely and to fetch ``eids`` by key.
         """
         row_stream = self.scan_stream(fragment, batch_rows)
+        if eids is not None:
+            row_stream = FragmentStream.from_rows(
+                fragment,
+                (row for batch in row_stream for row in batch.rows
+                 if row.eid in eids),
+                batch_rows,
+            )
         return FragmentStream(
             fragment,
             (ColumnBatch.from_row_batch(batch)
              for batch in row_stream),
         )
+
+    # -- keyed lookups (delta detection, cascading deletes) -----------------
+    #
+    # What reads a few rows by key instead of scanning a fragment.  The
+    # default answers from one scan per fragment, kept until the
+    # fragment is next written; the relational endpoint answers from
+    # hash indexes and never scans.
+
+    def _stored_keys(self, fragment: Fragment) -> "_ScannedKeys":
+        with self._store_lock:
+            keys = self._scanned_keys.get(fragment.name)
+            if keys is None:
+                keys = self._scanned_keys[fragment.name] = \
+                    _ScannedKeys(self.scan(fragment).rows)
+            return keys
+
+    def row_count(self, fragment: Fragment) -> int:
+        """Rows stored for ``fragment``."""
+        return len(self._stored_keys(fragment).by_id)
+
+    def rows_by_id(self, fragment: Fragment,
+                   eids: "set[int] | list[int]") -> list[RowKeys]:
+        """Keys of the stored rows of ``fragment`` with a root eid in
+        ``eids`` (eids that are not stored are skipped)."""
+        by_id = self._stored_keys(fragment).by_id
+        return [by_id[eid] for eid in eids if eid in by_id]
+
+    def rows_by_parent(self, fragment: Fragment,
+                       parent: int) -> list[RowKeys]:
+        """Keys of the stored rows of ``fragment`` whose PARENT
+        reference is occurrence ``parent``."""
+        return self._stored_keys(fragment).by_parent.get(parent, [])
+
+    def row_holding(self, fragment: Fragment, element: str,
+                    eid: int) -> RowKeys | None:
+        """Keys of the stored row of ``fragment`` that holds
+        occurrence ``eid`` of ``element`` — the fragment's root or an
+        element other stored fragments hang under — if any."""
+        return self._stored_keys(fragment).holding.get(eid)
 
     # -- versioned mutation (delta exchange) --------------------------------
 
@@ -138,9 +190,10 @@ class SystemEndpoint(abc.ABC):
         )
 
     def merge_rows(self, fragment: Fragment,
-                   rows: list[FragmentRow]) -> int:
+                   rows: "list[FragmentRow] | ColumnBatch") -> int:
         """Upsert ``rows`` by eid: replace stored rows with matching
-        ids, append the rest.  The write discipline of a delta merge.
+        ids, append the rest.  The write discipline of a delta merge;
+        takes the rows as trees or as one columnar batch.
 
         Raises:
             EndpointError: when the store cannot merge rows.
@@ -205,26 +258,25 @@ class SystemEndpoint(abc.ABC):
                         version: int) -> None:
         """Delete rows and, recursively, the rows of other fragments
         anchored inside them (a deleted subtree takes its cross-
-        fragment children with it; every removed row is tombstoned)."""
+        fragment children with it; every removed row is tombstoned).
+        Found by key: the doomed rows by id, their dependents by
+        ``parent`` under the doomed occurrences."""
         assert self.versions is not None
-        removed = [
-            row for row in self.scan(fragment).rows if row.eid in eids
-        ]
-        gone_occurrences: set[int] = set()
-        for row in removed:
-            self.versions.record_delete(fragment.name, row, version)
-            gone_occurrences.update(
-                node.eid for node in row.data.iter_all()
-            )
-        self.delete_rows(fragment, {row.eid for row in removed})
-        if not gone_occurrences:
-            return
+        removed = self.rows_by_id(fragment, eids)
+        for keys in removed:
+            self.versions.record_delete(fragment.name, keys, version)
+        self.delete_rows(fragment, {keys.eid for keys in removed})
         for other in self.stored_fragments():
-            if other.name == fragment.name:
+            anchor = other.parent_element()
+            if other.name == fragment.name \
+                    or anchor not in fragment.elements:
                 continue
             dependents = {
-                row.eid for row in self.scan(other).rows
-                if row.parent in gone_occurrences
+                child.eid
+                for keys in removed
+                for eid, element, _ in keys.occurrences
+                if element == anchor
+                for child in self.rows_by_parent(other, eid)
             }
             if dependents:
                 self._delete_cascade(other, dependents, version)
@@ -301,14 +353,17 @@ class RelationalEndpoint(SystemEndpoint):
         self.mapper.load_instance(self.db, fragment, instance)
 
     def scan_stream_columnar(self, fragment: Fragment,
-                             batch_rows: int = DEFAULT_BATCH_ROWS
+                             batch_rows: int = DEFAULT_BATCH_ROWS,
+                             eids: "set[int] | None" = None
                              ) -> FragmentStream:
         """Stream the fragment as columnar batches sliced straight off
-        the sorted table feed — no occurrence trees anywhere."""
+        the sorted table feed — no occurrence trees anywhere; with
+        ``eids``, off just those rows fetched through the ``id``
+        index."""
         return FragmentStream(
             fragment,
             self.mapper.scan_fragment_columns(
-                self.db, fragment, batch_rows
+                self.db, fragment, batch_rows, eids
             ),
         )
 
@@ -332,15 +387,30 @@ class RelationalEndpoint(SystemEndpoint):
         return self.mapper.delete_rows(self.db, fragment, eids)
 
     def merge_rows(self, fragment: Fragment,
-                   rows: list[FragmentRow]) -> int:
-        """Upsert into the fragment table: delete matching ids, then
-        bulk-load the replacement rows (the table scan's ``ORDER BY
+                   rows: "list[FragmentRow] | ColumnBatch") -> int:
+        """Upsert into the fragment table in place, its built indexes
+        patched for the touched rows (the table scan's ``ORDER BY
         parent, id`` restores feed order regardless of heap order)."""
-        self.mapper.delete_rows(
-            self.db, fragment, [row.eid for row in rows]
+        return self.mapper.merge_rows(self.db, fragment, rows)
+
+    def row_count(self, fragment: Fragment) -> int:
+        return self.db.row_count(self.mapper.table_name(fragment))
+
+    def rows_by_id(self, fragment: Fragment,
+                   eids: "set[int] | list[int]") -> list[RowKeys]:
+        return self.mapper.row_keys(self.db, fragment, "id", eids)
+
+    def rows_by_parent(self, fragment: Fragment,
+                       parent: int) -> list[RowKeys]:
+        return self.mapper.row_keys(
+            self.db, fragment, "parent", (parent,)
         )
-        self.mapper.load_rows(self.db, fragment, rows)
-        return len(rows)
+
+    def row_holding(self, fragment: Fragment, element: str,
+                    eid: int) -> RowKeys | None:
+        column = self.mapper.layout_for(fragment).eid_column(element)
+        found = self.mapper.row_keys(self.db, fragment, column, (eid,))
+        return found[0] if found else None
 
     def build_indexes(self) -> int:
         """Create/refresh the standard indexes (the separately timed
@@ -375,8 +445,7 @@ class InMemoryEndpoint(SystemEndpoint):
 
     def put(self, instance: FragmentInstance) -> None:
         """Seed the store with an instance (keyed by fragment name)."""
-        with self._store_lock:
-            self.store[instance.fragment.name] = instance
+        self.write(instance.fragment, instance)
 
     def scan(self, fragment: Fragment) -> FragmentInstance:
         with self._store_lock:
@@ -413,12 +482,7 @@ class InMemoryEndpoint(SystemEndpoint):
               instance: FragmentInstance) -> None:
         with self._store_lock:
             self.store[fragment.name] = instance
-
-    def write_stream(self, fragment: Fragment,
-                     stream: FragmentStream) -> None:
-        instance = stream.materialize()
-        with self._store_lock:
-            self.store[fragment.name] = instance
+            self._scanned_keys.pop(fragment.name, None)
 
     def stored_fragments(self) -> list[Fragment]:
         with self._store_lock:
@@ -437,25 +501,18 @@ class InMemoryEndpoint(SystemEndpoint):
             stored.rows = [
                 row for row in stored.rows if row.eid not in doomed
             ]
+            self._scanned_keys.pop(fragment.name, None)
             return before - len(stored.rows)
 
     def merge_rows(self, fragment: Fragment,
-                   rows: list[FragmentRow]) -> int:
-        replaced = {row.eid for row in rows}
+                   rows: "list[FragmentRow] | ColumnBatch") -> int:
         with self._store_lock:
             stored = self.store.get(fragment.name)
             if stored is None:
                 stored = self.store[fragment.name] = \
                     FragmentInstance(fragment)
-            stored.rows = [
-                row for row in stored.rows
-                if row.eid not in replaced
-            ]
-            stored.rows.extend(rows)
-            # Keep the canonical sorted-feed order, so a delta-merged
-            # store reads back identical to a full rewrite.
-            stored.sort()
-            return len(rows)
+            self._scanned_keys.pop(fragment.name, None)
+            return _merge_into(stored, rows)
 
 
 class DirectoryEndpoint(SystemEndpoint):
@@ -510,17 +567,11 @@ class DirectoryEndpoint(SystemEndpoint):
         """
         with self._store_lock:
             self._written[fragment.name] = instance
-            self._materialized = False
+            self._written_changed(fragment)
 
-    def write_stream(self, fragment: Fragment,
-                     stream: FragmentStream) -> None:
-        """Accept a fragment feed batch by batch (same deferred
-        materialization as :meth:`write`; the directory tree itself is
-        only built parent-first in :meth:`materialize`)."""
-        instance = stream.materialize()
-        with self._store_lock:
-            self._written[fragment.name] = instance
-            self._materialized = False
+    def _written_changed(self, fragment: Fragment) -> None:
+        self._materialized = False
+        self._scanned_keys.pop(fragment.name, None)
 
     def stored_fragments(self) -> list[Fragment]:
         with self._store_lock:
@@ -540,25 +591,18 @@ class DirectoryEndpoint(SystemEndpoint):
             stored.rows = [
                 row for row in stored.rows if row.eid not in doomed
             ]
-            self._materialized = False
+            self._written_changed(fragment)
             return before - len(stored.rows)
 
     def merge_rows(self, fragment: Fragment,
-                   rows: list[FragmentRow]) -> int:
-        replaced = {row.eid for row in rows}
+                   rows: "list[FragmentRow] | ColumnBatch") -> int:
         with self._store_lock:
             stored = self._written.get(fragment.name)
             if stored is None:
                 stored = self._written[fragment.name] = \
                     FragmentInstance(fragment)
-            stored.rows = [
-                row for row in stored.rows
-                if row.eid not in replaced
-            ]
-            stored.rows.extend(rows)
-            stored.sort()
-            self._materialized = False
-            return len(rows)
+            self._written_changed(fragment)
+            return _merge_into(stored, rows)
 
     def materialize(self) -> DirectoryStore:
         """(Re)build the directory tree from every written fragment.
@@ -619,6 +663,39 @@ class DirectoryEndpoint(SystemEndpoint):
             pending = deferred
         self._materialized = True
         return self.store
+
+
+class _ScannedKeys:
+    """Keyed views over one scan of a fragment — what the default
+    lookup surface of :class:`SystemEndpoint` answers from."""
+
+    def __init__(self, rows: list[FragmentRow]) -> None:
+        self.by_id: dict[int, RowKeys] = {}
+        self.by_parent: dict[int | None, list[RowKeys]] = {}
+        #: Occurrence eid (of any element) -> the row it is in.
+        self.holding: dict[int, RowKeys] = {}
+        for row in rows:
+            keys = RowKeys.of_row(row)
+            self.by_id[keys.eid] = keys
+            self.by_parent.setdefault(keys.parent, []).append(keys)
+            for eid, _, _ in keys.occurrences:
+                self.holding[eid] = keys
+
+
+def _merge_into(stored: FragmentInstance,
+                rows: "list[FragmentRow] | ColumnBatch") -> int:
+    """Upsert ``rows`` into a stored instance by eid, keeping the
+    canonical sorted-feed order, so a delta-merged store reads back
+    identical to a full rewrite."""
+    if isinstance(rows, ColumnBatch):
+        rows = rows.rows
+    replaced = {row.eid for row in rows}
+    stored.rows = [
+        row for row in stored.rows if row.eid not in replaced
+    ]
+    stored.rows.extend(rows)
+    stored.sort()
+    return len(rows)
 
 
 def statistics_from_store(db: Database,

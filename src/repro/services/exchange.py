@@ -194,12 +194,15 @@ def run_optimized_exchange(
     enable_versioning`), changed rows since ``since`` (default: the
     journal's last completed sync, else 0 — everything) are computed
     via :func:`~repro.core.delta.compute_delta`, the program runs over
-    the filtered feed through :class:`~repro.core.delta.
-    DeltaSourceView`, and the target merges by eid through
+    the ship set, fetched by id, through :class:`~repro.core.delta.
+    DeltaSourceView`, and the target merges by eid, in place, through
     :class:`~repro.core.delta.DeltaTargetView` (tombstoned target rows
     are deleted first).  The merged target is byte-identical to a full
-    re-exchange; only the changed subset crosses
-    the wire.  A completed run records the covered high-water version
+    re-exchange; only the changed subset crosses the wire, and every
+    step — detection, scan, merge, index upkeep — costs what changed,
+    not what is stored.  A ``since`` the source's version log has not
+    reached raises :class:`~repro.errors.EndpointError` (and records
+    no sync).  A completed run records the covered high-water version
     in the ``journal`` (``sync`` event), so the next delta resumes
     where this one *finished* — a killed run never advances it.  Delta
     does not compose with ``adaptive``.

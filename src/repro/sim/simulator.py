@@ -156,20 +156,19 @@ class DeltaCostEstimate:
     """Predicted cost of one incremental delta re-exchange at a given
     change rate, against re-running the exchange from scratch.
 
-    A delta run cannot skip change detection: ``compute_delta`` scans
-    every source row to rebuild the occurrence maps, so the scan-side
-    computation is a fixed floor (``detect_cost``).  Everything
-    downstream of the scans — shipping, splits, combines, writes —
-    scales with the fraction of rows that actually changed, inflated
-    by ``amplification`` when the contribution closure drags unchanged
-    rows along (mutating a spine row re-ships its whole subtree)."""
+    Change detection is a closure seeded from the version log and
+    walked through keyed lookups
+    (:func:`~repro.core.delta.compute_delta`), so nothing in a delta
+    run is paid per stored row: scans, shipping, splits, combines and
+    writes all scale with the fraction of rows that actually changed,
+    inflated by ``amplification`` when the contribution closure drags
+    unchanged rows along (mutating a spine row re-ships its whole
+    subtree)."""
 
     #: Fraction of source rows changed since the last sync, in [0, 1].
     change_rate: float
     #: One full re-exchange, formula-1 units.
     full_cost: float
-    #: Fixed change-detection floor (the full source scan).
-    detect_cost: float
     #: Predicted cost of the delta run at this change rate.
     delta_cost: float
 
@@ -622,19 +621,14 @@ class ExchangeSimulator:
         re-exchange costs when ``r`` of the source rows changed since
         the last sync.  The full exchange is optimized and priced once
         (Algorithm 1 placement over combine orders); a delta run then
-        pays:
-
-        * the **detection floor** — the scan-side computation in full,
-          because :func:`~repro.core.delta.compute_delta` reads every
-          source row to rebuild the occurrence maps before it can tell
-          changed from unchanged;
-        * ``min(1, r * amplification)`` of **everything else** —
-          shipping, splits, combines and writes all scale with the
-          rows that travel.  ``amplification`` (>= 1) models the
-          contribution closure dragging unchanged rows along so no
-          dataplane sees a combine orphan: 1.0 is the fine-grained
-          best case (each changed row is its own island); coarse
-          spine mutations push it well above 1.
+        pays ``min(1, r * amplification)`` of it — detection reads
+        the changed rows and their anchors, not the document, and
+        scans, shipping, splits, combines and writes all scale with
+        the rows that travel.  ``amplification`` (>= 1) models the
+        contribution closure dragging unchanged rows along so no
+        dataplane sees a combine orphan: 1.0 is the fine-grained best
+        case (each changed row is its own island); coarse spine
+        mutations push it well above 1.
 
         Raises ``ValueError`` on a rate outside [0, 1] or
         ``amplification < 1``.
@@ -657,21 +651,11 @@ class ExchangeSimulator:
         with self.tracer.span("price exchange", "sim"):
             breakdown = model.breakdown(best.program, best.placement)
         full = breakdown.total
-        detect = sum(
-            self.weights.computation * model.comp_cost(
-                node, best.placement[node.op_id], "row"
-            )
-            for node in best.program.scans()
-        )
-        variable = max(0.0, full - detect)
         return [
             DeltaCostEstimate(
                 change_rate=rate,
                 full_cost=full,
-                detect_cost=detect,
-                delta_cost=detect + variable * min(
-                    1.0, rate * amplification
-                ),
+                delta_cost=full * min(1.0, rate * amplification),
             )
             for rate in change_rates
         ]

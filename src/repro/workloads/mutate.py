@@ -92,9 +92,9 @@ def mutate_endpoint(endpoint: SystemEndpoint, fraction: float,
                 len(rows) - picked,
                 max(1, round(delete_fraction * len(rows))),
             )
+            updated = set(map(id, updates))
             survivors = [
-                row.eid for row in rows
-                if all(row is not update for update in updates)
+                row.eid for row in rows if id(row) not in updated
             ]
             if doomed > 0 and survivors:
                 deletes = set(

@@ -65,6 +65,64 @@ class TestVersionLog:
         # The stamp died with the row.
         assert log.version_of("Order", 4) == 0
 
+    def test_changes_since_bisects_to_the_latest_stamps(self):
+        log = VersionLog()
+        first = log.bump()
+        for eid in (1, 2, 3):
+            log.stamp("F", eid)
+        second = log.bump()
+        log.stamp("F", 2)
+        log.stamp("G", 9)
+        log.record_delete("F", _rows([3])[0], version=log.bump())
+        assert log.changes_since(0) == {"F": {1, 2}, "G": {9}}
+        assert log.changes_since(first) == {"F": {2}, "G": {9}}
+        assert log.changes_since(second) == {}
+        # A late stamp with an old version keeps the list ordered.
+        log.stamp("F", 7, version=first)
+        assert log.changes_since(0)["F"] == {1, 2, 7}
+        assert log.changes_since(first) == {"F": {2}, "G": {9}}
+
+    def test_change_list_is_bounded_by_the_live_rows(self):
+        log = VersionLog()
+        for _ in range(50):
+            version = log.bump()
+            for eid in range(10):
+                log.stamp("F", eid, version)
+        assert len(log._changes) <= 2 * 10
+        assert log.changes_since(49) == {"F": set(range(10))}
+        assert log.changes_since(50) == {}
+
+    def test_concurrent_stampers_keep_the_list_ordered(self):
+        import sys
+        import threading
+
+        log = VersionLog()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def mutate(worker: int) -> None:
+            for step in range(200):
+                log.stamp("F", worker * 1000 + step % 50, log.bump())
+
+        threads = [
+            threading.Thread(target=mutate, args=(worker,))
+            for worker in range(8)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        versions = [version for version, _, _ in log._changes]
+        assert versions == sorted(versions)
+        assert log.changes_since(0) == {"F": {
+            worker * 1000 + eid
+            for worker in range(8) for eid in range(50)
+        }}
+
     def test_tombstones_since_filters_by_version(self):
         log = VersionLog()
         early = log.bump()
@@ -89,6 +147,15 @@ class TestComputeDelta:
         bare = InMemoryEndpoint("unversioned")
         with pytest.raises(EndpointError, match="no version log"):
             compute_delta(bare, list(auction_mf), list(auction_lf), 0)
+
+    def test_since_ahead_of_the_log_is_an_error(
+            self, versioned_mf, auction_mf, auction_lf):
+        current = versioned_mf.versions.current
+        with pytest.raises(EndpointError) as error:
+            compute_delta(versioned_mf, list(auction_mf),
+                          list(auction_lf), current + 1)
+        assert f"since version {current + 1}" in str(error.value)
+        assert f"only at version {current}" in str(error.value)
 
     def test_no_changes_is_empty(self, versioned_mf, auction_mf,
                                  auction_lf):

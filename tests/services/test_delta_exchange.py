@@ -135,6 +135,28 @@ class TestDeltaGuards:
                 target, SimulatedChannel(), delta=True,
             )
 
+    def test_since_ahead_of_the_log_records_no_sync(
+            self, auction_mf, auction_lf, auction_document):
+        source, program, placement = _setup(
+            auction_mf, auction_lf, auction_document
+        )
+        journal = ExchangeJournal()
+        target = RelationalEndpoint("ahead-tgt", auction_lf)
+        run_optimized_exchange(
+            program, placement, source, target, SimulatedChannel(),
+            journal=journal,
+        )
+        synced = journal.last_sync_version()
+        mutate_endpoint(source, 0.1, seed=4)
+        with pytest.raises(EndpointError, match="only at version"):
+            run_optimized_exchange(
+                program, placement, source, target,
+                SimulatedChannel(), journal=journal, delta=True,
+                since=source.versions.current + 5,
+            )
+        # Not a silent no-op: the change is still owed.
+        assert journal.last_sync_version() == synced
+
     def test_adaptive_combination_rejected(
             self, auction_schema, auction_mf, auction_lf,
             auction_document):

@@ -337,8 +337,8 @@ class TestShardedExchangeCosts:
 
 
 class TestDeltaExchangeCosts:
-    """Incremental sync pricing: a fixed detection floor plus a
-    change-rate-proportional variable part."""
+    """Incremental sync pricing: the full exchange, scaled by the
+    fraction of rows that travel."""
 
     def test_sweep_is_monotone_and_bounded(self, simulator,
                                            fragmentations):
@@ -352,14 +352,15 @@ class TestDeltaExchangeCosts:
         assert [e.change_rate for e in estimates] == rates
         deltas = [e.delta_cost for e in estimates]
         assert deltas == sorted(deltas)
-        # Nothing changed: only the detection scan is paid.
-        assert estimates[0].delta_cost \
-            == pytest.approx(estimates[0].detect_cost)
+        # Nothing changed: nothing is paid (no per-row detection).
+        assert estimates[0].delta_cost == 0.0
+        assert estimates[2].delta_cost \
+            == pytest.approx(0.1 * estimates[2].full_cost)
         # Everything changed: the delta run degenerates to a full one.
         assert estimates[-1].delta_cost \
             == pytest.approx(estimates[-1].full_cost)
         for estimate in estimates:
-            assert 0.0 < estimate.relative_cost <= 1.0 + 1e-9
+            assert 0.0 <= estimate.relative_cost <= 1.0 + 1e-9
             assert estimate.savings_percent \
                 == pytest.approx(100 * (1 - estimate.relative_cost))
 

@@ -312,6 +312,17 @@ class TestServiceTier:
             main(["exchange", "MF", "LF", "--delta",
                   "--since", "-1"], io.StringIO())
 
+    def test_delta_since_ahead_of_the_version_log(self):
+        # The run has two mutation batches behind it at most; version
+        # 999 is one the source never reached.  A clean exit naming
+        # both versions, not an empty delta reported as a sync.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["exchange", "LF", "MF", "--delta", "--since", "999",
+                  "--size", "1.0", "--scale", "0.02"], io.StringIO())
+        message = str(exit_info.value)
+        assert message.startswith("--since:")
+        assert "version 999" in message and "only at version" in message
+
     def test_serve_smoke(self):
         output = run_cli(
             "serve", "--http-port", "0", "--feed-port", "0",
