@@ -57,6 +57,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl_trace,
 )
+from repro.relational.publisher import publish_document
 from repro.reporting.tables import format_table
 from repro.schema.generator import balanced_schema
 from repro.services.agency import DiscoveryAgency
@@ -161,7 +162,6 @@ def _run_sharded_exchange(args: argparse.Namespace, out: TextIO,
     """The ``--shards K`` path: scatter over K broker sessions, gather
     one merged target, and verify byte-identity against a direct
     unsharded run.  Returns a non-zero exit code on divergence."""
-    from repro.relational.publisher import publish_document
     from repro.services.shard import (
         ScatterGatherCoordinator,
         ShardingSpec,
@@ -351,7 +351,9 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
     """Run DE vs publish&map on XMark data; ``--workers N`` executes
     the DE program phase with N executor workers; ``--sessions
     N`` brokers N concurrent DE sessions (``--plan-cache`` memoizes
-    their negotiations so only the first pays the optimizer)."""
+    their negotiations so only the first pays the optimizer).  The
+    two targets must publish byte-identical documents: a mismatch is
+    printed and exits 1."""
     if args.source.upper() not in _XMARK_KEYS \
             or args.target.upper() not in _XMARK_KEYS:
         raise SystemExit(
@@ -575,6 +577,16 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
         ), file=out)
         saving = 100 * (1 - de.total_seconds / pm.total_seconds)
         print(f"optimized exchange saving: {saving:.1f}%", file=out)
+        identical = publish_document(
+            de_target.db, de_target.mapper
+        ).document == publish_document(
+            pm_target.db, pm_target.mapper
+        ).document
+        print(
+            "byte-identity vs publish&map: "
+            + ("OK" if identical else "MISMATCH"),
+            file=out,
+        )
         if args.workers > 1:
             print(
                 f"parallel program execution ({args.workers} workers): "
@@ -626,7 +638,7 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
             transport.close()
         if sink is not None:
             sink.stop()
-    return 0
+    return 0 if identical else 1
 
 
 def cmd_serve(args: argparse.Namespace, out: TextIO) -> int:

@@ -41,6 +41,7 @@ is zero-copy: a slice shares the parent's column lists and narrows
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import OperationError
 from repro.core.fragment import Fragment
@@ -79,7 +80,8 @@ class ColumnLayout:
             and travel as row batches.
     """
 
-    __slots__ = ("fragment", "specs", "positions", "keys", "_elements")
+    __slots__ = ("fragment", "specs", "positions", "keys",
+                 "element_cells")
 
     def __init__(self, fragment: Fragment) -> None:
         if not fragment.is_flat_storable():
@@ -131,10 +133,12 @@ class ColumnLayout:
             )
             for spec in specs if spec.role in ("id", "eid")
         ]
-        #: Per element, where :meth:`row_from_cells` finds it: key
-        #: position, text position (``None`` off the leaves),
-        #: ``(attribute, position)`` pairs, child elements.
-        self._elements = {
+        #: Per element, where its cells are: key position, text
+        #: position (``None`` off the leaves), ``(attribute,
+        #: position)`` pairs, child elements in schema order — what
+        #: :meth:`row_from_cells` and the wire codec
+        #: (:mod:`repro.net.soap`) read an occurrence off.
+        self.element_cells = {
             element: (
                 self.positions[self.eid_column(element)],
                 self.positions[element.lower()]
@@ -192,7 +196,7 @@ class ColumnLayout:
     def row_from_cells(self, cells: "list[object] | tuple") -> FragmentRow:
         """Rebuild the nested occurrence from one row of cells (a
         batch's row, or a stored tuple of the fragment's table)."""
-        elements = self._elements
+        elements = self.element_cells
 
         def build(element: str) -> ElementData | None:
             eid_at, text_at, attr_ats, children = elements[element]
@@ -247,8 +251,10 @@ class ColumnBatch:
     Duck-compatible with :class:`~repro.core.stream.RowBatch` where
     the pipeline needs it — ``fragment``/``seq``/``row_count``/
     ``estimated_size``/``feed_size``/``to_instance`` and a lazily
-    materialized ``rows`` view — so channels, the reliable shipping
-    layer and the residency meter handle either batch kind unchanged.
+    materialized ``rows`` view — so the reliable shipping layer and
+    the residency meter handle either batch kind unchanged.  The wire
+    does not need the row view: a channel encodes the cells and a
+    receiver decodes into columns (:mod:`repro.net.soap`).
 
     ``stats`` hands over per-column :data:`ColumnStats` the producer
     already knows (``None`` entries are measured on first use): an
@@ -368,10 +374,41 @@ class ColumnBatch:
             self.seq, self.layout,
         )
 
+    def rebind(self, columns: list[list],
+               stale: "Iterable[int]" = ()) -> None:
+        """Point this batch at ``columns``, one cell per row of it: the
+        batch becomes a whole-range view of them.
+
+        The wire hands on what crossed this way — the encoder rebinds
+        copies of the columns whose cells it normalised (their
+        :data:`ColumnStats`, listed in ``stale``, are dropped and
+        measured again on use), a self-receiving channel the columns
+        it decoded.  The lists the batch pointed at before are left
+        as they were: sibling slices and the store may share them.
+
+        Raises:
+            OperationError: if ``columns`` does not fit the layout or
+                holds another number of rows.
+        """
+        count = self.row_count()
+        if len(columns) != len(self.columns) \
+                or any(len(cells) != count for cells in columns):
+            raise OperationError(
+                f"cannot rebind {count} rows of {self.fragment.name!r} "
+                f"to columns of other shape"
+            )
+        self.columns = columns
+        self.start, self.stop = 0, count
+        self._rows = None
+        for position in stale:
+            self._stats[position] = None
+            self._estimated = self._feed = self._row_sizes = None
+
     @property
     def rows(self) -> list[FragmentRow]:
         """Materialized row view (built once, cached) — the bridge
-        back to tree consumers (wire encoding, materializing stores)."""
+        back to tree consumers (materializing stores, the row
+        kernels of non-flat fragments)."""
         if self._rows is None:
             layout = self.layout
             width = len(layout.specs)

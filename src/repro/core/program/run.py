@@ -330,7 +330,6 @@ class ProgramRun:
         acknowledged high-water mark (``skip_through``) replay through
         the pipeline but bypass the wire and the store.
         """
-        wire_format = getattr(self.channel, "wire_format", False)
         # Output streams by producer port; None once consumed.
         streams: dict[tuple[int, int],
                       tuple[Iterator[RowBatch], Location] | None
@@ -370,11 +369,6 @@ class ProgramRun:
                 # travels as columns, anything else as row trees.
                 is_columnar = edge.fragment.is_flat_storable()
                 if holder is not location and not done:
-                    if is_columnar and wire_format:
-                        # The wire moves serialized *rows*; hop to the
-                        # row representation around the ship and come
-                        # back columnar on the far side.
-                        iterator = self._as_rows(iterator, True)
                     if self._prefetch_pool is not None:
                         iterator = _Prefetch(
                             iterator, self._prefetch_pool, self._abort
@@ -382,8 +376,6 @@ class ProgramRun:
                     iterator = self._shipped(
                         key, iterator, skip_through
                     )
-                    if is_columnar and wire_format:
-                        iterator = self._as_columns(iterator)
                 inputs.append(iterator)
                 input_columnar.append(is_columnar)
             outputs: list[Iterator[RowBatch]]

@@ -3,7 +3,9 @@
 The paper deploys its service over SOAP 1.1 / HTTP between two machines
 connected through the Internet; here :mod:`repro.net.soap` provides the
 envelope codec (fragment feeds and whole documents travel as SOAP
-bodies with content checksums and sequence numbers),
+bodies with content checksums and sequence numbers; a flat feed is
+encoded from its columns and verified in one walk over the received
+text),
 :mod:`repro.net.transport` the pluggable :class:`Transport` stack — a
 :class:`SimulatedChannel` that charges bytes against a configured
 bandwidth/latency (the measured quantity behind Table 3), a zero-cost
@@ -28,8 +30,11 @@ from repro.net.faults import (
     RobustnessStats,
 )
 from repro.net.soap import (
+    FeedReceipt,
+    encode_batch,
     encode_fragment_feed,
     parse_envelope,
+    read_fragment_feed,
     soap_envelope,
     soap_fault,
     unwrap_document,
@@ -68,6 +73,9 @@ __all__ = [
     "parse_envelope",
     "wrap_fragment_feed",
     "encode_fragment_feed",
+    "encode_batch",
+    "read_fragment_feed",
+    "FeedReceipt",
     "unwrap_fragment_feed",
     "wrap_document",
     "unwrap_document",

@@ -26,9 +26,11 @@ messages.  This module makes transport failure a first-class input:
   written output stays byte-identical to a fault-free run.
 
 Corruption detection is real where the wire is real: with a
-``wire_format`` channel the corrupted SOAP message fails its Adler-32
-feed checksum on decode (:mod:`repro.net.soap`); on byte-counting
-channels the checksum verdict is simulated.
+``wire_format`` channel the batch is encoded as the channel would send
+it (:func:`~repro.net.soap.encode_batch`, columns straight from their
+cells) and the corrupted message fails its Adler-32 feed checksum in
+the feed sink's own verifier (:func:`~repro.net.soap.read_fragment_feed`);
+on byte-counting channels the checksum verdict is simulated.
 """
 
 from __future__ import annotations
@@ -48,10 +50,16 @@ from repro.errors import (
     SoapFault,
     TransportError,
 )
+from repro.core.columnar import ColumnBatch
 from repro.core.instance import FragmentInstance
 from repro.core.program.executor import Shipment
 from repro.core.stream import RowBatch
-from repro.net.soap import CHECKSUM_ATTR, unwrap_fragment_feed, wrap_fragment_feed
+from repro.net.soap import (
+    CHECKSUM_ATTR,
+    encode_batch,
+    read_fragment_feed,
+    wrap_fragment_feed,
+)
 from repro.obs.trace import NULL_TRACER, Tracer
 
 _T = TypeVar("_T")
@@ -509,36 +517,38 @@ class FaultyChannel:
     def _wire(self) -> bool:
         return bool(getattr(self.inner, "wire_format", False))
 
-    def _fragment_size(self, instance: FragmentInstance) -> int:
-        if self._wire():
-            return len(wrap_fragment_feed(instance))
-        return instance.feed_size()
+    def _encoded(self, carrier: FragmentInstance | ColumnBatch | RowBatch
+                 ) -> str | None:
+        """The message a wire-format channel sends for ``carrier`` (a
+        whole feed or one batch), or ``None`` on a byte-counting one."""
+        if not self._wire():
+            return None
+        if isinstance(carrier, FragmentInstance):
+            return wrap_fragment_feed(carrier)
+        return encode_batch(carrier)[0]
 
-    def _batch_size(self, batch: RowBatch) -> int:
-        if self._wire():
-            return len(wrap_fragment_feed(
-                FragmentInstance(batch.fragment, batch.rows),
-                seq=batch.seq,
-            ))
-        return batch.feed_size()
+    def _size(self, carrier: FragmentInstance | ColumnBatch | RowBatch
+              ) -> int:
+        message = self._encoded(carrier)
+        return carrier.feed_size() if message is None else len(message)
 
-    def _corrupt(self, index: int, instance: FragmentInstance,
-                 seq: int | None, size: int) -> None:
+    def _corrupt(self, index: int,
+                 carrier: FragmentInstance | ColumnBatch | RowBatch
+                 ) -> None:
         """Charge the garbled transmission and raise its detection."""
         self._count("corruptions")
-        if self._wire():
-            message = corrupt_soap_message(
-                wrap_fragment_feed(instance, seq=seq)
-            )
-            self._charge_lost(len(message))
+        message = self._encoded(carrier)
+        if message is None:
+            self._charge_lost(carrier.feed_size())
+        else:
+            garbled = corrupt_soap_message(message)
+            self._charge_lost(len(garbled))
             try:
-                unwrap_fragment_feed(message, instance.fragment)
+                read_fragment_feed(garbled)
             except SoapFault as fault:
                 raise MessageCorrupted(
                     f"message {index} corrupted in flight: {fault}"
                 ) from fault
-        else:
-            self._charge_lost(size)
         raise MessageCorrupted(
             f"message {index} corrupted in flight "
             "(feed checksum mismatch)"
@@ -599,17 +609,16 @@ class FaultyChannel:
         index, kind = self._next_fault()
         if kind is FaultKind.DROP:
             self._count("drops")
-            self._charge_lost(self._fragment_size(instance))
+            self._charge_lost(self._size(instance))
             raise MessageDropped(
                 f"message {index} dropped by fault plan"
             )
         if kind is FaultKind.CORRUPT:
-            self._corrupt(index, instance, None,
-                          self._fragment_size(instance))
+            self._corrupt(index, instance)
         shipment = self.inner.ship_fragment(instance)
         if kind is FaultKind.DUPLICATE:
             self._count("duplicates")
-            self._charge_lost(self._fragment_size(instance))
+            self._charge_lost(self._size(instance))
             return shipment, [instance, instance]
         if kind in (FaultKind.DELAY, FaultKind.REORDER):
             self._count("delays" if kind is FaultKind.DELAY
@@ -634,14 +643,13 @@ class FaultyChannel:
         index, kind = self._next_fault()
         if kind is FaultKind.DROP:
             self._count("drops")
-            self._charge_lost(self._batch_size(batch))
+            self._charge_lost(self._size(batch))
             raise MessageDropped(
                 f"message {index} (batch {batch.seq}) dropped by "
                 "fault plan"
             )
         if kind is FaultKind.CORRUPT:
-            self._corrupt(index, batch.to_instance(), batch.seq,
-                          self._batch_size(batch))
+            self._corrupt(index, batch)
         shipment = self.inner.ship_batch(batch)
         with self._lock:
             held = self._held.setdefault(edge, [])
@@ -654,7 +662,7 @@ class FaultyChannel:
             held.clear()
         if kind is FaultKind.DUPLICATE:
             self._count("duplicates")
-            self._charge_lost(self._batch_size(batch))
+            self._charge_lost(self._size(batch))
             delivered.insert(1, batch)
         elif kind is FaultKind.DELAY:
             self._count("delays")

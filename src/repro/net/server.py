@@ -7,10 +7,13 @@ stands that up on real sockets:
 * :class:`FeedSink` — the data-plane receiver
   :class:`~repro.net.transport.TcpTransport` ships to: a threaded
   socket server reading length-prefixed SOAP envelopes, verifying each
-  fragment feed's declared row count and Adler-32 content checksum
-  (:func:`~repro.net.soap.verify_fragment_feed`), and replying with an
-  ``Ack`` envelope — or a SOAP ``Fault`` when verification rejects the
-  message.
+  fragment feed's declared row count and Adler-32 content checksum in
+  one walk over the received text
+  (:func:`~repro.net.soap.read_fragment_feed` — no tree, no second
+  serialization), and replying with an ``Ack`` envelope — or a SOAP
+  ``Fault`` when verification rejects the message.  The sink does not
+  know the target, so it discards the rows it verified; the sender's
+  target stores its own (identical) batches.
 * :class:`ExchangeHttpServer` — the control plane: a threaded HTTP
   server exposing the discovery agency (``Register`` / ``Negotiate``,
   step 1/2 of Figure 2) and the exchange endpoints (fragment-feed
@@ -40,6 +43,7 @@ from repro.errors import (
     ShardingError,
     SoapFault,
     TransportError,
+    XmlSyntaxError,
 )
 from repro.core.fragment import Fragment
 from repro.core.instance import FragmentInstance
@@ -50,7 +54,9 @@ from repro.core.program.serialize import (
     program_to_json,
 )
 from repro.net.soap import (
+    FeedReceipt,
     parse_envelope,
+    read_message,
     soap_envelope,
     soap_fault,
     unwrap_fragment_feed,
@@ -85,8 +91,9 @@ class FeedSink:
     One handler thread per connection; each connection serves any
     number of messages (the transport keeps its socket for the whole
     exchange).  Every message is verified — a feed whose checksum or
-    row count does not match its declaration gets a ``Fault`` reply,
-    never a silent ack — and metered (``server.connections``,
+    row count does not match its declaration, or that is not XML a
+    feed can be, gets a ``Fault`` reply, never a silent ack or a
+    dropped connection — and metered (``server.connections``,
     ``server.messages``, ``server.bytes_in``, ``server.faults``, plus
     the ``server.open_connections`` gauge).
     """
@@ -218,31 +225,29 @@ class FeedSink:
         with self.tracer.span("serve message", "server",
                               bytes=len(frame)):
             try:
-                payload = parse_envelope(frame.decode("utf-8"))
-                return self._ack(payload)
-            except SoapFault as fault:
+                return self._ack(read_message(frame.decode("utf-8")))
+            except (SoapFault, XmlSyntaxError) as fault:
                 self._count("server.faults")
                 return soap_fault(str(fault))
             except (UnicodeDecodeError, ValueError) as exc:
                 self._count("server.faults")
                 return soap_fault(f"unreadable message: {exc}")
 
-    def _ack(self, payload: Element) -> str:
-        kind = payload.local_name()
-        if kind == "FragmentFeed":
-            name, count, digest = verify_fragment_feed(payload)
+    def _ack(self, received: FeedReceipt | Element) -> str:
+        if isinstance(received, FeedReceipt):
             attrs = {
                 "of": "FragmentFeed",
-                "fragment": name,
-                "count": str(count),
-                "checksum": digest,
+                "fragment": received.fragment,
+                "count": str(received.count),
+                "checksum": received.checksum,
             }
-            seq = payload.get("seq")
-            if seq is not None:
-                attrs["seq"] = seq
+            if received.seq is not None:
+                attrs["seq"] = received.seq
             self._count("server.feeds")
-            self._count("server.rows_in", count)
+            self._count("server.rows_in", received.count)
             return soap_envelope(Element("Ack", attrs))
+        payload = received
+        kind = payload.local_name()
         if kind == "Document":
             self._count("server.documents")
             return soap_envelope(Element("Ack", {

@@ -21,12 +21,17 @@ All three account thread-safely, enforce send-after-close uniformly
 its SOAP message (always on for :class:`TcpTransport`, where the wire
 is real).
 
-A hop costs one encode and one decode.  Whoever *receives* a message
-decodes and verifies it, and nobody else does: over TCP that is the
-:class:`~repro.net.server.FeedSink`, whose ack the sender checks
-against the checksum it computed while encoding; the simulated and
-in-process wires have no peer, so there the transport plays its own
-receiver and hands the decoded rows on.
+A hop costs one encode and one decode, and a flat fragment crosses it
+as columns: a :class:`~repro.core.columnar.ColumnBatch` is encoded
+straight from its cells (:func:`~repro.net.soap.encode_batch`) and the
+receiver verifies the received row text in place
+(:func:`~repro.net.soap.read_fragment_feed`) — no row trees on either
+side.  Whoever *receives* a message verifies it, and nobody else does:
+over TCP that is the :class:`~repro.net.server.FeedSink`, whose ack the
+sender checks against the checksum it computed while encoding; the
+simulated and in-process wires have no peer, so there the transport
+plays its own receiver with the same verifier, decodes the columns and
+hands them on.
 """
 
 from __future__ import annotations
@@ -38,14 +43,18 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import SoapFault, TransportError
+from repro.core.columnar import ColumnBatch
+from repro.core.fragment import Fragment
 from repro.core.instance import FragmentInstance
 from repro.core.program.executor import Shipment
 from repro.core.stream import RowBatch
 from repro.net.soap import (
     CHECKSUM_ATTR,
     SEQ_ATTR,
+    encode_batch,
     encode_fragment_feed,
     parse_envelope,
+    read_fragment_feed,
     unwrap_fragment_feed,
     wrap_document,
     wrap_fragment_feed,
@@ -295,7 +304,7 @@ class Transport(abc.ABC):
         instance.rows[:] = received.rows
         return shipment
 
-    def ship_batch(self, batch: RowBatch) -> Shipment:
+    def ship_batch(self, batch: ColumnBatch | RowBatch) -> Shipment:
         """Ship one batch of a fragment feed — what the executor
         sends along every cross-edge.  An unbatched run's single
         ``seq``-less batch is byte-for-byte the
@@ -304,17 +313,21 @@ class Transport(abc.ABC):
         Each batch is one message: it pays the per-message latency —
         finer batching buys pipelining at the price of more handshakes,
         exactly the chunk-size trade-off of a streamed transfer.  Wire
-        format encodes the batch and, playing the receiver, decodes it
-        like :meth:`ship_fragment` does the whole feed, replacing the
-        batch's rows with what crossed the network.
+        format encodes the batch and, playing the receiver, takes back
+        what crossed the network: a column batch is verified by the
+        feed sink's own walk (:func:`~repro.net.soap.read_fragment_feed`)
+        and rebound to the columns it decoded, a row batch is decoded
+        into rows like :meth:`ship_fragment` does the whole feed.
         """
         if not self.wire_format:
             return self._charge(batch.feed_size())
-        instance = FragmentInstance(batch.fragment, batch.rows)
-        message = wrap_fragment_feed(instance, seq=batch.seq)
+        message, _ = encode_batch(batch)
         shipment = self._charge(len(message))
-        received = unwrap_fragment_feed(message, batch.fragment)
-        batch.rows[:] = received.rows
+        if isinstance(batch, ColumnBatch):
+            batch.rebind(read_fragment_feed(message, batch.fragment).columns)
+        else:
+            received = unwrap_fragment_feed(message, batch.fragment)
+            batch.rows[:] = received.rows
         return shipment
 
     def ship_document(self, text: str) -> Shipment:
@@ -391,13 +404,13 @@ class TcpTransport(Transport):
     ``profile`` — default :data:`LOOPBACK_PROFILE`.
 
     Wire format is always on — the wire is real — and so is the
-    receiver: a send encodes once, the sink decodes and verifies once,
-    and this side checks the ``Ack`` (kind, fragment, count, checksum,
-    ``seq``; ``bytes`` for a document) against what it sent, raising
+    receiver: a send encodes once, the sink verifies once, and this
+    side checks the ``Ack`` (kind, fragment, count, checksum, ``seq``;
+    ``bytes`` for a document) against what it sent, raising
     :class:`~repro.errors.SoapFault` on any difference.  The message
     is *not* decoded again here: the shipped instance or batch keeps
-    its row objects (the encoder has already left on them exactly the
-    text it wrote — see :func:`~repro.net.soap.encode_fragment_feed`).
+    its rows or columns (the encoder has already left on them exactly
+    the text it wrote — see :func:`~repro.net.soap.encode_batch`).
     Round trips are serialized per transport (one in-flight message
     per connection); concurrent sessions get their own connections.
     """
@@ -498,23 +511,28 @@ class TcpTransport(Transport):
         self._account(size_bytes, seconds, lost=lost)
         return Shipment(size_bytes, seconds)
 
-    def _ship_feed(self, instance: FragmentInstance,
-                   seq: int | None) -> Shipment:
-        message, checksum = encode_fragment_feed(instance, seq)
+    def _ship_feed(self, fragment: Fragment, count: int,
+                   seq: int | None,
+                   encoded: tuple[str, str]) -> Shipment:
+        message, checksum = encoded
         return self._roundtrip(message, {
             "of": "FragmentFeed",
-            "fragment": instance.fragment.name,
-            "count": str(len(instance.rows)),
+            "fragment": fragment.name,
+            "count": str(count),
             CHECKSUM_ATTR: checksum,
             SEQ_ATTR: None if seq is None else str(seq),
         })
 
     def ship_fragment(self, instance: FragmentInstance) -> Shipment:
-        return self._ship_feed(instance, None)
-
-    def ship_batch(self, batch: RowBatch) -> Shipment:
         return self._ship_feed(
-            FragmentInstance(batch.fragment, batch.rows), batch.seq
+            instance.fragment, len(instance.rows), None,
+            encode_fragment_feed(instance),
+        )
+
+    def ship_batch(self, batch: ColumnBatch | RowBatch) -> Shipment:
+        return self._ship_feed(
+            batch.fragment, batch.row_count(), batch.seq,
+            encode_batch(batch),
         )
 
     def ship_document(self, text: str) -> Shipment:

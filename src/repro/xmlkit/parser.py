@@ -202,7 +202,11 @@ def tokens(text: str) -> Iterator[tuple]:
     ``value`` is the element name (``START``/``END``), the character
     data (``TEXT``), the comment text, the PI target, or the declared
     version; ``extra`` is a ``START``'s attribute dict, a ``PI``'s
-    data, a ``DECLARATION``'s ``(encoding, standalone)``, else ``None``.
+    data, a ``DECLARATION``'s ``(encoding, standalone)``, and for
+    ``END``, ``TEXT`` and ``COMMENT`` the offset in ``text`` just past
+    the token — where an element's source text ends, without a second
+    scan (:func:`repro.net.soap.read_fragment_feed` digests received
+    rows in place this way).
 
     Raises:
         XmlSyntaxError: on any well-formedness violation.
@@ -233,7 +237,7 @@ def tokens(text: str) -> Iterator[tuple]:
                 idx = size
             raw = text[pos:idx]
             if stack:
-                yield TEXT, unescape(raw), None
+                yield TEXT, unescape(raw), idx
             elif raw.strip():
                 raise scanner.error(
                     "character data outside the root element", pos=pos
@@ -248,7 +252,7 @@ def tokens(text: str) -> Iterator[tuple]:
                 if stack and stack[-1] == end_name:
                     stack.pop()
                     pos = tag.end()
-                    yield END, end_name, None
+                    yield END, end_name, pos
                     continue
             elif stack or not seen_root:
                 found = find_attrs(raw_attrs) if raw_attrs else ()
@@ -264,7 +268,7 @@ def tokens(text: str) -> Iterator[tuple]:
                     seen_root = True
                     yield START, name, attrs
                     if empty:
-                        yield END, name, None
+                        yield END, name, pos
                     else:
                         stack.append(name)
                     continue
@@ -274,12 +278,14 @@ def tokens(text: str) -> Iterator[tuple]:
         scanner.pos = pos
         if scanner.startswith("<!--"):
             scanner.pos += 4
-            yield COMMENT, scanner.read_until("-->", "comment"), None
+            comment = scanner.read_until("-->", "comment")
+            yield COMMENT, comment, scanner.pos
         elif scanner.startswith("<![CDATA["):
             if not stack:
                 raise scanner.error("CDATA outside the root element")
             scanner.pos += len("<![CDATA[")
-            yield TEXT, scanner.read_until("]]>", "CDATA section"), None
+            cdata = scanner.read_until("]]>", "CDATA section")
+            yield TEXT, cdata, scanner.pos
         elif scanner.startswith("<!DOCTYPE"):
             if seen_root:
                 raise scanner.error("DOCTYPE after the root element")
@@ -301,7 +307,7 @@ def tokens(text: str) -> Iterator[tuple]:
                 raise scanner.error(
                     f"mismatched end tag </{name}>, expected </{expected}>"
                 )
-            yield END, name, None
+            yield END, name, scanner.pos
         else:
             scanner.expect("<")
             if seen_root and not stack:
@@ -313,7 +319,7 @@ def tokens(text: str) -> Iterator[tuple]:
                 scanner.pos += 2
                 seen_root = True
                 yield START, name, attrs
-                yield END, name, None
+                yield END, name, scanner.pos
             else:
                 scanner.expect(">")
                 seen_root = True

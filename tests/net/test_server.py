@@ -27,6 +27,8 @@ from repro.services.agency import DiscoveryAgency
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.tree import Element
 
+from tests.net.test_soap import DEEP_ROW, feed_message
+
 
 @pytest.fixture
 def feed(customers_s, customer_documents):
@@ -113,6 +115,27 @@ class TestFeedSink:
             )
         assert reply.name == "Fault"
         assert "Mystery" in reply.get("message")
+
+    def test_deeply_nested_row_gets_fault_and_the_connection_lives(
+            self, feed):
+        """5 000 nested elements once killed the connection's thread
+        (a recursive serializer); now they draw a Fault, are counted,
+        and the same connection goes on to ack a valid feed."""
+        metrics = MetricsRegistry()
+        with FeedSink(metrics=metrics) as sink:
+            with socket.create_connection(
+                    (sink.host, sink.port)) as sock:
+                send_frame(sock, feed_message(DEEP_ROW).encode("utf-8"))
+                fault = recv_frame(sock)
+                send_frame(
+                    sock, wrap_fragment_feed(feed).encode("utf-8")
+                )
+                ack = recv_frame(sock)
+        with pytest.raises(SoapFault, match="nests inside itself"):
+            parse_envelope(fault.decode("utf-8"))
+        assert parse_envelope(ack.decode("utf-8")).name == "Ack"
+        assert metrics.counter("server.faults").value == 1
+        assert metrics.counter("server.feeds").value == 1
 
     def test_connection_serves_many_messages(self, feed):
         metrics = MetricsRegistry()

@@ -1,14 +1,25 @@
 """SOAP envelopes and fragment-feed wire format."""
 
+import random
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SoapFault
+from repro.core.columnar import ColumnBatch, layout_of
 from repro.core.fragment import Fragment
+from repro.core.fragmentation import Fragmentation
 from repro.core.instance import ElementData, FragmentInstance, FragmentRow
 from repro.net.soap import (
+    FeedReceipt,
+    encode_batch,
     encode_fragment_feed,
     feed_digest,
     parse_envelope,
+    read_fragment_feed,
+    read_message,
     soap_envelope,
     soap_fault,
     unwrap_document,
@@ -17,6 +28,7 @@ from repro.net.soap import (
     wrap_document,
     wrap_fragment_feed,
 )
+from repro.schema.generator import balanced_schema
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.tree import Element
 from repro.xmlkit.writer import serialize
@@ -378,3 +390,301 @@ class TestMalformedNumbers:
         payload = Element("Document", {"bytes": "4 KB"}, text="tiny")
         with pytest.raises(SoapFault, match="bytes='4 KB'"):
             unwrap_document(payload)
+
+
+# -- flat feeds as columns: the encoder from cells, the streaming verifier ------------
+
+#: Text and attribute values: markup characters, non-ASCII, padding and
+#: whitespace-only values, the empty string.
+_values = st.text(alphabet="ab &<>\"' é☃\t\n\r", max_size=6)
+_text_cells = _values | st.integers(0, 99) | st.none()
+_attr_cells = st.none() | _values | st.integers(0, 9)
+
+
+@st.composite
+def column_batches(draw):
+    """A random flat-storable fragment of a balanced schema with
+    declared attributes, and a batch of random rows of it — absent
+    optional elements and attributes, padded, whitespace-only and
+    non-``str`` text, any ``seq`` — that is sometimes a narrowed view
+    of a longer batch."""
+    levels, fanout = draw(st.sampled_from([(1, 3), (2, 2), (2, 3)]))
+    seed = draw(st.integers(0, 9999))
+    schema = balanced_schema(levels, fanout, repeat_prob=0.4, seed=seed)
+    rng = random.Random(seed)
+    for node in schema.iter_nodes():
+        node.attributes = rng.sample(["a", "b", "c"], rng.randint(0, 2))
+    names = schema.element_names()
+    roots = {names[0]} | {
+        node.name for node in schema.iter_nodes()
+        if node.cardinality.repeated
+    } | set(draw(st.lists(st.sampled_from(names), max_size=3)))
+    fragment = draw(st.sampled_from(sorted(
+        Fragmentation.from_roots(schema, sorted(roots)),
+        key=lambda fragment: fragment.name,
+    )))
+    layout = layout_of(fragment)
+    lead = draw(st.integers(0, 2))
+    count = draw(st.integers(0, 3))
+    eids = iter(range(1, 10_000))
+    rows = []
+    for _ in range(lead + count):
+        cells: list = [None] * len(layout.specs)
+        present = {fragment.root_name}
+        for at, spec in enumerate(layout.specs):
+            if spec.role == "id":
+                cells[at] = next(eids)
+            elif spec.role == "parent":
+                cells[at] = draw(st.none() | st.integers(0, 99))
+            elif spec.role == "eid":
+                if schema.parent_name(spec.element) in present \
+                        and draw(st.booleans()):
+                    present.add(spec.element)
+                    cells[at] = next(eids)
+            elif spec.element in present:
+                cells[at] = draw(
+                    _text_cells if spec.role == "text" else _attr_cells
+                )
+        rows.append(cells)
+    columns = [list(column) for column in zip(*rows)] if rows else [
+        [] for _ in layout.specs
+    ]
+    batch = ColumnBatch(
+        fragment, columns, draw(st.none() | st.integers(0, 500))
+    )
+    return batch.slice(lead, lead + count) if lead else batch
+
+
+def _rows_of(batch: ColumnBatch):
+    """The batch's row view, built from copies of its cells."""
+    return ColumnBatch(
+        batch.fragment,
+        [batch.column(spec.name)[:] for spec in batch.layout.specs],
+        batch.seq,
+    ).to_row_batch()
+
+
+def _typed(columns):
+    return [[(type(cell).__name__, cell) for cell in column]
+            for column in columns]
+
+
+class TestColumnEncoder:
+    """``encode_batch`` writes a column batch straight from its cells:
+    the message and checksum are the tree writer's for the batch's row
+    view, and what the writer normalised is what the batch holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(column_batches())
+    def test_same_message_and_checksum_as_the_tree_writer(self, batch):
+        shared = batch.columns
+        before = [list(column) for column in shared]
+        rows = _rows_of(batch)
+        expected = encode_batch(rows)
+        assert encode_batch(batch) == expected
+        # The tree writer left the written values on its row view; the
+        # column batch holds the same, and the lists it shared with
+        # its parent are untouched.
+        crossed = ColumnBatch.from_rows(batch.fragment, rows.rows, None)
+        assert _typed(batch.column(spec.name)
+                      for spec in batch.layout.specs) \
+            == _typed(crossed.columns)
+        assert [list(column) for column in shared] == before
+        assert encode_batch(batch) == expected
+
+    def test_padded_text_is_rebound_on_a_copy(self, customers_schema):
+        fragment = Fragment(customers_schema, ["Customer", "CustName"])
+        layout = layout_of(fragment)
+        name_at = layout.positions["custname"]
+        columns = [[1, 3, 5] if spec.role == "id" else [None] * 3
+                   for spec in layout.specs]
+        columns[layout.positions["custname_eid"]] = [2, 4, 6]
+        columns[name_at] = ["a", "  b\t", "c"]
+        whole = ColumnBatch(fragment, columns, None)
+        view = whole.slice(1, 3, seq=0)
+        view.estimated_size()
+        message, _ = encode_batch(view)
+        assert '<CustName _eid="4">b</CustName>' in message
+        assert view.column("custname") == ["b", "c"]
+        assert view.known_stats(name_at) is None
+        assert view.estimated_size() == ColumnBatch(
+            fragment, [list(cells) for cells in view.columns], 0,
+        ).estimated_size()
+        # The parent batch and its lists are as they were.
+        assert whole.columns is columns
+        assert columns[name_at] == ["a", "  b\t", "c"]
+
+
+class TestStreamingVerifier:
+    """``read_fragment_feed`` against the tree decode, and its
+    Adler-32 over the received text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(column_batches())
+    def test_decode_equals_the_tree_decode(self, batch):
+        message, checksum = encode_batch(batch)
+        fragment = batch.fragment
+        receipt = read_fragment_feed(message, fragment)
+        expected = ColumnBatch.from_rows(
+            fragment, unwrap_fragment_feed(message, fragment).rows, None,
+        )
+        assert _typed(receipt.columns) == _typed(expected.columns)
+        seq = None if batch.seq is None else str(batch.seq)
+        assert receipt == FeedReceipt(
+            fragment.name, batch.row_count(), checksum, seq,
+            receipt.columns,
+        )
+        # The sink's form: nothing decoded, the same verdict.
+        sunk = FeedReceipt(fragment.name, batch.row_count(), checksum, seq)
+        assert read_fragment_feed(message) == sunk
+        assert read_message(message) == sunk
+
+    @settings(max_examples=60, deadline=None)
+    @given(column_batches(), st.integers(1, 255))
+    def test_every_single_byte_change_in_a_row_is_a_fault(self, batch,
+                                                          flip):
+        message = encode_batch(batch)[0].encode("utf-8")
+        rows_start = message.index(b">", message.index(b"<FragmentFeed"))
+        rows_end = message.rfind(b"</FragmentFeed>")
+        for position in range(rows_start + 1, max(rows_end, 0)):
+            changed = bytearray(message)
+            changed[position] ^= flip
+            try:
+                text = changed.decode("utf-8")
+            except UnicodeDecodeError:
+                continue  # the sink faults on the frame already
+            for fragment in (None, batch.fragment):
+                with pytest.raises(SoapFault):
+                    read_fragment_feed(text, fragment)
+
+    @pytest.fixture
+    def order_message(self, golden_feed):
+        return wrap_fragment_feed(golden_feed, 4)
+
+    def test_receipt_of_the_golden_feed(self, order_message):
+        assert read_fragment_feed(order_message) == FeedReceipt(
+            "Order", 3, _GOLDEN_CHECKSUM, "4",
+        )
+
+    def test_whitespace_and_comments_between_rows_are_no_row_text(
+            self, order_message):
+        spaced = order_message.replace(
+            '<Order _eid="12"', '\n  <!-- next -->\n<Order _eid="12"'
+        ).replace("<soap:Body>", "<soap:Body>\n  ")
+        assert read_fragment_feed(spaced).checksum == _GOLDEN_CHECKSUM
+
+    def test_the_received_text_is_what_is_digested(self, order_message):
+        """A tab for a space inside a tag parses to the same tree, so
+        serializing the tree again cannot see it; the text can."""
+        retabbed = order_message.replace(
+            '<Line _eid="13"/>', '<Line\t_eid="13"/>'
+        )
+        verify_fragment_feed(parse_envelope(retabbed))
+        with pytest.raises(SoapFault, match="checksum"):
+            read_fragment_feed(retabbed)
+
+    @pytest.mark.parametrize("edit, match", [
+        (('count="3"', 'count="2"'), "declares 2 rows but carries 3"),
+        (('count="3"', 'count="abc"'), "count='abc'"),
+        (('checksum="', 'checksum="0'), "checksum"),
+        (('fragment="Order"', 'fragment=""'), "names no fragment"),
+    ])
+    def test_declaration_mismatches(self, order_message, edit, match):
+        with pytest.raises(SoapFault, match=match):
+            read_fragment_feed(order_message.replace(*edit))
+
+    def test_other_fragment_rejected(self, order_message,
+                                     customers_schema):
+        with pytest.raises(SoapFault, match="carries fragment 'Order'"):
+            read_fragment_feed(
+                order_message, Fragment(customers_schema, ["Customer"])
+            )
+
+    def test_other_payloads(self):
+        with pytest.raises(SoapFault, match="expected a FragmentFeed"):
+            read_fragment_feed(wrap_document("<d/>"))
+        with pytest.raises(SoapFault, match="no such feed"):
+            read_fragment_feed(soap_fault("no such feed"))
+        assert read_message(wrap_document("<d/>")).name == "Document"
+
+    @pytest.mark.parametrize("text, match", [
+        ("<broken", "well-formed"),
+        ("<NotSoap/>", "not a SOAP envelope"),
+        ('<soap:Envelope xmlns:soap="ns"><soap:Body/></soap:Envelope>',
+         "exactly one element"),
+        ('<soap:Envelope xmlns:soap="ns"><soap:Body>'
+         '<FragmentFeed fragment="F"/><Second/></soap:Body>'
+         "</soap:Envelope>", "exactly one element"),
+    ])
+    def test_malformed_envelopes(self, text, match):
+        with pytest.raises(SoapFault, match=match):
+            read_fragment_feed(text)
+
+
+def feed_message(*rows: str, fragment: str = "Order") -> str:
+    """A feed message carrying ``rows`` with the right count and
+    checksum, so that only the rows' shape can be wrong."""
+    digest = zlib.adler32("".join(
+        f'<?xml version="1.0"?>{row}' for row in rows
+    ).encode("utf-8"))
+    return (
+        f'{_HEAD}<FragmentFeed fragment="{fragment}" count="{len(rows)}"'
+        f' checksum="{digest & 0xFFFFFFFF:08x}">{"".join(rows)}'
+        f"</FragmentFeed>{_TAIL}"
+    )
+
+
+#: One row whose ``<b>`` nests 5 000 deep: no schema has that shape,
+#: and a recursive decoder or serializer dies on it.
+DEEP_ROW = (
+    '<Order _eid="1" ID="1" PARENT="">' + '<b _eid="2">' * 5000
+    + "</b>" * 5000 + "</Order>"
+)
+
+
+class TestHostileShapes:
+    """Elements a fragment cannot have are a ``SoapFault`` on every
+    receiving path — never a ``RecursionError``."""
+
+    def test_deep_nesting_streaming(self, customers_schema):
+        message = feed_message(DEEP_ROW)
+        with pytest.raises(SoapFault, match="nests inside itself"):
+            read_fragment_feed(message)
+        with pytest.raises(SoapFault, match="does not have"):
+            read_fragment_feed(
+                message, Fragment(customers_schema, ["Order"])
+            )
+
+    def test_deep_nesting_tree_path(self, customers_schema):
+        message = feed_message(DEEP_ROW)
+        with pytest.raises(SoapFault, match="too deep"):
+            unwrap_fragment_feed(
+                message, Fragment(customers_schema, ["Order"])
+            )
+        with pytest.raises(SoapFault, match="too deep"):
+            verify_fragment_feed(parse_envelope(message))
+
+    @pytest.mark.parametrize("row, match", [
+        ('<Order _eid="1" ID="1" PARENT=""><Order _eid="2"/></Order>',
+         "does not have"),
+        ('<Customer _eid="1" ID="1" PARENT=""/>', "does not have"),
+        ('<Order ID="1" PARENT=""/>', "missing its _eid"),
+        ('<Order _eid="x1" ID="1" PARENT=""/>', "_eid='x1'"),
+        ('<Order _eid="1" ID="1" PARENT="zz"/>', "PARENT='zz'"),
+    ])
+    def test_decode_rejects(self, customers_schema, row, match):
+        with pytest.raises(SoapFault, match=match):
+            read_fragment_feed(
+                feed_message(row), Fragment(customers_schema, ["Order"])
+            )
+
+    def test_repeated_element_in_a_flat_row(self, customers_schema):
+        fragment = Fragment(customers_schema, ["Customer", "CustName"])
+        row = (
+            '<Customer _eid="1" ID="1" PARENT=""><CustName _eid="2">a'
+            '</CustName><CustName _eid="3">b</CustName></Customer>'
+        )
+        with pytest.raises(SoapFault, match="repeats"):
+            read_fragment_feed(
+                feed_message(row, fragment=fragment.name), fragment
+            )

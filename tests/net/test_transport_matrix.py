@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from repro.errors import SoapFault, TransportError
+from repro.core.columnar import ColumnLayout
 from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
@@ -349,3 +350,44 @@ class TestEndToEndInterchangeability:
         transport.close()
         document = publish_document(target.db, target.mapper).document
         assert document == reference
+
+
+class TestColumnsCrossTheWire:
+    """A flat feed crosses a hop as columns: the sender encodes cells,
+    the receiver verifies (and, playing the receiver in process,
+    decodes) the received text — no row tree is built on either side,
+    and the target still publishes publish&map's bytes."""
+
+    @pytest.mark.parametrize("batch_rows", [None, 7])
+    @pytest.mark.parametrize("kind", ["inproc", "tcp"])
+    def test_no_row_view_anywhere(self, kind, batch_rows, sink,
+                                  auction_mf, auction_document,
+                                  monkeypatch):
+        source = RelationalEndpoint(f"C-{kind}", auction_mf)
+        source.load_document(auction_document)
+        reference = RelationalEndpoint("cref", auction_mf)
+        run_publish_and_map(
+            source, reference, SimulatedChannel(), "reference",
+        )
+        program = build_transfer_program(
+            derive_mapping(auction_mf, auction_mf)
+        )
+        transport = make_transport(kind, sink)
+        target = RelationalEndpoint(f"CT-{kind}", auction_mf)
+        calls: list[str] = []
+        for name in ("row_from_cells", "cells_from_row"):
+            def counting(layout, cells, _name=name,
+                         _original=getattr(ColumnLayout, name)):
+                calls.append(_name)
+                return _original(layout, cells)
+
+            monkeypatch.setattr(ColumnLayout, name, counting)
+        run_optimized_exchange(
+            program, source_heavy_placement(program), source, target,
+            transport, f"columns/{kind}", batch_rows=batch_rows,
+        )
+        monkeypatch.undo()
+        transport.close()
+        assert calls == []
+        assert publish_document(target.db, target.mapper).document \
+            == publish_document(reference.db, reference.mapper).document
