@@ -263,8 +263,7 @@ class ColumnBatch:
     """
 
     __slots__ = ("fragment", "layout", "columns", "seq", "start",
-                 "stop", "_rows", "_stats", "_estimated", "_feed",
-                 "_row_sizes")
+                 "stop", "_rows", "_stats", "_estimated", "_feed")
 
     def __init__(self, fragment: Fragment, columns: list[list],
                  seq: int | None, layout: ColumnLayout | None = None,
@@ -288,7 +287,6 @@ class ColumnBatch:
         )
         self._estimated: int | None = None
         self._feed: int | None = None
-        self._row_sizes: list[int] | None = None
 
     # -- construction ----------------------------------------------------------
 
@@ -402,7 +400,7 @@ class ColumnBatch:
         self._rows = None
         for position in stale:
             self._stats[position] = None
-            self._estimated = self._feed = self._row_sizes = None
+            self._estimated = self._feed = None
 
     @property
     def rows(self) -> list[FragmentRow]:
@@ -497,32 +495,6 @@ class ColumnBatch:
                 + 24 * self.row_count()
             )
         return self._estimated
-
-    def row_sizes(self) -> list[int]:
-        """Per-row estimated sizes (the combine frontier accounting
-        releases child rows one by one)."""
-        if self._row_sizes is None:
-            sizes = [24] * self.row_count()
-            for position, spec in enumerate(self.layout.specs):
-                if spec.role == "parent":
-                    continue
-                cells = self._cells(position)
-                if spec.role in ("id", "eid"):
-                    tag = 2 * len(spec.element or "") + 5
-                    for index, cell in enumerate(cells):
-                        if cell is not None:
-                            sizes[index] += tag
-                elif spec.role == "text":
-                    for index, cell in enumerate(cells):
-                        if cell is not None:
-                            sizes[index] += len(str(cell))
-                else:
-                    overhead = len(spec.attribute or "") + 4
-                    for index, cell in enumerate(cells):
-                        if cell is not None:
-                            sizes[index] += len(str(cell)) + overhead
-            self._row_sizes = sizes
-        return self._row_sizes
 
     def feed_size(self) -> int:
         """Approximate tabular sorted-feed (wire) size in bytes —

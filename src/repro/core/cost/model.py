@@ -200,17 +200,30 @@ class CostModel:
         for node in program.nodes:
             location = placement[node.op_id]
             strategy = strategies.get(node.kind, "row")
-            cost = w_comp * self.comp_cost(node, location, strategy)
+            cost = weighted(
+                w_comp, self.comp_cost(node, location, strategy)
+            )
             result.computation += cost
             result.by_location[location] += cost
         for edge in program.cross_edges(placement):
-            result.communication += w_com * self.comm_cost(edge.fragment)
+            result.communication += weighted(
+                w_com, self.comm_cost(edge.fragment)
+            )
         return result
 
     def program_cost(self, program: TransferProgram,
                      placement: Placement) -> float:
         """``cost(G)`` of formula 1."""
         return self.breakdown(program, placement).total
+
+
+def weighted(weight: float, cost: float) -> float:
+    """``weight * cost`` with ``0 x inf == 0``: a zero formula-1 weight
+    mutes that term outright, never poisoning comparisons with NaN (a
+    dumb client prices its Combines at infinity)."""
+    if weight == 0.0:
+        return 0.0
+    return weight * cost
 
 
 def program_cost(program: TransferProgram, placement: Placement,

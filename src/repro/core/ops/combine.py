@@ -24,6 +24,8 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from operator import le
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import OperationError
@@ -67,8 +69,16 @@ class JoinStatistics:
 _NO_PARENT = float("-inf")
 
 
-def _repeated_key(keys: list) -> int | None:
-    """The first real PARENT key that occurs twice in ``keys``."""
+def _repeated_key(keys: list, sorted_keys: bool) -> int | None:
+    """The real PARENT key that occurs twice in ``keys`` and is named
+    in the error: the last one seen next to itself, else (unsorted
+    keys only) the first seen a second time."""
+    for later, earlier in zip(reversed(keys), islice(reversed(keys), 1,
+                                                      None)):
+        if later == earlier and later != _NO_PARENT:
+            return later
+    if sorted_keys:
+        return None
     seen: set = set()
     for key in keys:
         if key in seen and key != _NO_PARENT:
@@ -224,9 +234,10 @@ class Combine(Operation):
         match position.
 
         Strategy selection: the sorted-outer-union feeds arrive
-        ``ORDER BY parent, id``, so when the child's PARENT keys are
-        observed non-decreasing during the build the probe runs a
-        **merge** join (binary search on the sorted key array); shuffled
+        ordered by ``parent, id``, so when the child's PARENT keys are
+        non-decreasing after the build the probe runs a **merge** join:
+        one cursor walks the sorted key array while a batch's anchor
+        keys ascend, and a key that goes backwards bisects; shuffled
         feeds fall back to a **hash** join (dict index).  ``force``
         pins ``"hash"`` or ``"merge"`` regardless (a forced merge over
         unsorted keys sorts a permutation first); it exists for the
@@ -281,33 +292,24 @@ class Combine(Operation):
                 name: [] for position, name in column_plan
                 if position is None
             }
-            child_sizes: list[int] = []
-            sorted_keys = True
-            repeated = None  # a real PARENT key on two child rows
             for batch in child:
                 started = time.perf_counter()
-                for key in batch.column("parent"):
-                    normalized = _NO_PARENT if key is None else key
-                    if keys:
-                        if normalized < keys[-1]:
-                            sorted_keys = False
-                        elif normalized == keys[-1] \
-                                and key is not None:
-                            repeated = key
-                    keys.append(normalized)
+                parents = batch.column("parent")
+                if None in parents:
+                    parents = [_NO_PARENT if key is None else key
+                               for key in parents]
+                keys.extend(parents)
                 for name, cells in child_columns.items():
                     cells.extend(batch.column(name))
-                if meter is not None:
-                    child_sizes.extend(batch.row_sizes())
                 elapsed = time.perf_counter() - started
                 build_seconds += elapsed
                 if tick is not None:
                     tick(elapsed, 0)
 
             started = time.perf_counter()
+            sorted_keys = all(map(le, keys, islice(keys, 1, None)))
             strategy = force or ("merge" if sorted_keys else "hash")
             build_rows = len(keys)
-            matched = [False] * build_rows
             hash_table_rows = 0
             if strategy == "merge":
                 if sorted_keys:
@@ -317,24 +319,51 @@ class Combine(Operation):
                     order = sorted(range(build_rows),
                                    key=keys.__getitem__)
                     probe_keys = [keys[i] for i in order]
+                # The walk's position: the last probe key and where
+                # it landed in the sorted build keys.
+                cursor = 0
+                last = _NO_PARENT
 
-                def lookup(key: int) -> int | None:
-                    index = bisect_left(probe_keys, key)
-                    if (index < build_rows
-                            and probe_keys[index] == key):
-                        return order[index] if order else index
-                    return None
+                def matches_of(anchor_keys: list) -> list:
+                    """Merge walk: each key advances the cursor from
+                    where the previous one left it (a step, then a
+                    bisection over the rest if that was not enough);
+                    a key that goes backwards bisects from the start."""
+                    nonlocal cursor, last
+                    found: list[int | None] = []
+                    append = found.append
+                    for key in anchor_keys:
+                        if key is None:
+                            append(None)
+                            continue
+                        if key < last:
+                            cursor = bisect_left(probe_keys, key)
+                        elif (cursor < build_rows
+                              and probe_keys[cursor] < key):
+                            cursor += 1
+                            if (cursor < build_rows
+                                    and probe_keys[cursor] < key):
+                                cursor = bisect_left(
+                                    probe_keys, key, cursor
+                                )
+                        last = key
+                        if (cursor < build_rows
+                                and probe_keys[cursor] == key):
+                            append(order[cursor] if order else cursor)
+                        else:
+                            append(None)
+                    return found
             else:
-                by_key = {key: index
-                          for index, key in enumerate(keys)}
+                by_key = dict(zip(keys, range(build_rows)))
                 hash_table_rows = len(by_key)
-                lookup = by_key.get
-            # Sorted keys showed any repeat as neighbours while they
-            # arrived; shuffled ones show it as a short hash table.
-            if not sorted_keys and repeated is None and (
-                    strategy == "merge"
-                    or hash_table_rows < build_rows):
-                repeated = _repeated_key(keys)
+
+                def matches_of(anchor_keys: list) -> list:
+                    return [None if key is None else by_key.get(key)
+                            for key in anchor_keys]
+            nulls = keys.count(_NO_PARENT)
+            repeated = None  # a real PARENT key on two child rows
+            if len(set(keys)) - bool(nulls) < build_rows - nulls:
+                repeated = _repeated_key(keys, sorted_keys)
             elapsed = time.perf_counter() - started
             build_seconds += elapsed
             if tick is not None:
@@ -351,37 +380,29 @@ class Combine(Operation):
             # ---- probe: stream parent batches through the index ----
             probe_rows = 0
             probe_seconds = 0.0
+            matched: set[int | None] = set()
             for batch in parent:
                 started = time.perf_counter()
                 in_rows = batch.row_count()
                 in_bytes = batch.estimated_size() if meter else 0
                 probe_rows += in_rows
-                matches: list[int | None] = [
-                    None if key is None else lookup(key)
-                    for key in batch.column(anchor_column)
-                ]
+                matches = matches_of(batch.column(anchor_column))
+                misses = matches.count(None)
                 out_columns: list[list] = []
                 out_stats: list = []
                 for position, name in column_plan:
                     if position is None:
                         cells = child_columns[name]
-                        out_columns.append([
-                            None if hit is None else cells[hit]
-                            for hit in matches
-                        ])
+                        out_columns.append(
+                            [None if hit is None else cells[hit]
+                             for hit in matches] if misses
+                            else list(map(cells.__getitem__, matches))
+                        )
                         out_stats.append(None)
                     else:
                         out_columns.append(batch.column(name))
                         out_stats.append(batch.known_stats(position))
-                attached_rows = 0
-                attached_bytes = 0
-                for hit in matches:
-                    if hit is None:
-                        continue
-                    matched[hit] = True
-                    if meter is not None:
-                        attached_rows += 1
-                        attached_bytes += child_sizes[hit]
+                matched.update(matches)
                 out = ColumnBatch(result_fragment, out_columns,
                                   batch.seq, result_layout,
                                   stats=out_stats)
@@ -390,6 +411,18 @@ class Combine(Operation):
                 if tick is not None:
                     tick(elapsed, out.row_count())
                 if meter is not None:
+                    # An inlined child row weighs its ID/PARENT
+                    # exposure plus its cells, which are exactly the
+                    # gathered columns' cells.
+                    attached_rows = in_rows - misses
+                    sizes = out.column_sizes()
+                    attached_bytes = 24 * attached_rows + sum(
+                        sizes[spec.name]
+                        for spec, (position, _) in zip(
+                            result_layout.specs, column_plan
+                        )
+                        if position is None
+                    )
                     meter.acquire(out.row_count(),
                                   out.estimated_size())
                     meter.release(in_rows + attached_rows,
@@ -400,11 +433,13 @@ class Combine(Operation):
                     strategy, build_rows, probe_rows, build_seconds,
                     probe_seconds, hash_table_rows,
                 ))
-            if not all(matched):
+            matched.discard(None)
+            if len(matched) < build_rows:
                 raise OperationError(combine_orphan_message(
                     parent_fragment.name, child_fragment.name,
-                    [None if keys[index] == _NO_PARENT else keys[index]
-                     for index, hit in enumerate(matched) if not hit],
+                    [None if key == _NO_PARENT else key
+                     for index, key in enumerate(keys)
+                     if index not in matched],
                 ))
 
         return generate()

@@ -10,7 +10,7 @@ optimizers use to prune illegal branches.
 
 from __future__ import annotations
 
-from repro.core.cost.model import CostWeights
+from repro.core.cost.model import CostWeights, weighted
 from repro.core.cost.probe import CostProbe
 from repro.core.ops.base import Location, Operation
 from repro.core.ops.scan import Scan
@@ -97,15 +97,6 @@ def resolve_weights(probe: CostProbe,
     if isinstance(probe_weights, CostWeights):
         return probe_weights
     return CostWeights()
-
-
-def weighted(weight: float, cost: float) -> float:
-    """``weight * cost`` with ``0 x inf == 0``: a zero formula-1 weight
-    mutes that term outright, never poisoning comparisons with NaN (a
-    dumb client prices its Combines at infinity)."""
-    if weight == 0.0:
-        return 0.0
-    return weight * cost
 
 
 def placement_cost(program: TransferProgram, placement: Placement,

@@ -217,3 +217,8 @@ class ResidencyMeter:
     def resident_rows(self) -> int:
         """Rows currently resident."""
         return self._rows
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes currently resident."""
+        return self._bytes

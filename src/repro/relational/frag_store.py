@@ -6,8 +6,12 @@ paper's PARENT attribute), an ``<element>_eid`` key column for every
 internal element (document structure is captured through foreign keys,
 Section 5), a text column per leaf, and a column per declared XML
 attribute.  The mapper moves whole documents and fragment instances in
-and out of that schema; ``Scan`` is a ``SELECT * ... ORDER BY parent,
-id`` (a sorted feed, as in [5, 6]).
+and out of that schema.  ``Scan`` is the sorted feed of [5, 6] —
+``parent`` (NULLs first), then ``id`` — read straight off the table,
+which stores its rows as columns clustered in that order
+(:meth:`~repro.relational.table.Table.clustered_columns`): a loaded
+document is already in feed order, so a scan is a slice of the stored
+columns and runs no SQL and no sort.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ class FragmentRelationMapper:
         """Shred an in-memory document straight into the fragment
         tables (initial population of a source system); returns the
         number of rows loaded."""
-        buffers: dict[str, list[tuple]] = {
+        buffers: dict[str, list[list]] = {
             name: [] for name in self.layouts
         }
 
@@ -133,9 +137,9 @@ class FragmentRelationMapper:
             fragment = self.fragmentation.fragment_of(node.name)
             if fragment.root_name == node.name:
                 layout = self.layouts[fragment.name]
-                buffers[fragment.name].append(tuple(
+                buffers[fragment.name].append(
                     layout.cells_from_row(FragmentRow(node, parent_eid))
-                ))
+                )
             for group in node.children.values():
                 for child in group:
                     walk(child, node.eid)
@@ -143,7 +147,10 @@ class FragmentRelationMapper:
         walk(root, None)
         loaded = 0
         for name, rows in buffers.items():
-            loaded += db.load(self.layouts[name].table_name, rows)
+            layout = self.layouts[name]
+            columns = [list(cells) for cells in zip(*rows)] \
+                or [[] for _ in layout.specs]
+            loaded += db.table(layout.table_name).load_columns(columns)
         return loaded
 
     def load_instance(self, db: Database, fragment: Fragment,
@@ -198,45 +205,49 @@ class FragmentRelationMapper:
         delta detection reads and on no other."""
         layout = self.layout_for(fragment)
         with self._table_locks[fragment.name]:
-            found = db.table(layout.table_name).rows_where(
-                column, values
-            )
-        plan = layout.keys
-        return [
-            RowKeys(raw[0], raw[1], tuple([
-                (raw[at], name, None if up is None else raw[up])
-                for at, name, up in plan if raw[at] is not None
-            ]))
-            for raw in found
-        ]
+            table = db.table(layout.table_name)
+            stored = table.columns
+            ids, parents = stored[0], stored[1]
+            plan = [
+                (stored[at], name, None if up is None else stored[up])
+                for at, name, up in layout.keys
+            ]
+            return [
+                RowKeys(ids[row_id], parents[row_id], tuple([
+                    (cells[row_id], name,
+                     None if ups is None else ups[row_id])
+                    for cells, name, ups in plan
+                    if cells[row_id] is not None
+                ]))
+                for row_id in table.row_ids_where(column, values)
+            ]
 
     # -- scanning ----------------------------------------------------------------------
 
-    def _sorted_feed(self, db: Database, fragment: Fragment,
-                     eids: "set[int] | None" = None
-                     ) -> tuple["_FragmentLayout", list[tuple]]:
-        """The fragment's layout and the raw sorted feed of its table
-        (``SELECT *`` returns the table's columns, which are the
-        layout's, in order).  With ``eids`` the feed of just those
-        rows: fetched by id, then put in the same ``parent`` (NULLs
-        first), ``id`` order — work proportional to the answer."""
+    def _sorted_columns(self, db: Database, fragment: Fragment,
+                        eids: "set[int] | None" = None
+                        ) -> tuple["_FragmentLayout", list[list], int]:
+        """The fragment's layout, its table's clustered columns (the
+        table's columns are the layout's, in order) and their row
+        count — the sorted feed.  With ``eids`` the feed of just those
+        rows, fetched by id and gathered in the same ``parent`` (NULLs
+        first), ``id`` order — work proportional to the answer.  Read
+        under the table's lock; the full feed is the table's own
+        lists, which the caller copies before letting go of it."""
         layout = self.layout_for(fragment)
-        with self._table_locks[fragment.name]:
-            if eids is None:
-                return layout, db.execute(
-                    f"SELECT * FROM {layout.table_name} "
-                    "ORDER BY parent, id"
-                ).rows
-            found = db.table(layout.table_name).rows_where("id", eids)
-        found.sort(
-            key=lambda raw: (raw[1] is not None, raw[1] or 0, raw[0])
-        )
-        return layout, found
+        table = db.table(layout.table_name)
+        if eids is None:
+            columns = table.clustered_columns()
+        else:
+            columns = table.clustered_columns_where("id", eids)
+        return layout, columns, len(columns[0])
 
     def scan_fragment(self, db: Database,
                       fragment: Fragment) -> FragmentInstance:
         """Read a fragment back as a sorted feed (Scan, Def. 3.6)."""
-        layout, raw_rows = self._sorted_feed(db, fragment)
+        with self._table_locks[fragment.name]:
+            layout, columns, _ = self._sorted_columns(db, fragment)
+            raw_rows = list(zip(*columns))
         return FragmentInstance(
             fragment, map(layout.row_from_cells, raw_rows)
         )
@@ -246,68 +257,29 @@ class FragmentRelationMapper:
                               eids: "set[int] | None" = None
                               ) -> Iterator[ColumnBatch]:
         """Read a fragment — or just its rows ``eids`` — as a stream
-        of columnar batches.
+        of columnar batches, each a slice (a copy) of the table's
+        clustered columns; no trees are built at all.
 
-        Same sorted ``SELECT`` as :meth:`scan_fragment`, but no trees
-        are built at all: the raw tuples are transposed into the
-        fragment's column arrays, normalized to the dataplane's cell
-        invariant (keys as ``int``/``None``; text of a present element
-        is a string — SQL ``NULL`` normalizes to ``""`` exactly as the
-        tree round-trip does; cells of absent elements are ``None``).
+        The stored types already give keys as ``int``/``None`` and
+        text as ``str``/``None``; what is left of the dataplane's cell
+        invariant (text of a present element is a string — SQL
+        ``NULL`` normalizes to ``""`` exactly as the tree round-trip
+        does; cells of absent elements are ``None``) is applied only
+        to a column that a whole-column test shows needs it.
         """
-        layout, raw_rows = self._sorted_feed(db, fragment, eids)
-        specs = layout.specs
-        positions = layout.positions
-        # Presence of an element is keyed by its id/eid column.
-        key_positions = {
-            spec.element: positions[spec.name]
-            for spec in specs
-            if spec.role in ("id", "eid") and spec.element
-        }
-
-        def generate() -> Iterator[ColumnBatch]:
-            seq = 0
-            for start in range(0, len(raw_rows), batch_rows):
-                chunk = raw_rows[start:start + batch_rows]
-                columns: list[list] = []
-                for spec in specs:
-                    at = positions[spec.name]
-                    if spec.role == "id":
-                        cells: list = []
-                        for raw in chunk:
-                            value = raw[at]
-                            if value is None:
-                                raise RelationalError(
-                                    f"row in {layout.table_name!r} "
-                                    "has NULL id"
-                                )
-                            cells.append(int(value))
-                    elif spec.role in ("parent", "eid"):
-                        cells = [
-                            None if raw[at] is None else int(raw[at])
-                            for raw in chunk
-                        ]
-                    elif spec.role == "text":
-                        key_at = key_positions[spec.element]
-                        cells = [
-                            None if raw[key_at] is None
-                            else "" if raw[at] is None
-                            else str(raw[at])
-                            for raw in chunk
-                        ]
-                    else:  # attr
-                        key_at = key_positions[spec.element]
-                        cells = [
-                            None if (raw[key_at] is None
-                                     or raw[at] is None)
-                            else str(raw[at])
-                            for raw in chunk
-                        ]
-                    columns.append(cells)
-                yield ColumnBatch(fragment, columns, seq, layout)
-                seq += 1
-
-        return generate()
+        with self._table_locks[fragment.name]:
+            layout, stored, count = self._sorted_columns(
+                db, fragment, eids
+            )
+            columns = _normalized(layout, stored)
+            batches = [
+                [cells[start:start + batch_rows] for cells in columns]
+                for start in range(0, count, batch_rows)
+            ]
+        return (
+            ColumnBatch(fragment, batch, seq, layout)
+            for seq, batch in enumerate(batches)
+        )
 
     def load_columns(self, db: Database, fragment: Fragment,
                      batch: ColumnBatch) -> int:
@@ -315,7 +287,7 @@ class FragmentRelationMapper:
         the per-batch unit of a Write.  The batch's layout matches the
         table's column order by construction, so the columns go to
         :meth:`~repro.relational.table.Table.load_columns` as they
-        are: checked a column at a time, transposed once, no tree
+        are: checked and stored a column at a time, no tree
         flattening."""
         layout = self.layout_for(fragment)
         columns = [batch.column(spec.name) for spec in layout.specs]
@@ -326,3 +298,28 @@ class FragmentRelationMapper:
         """Empty every fragment table (fresh target before a run)."""
         for layout in self.layouts.values():
             db.table(layout.table_name).truncate()
+
+
+def _normalized(layout: ColumnLayout, stored: list[list]) -> list[list]:
+    """``stored`` (a table's columns) under the dataplane's cell
+    invariant: a text cell of a present element is a string (``NULL``
+    becomes ``""``), every text and attribute cell of an absent
+    element — one whose key cell is ``None`` — is ``None``.  A column
+    that already holds this is returned as it is, so only a column
+    with a ``None`` where it matters is rebuilt."""
+    columns = list(stored)
+    for key_at, text_at, attr_ats, _ in layout.element_cells.values():
+        keys = stored[key_at]
+        absent = None in keys
+        if text_at is not None and (absent or None in stored[text_at]):
+            columns[text_at] = [
+                None if key is None else "" if cell is None else cell
+                for key, cell in zip(keys, stored[text_at])
+            ]
+        if absent:
+            for _, at in attr_ats:
+                columns[at] = [
+                    None if key is None else cell
+                    for key, cell in zip(keys, stored[at])
+                ]
+    return columns

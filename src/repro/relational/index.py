@@ -3,9 +3,10 @@
 Index maintenance is what Table 4 of the paper times separately from
 loading; :class:`Table` therefore does *not* maintain indexes during
 bulk loads — they are built explicitly afterwards, and
-:meth:`HashIndex.build` / :meth:`SortedIndex.build` do the measurable
-work.  Row-at-a-time writes (``insert``, ``upsert``, ``delete_where``)
-are the other discipline: they patch every *built* hash index for
+:meth:`HashIndex.build_column` / :meth:`SortedIndex.build_column` do
+the measurable work, reading the one stored key column.  Row-at-a-time
+writes (``insert``, ``upsert``, ``delete_where``) are the other
+discipline: they patch every *built* hash index for
 exactly the rows they touch (:meth:`HashIndex.add` / ``discard`` /
 ``renumber``), so a delta merge leaves nothing to rebuild.
 """
@@ -30,35 +31,40 @@ class HashIndex:
 
     def build(self, rows: Sequence[tuple]) -> None:
         """(Re)build the index over all rows."""
-        self._buckets.clear()
-        position = self.position
-        for row_id, row in enumerate(rows):
-            self._buckets.setdefault(row[position], []).append(row_id)
+        self.build_column([row[self.position] for row in rows])
+
+    def build_column(self, values: Sequence[object]) -> None:
+        """(Re)build the index over the key column itself, ``values[i]``
+        being row ``i``'s key."""
+        buckets: dict[object, list[int]] = {}
+        for row_id, value in enumerate(values):
+            buckets.setdefault(value, []).append(row_id)
+        self._buckets = buckets
         self.built = True
 
-    def add(self, row_id: int, row: tuple) -> None:
-        """Index one row (incremental maintenance).  Buckets stay in
-        ascending row-id order, as :meth:`build` leaves them."""
-        bucket = self._buckets.setdefault(row[self.position], [])
+    def add(self, row_id: int, value: object) -> None:
+        """Index the row at ``row_id``, whose key is ``value``
+        (incremental maintenance).  Buckets stay in ascending row-id
+        order, as :meth:`build` leaves them."""
+        bucket = self._buckets.setdefault(value, [])
         if bucket and bucket[-1] > row_id:
             bisect.insort(bucket, row_id)
         else:
             bucket.append(row_id)
 
-    def discard(self, row_id: int, row: tuple) -> None:
-        """Forget that ``row`` is stored at ``row_id``."""
-        value = row[self.position]
+    def discard(self, row_id: int, value: object) -> None:
+        """Forget that a row keyed ``value`` is stored at ``row_id``."""
         bucket = self._buckets[value]
         if len(bucket) == 1:
             del self._buckets[value]
         else:
             del bucket[bisect.bisect_left(bucket, row_id)]
 
-    def renumber(self, old_id: int, new_id: int, row: tuple) -> None:
-        """``row`` moved from ``old_id`` to ``new_id`` (a swap-remove
-        filled a hole with the table's last row)."""
-        self.discard(old_id, row)
-        self.add(new_id, row)
+    def renumber(self, old_id: int, new_id: int, value: object) -> None:
+        """The row keyed ``value`` moved from ``old_id`` to ``new_id``
+        (a swap-remove filled a hole with the table's last row)."""
+        self.discard(old_id, value)
+        self.add(new_id, value)
 
     def lookup(self, value: object) -> list[int]:
         """Row ids whose column equals ``value``."""
@@ -81,18 +87,21 @@ class SortedIndex:
         self.built = False
 
     def build(self, rows: Sequence[tuple]) -> None:
-        """(Re)build the index over all rows (None sorts first)."""
-        position = self.position
+        """(Re)build the index over all rows (NULLs are not indexed)."""
+        self.build_column([row[self.position] for row in rows])
+
+    def build_column(self, values: Sequence[object]) -> None:
+        """(Re)build the index over the key column itself."""
         self._entries = sorted(
-            ((row[position], row_id) for row_id, row in enumerate(rows)
-             if row[position] is not None),
+            ((value, row_id) for row_id, value in enumerate(values)
+             if value is not None),
             key=lambda entry: entry[0],
         )
         self.built = True
 
-    def add(self, row_id: int, row: tuple) -> None:
-        """Insert one appended row in order."""
-        value = row[self.position]
+    def add(self, row_id: int, value: object) -> None:
+        """Insert the appended row at ``row_id``, keyed ``value``, in
+        order."""
         if value is None:
             return
         bisect.insort(self._entries, (value, row_id),

@@ -2,9 +2,11 @@
 
 Joins are hash joins on the equi-join key (build on the smaller input);
 filters use a hash index when one is built on the filtered column of a
-single-table query; ORDER BY is an explicit sort.  Sorted feeds — the
-publisher's and Scan's ``ORDER BY parent, id`` queries — therefore cost
-what they should.
+single-table query; ORDER BY is an explicit sort.  The publisher's
+sorted feeds (``ORDER BY parent, id``) therefore cost what they should;
+Scan does not come through here — it reads the table's clustered
+columns.  UPDATE and DELETE write through :class:`Table` methods, which
+keep its indexes and clustered order honest.
 """
 
 from __future__ import annotations
@@ -375,19 +377,16 @@ def _update(db: "Database", statement: Update) -> Result:
          table.schema.column(column).type.coerce(value))
         for column, value in statement.assignments
     ]
-    changed = 0
-    for row_id, row in enumerate(table.rows):
+    changes: dict[int, tuple] = {}
+    for row_id, row in enumerate(table.scan()):
         if checks and not all(check(row) for check in checks):
             continue
         values = list(row)
         for position, value in assignments:
             values[position] = value
-        table.rows[row_id] = tuple(values)
-        changed += 1
-    if changed:
-        for index in table.indexes.values():
-            index.build(table.rows)
-    return Result([], [], changed)
+        changes[row_id] = tuple(values)
+    table.update_rows(changes)
+    return Result([], [], len(changes))
 
 
 def _try_index_filter(
@@ -414,7 +413,7 @@ def _try_index_filter(
     if index is None:
         return None
     matched = [
-        table.rows[row_id]
+        table.row(row_id)
         for row_id in index.lookup(condition.right.value)
     ]
     return matched, statement.where[1:]
@@ -428,15 +427,12 @@ def _delete(db: "Database", statement: Delete) -> Result:
         _condition_check(frame, condition) for condition in statement.where
     ]
     if not checks:
-        removed = len(table.rows)
+        removed = len(table)
         table.truncate()
         return Result([], [], removed)
-    kept = [
-        row for row in table.rows
-        if not all(check(row) for check in checks)
+    doomed = [
+        row_id for row_id, row in enumerate(table.scan())
+        if all(check(row) for check in checks)
     ]
-    removed = len(table.rows) - len(kept)
-    table.rows = kept
-    for index in table.indexes.values():
-        index.build(table.rows)
-    return Result([], [], removed)
+    table.delete_rows(doomed)
+    return Result([], [], len(doomed))

@@ -1,7 +1,10 @@
-"""Row storage with type checking and bulk loading."""
+"""Column storage with type checking, bulk loading and a clustered order."""
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import islice
+from operator import is_not, le
 from types import NoneType
 from typing import Iterable, Iterator, Sequence
 
@@ -9,9 +12,17 @@ from repro.errors import TableError
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.schema import TableSchema
 
+_is_not_none = partial(is_not, None)
+
+
+def _non_decreasing(values: list) -> bool:
+    """Whether ``values`` never goes down (compared at C speed)."""
+    return all(map(le, values, islice(values, 1, None)))
+
 
 class Table:
-    """A heap of typed rows plus its indexes.
+    """A heap of typed rows, stored one list per column, plus its
+    indexes.
 
     Two write disciplines.  ``bulk_load`` / ``load_columns`` append
     and leave every index stale (LOAD, then INDEX — the paper's Table
@@ -19,14 +30,39 @@ class Table:
     ``delete_where`` touch single rows and patch every *built* hash
     index for exactly those rows, so they cost what they change; an
     index that is not built, and any sorted index, is left stale for
-    the next :meth:`build_indexes`.  Heap order carries no meaning
-    (a delete fills its hole with the last row): ordered reads sort.
+    the next :meth:`build_indexes`.
+
+    Heap order.  A table with a NOT NULL ``id`` and a ``parent``
+    column — every fragment table — is clustered on (``parent`` NULLs
+    first, ``parent``, ``id``), the order of the paper's sorted feed.
+    The table tracks how long a prefix of its heap is known to be in
+    that order: an append leaves the prefix alone, a write that moves
+    or re-keys a row (a swap-remove, an upsert that changes the
+    order's key, a SQL ``UPDATE``) cuts it back to that row.
+    :meth:`clustered_columns` checks the rest once, at C speed, and
+    only if it is out of order sorts the heap physically (rebuilding
+    the built indexes); until the next such write, every ordered read
+    is the stored columns as they are.
     """
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self.rows: list[tuple] = []
+        self._columns: list[list] = [[] for _ in schema.columns]
+        # Per column: the cell types stored as they are, and whether
+        # NULL is allowed (what :meth:`_stored_as_is` tests).
+        self._cell_types = [
+            ({column.type.python_type, NoneType}, column.nullable)
+            for column in schema.columns
+        ]
         self.indexes: dict[str, HashIndex | SortedIndex] = {}
+        # Leading heap rows known to be in clustered order.
+        self._ordered_rows = 0
+        self._cluster: tuple[int, int] | None = None
+        if schema.has_column("id") and schema.has_column("parent") \
+                and not schema.column("id").nullable:
+            self._cluster = (
+                schema.position("parent"), schema.position("id")
+            )
 
     # -- writes ---------------------------------------------------------------
 
@@ -48,13 +84,34 @@ class Table:
             row.append(coerced)
         return tuple(row)
 
+    def _stored_as_is(self, columns: Sequence[list]) -> bool:
+        """Whether :meth:`_coerced` would leave every cell of
+        ``columns`` untouched: the right width, every cell already of
+        its column's storage type or ``None``, no ``None`` in a NOT
+        NULL column — tested once per column."""
+        return len(columns) == len(self._cell_types) and all(
+            set(map(type, cells)) <= allowed
+            and (nullable or None not in cells)
+            for (allowed, nullable), cells in zip(self._cell_types, columns)
+        )
+
+    def _append(self, row: tuple) -> int:
+        for cells, value in zip(self._columns, row):
+            cells.append(value)
+        return len(self._columns[0]) - 1
+
+    def _unordered_from(self, row_id: int) -> None:
+        """Heap rows from ``row_id`` on are no longer known to be in
+        clustered order."""
+        if row_id < self._ordered_rows:
+            self._ordered_rows = row_id
+
     def insert(self, values: Sequence[object]) -> int:
         """Insert one row (maintains existing indexes); returns row id."""
         row = self._coerced(values)
-        row_id = len(self.rows)
-        self.rows.append(row)
+        row_id = self._append(row)
         for index in self.indexes.values():
-            index.add(row_id, row)
+            index.add(row_id, row[index.position])
         return row_id
 
     def bulk_load(self, rows: Iterable[Sequence[object]]) -> int:
@@ -62,46 +119,39 @@ class Table:
         the paper's Table 4 times loading and indexing separately);
         returns the number of rows loaded."""
         count = 0
-        append = self.rows.append
         for values in rows:
-            append(self._coerced(values))
+            self._append(self._coerced(values))
             count += 1
-        for index in self.indexes.values():
-            index.built = False
+        self._mark_stale()
         return count
 
     def load_columns(self, columns: Sequence[list]) -> int:
         """:meth:`bulk_load` for rows that arrive as one list per
         column (same LOAD semantics, same checks, same errors).
 
-        Each column is tested once for what :meth:`_coerced` would
-        leave untouched — every cell already of the column's storage
-        type or ``None``, no ``None`` in a NOT NULL column — and if all
-        pass, the transposed tuples are appended as they are.  Anything
-        else (a wrong width, a cell that needs coercing or cannot be
-        stored, a missing NOT NULL value) goes through the per-cell
-        path, which coerces what can be and raises what it always
-        raised.
+        If :meth:`_stored_as_is` passes, each stored column is
+        extended by its incoming one.  Anything else (a wrong width, a
+        cell that needs coercing or cannot be stored, a missing NOT
+        NULL value) goes through the per-cell path, which coerces what
+        can be and raises what it always raised.
         """
-        schema_columns = self.schema.columns
-        stored_as_is = len(columns) == len(schema_columns) and all(
-            set(map(type, cells)) <= {column.type.python_type, NoneType}
-            and (column.nullable or None not in cells)
-            for column, cells in zip(schema_columns, columns)
-        )
-        if not stored_as_is:
+        if not self._stored_as_is(columns):
             return self.bulk_load(zip(*columns))
-        before = len(self.rows)
-        self.rows.extend(zip(*columns))
+        for stored, cells in zip(self._columns, columns):
+            stored.extend(cells)
+        self._mark_stale()
+        return len(columns[0]) if columns else 0
+
+    def _mark_stale(self) -> None:
         for index in self.indexes.values():
             index.built = False
-        return len(self.rows) - before
 
     def truncate(self) -> None:
         """Remove all rows (indexes are emptied too)."""
-        self.rows.clear()
-        for index in self.indexes.values():
-            index.build(self.rows)
+        for cells in self._columns:
+            cells.clear()
+        self._ordered_rows = 0
+        self._rebuild(self.indexes.values())
 
     def upsert(self, rows: Iterable[Sequence[object]]) -> int:
         """Store ``rows`` by primary key: a row whose key is already
@@ -116,30 +166,37 @@ class Table:
 
     def upsert_columns(self, columns: Sequence[list]) -> int:
         """:meth:`upsert` for rows that arrive as one list per column,
-        with :meth:`load_columns`' one type test per column (that
-        method's own copy of the test is left alone: it is the
-        full-exchange hot path)."""
-        schema_columns = self.schema.columns
-        stored_as_is = len(columns) == len(schema_columns) and all(
-            set(map(type, cells)) <= {column.type.python_type, NoneType}
-            and (column.nullable or None not in cells)
-            for column, cells in zip(schema_columns, columns)
-        )
-        if not stored_as_is:
+        with :meth:`load_columns`' one type test per column."""
+        if not self._stored_as_is(columns):
             return self.upsert(zip(*columns))
         return self._upsert(list(zip(*columns)))
 
-    def _upsert(self, rows: list[tuple]) -> int:
+    def _key_index(self) -> tuple[int, HashIndex]:
+        """The primary key's position and its built hash index.
+
+        Raises:
+            TableError: if the table declares no primary key.
+        """
         key = self.schema.primary_key
         if key is None:
             raise TableError(
                 f"table {self.schema.name!r} has no primary key to "
                 "upsert by"
             )
-        key_at = self.schema.position(key)
-        by_key = self.lookup_index(key)
+        return self.schema.position(key), self.lookup_index(key)
+
+    def _watched(self, key_at: int, live: list[HashIndex]) -> list[int]:
+        """The positions whose change in a replaced row matters beyond
+        the heap itself: indexed and clustering cells, but not the key
+        (it is what found the row)."""
+        positions = {index.position for index in live}
+        return sorted(positions.union(self._cluster or ()) - {key_at})
+
+    def _upsert(self, rows: list[tuple]) -> int:
+        key_at, by_key = self._key_index()
         live = self._live_indexes()
-        stored = self.rows
+        columns = self._columns
+        watched = [(at, columns[at]) for at in self._watched(key_at, live)]
         for row in rows:
             held = by_key.lookup(row[key_at])
             if len(held) > 1:
@@ -149,17 +206,31 @@ class Table:
                 held = []
             if held:
                 row_id = held[0]
-                old = stored[row_id]
-                stored[row_id] = row
-                for index in live:
-                    if old[index.position] != row[index.position]:
-                        index.discard(row_id, old)
-                        index.add(row_id, row)
+                for at, cells in watched:
+                    if cells[row_id] != row[at]:
+                        self._rekeyed(row_id, row, live)
+                        break
+                for cells, value in zip(columns, row):
+                    cells[row_id] = value
             else:
-                stored.append(row)
+                row_id = self._append(row)
                 for index in live:
-                    index.add(len(stored) - 1, row)
+                    index.add(row_id, row[index.position])
         return len(rows)
+
+    def _rekeyed(self, row_id: int, row: tuple,
+                 live: list[HashIndex]) -> None:
+        """``row`` is about to replace the row at ``row_id`` and
+        changes an indexed or clustering cell: patch ``live`` and the
+        ordered prefix."""
+        old = self.row(row_id)
+        if any(old[at] != row[at] for at in self._cluster or ()):
+            self._unordered_from(row_id)
+        for index in live:
+            was, now = old[index.position], row[index.position]
+            if was != now:
+                index.discard(row_id, was)
+                index.add(row_id, now)
 
     def delete_where(self, column: str,
                      keys: Iterable[object]) -> int:
@@ -182,11 +253,38 @@ class Table:
             ]
         else:
             doomed = [
-                row_id for row_id, row in enumerate(self.rows)
-                if row[position] in wanted
+                row_id for row_id, value in enumerate(self._columns[position])
+                if value in wanted
             ]
         self._remove(doomed)
         return len(doomed)
+
+    def update_rows(self, changes: dict[int, tuple]) -> None:
+        """Overwrite whole rows by row id (SQL ``UPDATE``; the new rows
+        are already coerced).  Every index is rebuilt."""
+        for row_id, row in changes.items():
+            for cells, value in zip(self._columns, row):
+                cells[row_id] = value
+        if changes:
+            self._unordered_from(min(changes))
+            self._rebuild(self.indexes.values())
+
+    def delete_rows(self, row_ids: Iterable[int]) -> None:
+        """Remove rows by row id, keeping the heap order of the rest
+        (SQL ``DELETE``).  Every index is rebuilt."""
+        doomed = set(row_ids)
+        if not doomed:
+            return
+        self._columns = [
+            [value for row_id, value in enumerate(cells)
+             if row_id not in doomed]
+            for cells in self._columns
+        ]
+        # What survives of the ordered prefix is still in order.
+        self._ordered_rows -= sum(
+            1 for row_id in doomed if row_id < self._ordered_rows
+        )
+        self._rebuild(self.indexes.values())
 
     def _live_indexes(self) -> list[HashIndex]:
         """The indexes a row-at-a-time write patches — every built
@@ -204,19 +302,86 @@ class Table:
         first so that the row filling a hole is never itself doomed."""
         if not row_ids:
             return
-        live = self._live_indexes()
-        rows = self.rows
+        columns = self._columns
+        live = [(index, columns[index.position])
+                for index in self._live_indexes()]
+        last = len(self)
         for row_id in sorted(row_ids, reverse=True):
-            doomed = rows[row_id]
-            last = rows.pop()
-            for index in live:
-                index.discard(row_id, doomed)
-            if row_id != len(rows):
-                rows[row_id] = last
-                for index in live:
-                    index.renumber(len(rows), row_id, last)
+            last -= 1
+            for index, keys in live:
+                index.discard(row_id, keys[row_id])
+            if row_id == last:
+                for cells in columns:
+                    cells.pop()
+                continue
+            for index, keys in live:
+                index.renumber(last, row_id, keys[last])
+            for cells in columns:
+                cells[row_id] = cells.pop()
+        self._unordered_from(min(row_ids))
+
+    # -- clustered order ------------------------------------------------------------
+
+    def clustered_columns(self) -> list[list]:
+        """The stored columns, in (``parent`` NULLs first, ``parent``,
+        ``id``) order — the heap's own lists, so read them (slice,
+        copy) and never write to them.  The rows past the known
+        ordered prefix are checked once; only if they are out of
+        order is the heap sorted (:meth:`_sort_heap`).
+
+        Raises:
+            TableError: if the table has no (``parent``, ``id``) order.
+        """
+        self._cluster_positions()
+        count = len(self)
+        if self._ordered_rows < count:
+            if not self._in_order_from(max(self._ordered_rows - 1, 0)):
+                self._sort_heap()
+            self._ordered_rows = count
+        return self._columns
+
+    def _cluster_positions(self) -> tuple[int, int]:
+        if self._cluster is None:
+            raise TableError(
+                f"table {self.schema.name!r} has no parent/id order"
+            )
+        return self._cluster
+
+    def _in_order_from(self, start: int) -> bool:
+        """Whether heap rows ``start`` on are in clustered order."""
+        parent_at, id_at = self._cluster
+        parents = self._columns[parent_at][start:]
+        ids = self._columns[id_at][start:]
+        nulls = parents.count(None)
+        if parents[:nulls].count(None) != nulls:
+            return False  # a NULL parent after a real one
+        return (_non_decreasing(ids[:nulls])
+                and _non_decreasing(
+                    list(zip(parents[nulls:], ids[nulls:]))
+                ))
+
+    def _sort_heap(self) -> None:
+        """Permute every column into clustered order (a stable sort)
+        and rebuild the indexes that were built."""
+        parent_at, id_at = self._cluster
+        parents = self._columns[parent_at]
+        keys = list(zip(
+            map(_is_not_none, parents), parents, self._columns[id_at]
+        ))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._columns = [
+            list(map(cells.__getitem__, order)) for cells in self._columns
+        ]
+        self._rebuild([
+            index for index in self.indexes.values() if index.built
+        ])
 
     # -- indexes ------------------------------------------------------------------
+
+    def _rebuild(self, indexes: Iterable[HashIndex | SortedIndex]
+                 ) -> None:
+        for index in indexes:
+            index.build_column(self._columns[index.position])
 
     def create_index(self, column: str, kind: str = "hash",
                      build: bool = True) -> HashIndex | SortedIndex:
@@ -240,18 +405,17 @@ class Table:
         else:
             raise TableError(f"unknown index kind {kind!r}")
         if build:
-            index.build(self.rows)
+            self._rebuild([index])
         self.indexes[key] = index
         return index
 
     def build_indexes(self) -> int:
         """(Re)build all stale indexes; returns how many were rebuilt."""
-        rebuilt = 0
-        for index in self.indexes.values():
-            if not index.built:
-                index.build(self.rows)
-                rebuilt += 1
-        return rebuilt
+        stale = [
+            index for index in self.indexes.values() if not index.built
+        ]
+        self._rebuild(stale)
+        return len(stale)
 
     def lookup_index(self, column: str) -> HashIndex:
         """The hash index on ``column``, built: created here if the
@@ -263,7 +427,7 @@ class Table:
         if index is None:
             return self.create_index(column)
         if not index.built:
-            index.build(self.rows)
+            self._rebuild([index])
         return index
 
     def get_index(self, column: str,
@@ -277,31 +441,68 @@ class Table:
     # -- reads -------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._columns[0])
+
+    @property
+    def columns(self) -> list[list]:
+        """The stored columns in heap order — the heap's own lists, so
+        read them and never write to them."""
+        return self._columns
+
+    @property
+    def rows(self) -> list[tuple]:
+        """A read-only copy of the heap as row tuples, in heap order."""
+        return list(zip(*self._columns))
+
+    def row(self, row_id: int) -> tuple:
+        """The row stored at ``row_id``."""
+        return tuple([cells[row_id] for cells in self._columns])
 
     def scan(self) -> Iterator[tuple]:
         """All rows in heap order (insertion order until a delete
-        moves the last row into the hole it leaves)."""
-        return iter(self.rows)
+        moves the last row into the hole it leaves, or an ordered
+        read sorts the heap)."""
+        return zip(*self._columns)
+
+    def row_ids_where(self, column: str,
+                      keys: Iterable[object]) -> list[int]:
+        """Heap positions of the rows whose ``column`` value is in
+        ``keys`` (distinct), read through :meth:`lookup_index` —
+        proportional to the answer."""
+        lookup = self.lookup_index(column).lookup
+        return [row_id for key in keys for row_id in lookup(key)]
 
     def rows_where(self, column: str,
                    keys: Iterable[object]) -> list[tuple]:
-        """Rows whose ``column`` value is in ``keys`` (distinct), read
-        through :meth:`lookup_index` — proportional to the answer."""
-        lookup = self.lookup_index(column).lookup
-        rows = self.rows
-        return [rows[row_id] for key in keys for row_id in lookup(key)]
+        """The rows :meth:`row_ids_where` finds."""
+        columns = self._columns
+        return [tuple([cells[row_id] for cells in columns])
+                for row_id in self.row_ids_where(column, keys)]
+
+    def clustered_columns_where(self, column: str,
+                                keys: Iterable[object]) -> list[list]:
+        """The rows :meth:`row_ids_where` finds, gathered into new
+        column lists in clustered order — work proportional to the
+        answer, the heap is not sorted."""
+        parent_at, id_at = self._cluster_positions()
+        row_ids = self.row_ids_where(column, keys)
+        parents = self._columns[parent_at]
+        ids = self._columns[id_at]
+        row_ids.sort(key=lambda row_id: (
+            parents[row_id] is not None, parents[row_id], ids[row_id]
+        ))
+        return [list(map(cells.__getitem__, row_ids))
+                for cells in self._columns]
 
     def column_values(self, column: str) -> list[object]:
         """All values of one column, in row order."""
-        position = self.schema.position(column)
-        return [row[position] for row in self.rows]
+        return list(self._columns[self.schema.position(column)])
 
     def estimated_bytes(self) -> int:
         """Rough storage footprint, for statistics and reports."""
         total = 0
-        for row in self.rows:
-            for value in row:
+        for cells in self._columns:
+            for value in cells:
                 if value is None:
                     total += 1
                 elif isinstance(value, str):

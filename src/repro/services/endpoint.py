@@ -389,8 +389,8 @@ class RelationalEndpoint(SystemEndpoint):
     def merge_rows(self, fragment: Fragment,
                    rows: "list[FragmentRow] | ColumnBatch") -> int:
         """Upsert into the fragment table in place, its built indexes
-        patched for the touched rows (the table scan's ``ORDER BY
-        parent, id`` restores feed order regardless of heap order)."""
+        patched for the touched rows (a write that breaks the table's
+        clustered order costs one sort at the next scan)."""
         return self.mapper.merge_rows(self.db, fragment, rows)
 
     def row_count(self, fragment: Fragment) -> int:

@@ -171,12 +171,6 @@ class TestSizes:
         assert batch.feed_size() == \
             sum(row_feed_size(row) for row in rows)
 
-    def test_row_sizes_match_row_formula(self, item_rows):
-        fragment, rows = item_rows
-        batch = ColumnBatch.from_rows(fragment, rows, 0)
-        assert batch.row_sizes() == \
-            [row_estimated_size(row) for row in rows]
-
     def test_column_sizes_sum_to_estimated(self, item_rows):
         fragment, rows = item_rows
         batch = ColumnBatch.from_rows(fragment, rows, 0)

@@ -212,6 +212,24 @@ class TestZeroWeightTimesInfiniteCost:
             ))
         assert optimal.cost <= greedy.cost <= worst.cost
 
+    def test_model_breakdown_prices_like_the_optimizers(
+            self, mapping, customers_schema):
+        model = CostModel(
+            StatisticsCatalog.synthetic(customers_schema),
+            target=MachineProfile("t", can_combine=False),
+            weights=CostWeights(0.0, 1.0),
+        )
+        for exchange in (optimal_exchange, worst_exchange):
+            result = exchange(mapping, model)
+            breakdown = model.breakdown(result.program, result.placement)
+            assert breakdown.computation == 0.0
+            assert all(math.isfinite(cost)
+                       for cost in breakdown.by_location.values())
+            assert breakdown.total == pytest.approx(result.cost)
+            assert model.program_cost(
+                result.program, result.placement
+            ) == pytest.approx(result.cost)
+
 
 def test_enumerator_limit_zero_yields_nothing(mapping):
     # The oracle keeps its ``limit``; 0 programs is a legal answer.

@@ -326,6 +326,140 @@ class TestJoinUnit:
                       force="nested-loop")
 
 
+def _order_with_service(eid, service_eid):
+    """An Order row whose Service (no name) is ``service_eid``, or
+    absent when that is ``None``."""
+    data = ElementData("Order", eid)
+    if service_eid is not None:
+        data.add_child(ElementData("Service", service_eid))
+    return FragmentRow(data, 1)
+
+
+def _service_name_row(eid, parent):
+    return FragmentRow(
+        ElementData("ServiceName", eid, {}, f"name-{eid}"), parent
+    )
+
+
+class TestMergeWalk:
+    """The merge join walks sorted build keys with one cursor; it must
+    answer exactly as the hash join whatever order the probe keys come
+    in — ascending, going backwards mid-batch, or NULL (an absent
+    anchor)."""
+
+    @pytest.fixture
+    def combine(self, customers_schema):
+        order = Fragment(customers_schema, ["Order", "Service"], "Order")
+        name = Fragment(customers_schema, ["ServiceName"], "ServiceName")
+        return Combine(order, name), order, name
+
+    @staticmethod
+    def _outcome(combine, parents, children, force, batch_rows=3):
+        """The combined documents or the error text, and the strategy
+        the join reports."""
+        combine, order, name = combine
+        strategies = []
+        try:
+            out = TestJoinUnit._run(
+                combine, order, name, parents, children,
+                batch_rows=batch_rows, observe=strategies.append,
+                force=force,
+            )
+        except OperationError as exc:
+            out = str(exc)
+        return out, [strategy for strategy, _, _ in strategies]
+
+    def _same_as_hash(self, combine, parents, children):
+        for batch_rows in (1, 3, 100):
+            merged, strategy = self._outcome(
+                combine, parents, children, "merge", batch_rows
+            )
+            hashed, _ = self._outcome(
+                combine, parents, children, "hash", batch_rows
+            )
+            assert merged == hashed
+            assert strategy in ([], ["merge"])
+        return merged
+
+    def test_sorted_probes(self, combine):
+        parents = [_order_with_service(10 * n, 10 * n + 1)
+                   for n in range(1, 7)]
+        children = [_service_name_row(10 * n + 2, 10 * n + 1)
+                    for n in range(1, 7) if n != 4]
+        merged = self._same_as_hash(combine, parents, children)
+        assert len(merged) == 6
+
+    def test_probe_going_backwards_mid_batch(self, combine):
+        anchors = [41, 11, 51, 21, 61, 31, 71]
+        parents = [_order_with_service(10 * n, anchor)
+                   for n, anchor in enumerate(anchors, 1)]
+        children = [_service_name_row(anchor + 1, anchor)
+                    for anchor in sorted(anchors)]
+        merged = self._same_as_hash(combine, parents, children)
+        assert all("ServiceName" in document for document in merged)
+
+    def test_null_anchors(self, combine):
+        anchors = [None, 11, None, 21, 31, None]
+        parents = [_order_with_service(10 * n, anchor)
+                   for n, anchor in enumerate(anchors, 1)]
+        children = [_service_name_row(anchor + 1, anchor)
+                    for anchor in (11, 21, 31)]
+        merged = self._same_as_hash(combine, parents, children)
+        assert sum("ServiceName" in document for document in merged) == 3
+
+    def test_errors_match_the_hash_join(self, combine):
+        parents = [_order_with_service(10, 11), _order_with_service(20, None),
+                   _order_with_service(30, 31)]
+        orphans = [_service_name_row(12, 11), _service_name_row(99, 77),
+                   _service_name_row(32, 31), _service_name_row(98, None)]
+        message = self._same_as_hash(combine, parents, orphans)
+        assert "orphaned PARENT" in message
+        duplicated = [_service_name_row(12, 11), _service_name_row(13, 11)]
+        message = self._same_as_hash(combine, parents, duplicated)
+        assert "PARENT key 11 appears on 2 child rows" in message
+
+    def test_residency_matches_the_row_kernel(self, combine):
+        # Inlined child rows are released at what they weigh, read off
+        # the gathered columns' sizes instead of per row.
+        from repro.core.instance import row_estimated_size
+        from repro.core.stream import FragmentStream, ResidencyMeter
+
+        combine, order, name = combine
+        anchors = [None, 11, 21, None, 31]
+        parents = [_order_with_service(10 * n, anchor)
+                   for n, anchor in enumerate(anchors, 1)]
+        children = [_service_name_row(anchor + 1, anchor)
+                    for anchor in (11, 21, 31)]
+        meters = []
+        for columnar in (False, True):
+            meter = ResidencyMeter()
+            meter.acquire(
+                len(parents) + len(children),
+                sum(map(row_estimated_size, parents + children)),
+            )
+            if columnar:
+                list(combine.apply_column_batches(
+                    (ColumnBatch.from_rows(order, parents[at:at + 2], at)
+                     for at in range(0, len(parents), 2)),
+                    [ColumnBatch.from_rows(name, children, 0)],
+                    meter=meter,
+                ))
+            else:
+                list(combine.apply_batches(
+                    FragmentStream.from_instance(
+                        FragmentInstance(order, parents).copy(), 2
+                    ),
+                    FragmentStream.from_instance(
+                        FragmentInstance(name, children).copy(), 2
+                    ),
+                    meter=meter,
+                ))
+            meters.append((meter.resident_rows, meter.resident_bytes,
+                           meter.peak_rows, meter.peak_bytes))
+        assert meters[0] == meters[1]
+        assert meters[1][0] == len(parents)
+
+
 class TestOrphanAccounting:
     """Orphaned PARENT keys must be listed, identically across the
     materialized, row-streaming and columnar paths; a duplicated key

@@ -132,3 +132,39 @@ class TestLoadAndScan:
         featured = table.column_values("item_featured")
         assert any(value is None for value in featured)
         assert any(value == "yes" for value in featured)
+
+
+class TestScanIsASlice:
+    """A loaded document is stored in feed order: scanning it sorts
+    nothing, runs no SQL, and hands out copies of the stored columns."""
+
+    def test_scans_of_a_loaded_document_never_sort(
+            self, lf_store, auction_lf, auction_document, monkeypatch):
+        from repro.relational.table import Table
+
+        db, mapper = lf_store
+        mapper.load_document(db, auction_document)
+        sorted_tables = []
+        original = Table._sort_heap
+
+        def counting(table):
+            sorted_tables.append(table.schema.name)
+            original(table)
+
+        def no_sql(self, sql):
+            raise AssertionError(f"scan ran SQL: {sql}")
+
+        monkeypatch.setattr(Table, "_sort_heap", counting)
+        monkeypatch.setattr(Database, "execute", no_sql)
+        for _ in range(3):
+            for fragment in auction_lf:
+                for batch in mapper.scan_fragment_columns(
+                        db, fragment, 50):
+                    stored = db.table(mapper.table_name(fragment))
+                    assert all(
+                        cells is not kept
+                        for cells in batch.columns
+                        for kept in stored.clustered_columns()
+                    )
+                mapper.scan_fragment(db, fragment)
+        assert sorted_tables == []

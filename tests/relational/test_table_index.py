@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import TableError
 from repro.relational.index import HashIndex, SortedIndex
@@ -92,9 +93,9 @@ class TestSortedIndex:
     def test_incremental_add(self):
         index = SortedIndex("t", "c", 0)
         index.build([(2,)])
-        index.add(5, (1,))
+        index.add(5, 1)
         assert list(index.row_ids_in_order()) == [5, 0]
-        index.add(6, (None,))  # NULLs are not indexed
+        index.add(6, None)  # NULLs are not indexed
         assert len(index) == 2
 
 
@@ -343,3 +344,179 @@ class TestIndexMaintenance:
         reference.bulk_load(shuffled)
         assert db.query("SELECT * FROM f ORDER BY parent, id") \
             == db.query("SELECT * FROM g ORDER BY parent, id")
+
+
+def _feed_key(row):
+    """(``parent`` NULLs first, ``parent``, ``id``): the sorted feed."""
+    return (row[1] is not None, row[1] or 0, row[0])
+
+
+class ClusteredTableMachine(RuleBasedStateMachine):
+    """A fragment table against a plain ``list[tuple]``: whatever mix
+    of in-order and out-of-order loads, keyed writes and SQL writes
+    ran, the ordered scan is the sorted model, keyed reads answer like
+    a fresh build, and the heap holds the model's rows."""
+
+    IDS = st.integers(0, 30)
+    PARENTS = st.one_of(st.none(), st.integers(0, 5))
+    ROWS = st.lists(
+        st.tuples(IDS, PARENTS, st.sampled_from(["a", "b", None])),
+        max_size=6,
+    )
+
+    def __init__(self):
+        super().__init__()
+        from repro.relational.engine import Database
+
+        self.db = Database("d")
+        self.table = self.db.create_table(TableSchema("f", [
+            Column("id", ColumnType.INTEGER, nullable=False),
+            Column("parent", ColumnType.INTEGER),
+            Column("name", ColumnType.TEXT),
+        ], primary_key="id"))
+        self.model: list[tuple] = []
+
+    @staticmethod
+    def _columns(rows):
+        return [list(cells) for cells in zip(*rows)] or [[], [], []]
+
+    def _upserted(self, rows):
+        for row in rows:
+            self.model = [old for old in self.model if old[0] != row[0]]
+            self.model.append(row)
+
+    @rule(rows=ROWS, in_order=st.booleans(), by_column=st.booleans())
+    def load(self, rows, in_order, by_column):
+        if in_order:
+            rows = sorted(rows, key=_feed_key)
+        if by_column:
+            self.table.load_columns(self._columns(rows))
+        else:
+            self.table.bulk_load(rows)
+        self.model.extend(rows)
+
+    @rule(row=st.tuples(IDS, PARENTS, st.just("i")))
+    def insert(self, row):
+        self.table.insert(row)
+        self.model.append(row)
+
+    @rule(rows=ROWS, by_column=st.booleans())
+    def upsert(self, rows, by_column):
+        if by_column:
+            self.table.upsert_columns(self._columns(rows))
+        else:
+            self.table.upsert(rows)
+        self._upserted(rows)
+
+    @rule(ids=st.lists(IDS, max_size=4))
+    def delete(self, ids):
+        self.table.delete_where("id", ids)
+        self.model = [row for row in self.model if row[0] not in ids]
+
+    @rule()
+    def truncate(self):
+        self.table.truncate()
+        self.model.clear()
+
+    @rule(key=IDS, parent=PARENTS)
+    def sql_update(self, key, parent):
+        value = "NULL" if parent is None else parent
+        self.db.execute(f"UPDATE f SET parent = {value} WHERE id = {key}")
+        self.model = [(row[0], parent, row[2]) if row[0] == key else row
+                      for row in self.model]
+
+    @rule(parent=st.integers(0, 5))
+    def sql_delete(self, parent):
+        self.db.execute(f"DELETE FROM f WHERE parent = {parent}")
+        self.model = [row for row in self.model if row[1] != parent]
+
+    @rule(column=st.sampled_from(["id", "parent"]))
+    def index(self, column):
+        self.table.lookup_index(column)
+
+    @invariant()
+    def ordered_scan_is_the_sorted_model(self):
+        scanned = list(zip(*self.table.clustered_columns()))
+        assert [_feed_key(row) for row in scanned] \
+            == sorted(map(_feed_key, self.model))
+        assert sorted(scanned, key=repr) == sorted(self.model, key=repr)
+        if len({row[0] for row in self.model}) == len(self.model):
+            assert scanned == sorted(self.model, key=_feed_key)
+
+    @invariant()
+    def keyed_reads_answer_like_a_fresh_build(self):
+        for column, at in (("id", 0), ("parent", 1)):
+            keys = {row[at] for row in self.model} | {99}
+            assert sorted(self.table.rows_where(column, keys), key=repr) \
+                == sorted([row for row in self.model if row[at] in keys],
+                          key=repr)
+        for index in self.table.indexes.values():
+            if index.built:
+                fresh = HashIndex("f", index.column, index.position)
+                fresh.build(self.table.rows)
+                for key in {row[index.position] for row in self.model}:
+                    assert index.lookup(key) == fresh.lookup(key)
+
+    @invariant()
+    def the_heap_holds_the_model(self):
+        assert sorted(self.table.rows, key=repr) \
+            == sorted(self.model, key=repr)
+
+
+TestClusteredTable = ClusteredTableMachine.TestCase
+TestClusteredTable.settings = settings(
+    max_examples=150, stateful_step_count=15, deadline=None
+)
+
+
+class TestSortsOnlyWhenDisordered:
+    """A clustered table's ordered reads are the stored columns; only
+    a write that breaks the order costs one sort, at the next read."""
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        counted = []
+        original = Table._sort_heap
+
+        def counting(table):
+            counted.append(table.schema.name)
+            original(table)
+
+        monkeypatch.setattr(Table, "_sort_heap", counting)
+        return counted
+
+    @pytest.fixture
+    def feed(self):
+        table = Table(TableSchema("f", [
+            Column("id", ColumnType.INTEGER, nullable=False),
+            Column("parent", ColumnType.INTEGER),
+        ], primary_key="id"))
+        table.load_columns([[1, 2, 3, 4, 5, 6], [None, 1, 1, 2, 2, 2]])
+        table.load_columns([[7, 8], [3, 3]])  # continues the order
+        return table
+
+    def test_in_order_loads_never_sort(self, feed, sorts):
+        first = feed.clustered_columns()
+        for _ in range(5):
+            assert feed.clustered_columns() is first
+        assert sorts == []
+
+    def test_one_sort_after_a_disordering_write(self, feed, sorts):
+        feed.clustered_columns()
+        feed.upsert([[2, 9]])  # re-parents a row: out of order now
+        for _ in range(4):
+            assert feed.clustered_columns()[0] \
+                == [1, 3, 4, 5, 6, 7, 8, 2]
+        assert sorts == ["f"]
+        feed.load_columns([[9], [0]])  # an append out of order
+        feed.clustered_columns()
+        feed.clustered_columns()
+        assert sorts == ["f", "f"]
+
+    def test_swap_remove_sorts_once(self, feed, sorts):
+        feed.lookup_index("id")
+        feed.delete_where("id", [3])
+        assert feed.clustered_columns()[0] == [1, 2, 4, 5, 6, 7, 8]
+        assert feed.get_index("id").lookup(4) == [2]
+        feed.clustered_columns()
+        assert sorts == ["f"]
