@@ -2,9 +2,10 @@
 
 ``Scan(f)`` returns the instance of ``f`` and computes the ``ID`` and
 ``PARENT`` attributes of each row.  How that happens is the producing
-system's business — a relational endpoint runs a SQL query, a directory
-endpoint walks its tree — so the executor delegates to the endpoint and
-this node only records *which* fragment is read.  The delegation is
+system's business — a relational endpoint slices its table's columns
+(stored in PARENT, ID order), a directory endpoint walks its tree — so
+the executor delegates to the endpoint and this node only records
+*which* fragment is read.  The delegation is
 ``endpoint.scan_stream_columnar(fragment, batch_rows)`` for a
 flat-storable fragment — the endpoint yields the feed as
 :class:`~repro.core.columnar.ColumnBatch` slices — and

@@ -281,7 +281,7 @@ class ProgramExecutor:
             self.channel, self.batch_rows,
             retry=self.retry, journal=self.journal,
             tracer=self.tracer, metrics=self.metrics,
-        ).execute(self.workers)
+        ).drive(self.workers)
 
 
 def apply_robustness(report: ExecutionReport, stats) -> None:

@@ -221,7 +221,7 @@ class ProgramRun:
 
     # -- driving ----------------------------------------------------------------
 
-    def execute(self, workers: int = 1) -> ExecutionReport:
+    def drive(self, workers: int = 1) -> ExecutionReport:
         """Drive every Write: in topological order on this thread
         (``workers == 1``), or each as its own task on a
         ``workers``-wide pool with cross-edge prefetch on a second

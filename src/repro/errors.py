@@ -60,10 +60,6 @@ class RelationalError(ReproError):
     """Base class for relational-engine errors."""
 
 
-class SqlSyntaxError(RelationalError):
-    """Raised by the SQL tokenizer/parser on malformed statements."""
-
-
 class TableError(RelationalError):
     """Raised on schema violations (unknown table/column, arity mismatch)."""
 

@@ -1,14 +1,16 @@
 """An in-memory relational engine — the paper's MySQL stand-in.
 
 The real experiment (Section 5) ran two MySQL 3.23 servers; this package
-provides the equivalent substrate: typed tables
-(:mod:`repro.relational.table`), hash and sorted indexes
-(:mod:`repro.relational.index`), a database façade with a small SQL
-subset (:mod:`repro.relational.engine`, :mod:`repro.relational.sql`),
-plus the three XML-specific components the paper builds on top:
+provides the substrate the exchange actually reads and writes: typed
+column tables clustered on (``parent``, ``id``)
+(:mod:`repro.relational.table`), hash indexes built in their own timed
+step (:mod:`repro.relational.index`), a database façade of named tables
+(:mod:`repro.relational.engine`), plus the three XML-specific
+components the paper builds on top:
 
 * :mod:`repro.relational.frag_store` — a fragmentation's relational
-  schema (table per fragment) and fragment instance load/extract,
+  schema (table per fragment) and fragment instance load/extract; a
+  scan is a slice of the clustered columns,
 * :mod:`repro.relational.publisher` — optimized XML publishing from
   sorted feeds (merge & tag, after [6]),
 * :mod:`repro.relational.shredder` — stack-based SAX shredding of XML

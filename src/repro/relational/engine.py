@@ -1,4 +1,4 @@
-"""The database façade: named tables + SQL execution + statistics."""
+"""The database façade: named tables plus row counts."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from typing import Iterable, Sequence
 
 from repro.errors import TableError
 from repro.relational.schema import TableSchema
-from repro.relational.sql.executor import Result, execute_statement
-from repro.relational.sql.parser import parse_sql
 from repro.relational.table import Table
 
 
@@ -17,8 +15,6 @@ class Database:
     def __init__(self, name: str = "db") -> None:
         self.name = name
         self._tables: dict[str, Table] = {}
-
-    # -- DDL -----------------------------------------------------------------
 
     def create_table(self, schema: TableSchema) -> Table:
         """Create a table from a schema object.
@@ -32,19 +28,6 @@ class Database:
         table = Table(schema)
         self._tables[key] = table
         return table
-
-    def drop_table(self, name: str) -> None:
-        """Drop a table.
-
-        Raises:
-            TableError: if it does not exist.
-        """
-        try:
-            del self._tables[name.lower()]
-        except KeyError as exc:
-            raise TableError(f"no table {name!r}") from exc
-
-    # -- access ---------------------------------------------------------------
 
     def table(self, name: str) -> Table:
         """Return table ``name``.
@@ -63,43 +46,10 @@ class Database:
         """True if the table exists."""
         return name.lower() in self._tables
 
-    def table_names(self) -> list[str]:
-        """Declared table names (original case), sorted."""
-        return sorted(
-            table.schema.name for table in self._tables.values()
-        )
-
-    # -- SQL -------------------------------------------------------------------
-
-    def execute(self, sql: str) -> Result:
-        """Parse and execute one SQL statement."""
-        return execute_statement(self, parse_sql(sql))
-
-    def query(self, sql: str) -> list[tuple]:
-        """Execute a SELECT and return its rows."""
-        return self.execute(sql).rows
-
-    def explain(self, sql: str) -> str:
-        """Describe how a SELECT will be evaluated (see
-        :mod:`repro.relational.sql.explain`)."""
-        from repro.relational.sql.explain import explain
-
-        return explain(self, sql)
-
-    # -- bulk operations --------------------------------------------------------
-
     def load(self, table_name: str,
              rows: Iterable[Sequence[object]]) -> int:
         """Bulk-load rows (LOAD semantics: indexes left stale)."""
         return self.table(table_name).bulk_load(rows)
-
-    def build_all_indexes(self) -> int:
-        """Rebuild every stale index in the database; returns count."""
-        return sum(
-            table.build_indexes() for table in self._tables.values()
-        )
-
-    # -- statistics ----------------------------------------------------------------
 
     def row_count(self, table_name: str) -> int:
         """Rows currently stored in ``table_name``."""
@@ -108,9 +58,3 @@ class Database:
     def total_rows(self) -> int:
         """Rows across all tables."""
         return sum(len(table) for table in self._tables.values())
-
-    def estimated_bytes(self) -> int:
-        """Approximate storage footprint of all tables."""
-        return sum(
-            table.estimated_bytes() for table in self._tables.values()
-        )

@@ -1,26 +1,24 @@
-"""Secondary indexes: hash (equality) and sorted (range/order).
+"""Hash (equality) indexes over one stored column.
 
 Index maintenance is what Table 4 of the paper times separately from
 loading; :class:`Table` therefore does *not* maintain indexes during
 bulk loads — they are built explicitly afterwards, and
-:meth:`HashIndex.build_column` / :meth:`SortedIndex.build_column` do
-the measurable work, reading the one stored key column.  Row-at-a-time
-writes (``insert``, ``upsert``, ``delete_where``) are the other
-discipline: they patch every *built* hash index for
-exactly the rows they touch (:meth:`HashIndex.add` / ``discard`` /
-``renumber``), so a delta merge leaves nothing to rebuild.
+:meth:`HashIndex.build_column` does the measurable work, reading the
+one stored key column.  Row-at-a-time writes (``upsert``,
+``delete_where``) are the other discipline: they patch every *built*
+index for exactly the rows they touch (:meth:`HashIndex.add` /
+``discard`` / ``renumber``), so a delta merge leaves nothing to
+rebuild.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class HashIndex:
     """Equality index: value → row ids."""
-
-    kind = "hash"
 
     def __init__(self, table_name: str, column: str, position: int) -> None:
         self.table_name = table_name
@@ -28,10 +26,6 @@ class HashIndex:
         self.position = position
         self._buckets: dict[object, list[int]] = {}
         self.built = False
-
-    def build(self, rows: Sequence[tuple]) -> None:
-        """(Re)build the index over all rows."""
-        self.build_column([row[self.position] for row in rows])
 
     def build_column(self, values: Sequence[object]) -> None:
         """(Re)build the index over the key column itself, ``values[i]``
@@ -45,7 +39,7 @@ class HashIndex:
     def add(self, row_id: int, value: object) -> None:
         """Index the row at ``row_id``, whose key is ``value``
         (incremental maintenance).  Buckets stay in ascending row-id
-        order, as :meth:`build` leaves them."""
+        order, as :meth:`build_column` leaves them."""
         bucket = self._buckets.setdefault(value, [])
         if bucket and bucket[-1] > row_id:
             bisect.insort(bucket, row_id)
@@ -72,53 +66,3 @@ class HashIndex:
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
-
-
-class SortedIndex:
-    """Order index: sorted (value, row id) pairs; supports ranges."""
-
-    kind = "sorted"
-
-    def __init__(self, table_name: str, column: str, position: int) -> None:
-        self.table_name = table_name
-        self.column = column
-        self.position = position
-        self._entries: list[tuple[object, int]] = []
-        self.built = False
-
-    def build(self, rows: Sequence[tuple]) -> None:
-        """(Re)build the index over all rows (NULLs are not indexed)."""
-        self.build_column([row[self.position] for row in rows])
-
-    def build_column(self, values: Sequence[object]) -> None:
-        """(Re)build the index over the key column itself."""
-        self._entries = sorted(
-            ((value, row_id) for row_id, value in enumerate(values)
-             if value is not None),
-            key=lambda entry: entry[0],
-        )
-        self.built = True
-
-    def add(self, row_id: int, value: object) -> None:
-        """Insert the appended row at ``row_id``, keyed ``value``, in
-        order."""
-        if value is None:
-            return
-        bisect.insort(self._entries, (value, row_id),
-                      key=lambda entry: entry[0])
-
-    def row_ids_in_order(self) -> Iterable[int]:
-        """All indexed row ids in ascending column order."""
-        return (row_id for _, row_id in self._entries)
-
-    def range(self, low: object | None, high: object | None) -> list[int]:
-        """Row ids with ``low <= value <= high`` (None = unbounded)."""
-        keys = [entry[0] for entry in self._entries]
-        start = 0 if low is None else bisect.bisect_left(keys, low)
-        stop = (
-            len(keys) if high is None else bisect.bisect_right(keys, high)
-        )
-        return [row_id for _, row_id in self._entries[start:stop]]
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -1,11 +1,12 @@
 """Optimized XML publishing from relational fragments (after [6]).
 
-Publishing a full document from a fragmentation runs one sorted-feed
-query per fragment table (``SELECT * ... ORDER BY parent, id``), groups
-each feed by PARENT, and *merges & tags* the feeds into a single XML
-document by walking the schema tree — the strategy of Fernández,
-Morishima & Suciu that the paper uses as its optimized publish&map
-baseline (Section 5.1).  The tagger streams through
+Publishing a full document from a fragmentation reads one sorted feed
+per fragment table — the paper's per-fragment ``ORDER BY parent, id``
+query, here a scan of the table's columns, which are stored in that
+order — groups each feed by PARENT, and *merges & tags* the feeds into
+a single XML document by walking the schema tree: the strategy of
+Fernández, Morishima & Suciu that the paper uses as its optimized
+publish&map baseline (Section 5.1).  The tagger streams through
 :class:`~repro.xmlkit.writer.XmlStreamWriter`, so no element tree is
 materialized.
 """
@@ -42,7 +43,8 @@ class PublishReport:
 
 def fetch_feeds(db: Database, mapper: FragmentRelationMapper
                 ) -> dict[str, GroupedFeed]:
-    """Run the per-fragment sorted-feed queries and group by PARENT."""
+    """Scan every fragment's table in (parent, id) order and group
+    each feed by PARENT."""
     feeds: dict[str, GroupedFeed] = {}
     for fragment in mapper.fragmentation:
         grouped: GroupedFeed = {}
@@ -53,55 +55,60 @@ def fetch_feeds(db: Database, mapper: FragmentRelationMapper
     return feeds
 
 
-def publish_document(db: Database, mapper: FragmentRelationMapper
-                     ) -> PublishReport:
-    """Publish the full XML document stored under ``mapper``'s
-    fragmentation (publish&map steps 1–2: execute queries, tag).
-
-    Raises:
-        RelationalError: if the stored data does not contain exactly one
-            document root.
-    """
-    fragmentation = mapper.fragmentation
+def _merge_and_tag(fragmentation: Fragmentation,
+                   feeds: dict[str, GroupedFeed],
+                   root: ElementData) -> str:
+    """The document under ``root``, a root-fragment occurrence: each
+    occurrence's children come from its own fragment's data or, across
+    a fragment boundary, from the child fragment's feed group keyed by
+    the occurrence's eid."""
     schema = fragmentation.schema
-    feeds = fetch_feeds(db, mapper)
-    rows_merged = sum(
-        len(group) for feed in feeds.values() for group in feed.values()
-    )
-
     writer = XmlStreamWriter()
 
     def emit(fragment: Fragment, occurrence: ElementData) -> None:
-        _emit_element(fragment, occurrence)
-
-    def _emit_element(fragment: Fragment,
-                      occurrence: ElementData) -> None:
         writer.start(occurrence.name, occurrence.attrs)
         if occurrence.text:
             writer.characters(occurrence.text)
         for child_node in schema.node(occurrence.name).children:
             if child_node.name in fragment.elements:
                 for child in occurrence.child_list(child_node.name):
-                    _emit_element(fragment, child)
+                    emit(fragment, child)
             else:
                 child_fragment = fragmentation.fragment_of(
                     child_node.name
                 )
-                grouped = feeds[child_fragment.name]
-                for child in grouped.get(occurrence.eid, []):
+                for child in feeds[child_fragment.name].get(
+                        occurrence.eid, []):
                     emit(child_fragment, child)
         writer.end(occurrence.name)
 
-    root_fragment = fragmentation.root_fragment()
-    roots = feeds[root_fragment.name].get(None, [])
+    emit(fragmentation.root_fragment(), root)
+    return writer.getvalue()
+
+
+def publish_document(db: Database, mapper: FragmentRelationMapper
+                     ) -> PublishReport:
+    """Publish the full XML document stored under ``mapper``'s
+    fragmentation (publish&map steps 1–2: read the feeds, tag).
+
+    Raises:
+        RelationalError: if the stored data does not contain exactly one
+            document root.
+    """
+    fragmentation = mapper.fragmentation
+    feeds = fetch_feeds(db, mapper)
+    rows_merged = sum(
+        len(group) for feed in feeds.values() for group in feed.values()
+    )
+    roots = feeds[fragmentation.root_fragment().name].get(None, [])
     if len(roots) != 1:
         raise RelationalError(
             f"expected exactly one document root, found {len(roots)} "
             "(use publish_document_set for multi-document services)"
         )
-    emit(root_fragment, roots[0])
     return PublishReport(
-        writer.getvalue(), len(fragmentation.fragments), rows_merged
+        _merge_and_tag(fragmentation, feeds, roots[0]),
+        len(fragmentation.fragments), rows_merged,
     )
 
 
@@ -116,33 +123,10 @@ def publish_document_set(db: Database,
     fetched once and shared across the documents.
     """
     fragmentation = mapper.fragmentation
-    schema = fragmentation.schema
     feeds = fetch_feeds(db, mapper)
-    root_fragment = fragmentation.root_fragment()
     reports: list[PublishReport] = []
-    for root in feeds[root_fragment.name].get(None, []):
-        writer = XmlStreamWriter()
-
-        def emit(fragment: Fragment, occurrence: ElementData) -> None:
-            writer.start(occurrence.name, occurrence.attrs)
-            if occurrence.text:
-                writer.characters(occurrence.text)
-            for child_node in schema.node(occurrence.name).children:
-                if child_node.name in fragment.elements:
-                    for child in occurrence.child_list(
-                            child_node.name):
-                        emit(fragment, child)
-                else:
-                    child_fragment = fragmentation.fragment_of(
-                        child_node.name
-                    )
-                    for child in feeds[child_fragment.name].get(
-                            occurrence.eid, []):
-                        emit(child_fragment, child)
-            writer.end(occurrence.name)
-
-        emit(root_fragment, root)
-        document = writer.getvalue()
+    for root in feeds[fragmentation.root_fragment().name].get(None, []):
+        document = _merge_and_tag(fragmentation, feeds, root)
         reports.append(
             PublishReport(
                 document, len(fragmentation.fragments),

@@ -47,11 +47,6 @@ class TableSchema:
                 f"{self.name!r}"
             )
 
-    @property
-    def arity(self) -> int:
-        """Number of columns."""
-        return len(self.columns)
-
     def column_names(self) -> list[str]:
         """Column names in declaration order."""
         return [column.name for column in self.columns]

@@ -9,7 +9,7 @@ from types import NoneType
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import TableError
-from repro.relational.index import HashIndex, SortedIndex
+from repro.relational.index import HashIndex
 from repro.relational.schema import TableSchema
 
 _is_not_none = partial(is_not, None)
@@ -26,11 +26,10 @@ class Table:
 
     Two write disciplines.  ``bulk_load`` / ``load_columns`` append
     and leave every index stale (LOAD, then INDEX — the paper's Table
-    4 times them separately).  ``insert`` / ``upsert`` /
-    ``delete_where`` touch single rows and patch every *built* hash
-    index for exactly those rows, so they cost what they change; an
-    index that is not built, and any sorted index, is left stale for
-    the next :meth:`build_indexes`.
+    4 times them separately).  ``upsert`` / ``delete_where`` touch
+    single rows and patch every *built* index for exactly those rows,
+    so they cost what they change; an index that is not built stays
+    stale until :meth:`lookup_index` next reads through it.
 
     Heap order.  A table with a NOT NULL ``id`` and a ``parent``
     column — every fragment table — is clustered on (``parent`` NULLs
@@ -38,7 +37,7 @@ class Table:
     The table tracks how long a prefix of its heap is known to be in
     that order: an append leaves the prefix alone, a write that moves
     or re-keys a row (a swap-remove, an upsert that changes the
-    order's key, a SQL ``UPDATE``) cuts it back to that row.
+    order's key) cuts it back to that row.
     :meth:`clustered_columns` checks the rest once, at C speed, and
     only if it is out of order sorts the heap physically (rebuilding
     the built indexes); until the next such write, every ordered read
@@ -54,7 +53,7 @@ class Table:
             ({column.type.python_type, NoneType}, column.nullable)
             for column in schema.columns
         ]
-        self.indexes: dict[str, HashIndex | SortedIndex] = {}
+        self.indexes: dict[str, HashIndex] = {}
         # Leading heap rows known to be in clustered order.
         self._ordered_rows = 0
         self._cluster: tuple[int, int] | None = None
@@ -105,14 +104,6 @@ class Table:
         clustered order."""
         if row_id < self._ordered_rows:
             self._ordered_rows = row_id
-
-    def insert(self, values: Sequence[object]) -> int:
-        """Insert one row (maintains existing indexes); returns row id."""
-        row = self._coerced(values)
-        row_id = self._append(row)
-        for index in self.indexes.values():
-            index.add(row_id, row[index.position])
-        return row_id
 
     def bulk_load(self, rows: Iterable[Sequence[object]]) -> int:
         """Append many rows *without* touching indexes (LOAD semantics —
@@ -259,43 +250,9 @@ class Table:
         self._remove(doomed)
         return len(doomed)
 
-    def update_rows(self, changes: dict[int, tuple]) -> None:
-        """Overwrite whole rows by row id (SQL ``UPDATE``; the new rows
-        are already coerced).  Every index is rebuilt."""
-        for row_id, row in changes.items():
-            for cells, value in zip(self._columns, row):
-                cells[row_id] = value
-        if changes:
-            self._unordered_from(min(changes))
-            self._rebuild(self.indexes.values())
-
-    def delete_rows(self, row_ids: Iterable[int]) -> None:
-        """Remove rows by row id, keeping the heap order of the rest
-        (SQL ``DELETE``).  Every index is rebuilt."""
-        doomed = set(row_ids)
-        if not doomed:
-            return
-        self._columns = [
-            [value for row_id, value in enumerate(cells)
-             if row_id not in doomed]
-            for cells in self._columns
-        ]
-        # What survives of the ordered prefix is still in order.
-        self._ordered_rows -= sum(
-            1 for row_id in doomed if row_id < self._ordered_rows
-        )
-        self._rebuild(self.indexes.values())
-
     def _live_indexes(self) -> list[HashIndex]:
-        """The indexes a row-at-a-time write patches — every built
-        hash index; all others are marked stale here."""
-        live = []
-        for index in self.indexes.values():
-            if index.built and index.kind == "hash":
-                live.append(index)
-            else:
-                index.built = False
-        return live
+        """The indexes a write keeps current: the built ones."""
+        return [index for index in self.indexes.values() if index.built]
 
     def _remove(self, row_ids: list[int]) -> None:
         """Swap-remove the rows at ``row_ids`` (distinct), highest
@@ -372,68 +329,48 @@ class Table:
         self._columns = [
             list(map(cells.__getitem__, order)) for cells in self._columns
         ]
-        self._rebuild([
-            index for index in self.indexes.values() if index.built
-        ])
+        self._rebuild(self._live_indexes())
 
     # -- indexes ------------------------------------------------------------------
 
-    def _rebuild(self, indexes: Iterable[HashIndex | SortedIndex]
-                 ) -> None:
+    def _rebuild(self, indexes: Iterable[HashIndex]) -> None:
         for index in indexes:
             index.build_column(self._columns[index.position])
 
-    def create_index(self, column: str, kind: str = "hash",
-                     build: bool = True) -> HashIndex | SortedIndex:
-        """Create (and optionally build) an index on ``column``.
+    def create_index(self, column: str) -> HashIndex:
+        """Create and build a hash index on ``column``.
 
         Raises:
-            TableError: for unknown columns/kinds or duplicate indexes.
+            TableError: for unknown columns or duplicate indexes.
         """
         position = self.schema.position(column)
-        key = f"{kind}:{column.lower()}"
+        key = column.lower()
         if key in self.indexes:
             raise TableError(
-                f"index {key!r} already exists on {self.schema.name!r}"
+                f"index on {column!r} already exists on "
+                f"{self.schema.name!r}"
             )
-        if kind == "hash":
-            index: HashIndex | SortedIndex = HashIndex(
-                self.schema.name, column, position
-            )
-        elif kind == "sorted":
-            index = SortedIndex(self.schema.name, column, position)
-        else:
-            raise TableError(f"unknown index kind {kind!r}")
-        if build:
-            self._rebuild([index])
+        index = HashIndex(self.schema.name, column, position)
+        self._rebuild([index])
         self.indexes[key] = index
         return index
 
-    def build_indexes(self) -> int:
-        """(Re)build all stale indexes; returns how many were rebuilt."""
-        stale = [
-            index for index in self.indexes.values() if not index.built
-        ]
-        self._rebuild(stale)
-        return len(stale)
-
     def lookup_index(self, column: str) -> HashIndex:
-        """The hash index on ``column``, built: created here if the
-        table has none, rebuilt here if a LOAD left it stale.  The
-        keyed reads and writes (:meth:`rows_where`, :meth:`upsert`)
-        come through this, so an index exists only on tables that
-        are read or written by key, from the first time they are."""
-        index = self.indexes.get(f"hash:{column.lower()}")
+        """The index on ``column``, built: created here if the table
+        has none, rebuilt here if a LOAD left it stale.  The keyed
+        reads and writes (:meth:`rows_where`, :meth:`upsert`) come
+        through this, so an index exists only on tables that are read
+        or written by key, from the first time they are."""
+        index = self.indexes.get(column.lower())
         if index is None:
             return self.create_index(column)
         if not index.built:
             self._rebuild([index])
         return index
 
-    def get_index(self, column: str,
-                  kind: str = "hash") -> HashIndex | SortedIndex | None:
-        """Return a *built* index on ``column`` of ``kind``, else None."""
-        index = self.indexes.get(f"{kind}:{column.lower()}")
+    def get_index(self, column: str) -> HashIndex | None:
+        """The index on ``column`` if it is built, else None."""
+        index = self.indexes.get(column.lower())
         if index is not None and index.built:
             return index
         return None
@@ -497,16 +434,3 @@ class Table:
     def column_values(self, column: str) -> list[object]:
         """All values of one column, in row order."""
         return list(self._columns[self.schema.position(column)])
-
-    def estimated_bytes(self) -> int:
-        """Rough storage footprint, for statistics and reports."""
-        total = 0
-        for cells in self._columns:
-            for value in cells:
-                if value is None:
-                    total += 1
-                elif isinstance(value, str):
-                    total += len(value)
-                else:
-                    total += 8
-        return total

@@ -14,27 +14,6 @@ class ColumnType(enum.Enum):
     TEXT = "TEXT"
     REAL = "REAL"
 
-    @classmethod
-    def from_sql(cls, token: str) -> "ColumnType":
-        """Map a SQL type name (with common aliases) to a ColumnType."""
-        normalized = token.upper()
-        aliases = {
-            "INT": cls.INTEGER,
-            "INTEGER": cls.INTEGER,
-            "BIGINT": cls.INTEGER,
-            "TEXT": cls.TEXT,
-            "VARCHAR": cls.TEXT,
-            "CHAR": cls.TEXT,
-            "STRING": cls.TEXT,
-            "REAL": cls.REAL,
-            "FLOAT": cls.REAL,
-            "DOUBLE": cls.REAL,
-        }
-        try:
-            return aliases[normalized]
-        except KeyError as exc:
-            raise TableError(f"unknown column type {token!r}") from exc
-
     @property
     def python_type(self) -> type:
         """The exact Python type :meth:`coerce` stores values as (a

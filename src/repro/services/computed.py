@@ -8,9 +8,9 @@
     revealing how this fragment is computed."
 
 :class:`ComputedFragmentSource` wraps any source endpoint: fragments
-registered with a *provider* are produced by calling it (typically a
-SQL aggregate over the system's internal tables — see
-:func:`sql_provider`); everything else scans through to the wrapped
+registered with a *provider* are produced by calling it (typically an
+aggregate over the system's internal tables — see
+:func:`value_provider`); everything else scans through to the wrapped
 endpoint.  The middleware sees an ordinary fragment either way — how it
 is computed stays hidden behind the endpoint, exactly as the paper
 requires.
@@ -18,14 +18,12 @@ requires.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import EndpointError
 from repro.core.fragment import Fragment
 from repro.core.instance import ElementData, FragmentInstance, FragmentRow
 from repro.core.ops.base import Operation
-from repro.core.ops.scan import Scan
-from repro.relational.engine import Database
 from repro.services.endpoint import SystemEndpoint
 
 #: Produces the instance of one computed fragment on demand.
@@ -60,45 +58,46 @@ class ComputedFragmentSource(SystemEndpoint):
     def estimate_cost(self, op: Operation) -> float:
         """Computed fragments answer probes like stored ones — the
         middleware cannot tell the difference (and should not)."""
-        if (isinstance(op, Scan)
-                and op.fragment.name in self.providers):
-            # A service call is priced as a scan of its output.
-            return self.inner.estimate_cost(op)
+        # A service call is priced as a scan of its output.
         return self.inner.estimate_cost(op)
 
 
-def sql_provider(db: Database, sql: str, *,
-                 eid_start: int = 1_000_000) -> FragmentProvider:
-    """Build a provider for a single-leaf fragment from a SQL query.
+def value_provider(compute: Callable[[], Iterable[tuple[int, object]]],
+                   *, eid_start: int = 1_000_000) -> FragmentProvider:
+    """Build a provider for a single-leaf fragment from a computation.
 
-    The query must return ``(parent_eid, value)`` rows; each becomes
-    one fragment row whose root element carries the value as text.
-    Fresh element ids are allocated from ``eid_start`` upward (service
-    results are new data, not stored occurrences).
+    ``compute()`` yields ``(parent_eid, value)`` pairs; each becomes one
+    fragment row whose root element carries the value as text.  Fresh
+    element ids are allocated from ``eid_start`` upward (service results
+    are new data, not stored occurrences).
 
-    The TotalMRC example::
+    The TotalMRC example, summing a billing table's charges per
+    customer::
 
-        provider = sql_provider(
-            source_db,
-            "SELECT custkey, SUM(mrc) FROM charges GROUP BY custkey",
-        )
+        def total_mrc():
+            totals = {}
+            for custkey, mrc in zip(*charges.columns):
+                totals[custkey] = totals.get(custkey, 0.0) + mrc
+            return totals.items()
+
+        provider = value_provider(total_mrc)
     """
 
     def provide(fragment: Fragment) -> FragmentInstance:
         if len(fragment.elements) != 1:
             raise EndpointError(
-                "sql_provider only serves single-element fragments; "
+                "value_provider only serves single-element fragments; "
                 f"{fragment.name!r} has {len(fragment.elements)}"
-            )
-        result = db.execute(sql)
-        if len(result.columns) != 2:
-            raise EndpointError(
-                "a fragment provider query must return "
-                "(parent_eid, value) rows"
             )
         rows = []
         next_eid = eid_start
-        for parent_eid, value in result.rows:
+        for pair in compute():
+            if len(pair) != 2:
+                raise EndpointError(
+                    "a fragment provider must yield "
+                    "(parent_eid, value) pairs"
+                )
+            parent_eid, value = pair
             data = ElementData(
                 fragment.root_name, next_eid,
                 text="" if value is None else str(value),

@@ -1,282 +1,94 @@
-"""The SQL subset: lexer, parser, executor."""
+"""The database façade: tables by name, bulk loads, keyed reads and
+deletes, and the per-cell checks every write runs."""
 
 import pytest
 
-from repro.errors import SqlSyntaxError, TableError
+from repro.errors import TableError
 from repro.relational.engine import Database
-from repro.relational.sql.ast import Select
-from repro.relational.sql.lexer import tokenize
-from repro.relational.sql.parser import parse_sql
+from repro.relational.schema import Column, TableSchema
+from repro.relational.types import ColumnType
 
 
 @pytest.fixture
 def db():
     database = Database("test")
-    database.execute(
-        "CREATE TABLE customer (id INTEGER PRIMARY KEY, name TEXT,"
-        " region TEXT)"
-    )
-    database.execute(
-        "CREATE TABLE orders (id INTEGER PRIMARY KEY,"
-        " custkey INTEGER, total REAL)"
-    )
-    database.execute(
-        "INSERT INTO customer VALUES (1, 'acme', 'east'),"
-        " (2, 'globex', 'west'), (3, 'initech', 'east')"
-    )
-    database.execute(
-        "INSERT INTO orders VALUES (10, 1, 99.5), (11, 1, 15.0),"
-        " (12, 2, 42.0), (13, NULL, 7.0)"
-    )
+    database.create_table(TableSchema("customer", [
+        Column("id", ColumnType.INTEGER, nullable=False),
+        Column("name", ColumnType.TEXT),
+        Column("region", ColumnType.TEXT),
+    ], primary_key="id"))
+    database.create_table(TableSchema("orders", [
+        Column("id", ColumnType.INTEGER, nullable=False),
+        Column("custkey", ColumnType.INTEGER),
+        Column("total", ColumnType.REAL),
+    ], primary_key="id"))
+    database.load("customer", [
+        (1, "acme", "east"), (2, "globex", "west"), (3, "initech", "east"),
+    ])
+    database.load("orders", [
+        (10, 1, 99.5), (11, 1, 15.0), (12, 2, 42.0), (13, None, 7.0),
+    ])
     return database
 
 
-class TestLexer:
-    def test_tokens(self):
-        kinds = [token.kind for token in tokenize("SELECT a, 'x' <= 5")]
-        assert kinds == ["ident", "ident", "symbol", "string",
-                         "symbol", "number", "end"]
-
-    def test_string_escaping(self):
-        tokens = tokenize("'it''s'")
-        assert tokens[0].text == "it's"
-
-    def test_comments_skipped(self):
-        tokens = tokenize("SELECT -- comment\n a")
-        assert [t.text for t in tokens[:2]] == ["SELECT", "a"]
-
-    def test_negative_number_in_value_position(self):
-        tokens = tokenize("x = -5")
-        assert tokens[2].kind == "number"
-        assert tokens[2].text == "-5"
-
-    def test_unterminated_string(self):
-        with pytest.raises(SqlSyntaxError):
-            tokenize("'open")
-
-    def test_stray_character(self):
-        with pytest.raises(SqlSyntaxError):
-            tokenize("SELECT @")
-
-
-class TestParser:
-    def test_select_shape(self):
-        statement = parse_sql(
-            "SELECT a, t.b FROM t JOIN u ON t.a = u.fk "
-            "WHERE a >= 2 AND u.b = 'x' ORDER BY a DESC LIMIT 3"
-        )
-        assert isinstance(statement, Select)
-        assert len(statement.items) == 2
-        assert len(statement.joins) == 1
-        assert len(statement.where) == 2
-        assert statement.order_by[0][1] is False  # DESC
-        assert statement.limit == 3
-        assert not statement.is_aggregate
-
-    def test_aggregate_shape(self):
-        statement = parse_sql(
-            "SELECT g, COUNT(*) AS n, SUM(v) FROM t GROUP BY g"
-        )
-        assert statement.is_aggregate
-        assert [item.output_name() for item in statement.items] == [
-            "g", "n", "sum_v",
-        ]
-        assert len(statement.group_by) == 1
-
-    @pytest.mark.parametrize("bad", [
-        "SELECT",
-        "SELECT FROM t",
-        "SELECT * FROM",
-        "SELECT * FROM t WHERE",
-        "SELECT * FROM t WHERE a ==",
-        "INSERT INTO t",
-        "CREATE TABLE t ()",
-        "SELECT * FROM t extra garbage (",
-        "DELETE t",
-    ])
-    def test_rejects(self, bad):
-        with pytest.raises(SqlSyntaxError):
-            parse_sql(bad)
-
-    def test_trailing_semicolon_ok(self):
-        parse_sql("SELECT * FROM t;")
-
-
 class TestExecutor:
-    def test_select_star(self, db):
-        result = db.execute("SELECT * FROM customer")
-        assert result.columns == ["id", "name", "region"]
-        assert len(result.rows) == 3
-
-    def test_projection(self, db):
-        rows = db.query("SELECT name FROM customer ORDER BY name")
-        assert rows == [("acme",), ("globex",), ("initech",)]
-
-    def test_where_filters(self, db):
-        rows = db.query(
-            "SELECT id FROM customer WHERE region = 'east' AND id > 1"
-        )
-        assert rows == [(3,)]
-
-    def test_comparison_operators(self, db):
-        assert len(db.query("SELECT id FROM orders WHERE total >= 42")) \
-            == 2
-        assert len(db.query("SELECT id FROM orders WHERE total != 7.0")) \
-            == 3
-
-    def test_null_never_matches(self, db):
-        rows = db.query("SELECT id FROM orders WHERE custkey = 1")
-        assert {row[0] for row in rows} == {10, 11}
-        # Row 13 has NULL custkey and must not appear anywhere.
-        rows = db.query("SELECT id FROM orders WHERE custkey != 1")
-        assert {row[0] for row in rows} == {12}
-
-    def test_is_null(self, db):
-        assert db.query(
-            "SELECT id FROM orders WHERE custkey IS NULL"
-        ) == [(13,)]
-        assert len(db.query(
-            "SELECT id FROM orders WHERE custkey IS NOT NULL"
-        )) == 3
-
-    def test_join(self, db):
-        rows = db.query(
-            "SELECT name, total FROM customer "
-            "JOIN orders ON customer.id = orders.custkey "
-            "ORDER BY total"
-        )
-        assert rows == [
-            ("acme", 15.0), ("globex", 42.0), ("acme", 99.5),
-        ]
-
-    def test_join_with_aliases(self, db):
-        rows = db.query(
-            "SELECT c.name FROM customer AS c "
-            "JOIN orders o ON c.id = o.custkey WHERE o.total > 50"
-        )
-        assert rows == [("acme",)]
-
-    def test_count_star(self, db):
-        assert db.execute(
-            "SELECT COUNT(*) FROM orders WHERE total < 50"
-        ).scalar() == 3
-
-    def test_order_by_multiple(self, db):
-        rows = db.query(
-            "SELECT region, name FROM customer "
-            "ORDER BY region, name DESC"
-        )
-        assert rows == [
-            ("east", "initech"), ("east", "acme"), ("west", "globex"),
-        ]
-
-    def test_limit(self, db):
-        assert len(db.query("SELECT * FROM orders LIMIT 2")) == 2
+    """Reads and deletes by value, through the table API."""
 
     def test_delete_with_where(self, db):
-        result = db.execute("DELETE FROM orders WHERE custkey = 1")
-        assert result.rowcount == 2
+        assert db.table("orders").delete_where("custkey", [1]) == 2
         assert db.row_count("orders") == 2
 
     def test_delete_all(self, db):
-        assert db.execute("DELETE FROM orders").rowcount == 4
+        db.table("orders").truncate()
         assert db.row_count("orders") == 0
 
     def test_index_assisted_equality(self, db):
-        db.execute("CREATE INDEX ON customer (region)")
-        rows = db.query(
-            "SELECT name FROM customer WHERE region = 'east' "
-            "ORDER BY name"
-        )
-        assert rows == [("acme",), ("initech",)]
-        # And the statement can be re-executed (no AST mutation).
-        rows2 = db.query(
-            "SELECT name FROM customer WHERE region = 'east' "
-            "ORDER BY name"
-        )
-        assert rows2 == rows
-
-    def test_sorted_index_creation(self, db):
-        db.execute("CREATE SORTED INDEX ON orders (total)")
-        index = db.table("orders").get_index("total", "sorted")
-        assert index is not None
-
-    def test_ambiguous_column_rejected(self, db):
-        with pytest.raises(TableError, match="ambiguous"):
-            db.query(
-                "SELECT id FROM customer "
-                "JOIN orders ON customer.id = orders.custkey"
-            )
+        customer = db.table("customer")
+        rows = customer.rows_where("region", ["east"])
+        assert sorted(row[1] for row in rows) == ["acme", "initech"]
+        assert customer.get_index("region") is not None
+        # And the read can be repeated through the same index.
+        assert customer.rows_where("region", ["east"]) == rows
 
     def test_unknown_table_and_column(self, db):
         with pytest.raises(TableError):
-            db.query("SELECT * FROM nope")
+            db.table("nope")
         with pytest.raises(TableError):
-            db.query("SELECT nope FROM customer")
+            db.table("customer").rows_where("nope", [1])
 
     def test_create_duplicate_table_rejected(self, db):
         with pytest.raises(TableError):
-            db.execute("CREATE TABLE customer (a INTEGER)")
-
-    def test_two_primary_keys_rejected(self, db):
-        with pytest.raises(TableError):
-            db.execute(
-                "CREATE TABLE t2 (a INTEGER PRIMARY KEY,"
-                " b INTEGER PRIMARY KEY)"
-            )
+            db.create_table(TableSchema("CUSTOMER", [
+                Column("a", ColumnType.INTEGER),
+            ]))
 
 
 class TestDatabase:
     def test_table_names(self, db):
-        assert db.table_names() == ["customer", "orders"]
-
-    def test_drop_table(self, db):
-        db.drop_table("orders")
-        assert not db.has_table("orders")
-        with pytest.raises(TableError):
-            db.drop_table("orders")
+        assert db.has_table("CUSTOMER") and not db.has_table("nope")
+        assert db.table("Orders").schema.name == "orders"
 
     def test_totals(self, db):
         assert db.total_rows() == 7
-        assert db.estimated_bytes() > 0
 
     def test_load_bulk(self, db):
+        index = db.table("orders").lookup_index("custkey")
         db.load("orders", [[20, 3, 1.0], [21, 3, 2.0]])
         assert db.row_count("orders") == 6
-        assert db.build_all_indexes() == 0  # no indexes yet
+        assert not index.built  # LOAD leaves indexes stale
 
 
 class TestColumnListInsert:
-    def test_partial_columns_fill_nulls(self, db):
-        db.execute(
-            "INSERT INTO customer (id, name) VALUES (9, 'ninth')"
-        )
-        assert db.query(
-            "SELECT name, region FROM customer WHERE id = 9"
-        ) == [("ninth", None)]
-
-    def test_reordered_columns(self, db):
-        db.execute(
-            "INSERT INTO customer (region, id, name) VALUES"
-            " ('north', 10, 'tenth')"
-        )
-        assert db.query(
-            "SELECT id, name, region FROM customer WHERE id = 10"
-        ) == [(10, "tenth", "north")]
-
     def test_arity_mismatch_rejected(self, db):
         with pytest.raises(TableError):
-            db.execute("INSERT INTO customer (id, name) VALUES (1)")
-
-    def test_duplicate_column_rejected(self, db):
-        with pytest.raises(TableError):
-            db.execute(
-                "INSERT INTO customer (id, id) VALUES (1, 2)"
-            )
+            db.load("customer", [[1]])
 
     def test_not_null_still_enforced(self, db):
-        db.execute(
-            "CREATE TABLE strict (k INTEGER NOT NULL, v TEXT)"
-        )
+        db.create_table(TableSchema("strict", [
+            Column("k", ColumnType.INTEGER, nullable=False),
+            Column("v", ColumnType.TEXT),
+        ]))
         with pytest.raises(TableError):
-            db.execute("INSERT INTO strict (v) VALUES ('x')")
+            db.load("strict", [[None, "x"]])
+        db.load("strict", [["7", 5]])  # coerced per column type
+        assert db.table("strict").rows == [(7, "5")]

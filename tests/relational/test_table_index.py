@@ -1,4 +1,4 @@
-"""Row storage and indexes."""
+"""Column storage and hash indexes."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import TableError
-from repro.relational.index import HashIndex, SortedIndex
+from repro.relational.index import HashIndex
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
 from repro.relational.types import ColumnType
@@ -22,29 +22,28 @@ def table():
 
 class TestTable:
     def test_insert_and_scan(self, table):
-        table.insert([1, "a"])
-        table.insert(["2", None])
+        table.bulk_load([[1, "a"], ["2", None]])
         assert list(table.scan()) == [(1, "a"), (2, None)]
 
     def test_arity_check(self, table):
         with pytest.raises(TableError):
-            table.insert([1])
+            table.bulk_load([[1]])
 
     def test_not_null_check(self, table):
         with pytest.raises(TableError):
-            table.insert([None, "x"])
+            table.bulk_load([[None, "x"]])
 
     def test_bulk_load_leaves_indexes_stale(self, table):
         index = table.create_index("id")
         table.bulk_load([[1, "a"], [2, "b"]])
         assert not index.built
-        assert table.build_indexes() == 1
+        assert table.lookup_index("id") is index
         assert index.built
         assert index.lookup(2) == [1]
 
     def test_insert_maintains_indexes(self, table):
         index = table.create_index("name")
-        table.insert([1, "x"])
+        table.upsert([[1, "x"]])
         assert index.lookup("x") == [0]
 
     def test_truncate(self, table):
@@ -59,44 +58,18 @@ class TestTable:
         with pytest.raises(TableError):
             table.create_index("id")
 
-    def test_unknown_index_kind(self, table):
-        with pytest.raises(TableError):
-            table.create_index("id", kind="btree")
-
     def test_column_values(self, table):
         table.bulk_load([[1, "a"], [2, "b"]])
         assert table.column_values("name") == ["a", "b"]
-
-    def test_estimated_bytes(self, table):
-        table.insert([1, "hello"])
-        assert table.estimated_bytes() == 8 + 5
 
 
 class TestHashIndex:
     def test_build_and_lookup(self):
         index = HashIndex("t", "c", 0)
-        index.build([(1,), (2,), (1,)])
+        index.build_column([1, 2, 1])
         assert index.lookup(1) == [0, 2]
         assert index.lookup(9) == []
         assert len(index) == 3
-
-
-class TestSortedIndex:
-    def test_order_and_range(self):
-        index = SortedIndex("t", "c", 0)
-        index.build([(5,), (1,), (None,), (3,)])
-        assert list(index.row_ids_in_order()) == [1, 3, 0]
-        assert index.range(2, 5) == [3, 0]
-        assert index.range(None, 1) == [1]
-        assert index.range(6, None) == []
-
-    def test_incremental_add(self):
-        index = SortedIndex("t", "c", 0)
-        index.build([(2,)])
-        index.add(5, 1)
-        assert list(index.row_ids_in_order()) == [5, 0]
-        index.add(6, None)  # NULLs are not indexed
-        assert len(index) == 2
 
 
 class TestLoadColumns:
@@ -201,18 +174,15 @@ class TestUpsertAndDelete:
         table.bulk_load([[n, f"n{n % 2}"] for n in range(6)])
         by_id = table.create_index("id")
         by_name = table.create_index("name")
-        ordered = table.create_index("id", kind="sorted")
         assert table.delete_where("id", [0, 4, 99]) == 2
         assert sorted(table.scan()) == [
             (1, "n1"), (2, "n0"), (3, "n1"), (5, "n1"),
         ]
         assert by_id.built and by_name.built
-        assert not ordered.built  # sorted indexes wait for a rebuild
         for index in (by_id, by_name):
             fresh = HashIndex("t", index.column, index.position)
-            fresh.build(table.rows)
+            fresh.build_column(table.columns[index.position])
             assert index._buckets == fresh._buckets
-        assert table.build_indexes() == 1
 
     def test_delete_without_an_index_reads_the_column(self, table):
         table.bulk_load([[1, "a"], [2, "b"], [3, "a"]])
@@ -237,12 +207,9 @@ class TestIndexMaintenance:
         st.tuples(st.just("delete"), st.lists(KEYS, max_size=4)),
         st.tuples(st.just("delete_names"),
                   st.lists(NAMES, max_size=2)),
-        st.tuples(st.just("insert"), st.tuples(KEYS, NAMES)),
         st.tuples(st.just("truncate"), st.none()),
-        st.tuples(st.just("build_indexes"), st.none()),
-        st.tuples(st.just("create_index"),
-                  st.sampled_from([("id", "hash"), ("name", "hash"),
-                                   ("id", "sorted")])),
+        st.tuples(st.just("lookup_index"),
+                  st.sampled_from(["id", "name"])),
     )
 
     @staticmethod
@@ -275,16 +242,11 @@ class TestIndexMaintenance:
         elif step == "delete_names":
             table.delete_where("name", argument)
             model[:] = [row for row in model if row[1] not in argument]
-        elif step == "insert":
-            table.insert(argument)
-            model.append(argument)
         elif step == "truncate":
             table.truncate()
             model.clear()
-        elif step == "build_indexes":
-            table.build_indexes()
-        elif f"{argument[1]}:{argument[0]}" not in table.indexes:
-            table.create_index(*argument)
+        else:
+            table.lookup_index(argument)  # creates, or rebuilds if stale
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(STEPS, max_size=12))
@@ -303,47 +265,36 @@ class TestIndexMaintenance:
             for index in table.indexes.values():
                 if not index.built:
                     continue
-                fresh = type(index)("t", index.column, index.position)
-                fresh.build(table.rows)
-                if index.kind == "hash":
-                    for key in {row[index.position] for row in model} \
-                            | {99}:
-                        assert index.lookup(key) == fresh.lookup(key)
-                    assert len(index) == len(fresh)
-                else:
-                    assert list(index.row_ids_in_order()) \
-                        == list(fresh.row_ids_in_order())
+                fresh = HashIndex("t", index.column, index.position)
+                fresh.build_column(table.columns[index.position])
+                for key in {row[index.position] for row in model} | {99}:
+                    assert index.lookup(key) == fresh.lookup(key)
+                assert len(index) == len(fresh)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(STEPS, max_size=12), st.randoms())
     def test_ordered_scan_ignores_heap_order(self, steps, rng):
-        """``ORDER BY parent, id`` over a fragment table reads the
-        same whatever the swap-removes did to the heap."""
-        from repro.relational.engine import Database
+        """The clustered (``parent``, ``id``) read of a fragment table
+        is the same whatever the swap-removes did to the heap."""
+        def fragment_table():
+            return Table(TableSchema("f", [
+                Column("id", ColumnType.INTEGER, nullable=False),
+                Column("parent", ColumnType.TEXT),
+            ], primary_key="id"))
 
-        db = Database("d")
-        table = db.create_table(TableSchema("f", [
-            Column("id", ColumnType.INTEGER, nullable=False),
-            Column("parent", ColumnType.TEXT),
-        ], primary_key="id"))
+        table = fragment_table()
         model: list[tuple] = []
         for step, argument in steps:
-            if step in ("bulk_load", "load_columns", "insert"):
+            if step in ("bulk_load", "load_columns"):
                 continue  # unique ids: the order is then total
-            if step == "create_index" and argument[0] == "name":
-                continue
-            if step == "delete_names":
-                continue
+            if step == "delete_names" or argument == "name":
+                continue  # the table has no ``name`` column
             self._apply(table, model, step, argument)
         shuffled = list(model)
         rng.shuffle(shuffled)
-        reference = db.create_table(TableSchema("g", [
-            Column("id", ColumnType.INTEGER, nullable=False),
-            Column("parent", ColumnType.TEXT),
-        ], primary_key="id"))
+        reference = fragment_table()
         reference.bulk_load(shuffled)
-        assert db.query("SELECT * FROM f ORDER BY parent, id") \
-            == db.query("SELECT * FROM g ORDER BY parent, id")
+        assert table.clustered_columns() == reference.clustered_columns()
 
 
 def _feed_key(row):
@@ -353,9 +304,9 @@ def _feed_key(row):
 
 class ClusteredTableMachine(RuleBasedStateMachine):
     """A fragment table against a plain ``list[tuple]``: whatever mix
-    of in-order and out-of-order loads, keyed writes and SQL writes
-    ran, the ordered scan is the sorted model, keyed reads answer like
-    a fresh build, and the heap holds the model's rows."""
+    of in-order and out-of-order loads and keyed writes ran, the
+    ordered scan is the sorted model, keyed reads answer like a fresh
+    build, and the heap holds the model's rows."""
 
     IDS = st.integers(0, 30)
     PARENTS = st.one_of(st.none(), st.integers(0, 5))
@@ -366,10 +317,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        from repro.relational.engine import Database
-
-        self.db = Database("d")
-        self.table = self.db.create_table(TableSchema("f", [
+        self.table = Table(TableSchema("f", [
             Column("id", ColumnType.INTEGER, nullable=False),
             Column("parent", ColumnType.INTEGER),
             Column("name", ColumnType.TEXT),
@@ -395,11 +343,6 @@ class ClusteredTableMachine(RuleBasedStateMachine):
             self.table.bulk_load(rows)
         self.model.extend(rows)
 
-    @rule(row=st.tuples(IDS, PARENTS, st.just("i")))
-    def insert(self, row):
-        self.table.insert(row)
-        self.model.append(row)
-
     @rule(rows=ROWS, by_column=st.booleans())
     def upsert(self, rows, by_column):
         if by_column:
@@ -417,18 +360,6 @@ class ClusteredTableMachine(RuleBasedStateMachine):
     def truncate(self):
         self.table.truncate()
         self.model.clear()
-
-    @rule(key=IDS, parent=PARENTS)
-    def sql_update(self, key, parent):
-        value = "NULL" if parent is None else parent
-        self.db.execute(f"UPDATE f SET parent = {value} WHERE id = {key}")
-        self.model = [(row[0], parent, row[2]) if row[0] == key else row
-                      for row in self.model]
-
-    @rule(parent=st.integers(0, 5))
-    def sql_delete(self, parent):
-        self.db.execute(f"DELETE FROM f WHERE parent = {parent}")
-        self.model = [row for row in self.model if row[1] != parent]
 
     @rule(column=st.sampled_from(["id", "parent"]))
     def index(self, column):
@@ -453,7 +384,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         for index in self.table.indexes.values():
             if index.built:
                 fresh = HashIndex("f", index.column, index.position)
-                fresh.build(self.table.rows)
+                fresh.build_column(self.table.columns[index.position])
                 for key in {row[index.position] for row in self.model}:
                     assert index.lookup(key) == fresh.lookup(key)
 

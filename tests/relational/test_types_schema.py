@@ -8,15 +8,6 @@ from repro.relational.types import ColumnType
 
 
 class TestColumnType:
-    def test_aliases(self):
-        assert ColumnType.from_sql("INT") is ColumnType.INTEGER
-        assert ColumnType.from_sql("varchar") is ColumnType.TEXT
-        assert ColumnType.from_sql("Double") is ColumnType.REAL
-
-    def test_unknown_type(self):
-        with pytest.raises(TableError):
-            ColumnType.from_sql("BLOB")
-
     def test_coerce_integer(self):
         assert ColumnType.INTEGER.coerce("42") == 42
         assert ColumnType.INTEGER.coerce(7.0) == 7

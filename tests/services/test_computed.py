@@ -11,8 +11,10 @@ from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.relational.engine import Database
+from repro.relational.schema import Column, TableSchema
+from repro.relational.types import ColumnType
 from repro.schema.dtd import parse_dtd
-from repro.services.computed import ComputedFragmentSource, sql_provider
+from repro.services.computed import ComputedFragmentSource, value_provider
 from repro.services.endpoint import InMemoryEndpoint
 
 #: The customer schema extended with the computed TotalMRC element.
@@ -66,19 +68,25 @@ def setup():
 
     # The hidden billing database behind TotalMRCService.
     billing = Database("billing")
-    billing.execute(
-        "CREATE TABLE charges (custkey INTEGER, mrc REAL)"
-    )
+    billing.create_table(TableSchema("charges", [
+        Column("custkey", ColumnType.INTEGER),
+        Column("mrc", ColumnType.REAL),
+    ]))
     customer_eids = [row.eid for row in customers]
-    billing.execute(
-        f"INSERT INTO charges VALUES ({customer_eids[0]}, 10.5),"
-        f" ({customer_eids[0]}, 4.5), ({customer_eids[1]}, 20.0)"
+    billing.load("charges", [
+        (customer_eids[0], 10.5), (customer_eids[0], 4.5),
+        (customer_eids[1], 20.0),
+    ])
+
+    def total_mrc():
+        totals = {}
+        for custkey, mrc in zip(*billing.table("charges").columns):
+            totals[custkey] = totals.get(custkey, 0.0) + mrc
+        return totals.items()
+
+    source = ComputedFragmentSource(
+        inner, {"TotalMRC": value_provider(total_mrc)}
     )
-    provider = sql_provider(
-        billing,
-        "SELECT custkey, SUM(mrc) FROM charges GROUP BY custkey",
-    )
-    source = ComputedFragmentSource(inner, {"TotalMRC": provider})
     return schema, source_fragmentation, source, customer_eids
 
 
@@ -128,16 +136,14 @@ class TestComputedFragmentSource:
         with pytest.raises(EndpointError, match="produced"):
             bad.scan(fragmentation.fragment("TotalMRC"))
 
-    def test_sql_provider_validations(self, setup):
+    def test_value_provider_validations(self, setup):
         schema, fragmentation, _, _ = setup
-        db = Database("x")
-        db.execute("CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER)")
-        three_columns = sql_provider(db, "SELECT * FROM t")
+        three_wide = value_provider(lambda: [(1, 2, 3)])
         with pytest.raises(EndpointError, match="parent_eid"):
-            three_columns(fragmentation.fragment("TotalMRC"))
+            three_wide(fragmentation.fragment("TotalMRC"))
         two_element = Fragment(
             schema, ["Line", "TelNo"], "Line2"
         )
-        ok_query = sql_provider(db, "SELECT a, b FROM t")
+        pairs = value_provider(lambda: [(1, 2)])
         with pytest.raises(EndpointError, match="single-element"):
-            ok_query(two_element)
+            pairs(two_element)
