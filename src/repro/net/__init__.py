@@ -25,7 +25,6 @@ from repro.net.faults import (
     FaultPlan,
     FaultyChannel,
     ReliableBatchLink,
-    ReliableChannel,
     RetryPolicy,
     RobustnessStats,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "FaultPlan",
     "FaultyChannel",
     "RetryPolicy",
-    "ReliableChannel",
     "ReliableBatchLink",
     "RobustnessStats",
     "soap_envelope",

@@ -19,11 +19,13 @@ messages.  This module makes transport failure a first-class input:
   ``jitter`` hook decorates the delay) and an optional per-message
   timeout; exhaustion raises :class:`~repro.errors.RetryExhausted`
   carrying the attempt count and last cause.
-* :class:`ReliableChannel` / :class:`ReliableBatchLink` — the healing
-  layer the executors wire in: re-send on drop/corruption/timeout,
-  de-duplicate re-deliveries by sequence number (idempotent delivery),
-  and re-assemble re-ordered batch streams in ``seq`` order, so the
-  written output stays byte-identical to a fault-free run.
+* :class:`ReliableBatchLink` — the healing layer the executor arms on
+  every cross-edge (an unbatched feed is its stream's one batch):
+  re-send on drop/corruption/timeout, de-duplicate re-deliveries by
+  sequence number (idempotent delivery), and re-assemble re-ordered
+  batch streams in ``seq`` order, so the written output stays
+  byte-identical to a fault-free run.  Publish&map's one document is
+  re-sent by :meth:`RetryPolicy.run` directly.
 
 Corruption detection is real where the wire is real: with a
 ``wire_format`` channel the batch is encoded as the channel would send
@@ -38,7 +40,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Iterable, Mapping, TypeVar
 
@@ -51,14 +53,12 @@ from repro.errors import (
     TransportError,
 )
 from repro.core.columnar import ColumnBatch
-from repro.core.instance import FragmentInstance
 from repro.core.program.executor import Shipment
 from repro.core.stream import RowBatch
 from repro.net.soap import (
     CHECKSUM_ATTR,
     encode_batch,
     read_fragment_feed,
-    wrap_fragment_feed,
 )
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -123,6 +123,13 @@ class FaultPlan:
             raise ValueError(
                 "a scripted plan cannot also carry fault rates"
             )
+        if self.script is not None and any(
+            index < 0 for index in self.script
+        ):
+            raise ValueError(
+                f"scripted message indices start at 0, got "
+                f"{min(self.script)}"
+            )
 
     @classmethod
     def scripted(cls, schedule: Mapping[int, FaultKind | str],
@@ -143,7 +150,9 @@ class FaultPlan:
         forms cannot be mixed, matching the dataclass's validation.
 
         Raises:
-            ValueError: on unknown keys, bad numbers, or mixed forms.
+            ValueError: on unknown keys, bad numbers (naming the
+                token), mixed forms, or a message index scripted twice
+                or below 0.
         """
         numeric = {f.name for f in fields(cls)} - {"script", "seed"}
         rates: dict[str, float] = {}
@@ -156,16 +165,26 @@ class FaultPlan:
             if "@" in token:
                 kind_text, _, index_text = token.partition("@")
                 try:
-                    script[int(index_text)] = FaultKind(kind_text.strip())
+                    index = int(index_text)
+                    kind = FaultKind(kind_text.strip())
                 except ValueError as exc:
                     raise ValueError(
                         f"bad scripted fault {token!r}: {exc}"
                     ) from exc
+                if index in script:
+                    raise ValueError(
+                        f"message {index} is scripted twice "
+                        f"({script[index].value}@{index} and {token})"
+                    )
+                script[index] = kind
                 continue
             key, _, value = token.partition("=")
             key = key.strip()
             if key == "seed":
-                seed = int(value)
+                try:
+                    seed = int(value)
+                except ValueError as exc:
+                    raise ValueError(f"bad fault seed {token!r}") from exc
             elif key in numeric:
                 try:
                     rates[key] = float(value)
@@ -404,14 +423,11 @@ class _EdgeScopedStats:
         self._stats = stats
         self._edge = edge
 
-    def count_retry(self, edge: object = None) -> None:
-        self._stats.count_retry(edge if edge is not None else self._edge)
+    def count_retry(self) -> None:
+        self._stats.count_retry(self._edge)
 
-    def count_redelivered(self, copies: int = 1,
-                          edge: object = None) -> None:
-        self._stats.count_redelivered(
-            copies, edge if edge is not None else self._edge
-        )
+    def count_redelivered(self, copies: int = 1) -> None:
+        self._stats.count_redelivered(copies, self._edge)
 
     def count_timeout(self) -> None:
         self._stats.count_timeout()
@@ -458,10 +474,9 @@ class FaultyChannel:
     Implements the executors' ``ShippingChannel`` protocol: without a
     retry layer above it, injected drops/corruptions surface as raised
     :class:`~repro.errors.TransportError` subclasses (fail-fast, the
-    pre-robustness behaviour).  The ``transmit_*`` methods additionally
-    report *what the receiver got* — zero, one, or two copies, possibly
-    out of order — which is what :class:`ReliableChannel` and
-    :class:`ReliableBatchLink` heal from.
+    pre-robustness behaviour).  :meth:`transmit_batch` additionally
+    reports *what the receiver got* — zero, one, or two copies, possibly
+    out of order — which is what :class:`ReliableBatchLink` heals from.
 
     Every transmission (including re-sends) consumes a fresh message
     index from the plan and, when the wrapped channel supports it
@@ -517,29 +532,23 @@ class FaultyChannel:
     def _wire(self) -> bool:
         return bool(getattr(self.inner, "wire_format", False))
 
-    def _encoded(self, carrier: FragmentInstance | ColumnBatch | RowBatch
-                 ) -> str | None:
-        """The message a wire-format channel sends for ``carrier`` (a
-        whole feed or one batch), or ``None`` on a byte-counting one."""
+    def _encoded(self, batch: ColumnBatch | RowBatch) -> str | None:
+        """The message a wire-format channel sends for ``batch``, or
+        ``None`` on a byte-counting one."""
         if not self._wire():
             return None
-        if isinstance(carrier, FragmentInstance):
-            return wrap_fragment_feed(carrier)
-        return encode_batch(carrier)[0]
+        return encode_batch(batch)[0]
 
-    def _size(self, carrier: FragmentInstance | ColumnBatch | RowBatch
-              ) -> int:
-        message = self._encoded(carrier)
-        return carrier.feed_size() if message is None else len(message)
+    def _size(self, batch: ColumnBatch | RowBatch) -> int:
+        message = self._encoded(batch)
+        return batch.feed_size() if message is None else len(message)
 
-    def _corrupt(self, index: int,
-                 carrier: FragmentInstance | ColumnBatch | RowBatch
-                 ) -> None:
+    def _corrupt(self, index: int, batch: ColumnBatch | RowBatch) -> None:
         """Charge the garbled transmission and raise its detection."""
         self._count("corruptions")
-        message = self._encoded(carrier)
+        message = self._encoded(batch)
         if message is None:
-            self._charge_lost(carrier.feed_size())
+            self._charge_lost(batch.feed_size())
         else:
             garbled = corrupt_soap_message(message)
             self._charge_lost(len(garbled))
@@ -555,11 +564,6 @@ class FaultyChannel:
         )
 
     # -- ShippingChannel protocol -------------------------------------------------
-
-    def ship_fragment(self, instance: FragmentInstance) -> Shipment:
-        """Ship a whole feed; raises on injected drop/corruption."""
-        shipment, _ = self.transmit_fragment(instance)
-        return shipment
 
     def ship_batch(self, batch: RowBatch) -> Shipment:
         """Ship one batch; raises on injected drop/corruption."""
@@ -596,39 +600,6 @@ class FaultyChannel:
         return shipment
 
     # -- delivery-level API (used by the reliable layer) ---------------------------
-
-    def transmit_fragment(
-        self, instance: FragmentInstance,
-    ) -> tuple[Shipment, list[FragmentInstance]]:
-        """One wire transmission of a whole feed.
-
-        Returns the charge receipt plus the copies the receiver got.
-        A single-message edge has nothing to overtake, so ``reorder``
-        degrades to a delayed (but delivered) message.
-        """
-        index, kind = self._next_fault()
-        if kind is FaultKind.DROP:
-            self._count("drops")
-            self._charge_lost(self._size(instance))
-            raise MessageDropped(
-                f"message {index} dropped by fault plan"
-            )
-        if kind is FaultKind.CORRUPT:
-            self._corrupt(index, instance)
-        shipment = self.inner.ship_fragment(instance)
-        if kind is FaultKind.DUPLICATE:
-            self._count("duplicates")
-            self._charge_lost(self._size(instance))
-            return shipment, [instance, instance]
-        if kind in (FaultKind.DELAY, FaultKind.REORDER):
-            self._count("delays" if kind is FaultKind.DELAY
-                        else "reorders")
-            self._charge_delay(self.plan.delay_seconds)
-            shipment = Shipment(
-                shipment.bytes_sent,
-                shipment.seconds + self.plan.delay_seconds,
-            )
-        return shipment, [instance]
 
     def transmit_batch(
         self, batch: RowBatch, edge: object = None,
@@ -681,94 +652,6 @@ class FaultyChannel:
         return held
 
 
-class ReliableChannel:
-    """At-least-once adapter over any shipping channel.
-
-    Wraps every send in the :class:`RetryPolicy` (drop, corruption and
-    timeout trigger re-sends; a fresh transmission gets a fresh fault
-    draw) and discards duplicate deliveries, counting them in
-    ``stats``.  Implements the executors' ``ShippingChannel`` protocol;
-    unknown attributes delegate to the wrapped channel.
-    """
-
-    def __init__(self, channel: object, policy: RetryPolicy,
-                 stats: RobustnessStats | None = None,
-                 tracer: Tracer | None = None) -> None:
-        self.channel = channel
-        self.policy = policy
-        self.stats = stats or RobustnessStats()
-        self.tracer = tracer or NULL_TRACER
-
-    def __getattr__(self, name: str) -> object:
-        return getattr(self.channel, name)
-
-    def _settle(self, shipment: Shipment, delivered: list[object],
-                edge: object = None) -> Shipment:
-        self.policy.check_timeout(shipment)
-        if len(delivered) > 1:
-            self.stats.count_redelivered(len(delivered) - 1, edge)
-        return shipment
-
-    def ship_fragment(self, instance: FragmentInstance,
-                      edge: object = None) -> Shipment:
-        """Deliver a whole feed, retrying injected failures.
-
-        ``edge`` (the executors' producer-port key) attributes the
-        healing work to that cross-edge in the stats breakdown.
-        """
-        transmit = getattr(self.channel, "transmit_fragment", None)
-
-        def send() -> Shipment:
-            if transmit is not None:
-                shipment, delivered = transmit(instance)
-            else:
-                shipment = self.channel.ship_fragment(instance)
-                delivered = [instance]
-            return self._settle(shipment, delivered, edge)
-
-        stats = (
-            self.stats if edge is None else self.stats.scoped(edge)
-        )
-        return self.policy.run(
-            send, f"fragment feed {instance.fragment.name!r}",
-            stats, self.tracer,
-        )
-
-    def ship_batch(self, batch: RowBatch,
-                   edge: object = None) -> Shipment:
-        """Deliver one batch, retrying injected failures."""
-        transmit = getattr(self.channel, "transmit_batch", None)
-
-        def send() -> Shipment:
-            if transmit is not None:
-                shipment, delivered = transmit(batch)
-            else:
-                shipment = self.channel.ship_batch(batch)
-                delivered = [batch]
-            return self._settle(shipment, delivered, edge)
-
-        stats = (
-            self.stats if edge is None else self.stats.scoped(edge)
-        )
-        return self.policy.run(
-            send,
-            f"batch {batch.seq} of fragment {batch.fragment.name!r}",
-            stats, self.tracer,
-        )
-
-    def ship_document(self, text: str) -> Shipment:
-        """Deliver a published document, retrying injected failures."""
-
-        def send() -> Shipment:
-            return self.policy.check_timeout(
-                self.channel.ship_document(text)
-            )
-
-        return self.policy.run(
-            send, "published document", self.stats, self.tracer
-        )
-
-
 class ReliableBatchLink:
     """Reliable in-order delivery of one cross-edge batch stream.
 
@@ -782,7 +665,7 @@ class ReliableBatchLink:
     counts as batch 0.
     """
 
-    def __init__(self, channel: object, policy: RetryPolicy | None,
+    def __init__(self, channel: object, policy: RetryPolicy,
                  stats: RobustnessStats, edge: object,
                  start_seq: int = 0,
                  tracer: Tracer | None = None) -> None:
@@ -825,19 +708,13 @@ class ReliableBatchLink:
                 shipment = self.channel.ship_batch(batch)
                 delivered = [batch]
             ready.extend(self._absorb(delivered))
-            if self.policy is not None:
-                self.policy.check_timeout(shipment)
-            return shipment
+            return self.policy.check_timeout(shipment)
 
-        if self.policy is not None:
-            shipment = self.policy.run(
-                attempt,
-                f"batch {batch.seq} of fragment "
-                f"{batch.fragment.name!r}",
-                self.stats, self.tracer,
-            )
-        else:
-            shipment = attempt()
+        shipment = self.policy.run(
+            attempt,
+            f"batch {batch.seq} of fragment {batch.fragment.name!r}",
+            self.stats, self.tracer,
+        )
         return shipment, ready
 
     def finish(self) -> list[RowBatch]:

@@ -1,11 +1,13 @@
 """Pluggable transports between the source and target systems.
 
 The paper's machines were connected through the Internet; Table 3 times
-TCP transfers of fragments and full documents.  Everything that ships
-data — the executor, the reliable/faulty channel wrappers, the
-exchange service, the broker, and the simulator — depends only on the
-:class:`Transport` interface defined here, so the wire under an
-exchange is interchangeable:
+TCP transfers of fragments and full documents.  Those are the two
+messages a :class:`Transport` sends: a feed batch
+(:meth:`Transport.ship_batch`) and a published document
+(:meth:`Transport.ship_document`).  Everything that ships data — the
+executor, the fault-injecting wrapper and its reliable link, the
+exchange service and the broker — depends only on the interface
+defined here, so the wire under an exchange is interchangeable:
 
 * :class:`SimulatedChannel` charges ``latency + bytes / bandwidth``
   simulated seconds per message (the reproduction's measured quantity),
@@ -17,7 +19,7 @@ exchange is interchangeable:
 
 All three account thread-safely, enforce send-after-close uniformly
 (:class:`~repro.errors.TransportError`), and support the optional
-``wire_format`` fidelity level: each fragment feed is serialized into
+``wire_format`` fidelity level: each feed batch is serialized into
 its SOAP message (always on for :class:`TcpTransport`, where the wire
 is real).
 
@@ -44,20 +46,16 @@ from dataclasses import dataclass
 
 from repro.errors import SoapFault, TransportError
 from repro.core.columnar import ColumnBatch
-from repro.core.fragment import Fragment
-from repro.core.instance import FragmentInstance
 from repro.core.program.executor import Shipment
 from repro.core.stream import RowBatch
 from repro.net.soap import (
     CHECKSUM_ATTR,
     SEQ_ATTR,
     encode_batch,
-    encode_fragment_feed,
     parse_envelope,
     read_fragment_feed,
     unwrap_fragment_feed,
     wrap_document,
-    wrap_fragment_feed,
 )
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -162,10 +160,11 @@ LOOPBACK_PROFILE = NetworkProfile(
 class Transport(abc.ABC):
     """One-way source → target data transport with byte/time accounting.
 
-    This is the interface every shipper in the system depends on —
-    executors ship fragment feeds and stream batches through it, the
-    publish&map pipeline ships whole documents, fault injection and the
-    reliable layer wrap it, the exchange service resets and reads its
+    This is the interface every shipper in the system depends on.  It
+    has two shipping verbs: :meth:`ship_batch`, through which the
+    executors send every cross-edge feed, and :meth:`ship_document`,
+    through which publish&map sends its whole document.  Fault
+    injection wraps it, the exchange service resets and reads its
     accounting windows, and cost probes ask it :meth:`transfer_cost`.
 
     Accounting is thread-safe: concurrent shippers (the parallel
@@ -285,30 +284,11 @@ class Transport(abc.ABC):
 
     # -- shipping ----------------------------------------------------------------
 
-    def ship_fragment(self, instance: FragmentInstance) -> Shipment:
-        """Ship one fragment feed (cross-edge traffic).
-
-        In wire format the feed is SOAP-encoded and charged at its
-        actual message size.  This base path has no peer, so it plays
-        the receiver itself: the message is decoded and verified once,
-        and the decoded rows *replace* the instance's rows — downstream
-        operations consume exactly what crossed the network.
-        (:class:`TcpTransport` has a real receiver and overrides this.)
-        """
-        if not self.wire_format:
-            # Fragments travel as tabular sorted feeds (Section 4.1).
-            return self._charge(instance.feed_size())
-        message = wrap_fragment_feed(instance)
-        shipment = self._charge(len(message))
-        received = unwrap_fragment_feed(message, instance.fragment)
-        instance.rows[:] = received.rows
-        return shipment
-
     def ship_batch(self, batch: ColumnBatch | RowBatch) -> Shipment:
-        """Ship one batch of a fragment feed — what the executor
-        sends along every cross-edge.  An unbatched run's single
-        ``seq``-less batch is byte-for-byte the
-        :meth:`ship_fragment` message.
+        """Ship one batch of a fragment feed — the only way a feed
+        crosses a cross-edge.  An unbatched run's single ``seq``-less
+        batch is the whole feed as one message, byte-for-byte
+        :func:`~repro.net.soap.wrap_fragment_feed`'s.
 
         Each batch is one message: it pays the per-message latency —
         finer batching buys pipelining at the price of more handshakes,
@@ -316,8 +296,8 @@ class Transport(abc.ABC):
         format encodes the batch and, playing the receiver, takes back
         what crossed the network: a column batch is verified by the
         feed sink's own walk (:func:`~repro.net.soap.read_fragment_feed`)
-        and rebound to the columns it decoded, a row batch is decoded
-        into rows like :meth:`ship_fragment` does the whole feed.
+        and rebound to the columns it decoded, a row batch (a non-flat
+        fragment) is decoded back into its rows by the tree codec.
         """
         if not self.wire_format:
             return self._charge(batch.feed_size())
@@ -338,9 +318,9 @@ class Transport(abc.ABC):
 class SimulatedChannel(Transport):
     """Simulated channel charging ``latency + bytes / bandwidth``.
 
-    Two fidelity levels: the default counts bytes from the instance's
-    estimated size (fast); ``wire_format=True`` actually serializes
-    each fragment feed into its SOAP message and parses it back on the
+    Two fidelity levels: the default counts bytes from the batch's
+    estimated feed size (fast); ``wire_format=True`` actually serializes
+    each feed batch into its SOAP message and parses it back on the
     other side.  With ``realtime=True`` every send also *sleeps* its
     simulated transfer time, so a measured wall clock feels the link;
     concurrent sends sleep concurrently, modelling one transfer stream
@@ -408,8 +388,8 @@ class TcpTransport(Transport):
     side checks the ``Ack`` (kind, fragment, count, checksum, ``seq``;
     ``bytes`` for a document) against what it sent, raising
     :class:`~repro.errors.SoapFault` on any difference.  The message
-    is *not* decoded again here: the shipped instance or batch keeps
-    its rows or columns (the encoder has already left on them exactly
+    is *not* decoded again here: the shipped batch keeps its rows or
+    columns (the encoder has already left on them exactly
     the text it wrote — see :func:`~repro.net.soap.encode_batch`).
     Round trips are serialized per transport (one in-flight message
     per connection); concurrent sessions get their own connections.
@@ -511,29 +491,15 @@ class TcpTransport(Transport):
         self._account(size_bytes, seconds, lost=lost)
         return Shipment(size_bytes, seconds)
 
-    def _ship_feed(self, fragment: Fragment, count: int,
-                   seq: int | None,
-                   encoded: tuple[str, str]) -> Shipment:
-        message, checksum = encoded
+    def ship_batch(self, batch: ColumnBatch | RowBatch) -> Shipment:
+        message, checksum = encode_batch(batch)
         return self._roundtrip(message, {
             "of": "FragmentFeed",
-            "fragment": fragment.name,
-            "count": str(count),
+            "fragment": batch.fragment.name,
+            "count": str(batch.row_count()),
             CHECKSUM_ATTR: checksum,
-            SEQ_ATTR: None if seq is None else str(seq),
+            SEQ_ATTR: None if batch.seq is None else str(batch.seq),
         })
-
-    def ship_fragment(self, instance: FragmentInstance) -> Shipment:
-        return self._ship_feed(
-            instance.fragment, len(instance.rows), None,
-            encode_fragment_feed(instance),
-        )
-
-    def ship_batch(self, batch: ColumnBatch | RowBatch) -> Shipment:
-        return self._ship_feed(
-            batch.fragment, batch.row_count(), batch.seq,
-            encode_batch(batch),
-        )
 
     def ship_document(self, text: str) -> Shipment:
         return self._roundtrip(

@@ -30,7 +30,6 @@ from repro.core.program.journal import ExchangeJournal
 from repro.net.faults import (
     FaultPlan,
     FaultyChannel,
-    ReliableChannel,
     RetryPolicy,
     RobustnessStats,
 )
@@ -385,10 +384,6 @@ def run_publish_and_map(
         if fault_plan is not None else channel
     )
     stats = RobustnessStats()
-    shipper = (
-        ReliableChannel(wire, retry_policy, stats, tracer=tracer)
-        if retry_policy is not None else wire
-    )
 
     with tracer.span("publish", "step", scenario=scenario,
                      method="PM"):
@@ -399,7 +394,15 @@ def run_publish_and_map(
 
     with tracer.span("ship document", "step",
                      bytes=len(report.document)):
-        shipper.ship_document(report.document)
+        if retry_policy is None:
+            wire.ship_document(report.document)
+        else:
+            retry_policy.run(
+                lambda: retry_policy.check_timeout(
+                    wire.ship_document(report.document)
+                ),
+                "published document", stats, tracer,
+            )
     # Totals rather than the receipt: failed attempts burned the wire
     # too, and PM pays them at whole-document size.
     outcome.steps["communication"] = channel.total_seconds

@@ -185,45 +185,6 @@ class DeltaCostEstimate:
         return 100.0 * (1.0 - self.relative_cost)
 
 
-@dataclass(slots=True)
-class ShardedCostEstimate:
-    """Predicted cost of scattering one exchange over K shards.
-
-    The grain rows divide over the shards; the spine replicates into
-    every one (the price of shard-local PARENT resolution).  With
-    ``s`` the spine's fraction of the exchanged bytes, a shard costs
-    ``base * (s + (1 - s) / K)`` and the fleet's aggregate work is
-    ``base * (K * s + (1 - s))`` — speedup saturates at ``1 / s`` no
-    matter how many shards are added (Amdahl over the spine)."""
-
-    shards: int
-    grains: tuple[str, ...]
-    #: One unsharded exchange, formula-1 units.
-    base_cost: float
-    #: Replicated (spine) fraction of the exchanged bytes, in [0, 1].
-    spine_fraction: float
-    #: Predicted cost of one shard session (the makespan, since the
-    #: shards run concurrently).
-    per_shard_cost: float
-    #: Aggregate work across all K sessions.
-    total_cost: float
-
-    @property
-    def speedup(self) -> float:
-        """Unsharded cost over the sharded makespan (>= 1)."""
-        if self.per_shard_cost == 0.0:
-            return 1.0
-        return self.base_cost / self.per_shard_cost
-
-    @property
-    def replication_overhead(self) -> float:
-        """Extra aggregate work paid for spine replication
-        (``total / base - 1``; 0 at K=1)."""
-        if self.base_cost == 0.0:
-            return 0.0
-        return self.total_cost / self.base_cost - 1.0
-
-
 class ExchangeSimulator:
     """Prices exchanges over one schema under synthetic statistics."""
 
@@ -240,36 +201,6 @@ class ExchangeSimulator:
         # assumed a fast interconnect network, so computation cost was
         # the major factor").
         self.bandwidth = bandwidth
-
-    @classmethod
-    def for_transport(cls, schema: SchemaTree, transport: object,
-                      statistics: StatisticsCatalog | None = None,
-                      weights: CostWeights | None = None,
-                      tracer: Tracer | None = None
-                      ) -> "ExchangeSimulator":
-        """A simulator pricing communication at ``transport``'s speed.
-
-        ``transport`` is anything carrying a ``profile`` with a
-        ``bandwidth_bytes_per_second`` (every
-        :class:`~repro.net.transport.Transport` does) — duck-typed so
-        the sim layer stays import-free of :mod:`repro.net`.  Feed
-        sizes are bytes, so the resulting ``comm`` component is an
-        estimated transfer time in seconds over that link.
-
-        Raises:
-            ValueError: if ``transport`` exposes no usable profile.
-        """
-        profile = getattr(transport, "profile", None)
-        bandwidth = getattr(
-            profile, "bandwidth_bytes_per_second", None
-        )
-        if not bandwidth:
-            raise ValueError(
-                f"{type(transport).__name__} carries no network "
-                "profile with a bandwidth to price communication from"
-            )
-        return cls(schema, statistics, weights,
-                   bandwidth=float(bandwidth), tracer=tracer)
 
     def model(self, source: MachineProfile,
               target: MachineProfile) -> CostModel:
@@ -430,69 +361,6 @@ class ExchangeSimulator:
             exchange.communication *= factor
             publish.communication *= factor
         return SimulatedCosts(exchange, publish)
-
-    # -- sharded scatter/gather ----------------------------------------------------
-
-    def sharded_exchange_costs(
-            self, source_fragmentation: Fragmentation,
-            target_fragmentation: Fragmentation,
-            source: MachineProfile, target: MachineProfile,
-            shards: int,
-            grains: "list[str] | tuple[str, ...] | None" = None
-            ) -> ShardedCostEstimate:
-        """Predict the scatter/gather speedup of K shard sessions.
-
-        Resolves the grain plan exactly as the live
-        :class:`~repro.services.shard.ScatterGatherCoordinator` does,
-        prices one unsharded exchange, then splits it by the spine's
-        byte fraction: grain bytes divide over the shards while spine
-        bytes replicate into every one.  The optimizer is *not*
-        charged per shard — the K sessions share one plan-cache
-        fingerprint, so negotiation runs once either way.
-
-        Raises:
-            ShardingError: when the fragmentation pair cannot shard.
-            ValueError: on ``shards < 1``.
-        """
-        from repro.core.partition import resolve_grains
-
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        plan = resolve_grains(
-            source_fragmentation, target_fragmentation, grains
-        )
-        model = self.model(source, target)
-        mapping = derive_mapping(
-            source_fragmentation, target_fragmentation
-        )
-        with self.tracer.span("optimize exchange", "sim"):
-            best = optimal_exchange(mapping, model, self.weights)
-        with self.tracer.span("price exchange", "sim"):
-            base = model.breakdown(best.program, best.placement).total
-        statistics = self.statistics
-        total_bytes = sum(
-            statistics.fragment_size(fragment)
-            for fragment in source_fragmentation
-        )
-        spine_bytes = sum(
-            statistics.fragment_size(fragment)
-            for fragment in source_fragmentation
-            if fragment.name in plan.spine
-        )
-        spine_fraction = (
-            spine_bytes / total_bytes if total_bytes > 0 else 0.0
-        )
-        grain_fraction = 1.0 - spine_fraction
-        per_shard = base * (spine_fraction + grain_fraction / shards)
-        total = base * (shards * spine_fraction + grain_fraction)
-        return ShardedCostEstimate(
-            shards=shards,
-            grains=plan.grains,
-            base_cost=base,
-            spine_fraction=spine_fraction,
-            per_shard_cost=per_shard,
-            total_cost=total,
-        )
 
     # -- adaptive mid-flight re-placement ------------------------------------------
 

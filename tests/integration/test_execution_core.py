@@ -5,7 +5,8 @@ batch size × worker count × journal (none, or killed mid-run and
 resumed) — on inputs whose streams are all columnar and on inputs
 where row and columnar streams meet, plus the wire contract of
 unbatched runs: a ``batch_rows=None`` exchange ships exactly the one
-``ship_fragment`` message per cross-edge that the paper's setup sends.
+``wrap_fragment_feed`` message per cross-edge that the paper's setup
+sends.
 """
 
 import random
@@ -185,7 +186,8 @@ def test_byte_identity(request, batch_rows, workers, streams,
 
 class TestUnbatchedWire:
     """``batch_rows=None``: one ``seq``-less message per cross-edge,
-    byte for byte the ``ship_fragment`` message of the shipped feed."""
+    byte for byte the ``wrap_fragment_feed`` message of the shipped
+    feed."""
 
     @pytest.fixture
     def shipped_scans(self, exchange):

@@ -16,13 +16,12 @@ from repro.errors import (
     TransportError,
 )
 from repro.core.program.executor import Shipment
-from repro.core.stream import FragmentStream
+from repro.core.stream import FragmentStream, RowBatch
 from repro.net.faults import (
     FaultKind,
     FaultPlan,
     FaultyChannel,
     ReliableBatchLink,
-    ReliableChannel,
     RetryPolicy,
     RobustnessStats,
 )
@@ -33,6 +32,13 @@ from repro.workloads.customer import fragment_customers
 @pytest.fixture
 def feed(customers_s, customer_documents):
     return fragment_customers(customer_documents, customers_s)["Order"]
+
+
+@pytest.fixture
+def whole(feed):
+    """The executor's unbatched message: the feed as one seq-less
+    batch."""
+    return RowBatch(feed.fragment, feed.rows, None)
 
 
 @pytest.fixture
@@ -102,6 +108,20 @@ class TestFaultPlan:
             FaultPlan.parse("lag=0.1")
         with pytest.raises(ValueError):
             FaultPlan.parse("drop=lots")
+
+    def test_parse_names_a_bad_seed(self):
+        with pytest.raises(ValueError, match="'seed=x'"):
+            FaultPlan.parse("seed=x")
+
+    def test_parse_rejects_an_index_scripted_twice(self):
+        with pytest.raises(ValueError, match="message 3 is scripted twice"):
+            FaultPlan.parse("drop@3,corrupt@3")
+
+    def test_negative_script_index_rejected(self):
+        with pytest.raises(ValueError, match="start at 0"):
+            FaultPlan.parse("drop@-1")
+        with pytest.raises(ValueError, match="start at 0"):
+            FaultPlan.scripted({-1: "drop"})
 
     def test_expected_transmission_factor(self):
         assert FaultPlan().expected_transmission_factor(4) == 1.0
@@ -195,38 +215,38 @@ class TestRetryPolicy:
 class TestFaultyChannelMatrix:
     """Every fault kind fires exactly on its scheduled index."""
 
-    def test_drop_raises_and_charges(self, feed):
+    def test_drop_raises_and_charges(self, feed, whole):
         inner = SimulatedChannel()
         channel = FaultyChannel(inner, scripted(drop=0))
         with pytest.raises(MessageDropped):
-            channel.ship_fragment(feed)
+            channel.ship_batch(whole)
         assert channel.stats.drops == 1
         assert inner.lost_messages == 1
         assert inner.lost_bytes == feed.feed_size()
         # The next message is clean: schedule, not chance.
-        channel.ship_fragment(feed)
+        channel.ship_batch(whole)
         assert inner.messages == 2
 
-    def test_corrupt_detected_by_real_checksum(self, feed):
+    def test_corrupt_detected_by_real_checksum(self, whole):
         inner = SimulatedChannel(wire_format=True)
         channel = FaultyChannel(inner, scripted(corrupt=0))
         with pytest.raises(MessageCorrupted, match="checksum"):
-            channel.ship_fragment(feed)
+            channel.ship_batch(whole)
         assert channel.stats.corruptions == 1
         assert inner.lost_messages == 1
 
-    def test_corrupt_on_byte_counting_channel(self, feed):
+    def test_corrupt_on_byte_counting_channel(self, feed, whole):
         inner = SimulatedChannel()
         channel = FaultyChannel(inner, scripted(corrupt=0))
         with pytest.raises(MessageCorrupted):
-            channel.ship_fragment(feed)
+            channel.ship_batch(whole)
         assert inner.lost_bytes == feed.feed_size()
 
-    def test_duplicate_delivers_twice_and_charges_copy(self, feed):
+    def test_duplicate_delivers_twice_and_charges_copy(self, feed, whole):
         inner = SimulatedChannel()
         channel = FaultyChannel(inner, scripted(duplicate=0))
-        shipment, delivered = channel.transmit_fragment(feed)
-        assert delivered == [feed, feed]
+        shipment, delivered = channel.transmit_batch(whole)
+        assert delivered == [whole, whole]
         assert channel.stats.duplicates == 1
         assert inner.lost_bytes == feed.feed_size()
         assert inner.total_bytes == 2 * feed.feed_size()
@@ -249,12 +269,12 @@ class TestFaultyChannelMatrix:
         assert channel.flush_batches("e") == [batches[0]]
         assert channel.flush_batches("e") == []
 
-    def test_delay_inflates_shipment(self, feed):
+    def test_delay_inflates_shipment(self, whole):
         inner = SimulatedChannel()
         channel = FaultyChannel(inner, scripted(delay=0))
-        clean = SimulatedChannel().ship_fragment(feed)
-        delayed, delivered = channel.transmit_fragment(feed)
-        assert delivered == [feed]
+        clean = SimulatedChannel().ship_batch(whole)
+        delayed, delivered = channel.transmit_batch(whole)
+        assert delivered == [whole]
         assert delayed.seconds == pytest.approx(clean.seconds + 0.25)
         assert inner.total_seconds \
             == pytest.approx(clean.seconds + 0.25)
@@ -271,66 +291,12 @@ class TestFaultyChannelMatrix:
         channel.ship_document("payload")
         assert channel.stats.injected == 2
 
-    def test_accounting_reads_through(self, feed):
+    def test_accounting_reads_through(self, whole):
         inner = SimulatedChannel()
         channel = FaultyChannel(inner, FaultPlan())
-        channel.ship_fragment(feed)
+        channel.ship_batch(whole)
         assert channel.total_bytes == inner.total_bytes
         assert channel.messages == 1
-
-
-class TestReliableChannel:
-    def test_heals_drop_with_one_retry(self, feed):
-        inner = SimulatedChannel()
-        faulty = FaultyChannel(inner, scripted(drop=0))
-        stats = RobustnessStats()
-        reliable = ReliableChannel(
-            faulty, RetryPolicy(max_attempts=3), stats
-        )
-        shipment = reliable.ship_fragment(feed)
-        assert shipment.bytes_sent == feed.feed_size()
-        assert stats.retries == 1
-        # Both the failed and the successful transmission hit the wire.
-        assert inner.messages == 2
-        assert inner.lost_messages == 1
-
-    def test_discards_duplicate_delivery(self, feed):
-        faulty = FaultyChannel(
-            SimulatedChannel(), scripted(duplicate=0)
-        )
-        stats = RobustnessStats()
-        ReliableChannel(
-            faulty, RetryPolicy(max_attempts=2), stats
-        ).ship_fragment(feed)
-        assert stats.redelivered == 1
-
-    def test_exhaustion_raises_retry_exhausted(self, feed):
-        # Every message the policy may send is scheduled to fail.
-        faulty = FaultyChannel(
-            SimulatedChannel(),
-            FaultPlan.scripted(
-                {0: "drop", 1: "corrupt", 2: "drop"}
-            ),
-        )
-        policy = RetryPolicy(max_attempts=3, sleep=lambda d: None)
-        with pytest.raises(RetryExhausted) as info:
-            ReliableChannel(faulty, policy).ship_fragment(feed)
-        assert info.value.attempts == 3
-        assert isinstance(info.value.last_cause, MessageDropped)
-
-    def test_timeout_triggers_resend(self, feed):
-        inner = SimulatedChannel()
-        budget = inner.transfer_cost(feed.feed_size())
-        faulty = FaultyChannel(inner, scripted(delay=0))
-        stats = RobustnessStats()
-        policy = RetryPolicy(
-            max_attempts=2, timeout_seconds=budget + 0.1,
-            sleep=lambda d: None,
-        )
-        ReliableChannel(faulty, policy, stats).ship_fragment(feed)
-        assert stats.timeouts == 1
-        assert stats.retries == 1
-        assert inner.messages == 2
 
 
 class TestReliableBatchLink:
@@ -377,10 +343,42 @@ class TestReliableBatchLink:
         link, stats = self._link(scripted(drop=0))
         out = []
         for batch in batches:
-            _, ready = link.send(batch)
+            shipment, ready = link.send(batch)
+            # The receipt is the transmission that landed.
+            assert shipment.bytes_sent == batch.feed_size()
             out.extend(ready)
         assert stats.retries == 1
         assert [b.seq for b in out] == [b.seq for b in batches]
+        # Both the failed and the successful transmission hit the wire.
+        inner = link.channel.inner
+        assert inner.messages == len(batches) + 1
+        assert inner.lost_messages == 1
+
+    def test_exhaustion_raises_retry_exhausted(self, whole):
+        # Every message the policy may send is scheduled to fail.
+        link, _ = self._link(
+            FaultPlan.scripted({0: "drop", 1: "corrupt", 2: "drop"}),
+            RetryPolicy(max_attempts=3, sleep=lambda d: None),
+        )
+        with pytest.raises(RetryExhausted) as info:
+            link.send(whole)
+        assert info.value.attempts == 3
+        assert isinstance(info.value.last_cause, MessageDropped)
+
+    def test_timeout_triggers_resend(self, whole):
+        budget = SimulatedChannel().transfer_cost(whole.feed_size())
+        link, stats = self._link(
+            scripted(delay=0),
+            RetryPolicy(max_attempts=2, timeout_seconds=budget + 0.1,
+                        sleep=lambda d: None),
+        )
+        _, ready = link.send(whole)
+        assert ready == [whole]
+        assert stats.timeouts == 1
+        assert stats.retries == 1
+        # The late copy was delivered; its re-send is the duplicate.
+        assert stats.redelivered == 1
+        assert link.channel.inner.messages == 2
 
     def test_gap_at_finish_raises(self, batches):
         link, _ = self._link(FaultPlan())
@@ -448,30 +446,31 @@ class TestPerEdgeAttribution:
         assert report.retries_by_edge == {(1, 0): 2, (2, 0): 1}
         assert report.redelivered_by_edge == {(1, 0): 2}
 
-    def test_reliable_channel_edge_kwarg(self, feed):
+    def test_reliable_channel_edge_kwarg(self, whole):
+        """A link attributes its healing work to its own edge."""
         stats = RobustnessStats()
-        channel = ReliableChannel(
+        link = ReliableBatchLink(
             FaultyChannel(SimulatedChannel(), scripted(drop=0)),
             RetryPolicy(max_attempts=4, sleep=lambda d: None),
-            stats,
+            stats, edge=(7, 0),
         )
-        channel.ship_fragment(feed, edge=(7, 0))
+        link.send(whole)
         assert stats.retries == 1
         assert stats.retries_by_edge == {(7, 0): 1}
 
-    def test_retry_spans_are_recorded(self, feed):
+    def test_retry_spans_are_recorded(self, whole):
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
         stats = RobustnessStats()
-        channel = ReliableChannel(
+        link = ReliableBatchLink(
             FaultyChannel(
                 SimulatedChannel(), scripted(drop=0), tracer=tracer
             ),
             RetryPolicy(max_attempts=4, sleep=lambda d: None),
-            stats, tracer=tracer,
+            stats, edge=(7, 0), tracer=tracer,
         )
-        channel.ship_fragment(feed, edge=(7, 0))
+        link.send(whole)
         retries = tracer.spans_of("retry")
         assert len(retries) == 1
         assert retries[0].attrs["error"] == "MessageDropped"

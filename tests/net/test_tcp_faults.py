@@ -20,12 +20,11 @@ from repro.errors import (
 from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
-from repro.core.stream import FragmentStream
+from repro.core.stream import FragmentStream, RowBatch
 from repro.net.faults import (
     FaultPlan,
     FaultyChannel,
     ReliableBatchLink,
-    ReliableChannel,
     RetryPolicy,
     RobustnessStats,
     corrupt_soap_message,
@@ -65,6 +64,13 @@ def feed(customers_s, customer_documents):
 
 
 @pytest.fixture
+def whole(feed):
+    """The executor's unbatched message: the feed as one seq-less
+    batch."""
+    return RowBatch(feed.fragment, feed.rows, None)
+
+
+@pytest.fixture
 def batches(feed):
     return list(FragmentStream.from_instance(feed, 2))
 
@@ -82,59 +88,62 @@ def no_sleep_policy(attempts=4):
 
 
 class TestFaultMatrixOverTcp:
-    def test_drop_charges_wire_without_socket_traffic(self, tcp, feed):
+    def test_drop_charges_wire_without_socket_traffic(self, tcp, whole):
         channel = FaultyChannel(tcp, scripted(drop=0))
         with pytest.raises(MessageDropped):
-            channel.ship_fragment(feed)
+            channel.ship_batch(whole)
         # The lost copy is priced from the profile, never sent.
         assert tcp.lost_messages == 1
         assert tcp.lost_bytes > 0
         assert channel.stats.injected == 1
         # The retry goes over the real socket.
-        shipment = channel.ship_fragment(feed)
+        shipment = channel.ship_batch(whole)
         assert shipment.bytes_sent > 0
         assert tcp.messages == 2
 
-    def test_corrupt_surfaces_checksum_mismatch(self, tcp, feed):
+    def test_corrupt_surfaces_checksum_mismatch(self, tcp, whole):
         # TcpTransport is wire-format, so corruption goes through the
         # real envelope decode and trips the checksum verification.
         channel = FaultyChannel(tcp, scripted(corrupt=0))
         with pytest.raises(MessageCorrupted, match="checksum"):
-            channel.ship_fragment(feed)
+            channel.ship_batch(whole)
         assert tcp.lost_messages == 1
 
-    def test_duplicate_copies_both_cross_the_socket(self, tcp, feed):
+    def test_duplicate_copies_both_cross_the_socket(self, tcp, whole):
         channel = FaultyChannel(tcp, scripted(duplicate=0))
-        shipment, delivered = channel.transmit_fragment(feed)
+        shipment, delivered = channel.transmit_batch(whole)
         assert len(delivered) == 2
         assert tcp.messages == 2
         assert shipment.bytes_sent > 0
 
     def test_delay_adds_seconds_on_top_of_measured_time(
-            self, tcp, feed):
+            self, tcp, whole):
         channel = FaultyChannel(tcp, scripted(delay=0))
-        shipment = channel.ship_fragment(feed)
+        shipment = channel.ship_batch(whole)
         assert shipment.seconds >= 0.25
         assert channel.stats.delays == 1
 
-    def test_reliable_channel_heals_drop_over_tcp(self, tcp, feed):
+    def test_reliable_link_heals_drop_over_tcp(self, tcp, whole):
         stats = RobustnessStats()
-        reliable = ReliableChannel(
+        link = ReliableBatchLink(
             FaultyChannel(tcp, scripted(drop=0)),
-            no_sleep_policy(), stats,
+            no_sleep_policy(), stats, edge="tcp-edge",
         )
-        shipment = reliable.ship_fragment(feed)
+        shipment, ready = link.send(whole)
+        assert ready == [whole]
         assert shipment.bytes_sent > 0
         assert stats.retries == 1
         assert tcp.messages == 2  # lost copy + successful resend
 
-    def test_reliable_channel_discards_duplicate_over_tcp(
-            self, tcp, feed):
+    def test_reliable_link_discards_duplicate_over_tcp(
+            self, tcp, whole):
         stats = RobustnessStats()
-        ReliableChannel(
+        link = ReliableBatchLink(
             FaultyChannel(tcp, scripted(duplicate=0)),
-            no_sleep_policy(), stats,
-        ).ship_fragment(feed)
+            no_sleep_policy(), stats, edge="tcp-edge",
+        )
+        _, ready = link.send(whole)
+        assert ready == [whole]
         assert stats.redelivered == 1
 
 

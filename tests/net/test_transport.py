@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TransportError
+from repro.core.stream import FragmentStream, RowBatch
 from repro.net.transport import NetworkProfile, SimulatedChannel
 from repro.workloads.customer import fragment_customers
 
@@ -10,6 +11,13 @@ from repro.workloads.customer import fragment_customers
 @pytest.fixture
 def feed(customers_s, customer_documents):
     return fragment_customers(customer_documents, customers_s)["Order"]
+
+
+@pytest.fixture
+def whole(feed):
+    """The executor's unbatched message: the feed as one seq-less
+    batch."""
+    return RowBatch(feed.fragment, feed.rows, None)
 
 
 class TestNetworkProfile:
@@ -32,9 +40,9 @@ class TestSimulatedChannel:
         )
         assert channel.transfer_cost(200) == pytest.approx(2.5)
 
-    def test_fragment_shipping_charges_feed_bytes(self, feed):
+    def test_fragment_shipping_charges_feed_bytes(self, feed, whole):
         channel = SimulatedChannel()
-        shipment = channel.ship_fragment(feed)
+        shipment = channel.ship_batch(whole)
         assert shipment.bytes_sent == feed.feed_size()
         assert channel.total_bytes == shipment.bytes_sent
         assert channel.messages == 1
@@ -45,36 +53,32 @@ class TestSimulatedChannel:
         shipment = channel.ship_document("x" * 1000)
         assert shipment.bytes_sent == 1000
 
-    def test_wire_format_round_trip(self, feed):
+    def test_wire_format_round_trip(self, feed, whole):
         channel = SimulatedChannel(wire_format=True)
         rows_before = feed.row_count()
         eids_before = sorted(row.eid for row in feed.rows)
-        shipment = channel.ship_fragment(feed)
+        shipment = channel.ship_batch(whole)
         assert shipment.bytes_sent > feed.feed_size()  # tagged + SOAP
         assert feed.row_count() == rows_before
         assert sorted(row.eid for row in feed.rows) == eids_before
 
-    def test_batch_shipping_charges_per_chunk(self, feed):
-        from repro.core.stream import FragmentStream
-
+    def test_batch_shipping_charges_per_chunk(self, feed, whole):
         channel = SimulatedChannel()
         batches = list(FragmentStream.from_instance(feed, 2))
         shipped = [channel.ship_batch(batch) for batch in batches]
         assert channel.messages == len(batches)
         assert sum(s.bytes_sent for s in shipped) == feed.feed_size()
         # Chunking pays the per-message latency once per batch.
-        whole = SimulatedChannel()
-        whole.ship_fragment(feed)
+        unbatched = SimulatedChannel()
+        unbatched.ship_batch(whole)
         extra_latency = (
             (len(batches) - 1) * channel.profile.latency_seconds
         )
         assert channel.total_seconds == pytest.approx(
-            whole.total_seconds + extra_latency
+            unbatched.total_seconds + extra_latency
         )
 
     def test_batch_wire_format_round_trip(self, feed):
-        from repro.core.stream import FragmentStream
-
         channel = SimulatedChannel(wire_format=True)
         total_rows = 0
         eids = []
@@ -89,26 +93,24 @@ class TestSimulatedChannel:
         assert sorted(eids) == sorted(row.eid for row in feed.rows)
 
     def test_closed_channel_rejects_batches(self, feed):
-        from repro.core.stream import FragmentStream
-
         channel = SimulatedChannel()
         batch = next(iter(FragmentStream.from_instance(feed, 2)))
         channel.close()
         with pytest.raises(TransportError):
             channel.ship_batch(batch)
 
-    def test_reset(self, feed):
+    def test_reset(self, whole):
         channel = SimulatedChannel()
-        channel.ship_fragment(feed)
+        channel.ship_batch(whole)
         channel.reset()
         assert channel.total_bytes == 0
         assert channel.messages == 0
 
-    def test_closed_channel_rejects(self, feed):
+    def test_closed_channel_rejects(self, whole):
         channel = SimulatedChannel()
         channel.close()
         with pytest.raises(TransportError):
-            channel.ship_fragment(feed)
+            channel.ship_batch(whole)
 
 
 class TestLostByteAccounting:
@@ -127,13 +129,13 @@ class TestLostByteAccounting:
             channel.transfer_cost(size)
         )
 
-    def test_retried_send_charges_twice(self, feed):
+    def test_retried_send_charges_twice(self, feed, whole):
         """A drop followed by a successful resend costs two
         transmissions: loss is never free."""
         channel = SimulatedChannel()
         size = feed.feed_size()
         channel.charge_lost(size)       # the dropped attempt
-        channel.ship_fragment(feed)     # the retry that lands
+        channel.ship_batch(whole)       # the retry that lands
         assert channel.messages == 2
         assert channel.total_bytes == 2 * size
         assert channel.lost_bytes == size

@@ -46,6 +46,13 @@ def feed(customers_s, customer_documents):
     return fragment_customers(customer_documents, customers_s)["Order"]
 
 
+@pytest.fixture
+def whole(feed):
+    """The executor's unbatched message: the feed as one seq-less
+    batch."""
+    return RowBatch(feed.fragment, feed.rows, None)
+
+
 @pytest.fixture(scope="module")
 def sink():
     with FeedSink() as live:
@@ -73,11 +80,11 @@ class TestUniformLifecycle:
         assert transport.closed
 
     @pytest.mark.parametrize("kind", TRANSPORTS)
-    def test_send_after_close_raises_uniformly(self, kind, sink, feed):
+    def test_send_after_close_raises_uniformly(self, kind, sink, whole):
         transport = make_transport(kind, sink)
         transport.close()
         with pytest.raises(TransportError, match="send after close"):
-            transport.ship_fragment(feed)
+            transport.ship_batch(whole)
         with pytest.raises(TransportError, match="send after close"):
             transport.ship_document("x")
         with pytest.raises(TransportError, match="send after close"):
@@ -129,18 +136,18 @@ class TestUniformLifecycle:
 
 
 class TestInProcessTransport:
-    def test_zero_time_but_counted_bytes(self, feed):
+    def test_zero_time_but_counted_bytes(self, whole):
         transport = InProcessTransport()
-        shipment = transport.ship_fragment(feed)
+        shipment = transport.ship_batch(whole)
         assert shipment.seconds == 0.0
         assert transport.total_seconds == 0.0
         assert transport.total_bytes == shipment.bytes_sent > 0
         assert transport.transfer_cost(10**9) == 0.0
 
-    def test_wire_format_round_trip(self, feed):
+    def test_wire_format_round_trip(self, feed, whole):
         transport = InProcessTransport(wire_format=True)
         rows_before = feed.row_count()
-        transport.ship_fragment(feed)
+        transport.ship_batch(whole)
         assert feed.row_count() == rows_before
 
 
@@ -154,9 +161,9 @@ class TestTcpTransport:
         assert transport.wire_format is True
         transport.close()
 
-    def test_measured_seconds_and_counted_bytes(self, sink, feed):
+    def test_measured_seconds_and_counted_bytes(self, sink, feed, whole):
         transport = TcpTransport.connect(sink.host, sink.port)
-        shipment = transport.ship_fragment(feed)
+        shipment = transport.ship_batch(whole)
         assert shipment.bytes_sent > feed.feed_size()  # SOAP overhead
         assert shipment.seconds > 0.0  # real wall time
         assert transport.total_bytes == shipment.bytes_sent
@@ -172,7 +179,7 @@ class TestTcpTransport:
         transport.close()
 
     def test_shipped_batch_keeps_its_rows_and_the_sink_verified_them(
-            self, feed):
+            self, feed, whole):
         """One encode here, one decode + verify at the sink: the batch
         is not decoded again on the sending side, and the sink's ack
         is held against what was sent."""
@@ -182,7 +189,7 @@ class TestTcpTransport:
         with FeedSink(metrics=metrics) as live:
             transport = TcpTransport.connect(live.host, live.port)
             transport.ship_batch(batch)
-            transport.ship_fragment(feed)
+            transport.ship_batch(whole)
             transport.close()
         assert all(
             after is before
@@ -233,10 +240,10 @@ class TestAckIsChecked:
     """The ack is the end-to-end check: the sink's recomputed values
     must be the ones this side computed while encoding."""
 
-    def test_honest_ack_accepted(self, feed):
+    def test_honest_ack_accepted(self, feed, whole):
         with lying_sink() as (host, port):
             transport = TcpTransport.connect(host, port)
-            transport.ship_fragment(feed)
+            transport.ship_batch(whole)
             transport.ship_batch(RowBatch(feed.fragment, feed.rows, 0))
             transport.ship_document("<doc/>")
             transport.close()
@@ -260,11 +267,11 @@ class TestAckIsChecked:
                 )
             transport.close()
 
-    def test_seq_acknowledged_for_a_feed_sent_without_one(self, feed):
+    def test_seq_acknowledged_for_a_feed_sent_without_one(self, whole):
         with lying_sink(seq="0") as (host, port):
             transport = TcpTransport.connect(host, port)
             with pytest.raises(SoapFault, match="seq='0'"):
-                transport.ship_fragment(feed)
+                transport.ship_batch(whole)
             transport.close()
 
     def test_wrong_document_ack_is_a_fault(self):

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.errors import RetryExhausted
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.mapping import derive_mapping
 from repro.core.program.builder import build_transfer_program
+from repro.net.faults import FaultPlan, RetryPolicy
 from repro.net.transport import SimulatedChannel
 from repro.relational.publisher import publish_document
 from repro.services.endpoint import RelationalEndpoint
@@ -120,6 +122,61 @@ class TestPublishAndMap:
         assert outcome.rows_written == target.total_rows()
 
 
+class TestPublishAndMapUnderLoss:
+    """PM re-sends its one document whole: every lost copy is charged
+    at document size, and the healed run writes the fault-free bytes."""
+
+    @pytest.fixture
+    def document(self, loaded_source):
+        return publish_document(
+            loaded_source.db, loaded_source.mapper
+        ).document
+
+    def lossy_pm(self, source, fragmentation, name, plan, policy):
+        channel = SimulatedChannel()
+        target = RelationalEndpoint(name, fragmentation)
+        outcome = run_publish_and_map(
+            source, target, channel, name,
+            retry_policy=policy, fault_plan=plan,
+        )
+        return outcome, channel, target
+
+    def test_drop_then_heal(self, loaded_source, auction_lf, document):
+        outcome, _, target = self.lossy_pm(
+            loaded_source, auction_lf, "pm-drop",
+            FaultPlan.scripted({0: "drop"}),
+            RetryPolicy(max_attempts=3, sleep=lambda d: None),
+        )
+        assert outcome.retries == 1
+        assert outcome.faults_injected == 1
+        assert outcome.comm_bytes == 2 * len(document)
+        reference = RelationalEndpoint("pm-clean", auction_lf)
+        run_publish_and_map(loaded_source, reference, SimulatedChannel())
+        assert publish_document(target.db, target.mapper).document \
+            == publish_document(reference.db, reference.mapper).document
+
+    def test_every_attempt_fails(self, loaded_source, auction_lf):
+        with pytest.raises(RetryExhausted) as info:
+            self.lossy_pm(
+                loaded_source, auction_lf, "pm-lost",
+                FaultPlan.scripted({0: "drop", 1: "corrupt", 2: "drop"}),
+                RetryPolicy(max_attempts=3, sleep=lambda d: None),
+            )
+        assert info.value.attempts == 3
+
+    def test_delay_past_timeout_resends_once(self, loaded_source,
+                                             auction_lf, document):
+        budget = SimulatedChannel().transfer_cost(len(document))
+        outcome, channel, _ = self.lossy_pm(
+            loaded_source, auction_lf, "pm-late",
+            FaultPlan.scripted({0: "delay"}, delay_seconds=1.0),
+            RetryPolicy(max_attempts=3, timeout_seconds=budget + 0.5,
+                        sleep=lambda d: None),
+        )
+        assert outcome.retries == 1
+        assert channel.messages == 2
+
+
 class TestEquivalence:
     """DE and PM must produce identical target databases."""
 
@@ -210,8 +267,6 @@ class TestObservabilityWiring:
     def test_lossy_run_attributes_retries_per_edge(self,
                                                    loaded_source,
                                                    auction_lf):
-        from repro.net.faults import FaultPlan, RetryPolicy
-
         outcome, _ = de_outcome(
             loaded_source, auction_lf, scenario="lossy",
             batch_rows=32,

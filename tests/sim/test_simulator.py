@@ -251,91 +251,6 @@ class TestLossyCosts:
         )
 
 
-class TestForTransport:
-    """The simulator prices communication from whatever network
-    profile the live transport carries — sim layer stays net-free."""
-
-    def test_prices_from_transport_profile(self):
-        from repro.net.transport import LOOPBACK_PROFILE, SimulatedChannel
-
-        schema = balanced_schema(2, 4, seed=5)
-        channel = SimulatedChannel()
-        simulator = ExchangeSimulator.for_transport(schema, channel)
-        assert simulator.bandwidth \
-            == channel.profile.bandwidth_bytes_per_second
-
-        fast = SimulatedChannel(profile=LOOPBACK_PROFILE)
-        faster = ExchangeSimulator.for_transport(schema, fast)
-        assert faster.bandwidth \
-            == LOOPBACK_PROFILE.bandwidth_bytes_per_second
-
-    def test_profile_less_transport_rejected(self):
-        schema = balanced_schema(2, 4, seed=5)
-        with pytest.raises(ValueError, match="profile"):
-            ExchangeSimulator.for_transport(schema, object())
-
-
-class TestShardedExchangeCosts:
-    """Scatter/gather cost prediction: speedup rises with K but
-    saturates at the spine bound, and aggregate work grows with the
-    replicated spine."""
-
-    @pytest.fixture(scope="class")
-    def xmark(self, auction_schema, auction_mf, auction_lf):
-        return (ExchangeSimulator(auction_schema),
-                auction_mf, auction_lf)
-
-    def test_speedup_monotone_and_bounded(self, xmark):
-        simulator, mf, lf = xmark
-        estimates = [
-            simulator.sharded_exchange_costs(
-                mf, lf, MachineProfile("s"), MachineProfile("t"),
-                shards,
-            )
-            for shards in (1, 2, 4, 8)
-        ]
-        speedups = [estimate.speedup for estimate in estimates]
-        assert speedups[0] == pytest.approx(1.0)
-        assert speedups == sorted(speedups)
-        bound = 1.0 / estimates[0].spine_fraction
-        assert all(speedup <= bound + 1e-9 for speedup in speedups)
-        assert estimates[0].grains == ("category", "item")
-
-    def test_replication_overhead_grows_with_shards(self, xmark):
-        simulator, mf, lf = xmark
-        machines = (MachineProfile("s"), MachineProfile("t"))
-        one = simulator.sharded_exchange_costs(
-            mf, lf, *machines, 1
-        )
-        four = simulator.sharded_exchange_costs(
-            mf, lf, *machines, 4
-        )
-        assert one.replication_overhead == pytest.approx(0.0)
-        assert four.replication_overhead > 0.0
-        assert four.total_cost > one.total_cost
-        assert four.per_shard_cost < one.per_shard_cost
-
-    def test_unshardable_pair_is_diagnosed(self, xmark,
-                                           auction_schema):
-        from repro.errors import ShardingError
-        from repro.core.fragmentation import Fragmentation
-
-        simulator, mf, _ = xmark
-        whole = Fragmentation.whole_document(auction_schema)
-        with pytest.raises(ShardingError):
-            simulator.sharded_exchange_costs(
-                mf, whole, MachineProfile("s"), MachineProfile("t"),
-                4,
-            )
-
-    def test_shard_floor(self, xmark):
-        simulator, mf, lf = xmark
-        with pytest.raises(ValueError, match=">= 1"):
-            simulator.sharded_exchange_costs(
-                mf, lf, MachineProfile("s"), MachineProfile("t"), 0
-            )
-
-
 class TestDeltaExchangeCosts:
     """Incremental sync pricing: the full exchange, scaled by the
     fraction of rows that travel."""

@@ -173,6 +173,13 @@ class TestLossyExchange:
                 io.StringIO(),
             )
 
+    def test_bad_fault_seed_names_the_token(self):
+        with pytest.raises(SystemExit, match="--fault-plan: .*'seed=x'"):
+            main(
+                ["exchange", "MF", "MF", "--fault-plan", "seed=x"],
+                io.StringIO(),
+            )
+
     def test_bad_retries_rejected(self):
         with pytest.raises(SystemExit):
             main(
