@@ -332,21 +332,47 @@ class StatisticsStore:
     def from_dict(cls, data: dict[str, object], *,
                   metrics: MetricsRegistry | None = None
                   ) -> "StatisticsStore":
-        """Rebuild a store serialized by :meth:`to_dict`."""
+        """Rebuild a store serialized by :meth:`to_dict`.
+
+        Raises:
+            ValueError: naming the first field of the wrong shape.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(
+                "a statistics store must be a JSON object, got "
+                f"{type(data).__name__}"
+            )
+
+        def field(name: str, convert: type, default: object) -> object:
+            value = data.get(name, default)
+            try:
+                return convert(value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"statistics store field {name!r} is malformed: "
+                    f"{value!r}"
+                ) from None
+
         store = cls(
-            alpha=float(data.get("alpha", 0.3)),  # type: ignore[arg-type]
-            warmup=int(data.get("warmup", 3)),  # type: ignore[arg-type]
+            alpha=field("alpha", float, 0.3),  # type: ignore[arg-type]
+            warmup=field("warmup", int, 3),  # type: ignore[arg-type]
             metrics=metrics,
         )
-        store.ingests = int(data.get("ingests", 0))  # type: ignore[arg-type]
-        for attr, table in (("_scales", data.get("scales") or {}),
-                            ("_ratios", data.get("ratios") or {})):
+        store.ingests = field("ingests", int, 0)  # type: ignore[assignment]
+        for attr, name in (("_scales", "scales"), ("_ratios", "ratios")):
+            table = data.get(name) or {}
             target = getattr(store, attr)
-            for pair, entries in table.items():  # type: ignore[union-attr]
-                target[pair] = {
-                    key: ScaleEstimate(float(value), int(count))
-                    for key, (value, count) in entries.items()
-                }
+            try:
+                for pair, entries in table.items():
+                    target[pair] = {
+                        key: ScaleEstimate(float(value), int(count))
+                        for key, (value, count) in entries.items()
+                    }
+            except (AttributeError, TypeError, ValueError):
+                raise ValueError(
+                    f"statistics store field {name!r} is malformed: "
+                    "expected {pair: {key: [value, observations]}}"
+                ) from None
         return store
 
     def save(self, path: str | os.PathLike) -> None:
@@ -362,7 +388,7 @@ class StatisticsStore:
 
         Raises:
             OSError: if the file cannot be read.
-            ValueError: if it is not valid JSON.
+            ValueError: if it is not valid JSON or not a store's shape.
         """
         with open(path, "r", encoding="utf-8") as handle:
             try:

@@ -439,7 +439,10 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
             from repro.adapt import StatisticsStore
 
             if os.path.exists(args.stats_store):
-                stats_store = StatisticsStore.load(args.stats_store)
+                try:
+                    stats_store = StatisticsStore.load(args.stats_store)
+                except (OSError, ValueError) as exc:
+                    raise SystemExit(f"--stats-store: {exc}") from exc
             else:
                 stats_store = StatisticsStore()
         adaptive_config = None
@@ -718,21 +721,30 @@ def cmd_loadgen(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     try:
         source_part, target_part = args.ratio.split("/")
-        source_speed = float(source_part)
-        target_speed = float(target_part)
+        source = MachineProfile("s", speed=float(source_part))
+        target = MachineProfile("t", speed=float(target_part))
     except ValueError as exc:
         raise SystemExit(
-            f"--ratio must look like 5/1, got {args.ratio!r}"
+            f"--ratio must be two positive speeds like 5/1, got "
+            f"{args.ratio!r}"
         ) from exc
+    if args.trials < 1:
+        raise SystemExit(f"--trials must be >= 1, got {args.trials}")
     schema = balanced_schema(2, 5, seed=3)
+    elements = len(schema.element_names())
+    if not 1 <= args.fragments <= elements:
+        raise SystemExit(
+            f"--fragments must be in [1, {elements}], got "
+            f"{args.fragments}"
+        )
     tracer = Tracer() if args.trace else None
     simulator = ExchangeSimulator(schema, tracer=tracer)
     rng = random.Random(args.seed)
     trials = [
         simulator.greedy_quality_trial(
             n_fragments=args.fragments,
-            source=MachineProfile("s", speed=source_speed),
-            target=MachineProfile("t", speed=target_speed),
+            source=source,
+            target=target,
             rng=rng,
         )
         for _ in range(args.trials)

@@ -12,11 +12,6 @@
   (:mod:`repro.core.optimizer`).
 """
 
-from repro.core.advisor import (
-    AdvisorResult,
-    exchange_objective,
-    recommend_fragmentation,
-)
 from repro.core.fragment import Fragment
 from repro.core.fragmentation import Fragmentation
 from repro.core.instance import ElementData, FragmentInstance
@@ -24,9 +19,6 @@ from repro.core.mapping import Mapping, derive_mapping
 
 __all__ = [
     "Fragment",
-    "AdvisorResult",
-    "exchange_objective",
-    "recommend_fragmentation",
     "Fragmentation",
     "ElementData",
     "FragmentInstance",

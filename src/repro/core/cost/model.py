@@ -45,6 +45,12 @@ class MachineProfile:
     can_split: bool = True
     index_factor: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.speed) and self.speed > 0):
+            raise ValueError(
+                f"machine speed must be finite and > 0, got {self.speed}"
+            )
+
 
 @dataclass(frozen=True, slots=True)
 class CostWeights:

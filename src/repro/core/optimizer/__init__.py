@@ -14,10 +14,7 @@
 
 from repro.core.optimizer.exhaustive import (
     cost_based_optim,
-    cost_based_optim_literal,
     cost_based_pessim,
-    count_placements,
-    enumerate_placements,
 )
 from repro.core.optimizer.greedy import greedy_placement, greedy_program
 from repro.core.optimizer.placement import (
@@ -33,9 +30,6 @@ from repro.core.optimizer.search import (
 
 __all__ = [
     "cost_based_optim",
-    "cost_based_optim_literal",
-    "count_placements",
-    "enumerate_placements",
     "cost_based_pessim",
     "greedy_placement",
     "greedy_program",

@@ -7,23 +7,15 @@ program its recurrence picked; run over every program of
 the exhaustive *oracle* the tests hold that search equal to — the
 paper's own formulation, too slow beyond ~40-node schemas.
 
-Two implementations of the same search space:
-
-* :func:`cost_based_optim_literal` — the worklist algorithm exactly as
-  printed in the paper (branch: pick an unassigned operation, make it
-  the last source-side operation on its paths, propagate closures),
-  with the footnote's deduplication.  Kept for fidelity and used by the
-  tests to cross-check the fast search on small programs; its partial-
-  state space explodes on larger programs, which is the paper's own
-  observation ("optimal program generation takes too long for XML
-  Schemas with more than 40 nodes").
-* :func:`cost_based_optim` — an equivalent enumeration that walks the
-  DAG in topological order.  A placement is legal iff its source-side
-  node set is downward closed (no T → S edge), so each non-Scan/Write
-  node can go to S only when all its producers are at S, and can always
-  go to T; branch-and-bound prunes with the additive cost.  Both
-  searches return cost-minimal placements; the literal one is
-  exponentially slower, not different.
+:func:`cost_based_optim` searches the same space as the paper's worklist
+(kept in its printed form as a test oracle in
+``tests/optimizer/oracle.py``) but walks the DAG in topological
+order.  A placement is legal iff its source-side node set is downward
+closed (no T → S edge), so each non-Scan/Write node can go to S only
+when all its producers are at S, and can always go to T;
+branch-and-bound prunes with the additive cost.  Both forms return
+cost-minimal placements; the worklist is exponentially slower, not
+different.
 
 :func:`cost_based_pessim` enumerates the same space keeping the *most*
 expensive placement (the optimization-window baseline of Table 5),
@@ -35,15 +27,8 @@ from __future__ import annotations
 from repro.errors import PlacementError
 from repro.core.cost.model import CostWeights
 from repro.core.cost.probe import CostProbe
-from repro.core.optimizer.placement import (
-    assign,
-    initial_placement,
-    placement_cost,
-    resolve_weights,
-    unassigned_nodes,
-    weighted,
-)
-from repro.core.ops.base import Location, Operation
+from repro.core.optimizer.placement import resolve_weights, weighted
+from repro.core.ops.base import Location
 from repro.core.ops.scan import Scan
 from repro.core.ops.write import Write
 from repro.core.program.dag import Placement, TransferProgram
@@ -144,99 +129,3 @@ def cost_based_pessim(program: TransferProgram, probe: CostProbe,
     """The *worst* placement in the same search space (Section 5.4.2's
     worst-case program baseline)."""
     return _topological_search(program, probe, weights, maximize=True)
-
-
-def cost_based_optim_literal(program: TransferProgram, probe: CostProbe,
-                             weights: CostWeights | None = None
-                             ) -> tuple[Placement, float]:
-    """Algorithm 1 verbatim (worklist form).  Equivalent to
-    :func:`cost_based_optim`; exponentially slower on large programs.
-
-    Raises:
-        PlacementError: if no legal placement exists.
-    """
-    program.validate()
-    base = initial_placement(program)
-    best_placement: Placement | None = None
-    best_cost = 0.0
-
-    def consider(candidate: Placement) -> None:
-        nonlocal best_placement, best_cost
-        program.validate_placement(candidate)
-        cost = placement_cost(program, candidate, probe, weights)
-        if best_placement is None or cost < best_cost:
-            best_placement = dict(candidate)
-            best_cost = cost
-
-    if not unassigned_nodes(program, base):
-        consider(base)
-        assert best_placement is not None
-        return best_placement, best_cost
-
-    open_problems: list[Placement] = [base]
-    seen: set[frozenset[tuple[int, Location]]] = set()
-    while open_problems:
-        partial = open_problems.pop()
-        for node in unassigned_nodes(program, partial):
-            branch = dict(partial)
-            # Lines 8-12: OP to S, upstream to S, downstream to T.
-            if not assign(program, branch, node, Location.SOURCE):
-                continue
-            legal = True
-            for consumer in program.consumers(node):
-                if not assign(program, branch, consumer,
-                              Location.TARGET):
-                    legal = False
-                    break
-            if not legal:
-                continue
-            if unassigned_nodes(program, branch):
-                signature = frozenset(branch.items())
-                if signature not in seen:
-                    seen.add(signature)
-                    open_problems.append(branch)
-            else:
-                consider(branch)
-
-    if best_placement is None:
-        raise PlacementError("no legal placement exists for this program")
-    return best_placement, best_cost
-
-
-def enumerate_placements(program: TransferProgram) -> list[Placement]:
-    """All legal placements of a program (test/analysis helper; the
-    count grows exponentially — use on small programs only)."""
-    program.validate()
-    order = program.topological_order()
-    in_edges = [program.in_edges(node) for node in order]
-    results: list[Placement] = []
-    placement: Placement = {}
-
-    def recurse(index: int) -> None:
-        if index == len(order):
-            results.append(dict(placement))
-            return
-        node = order[index]
-        if isinstance(node, Scan):
-            choices: tuple[Location, ...] = (Location.SOURCE,)
-        elif isinstance(node, Write):
-            choices = (Location.TARGET,)
-        elif all(
-            placement[edge.producer.op_id] is Location.SOURCE
-            for edge in in_edges[index]
-        ):
-            choices = (Location.SOURCE, Location.TARGET)
-        else:
-            choices = (Location.TARGET,)
-        for location in choices:
-            placement[node.op_id] = location
-            recurse(index + 1)
-            del placement[node.op_id]
-
-    recurse(0)
-    return results
-
-
-def count_placements(program: TransferProgram) -> int:
-    """Number of legal placements of a program."""
-    return len(enumerate_placements(program))

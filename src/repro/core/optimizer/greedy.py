@@ -157,12 +157,3 @@ def greedy_placement(program: TransferProgram, probe: CostProbe,
         _fix(program, placement, pending[0], Location.SOURCE)
     program.validate_placement(placement)
     return placement
-
-
-def greedy_optimize(mapping: Mapping, probe: CostProbe,
-                    weights: CostWeights | None = None
-                    ) -> tuple[TransferProgram, Placement]:
-    """Greedy program creation followed by greedy placement."""
-    program = greedy_program(mapping, probe)
-    placement = greedy_placement(program, probe, weights)
-    return program, placement

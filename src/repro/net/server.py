@@ -43,6 +43,7 @@ from repro.errors import (
     ShardingError,
     SoapFault,
     TransportError,
+    WsdlError,
     XmlSyntaxError,
 )
 from repro.core.fragment import Fragment
@@ -381,6 +382,11 @@ class ExchangeHttpServer:
                 if path == "/soap/feeds":
                     return 200, self._serve_feeds(payload)
                 raise SoapFault(f"no service at {path}", )
+            except (XmlSyntaxError, WsdlError) as exc:
+                # A malformed registration document is the client's
+                # error: answer it, never let it kill the handler.
+                self._count("server.http.faults")
+                return 400, soap_fault(str(exc))
             except (SoapFault, NegotiationError) as exc:
                 self._count("server.http.faults")
                 status = 404 if "no service" in str(exc) else 500

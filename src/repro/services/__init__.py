@@ -30,7 +30,6 @@ from repro.services.endpoint import (
     RelationalEndpoint,
     SystemEndpoint,
 )
-from repro.services.selection import SelectiveEndpoint, ServiceArgument
 from repro.services.exchange import (
     ExchangeOutcome,
     run_optimized_exchange,
@@ -42,8 +41,6 @@ __all__ = [
     "RelationalEndpoint",
     "InMemoryEndpoint",
     "DirectoryEndpoint",
-    "SelectiveEndpoint",
-    "ServiceArgument",
     "DiscoveryAgency",
     "ExchangePlan",
     "PlanCache",

@@ -10,7 +10,7 @@ single logical exchange over K concurrent broker sessions:
   replicated spine, each package a self-contained shard-local ID/PARENT
   namespace.
 * :class:`ScatterGatherCoordinator` registers each package as a shard
-  source with a (federated) agency, compiles the per-shard transfer
+  source with a private agency, compiles the per-shard transfer
   program through the existing negotiate/plan-cache path — the K
   shards share one fingerprint, so the optimizer runs once — executes
   the shard sessions concurrently on a PR 5
@@ -53,7 +53,6 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.services.agency import DiscoveryAgency
 from repro.services.broker import ExchangeBroker, ExchangeSession, PlanCache
 from repro.services.endpoint import InMemoryEndpoint, SystemEndpoint
-from repro.services.federation import FederatedAgency
 
 __all__ = [
     "ShardPackage",
@@ -77,13 +76,6 @@ class ShardPackage:
     instances: dict[str, FragmentInstance]
     exclusive_rows: int
     replicated_rows: int
-
-    def feed_bytes(self) -> int:
-        """Approximate sorted-feed bytes of the whole package."""
-        return sum(
-            instance.feed_size()
-            for instance in self.instances.values()
-        )
 
     def endpoint(self, name: str) -> InMemoryEndpoint:
         """An in-memory source endpoint seeded with this package."""
@@ -212,15 +204,14 @@ class ScatterGatherCoordinator:
     """Run one logical exchange as K concurrent shard sessions.
 
     ``agency`` holds the *logical* registrations (source with its
-    endpoint, target with its fragmentation) — a plain
-    :class:`~repro.services.agency.DiscoveryAgency` or a
-    :class:`~repro.services.federation.FederatedAgency`.  The
-    coordinator scans the source once, partitions per ``spec``, and
-    runs the shards on a private scatter plane: a federation of
-    ``federation_members`` agencies (shard sources route across them)
-    backed by ``plan_cache`` — one optimizer run serves all K shards,
-    because the fingerprint covers fragmentations and knobs, not
-    system names.
+    endpoint, target with its fragmentation).  The coordinator scans
+    the source once, partitions per ``spec``, and runs the shards on a
+    private scatter plane: one fresh
+    :class:`~repro.services.agency.DiscoveryAgency` holding the target
+    and the K shard sources (the caller's agency is never touched),
+    negotiated through ``plan_cache`` — one optimizer run serves all K
+    shards, because the fingerprint covers fragmentations and knobs,
+    not system names.
 
     ``channel_factory`` supplies each shard session's own transport
     (any :class:`~repro.net.transport.Transport`, including
@@ -232,7 +223,7 @@ class ScatterGatherCoordinator:
     the partial outcome with ``faults`` filled in.
     """
 
-    def __init__(self, agency: "DiscoveryAgency | FederatedAgency",
+    def __init__(self, agency: DiscoveryAgency,
                  spec: ShardingSpec, *,
                  probe: CostProbe | None = None,
                  plan_cache: PlanCache | None = None,
@@ -245,7 +236,6 @@ class ScatterGatherCoordinator:
                  retry_policy: object | None = None,
                  fault_plans: Mapping[int, object] | None = None,
                  max_workers: int | None = None,
-                 federation_members: int = 2,
                  strict: bool = True,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
@@ -261,9 +251,6 @@ class ScatterGatherCoordinator:
         self.retry_policy = retry_policy
         self.fault_plans = dict(fault_plans or {})
         self.max_workers = max_workers or spec.shards
-        self.federation_members = max(
-            1, min(federation_members, spec.shards)
-        )
         self.strict = strict
         self.metrics = metrics
         self.tracer = tracer or NULL_TRACER
@@ -324,11 +311,7 @@ class ScatterGatherCoordinator:
         plan_cache = self.plan_cache
         if plan_cache is None:
             plan_cache = PlanCache(metrics=self.metrics)
-        scatter = FederatedAgency.for_schema(
-            self.agency.schema, members=self.federation_members,
-            plan_cache=plan_cache, metrics=self.metrics,
-            tracer=self.tracer,
-        )
+        scatter = DiscoveryAgency(self.agency.schema)
         scatter.register(target_name, target.fragmentation)
 
         sessions: list[ExchangeSession | None] = [None] * len(packages)

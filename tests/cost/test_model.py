@@ -98,6 +98,14 @@ class TestCompCost:
             3.0 * plain.comp_cost(write, Location.TARGET)
         )
 
+    @pytest.mark.parametrize(
+        "speed", [0.0, -1.0, math.inf, math.nan],
+        ids=["zero", "negative", "inf", "nan"],
+    )
+    def test_speed_must_be_positive_and_finite(self, speed):
+        with pytest.raises(ValueError, match="speed"):
+            MachineProfile("m", speed=speed)
+
 
 class TestProgramCost:
     def test_formula1_weights(self, customers_schema, customers_s,

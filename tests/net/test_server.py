@@ -274,6 +274,32 @@ class TestHttpControlPlane:
             with pytest.raises(SoapFault, match="well-formed"):
                 client.call("/soap/agency", "<broken")
 
+    @pytest.mark.parametrize("wsdl, message", [
+        ("<a><b></a>", "mismatched end tag"),
+        ("<a/>", "not a WSDL document"),
+    ], ids=["not-well-formed", "not-wsdl"])
+    def test_malformed_wsdl_is_client_fault(self, customer_agency, wsdl,
+                                            message):
+        metrics = MetricsRegistry()
+        with ExchangeHttpServer(customer_agency, metrics=metrics) as http:
+            status, reply = http.dispatch("/soap/agency", soap_envelope(
+                Element("Register", {"name": "x"}, text=wsdl)
+            ))
+        assert status == 400
+        with pytest.raises(SoapFault, match=message):
+            parse_envelope(reply)
+        assert metrics.counter("server.http.faults").value == 1
+        assert customer_agency.registered_names() == []
+
+    def test_malformed_wsdl_register_gets_a_reply(self, customer_agency,
+                                                  wsdl_texts):
+        with ExchangeHttpServer(customer_agency) as http:
+            client = SoapHttpClient(http.host, http.port)
+            with pytest.raises(SoapFault, match="mismatched end tag"):
+                client.register("x", "<a><b></a>")
+            # The server still serves the next request.
+            assert client.register("s", wsdl_texts["s"]).get("name") == "s"
+
     def test_client_connection_failure_is_transport_error(self):
         client = SoapHttpClient("127.0.0.1", 1, timeout=0.2)
         with pytest.raises(TransportError, match="failed"):

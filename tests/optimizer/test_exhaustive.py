@@ -10,13 +10,16 @@ from repro.core.mapping import derive_mapping
 from repro.core.ops.base import Location
 from repro.core.optimizer.exhaustive import (
     cost_based_optim,
-    cost_based_optim_literal,
     cost_based_pessim,
-    count_placements,
-    enumerate_placements,
 )
 from repro.core.optimizer.placement import placement_cost
 from repro.core.program.builder import build_transfer_program
+
+from tests.optimizer.oracle import (
+    cost_based_optim_literal,
+    count_placements,
+    enumerate_placements,
+)
 
 
 @pytest.fixture

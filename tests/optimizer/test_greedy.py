@@ -9,14 +9,12 @@ from repro.core.cost.model import CostModel, CostWeights, MachineProfile
 from repro.core.mapping import derive_mapping
 from repro.core.ops.base import Location
 from repro.core.optimizer.exhaustive import cost_based_optim
-from repro.core.optimizer.greedy import (
-    greedy_optimize,
-    greedy_placement,
-    greedy_program,
-)
+from repro.core.optimizer.greedy import greedy_placement, greedy_program
 from repro.core.optimizer.placement import placement_cost
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.render import summary
+
+from tests.optimizer.oracle import greedy_optimize
 
 
 @pytest.fixture

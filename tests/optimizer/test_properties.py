@@ -22,7 +22,6 @@ from repro.core.cost.model import CostModel, CostWeights, MachineProfile
 from repro.core.mapping import derive_mapping
 from repro.core.optimizer.exhaustive import (
     cost_based_optim,
-    cost_based_optim_literal,
     cost_based_pessim,
 )
 from repro.core.optimizer.greedy import greedy_placement
@@ -31,7 +30,10 @@ from repro.core.program.builder import build_transfer_program
 from repro.schema.generator import random_schema
 from repro.sim.random_fragmentation import random_fragmentation
 
-from tests.optimizer.oracle import assert_search_is_exact
+from tests.optimizer.oracle import (
+    assert_search_is_exact,
+    cost_based_optim_literal,
+)
 
 
 @st.composite

@@ -166,14 +166,18 @@ def test_shard_metrics_and_spans(loaded_agency, auction_lf, model):
 
     metrics = MetricsRegistry()
     tracer = Tracer()
+    registered = loaded_agency.registered_names()
     coordinator = ScatterGatherCoordinator(
-        loaded_agency, ShardingSpec(3), probe=model,
+        loaded_agency, ShardingSpec(4), probe=model,
         plan_cache=PlanCache(), metrics=metrics, tracer=tracer,
     )
     outcome = coordinator.run("src", "tgt", _factory(auction_lf))
 
+    # The scatter plane is private, and the K shards compile once.
+    assert loaded_agency.registered_names() == registered
+    assert metrics.counter("optimizer.runs").value == 1
     assert metrics.counter("shard.partitions").value == 1
-    assert metrics.counter("shard.sessions").value == 3
+    assert metrics.counter("shard.sessions").value == 4
     assert (metrics.counter("shard.rows.exclusive").value
             == outcome.exclusive_rows)
     assert (metrics.counter("shard.merge.rows").value

@@ -130,6 +130,22 @@ class TestAdaptiveExchange:
         # The second run loaded the first run's store and kept learning.
         assert warmed["ingests"] > state["ingests"]
 
+    @pytest.mark.parametrize("content, message", [
+        ("[]", "JSON object"),
+        ('{"scales": {"p": {"k": 5}}}', "'scales'"),
+        ("{not json", "not valid JSON"),
+    ], ids=["list", "wrong-entry-shape", "invalid-json"])
+    def test_malformed_stats_store_rejected(self, tmp_path, content,
+                                            message):
+        path = tmp_path / "stats.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(SystemExit, match=f"--stats-store: .*{message}"):
+            main(
+                ["exchange", "MF", "LF", "--size", "2.5",
+                 "--scale", "0.02", "--stats-store", str(path)],
+                io.StringIO(),
+            )
+
     def test_adaptive_rejects_sharding(self):
         with pytest.raises(SystemExit):
             main(
@@ -151,6 +167,16 @@ class TestSimulateCommand:
     def test_bad_ratio_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--ratio", "fast"], io.StringIO())
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ratio", "1/0"),
+        ("--ratio", "0/1"),
+        ("--trials", "0"),
+        ("--fragments", "0"),
+    ])
+    def test_bad_arguments_name_the_flag(self, flag, value):
+        with pytest.raises(SystemExit, match=flag):
+            main(["simulate", flag, value], io.StringIO())
 
 
 class TestLossyExchange:

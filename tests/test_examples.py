@@ -17,7 +17,6 @@ _EXPECTED_MARKERS = {
     "xmark_exchange.py": ["End-to-end breakdown", "DE saves"],
     "wsdl_negotiation.py": ["fragmentation", "Loading program"],
     "simulation_study.py": ["Figure 10", "Worst/Optimal"],
-    "service_arguments.py": ["advisor recommends", "selected"],
 }
 
 
