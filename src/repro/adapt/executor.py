@@ -1,16 +1,17 @@
 """Mid-flight adaptive execution: checkpoint, compare, re-place.
 
 :class:`AdaptiveRun` wraps the program executor.  As segments of the
-program complete it compares their operations' observed cost against
-what the negotiation probe predicted (per :func:`~repro.core.cost.calibrate.strategy_key`,
-with cross-edge shipments tracked as the ``"comm"`` pseudo-kind).
-When the per-kind ratios diverge beyond ``replan_threshold`` —
-*spread* between kinds, not uniform slowdown, is what re-ranks
-placements — it re-places the not-yet-started DAG suffix: completed
-and in-flight operations are pinned at their locations and
-:func:`~repro.adapt.replan.replan_placement` re-optimizes the rest
-under a :class:`~repro.adapt.replan.ScaledProbe` corrected by the
-observed ratios.
+program complete it joins their measurements against the negotiation
+probe with :func:`~repro.obs.drift.cost_drift_report` (per
+:func:`~repro.core.cost.calibrate.strategy_key`, with cross-edge
+shipments as the ``"comm"`` pseudo-kind).  When the per-kind ratios
+diverge beyond ``replan_threshold`` — *spread* between kinds, not
+uniform slowdown, is what re-ranks placements — it re-places the
+not-yet-started DAG suffix: completed and in-flight operations are
+pinned at their locations and Algorithm 1
+(:func:`~repro.core.optimizer.exhaustive.cost_based_optim`)
+re-optimizes the rest under a :class:`~repro.adapt.replan.ScaledProbe`
+corrected by the observed ratios.
 
 Re-placement never changes *what* is computed, only *where*: Combine
 and Split produce identical values at either endpoint and cross-edge
@@ -28,88 +29,34 @@ count, batch size or dataplane.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import PlacementError
-from repro.adapt.replan import ScaledProbe, replan_placement
+from repro.adapt.replan import ScaledProbe
 from repro.adapt.stats import StatisticsStore
-from repro.core.cost.calibrate import strategy_key
-from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostWeights
 from repro.core.cost.probe import CostProbe
 from repro.core.fragment import Fragment
 from repro.core.ops.base import Location, Operation
+from repro.core.optimizer.exhaustive import cost_based_optim
 from repro.core.program.dag import Placement, TransferProgram
 from repro.core.program.executor import (
     ExecutionReport,
     ProgramExecutor,
     critical_path_seconds,
 )
+from repro.obs.drift import DriftReport, cost_drift_report
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
-__all__ = ["AdaptiveConfig", "AdaptiveRun", "RatioTracker"]
+__all__ = ["AdaptiveConfig", "AdaptiveRun"]
 
 #: Observed-cost hooks.  ``None`` uses measured wall seconds; tests
 #: and benchmarks inject model-derived costs for determinism.
 CompFeedback = Callable[[Operation, Location, str, float], float]
 CommFeedback = Callable[[Fragment, float], float]
-
-
-class RatioTracker:
-    """Running measured-vs-predicted sums per strategy key."""
-
-    def __init__(self) -> None:
-        self._sums: dict[str, tuple[float, float]] = {}
-        self.samples = 0
-
-    def observe(self, key: str, measured: float,
-                predicted: float) -> None:
-        """Fold one observation in (skipped when the prediction is
-        degenerate — zero or infinite predictions compare to
-        nothing)."""
-        if (predicted <= 0 or not math.isfinite(predicted)
-                or measured < 0 or not math.isfinite(measured)):
-            return
-        measured_sum, predicted_sum = self._sums.get(key, (0.0, 0.0))
-        self._sums[key] = (
-            measured_sum + measured, predicted_sum + predicted
-        )
-        self.samples += 1
-
-    def ratios(self) -> dict[str, float]:
-        """Per-key ``measured / predicted`` over everything observed."""
-        return {
-            key: measured / predicted
-            for key, (measured, predicted) in sorted(self._sums.items())
-            if predicted > 0
-        }
-
-    def comp_ratios(self) -> dict[str, float]:
-        """The computation keys alone (no ``"comm"``)."""
-        return {
-            key: ratio for key, ratio in self.ratios().items()
-            if key != "comm"
-        }
-
-    def comm_ratio(self) -> float | None:
-        """The communication ratio, when any shipment was observed."""
-        return self.ratios().get("comm")
-
-    def divergence(self) -> float:
-        """Spread of the per-key ratios: ``max/min - 1`` (0.0 with
-        fewer than two comparable keys).  Uniform drift — every kind
-        off by the same factor — spreads nothing and changes no
-        placement decision, so it never triggers a replan."""
-        ratios = [
-            ratio for ratio in self.ratios().values() if ratio > 0
-        ]
-        if len(ratios) < 2:
-            return 0.0
-        return max(ratios) / min(ratios) - 1.0
 
 
 @dataclass(slots=True)
@@ -122,8 +69,7 @@ class AdaptiveConfig:
     an op / a shipment (default: measured wall seconds); the
     differential tests inject the true cost model here so replan
     decisions are deterministic.  With a ``stats_store`` (plus
-    ``pair``) the run ingests its observed ratios — and, given
-    ``statistics``, a fitted calibration — when it finishes.
+    ``pair``) the run ingests its drift evidence when it finishes.
     """
 
     probe: CostProbe
@@ -131,13 +77,10 @@ class AdaptiveConfig:
     #: Replan when the per-kind ratio spread exceeds this (<= 0 forces
     #: a replan at every checkpoint; ``math.inf`` disables replanning).
     replan_threshold: float = 0.5
-    #: Observations required before the first replan may fire.
-    min_observations: int = 1
     comp_feedback: CompFeedback | None = None
     comm_feedback: CommFeedback | None = None
     stats_store: StatisticsStore | None = None
     pair: str | None = None
-    statistics: StatisticsCatalog | None = None
 
 
 class AdaptiveRun:
@@ -170,7 +113,8 @@ class AdaptiveRun:
         self.retry = retry
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
-        self.tracker = RatioTracker()
+        #: Every finished segment's drift against ``config.probe``.
+        self.evidence = DriftReport()
         self.replans = 0
         self.ops_moved = 0
         self.checkpoints = 0
@@ -200,7 +144,7 @@ class AdaptiveRun:
         report.critical_path_seconds = critical_path_seconds(
             self.program, report
         )
-        self._ingest(report)
+        self._ingest()
         return report
 
     def _run_segments(self) -> ExecutionReport:
@@ -228,49 +172,33 @@ class AdaptiveRun:
 
     # -- observation -----------------------------------------------------------
 
-    def _observe_op(self, node: Operation, location: Location,
-                    seconds: float, strategy: str) -> None:
-        observed = seconds
-        if self.config.comp_feedback is not None:
-            observed = self.config.comp_feedback(
-                node, location, strategy, seconds
-            )
-        # Priced the way the replanner will ask (no strategy): the
-        # ratio corrects exactly the number it is later applied to.
-        predicted = self.config.probe.comp_cost(node, location)
-        self.tracker.observe(
-            strategy_key(node.kind, strategy), observed, predicted
-        )
-        self._count("observations")
-
-    def _observe_edge(self, fragment: Fragment,
-                      seconds: float) -> None:
-        observed = seconds
-        if self.config.comm_feedback is not None:
-            observed = self.config.comm_feedback(fragment, seconds)
-        self.tracker.observe(
-            "comm", observed, self.config.probe.comm_cost(fragment)
-        )
-        self._count("observations")
-
     def _observe_segment(self, segment: TransferProgram,
                          placement: Placement,
                          report: ExecutionReport) -> None:
-        nodes = {node.op_id: node for node in segment.nodes}
-        for timing in report.op_timings:
-            node = nodes.get(timing.op_id)
-            if node is None:
-                continue
-            self._observe_op(
-                node, timing.location, timing.seconds,
-                getattr(timing, "strategy", "row"),
-            )
-        for edge in segment.cross_edges(placement):
-            key = (edge.producer.op_id, edge.output_index)
-            seconds = report.shipment_seconds.get(key)
-            if seconds is None:
-                continue
-            self._observe_edge(edge.fragment, seconds)
+        drift = cost_drift_report(
+            segment, placement, report, self.config.probe
+        )
+        comp = self.config.comp_feedback
+        if comp is not None:
+            nodes = {node.op_id: node for node in segment.nodes}
+            for entry in drift.ops:
+                entry.measured_seconds = comp(
+                    nodes[entry.op_id], entry.location, entry.strategy,
+                    entry.measured_seconds,
+                )
+        comm = self.config.comm_feedback
+        if comm is not None:
+            fragments = {
+                (edge.producer.op_id, edge.output_index): edge.fragment
+                for edge in segment.cross_edges(placement)
+            }
+            for shipment in drift.edges:
+                shipment.measured_seconds = comm(
+                    fragments[shipment.edge], shipment.measured_seconds
+                )
+        self.evidence.ops.extend(drift.ops)
+        self.evidence.edges.extend(drift.edges)
+        self._count("observations", len(drift.ops) + len(drift.edges))
 
     # -- replanning ------------------------------------------------------------
 
@@ -281,23 +209,20 @@ class AdaptiveRun:
         ]
         if not remaining:
             return
-        if self.tracker.samples < self.config.min_observations:
+        ratios = self.evidence.kind_ratios()
+        divergence = _spread(ratios)
+        if not ratios or divergence <= self.config.replan_threshold:
             return
-        divergence = self.tracker.divergence()
-        if divergence <= self.config.replan_threshold:
-            return
-        scaled = ScaledProbe(
-            self.config.probe, self.tracker.comp_ratios(),
-            self.tracker.comm_ratio(),
-        )
+        comm_ratio = ratios.pop("comm", None)
+        scaled = ScaledProbe(self.config.probe, ratios, comm_ratio)
         with self.tracer.span("replan suffix", "adapt",
                               divergence=divergence,
                               pinned=len(self._pinned),
                               remaining=len(remaining)) as span:
             try:
-                replanned, cost = replan_placement(
+                replanned, cost = cost_based_optim(
                     self.program, scaled, self.config.weights,
-                    pinned=dict(self._pinned),
+                    pinned=self._pinned,
                 )
             except PlacementError:
                 # The pinned prefix admits no alternative; keep going
@@ -320,21 +245,24 @@ class AdaptiveRun:
 
     # -- learned-statistics feedback -------------------------------------------
 
-    def _ingest(self, report: ExecutionReport) -> None:
+    def _ingest(self) -> None:
         store = self.config.stats_store
-        if store is None or self.config.pair is None:
-            return
-        ratios = self.tracker.ratios()
-        if ratios:
-            store.observe_ratios(self.config.pair, ratios)
-        if self.config.statistics is not None:
-            store.observe_timings(
-                self.config.pair, self.program, report.op_timings,
-                self.config.statistics,
-            )
+        if store is not None and self.config.pair is not None:
+            store.observe_drift(self.config.pair, self.evidence)
 
 
 # -- helpers ---------------------------------------------------------------------
+
+
+def _spread(ratios: dict[str, float]) -> float:
+    """``max/min - 1`` over the positive per-kind ratios (0.0 with
+    fewer than two).  Uniform drift — every kind off by the same
+    factor — spreads nothing and changes no placement decision, so it
+    never triggers a replan."""
+    values = [ratio for ratio in ratios.values() if ratio > 0]
+    if len(values) < 2:
+        return 0.0
+    return max(values) / min(values) - 1.0
 
 
 def _expression_groups(program: TransferProgram) -> list[list[int]]:

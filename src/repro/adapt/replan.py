@@ -1,35 +1,25 @@
-"""Suffix re-placement under corrected costs.
+"""Probe correction by observed drift ratios.
 
-Two pieces the re-optimizer and the adaptive executor share:
-
-* :class:`ScaledProbe` corrects any :class:`~repro.core.cost.probe.
-  CostProbe` multiplicatively with per-kind measured/predicted ratios
-  — the output of :meth:`~repro.obs.drift.DriftReport.kind_ratios` or
-  the smoothed ratios of :class:`~repro.adapt.stats.StatisticsStore`.
-* :func:`replan_placement` re-runs the formula-1 placement search with
-  a *pinned* partial placement: completed and in-flight operations
-  keep their locations, only the not-yet-started suffix is re-placed.
-  It is the same branch-and-bound enumeration as
-  :func:`~repro.core.optimizer.exhaustive.cost_based_optim` (legal =
-  source-side set downward closed), restricted to placements that
-  extend the pin set.
+:class:`ScaledProbe` corrects any :class:`~repro.core.cost.probe.
+CostProbe` multiplicatively with per-kind measured/predicted ratios —
+the output of :meth:`~repro.obs.drift.DriftReport.kind_ratios` or the
+smoothed ratios of :class:`~repro.adapt.stats.StatisticsStore`.  Both
+are measured against ``probe.comp_cost(op, location)`` /
+``probe.comm_cost(fragment)``, the numbers this class scales, so a
+ratio corrects exactly what it was measured against.  Re-placing under
+the corrected probe is Algorithm 1 with pins
+(:func:`~repro.core.optimizer.exhaustive.cost_based_optim`).
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.errors import PlacementError
-from repro.core.cost.model import CostWeights
 from repro.core.cost.probe import CostProbe
 from repro.core.fragment import Fragment
 from repro.core.ops.base import Location, Operation
-from repro.core.ops.scan import Scan
-from repro.core.ops.write import Write
-from repro.core.optimizer.placement import resolve_weights
-from repro.core.program.dag import Placement, TransferProgram
 
-__all__ = ["ScaledProbe", "replan_placement"]
+__all__ = ["ScaledProbe"]
 
 
 def _geometric_mean(values: list[float]) -> float:
@@ -84,110 +74,8 @@ class ScaledProbe:
                 best = value
         return best if best is not None else self.neutral
 
-    def comp_cost(self, op: Operation, location: Location,
-                  strategy: str | None = None) -> float:
-        if strategy is None:
-            base = self.base.comp_cost(op, location)
-        else:
-            try:
-                base = self.base.comp_cost(op, location, strategy)
-            except TypeError:
-                base = self.base.comp_cost(op, location)
-        return base * self.scale_for(op)
+    def comp_cost(self, op: Operation, location: Location) -> float:
+        return self.base.comp_cost(op, location) * self.scale_for(op)
 
     def comm_cost(self, fragment: Fragment) -> float:
         return self.base.comm_cost(fragment) * self.comm_scale
-
-
-def replan_placement(program: TransferProgram, probe: CostProbe,
-                     weights: CostWeights | None = None,
-                     pinned: Placement | None = None
-                     ) -> tuple[Placement, float]:
-    """Cheapest legal placement extending ``pinned``.
-
-    Identical search space to :func:`~repro.core.optimizer.exhaustive.
-    cost_based_optim` except that operations in ``pinned`` keep their
-    assigned location (the executed/in-flight prefix of an adaptive
-    run).  Returns the full placement and its formula-1 cost — the
-    cost *includes* the pinned prefix, so totals compare across
-    replans of the same program.
-
-    Raises:
-        PlacementError: if no legal placement extends the pins (e.g. a
-            Scan pinned off the source, or a pin forcing a T → S edge).
-    """
-    program.validate()
-    pinned = pinned or {}
-    weights = resolve_weights(probe, weights)
-    w_comp = weights.computation
-    w_com = weights.communication
-    order = program.topological_order()
-    in_edges = [program.in_edges(node) for node in order]
-
-    comp = [
-        {
-            Location.SOURCE: w_comp * probe.comp_cost(
-                node, Location.SOURCE),
-            Location.TARGET: w_comp * probe.comp_cost(
-                node, Location.TARGET),
-        }
-        for node in order
-    ]
-    comm = [
-        [w_com * probe.comm_cost(edge.fragment) for edge in edges]
-        for edges in in_edges
-    ]
-
-    best_placement: Placement | None = None
-    best_cost = 0.0
-    placement: Placement = {}
-
-    def options(index: int) -> tuple[Location, ...]:
-        node = order[index]
-        all_sources = all(
-            placement[edge.producer.op_id] is Location.SOURCE
-            for edge in in_edges[index]
-        )
-        fixed = pinned.get(node.op_id)
-        if fixed is not None:
-            # A pin is only viable where the unpinned search could
-            # have gone: SOURCE additionally needs an all-source
-            # producer frontier (no T → S edge).
-            if fixed is Location.SOURCE and not (
-                    all_sources and not isinstance(node, Write)):
-                return ()
-            if fixed is Location.TARGET and isinstance(node, Scan):
-                return ()
-            return (fixed,)
-        if isinstance(node, Scan):
-            return (Location.SOURCE,)
-        if isinstance(node, Write):
-            return (Location.TARGET,)
-        if all_sources:
-            return (Location.SOURCE, Location.TARGET)
-        return (Location.TARGET,)
-
-    def recurse(index: int, cost: float) -> None:
-        nonlocal best_placement, best_cost
-        if best_placement is not None and cost >= best_cost:
-            return
-        if index == len(order):
-            best_placement = dict(placement)
-            best_cost = cost
-            return
-        node = order[index]
-        for location in options(index):
-            extra = comp[index][location]
-            for position, edge in enumerate(in_edges[index]):
-                if placement[edge.producer.op_id] is not location:
-                    extra += comm[index][position]
-            placement[node.op_id] = location
-            recurse(index + 1, cost + extra)
-            del placement[node.op_id]
-
-    recurse(0, 0.0)
-    if best_placement is None:
-        raise PlacementError(
-            "no legal placement extends the pinned prefix"
-        )
-    return best_placement, best_cost

@@ -449,13 +449,13 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
         if args.adaptive:
             from repro.adapt import AdaptiveConfig
 
-            statistics = StatisticsCatalog.synthetic(source_frag.schema)
             adaptive_config = AdaptiveConfig(
-                probe=CostModel(statistics),
+                probe=CostModel(
+                    StatisticsCatalog.synthetic(source_frag.schema)
+                ),
                 replan_threshold=args.replan_threshold,
                 stats_store=stats_store,
                 pair="source->target",
-                statistics=statistics,
             )
         if args.shards > 1:
             return _run_sharded_exchange(

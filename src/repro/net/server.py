@@ -483,8 +483,8 @@ class ExchangeHttpServer:
             ))
         if action == "StatsSummary":
             # Adaptive control plane: the learned per-pair statistics
-            # (EWMA scales, observation counts, confidence) as a JSON
-            # payload — operators watch what the substrate taught us.
+            # (EWMA drift ratios, observation counts, confidence) as a
+            # JSON payload — operators watch what the substrate taught us.
             import json as _json
 
             if self.stats_store is None:

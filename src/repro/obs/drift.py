@@ -216,10 +216,12 @@ def cost_drift_report(program: TransferProgram, placement: Placement,
     seconds come from the report's timings, matched by ``op_id``) and
     every cross-edge of ``placement`` an :class:`EdgeDrift` (measured
     seconds/bytes come from the report's shipment accounting).
-    Predictions are priced at the strategy each op actually ran when
-    the probe supports per-strategy pricing (``CostModel`` and
-    ``CalibratedCostModel`` do; plain endpoint probes fall back to
-    their single-strategy estimate).
+    Predictions are ``probe.comp_cost(node, location)`` — the number
+    the optimizers price and a :class:`~repro.adapt.replan.
+    ScaledProbe` scales — whatever strategy the op ran; the strategy
+    still names the key the op rolls up under (``combine.merge``).
+    A run whose measured costs are one multiple of those prices
+    therefore reads that multiple on every key.
 
     Raises:
         ValueError: if the report lacks a timing for some node — it
@@ -237,25 +239,15 @@ def cost_drift_report(program: TransferProgram, placement: Placement,
                 f"({node.label()}); was it produced by this program?"
             )
         location = placement[node.op_id]
-        strategy = getattr(timing, "strategy", "row")
-        if strategy in ("", "row"):
-            predicted = probe.comp_cost(node, location)
-        else:
-            try:
-                predicted = probe.comp_cost(node, location, strategy)
-            except TypeError:
-                # Probe predates per-strategy pricing — its single
-                # estimate is the best prediction it can offer.
-                predicted = probe.comp_cost(node, location)
         result.ops.append(OpDrift(
             op_id=node.op_id,
             label=node.label(),
             kind=node.kind,
             location=location,
-            predicted=predicted,
+            predicted=probe.comp_cost(node, location),
             measured_seconds=timing.seconds,
             rows=timing.rows,
-            strategy=strategy,
+            strategy=getattr(timing, "strategy", "row"),
         ))
     for edge in program.cross_edges(placement):
         key = (edge.producer.op_id, edge.output_index)

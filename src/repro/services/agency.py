@@ -40,7 +40,7 @@ from repro.wsdl.model import Definitions, Port, Service, serialize_wsdl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
     from repro.adapt.stats import StatisticsStore
-    from repro.services.broker import PlanCache, PlanFingerprint
+    from repro.services.broker import PlanCache
 
 #: The optimizer strategies negotiate() accepts.
 OPTIMIZERS = ("greedy", "optimal", "canonical")
@@ -72,11 +72,6 @@ class ExchangePlan:
     #: Whether the plan was served from a :class:`~repro.services.
     #: broker.PlanCache` instead of a fresh optimization run.
     cached: bool = False
-    #: The cache key this plan lives (or would live) under; ``None``
-    #: when negotiation ran without a plan cache.  The broker hands it
-    #: to the :class:`~repro.adapt.reoptimizer.ReOptimizer` so drifted
-    #: plans can be re-optimized and swapped in place.
-    fingerprint: "PlanFingerprint | None" = None
 
     def annotate(self) -> TransferProgram:
         """Write the placement onto the program and return it."""
@@ -231,10 +226,10 @@ class DiscoveryAgency:
         callers assert that a warm cache really skipped optimization.
 
         A ``stats_store`` corrects the *pricing* the optimizer sees
-        with the learned per-kind scales for this endpoint pair
+        with the learned per-kind drift ratios for this endpoint pair
         (:meth:`~repro.adapt.stats.StatisticsStore.scaled_probe`).
         The cache fingerprint is still computed from the *base* probe
-        — learned scales evolve with every exchange, and keying the
+        — learned ratios evolve with every exchange, and keying the
         cache on them would turn every warm negotiation into a miss.
 
         Raises:
@@ -279,7 +274,6 @@ class DiscoveryAgency:
                     entry.optimizer,
                     0.0,
                     cached=True,
-                    fingerprint=fingerprint,
                 )
         if optimizer == "greedy":
             result = greedy_exchange(mapping, pricing_probe, weights)
@@ -312,7 +306,6 @@ class DiscoveryAgency:
             result.cost,
             optimizer,
             result.elapsed_seconds,
-            fingerprint=fingerprint,
         )
 
     def _endpoint_probe(self, source: Registration,

@@ -14,10 +14,7 @@ requests; this module does the same for negotiated exchange plans:
   through the :mod:`repro.core.program.serialize` round-trip — loads
   re-validate structure and placement legality, and every session gets
   its own program object.  Eviction is LRU; hit/miss/evict/invalidate
-  counts feed a :class:`~repro.obs.metrics.MetricsRegistry`.  When a
-  :class:`~repro.obs.drift.DriftReport` shows the substrate has drifted
-  past a threshold, :meth:`PlanCache.note_drift` drops the entries
-  whose cost signature the report discredits.
+  counts feed a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 * :class:`ExchangeBroker` runs N concurrent exchange sessions against
   one :class:`~repro.services.agency.DiscoveryAgency` on a bounded
@@ -65,11 +62,9 @@ from repro.services.exchange import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
     from repro.adapt.executor import AdaptiveConfig
-    from repro.adapt.reoptimizer import ReOptimizer
     from repro.adapt.stats import StatisticsStore
     from repro.core.program.journal import ExchangeJournal
     from repro.net.faults import FaultPlan, RetryPolicy
-    from repro.obs.drift import DriftReport
     from repro.services.agency import DiscoveryAgency, ExchangePlan
 
 __all__ = [
@@ -90,9 +85,9 @@ class PlanFingerprint:
     """A deterministic cache key for one negotiation setup.
 
     ``digest`` identifies the full setup; ``cost_signature`` is the
-    probe-derived component alone, the granularity at which drift
-    invalidation operates (a drifted substrate discredits every plan
-    optimized under that signature, whatever the optimizer knobs).
+    probe-derived component alone, which :meth:`PlanCache.invalidate`
+    can drop by (every plan optimized under one probe, whatever the
+    optimizer knobs).
     """
 
     digest: str
@@ -211,9 +206,6 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.invalidations_explicit = 0
-        self.invalidations_drift = 0
-        self.replacements = 0
         self._entries: OrderedDict[str, CachedPlan] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -221,15 +213,6 @@ class PlanCache:
         setattr(self, event, getattr(self, event) + amount)
         if self.metrics is not None:
             self.metrics.counter(f"plancache.{event}").add(amount)
-
-    def _count_invalidations(self, reason: str, amount: int) -> None:
-        self._count("invalidations", amount)
-        attr = f"invalidations_{reason}"
-        setattr(self, attr, getattr(self, attr) + amount)
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"plancache.invalidations.{reason}"
-            ).add(amount)
 
     def __len__(self) -> int:
         with self._lock:
@@ -286,49 +269,10 @@ class PlanCache:
                 self._count("evictions")
         return entry
 
-    def replace(self, digest: str, program: TransferProgram,
-                placement: Placement, *, estimated_cost: float,
-                optimizer: str | None = None,
-                optimizer_seconds: float | None = None) -> bool:
-        """Atomically swap the plan stored under ``digest`` in place.
-
-        This is the re-optimizer's landing pad: the entry keeps its
-        key, cost signature, hit count and LRU position — only the
-        serialized plan (and its estimated cost) changes, so sessions
-        that were hitting the old plan seamlessly pick up the new one.
-        Returns ``False`` when ``digest`` is no longer cached (evicted
-        or invalidated while the re-optimization ran): a swap must
-        never resurrect a dropped entry.
-        """
-        payload = program_to_json(program, placement)
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is None:
-                return False
-            entry.payload = payload
-            entry.estimated_cost = estimated_cost
-            if optimizer is not None:
-                entry.optimizer = optimizer
-            if optimizer_seconds is not None:
-                entry.optimizer_seconds = optimizer_seconds
-            self._count("replacements")
-        return True
-
     def invalidate(self, digest: str | None = None,
-                   cost_signature: str | None = None, *,
-                   reason: str = "explicit") -> int:
+                   cost_signature: str | None = None) -> int:
         """Drop entries by exact digest, by cost signature, or — with
-        neither — all of them.  Returns how many were dropped.
-
-        ``reason`` splits the accounting: caller-initiated drops count
-        ``plancache.invalidations.explicit``, drift-triggered drops
-        (:meth:`note_drift`) count ``plancache.invalidations.drift`` —
-        both still feed the ``invalidations`` total.
-        """
-        if reason not in ("explicit", "drift"):
-            raise ValueError(
-                f"reason must be 'explicit' or 'drift', got {reason!r}"
-            )
+        neither — all of them.  Returns how many were dropped."""
         with self._lock:
             if digest is not None:
                 dropped = 1 if self._entries.pop(digest, None) else 0
@@ -344,44 +288,8 @@ class PlanCache:
                 dropped = len(self._entries)
                 self._entries.clear()
             if dropped:
-                self._count_invalidations(reason, dropped)
+                self._count("invalidations", dropped)
         return dropped
-
-    @staticmethod
-    def drift_factor(report: "DriftReport") -> float:
-        """How far the report's per-kind measured/predicted ratios
-        stray from *proportional* drift.
-
-        A calibrated substrate that merely runs uniformly slower or
-        faster scales every kind by the same factor and changes no
-        optimization decision; what invalidates a plan is the *spread*
-        between kinds (combines drifting against scans re-ranks
-        placements).  The factor is ``max_ratio / min_ratio - 1`` over
-        the report's kind ratios — 0.0 for uniform (or no) drift.
-        """
-        ratios = [
-            ratio for ratio in report.kind_ratios().values()
-            if ratio > 0
-        ]
-        if len(ratios) < 2:
-            return 0.0
-        return max(ratios) / min(ratios) - 1.0
-
-    def note_drift(self, report: "DriftReport", *,
-                   threshold: float = 0.5,
-                   cost_signature: str | None = None) -> int:
-        """Invalidate when ``report`` shows the substrate drifted.
-
-        If :meth:`drift_factor` exceeds ``threshold``, entries carrying
-        ``cost_signature`` are dropped (all entries when no signature
-        is given — the report discredits the probe wholesale).  Returns
-        the number of invalidated entries.
-        """
-        if self.drift_factor(report) <= threshold:
-            return 0
-        return self.invalidate(
-            cost_signature=cost_signature, reason="drift"
-        )
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot plus current size."""
@@ -393,9 +301,6 @@ class PlanCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "invalidations_explicit": self.invalidations_explicit,
-            "invalidations_drift": self.invalidations_drift,
-            "replacements": self.replacements,
         }
 
 
@@ -454,7 +359,6 @@ class ExchangeBroker:
                  retry_policy: "RetryPolicy | None" = None,
                  fault_plan: "FaultPlan | None" = None,
                  stats_store: "StatisticsStore | None" = None,
-                 reoptimizer: "ReOptimizer | None" = None,
                  adaptive: "AdaptiveConfig | None" = None,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
@@ -486,7 +390,6 @@ class ExchangeBroker:
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.stats_store = stats_store
-        self.reoptimizer = reoptimizer
         self.adaptive = adaptive
         self.metrics = metrics
         self.tracer = tracer or NULL_TRACER
@@ -676,7 +579,7 @@ class ExchangeBroker:
                     delta=delta,
                     since=since,
                 )
-                self._learn(plan, source, outcome)
+                self._learn(plan, outcome)
                 return ExchangeSession(
                     session_id=session_id,
                     source_name=source_name,
@@ -691,43 +594,23 @@ class ExchangeBroker:
         finally:
             self._release()
 
-    def _learn(self, plan: "ExchangePlan", source: object,
+    def _learn(self, plan: "ExchangePlan",
                outcome: ExchangeOutcome) -> None:
-        """Post-exchange feedback: feed the run's measurements into the
-        statistics store and hand drifted plans to the re-optimizer.
-
-        Both hooks need the broker's pricing ``probe`` to compare
-        against; endpoint-probed negotiations (``probe=None``) have no
-        stable prediction to diff, so they learn nothing.
+        """Post-exchange feedback: join the run's measurements against
+        the broker's pricing ``probe`` and feed the drift ratios to the
+        statistics store.  Endpoint-probed negotiations (``probe=None``)
+        have no stable prediction to diff, so they learn nothing.
         """
-        if self.probe is None or outcome.report is None:
-            return
-        if self.stats_store is None and self.reoptimizer is None:
+        if (self.stats_store is None or self.probe is None
+                or outcome.report is None):
             return
         from repro.adapt.stats import pair_key
+        from repro.obs.drift import cost_drift_report
 
-        pair = pair_key(plan.source_name, plan.target_name)
-        if self.stats_store is not None:
-            statistics = None
-            endpoint = getattr(source, "endpoint", None)
-            if endpoint is not None:
-                try:
-                    statistics = endpoint.statistics()
-                except Exception:
-                    statistics = None
-            drift = self.stats_store.observe_exchange(
-                pair, plan.program, plan.placement, outcome.report,
-                self.probe, statistics=statistics,
-            )
-        else:
-            from repro.obs.drift import cost_drift_report
-
-            drift = cost_drift_report(
+        self.stats_store.observe_drift(
+            pair_key(plan.source_name, plan.target_name),
+            cost_drift_report(
                 plan.program, plan.placement, outcome.report,
                 self.probe,
-            )
-        if self.reoptimizer is not None and plan.fingerprint is not None:
-            self.reoptimizer.note_drift(
-                plan.fingerprint.digest, plan.program, plan.placement,
-                self.probe, drift, weights=self.weights, pair=pair,
-            )
+            ),
+        )

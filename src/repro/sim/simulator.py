@@ -388,7 +388,7 @@ class ExchangeSimulator:
           checkpoint.
         """
         from repro.adapt.executor import _expression_groups
-        from repro.adapt.replan import ScaledProbe, replan_placement
+        from repro.adapt.replan import ScaledProbe
 
         true_model = self.model(source, target)
         scales = {
@@ -420,7 +420,7 @@ class ExchangeSimulator:
         }
         with self.tracer.span("replan suffix", "sim",
                               pinned=len(pinned)):
-            adaptive_placement, adaptive_cost = replan_placement(
+            adaptive_placement, adaptive_cost = cost_based_optim(
                 program, true_model, self.weights, pinned=pinned
             )
         moved = sum(

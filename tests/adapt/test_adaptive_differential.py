@@ -214,11 +214,9 @@ class TestStatsIngestion:
         config = AdaptiveConfig(
             probe=model, replan_threshold=float("inf"),
             stats_store=store, pair="A->B",
-            statistics=StatisticsCatalog.synthetic(schema),
         )
         target = RelationalEndpoint("T", tf)
         AdaptiveRun(program, placement, source, target,
                     SimulatedChannel(), config=config).run()
         assert store.pairs() == ["A->B"]
         assert store.ratios("A->B")  # drift ratios ingested
-        assert store.seconds_per_unit("A->B")  # calibration ingested

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adapt.replan import ScaledProbe, replan_placement
+from repro.adapt.replan import ScaledProbe
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel
 from repro.core.mapping import derive_mapping
@@ -66,7 +66,7 @@ class TestScaledProbe:
 class TestReplanPlacement:
     def test_unpinned_matches_exhaustive_optimizer(self, program, model):
         baseline, base_cost = cost_based_optim(program, model)
-        replanned, cost = replan_placement(program, model)
+        replanned, cost = cost_based_optim(program, model, pinned={})
         assert cost == pytest.approx(base_cost)
         assert {op: loc for op, loc in replanned.items()} == baseline
 
@@ -83,7 +83,7 @@ class TestReplanPlacement:
         )
         if flipped is Location.SOURCE:
             pytest.skip("baseline already pins the movable op at source")
-        replanned, cost = replan_placement(
+        replanned, cost = cost_based_optim(
             program, model, pinned={movable.op_id: flipped}
         )
         assert replanned[movable.op_id] is flipped
@@ -93,7 +93,7 @@ class TestReplanPlacement:
 
     def test_full_pin_reproduces_cost(self, program, model):
         baseline, base_cost = cost_based_optim(program, model)
-        replanned, cost = replan_placement(
+        replanned, cost = cost_based_optim(
             program, model, pinned=dict(baseline)
         )
         assert replanned == baseline
@@ -102,7 +102,7 @@ class TestReplanPlacement:
     def test_scan_pinned_off_source_is_illegal(self, program, model):
         scan = next(n for n in program.nodes if isinstance(n, Scan))
         with pytest.raises(PlacementError, match="pinned"):
-            replan_placement(
+            cost_based_optim(
                 program, model,
                 pinned={scan.op_id: Location.TARGET},
             )
@@ -110,7 +110,7 @@ class TestReplanPlacement:
     def test_write_pinned_off_target_is_illegal(self, program, model):
         write = next(n for n in program.nodes if isinstance(n, Write))
         with pytest.raises(PlacementError, match="pinned"):
-            replan_placement(
+            cost_based_optim(
                 program, model,
                 pinned={write.op_id: Location.SOURCE},
             )

@@ -1,6 +1,8 @@
 """The learned-statistics store: EWMA smoothing, confidence,
-probe correction, JSON persistence and thread safety."""
+probe correction, JSON persistence, thread safety, and the broker
+feeding it."""
 
+import itertools
 import json
 import threading
 
@@ -8,9 +10,12 @@ import pytest
 
 from repro.adapt.replan import ScaledProbe
 from repro.adapt.stats import ScaleEstimate, StatisticsStore, pair_key
-from repro.core.cost.calibrate import Calibration, CalibratedCostModel
 from repro.core.cost.estimates import StatisticsCatalog
+from repro.core.cost.model import CostModel
 from repro.obs.metrics import MetricsRegistry
+from repro.services.agency import DiscoveryAgency
+from repro.services.broker import ExchangeBroker, PlanCache
+from repro.services.endpoint import RelationalEndpoint
 
 PAIR = pair_key("s", "t")
 
@@ -42,7 +47,6 @@ class TestBasics:
         assert len(store) == 0
         assert store.pairs() == []
         assert store.ratios(PAIR) == {}
-        assert store.seconds_per_unit(PAIR) == {}
         assert store.confidence(PAIR, "combine") == 0.0
 
 
@@ -59,16 +63,6 @@ class TestIngestion:
         store = StatisticsStore()
         store.observe_ratios(PAIR, {"scan": 0.0, "combine": -2.0})
         assert store.ratios(PAIR) == {}
-
-    def test_observe_calibration_weights_by_samples(self, auction_schema):
-        statistics = StatisticsCatalog.synthetic(auction_schema)
-        store = StatisticsStore()
-        calibration = Calibration(
-            statistics, {"scan": 2.0}, {"scan": 4}
-        )
-        store.observe_calibration(PAIR, calibration)
-        assert store.seconds_per_unit(PAIR) == {"scan": 2.0}
-        assert store.observations(PAIR, "scan") == 4
 
     def test_confidence_rises_toward_one(self):
         store = StatisticsStore(alpha=1.0, warmup=3)
@@ -105,17 +99,6 @@ class TestLearnedViews:
         assert scaled.kind_scales == {"combine": 2.0}
         assert scaled.comm_scale == pytest.approx(3.0)
 
-    def test_cost_model_from_learned_scales(self, auction_schema):
-        statistics = StatisticsCatalog.synthetic(auction_schema)
-        store = StatisticsStore()
-        assert store.cost_model(PAIR, statistics) is None
-        store.observe_calibration(
-            PAIR, Calibration(statistics, {"scan": 2.0}, {"scan": 1})
-        )
-        model = store.cost_model(PAIR, statistics)
-        assert isinstance(model, CalibratedCostModel)
-        assert model.calibration.seconds_per_unit == {"scan": 2.0}
-
 
 class TestPersistence:
     def _populated(self):
@@ -139,6 +122,23 @@ class TestPersistence:
         store.save(path)
         loaded = StatisticsStore.load(path)
         assert loaded.to_dict() == store.to_dict()
+
+    def test_older_store_with_scales_still_loads(self, tmp_path):
+        """A store written while the seconds-per-unit view existed
+        carries a ``scales`` table: it loads, the table is dropped and
+        the ratios survive."""
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps({
+            "alpha": 0.3, "warmup": 3, "ingests": 4,
+            "scales": {PAIR: {"scan.columnar": [2.5e-07, 12]}},
+            "ratios": {PAIR: {"scan.columnar": [1.5, 2],
+                              "comm": [0.8, 2]}},
+        }), encoding="utf-8")
+        store = StatisticsStore.load(path)
+        assert store.ratios(PAIR) == {"scan.columnar": 1.5, "comm": 0.8}
+        assert store.observations(PAIR, "comm") == 2
+        assert store.ingests == 4
+        assert "scales" not in store.to_dict()
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "stats.json"
@@ -179,3 +179,38 @@ class TestThreadSafety:
         assert store.ingests == 8 * rounds
         assert store.observations("s->0", "scan") == 4 * rounds
         assert store.ratios("s->0")["scan"] == pytest.approx(2.0)
+
+
+class TestBrokerIntegration:
+    def test_two_sessions_feed_comm_evidence(
+            self, auction_schema, auction_mf, auction_lf,
+            auction_document):
+        """Two brokered sessions priced by a cost model feed one pair
+        through ``observe_drift`` after each run, ``comm`` included,
+        and learning never costs a cold negotiation."""
+        source = RelationalEndpoint("S", auction_mf)
+        source.load_document(auction_document)
+        agency = DiscoveryAgency(auction_schema)
+        agency.register("src", auction_mf, source)
+        agency.register("tgt", auction_lf)
+        metrics = MetricsRegistry()
+        store = StatisticsStore(metrics=metrics)
+        ids = itertools.count()
+        with ExchangeBroker(
+                agency, plan_cache=PlanCache(metrics=metrics),
+                max_workers=2, metrics=metrics, stats_store=store,
+                probe=CostModel(
+                    StatisticsCatalog.synthetic(auction_schema)
+                )) as broker:
+            sessions = broker.run([(
+                "src", "tgt",
+                lambda: RelationalEndpoint(f"T{next(ids)}", auction_lf),
+            )] * 2)
+        assert all(session.outcome.rows_written > 0
+                   for session in sessions)
+        pair = pair_key("src", "tgt")
+        assert store.pairs() == [pair]
+        assert store.ingests == 2
+        assert store.observations(pair, "comm") == 2
+        assert metrics.counter("adapt.stats.drifts").value == 2
+        assert metrics.counter("optimizer.runs").value == 1

@@ -9,15 +9,18 @@ cross-edge — on all three dataplanes.
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.adapt.stats import StatisticsStore
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel
 from repro.core.mapping import derive_mapping
+from repro.core.ops.base import Location
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
-from repro.core.program.executor import ProgramExecutor
+from repro.core.program.executor import ExecutionReport, ProgramExecutor
 from repro.net.transport import SimulatedChannel
 from repro.obs import (
     DriftReport,
@@ -193,6 +196,57 @@ class TestDriftReport:
             cost_drift_report(
                 program, placement, ExecutionReport(), probe
             )
+
+
+class TestUniformDrift:
+    def test_a_multiple_of_the_prices_reads_that_multiple_everywhere(
+            self, auction_schema, auction_mf, auction_lf,
+            auction_document):
+        """Measured costs that are one multiple of the optimizer's own
+        prices read that multiple on every key — joins, columnar scans
+        and writes, and ``comm`` alike — and the store's scaled probe
+        then prices every op and every shipment at that multiple."""
+        source = RelationalEndpoint("uniform-src", auction_mf)
+        source.load_document(auction_document)
+        program = build_transfer_program(
+            derive_mapping(auction_mf, auction_lf)
+        )
+        placement = source_heavy_placement(program)
+        report = ProgramExecutor(
+            source, RelationalEndpoint("uniform-tgt", auction_lf),
+            SimulatedChannel(),
+        ).run(program, placement)
+        probe = CostModel(StatisticsCatalog.synthetic(auction_schema))
+        factor = 2.5
+        nodes = {node.op_id: node for node in program.nodes}
+        priced = ExecutionReport(
+            op_timings=[
+                replace(timing, seconds=factor * probe.comp_cost(
+                    nodes[timing.op_id], timing.location))
+                for timing in report.op_timings
+            ],
+            shipment_seconds={
+                (edge.producer.op_id, edge.output_index):
+                    factor * probe.comm_cost(edge.fragment)
+                for edge in program.cross_edges(placement)
+            },
+        )
+        drift = cost_drift_report(program, placement, priced, probe)
+        ratios = drift.kind_ratios()
+        assert {"combine.merge", "scan.columnar", "write.columnar",
+                "comm"} <= set(ratios)
+        assert ratios == pytest.approx(dict.fromkeys(ratios, factor))
+
+        store = StatisticsStore()
+        store.observe_drift("s->t", drift)
+        scaled = store.scaled_probe("s->t", probe)
+        for node in program.nodes:
+            for location in Location:
+                assert scaled.comp_cost(node, location) == \
+                    pytest.approx(factor * probe.comp_cost(node, location))
+        for edge in program.edges:
+            assert scaled.comm_cost(edge.fragment) == \
+                pytest.approx(factor * probe.comm_cost(edge.fragment))
 
 
 class TestDegenerateRatios:

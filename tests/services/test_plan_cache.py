@@ -1,13 +1,11 @@
-"""The negotiated-plan cache: fingerprints, LRU, drift invalidation,
-and warm-negotiation equivalence."""
+"""The negotiated-plan cache: fingerprints, LRU, invalidation, and
+warm-negotiation equivalence."""
 
 import pytest
 
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel, CostWeights, MachineProfile
-from repro.core.ops.base import Location
 from repro.net.transport import SimulatedChannel
-from repro.obs.drift import DriftReport, OpDrift
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.publisher import publish_document
 from repro.services.agency import DiscoveryAgency
@@ -27,16 +25,6 @@ def agency(auction_schema, auction_mf, auction_lf):
     agency.register("s", auction_mf)
     agency.register("t", auction_lf)
     return agency
-
-
-def _drift_report(ratios):
-    """A report whose kind_ratios() equals ``ratios`` exactly."""
-    return DriftReport(ops=[
-        OpDrift(op_id=i, label=kind, kind=kind,
-                location=Location.SOURCE, predicted=1.0,
-                measured_seconds=ratio, rows=1)
-        for i, (kind, ratio) in enumerate(sorted(ratios.items()))
-    ])
 
 
 class TestFingerprint:
@@ -120,8 +108,6 @@ class TestPlanCache:
         assert cache.stats() == {
             "size": 1, "hits": 2, "misses": 1,
             "evictions": 0, "invalidations": 0,
-            "invalidations_explicit": 0, "invalidations_drift": 0,
-            "replacements": 0,
         }
         assert metrics.counter("plancache.hits").value == 2
         assert metrics.counter("plancache.misses").value == 1
@@ -144,16 +130,9 @@ class TestPlanCache:
         assert cache.get(forward) is None  # evicted, counts a miss
         assert cache.get(variant) is not None
 
-    def test_drift_factor_ignores_uniform_drift(self):
-        cache = PlanCache()
-        uniform = _drift_report({"scan": 3.0, "combine": 3.0,
-                                 "comm": 3.0})
-        assert cache.drift_factor(uniform) == pytest.approx(0.0)
-        spread = _drift_report({"scan": 1.0, "combine": 4.0})
-        assert cache.drift_factor(spread) == pytest.approx(3.0)
-
-    def test_note_drift_invalidates_past_threshold(
-            self, agency, auction_mf, auction_lf, model):
+    def test_invalidate_by_cost_signature(
+            self, agency, auction_mf, auction_lf, auction_schema,
+            model):
         cache = PlanCache()
         plan = agency.negotiate("s", "t", probe=model)
         fingerprint = plan_fingerprint(auction_mf, auction_lf, model,
@@ -161,12 +140,17 @@ class TestPlanCache:
         cache.put(fingerprint, plan.program, plan.placement,
                   estimated_cost=1.0, optimizer="greedy",
                   optimizer_seconds=0.0)
-        mild = _drift_report({"scan": 1.0, "combine": 1.2})
-        assert cache.note_drift(mild, threshold=0.5) == 0
+        other = CostModel(
+            StatisticsCatalog.synthetic(auction_schema),
+            target=MachineProfile("t", speed=0.1),
+        )
+        assert cache.invalidate(
+            cost_signature=plan_fingerprint(
+                auction_mf, auction_lf, other, "greedy"
+            ).cost_signature
+        ) == 0
         assert len(cache) == 1
-        severe = _drift_report({"scan": 1.0, "combine": 4.0})
-        dropped = cache.note_drift(
-            severe, threshold=0.5,
+        dropped = cache.invalidate(
             cost_signature=fingerprint.cost_signature,
         )
         assert dropped == 1
@@ -189,14 +173,12 @@ class TestNegotiateWithCache:
         assert metrics.counter("optimizer.runs").value == 1
         assert metrics.counter("optimizer.greedy.runs").value == 1
 
-    def test_drift_invalidation_forces_reoptimization(self, agency,
-                                                      model):
+    def test_invalidation_forces_reoptimization(self, agency, model):
         metrics = MetricsRegistry()
         cache = PlanCache(metrics=metrics)
         agency.negotiate("s", "t", probe=model, plan_cache=cache,
                          metrics=metrics)
-        cache.note_drift(_drift_report({"scan": 1.0, "combine": 9.0}),
-                         threshold=0.5)
+        assert cache.invalidate() == 1
         assert len(cache) == 0
         renegotiated = agency.negotiate("s", "t", probe=model,
                                         plan_cache=cache,

@@ -132,7 +132,7 @@ class TestAdaptiveExchange:
 
     @pytest.mark.parametrize("content, message", [
         ("[]", "JSON object"),
-        ('{"scales": {"p": {"k": 5}}}', "'scales'"),
+        ('{"ratios": {"p": {"k": 5}}}', "'ratios'"),
         ("{not json", "not valid JSON"),
     ], ids=["list", "wrong-entry-shape", "invalid-json"])
     def test_malformed_stats_store_rejected(self, tmp_path, content,
