@@ -54,6 +54,7 @@ def test_wire_format(benchmark, wire, size_labels, sources, programs,
 def test_wire_format_shape():
     if "feed" not in _BYTES or "soap-xml" not in _BYTES:
         pytest.skip("run both wire formats first")
-    # Feeds beat the tagged document; SOAP-tagged fragments do not.
+    # Feeds beat the tagged document, estimated and encoded alike: a
+    # flat fragment's SOAP feed carries tuples, not tags.
     assert _BYTES["feed"] < _BYTES["document"]
-    assert _BYTES["soap-xml"] > _BYTES["feed"]
+    assert _BYTES["soap-xml"] < _BYTES["document"]

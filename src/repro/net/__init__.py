@@ -3,9 +3,9 @@
 The paper deploys its service over SOAP 1.1 / HTTP between two machines
 connected through the Internet; here :mod:`repro.net.soap` provides the
 envelope codec (fragment feeds and whole documents travel as SOAP
-bodies with content checksums and sequence numbers; a flat feed is
-encoded from its columns and verified in one walk over the received
-text),
+bodies with content checksums and sequence numbers; a flat fragment's
+feed is a tuple feed, one line of cells per row, written straight from
+its columns),
 :mod:`repro.net.transport` the pluggable :class:`Transport` stack — a
 :class:`SimulatedChannel` that charges bytes against a configured
 bandwidth/latency (the measured quantity behind Table 3), a zero-cost

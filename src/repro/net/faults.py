@@ -29,9 +29,10 @@ messages.  This module makes transport failure a first-class input:
 
 Corruption detection is real where the wire is real: with a
 ``wire_format`` channel the batch is encoded as the channel would send
-it (:func:`~repro.net.soap.encode_batch`, columns straight from their
-cells) and the corrupted message fails its Adler-32 feed checksum in
-the feed sink's own verifier (:func:`~repro.net.soap.read_fragment_feed`);
+it (:func:`~repro.net.soap.encode_batch`, a flat batch as a tuple
+feed straight from its columns) and the corrupted message fails its
+Adler-32 feed checksum in the receivers' verifier
+(:func:`~repro.net.soap.read_fragment_feed`);
 on byte-counting channels the checksum verdict is simulated.
 """
 

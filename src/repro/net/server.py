@@ -7,13 +7,13 @@ stands that up on real sockets:
 * :class:`FeedSink` — the data-plane receiver
   :class:`~repro.net.transport.TcpTransport` ships to: a threaded
   socket server reading length-prefixed SOAP envelopes, verifying each
-  fragment feed's declared row count and Adler-32 content checksum in
-  one walk over the received text
-  (:func:`~repro.net.soap.read_fragment_feed` — no tree, no second
-  serialization), and replying with an ``Ack`` envelope — or a SOAP
-  ``Fault`` when verification rejects the message.  The sink does not
-  know the target, so it discards the rows it verified; the sender's
-  target stores its own (identical) batches.
+  fragment feed's declared row count and Adler-32 content checksum
+  (:func:`~repro.net.soap.read_message` — a tuple feed's lines are
+  counted and digested, no cell is split), and replying with an
+  ``Ack`` envelope — or a SOAP ``Fault`` when verification rejects the
+  message.  The sink does not know the target, so it discards the
+  rows it verified; the sender's target stores its own (identical)
+  batches.
 * :class:`ExchangeHttpServer` — the control plane: a threaded HTTP
   server exposing the discovery agency (``Register`` / ``Negotiate``,
   step 1/2 of Figure 2) and the exchange endpoints (fragment-feed

@@ -1,48 +1,62 @@
-"""SOAP 1.1 envelopes for fragment feeds and documents.
+r"""SOAP 1.1 envelopes for fragment feeds and documents.
 
-Fragment feeds are shipped as a sequence of fragment-instance documents
-inside one SOAP body.  The wire format preserves element ids (a ``_eid``
-attribute on every element) exactly as a sorted-feed shipment carries
-its keys/foreign keys in the paper's setting; ``ID``/``PARENT`` appear
-on fragment roots per Definition 3.1.
+A fragment feed crosses the wire as one SOAP message whose body holds
+one ``FragmentFeed`` element.  It names the fragment and declares the
+row ``count``, an Adler-32 ``checksum`` of the rows and, for a batch of
+a streamed transfer, its ``seq`` number.  Every receiver demands the
+count and the checksum and holds them against what arrived, so
+corruption in flight surfaces as a :class:`~repro.errors.SoapFault`
+instead of silently wrong data; the sequence numbers let the reliable
+shipping layer de-duplicate and re-order deliveries (see
+:mod:`repro.net.faults`).
 
-Every feed message additionally carries an Adler-32 ``checksum`` of its
-row content and, for chunked streaming transfers, a ``seq`` number —
-the receiver verifies the checksum (corruption in flight surfaces as a
-:class:`~repro.errors.SoapFault` instead of silently wrong data) and
-the sequence numbers let the reliable shipping layer de-duplicate and
-re-order deliveries (see :mod:`repro.net.faults`).
+The rows take one of two forms.
 
-One encode, one decode, no trees for flat feeds.  A batch is encoded
-by :func:`encode_batch`: a :class:`~repro.core.columnar.ColumnBatch`
-straight from its cells, anything else by the tree writer
-(:func:`encode_fragment_feed`, straight from each row's
-``ElementData``); both return the checksum with the message and write
-the same bytes for the same rows.  A receiver verifies with
-:func:`read_fragment_feed` — one walk over the tokens that checks the
-payload kind, the fragment name and the declared count, digests each
-row's own received text in place, and, given a flat fragment, decodes
-the rows straight into the column lists of its layout.  The tree decoders
-(:func:`unwrap_fragment_feed`, :func:`verify_fragment_feed`) remain for
-non-flat fragments and the HTTP feed plane.  A message is decoded by
-whoever receives it, never by its sender.  Everything a receiver reads
-is input from outside the process: whatever is malformed, numbers and
-nesting included, is a :class:`~repro.errors.SoapFault`.
+* A flat-storable fragment's feed is the paper's sorted *tuple* feed.
+  Its ``columns`` attribute names the fragment's
+  :class:`~repro.core.columnar.ColumnLayout` once, and its text is one
+  line per row: the row's cells in that order, joined by ``|``.  Keys
+  (``id``, ``parent``, every ``<element>_eid``) are decimal numbers,
+  ``\N`` is an absent cell (``None``), and ``""`` is written as
+  nothing.  One escape, ``\`` and four hex digits, writes a character
+  by its code point: it covers ``|``, newline, ``\r``, ``\`` itself and
+  ``&<>`` wherever they occur (so the text needs no XML escaping), and
+  whitespace at the end of the text, which a tree parser strips.  The
+  checksum is the Adler-32 of the text's UTF-8 bytes.
+* Any other fragment's feed is a tagged tree: each row one
+  fragment-instance document with an ``_eid`` attribute on every
+  element and ``ID``/``PARENT`` on its root (Definition 3.1), the
+  checksum taken over each row as its own compact document
+  (:func:`feed_digest`).
+
+Either writer strips element text, as publish&map's shredder does, and
+leaves what it wrote on the batch it encoded (a column batch is
+:meth:`~repro.core.columnar.ColumnBatch.rebind`-ed, rows rewritten), so
+sender and receiver hold the same values whether or not anyone decodes.
+A receiver parses the envelope — a tuple feed is four elements and one
+text node — and checks it with :func:`verify_fragment_feed`: the feed
+sink (:func:`read_message`) checks kind, name, count and checksum
+without splitting a cell; :func:`read_fragment_feed` also decodes a
+tuple feed into the column lists of the fragment's layout, and
+:func:`unwrap_fragment_feed` either form into rows.  A message is
+decoded by whoever receives it, never by its sender.  Everything a
+receiver reads is input from outside the process: whatever is
+malformed, numbers and escapes included, is a
+:class:`~repro.errors.SoapFault`.
 """
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
 
-from repro.errors import OperationError, SoapFault, XmlSyntaxError
-from repro.core.columnar import ColumnBatch, layout_of
+from repro.errors import OperationError, SoapFault
+from repro.core.columnar import ColumnBatch, ColumnLayout, layout_of
 from repro.core.fragment import ID_ATTR, PARENT_ATTR, Fragment
 from repro.core.instance import ElementData, FragmentInstance, FragmentRow
 from repro.core.stream import RowBatch
 from repro.xmlkit.escape import escape_attr, escape_text
-from repro.xmlkit.parser import COMMENT, END, START, TEXT, tokens
 from repro.xmlkit.tree import Element, parse_tree
 from repro.xmlkit.writer import serialize
 
@@ -50,6 +64,13 @@ ENVELOPE_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 _EID_ATTR = "_eid"
 CHECKSUM_ATTR = "checksum"
 SEQ_ATTR = "seq"
+COLUMNS_ATTR = "columns"
+#: Between the cells of a tuple-feed line.
+SEPARATOR = "|"
+#: Starts a four-hex-digit code point in a tuple-feed cell.
+ESCAPE = "\\"
+#: A tuple-feed cell that is ``None``.
+NULL_CELL = ESCAPE + "N"
 
 
 def soap_envelope(body: Element) -> str:
@@ -139,11 +160,20 @@ def _missing_eid(element: str) -> SoapFault:
     return SoapFault(f"wire element <{element}> is missing its {_EID_ATTR}")
 
 
-def _element_from_wire(row: Element) -> ElementData:
-    """Decode one wire row tree; iterative, so no nesting depth is a
+def _element_from_wire(row: Element, fragment: Fragment,
+                       children: dict[str, frozenset[str]]
+                       ) -> ElementData:
+    """Decode one wire row tree of ``fragment``, whose elements'
+    children are ``children``; iterative, so no nesting depth is a
     crash."""
 
-    def data_of(element: Element) -> ElementData:
+    def data_of(element: Element, allowed: frozenset[str]
+                ) -> ElementData:
+        if element.name not in allowed:
+            raise SoapFault(
+                f"feed of fragment {fragment.name!r} carries an element "
+                f"<{element.name}> the fragment does not have there"
+            )
         attrs = dict(element.attrs)
         if _EID_ATTR not in attrs:
             raise _missing_eid(element.name)
@@ -152,12 +182,13 @@ def _element_from_wire(row: Element) -> ElementData:
         attrs.pop(PARENT_ATTR, None)
         return ElementData(element.name, eid, attrs, element.text)
 
-    root = data_of(row)
+    root = data_of(row, frozenset((fragment.root_name,)))
     stack = [(row, root)]
     while stack:
         element, data = stack.pop()
+        allowed = children[element.name]
         for child in element.children:
-            stack.append((child, data.add_child(data_of(child))))
+            stack.append((child, data.add_child(data_of(child, allowed))))
     return root
 
 
@@ -165,8 +196,13 @@ def _digest(value: int) -> str:
     return format(value & 0xFFFFFFFF, "08x")
 
 
+def _text_digest(text: str) -> str:
+    """The checksum of a tuple feed: Adler-32 over its text."""
+    return _digest(zlib.adler32(text.encode("utf-8", "surrogatepass")))
+
+
 def feed_digest(rows: list[Element]) -> str:
-    """Adler-32 digest over the canonical serialization of wire rows.
+    """The checksum of a tree feed: Adler-32 over its wire rows.
 
     The wire serializer is deterministic (fixed attribute and child
     order), so re-serializing the rows a receiver parsed reproduces the
@@ -219,54 +255,69 @@ def _feed_name(attrs: dict[str, str]) -> str:
 
 def _check_totals(payload: str, attrs: dict[str, str], count: int,
                   digest: str) -> None:
-    """Hold a feed's declared checksum and row count against the
-    ``count`` rows that arrived, whose recomputed checksum is
-    ``digest``."""
+    """Hold a feed's declared checksum and row count, both required,
+    against the ``count`` rows that arrived, whose recomputed checksum
+    is ``digest``."""
+    name = attrs["fragment"]
     declared_digest = attrs.get(CHECKSUM_ATTR)
-    if declared_digest is not None and declared_digest != digest:
+    if declared_digest is None:
+        raise SoapFault(f"feed of fragment {name!r} carries no checksum")
+    if declared_digest != digest:
         raise SoapFault(
-            f"feed of fragment {attrs['fragment']!r} failed its checksum "
+            f"feed of fragment {name!r} failed its checksum "
             "(message corrupted in flight)"
         )
     declared_count = attrs.get("count")
-    if declared_count is not None \
-            and _number(payload, "count", declared_count) != count:
+    if declared_count is None:
+        raise SoapFault(f"feed of fragment {name!r} declares no count")
+    if _number(payload, "count", declared_count) != count:
         raise SoapFault(
             f"feed declares {declared_count} rows but carries {count}"
         )
 
 
 def verify_fragment_feed(payload: Element) -> tuple[str, int, str]:
-    """Receiver-side verification of a parsed ``FragmentFeed`` tree.
+    """Receiver-side verification of a parsed ``FragmentFeed``.
 
-    Unlike :func:`unwrap_fragment_feed` this needs no
-    :class:`~repro.core.fragment.Fragment`: it checks what a receiver
-    that does not know the fragment *can* see — payload kind, declared
-    row count, and the Adler-32 content checksum recomputed over the
-    re-serialized rows.  Returns ``(fragment name, row count,
-    recomputed digest)``.  The feed sink runs the streaming
-    :func:`read_fragment_feed` instead; this tree form serves the HTTP
-    feed plane and :func:`unwrap_fragment_feed`.
+    It needs no :class:`~repro.core.fragment.Fragment`: it checks what
+    a receiver that does not know the fragment *can* see — payload
+    kind, fragment name, and the declared row count and checksum
+    against the rows that arrived (the lines of a tuple feed, the row
+    elements of a tree feed).  No cell is split and no row decoded.
+    Returns ``(fragment name, row count, recomputed digest)``.
 
     Raises:
         SoapFault: on a wrong payload kind, a missing fragment name, a
-            count mismatch, a checksum mismatch, or rows nested too deep
-            to serialize again.
+            missing or mismatched count or checksum, a tuple feed
+            holding elements, or rows nested too deep to serialize
+            again.
     """
     if payload.local_name() != "FragmentFeed":
         raise SoapFault(
             f"expected a FragmentFeed, got <{payload.name}>"
         )
     name = _feed_name(payload.attrs)
-    try:
-        digest = feed_digest(payload.children)
-    except RecursionError:
-        raise SoapFault(
-            f"feed of fragment {name!r} nests too deep to verify"
-        ) from None
-    count = len(payload.children)
+    if COLUMNS_ATTR in payload.attrs:
+        if payload.children:
+            raise SoapFault(
+                f"tuple feed of fragment {name!r} carries elements"
+            )
+        text = payload.text
+        count = text.count("\n") + 1 if text else 0
+        digest = _text_digest(text)
+    else:
+        try:
+            digest = feed_digest(payload.children)
+        except RecursionError:
+            raise SoapFault(
+                f"feed of fragment {name!r} nests too deep to verify"
+            ) from None
+        count = len(payload.children)
     _check_totals(payload.name, payload.attrs, count, digest)
     return name, count, digest
+
+
+# -- the tree writer (fragments that do not flatten) ------------------------------
 
 
 def _wire_element(data: ElementData, keys: str = "") -> str:
@@ -309,93 +360,6 @@ def _root_keys(eid: int, parent: int | None) -> str:
     )
 
 
-def _column_rows(batch: ColumnBatch) -> list[str]:
-    """Write every row of ``batch`` straight from its cells.
-
-    The bytes are the tree writer's for the rows
-    :meth:`~repro.core.columnar.ColumnLayout.row_from_cells` would
-    build: keys through ``int()``, other cells through ``str()``, text
-    stripped as :func:`_wire_element` writes it.  Whatever was written
-    differently from the cell it came from (padded text, a non-``str``
-    value) goes back onto the batch — copies of the touched columns,
-    rebound by :meth:`~repro.core.columnar.ColumnBatch.rebind` — so the
-    batch holds what crossed the wire.
-    """
-    layout = batch.layout
-    cells_of = layout.element_cells
-
-    def plan(element: str) -> tuple:
-        eid_at, text_at, attr_ats, children = cells_of[element]
-        return (
-            element, eid_at, text_at,
-            [(f' {attribute}="', at) for attribute, at in attr_ats],
-            [plan(child) for child in children],
-        )
-
-    written: dict[int, dict[int, str]] = {}
-
-    def write(entry: tuple, row: tuple, index: int, keys: str = ""
-              ) -> str:
-        name, eid_at, text_at, attrs, children = entry
-        eid = row[eid_at]
-        if eid is None:
-            return ""
-        head = f"<{name}"
-        for prefix, at in attrs:
-            value = row[at]
-            if value is not None:
-                if type(value) is not str:
-                    value = written.setdefault(at, {})[index] = str(value)
-                head += f'{prefix}{escape_attr(value)}"'
-        text = ""
-        if text_at is not None:
-            value = row[text_at]
-            stripped = (
-                "" if value is None
-                else value if type(value) is str else str(value)
-            ).strip()
-            if stripped is not value:
-                written.setdefault(text_at, {})[index] = stripped
-            if stripped:
-                text = escape_text(stripped)
-        inner = "".join([
-            write(child, row, index) for child in children
-        ]) if children else ""
-        if text or inner:
-            return (
-                f'{head} {_EID_ATTR}="{int(eid)}"{keys}>'
-                f"{text}{inner}</{name}>"
-            )
-        return f'{head} {_EID_ATTR}="{int(eid)}"{keys}/>'
-
-    root = plan(batch.fragment.root_name)
-    id_at, parent_at = layout.positions["id"], layout.positions["parent"]
-    columns = [batch.column(spec.name) for spec in layout.specs]
-    rows = []
-    for index, row in enumerate(zip(*columns)):
-        eid, parent = row[id_at], row[parent_at]
-        if eid is None:
-            raise OperationError(
-                f"columnar row of {batch.fragment.name!r} has NULL id"
-            )
-        rows.append(write(
-            root, row, index,
-            _root_keys(int(eid), None if parent is None else int(parent)),
-        ))
-    if written:
-        fresh = list(columns)
-        for position, patch in written.items():
-            cells = fresh[position] = list(columns[position])
-            for index, value in patch.items():
-                cells[index] = value
-        batch.rebind(fresh, written)
-    return rows
-
-
-# ``soap_envelope`` around a feed, cut where the feed goes.
-_ENVELOPE_HEAD, _ENVELOPE_TAIL = soap_envelope(
-    Element("FragmentFeed")
-).split("<FragmentFeed/>")
 # ``feed_digest`` serializes each row as a document of its own.
 _ROW_PROLOG = serialize(Element("row"), indent=None).removesuffix("<row/>")
 
@@ -408,22 +372,150 @@ def _row_digest(rows: list[str]) -> str:
     ))
 
 
-def _assemble(fragment: Fragment, rows: list[str],
-              seq: int | None) -> tuple[str, str]:
-    """Wrap written rows in the feed envelope; returns ``(message,
-    checksum)``."""
-    checksum = _row_digest(rows)
+# -- the tuple writer (flat fragments) --------------------------------------------
+
+_KEYS = frozenset(("id", "parent", "eid"))
+_STR_OR_NONE = frozenset((str, type(None)))
+#: What the escape writes wherever it occurs in a cell.
+_SPECIALS = f"{SEPARATOR}\n\r{ESCAPE}&<>"
+
+
+def _code(char: str) -> str:
+    """``char`` written as the escape character and its code point."""
+    return f"{ESCAPE}{ord(char):04x}"
+
+
+_ESCAPES = {ord(char): _code(char) for char in _SPECIALS}
+_ESCAPED = re.compile(f"{re.escape(ESCAPE)}([0-9a-f]{{4}})?")
+
+
+def _column_names(layout: ColumnLayout) -> str:
+    """A tuple feed's ``columns``: the layout's names, in its order."""
+    return " ".join([spec.name for spec in layout.specs])
+
+
+def _wire_cells(cells: list, role: str, keys: list | None
+                ) -> tuple[list[str], list]:
+    """One column of a tuple feed: ``(its cells' wire text, the values
+    written)``.  Keys are written as decimal numbers, other values as
+    ``str``, and text stripped — ``""`` where the element is present
+    (its key in ``keys`` is not ``None``) but its text cell is.  The
+    values written are ``cells`` itself unless one of them was written
+    as something else."""
+    if role in _KEYS:
+        if None in cells:
+            return [NULL_CELL if cell is None else str(cell)
+                    for cell in cells], cells
+        return list(map(str, cells)), cells
+    written = cells
+    if not set(map(type, cells)) <= _STR_OR_NONE:
+        written = [None if cell is None else str(cell) for cell in cells]
+    if role == "text":
+        stripped = [
+            cell.strip() if cell is not None
+            else None if key is None else ""
+            for cell, key in zip(written, keys)
+        ] if None in written else list(map(str.strip, written))
+        if stripped != written:
+            written = stripped
+    present = "".join(filter(None, written))
+    if any(char in present for char in _SPECIALS):
+        return [NULL_CELL if cell is None else cell.translate(_ESCAPES)
+                for cell in written], written
+    if None in written:
+        return [NULL_CELL if cell is None else cell
+                for cell in written], written
+    return written, written
+
+
+def _escaped_end(text: str) -> str:
+    """``text`` with the whitespace it ends with written as escapes:
+    a tree parser strips it from an element's text.  (It begins with a
+    row's ``id``.)"""
+    if not text[-1:].isspace():
+        return text
+    end = len(text.rstrip())
+    return text[:end] + "".join(map(_code, text[end:]))
+
+
+def _tuple_text(batch: ColumnBatch) -> str:
+    """The text of ``batch``'s tuple feed, written column by column
+    straight from its cells.  Whatever was written differently from
+    the cell it came from (padded text, a non-``str`` value) goes back
+    onto the batch — copies of the touched columns, rebound by
+    :meth:`~repro.core.columnar.ColumnBatch.rebind` — so the batch
+    holds what crossed the wire."""
+    layout = batch.layout
+    columns = [batch.column(spec.name) for spec in layout.specs]
+    if None in columns[layout.positions["id"]]:
+        raise OperationError(
+            f"columnar row of {batch.fragment.name!r} has NULL id"
+        )
+    wire, written = [], {}
+    for position, spec in enumerate(layout.specs):
+        cells, values = _wire_cells(
+            columns[position], spec.role,
+            columns[layout.element_cells[spec.element][0]]
+            if spec.role == "text" else None,
+        )
+        wire.append(cells)
+        if values is not columns[position]:
+            written[position] = columns[position] = values
+    if written:
+        batch.rebind(columns, written)
+    return _escaped_end("\n".join(map(SEPARATOR.join, zip(*wire))))
+
+
+# ``soap_envelope`` around a feed, cut where the feed goes.
+_ENVELOPE_HEAD, _ENVELOPE_TAIL = soap_envelope(
+    Element("FragmentFeed")
+).split("<FragmentFeed/>")
+
+
+def _assemble(fragment: Fragment, count: int, rows: str, checksum: str,
+              seq: int | None, columns: str | None = None) -> str:
+    """Wrap written rows in the feed envelope."""
+    named = "" if columns is None else f' {COLUMNS_ATTR}="{columns}"'
     numbering = "" if seq is None else f' {SEQ_ATTR}="{seq}"'
     feed = (
         f'{_ENVELOPE_HEAD}<FragmentFeed'
-        f' fragment="{escape_attr(fragment.name)}"'
-        f' count="{len(rows)}"{numbering} {CHECKSUM_ATTR}="{checksum}"'
+        f' fragment="{escape_attr(fragment.name)}"{named}'
+        f' count="{count}"{numbering} {CHECKSUM_ATTR}="{checksum}"'
     )
     if rows:
-        rows.insert(0, f"{feed}>")
-        rows.append(f"</FragmentFeed>{_ENVELOPE_TAIL}")
-        return "".join(rows), checksum
-    return f"{feed}/>{_ENVELOPE_TAIL}", checksum
+        return f"{feed}>{rows}</FragmentFeed>{_ENVELOPE_TAIL}"
+    return f"{feed}/>{_ENVELOPE_TAIL}"
+
+
+def _encode_columns(batch: ColumnBatch) -> tuple[str, str]:
+    text = _tuple_text(batch)
+    checksum = _text_digest(text)
+    return _assemble(
+        batch.fragment, batch.row_count(), text, checksum, batch.seq,
+        _column_names(batch.layout),
+    ), checksum
+
+
+def _encode_rows(fragment: Fragment, rows: list[FragmentRow],
+                 seq: int | None) -> tuple[str, str]:
+    """A feed of row trees: a flat fragment's as tuples (``rows`` is
+    rewritten to what crossed the wire when anything was written
+    differently), any other's by the tree writer."""
+    if fragment.is_flat_storable():
+        batch = ColumnBatch.from_rows(fragment, rows, seq)
+        cells = batch.columns
+        encoded = _encode_columns(batch)
+        if batch.columns is not cells:
+            rows[:] = batch.rows
+        return encoded
+    written = [
+        _wire_element(row.data, _root_keys(row.data.eid, row.parent))
+        for row in rows
+    ]
+    checksum = _row_digest(written)
+    return _assemble(
+        fragment, len(written), "".join(written), checksum, seq
+    ), checksum
 
 
 def encode_fragment_feed(instance: FragmentInstance,
@@ -432,31 +524,24 @@ def encode_fragment_feed(instance: FragmentInstance,
 
     The message is :func:`wrap_fragment_feed`'s; the checksum is the
     one written into it, which a sender keeps to hold the receiver's
-    ack against.  Every row is written once, straight from its
-    :class:`~repro.core.instance.ElementData`; the checksum covers
-    exactly the bytes :func:`feed_digest` covers on the receiving
-    side (each row as its own compact document).
+    ack against.  A flat fragment's rows are written as tuples, any
+    other's once each, straight from its
+    :class:`~repro.core.instance.ElementData`.
     """
-    return _assemble(instance.fragment, [
-        _wire_element(row.data, _root_keys(row.data.eid, row.parent))
-        for row in instance.rows
-    ], seq)
+    return _encode_rows(instance.fragment, instance.rows, seq)
 
 
 def encode_batch(batch: ColumnBatch | RowBatch) -> tuple[str, str]:
     """Encode one batch of a feed; returns ``(message, checksum)``.
 
     A :class:`~repro.core.columnar.ColumnBatch` is written straight
-    from its cells, a :class:`~repro.core.stream.RowBatch` by the tree
-    writer; the two write the same bytes for the same rows, so the
-    message is :func:`encode_fragment_feed`'s for the batch's rows and
-    ``seq`` either way.
+    from its column lists; a :class:`~repro.core.stream.RowBatch` as
+    :func:`encode_fragment_feed` writes its rows — for a flat fragment
+    the same tuple feed its column batch would be.
     """
     if isinstance(batch, ColumnBatch):
-        return _assemble(batch.fragment, _column_rows(batch), batch.seq)
-    return encode_fragment_feed(
-        FragmentInstance(batch.fragment, batch.rows), batch.seq
-    )
+        return _encode_columns(batch)
+    return _encode_rows(batch.fragment, batch.rows, batch.seq)
 
 
 def wrap_fragment_feed(instance: FragmentInstance,
@@ -469,23 +554,119 @@ def wrap_fragment_feed(instance: FragmentInstance,
     return encode_fragment_feed(instance, seq)[0]
 
 
+# -- receivers ----------------------------------------------------------------------
+
+
+def _escaped_char(match: re.Match[str]) -> str:
+    code = match[1]
+    if code is not None:
+        char = chr(int(code, 16))
+        if char in _SPECIALS or char.isspace():
+            return char
+    raise SoapFault(f"tuple feed cell carries a bad escape {match[0]!r}")
+
+
+def _unescaped(cell: str) -> str | None:
+    """A tuple-feed cell that holds the escape character, decoded."""
+    if cell == NULL_CELL:
+        return None
+    return _ESCAPED.sub(_escaped_char, cell)
+
+
+def _keys(cells: list[str], element: str, column: str) -> list:
+    """A tuple feed's key cells as ints (``None`` where absent)."""
+    try:
+        return [None if cell == NULL_CELL else int(cell) for cell in cells]
+    except ValueError:
+        for cell in cells:
+            if cell != NULL_CELL:
+                _number(element, column, cell)
+        raise
+
+
+def _tuple_columns(payload: Element, fragment: Fragment) -> list[list]:
+    """Decode a verified tuple feed of ``fragment`` into the column
+    lists of its layout.
+
+    Raises:
+        SoapFault: if the feed does not name the layout's columns, a
+            line does not hold one cell per column, or a key or an
+            escape is malformed.
+    """
+    layout = layout_of(fragment)
+    names = _column_names(layout)
+    declared = payload.get(COLUMNS_ATTR)
+    if declared != names:
+        raise SoapFault(
+            f"feed of fragment {fragment.name!r} names columns "
+            f"{declared!r}, not {names!r}"
+        )
+    text = payload.text
+    width = len(layout.specs)
+    rows = [line.split(SEPARATOR) for line in text.split("\n")] \
+        if text else []
+    if set(map(len, rows)) - {width}:
+        raise SoapFault(
+            f"feed of fragment {fragment.name!r} carries a line that "
+            f"is not {width} cells"
+        )
+    columns = [list(cells) for cells in zip(*rows)] if rows \
+        else [[] for _ in range(width)]
+    escaped = ESCAPE in text
+    for position, spec in enumerate(layout.specs):
+        cells = columns[position]
+        if spec.role in _KEYS:
+            columns[position] = _keys(
+                cells, spec.element or fragment.root_name, spec.name
+            )
+        elif escaped:
+            columns[position] = [
+                cell if ESCAPE not in cell else _unescaped(cell)
+                for cell in cells
+            ]
+    if None in columns[layout.positions["id"]]:
+        raise SoapFault(
+            f"feed of fragment {fragment.name!r} carries a row with no id"
+        )
+    return columns
+
+
+def _expect(name: str, fragment: Fragment) -> None:
+    if name != fragment.name:
+        raise SoapFault(
+            f"feed carries fragment {name!r}, expected "
+            f"{fragment.name!r}"
+        )
+
+
 def unwrap_fragment_feed(text: str,
                          fragment: Fragment) -> FragmentInstance:
-    """Parse a SOAP fragment-feed message back into an instance.
-
-    The tree decode, for non-flat fragments and the HTTP feed plane.
+    """Parse a SOAP fragment-feed message, tuples or tree, into rows.
 
     Raises:
         SoapFault: on anything :func:`verify_fragment_feed` rejects, a
-            feed of another fragment, or missing / non-numeric keys.
+            feed of another fragment or of the other form, an element
+            the fragment does not have, or missing / non-numeric keys.
     """
     payload = parse_envelope(text)
-    declared, _, _ = verify_fragment_feed(payload)
-    if declared != fragment.name:
+    name, _, _ = verify_fragment_feed(payload)
+    _expect(name, fragment)
+    if fragment.is_flat_storable():
+        row_from_cells = layout_of(fragment).row_from_cells
+        return FragmentInstance(fragment, map(
+            row_from_cells, zip(*_tuple_columns(payload, fragment))
+        ))
+    if COLUMNS_ATTR in payload.attrs:
         raise SoapFault(
-            f"feed carries fragment {declared!r}, expected "
-            f"{fragment.name!r}"
+            f"feed of fragment {name!r} is a tuple feed, but the "
+            "fragment does not flatten"
         )
+    children = {
+        element: frozenset(
+            child.name for child in fragment.children_of(element)
+        )
+        for element in fragment.elements
+    }
     rows: list[FragmentRow] = []
     for child in payload.children:
         parent_raw = child.get(PARENT_ATTR, "")
@@ -493,11 +674,10 @@ def unwrap_fragment_feed(text: str,
             _number(child.name, PARENT_ATTR, parent_raw) if parent_raw
             else None
         )
-        rows.append(FragmentRow(_element_from_wire(child), parent))
+        rows.append(FragmentRow(
+            _element_from_wire(child, fragment, children), parent
+        ))
     return FragmentInstance(fragment, rows)
-
-
-# -- the streaming receiver -------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -517,226 +697,45 @@ class FeedReceipt:
     columns: list[list] | None = None
 
 
+def _receipt(payload: Element, fragment: Fragment | None) -> FeedReceipt:
+    name, count, digest = verify_fragment_feed(payload)
+    columns = None
+    if fragment is not None:
+        _expect(name, fragment)
+        columns = _tuple_columns(payload, fragment)
+    return FeedReceipt(name, count, digest, payload.get(SEQ_ATTR), columns)
+
+
 def read_fragment_feed(text: str, fragment: Fragment | None = None
                        ) -> FeedReceipt:
-    """Verify a fragment-feed message in one walk over its tokens.
+    """Verify a fragment-feed message; given its fragment, decode it.
 
     The one receiver-side check of a feed hop — the TCP feed sink, a
     wire-format channel receiving its own message, fault injection
-    catching a corrupted one.  It checks the payload kind, the
-    fragment name and the declared row count, and recomputes the
-    Adler-32 checksum over each received row's *own text* (the bytes
-    from its start tag to its end tag, where the tokenizer found
-    them): no tree is built and nothing is serialized again.
-
-    Without ``fragment`` the rows are not decoded, and an element
-    nested inside one of its own name is rejected — element names are
-    unique in a schema, so no fragment has that shape.  Given the
-    (flat-storable) fragment, the feed must be that fragment's and its
-    rows are decoded straight into the column lists of its
-    :class:`~repro.core.columnar.ColumnLayout` (keys as ``int``, text
-    stripped as every tree parser strips it, ``None`` for absent
-    elements and attributes); an element the fragment does not have at
-    that place is rejected.  Nothing recurses, so no nesting depth crashes
-    the receiver.
+    catching a corrupted one.  It checks what
+    :func:`verify_fragment_feed` checks.  Given the (flat-storable)
+    fragment, the feed must be that fragment's tuple feed, naming its
+    layout's columns, and its lines are decoded into the column lists
+    of that :class:`~repro.core.columnar.ColumnLayout`: split per line
+    and per cell, escapes resolved only in cells that hold one, keys
+    as ``int`` — all after the checksum, so that corruption reads as
+    "checksum".
 
     Raises:
         SoapFault: on a malformed message, a payload that is no
             ``FragmentFeed`` (a ``Fault`` payload raises its message),
-            a missing fragment name or another fragment's feed, a
-            checksum or count mismatch, an element the fragment does
-            not have, or a missing / non-numeric key.
+            anything :func:`verify_fragment_feed` rejects, another
+            fragment's feed, or rows that do not decode.
     """
-    receipt = _read_feed(text, fragment)
-    if receipt is None:
-        payload = parse_envelope(text)
-        raise SoapFault(f"expected a FragmentFeed, got <{payload.name}>")
-    return receipt
+    return _receipt(parse_envelope(text), fragment)
 
 
 def read_message(text: str) -> FeedReceipt | Element:
     """Receive one message of any kind.
 
-    A fragment feed is verified by :func:`read_fragment_feed`'s walk
-    (nothing decoded); anything else is parsed into its payload tree by
-    :func:`parse_envelope`.
-    """
-    receipt = _read_feed(text, None)
-    return parse_envelope(text) if receipt is None else receipt
-
-
-def _read_feed(text: str, fragment: Fragment | None
-               ) -> FeedReceipt | None:
-    """:func:`read_fragment_feed`'s walk; ``None`` when the body
-    carries something other than a feed."""
-    try:
-        return _walk_feed(text, fragment)
-    except XmlSyntaxError as exc:
-        raise SoapFault(f"message is not well-formed XML: {exc}") from exc
-
-
-def _next_tag(text: str, cursor: int, kind: int, extra) -> int:
-    """Where to look for the next tag after a token that is not a
-    start tag: no '<' lies between there and the next token's own (an
-    end tag, text or comment ends where the tokenizer says, a PI or the
-    declaration at its first '?>')."""
-    if kind == END or kind == TEXT or kind == COMMENT:
-        return extra
-    return text.find("?>", text.find("<", cursor)) + 2
-
-
-def _payload(stream: Iterator[tuple], text: str
-             ) -> tuple[int, str, dict[str, str]] | None:
-    """Walk the envelope up to its body's element: ``(cursor past that
-    element's '<', its name, its attributes)``, or ``None`` when it is
-    no ``FragmentFeed``.  Raises what :func:`parse_envelope` raises
-    for a malformed envelope."""
-    cursor = 0
-    in_body = False
-    depth = 0
-    for kind, value, extra in stream:
-        if kind == START:
-            # A start tag holds no '<': the next one is its own.
-            cursor = text.find("<", cursor) + 1
-            depth += 1
-            local = value.rpartition(":")[2]
-            if depth == 1 and local != "Envelope":
-                raise SoapFault(f"not a SOAP envelope: <{value}>")
-            if in_body:
-                return (cursor, value, extra) \
-                    if local == "FragmentFeed" else None
-            in_body = depth == 2 and local == "Body"
-            continue
-        if kind == END:
-            if in_body:
-                break
-            depth -= 1
-        cursor = _next_tag(text, cursor, kind, extra)
-    raise SoapFault("SOAP body must contain exactly one element")
-
-
-def _walk_feed(text: str, fragment: Fragment | None
-               ) -> FeedReceipt | None:
-    stream = tokens(text)
-    found = _payload(stream, text)
-    if found is None:
-        return None
-    cursor, payload, attrs = found
-    name = _feed_name(attrs)
-
-    decode = fragment is not None
-    if decode:
-        if name != fragment.name:
-            raise SoapFault(
-                f"feed carries fragment {name!r}, expected "
-                f"{fragment.name!r}"
-            )
-        layout = layout_of(fragment)
-        slots = {
-            element: (eid_at, text_at, attr_ats, frozenset(children))
-            for element, (eid_at, text_at, attr_ats, children)
-            in layout.element_cells.items()
-        }
-        top = frozenset((fragment.root_name,))
-        width = len(layout.specs)
-        parent_at = layout.positions["parent"]
-    spans: list[str] = []
-    rows: list[list] = []
-    depth = 0
-    for kind, value, extra in stream:
-        if kind == START:
-            if not depth:
-                start = text.find("<", cursor)
-                if not text.startswith(value, start + 1):
-                    raise SoapFault(
-                        f"row <{value}> of feed {name!r} is not where "
-                        "the message text says (a DTD?)"
-                    )
-                if decode:
-                    cells: list = [None] * width
-                    cells[parent_at] = extra.get(PARENT_ATTR) or None
-                    allowed, stack = top, []
-                else:
-                    path = {value}
-            if decode:
-                if value not in allowed:
-                    raise SoapFault(
-                        f"feed of fragment {name!r} carries an element "
-                        f"<{value}> the fragment does not have there"
-                    )
-                eid_at, text_at, attr_ats, children = slots[value]
-                if cells[eid_at] is not None:
-                    raise SoapFault(
-                        f"<{value}> repeats within one row of fragment "
-                        f"{name!r}"
-                    )
-                cells[eid_at] = extra.get(_EID_ATTR)
-                if cells[eid_at] is None:
-                    raise _missing_eid(value)
-                for attribute, at in attr_ats:
-                    cells[at] = extra.get(attribute)
-                stack.append((text_at, allowed))
-                allowed, pending = children, ""
-            elif depth:
-                if value in path:
-                    raise SoapFault(
-                        f"<{value}> nests inside itself in feed "
-                        f"{name!r}; no fragment has that shape"
-                    )
-                path.add(value)
-            depth += 1
-        elif kind == END:
-            if not depth:
-                break  # the feed closes
-            depth -= 1
-            if decode:
-                text_at, allowed = stack.pop()
-                if text_at is not None:
-                    cells[text_at] = pending.strip()
-            else:
-                path.discard(value)
-            if not depth:
-                spans.append(text[start:extra])
-                cursor = extra
-                if decode:
-                    rows.append(cells)
-        elif not depth:
-            cursor = _next_tag(text, cursor, kind, extra)
-        elif kind == TEXT and decode:
-            pending += value
-    for kind, _, _ in stream:  # the rest of the body holds no element
-        if kind == START:
-            raise SoapFault("SOAP body must contain exactly one element")
-        if kind == END:
-            break
-    for _ in stream:  # the rest of the envelope: well-formedness only
-        pass
-
-    count = len(spans)
-    digest = _row_digest(spans)
-    _check_totals(payload, attrs, count, digest)
-    columns = None
-    if decode:
-        columns = (
-            [list(cells) for cells in zip(*rows)] if rows
-            else [[] for _ in range(width)]
-        )
-        root = fragment.root_name
-        for position, spec in enumerate(layout.specs):
-            if spec.role in ("id", "eid", "parent"):
-                columns[position] = _numbers(
-                    columns[position], spec.element or root,
-                    PARENT_ATTR if spec.role == "parent" else _EID_ATTR,
-                )
-    return FeedReceipt(name, count, digest, attrs.get(SEQ_ATTR), columns)
-
-
-def _numbers(cells: list, element: str, attr: str) -> list:
-    """Wire key strings (or ``None``) as ints."""
-    try:
-        return [None if raw is None else int(raw) for raw in cells]
-    except ValueError:
-        for raw in cells:
-            if raw is not None:
-                _number(element, attr, raw)
-        raise
+    A fragment feed is verified by :func:`read_fragment_feed` (nothing
+    decoded); anything else is returned as its payload tree."""
+    payload = parse_envelope(text)
+    if payload.local_name() != "FragmentFeed":
+        return payload
+    return _receipt(payload, None)

@@ -24,11 +24,11 @@ its SOAP message (always on for :class:`TcpTransport`, where the wire
 is real).
 
 A hop costs one encode and one decode, and a flat fragment crosses it
-as columns: a :class:`~repro.core.columnar.ColumnBatch` is encoded
-straight from its cells (:func:`~repro.net.soap.encode_batch`) and the
-receiver verifies the received row text in place
-(:func:`~repro.net.soap.read_fragment_feed`) — no row trees on either
-side.  Whoever *receives* a message verifies it, and nobody else does:
+as tuples: a :class:`~repro.core.columnar.ColumnBatch` is written
+straight from its columns, one line of cells per row
+(:func:`~repro.net.soap.encode_batch`), and the receiver verifies the
+lines' count and checksum (:func:`~repro.net.soap.read_fragment_feed`)
+— no row trees on either side.  Whoever *receives* a message verifies it, and nobody else does:
 over TCP that is the :class:`~repro.net.server.FeedSink`, whose ack the
 sender checks against the checksum it computed while encoding; the
 simulated and in-process wires have no peer, so there the transport
@@ -294,10 +294,10 @@ class Transport(abc.ABC):
         finer batching buys pipelining at the price of more handshakes,
         exactly the chunk-size trade-off of a streamed transfer.  Wire
         format encodes the batch and, playing the receiver, takes back
-        what crossed the network: a column batch is verified by the
-        feed sink's own walk (:func:`~repro.net.soap.read_fragment_feed`)
-        and rebound to the columns it decoded, a row batch (a non-flat
-        fragment) is decoded back into its rows by the tree codec.
+        what crossed the network: a column batch is verified as the
+        feed sink verifies it (:func:`~repro.net.soap.read_fragment_feed`)
+        and rebound to the columns it decoded, a row batch is decoded
+        back into its rows (:func:`~repro.net.soap.unwrap_fragment_feed`).
         """
         if not self.wire_format:
             return self._charge(batch.feed_size())

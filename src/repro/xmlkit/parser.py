@@ -202,11 +202,7 @@ def tokens(text: str) -> Iterator[tuple]:
     ``value`` is the element name (``START``/``END``), the character
     data (``TEXT``), the comment text, the PI target, or the declared
     version; ``extra`` is a ``START``'s attribute dict, a ``PI``'s
-    data, a ``DECLARATION``'s ``(encoding, standalone)``, and for
-    ``END``, ``TEXT`` and ``COMMENT`` the offset in ``text`` just past
-    the token — where an element's source text ends, without a second
-    scan (:func:`repro.net.soap.read_fragment_feed` digests received
-    rows in place this way).
+    data, a ``DECLARATION``'s ``(encoding, standalone)``, else ``None``.
 
     Raises:
         XmlSyntaxError: on any well-formedness violation.
@@ -237,7 +233,7 @@ def tokens(text: str) -> Iterator[tuple]:
                 idx = size
             raw = text[pos:idx]
             if stack:
-                yield TEXT, unescape(raw), idx
+                yield TEXT, unescape(raw), None
             elif raw.strip():
                 raise scanner.error(
                     "character data outside the root element", pos=pos
@@ -252,7 +248,7 @@ def tokens(text: str) -> Iterator[tuple]:
                 if stack and stack[-1] == end_name:
                     stack.pop()
                     pos = tag.end()
-                    yield END, end_name, pos
+                    yield END, end_name, None
                     continue
             elif stack or not seen_root:
                 found = find_attrs(raw_attrs) if raw_attrs else ()
@@ -268,7 +264,7 @@ def tokens(text: str) -> Iterator[tuple]:
                     seen_root = True
                     yield START, name, attrs
                     if empty:
-                        yield END, name, pos
+                        yield END, name, None
                     else:
                         stack.append(name)
                     continue
@@ -278,14 +274,12 @@ def tokens(text: str) -> Iterator[tuple]:
         scanner.pos = pos
         if scanner.startswith("<!--"):
             scanner.pos += 4
-            comment = scanner.read_until("-->", "comment")
-            yield COMMENT, comment, scanner.pos
+            yield COMMENT, scanner.read_until("-->", "comment"), None
         elif scanner.startswith("<![CDATA["):
             if not stack:
                 raise scanner.error("CDATA outside the root element")
             scanner.pos += len("<![CDATA[")
-            cdata = scanner.read_until("]]>", "CDATA section")
-            yield TEXT, cdata, scanner.pos
+            yield TEXT, scanner.read_until("]]>", "CDATA section"), None
         elif scanner.startswith("<!DOCTYPE"):
             if seen_root:
                 raise scanner.error("DOCTYPE after the root element")
@@ -307,7 +301,7 @@ def tokens(text: str) -> Iterator[tuple]:
                 raise scanner.error(
                     f"mismatched end tag </{name}>, expected </{expected}>"
                 )
-            yield END, name, scanner.pos
+            yield END, name, None
         else:
             scanner.expect("<")
             if seen_root and not stack:
@@ -319,7 +313,7 @@ def tokens(text: str) -> Iterator[tuple]:
                 scanner.pos += 2
                 seen_root = True
                 yield START, name, attrs
-                yield END, name, scanner.pos
+                yield END, name, None
             else:
                 scanner.expect(">")
                 seen_root = True

@@ -6,8 +6,10 @@ import socket
 import pytest
 
 from repro.errors import SoapFault, TransportError
+from repro.core.columnar import ColumnBatch
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel
+from repro.core.fragment import Fragment
 from repro.net.faults import corrupt_soap_message
 from repro.net.server import (
     ExchangeHttpServer,
@@ -16,6 +18,7 @@ from repro.net.server import (
     SoapHttpClient,
 )
 from repro.net.soap import (
+    encode_batch,
     parse_envelope,
     soap_envelope,
     wrap_document,
@@ -78,6 +81,28 @@ class TestFeedSink:
         assert "checksum" in reply.get("message")
         assert metrics.counter("server.faults").value == 1
 
+    def test_feed_without_checksum_gets_fault(self, auction_schema):
+        """A feed that declares no checksum cannot be verified: the
+        sink faults it, corrupted rows or not."""
+        fragment = Fragment(auction_schema, ["item"])
+        message, checksum = encode_batch(ColumnBatch(fragment, [
+            [3, 5], [2, 2], ["item3", "item4"], [None, "yes"],
+        ], None))
+        unchecked = message.replace(f' checksum="{checksum}"', "")
+        metrics = MetricsRegistry()
+        with FeedSink(metrics=metrics) as sink:
+            replies = [
+                raw_call(sink, text) for text in (
+                    unchecked, unchecked.replace("item4", "itemX"),
+                    unchecked.replace(' count="2"', ""),
+                )
+            ]
+        for reply in replies:
+            assert reply.name == "Fault"
+            assert "carries no checksum" in reply.get("message")
+        assert metrics.counter("server.faults").value == 3
+        assert metrics.counter("server.feeds").value == 0
+
     def test_malformed_number_gets_fault_naming_it(self, feed):
         message = wrap_fragment_feed(feed).replace(
             f'count="{feed.row_count()}"', 'count="abc"'
@@ -131,7 +156,7 @@ class TestFeedSink:
                     sock, wrap_fragment_feed(feed).encode("utf-8")
                 )
                 ack = recv_frame(sock)
-        with pytest.raises(SoapFault, match="nests inside itself"):
+        with pytest.raises(SoapFault, match="too deep"):
             parse_envelope(fault.decode("utf-8"))
         assert parse_envelope(ack.decode("utf-8")).name == "Ack"
         assert metrics.counter("server.faults").value == 1

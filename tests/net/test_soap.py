@@ -1,6 +1,5 @@
 """SOAP envelopes and fragment-feed wire format."""
 
-import random
 import zlib
 
 import pytest
@@ -10,9 +9,9 @@ from hypothesis import strategies as st
 from repro.errors import SoapFault
 from repro.core.columnar import ColumnBatch, layout_of
 from repro.core.fragment import Fragment
-from repro.core.fragmentation import Fragmentation
 from repro.core.instance import ElementData, FragmentInstance, FragmentRow
 from repro.net.soap import (
+    CHECKSUM_ATTR,
     FeedReceipt,
     encode_batch,
     encode_fragment_feed,
@@ -28,10 +27,15 @@ from repro.net.soap import (
     wrap_document,
     wrap_fragment_feed,
 )
-from repro.schema.generator import balanced_schema
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.tree import Element
 from repro.xmlkit.writer import serialize
+
+from tests.net.test_feed_codec import (
+    assert_every_change_faults,
+    column_batches,
+    typed,
+)
 
 
 class TestEnvelope:
@@ -102,16 +106,10 @@ class TestFragmentFeed:
         with pytest.raises(SoapFault, match="declares"):
             unwrap_fragment_feed(tampered, order_feed.fragment)
 
-    def test_missing_eid_rejected(self, customers_schema):
-        fragment = Fragment(customers_schema, ["Order"])
-        text = (
-            '<soap:Envelope xmlns:soap="ns"><soap:Body>'
-            '<FragmentFeed fragment="Order" count="1">'
-            '<Order ID="1" PARENT=""/></FragmentFeed>'
-            "</soap:Body></soap:Envelope>"
-        )
+    def test_missing_eid_rejected(self, order_fragment):
+        text = feed_message('<Order ID="1" PARENT=""/>')
         with pytest.raises(SoapFault, match="_eid"):
-            unwrap_fragment_feed(text, fragment)
+            unwrap_fragment_feed(text, order_fragment)
 
 
 class TestFeedIntegrity:
@@ -266,7 +264,19 @@ _GOLDEN_CHECKSUM = "bf3e80b1"
 
 
 @pytest.fixture
-def golden_feed(customers_schema):
+def order_fragment(customers_schema):
+    """``Order`` with its repeated ``Line``: a fragment that does not
+    flatten, so its feed is a tagged tree."""
+    fragment = Fragment(
+        customers_schema, ["Order", "Service", "ServiceName", "Line"],
+        name="Order",
+    )
+    assert not fragment.is_flat_storable()
+    return fragment
+
+
+@pytest.fixture
+def golden_feed(order_fragment):
     """Nested children, text beside children, escaped text and
     attribute values, non-ASCII text, an inner ``\\r``, a ``None``
     parent, a parent of 0, and a child group left empty."""
@@ -283,7 +293,7 @@ def golden_feed(customers_schema):
     second.add_child(ElementData("Line", 13))
     third = ElementData("Order", 14)
     third.children["Line"] = []
-    return FragmentInstance(Fragment(customers_schema, ["Order"]), [
+    return FragmentInstance(order_fragment, [
         FragmentRow(first, None), FragmentRow(second, 3),
         FragmentRow(third, 0),
     ])
@@ -392,103 +402,96 @@ class TestMalformedNumbers:
             unwrap_document(payload)
 
 
-# -- flat feeds as columns: the encoder from cells, the streaming verifier ------------
+# -- flat feeds as tuples: the encoder from cells, the receivers -------------------
 
-#: Text and attribute values: markup characters, non-ASCII, padding and
-#: whitespace-only values, the empty string.
-_values = st.text(alphabet="ab &<>\"' é☃\t\n\r", max_size=6)
-_text_cells = _values | st.integers(0, 99) | st.none()
-_attr_cells = st.none() | _values | st.integers(0, 9)
-
-
-@st.composite
-def column_batches(draw):
-    """A random flat-storable fragment of a balanced schema with
-    declared attributes, and a batch of random rows of it — absent
-    optional elements and attributes, padded, whitespace-only and
-    non-``str`` text, any ``seq`` — that is sometimes a narrowed view
-    of a longer batch."""
-    levels, fanout = draw(st.sampled_from([(1, 3), (2, 2), (2, 3)]))
-    seed = draw(st.integers(0, 9999))
-    schema = balanced_schema(levels, fanout, repeat_prob=0.4, seed=seed)
-    rng = random.Random(seed)
-    for node in schema.iter_nodes():
-        node.attributes = rng.sample(["a", "b", "c"], rng.randint(0, 2))
-    names = schema.element_names()
-    roots = {names[0]} | {
-        node.name for node in schema.iter_nodes()
-        if node.cardinality.repeated
-    } | set(draw(st.lists(st.sampled_from(names), max_size=3)))
-    fragment = draw(st.sampled_from(sorted(
-        Fragmentation.from_roots(schema, sorted(roots)),
-        key=lambda fragment: fragment.name,
-    )))
-    layout = layout_of(fragment)
-    lead = draw(st.integers(0, 2))
-    count = draw(st.integers(0, 3))
-    eids = iter(range(1, 10_000))
-    rows = []
-    for _ in range(lead + count):
-        cells: list = [None] * len(layout.specs)
-        present = {fragment.root_name}
-        for at, spec in enumerate(layout.specs):
-            if spec.role == "id":
-                cells[at] = next(eids)
-            elif spec.role == "parent":
-                cells[at] = draw(st.none() | st.integers(0, 99))
-            elif spec.role == "eid":
-                if schema.parent_name(spec.element) in present \
-                        and draw(st.booleans()):
-                    present.add(spec.element)
-                    cells[at] = next(eids)
-            elif spec.element in present:
-                cells[at] = draw(
-                    _text_cells if spec.role == "text" else _attr_cells
-                )
-        rows.append(cells)
-    columns = [list(column) for column in zip(*rows)] if rows else [
-        [] for _ in layout.specs
-    ]
-    batch = ColumnBatch(
-        fragment, columns, draw(st.none() | st.integers(0, 500))
-    )
-    return batch.slice(lead, lead + count) if lead else batch
+#: The golden tuple feed's text, as ``tuple_batch`` encodes it: an
+#: escaped separator, escape, markup and line ends, non-ASCII text
+#: left as it is, ``None`` cells, an empty last cell.
+_TUPLE_ROWS = (
+    "7|\\N|8|9|café \\007c ☃ \\005c \\0026\\003c\\003e \\000a\\000dz\n"
+    "12|3|\\N|\\N|\\N\n"
+    "14|0|15|16|"
+)
+_TUPLE_CHECKSUM = "7cc519eb"
+_TUPLE_COLUMNS = "id parent service_eid servicename_eid servicename"
 
 
-def _rows_of(batch: ColumnBatch):
-    """The batch's row view, built from copies of its cells."""
-    return ColumnBatch(
-        batch.fragment,
-        [batch.column(spec.name)[:] for spec in batch.layout.specs],
-        batch.seq,
-    ).to_row_batch()
+@pytest.fixture
+def tuple_fragment(customers_schema):
+    """``Order`` down to its ``ServiceName``: a fragment that
+    flattens, so its feed is a tuple feed."""
+    return Fragment(customers_schema, ["Order", "Service", "ServiceName"],
+                    name="Order")
 
 
-def _typed(columns):
-    return [[(type(cell).__name__, cell) for cell in column]
-            for column in columns]
+@pytest.fixture
+def tuple_batch(tuple_fragment):
+    return ColumnBatch(tuple_fragment, [
+        [7, 12, 14], [None, 3, 0], [8, None, 15], [9, None, 16],
+        ["  café | ☃ \\ &<> \n\rz ", None, ""],
+    ], 4)
+
+
+class TestGoldenTupleMessage:
+    def test_rows_and_checksum(self, tuple_batch):
+        assert encode_batch(tuple_batch) == (
+            f'{_HEAD}<FragmentFeed fragment="Order" columns='
+            f'"{_TUPLE_COLUMNS}" count="3" seq="4" checksum='
+            f'"{_TUPLE_CHECKSUM}">{_TUPLE_ROWS}</FragmentFeed>{_TAIL}',
+            _TUPLE_CHECKSUM,
+        )
+        assert format(
+            zlib.adler32(_TUPLE_ROWS.encode("utf-8")), "08x"
+        ) == _TUPLE_CHECKSUM
+
+    def test_empty_feed(self, tuple_fragment):
+        empty = ColumnBatch(tuple_fragment, [[] for _ in range(5)], None)
+        message, checksum = encode_batch(empty)
+        assert message == (
+            f'{_HEAD}<FragmentFeed fragment="Order" columns='
+            f'"{_TUPLE_COLUMNS}" count="0" checksum="00000001"/>{_TAIL}'
+        )
+        assert read_fragment_feed(message, tuple_fragment).columns \
+            == [[] for _ in range(5)]
+
+    def test_rows_of_a_flat_fragment_are_written_as_tuples(
+            self, tuple_batch):
+        message, _ = encode_batch(tuple_batch)
+        rows = tuple_batch.to_row_batch()
+        assert encode_batch(rows)[0] == message
+        assert wrap_fragment_feed(
+            FragmentInstance(rows.fragment, rows.rows), 4
+        ) == message
+        received = unwrap_fragment_feed(message, rows.fragment)
+        assert [row.data for row in received.rows] \
+            == [row.data for row in rows.rows]
+        assert [row.parent for row in received.rows] == [None, 3, 0]
 
 
 class TestColumnEncoder:
     """``encode_batch`` writes a column batch straight from its cells:
-    the message and checksum are the tree writer's for the batch's row
-    view, and what the writer normalised is what the batch holds."""
+    the message and checksum are those of the batch's rows, and what
+    the writer normalised is what the batch holds."""
 
     @settings(max_examples=150, deadline=None)
     @given(column_batches())
-    def test_same_message_and_checksum_as_the_tree_writer(self, batch):
+    def test_same_message_and_checksum_as_the_row_writer(self, batch):
         shared = batch.columns
         before = [list(column) for column in shared]
-        rows = _rows_of(batch)
+        rows = ColumnBatch(
+            batch.fragment,
+            [batch.column(spec.name)[:] for spec in batch.layout.specs],
+            batch.seq,
+        ).to_row_batch()
         expected = encode_batch(rows)
         assert encode_batch(batch) == expected
-        # The tree writer left the written values on its row view; the
-        # column batch holds the same, and the lists it shared with
-        # its parent are untouched.
+        # The row writer left the written values on its rows; the
+        # column batch holds the same, and the lists it shared with its
+        # parent are untouched.
         crossed = ColumnBatch.from_rows(batch.fragment, rows.rows, None)
-        assert _typed(batch.column(spec.name)
-                      for spec in batch.layout.specs) \
-            == _typed(crossed.columns)
+        assert typed(batch.column(spec.name)
+                     for spec in batch.layout.specs) \
+            == typed(crossed.columns)
         assert [list(column) for column in shared] == before
         assert encode_batch(batch) == expected
 
@@ -504,7 +507,7 @@ class TestColumnEncoder:
         view = whole.slice(1, 3, seq=0)
         view.estimated_size()
         message, _ = encode_batch(view)
-        assert '<CustName _eid="4">b</CustName>' in message
+        assert ">3|\\N|4|b\n5|\\N|6|c</" in message
         assert view.column("custname") == ["b", "c"]
         assert view.known_stats(name_at) is None
         assert view.estimated_size() == ColumnBatch(
@@ -517,7 +520,7 @@ class TestColumnEncoder:
 
 class TestStreamingVerifier:
     """``read_fragment_feed`` against the tree decode, and its
-    Adler-32 over the received text."""
+    Adler-32 over the received rows."""
 
     @settings(max_examples=150, deadline=None)
     @given(column_batches())
@@ -528,7 +531,7 @@ class TestStreamingVerifier:
         expected = ColumnBatch.from_rows(
             fragment, unwrap_fragment_feed(message, fragment).rows, None,
         )
-        assert _typed(receipt.columns) == _typed(expected.columns)
+        assert typed(receipt.columns) == typed(expected.columns)
         seq = None if batch.seq is None else str(batch.seq)
         assert receipt == FeedReceipt(
             fragment.name, batch.row_count(), checksum, seq,
@@ -543,45 +546,41 @@ class TestStreamingVerifier:
     @given(column_batches(), st.integers(1, 255))
     def test_every_single_byte_change_in_a_row_is_a_fault(self, batch,
                                                           flip):
-        message = encode_batch(batch)[0].encode("utf-8")
-        rows_start = message.index(b">", message.index(b"<FragmentFeed"))
-        rows_end = message.rfind(b"</FragmentFeed>")
-        for position in range(rows_start + 1, max(rows_end, 0)):
-            changed = bytearray(message)
-            changed[position] ^= flip
-            try:
-                text = changed.decode("utf-8")
-            except UnicodeDecodeError:
-                continue  # the sink faults on the frame already
-            for fragment in (None, batch.fragment):
-                with pytest.raises(SoapFault):
-                    read_fragment_feed(text, fragment)
+        message, _ = encode_batch(batch)
+        if batch.row_count():
+            assert_every_change_faults(message, batch.fragment, [flip])
 
     @pytest.fixture
-    def order_message(self, golden_feed):
-        return wrap_fragment_feed(golden_feed, 4)
+    def order_message(self, tuple_batch):
+        return encode_batch(tuple_batch)[0]
 
-    def test_receipt_of_the_golden_feed(self, order_message):
+    def test_receipt_of_the_golden_feed(self, order_message,
+                                        tuple_fragment):
         assert read_fragment_feed(order_message) == FeedReceipt(
-            "Order", 3, _GOLDEN_CHECKSUM, "4",
+            "Order", 3, _TUPLE_CHECKSUM, "4",
         )
+        columns = read_fragment_feed(order_message, tuple_fragment).columns
+        assert columns == [
+            [7, 12, 14], [None, 3, 0], [8, None, 15], [9, None, 16],
+            ["café | ☃ \\ &<> \n\rz", None, ""],
+        ]
 
     def test_whitespace_and_comments_between_rows_are_no_row_text(
-            self, order_message):
+            self, order_message, tuple_fragment):
         spaced = order_message.replace(
-            '<Order _eid="12"', '\n  <!-- next -->\n<Order _eid="12"'
+            "\n12|", "\n<!-- next -->12|"
         ).replace("<soap:Body>", "<soap:Body>\n  ")
-        assert read_fragment_feed(spaced).checksum == _GOLDEN_CHECKSUM
+        assert read_fragment_feed(spaced).checksum == _TUPLE_CHECKSUM
+        assert read_fragment_feed(spaced, tuple_fragment).columns \
+            == read_fragment_feed(order_message, tuple_fragment).columns
 
     def test_the_received_text_is_what_is_digested(self, order_message):
-        """A tab for a space inside a tag parses to the same tree, so
-        serializing the tree again cannot see it; the text can."""
-        retabbed = order_message.replace(
-            '<Line _eid="13"/>', '<Line\t_eid="13"/>'
-        )
-        verify_fragment_feed(parse_envelope(retabbed))
+        """The rows are character data: a character written as a
+        reference is the same row, a space more is not."""
+        referenced = order_message.replace("\n12|3|", "\n12&#124;3|")
+        assert read_fragment_feed(referenced).checksum == _TUPLE_CHECKSUM
         with pytest.raises(SoapFault, match="checksum"):
-            read_fragment_feed(retabbed)
+            read_fragment_feed(order_message.replace("\n12|", "\n12 |"))
 
     @pytest.mark.parametrize("edit, match", [
         (('count="3"', 'count="2"'), "declares 2 rows but carries 3"),
@@ -621,8 +620,101 @@ class TestStreamingVerifier:
             read_fragment_feed(text)
 
 
+class TestUndeclaredTotals:
+    """A feed that does not declare its checksum or its row count
+    cannot be verified, so no receiver accepts it — corruption
+    included."""
+
+    @pytest.fixture
+    def item(self, auction_schema):
+        fragment = Fragment(auction_schema, ["item"])
+        return fragment, encode_batch(ColumnBatch(fragment, [
+            [3, 5], [2, 2], ["item3", "item4"], [None, "yes"],
+        ], None))[0]
+
+    @pytest.mark.parametrize("drop, match", [
+        ([CHECKSUM_ATTR], "carries no checksum"),
+        ([CHECKSUM_ATTR, "count"], "carries no checksum"),
+        (["count"], "declares no count"),
+    ])
+    def test_tuple_feed(self, item, drop, match):
+        fragment, message = item
+        payload = parse_envelope(message)
+        for attr in drop:
+            message = message.replace(f' {attr}="{payload.get(attr)}"', "")
+        corrupted = message.replace("item4", "itemX")
+        # With the checksum declared, the corruption is caught by it.
+        corruption = match if CHECKSUM_ATTR in drop else "checksum"
+        for text, expected in ((message, match), (corrupted, corruption)):
+            for receive in (
+                read_message,
+                lambda text: read_fragment_feed(text, fragment),
+                lambda text: unwrap_fragment_feed(text, fragment),
+                lambda text: verify_fragment_feed(parse_envelope(text)),
+            ):
+                with pytest.raises(SoapFault, match=expected):
+                    receive(text)
+
+    def test_tree_feed(self, golden_feed):
+        message = wrap_fragment_feed(golden_feed)
+        unchecked = message.replace(f' checksum="{_GOLDEN_CHECKSUM}"', "")
+        for receive in (
+            read_message,
+            lambda text: unwrap_fragment_feed(text, golden_feed.fragment),
+        ):
+            with pytest.raises(SoapFault, match="carries no checksum"):
+                receive(unchecked)
+
+
+class TestTupleDecodeRejects:
+    """Rows that verify but do not decode as the named fragment's are
+    a ``SoapFault`` naming what is wrong."""
+
+    def _message(self, rows: str, columns: str = _TUPLE_COLUMNS) -> str:
+        digest = zlib.adler32(rows.encode("utf-8"))
+        return (
+            f'{_HEAD}<FragmentFeed fragment="Order" columns="{columns}"'
+            f' count="{rows.count(chr(10)) + 1}"'
+            f' checksum="{digest:08x}">{rows}</FragmentFeed>{_TAIL}'
+        )
+
+    @pytest.mark.parametrize("rows, columns, match", [
+        ("7|1|8|9|x", "id parent servicename", "names columns"),
+        ("7|1|8|9", _TUPLE_COLUMNS, "not 5 cells"),
+        ("7|1|8|9|x|y", _TUPLE_COLUMNS, "not 5 cells"),
+        ("7|1|x8|9|x", _TUPLE_COLUMNS, "service_eid='x8'"),
+        ("\\N|1|8|9|x", _TUPLE_COLUMNS, "no id"),
+        ("7|1|8|9|a\\zz", _TUPLE_COLUMNS, "bad escape"),
+        ("7|1|8|9|\\Nx", _TUPLE_COLUMNS, "bad escape"),
+        ("7|1|8|9|\\0041", _TUPLE_COLUMNS, "bad escape"),
+    ])
+    def test_rows(self, tuple_fragment, rows, columns, match):
+        message = self._message(rows, columns)
+        assert read_message(message).count == 1  # it verifies
+        for decode in (read_fragment_feed, unwrap_fragment_feed):
+            with pytest.raises(SoapFault, match=match):
+                decode(message, tuple_fragment)
+
+    def test_elements_in_a_tuple_feed(self):
+        message = self._message("7|1|8|9|x").replace(
+            "x</", "x<Order/></"
+        )
+        with pytest.raises(SoapFault, match="carries elements"):
+            read_message(message)
+
+    def test_the_form_must_fit_the_fragment(self, tuple_fragment,
+                                            order_fragment, golden_feed):
+        tuples = self._message("7|1|8|9|x")
+        with pytest.raises(SoapFault, match="does not flatten"):
+            unwrap_fragment_feed(tuples, order_fragment)
+        tree = wrap_fragment_feed(golden_feed)
+        for decode in (read_fragment_feed, unwrap_fragment_feed):
+            with pytest.raises(SoapFault, match="names columns None"):
+                decode(tree, tuple_fragment)
+
+
 def feed_message(*rows: str, fragment: str = "Order") -> str:
-    """A feed message carrying ``rows`` with the right count and
+    """A tree feed message carrying ``rows`` with the right count and
     checksum, so that only the rows' shape can be wrong."""
     digest = zlib.adler32("".join(
         f'<?xml version="1.0"?>{row}' for row in rows
@@ -647,10 +739,11 @@ class TestHostileShapes:
     receiving path — never a ``RecursionError``."""
 
     def test_deep_nesting_streaming(self, customers_schema):
+        """The sink's path, with and without the fragment."""
         message = feed_message(DEEP_ROW)
-        with pytest.raises(SoapFault, match="nests inside itself"):
+        with pytest.raises(SoapFault, match="too deep"):
             read_fragment_feed(message)
-        with pytest.raises(SoapFault, match="does not have"):
+        with pytest.raises(SoapFault, match="too deep"):
             read_fragment_feed(
                 message, Fragment(customers_schema, ["Order"])
             )
@@ -672,19 +765,20 @@ class TestHostileShapes:
         ('<Order _eid="x1" ID="1" PARENT=""/>', "_eid='x1'"),
         ('<Order _eid="1" ID="1" PARENT="zz"/>', "PARENT='zz'"),
     ])
-    def test_decode_rejects(self, customers_schema, row, match):
+    def test_decode_rejects(self, order_fragment, row, match):
         with pytest.raises(SoapFault, match=match):
-            read_fragment_feed(
-                feed_message(row), Fragment(customers_schema, ["Order"])
-            )
+            unwrap_fragment_feed(feed_message(row), order_fragment)
 
     def test_repeated_element_in_a_flat_row(self, customers_schema):
+        """A flat row holds one cell per column, so no element can
+        repeat in it: a tagged feed that repeats one is no feed of the
+        fragment."""
         fragment = Fragment(customers_schema, ["Customer", "CustName"])
         row = (
             '<Customer _eid="1" ID="1" PARENT=""><CustName _eid="2">a'
             '</CustName><CustName _eid="3">b</CustName></Customer>'
         )
-        with pytest.raises(SoapFault, match="repeats"):
+        with pytest.raises(SoapFault, match="names columns None"):
             read_fragment_feed(
                 feed_message(row, fragment=fragment.name), fragment
             )
