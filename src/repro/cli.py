@@ -153,105 +153,6 @@ def _export_trace(tracer: Tracer, path: str, trace_format: str,
     print(f"trace: {count} spans -> {path} ({trace_format})", file=out)
 
 
-def _run_sharded_exchange(args: argparse.Namespace, out: TextIO,
-                          source_frag: Fragmentation,
-                          target_frag: Fragmentation,
-                          source: RelationalEndpoint,
-                          make_channel, retry_policy, fault_plan,
-                          tracer, metrics) -> int:
-    """The ``--shards K`` path: scatter over K broker sessions, gather
-    one merged target, and verify byte-identity against a direct
-    unsharded run.  Returns a non-zero exit code on divergence."""
-    from repro.services.shard import (
-        ScatterGatherCoordinator,
-        ShardingSpec,
-    )
-
-    model = CostModel(StatisticsCatalog.synthetic(source_frag.schema))
-    agency = DiscoveryAgency(source_frag.schema)
-    agency.register("source", source_frag, source)
-    agency.register("target", target_frag)
-    coordinator = ScatterGatherCoordinator(
-        agency, ShardingSpec(args.shards, args.shard_by),
-        probe=model,
-        plan_cache=PlanCache(metrics=metrics),
-        channel_factory=make_channel,
-        parallel_workers=args.workers,
-        batch_rows=args.batch_rows,
-        retry_policy=retry_policy,
-        fault_plans=(
-            {index: fault_plan for index in range(args.shards)}
-            if fault_plan is not None else None
-        ),
-        metrics=metrics,
-        tracer=tracer,
-    )
-    outcome = coordinator.run(
-        "source", "target",
-        lambda index: RelationalEndpoint(
-            f"shard-target-{index}" if index >= 0
-            else "gathered-target",
-            target_frag,
-        ),
-        scenario=f"{args.source}->{args.target}",
-    )
-
-    # The unsharded reference (simulated channel: identity is about
-    # bytes written, not about which wire carried them).
-    program = build_transfer_program(
-        derive_mapping(source_frag, target_frag)
-    )
-    reference_target = RelationalEndpoint(
-        "reference-target", target_frag
-    )
-    run_optimized_exchange(
-        program, source_heavy_placement(program), source,
-        reference_target, SimulatedChannel(),
-        f"{args.source}->{args.target}",
-        parallel_workers=args.workers,
-        batch_rows=args.batch_rows,
-    )
-    identical = publish_document(
-        outcome.merged_target.db, outcome.merged_target.mapper
-    ).document == publish_document(
-        reference_target.db, reference_target.mapper
-    ).document
-
-    print(format_table(
-        ["shard", "cached", "rows", "bytes", "seconds"],
-        [
-            [index,
-             "-" if session is None
-             else ("yes" if session.cached else "no"),
-             "-" if session is None
-             else session.outcome.rows_written,
-             outcome.per_shard_comm_bytes[index],
-             "-" if session is None else session.total_seconds]
-            for index, session in enumerate(outcome.sessions)
-        ],
-        title=f"{args.shards} shard session(s) by {args.shard_by}, "
-              f"grains {', '.join(outcome.grains)}",
-    ), file=out)
-    print(
-        f"gathered {outcome.merged_rows} rows "
-        f"({outcome.duplicate_rows} spine duplicates merged away), "
-        f"{outcome.comm_bytes} bytes shipped, "
-        f"scatter {outcome.exchange_seconds:.3f}s + "
-        f"gather {outcome.gather_seconds:.3f}s",
-        file=out,
-    )
-    print(
-        "byte-identity vs unsharded run: "
-        + ("OK" if identical else "MISMATCH"),
-        file=out,
-    )
-    if args.trace:
-        _export_trace(tracer, args.trace, args.trace_format, out)
-    if args.metrics:
-        print(metrics.render(), file=out)
-    return 0 if identical else 1
-
-
 def _run_delta_exchange(args: argparse.Namespace, out: TextIO,
                         source_frag: Fragmentation,
                         target_frag: Fragmentation,
@@ -351,9 +252,9 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
     """Run DE vs publish&map on XMark data; ``--workers N`` executes
     the DE program phase with N executor workers; ``--sessions
     N`` brokers N concurrent DE sessions (``--plan-cache`` memoizes
-    their negotiations so only the first pays the optimizer).  The
-    two targets must publish byte-identical documents: a mismatch is
-    printed and exits 1."""
+    their negotiations so only the first pays the optimizer).  Every
+    DE target must publish publish&map's document byte for byte: a
+    mismatch is printed and exits 1."""
     if args.source.upper() not in _XMARK_KEYS \
             or args.target.upper() not in _XMARK_KEYS:
         raise SystemExit(
@@ -371,23 +272,34 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
         raise SystemExit(
             f"--batch-rows must be >= 1, got {args.batch_rows}"
         )
-    if args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    if args.shards > 1 and (args.sessions > 1 or args.drift):
+    # A mode's own flag is rejected without its mode (it would do
+    # nothing); left unset, it takes its default.
+    for flag, default, mode, on in (
+        ("--since", None, "--delta", args.delta),
+        ("--change-rate", 0.1, "--delta", args.delta),
+        ("--replan-threshold", 0.5, "--adaptive", args.adaptive),
+        ("--trace-format", "jsonl", "--trace", args.trace),
+    ):
+        attr = flag[2:].replace("-", "_")
+        if getattr(args, attr) is None:
+            setattr(args, attr, default)
+        elif not on:
+            raise SystemExit(
+                f"{flag} needs {mode}; without it the flag does nothing"
+            )
+    if args.drift and (args.sessions > 1 or args.plan_cache):
+        # The brokered sessions run their own programs into one
+        # tracer; --drift prices a single exchange's spans.
         raise SystemExit(
-            "--shards runs its own broker fleet; it does not combine "
-            "with --sessions or --drift"
-        )
-    if args.shards > 1 and (args.adaptive or args.stats_store):
-        raise SystemExit(
-            "--adaptive/--stats-store do not combine with --shards"
+            "--drift prices one direct exchange; it does not combine "
+            "with --sessions or --plan-cache"
         )
     if args.delta:
-        if args.shards > 1 or args.sessions > 1 or args.adaptive \
+        if args.sessions > 1 or args.adaptive \
                 or args.drift or args.plan_cache or args.stats_store:
             raise SystemExit(
                 "--delta runs its own full+delta pair; it does not "
-                "combine with --shards, --sessions, --plan-cache, "
+                "combine with --sessions, --plan-cache, "
                 "--adaptive, --stats-store or --drift"
             )
         if not 0.0 < args.change_rate <= 1.0:
@@ -457,12 +369,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 stats_store=stats_store,
                 pair="source->target",
             )
-        if args.shards > 1:
-            return _run_sharded_exchange(
-                args, out, source_frag, target_frag, source,
-                make_channel, retry_policy, fault_plan, tracer,
-                metrics,
-            )
         if args.delta:
             return _run_delta_exchange(
                 args, out, source_frag, target_frag, source,
@@ -512,7 +418,7 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                     ))
                 ] * args.sessions)
             de = sessions[0].outcome
-            de_target = sessions[0].target
+            de_targets = [session.target for session in sessions]
             print(format_table(
                 ["session", "cached", "negotiate", "exchange", "TOTAL"],
                 [
@@ -543,6 +449,7 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
             )
             placement = source_heavy_placement(program)
             de_target = RelationalEndpoint("de-target", target_frag)
+            de_targets = [de_target]
             de = run_optimized_exchange(
                 program, placement, source, de_target, make_channel(),
                 f"{args.source}->{args.target}",
@@ -580,11 +487,15 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
         ), file=out)
         saving = 100 * (1 - de.total_seconds / pm.total_seconds)
         print(f"optimized exchange saving: {saving:.1f}%", file=out)
-        identical = publish_document(
-            de_target.db, de_target.mapper
-        ).document == publish_document(
+        reference = publish_document(
             pm_target.db, pm_target.mapper
         ).document
+        # Every brokered session wrote its own target: check them all.
+        identical = all(
+            publish_document(target.db, target.mapper).document
+            == reference
+            for target in de_targets
+        )
         print(
             "byte-identity vs publish&map: "
             + ("OK" if identical else "MISMATCH"),
@@ -845,10 +756,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(tracing is off — zero overhead — without this flag)",
     )
     exchange.add_argument(
-        "--trace-format", default="jsonl",
+        "--trace-format", default=None,
         choices=("jsonl", "chrome"),
-        help="trace file format: one JSON span per line, or Chrome "
-             "trace-event JSON (load in chrome://tracing / Perfetto)",
+        help="trace file format (needs --trace): one JSON span per "
+             "line (default), or Chrome trace-event JSON (load in "
+             "chrome://tracing / Perfetto)",
     )
     exchange.add_argument(
         "--metrics", action="store_true",
@@ -868,19 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
              "feed sink (every byte crosses the kernel)",
     )
     exchange.add_argument(
-        "--shards", type=int, default=1,
-        help="scatter the exchange over this many concurrent shard "
-             "sessions and gather one merged target (verified "
-             "byte-identical against the unsharded run; default 1 = "
-             "no sharding)",
-    )
-    exchange.add_argument(
-        "--shard-by", default="key-range",
-        choices=("key-range", "prefix-label"),
-        help="row-to-shard strategy: contiguous element-id ranges or "
-             "Dewey prefix labels dealt round-robin",
-    )
-    exchange.add_argument(
         "--adaptive", action="store_true",
         help="run the DE program phase adaptively: checkpoint "
              "observed-vs-predicted costs mid-exchange and re-place "
@@ -895,10 +794,10 @@ def build_parser() -> argparse.ArgumentParser:
              "with this run's observations folded in",
     )
     exchange.add_argument(
-        "--replan-threshold", type=float, default=0.5,
-        help="adaptive divergence (ratio spread) that triggers a "
-             "suffix replan; <= 0 replans at every checkpoint, 'inf' "
-             "never (default 0.5)",
+        "--replan-threshold", type=float, default=None,
+        help="(needs --adaptive) divergence (ratio spread) that "
+             "triggers a suffix replan; <= 0 replans at every "
+             "checkpoint, 'inf' never (default 0.5)",
     )
     exchange.add_argument(
         "--delta", action="store_true",
@@ -909,16 +808,16 @@ def build_parser() -> argparse.ArgumentParser:
              "full re-exchange)",
     )
     exchange.add_argument(
-        "--change-rate", type=float, default=0.1,
-        help="fraction of each fragment's rows mutated between the "
-             "full and delta runs (plus a fifth as many deletes on "
-             "cascade-free fragments; default 0.1)",
+        "--change-rate", type=float, default=None,
+        help="(needs --delta) fraction of each fragment's rows "
+             "mutated between the full and delta runs (plus a fifth "
+             "as many deletes on cascade-free fragments; default 0.1)",
     )
     exchange.add_argument(
         "--since", type=int, default=None,
-        help="explicit source version the delta run syncs from "
-             "(default: the journal's last completed-sync high-water "
-             "mark)",
+        help="(needs --delta) explicit source version the delta run "
+             "syncs from (default: the journal's last completed-sync "
+             "high-water mark)",
     )
     exchange.set_defaults(handler=cmd_exchange)
 

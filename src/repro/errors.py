@@ -123,26 +123,3 @@ class BrokerSaturatedError(BrokerError):
     """Raised by the broker's admission control when a session is
     submitted beyond the pending budget (and the caller chose not to
     wait for capacity)."""
-
-
-class ShardingError(ReproError):
-    """Raised when fragment instances cannot be partitioned into
-    shards (no shardable grain, a target fragmentation that would
-    re-assemble sharded subtrees, dangling PARENT references) or when
-    gathered shard outputs conflict on a key."""
-
-
-class ShardFaultError(ShardingError):
-    """Raised by the scatter/gather coordinator when one or more shard
-    sessions failed.
-
-    Carries ``faults`` — shard index to the error description — and the
-    partial ``outcome`` (sibling shards are unaffected; their sessions
-    completed and their targets are intact).
-    """
-
-    def __init__(self, message: str, faults: dict[int, str],
-                 outcome: object | None = None) -> None:
-        super().__init__(message)
-        self.faults = faults
-        self.outcome = outcome

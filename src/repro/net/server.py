@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import (
     NegotiationError,
-    ShardingError,
     SoapFault,
     TransportError,
     WsdlError,
@@ -48,7 +47,6 @@ from repro.errors import (
 )
 from repro.core.fragment import Fragment
 from repro.core.instance import FragmentInstance
-from repro.core.partition import STRATEGIES, resolve_grains
 from repro.core.program.dag import Placement, TransferProgram
 from repro.core.program.serialize import (
     program_from_json,
@@ -419,47 +417,6 @@ class ExchangeHttpServer:
                     "this agency endpoint has no cost probe "
                     "configured; negotiation is unavailable"
                 )
-            # Shard routing: a requester planning a scatter/gather
-            # exchange announces its shard count up front; the agency
-            # validates that the registered fragmentation pair can
-            # shard and advertises the grain elements back, so every
-            # shard session negotiates the same cut.
-            shards_attr = payload.get("shards")
-            shard_by = payload.get("shard-by", "key-range")
-            grains: tuple[str, ...] = ()
-            if shards_attr is not None:
-                try:
-                    shards = int(shards_attr)
-                except ValueError:
-                    raise SoapFault(
-                        f"Negotiate shards must be an integer, got "
-                        f"{shards_attr!r}"
-                    ) from None
-                if shards < 1:
-                    raise SoapFault(
-                        f"Negotiate shards must be >= 1, got {shards}"
-                    )
-                if shard_by not in STRATEGIES:
-                    raise SoapFault(
-                        f"unknown shard-by strategy {shard_by!r}; "
-                        f"expected one of {STRATEGIES}"
-                    )
-                try:
-                    grain_plan = resolve_grains(
-                        self.agency.registration(
-                            source
-                        ).fragmentation,
-                        self.agency.registration(
-                            target
-                        ).fragmentation,
-                    )
-                except ShardingError as exc:
-                    raise SoapFault(
-                        f"the {source!r} -> {target!r} pair cannot "
-                        f"shard: {exc}"
-                    ) from exc
-                grains = grain_plan.grains
-                self._count("server.http.shard_negotiations")
             plan = self.agency.negotiate(
                 source, target,
                 optimizer=payload.get("optimizer", "greedy"),
@@ -467,18 +424,13 @@ class ExchangeHttpServer:
                 stats_store=self.stats_store,
             )
             self._count("server.http.negotiations")
-            attributes = {
-                "source": source,
-                "target": target,
-                "optimizer": plan.optimizer,
-                "estimated-cost": f"{plan.estimated_cost:.9g}",
-            }
-            if shards_attr is not None:
-                attributes["shards"] = str(shards)
-                attributes["shard-by"] = shard_by
-                attributes["grains"] = " ".join(grains)
             return soap_envelope(Element(
-                "NegotiateResult", attributes,
+                "NegotiateResult", {
+                    "source": source,
+                    "target": target,
+                    "optimizer": plan.optimizer,
+                    "estimated-cost": f"{plan.estimated_cost:.9g}",
+                },
                 text=program_to_json(plan.program, plan.placement),
             ))
         if action == "StatsSummary":
@@ -575,24 +527,14 @@ class SoapHttpClient:
 
     def negotiate(self, source: str, target: str,
                   schema: "SchemaTree", *,
-                  optimizer: str = "greedy",
-                  shards: int | None = None,
-                  shard_by: str = "key-range"
+                  optimizer: str = "greedy"
                   ) -> tuple[TransferProgram, Placement, Element]:
         """Negotiate a plan; returns the deserialized program and
-        placement plus the raw ``NegotiateResult`` element.
-
-        ``shards`` announces a scatter/gather exchange: the server
-        validates the pair can shard and the result element carries
-        ``shards`` / ``shard-by`` / ``grains`` attributes (the grain
-        elements, space-separated) for the coordinator to cut by."""
+        placement plus the raw ``NegotiateResult`` element."""
         attributes = {
             "source": source, "target": target,
             "optimizer": optimizer,
         }
-        if shards is not None:
-            attributes["shards"] = str(shards)
-            attributes["shard-by"] = shard_by
         result = self.call("/soap/agency", soap_envelope(
             Element("Negotiate", attributes)
         ))

@@ -458,8 +458,6 @@ class ExchangeBroker:
                target_factory: Callable[[], SystemEndpoint], *,
                scenario: str | None = None,
                wait: bool = False,
-               fault_plan: "FaultPlan | None" = None,
-               retry_policy: "RetryPolicy | None" = None,
                delta: bool | None = None,
                journal: "ExchangeJournal | None" = None,
                since: int | None = None
@@ -472,16 +470,14 @@ class ExchangeBroker:
         multi-user serving model).  Returns a future resolving to the
         session's :class:`ExchangeSession`.
 
-        ``fault_plan`` / ``retry_policy`` / ``delta`` override the
-        broker-wide defaults for this session only — the
-        scatter/gather coordinator uses this to degrade a single
-        shard's channel while its siblings run clean.  A delta session
-        reuses the cached plan of its full predecessor (delta is not
-        part of the plan fingerprint) and runs it through the delta
-        views; pass the exchange's ``journal`` so the session resolves
-        ``since`` from (and records its sync into) the right
-        high-water record, and note the ``target_factory`` must then
-        return the *same* target the previous sync wrote.
+        ``delta`` overrides the broker-wide default for this session
+        only.  A delta session reuses the cached plan of its full
+        predecessor (delta is not part of the plan fingerprint) and
+        runs it through the delta views; pass the exchange's
+        ``journal`` so the session resolves ``since`` from (and
+        records its sync into) the right high-water record, and note
+        the ``target_factory`` must then return the *same* target the
+        previous sync wrote.
 
         Raises:
             BrokerError: if the broker is closed or the source system
@@ -506,10 +502,6 @@ class ExchangeBroker:
                 self._run_session, session_id, source_name,
                 target_name, target_factory,
                 scenario or f"{source_name}->{target_name}",
-                fault_plan if fault_plan is not None
-                else self.fault_plan,
-                retry_policy if retry_policy is not None
-                else self.retry_policy,
                 self.delta if delta is None else delta,
                 journal,
                 since,
@@ -535,8 +527,6 @@ class ExchangeBroker:
                      target_name: str,
                      target_factory: Callable[[], SystemEndpoint],
                      scenario: str,
-                     fault_plan: "FaultPlan | None" = None,
-                     retry_policy: "RetryPolicy | None" = None,
                      delta: bool = False,
                      journal: "ExchangeJournal | None" = None,
                      since: int | None = None
@@ -570,8 +560,8 @@ class ExchangeBroker:
                     scenario=scenario,
                     parallel_workers=self.parallel_workers,
                     batch_rows=self.batch_rows,
-                    retry_policy=retry_policy,
-                    fault_plan=fault_plan,
+                    retry_policy=self.retry_policy,
+                    fault_plan=self.fault_plan,
                     journal=journal,
                     adaptive=self.adaptive,
                     tracer=self.tracer,

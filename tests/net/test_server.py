@@ -244,6 +244,18 @@ class TestHttpControlPlane:
             assert float(reply.get("estimated-cost")) > 0
         assert metrics.counter("server.http.negotiations").value == 1
 
+    def test_negotiate_result_carries_only_the_plan(
+            self, customer_agency, probe, wsdl_texts,
+            customers_schema):
+        with ExchangeHttpServer(customer_agency, probe=probe) as http:
+            client = SoapHttpClient(http.host, http.port)
+            client.register("s", wsdl_texts["s"])
+            client.register("t", wsdl_texts["t"])
+            _, _, reply = client.negotiate("s", "t", customers_schema)
+        assert set(reply.attrs) == {
+            "source", "target", "optimizer", "estimated-cost",
+        }
+
     def test_negotiate_unknown_system_is_fault(
             self, customer_agency, probe, customers_schema):
         with ExchangeHttpServer(customer_agency, probe=probe) as http:
@@ -379,153 +391,3 @@ class TestExchangeServer:
         server = ExchangeServer(customer_agency).start()
         server.stop()
         server.stop()
-
-
-@pytest.fixture
-def auction_agency(auction_schema):
-    return DiscoveryAgency(auction_schema)
-
-
-@pytest.fixture
-def auction_probe(auction_schema):
-    return CostModel(StatisticsCatalog.synthetic(auction_schema))
-
-
-@pytest.fixture
-def auction_wsdls(auction_schema, auction_mf, auction_lf):
-    from repro.core.fragmentation import Fragmentation
-
-    scratch = DiscoveryAgency(auction_schema)
-    return {
-        "mf": scratch.register("mf", auction_mf).wsdl_text,
-        "lf": scratch.register("lf", auction_lf).wsdl_text,
-        "doc": scratch.register(
-            "doc", Fragmentation.whole_document(auction_schema)
-        ).wsdl_text,
-    }
-
-
-class TestShardNegotiation:
-    """Control-plane shard routing: ``Negotiate`` with ``shards`` /
-    ``shard-by`` attributes validates the cut server-side and
-    advertises the grain elements back to every shard session."""
-
-    def test_shard_negotiation_advertises_grains(
-            self, auction_agency, auction_probe, auction_wsdls,
-            auction_schema):
-        metrics = MetricsRegistry()
-        with ExchangeHttpServer(auction_agency, probe=auction_probe,
-                                metrics=metrics) as http:
-            client = SoapHttpClient(http.host, http.port)
-            client.register("mf", auction_wsdls["mf"])
-            client.register("lf", auction_wsdls["lf"])
-            program, placement, reply = client.negotiate(
-                "mf", "lf", auction_schema, shards=4,
-            )
-            program.validate_placement(placement)
-        assert reply.get("shards") == "4"
-        assert reply.get("shard-by") == "key-range"
-        assert reply.get("grains") == "category item"
-        assert metrics.counter(
-            "server.http.shard_negotiations"
-        ).value == 1
-        assert metrics.counter("server.http.negotiations").value == 1
-
-    def test_prefix_label_strategy_echoed(
-            self, auction_agency, auction_probe, auction_wsdls,
-            auction_schema):
-        with ExchangeHttpServer(
-                auction_agency, probe=auction_probe) as http:
-            client = SoapHttpClient(http.host, http.port)
-            client.register("mf", auction_wsdls["mf"])
-            client.register("lf", auction_wsdls["lf"])
-            _, _, reply = client.negotiate(
-                "mf", "lf", auction_schema,
-                shards=2, shard_by="prefix-label",
-            )
-        assert reply.get("shard-by") == "prefix-label"
-        assert reply.get("grains") == "category item"
-
-    def test_plain_negotiate_has_no_shard_attributes(
-            self, auction_agency, auction_probe, auction_wsdls,
-            auction_schema):
-        metrics = MetricsRegistry()
-        with ExchangeHttpServer(auction_agency, probe=auction_probe,
-                                metrics=metrics) as http:
-            client = SoapHttpClient(http.host, http.port)
-            client.register("mf", auction_wsdls["mf"])
-            client.register("lf", auction_wsdls["lf"])
-            _, _, reply = client.negotiate(
-                "mf", "lf", auction_schema
-            )
-        assert reply.get("shards") is None
-        assert reply.get("grains") is None
-        assert metrics.counter(
-            "server.http.shard_negotiations"
-        ).value == 0
-
-    def test_non_integer_shards_is_fault(
-            self, auction_agency, auction_probe, auction_wsdls):
-        with ExchangeHttpServer(
-                auction_agency, probe=auction_probe) as http:
-            client = SoapHttpClient(http.host, http.port)
-            client.register("mf", auction_wsdls["mf"])
-            client.register("lf", auction_wsdls["lf"])
-            with pytest.raises(SoapFault, match="integer"):
-                client.call("/soap/agency", soap_envelope(Element(
-                    "Negotiate",
-                    {"source": "mf", "target": "lf",
-                     "shards": "many"},
-                )))
-
-    def test_zero_shards_is_fault(
-            self, auction_agency, auction_probe, auction_wsdls,
-            auction_schema):
-        with ExchangeHttpServer(
-                auction_agency, probe=auction_probe) as http:
-            client = SoapHttpClient(http.host, http.port)
-            client.register("mf", auction_wsdls["mf"])
-            client.register("lf", auction_wsdls["lf"])
-            with pytest.raises(SoapFault, match=">= 1"):
-                client.negotiate(
-                    "mf", "lf", auction_schema, shards=0,
-                )
-
-    def test_unknown_strategy_is_fault(
-            self, auction_agency, auction_probe, auction_wsdls,
-            auction_schema):
-        with ExchangeHttpServer(
-                auction_agency, probe=auction_probe) as http:
-            client = SoapHttpClient(http.host, http.port)
-            client.register("mf", auction_wsdls["mf"])
-            client.register("lf", auction_wsdls["lf"])
-            with pytest.raises(SoapFault, match="unknown shard-by"):
-                client.negotiate(
-                    "mf", "lf", auction_schema,
-                    shards=2, shard_by="hash",
-                )
-
-    def test_unshardable_pair_is_fault(
-            self, auction_agency, auction_probe, auction_wsdls,
-            auction_schema):
-        with ExchangeHttpServer(
-                auction_agency, probe=auction_probe) as http:
-            client = SoapHttpClient(http.host, http.port)
-            client.register("mf", auction_wsdls["mf"])
-            client.register("doc", auction_wsdls["doc"])
-            with pytest.raises(SoapFault, match="cannot shard"):
-                client.negotiate(
-                    "mf", "doc", auction_schema, shards=2,
-                )
-
-    def test_shard_negotiate_unknown_system_is_fault(
-            self, auction_agency, auction_probe, auction_wsdls,
-            auction_schema):
-        with ExchangeHttpServer(
-                auction_agency, probe=auction_probe) as http:
-            client = SoapHttpClient(http.host, http.port)
-            client.register("mf", auction_wsdls["mf"])
-            with pytest.raises(SoapFault, match="ghost"):
-                client.negotiate(
-                    "mf", "ghost", auction_schema, shards=2,
-                )

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import BrokerError, BrokerSaturatedError
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel
+from repro.net.faults import FaultPlan, RetryPolicy
 from repro.net.transport import SimulatedChannel
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.publisher import publish_document
@@ -47,21 +48,26 @@ def _target_factory(fragmentation, collected):
     return make
 
 
+@pytest.fixture
+def reference(loaded_agency, auction_lf, model):
+    """The published target of a serial run, no broker involved."""
+    plan = loaded_agency.negotiate("src", "tgt", probe=model)
+    source = loaded_agency.registration("src").endpoint
+    target = RelationalEndpoint("ref", auction_lf)
+    run_optimized_exchange(
+        plan.annotate(), plan.placement, source, target,
+        SimulatedChannel(),
+    )
+    return _published(target)
+
+
+def _published(target):
+    return publish_document(target.db, target.mapper).document
+
+
 class TestBrokerSessions:
     def test_concurrent_sessions_match_serial(
-            self, loaded_agency, auction_lf, model):
-        # Serial reference run, no broker involved.
-        plan = loaded_agency.negotiate("src", "tgt", probe=model)
-        source = loaded_agency.registration("src").endpoint
-        reference_target = RelationalEndpoint("ref", auction_lf)
-        run_optimized_exchange(
-            plan.annotate(), plan.placement, source,
-            reference_target, SimulatedChannel(),
-        )
-        reference = publish_document(
-            reference_target.db, reference_target.mapper
-        ).document
-
+            self, loaded_agency, auction_lf, model, reference):
         targets = []
         with ExchangeBroker(loaded_agency, plan_cache=PlanCache(),
                             max_workers=4, probe=model) as broker:
@@ -72,10 +78,45 @@ class TestBrokerSessions:
         assert [s.session_id for s in sessions] == list(range(6))
         assert len(targets) == 6
         for target in targets:
-            document = publish_document(
-                target.db, target.mapper
-            ).document
-            assert document == reference
+            assert _published(target) == reference
+
+    def test_lossy_sessions_heal_to_serial(
+            self, loaded_agency, auction_lf, model, reference):
+        # Every session wraps its own channel in the broker-wide plan,
+        # so each one loses and re-sends on the same schedule.
+        plan = FaultPlan.scripted({1: "drop", 3: "corrupt"})
+        with ExchangeBroker(
+                loaded_agency, plan_cache=PlanCache(), max_workers=3,
+                probe=model, fault_plan=plan,
+                retry_policy=RetryPolicy(sleep=lambda _: None),
+        ) as broker:
+            sessions = broker.run(
+                [("src", "tgt", _target_factory(auction_lf, []))] * 3
+            )
+        for session in sessions:
+            assert session.outcome.retries > 0
+            assert _published(session.target) == reference
+
+    def test_failed_session_spares_its_siblings(
+            self, loaded_agency, auction_lf, model, reference):
+        def broken_factory():
+            raise RuntimeError("target store unavailable")
+
+        targets = []
+        healthy = _target_factory(auction_lf, targets)
+        with ExchangeBroker(loaded_agency, plan_cache=PlanCache(),
+                            max_workers=3, probe=model) as broker:
+            futures = [
+                broker.submit("src", "tgt", factory, wait=True)
+                for factory in (healthy, broken_factory, healthy)
+            ]
+            with pytest.raises(RuntimeError, match="unavailable"):
+                futures[1].result()
+            sessions = [futures[0].result(), futures[2].result()]
+        assert broker.completed == 3
+        assert len(targets) == 2
+        for session in sessions:
+            assert _published(session.target) == reference
 
     def test_warm_sessions_skip_optimizer(self, loaded_agency,
                                           auction_lf, model):

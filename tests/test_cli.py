@@ -146,14 +146,6 @@ class TestAdaptiveExchange:
                 io.StringIO(),
             )
 
-    def test_adaptive_rejects_sharding(self):
-        with pytest.raises(SystemExit):
-            main(
-                ["exchange", "MF", "LF", "--shards", "2",
-                 "--adaptive"],
-                io.StringIO(),
-            )
-
 
 class TestSimulateCommand:
     def test_table5_config(self):
@@ -284,41 +276,12 @@ class TestServiceTier:
         )
         assert "brokered session(s)" in output
 
-    def test_sharded_exchange(self):
-        output = run_cli(
-            "exchange", "MF", "LF", "--shards", "4",
-            "--size", "1.0", "--scale", "0.02",
-        )
-        assert "4 shard session(s) by key-range" in output
-        assert "grains category, item" in output
-        assert "byte-identity vs unsharded run: OK" in output
-
-    def test_sharded_exchange_over_tcp_prefix_label(self):
-        output = run_cli(
-            "exchange", "MF", "LF", "--transport", "tcp",
-            "--shards", "2", "--shard-by", "prefix-label",
-            "--size", "1.0", "--scale", "0.02",
-        )
-        assert "2 shard session(s) by prefix-label" in output
-        assert "byte-identity vs unsharded run: OK" in output
-
-    def test_sharded_rejects_bad_combinations(self):
-        with pytest.raises(SystemExit):
-            main(["exchange", "MF", "LF", "--shards", "0"],
-                 io.StringIO())
-        with pytest.raises(SystemExit):
-            main(["exchange", "MF", "LF", "--shards", "2",
-                  "--sessions", "2"], io.StringIO())
-        with pytest.raises(SystemExit):
-            main(["exchange", "MF", "LF", "--shards", "2",
-                  "--drift"], io.StringIO())
-
     def test_delta_exchange(self):
         output = run_cli(
             "exchange", "LF", "MF", "--delta",
             "--size", "1.0", "--scale", "0.02",
         )
-        assert "delta re-exchange LF->MF" in output
+        assert "delta re-exchange LF->MF, change rate 0.1" in output
         assert "delta/full communication:" in output
         assert "byte-identity vs full re-exchange: OK" in output
 
@@ -344,6 +307,33 @@ class TestServiceTier:
         with pytest.raises(SystemExit):
             main(["exchange", "MF", "LF", "--delta",
                   "--since", "-1"], io.StringIO())
+
+    @pytest.mark.parametrize("flag, value, mode", [
+        ("--since", "5", "--delta"),
+        ("--change-rate", "0.5", "--delta"),
+        ("--replan-threshold", "3", "--adaptive"),
+        ("--trace-format", "chrome", "--trace"),
+    ])
+    def test_mode_flag_without_its_mode_rejected(self, flag, value,
+                                                 mode):
+        with pytest.raises(SystemExit,
+                           match=f"^{flag} needs {mode}"):
+            main(["exchange", "MF", "LF", "--size", "1.0",
+                  "--scale", "0.02", flag, value], io.StringIO())
+
+    @pytest.mark.parametrize("brokered", [
+        ["--sessions", "2"],
+        ["--plan-cache"],
+    ])
+    def test_drift_rejects_brokered_sessions(self, brokered):
+        # Brokered sessions trace their own programs into one tracer,
+        # so the drift report has no single program to price.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["exchange", "MF", "LF", "--size", "1.0",
+                  "--scale", "0.02", "--drift", *brokered],
+                 io.StringIO())
+        message = str(exit_info.value)
+        assert "--drift" in message and brokered[0] in message
 
     def test_delta_since_ahead_of_the_version_log(self):
         # The run has two mutation batches behind it at most; version
