@@ -117,7 +117,6 @@ def _resolve_pair(source_key: str, target_key: str
 
 def cmd_program(args: argparse.Namespace, out: TextIO) -> int:
     source, target = _resolve_pair(args.source, args.target)
-    mapping = derive_mapping(source, target)
     model = CostModel(StatisticsCatalog.synthetic(source.schema))
     agency = DiscoveryAgency(source.schema)
     agency.register("source", source)
@@ -130,7 +129,6 @@ def cmd_program(args: argparse.Namespace, out: TextIO) -> int:
           f"(estimated cost {plan.estimated_cost:,.0f}, "
           f"optimizer={plan.optimizer})", file=out)
     print(to_dot(program) if args.dot else to_text(program), file=out)
-    del mapping
     return 0
 
 

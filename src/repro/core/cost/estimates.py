@@ -17,6 +17,8 @@ latter is what the simulator of Section 5.4 uses.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.fragment import Fragment
 from repro.core.instance import ElementData
 from repro.schema.model import SchemaTree
@@ -35,7 +37,13 @@ class StatisticsCatalog:
     what a published document costs on the wire) and the *value* width
     (text + attribute values only, what a tabular sorted feed carries —
     the paper ships DE fragments as feeds, see Section 4.1's remark on
-    sorted feeds and Table 3)."""
+    sorted feeds and Table 3).
+
+    The sums the cost model prices (:meth:`fragment_elements`,
+    :meth:`fragment_feed_size`) are memoized by element set (see
+    :meth:`_memoized`): the plan search prices the same fragments
+    thousands of times.  Nothing writes the count or width tables after
+    construction, so a memoized sum cannot go stale."""
 
     def __init__(self, schema: SchemaTree, counts: dict[str, float],
                  widths: dict[str, float],
@@ -51,6 +59,8 @@ class StatisticsCatalog:
                 for name in widths
             }
         self._value_widths = value_widths
+        self._element_sums: dict[tuple[str, ...], float] = {}
+        self._feed_sums: dict[tuple[str, ...], float] = {}
 
     # -- constructors -----------------------------------------------------------
 
@@ -135,7 +145,8 @@ class StatisticsCatalog:
 
     def fragment_elements(self, fragment: Fragment) -> float:
         """Estimated total element occurrences in the instance."""
-        return sum(self._counts[name] for name in fragment.elements)
+        return self._memoized(self._element_sums, fragment.elements,
+                              self._counts.__getitem__)
 
     def fragment_size(self, fragment: Fragment) -> float:
         """Estimated serialized (tagged XML) bytes of the instance,
@@ -150,9 +161,26 @@ class StatisticsCatalog:
         """Estimated bytes of the instance as a tabular *sorted feed*
         (keys + values, no tags) — the paper's DE wire format and the
         ``size()`` that ``comm_cost`` prices (Section 4.1, Table 3)."""
-        body = sum(
-            self._counts[name]
-            * (KEY_BYTES + SEPARATOR_BYTES + self._value_widths[name])
-            for name in fragment.elements
+        body = self._memoized(
+            self._feed_sums, fragment.elements,
+            lambda name: self._counts[name] * (
+                KEY_BYTES + SEPARATOR_BYTES + self._value_widths[name]
+            ),
         )
         return body + KEY_BYTES * self.fragment_rows(fragment)
+
+    @staticmethod
+    def _memoized(memo: dict[tuple[str, ...], float],
+                  elements: frozenset[str],
+                  term: Callable[[str], float]) -> float:
+        """``Σ term(e)`` over ``elements``, summed once per key.
+
+        The key is the elements in the set's iteration order, the order
+        the sum is taken in: an equal set built another way may iterate
+        differently, and float addition is not associative, so the key
+        makes the memoized sum the direct sum bit for bit."""
+        key = tuple(elements)
+        total = memo.get(key)
+        if total is None:
+            total = memo[key] = sum(map(term, key))
+        return total

@@ -30,7 +30,7 @@ class Fragment:
     identity, root and element set.
     """
 
-    __slots__ = ("name", "schema", "root_name", "elements", "_hash")
+    __slots__ = ("_name", "schema", "root_name", "elements", "_hash")
 
     def __init__(self, schema: SchemaTree, elements: Iterable[str],
                  name: str | None = None) -> None:
@@ -50,11 +50,23 @@ class Fragment:
                     f"fragment element {element!r} is disconnected from "
                     f"root {root_name!r}"
                 )
+        self._init(schema, element_set, root_name, name)
+
+    def _init(self, schema: SchemaTree, elements: frozenset[str],
+              root_name: str, name: str | None) -> None:
         self.schema = schema
-        self.elements = element_set
+        self.elements = elements
         self.root_name = root_name
-        self.name = name or self.default_name(schema, element_set)
-        self._hash = hash((id(schema), root_name, element_set))
+        self._name = name or None
+        self._hash = hash((id(schema), root_name, elements))
+
+    @property
+    def name(self) -> str:
+        """The given name, or (``None`` / ``""``) :meth:`default_name`,
+        computed on first read."""
+        if self._name is None:
+            self._name = self.default_name(self.schema, self.elements)
+        return self._name
 
     # -- construction helpers ---------------------------------------------
 
@@ -62,12 +74,7 @@ class Fragment:
     def default_name(schema: SchemaTree, elements: frozenset[str]) -> str:
         """The paper's naming convention: pre-order element names joined
         by underscores (e.g. ``Customer_Order_Service``)."""
-        ordered = [
-            node.name
-            for node in schema.iter_nodes()
-            if node.name in elements
-        ]
-        return "_".join(ordered)
+        return "_".join(schema.in_preorder(elements))
 
     @classmethod
     def full_subtree(cls, schema: SchemaTree, root_name: str,
@@ -188,6 +195,11 @@ class Fragment:
                       name: str | None = None) -> "Fragment":
         """The schema-level result of ``Combine(self, child)``.
 
+        Built without re-validation: when :meth:`can_combine` holds the
+        union is a fragment by construction — rooted at our root, and
+        connected because the child's root hangs off one of our
+        elements.
+
         Raises:
             OperationError: if the fragments are not parent/child-related
                 (the paper's example: ``Line`` and ``Customer`` cannot be
@@ -198,7 +210,10 @@ class Fragment:
                 f"cannot combine {child.name!r} into {self.name!r}: "
                 "roots are not parent/child related"
             )
-        return Fragment(self.schema, self.elements | child.elements, name)
+        combined = Fragment.__new__(Fragment)
+        combined._init(self.schema, self.elements | child.elements,
+                       self.root_name, name)
+        return combined
 
     def split_into(self, element_sets: Sequence[Iterable[str]],
                    names: Sequence[str] | None = None) -> list["Fragment"]:

@@ -69,10 +69,6 @@ class ProgramBuilder:
     def __init__(self, mapping: Mapping) -> None:
         self.mapping = mapping
         self.schema = mapping.source.schema
-        self._preorder = {
-            name: index
-            for index, name in enumerate(self.schema.element_names())
-        }
 
     # -- skeleton (G0 + splits = G1) -------------------------------------------
 
@@ -117,7 +113,7 @@ class ProgramBuilder:
 
     def _part_sort_key(self, part: frozenset[str]) -> tuple[int, int]:
         top = self.schema.top_of(part)
-        return (self.schema.depth(top), self._preorder[top])
+        return (self.schema.depth(top), self.schema.position(top))
 
     # -- combine ordering ---------------------------------------------------------
 
@@ -139,7 +135,7 @@ class ProgramBuilder:
             (fragment.root_name for fragment in fragments
              if fragment.parent_element() in covered),
             key=lambda root: (
-                -self.schema.depth(root), self._preorder[root]
+                -self.schema.depth(root), self.schema.position(root)
             ),
         )
         steps: list[MergeStep] = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import SchemaError
 
@@ -89,6 +89,7 @@ class SchemaTree:
         self._nodes: dict[str, SchemaNode] = {}
         self._parents: dict[str, str | None] = {}
         self._depths: dict[str, int] = {}
+        self._positions: dict[str, int] = {}
         self._fingerprint: str | None = None
         self._index(root, None, 0)
 
@@ -101,6 +102,7 @@ class SchemaTree:
         self._nodes[node.name] = node
         self._parents[node.name] = parent
         self._depths[node.name] = depth
+        self._positions[node.name] = len(self._positions)
         for child in node.children:
             self._index(child, node.name, depth + 1)
 
@@ -126,6 +128,11 @@ class SchemaTree:
     def element_names(self) -> list[str]:
         """All element names, in document (pre-) order."""
         return [node.name for node in self.iter_nodes()]
+
+    def in_preorder(self, names: Iterable[str]) -> list[str]:
+        """``names`` (all declared in this tree) sorted into document
+        (pre-) order, by positions recorded once at construction."""
+        return sorted(names, key=self._positions.__getitem__)
 
     def iter_nodes(self) -> Iterator[SchemaNode]:
         """Iterate all nodes in pre-order."""
@@ -178,6 +185,11 @@ class SchemaTree:
         """Root depth 0, children 1, and so on."""
         self.node(name)
         return self._depths[name]
+
+    def position(self, name: str) -> int:
+        """Pre-order position: the root 0, its first child 1, ..."""
+        self.node(name)
+        return self._positions[name]
 
     def is_ancestor(self, ancestor: str, descendant: str) -> bool:
         """True if ``ancestor`` lies strictly above ``descendant``."""

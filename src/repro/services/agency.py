@@ -10,9 +10,9 @@ structures — only fragmentations and the cost probe.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping as MappingType
-
+import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping as MappingType
 
 from repro.errors import NegotiationError
 from repro.core.cost.model import CostWeights
@@ -46,15 +46,64 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
 OPTIMIZERS = ("greedy", "optimal", "canonical")
 
 
-@dataclass(slots=True)
 class Registration:
-    """One registered system."""
+    """One registered system.
 
-    name: str
-    fragmentation: Fragmentation
-    endpoint: SystemEndpoint | None
-    wsdl: Definitions
-    wsdl_text: str
+    Its WSDL document (the fragmentation extension plus one service
+    port) is rendered on first read of :attr:`wsdl` and serialized on
+    first read of :attr:`wsdl_text` — negotiation reads neither.  Both
+    are cached; two threads racing on a first read render the same
+    bytes twice, never different bytes.
+    """
+
+    __slots__ = ("name", "fragmentation", "endpoint", "service_name",
+                 "_wsdl", "_wsdl_text")
+
+    def __init__(self, name: str, fragmentation: Fragmentation,
+                 endpoint: SystemEndpoint | None, service_name: str, *,
+                 wsdl: Definitions | None = None,
+                 wsdl_text: str | None = None) -> None:
+        self.name = name
+        self.fragmentation = fragmentation
+        self.endpoint = endpoint
+        self.service_name = service_name
+        self._wsdl = wsdl
+        self._wsdl_text = wsdl_text
+
+    @property
+    def wsdl(self) -> Definitions:
+        """The WSDL document embedding the fragmentation extension."""
+        if self._wsdl is None:
+            self._wsdl = Definitions(
+                name=f"{self.service_name}-{self.name}",
+                target_namespace=f"http://{self.name}.example/wsdl",
+                types=[fragmentation_to_element(self.fragmentation)],
+                services=[
+                    Service(
+                        self.service_name,
+                        documentation=(
+                            "Fragment exchange endpoint of system "
+                            f"{self.name}"
+                        ),
+                        ports=[
+                            Port(
+                                f"{self.service_name}Port",
+                                f"tns:{self.service_name}Binding",
+                                f"http://{self.name}.example/exchange",
+                            )
+                        ],
+                    )
+                ],
+            )
+        return self._wsdl
+
+    @property
+    def wsdl_text(self) -> str:
+        """:attr:`wsdl` serialized (for a system registered from a
+        document: that document's text, as given)."""
+        if self._wsdl_text is None:
+            self._wsdl_text = serialize_wsdl(self.wsdl)
+        return self._wsdl_text
 
 
 @dataclass(slots=True)
@@ -96,8 +145,9 @@ class DiscoveryAgency:
         """Register a system.
 
         A system that provides no fragmentation gets the whole-document
-        default (publish&map behaviour, Section 1.1).  The stored WSDL
-        document embeds the fragmentation extension.
+        default (publish&map behaviour, Section 1.1).  The registration's
+        WSDL document embeds the fragmentation extension; it is rendered
+        when first read.
 
         Raises:
             NegotiationError: on duplicate names or foreign schemas.
@@ -128,28 +178,8 @@ class DiscoveryAgency:
                 ],
                 fragmentation.name,
             )
-        wsdl = Definitions(
-            name=f"{self.service_name}-{name}",
-            target_namespace=f"http://{name}.example/wsdl",
-            types=[fragmentation_to_element(fragmentation)],
-            services=[
-                Service(
-                    self.service_name,
-                    documentation=(
-                        f"Fragment exchange endpoint of system {name}"
-                    ),
-                    ports=[
-                        Port(
-                            f"{self.service_name}Port",
-                            f"tns:{self.service_name}Binding",
-                            f"http://{name}.example/exchange",
-                        )
-                    ],
-                )
-            ],
-        )
         registration = Registration(
-            name, fragmentation, endpoint, wsdl, serialize_wsdl(wsdl)
+            name, fragmentation, endpoint, self.service_name
         )
         self._registry[name] = registration
         return registration
@@ -175,7 +205,8 @@ class DiscoveryAgency:
         if name in self._registry:
             raise NegotiationError(f"system {name!r} already registered")
         registration = Registration(
-            name, fragmentation, endpoint, definitions, wsdl_text
+            name, fragmentation, endpoint, self.service_name,
+            wsdl=definitions, wsdl_text=wsdl_text,
         )
         self._registry[name] = registration
         return registration
@@ -280,11 +311,14 @@ class DiscoveryAgency:
         elif optimizer == "optimal":
             result = optimal_exchange(mapping, pricing_probe, weights)
         else:  # canonical order + Algorithm 1 placement
+            started = time.perf_counter()
             program = build_transfer_program(mapping)
             placement, cost = cost_based_optim(
                 program, pricing_probe, weights
             )
-            result = OptimizationResult(program, placement, cost, 1, 0.0)
+            result = OptimizationResult(
+                program, placement, cost, 1, time.perf_counter() - started
+            )
         if metrics is not None:
             metrics.counter("optimizer.runs").add(1)
             metrics.counter(f"optimizer.{optimizer}.runs").add(1)

@@ -1,9 +1,12 @@
 """Fragments (Definition 3.1) as pruned schema subtrees."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import FragmentationError, OperationError
 from repro.core.fragment import Fragment
+
+from tests.core.fragment_walks import combine_walks, walk_fragments
 
 
 class TestConstruction:
@@ -159,3 +162,42 @@ class TestCombineSplitAlgebra:
         switch = Fragment(customers_schema, ["Switch", "SwitchID"])
         combined = line.combined_with(switch)
         assert combined.elements == line.elements | switch.elements
+
+
+class TestShortcutsMatchTheValidatedPath:
+    """``combined_with`` skips validation and names are computed on
+    first read; both must agree with the checked constructor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(combine_walks())
+    def test_combined_with_equals_the_validated_union(self, walk):
+        schema, steps = walk
+        for parent, child, combined in steps:
+            reference = Fragment(schema, parent.elements | child.elements)
+            assert combined.elements == reference.elements
+            assert combined.root_name == reference.root_name
+            assert combined.name == reference.name
+            assert hash(combined) == hash(reference)
+            assert combined == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(combine_walks())
+    def test_default_name_is_the_preorder_filter(self, walk):
+        schema, steps = walk
+        for fragment in walk_fragments(steps):
+            assert Fragment.default_name(schema, fragment.elements) == (
+                "_".join(
+                    node.name for node in schema.iter_nodes()
+                    if node.name in fragment.elements
+                )
+            )
+
+    def test_combined_with_keeps_an_explicit_name(self, customers_schema):
+        order = Fragment(customers_schema, ["Order"])
+        service = Fragment(customers_schema, ["Service", "ServiceName"])
+        assert order.combined_with(service, name="X").name == "X"
+
+    def test_empty_name_means_the_default(self, customers_schema):
+        fragment = Fragment(customers_schema, ["Service", "ServiceName"],
+                            name="")
+        assert fragment.name == "Service_ServiceName"

@@ -1,9 +1,19 @@
 """Statistics catalogs: synthetic, measured, and fragment pricing."""
 
-import pytest
+import random
 
-from repro.core.cost.estimates import StatisticsCatalog
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.cost.estimates import (
+    KEY_BYTES,
+    SEPARATOR_BYTES,
+    StatisticsCatalog,
+)
 from repro.core.fragment import Fragment
+
+from tests.core.fragment_walks import combine_walks, walk_fragments
 
 
 class TestSynthetic:
@@ -85,3 +95,38 @@ class TestValueWidthFallback:
         assert stats.fragment_feed_size(fragment) == pytest.approx(
             (8 + 2 + 10.0) + 8  # key+sep+value plus per-row parent key
         )
+
+
+class TestMemoizedSums:
+    """The per-fragment sums are memoized by element set; every one
+    must equal the direct sum bit for bit, on a repeat call too."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(combine_walks(), st.integers(0, 9999))
+    def test_memoized_sums_equal_direct_sums(self, walk, seed):
+        schema, steps = walk
+        rng = random.Random(seed)
+        names = schema.element_names()
+        counts = {name: rng.uniform(0.5, 50.0) for name in names}
+        widths = {name: rng.uniform(10.0, 80.0) for name in names}
+        values = {name: rng.uniform(0.0, 30.0) for name in names}
+        stats = StatisticsCatalog(schema, counts, widths, values)
+        fragments = walk_fragments(steps)
+        # Equal element sets built another way may iterate (and so
+        # sum) in another order; each must still get its own sum.
+        fragments += [
+            Fragment(schema, sorted(fragment.elements))
+            for fragment in fragments
+        ]
+        for fragment in fragments:
+            rows = counts[fragment.root_name]
+            elements = sum(counts[name] for name in fragment.elements)
+            feed = sum(
+                counts[name] * (KEY_BYTES + SEPARATOR_BYTES + values[name])
+                for name in fragment.elements
+            ) + KEY_BYTES * rows
+            for _ in range(2):
+                assert stats.fragment_elements(fragment).hex() == \
+                    elements.hex()
+                assert stats.fragment_feed_size(fragment).hex() == \
+                    feed.hex()

@@ -10,7 +10,8 @@ from repro.net.transport import SimulatedChannel
 from repro.obs.metrics import MetricsRegistry
 from repro.services.agency import DiscoveryAgency
 from repro.services.endpoint import RelationalEndpoint
-from repro.wsdl.model import parse_wsdl
+from repro.services.broker import PlanCache
+from repro.wsdl.model import parse_wsdl, serialize_wsdl
 
 
 @pytest.fixture
@@ -81,6 +82,18 @@ class TestRegistration:
         assert {f.name for f in registration.fragmentation} == {
             f.name for f in auction_lf
         }
+        assert {f.elements for f in registration.fragmentation} == {
+            f.elements for f in auction_lf
+        }
+        # The text it was given is the text it keeps.
+        assert registration.wsdl_text is first.wsdl_text
+
+    def test_wsdl_is_rendered_once_on_first_read(self, agency,
+                                                 auction_mf):
+        registration = agency.register("sales", auction_mf)
+        assert registration.wsdl_text == serialize_wsdl(registration.wsdl)
+        assert registration.wsdl is registration.wsdl
+        assert registration.wsdl_text is registration.wsdl_text
 
     def test_register_wsdl_without_extension_rejected(self, agency):
         from repro.workloads.customer import customer_info_wsdl
@@ -116,6 +129,22 @@ class TestNegotiation:
         assert all(
             node.location is not None for node in annotated.nodes
         )
+
+    def test_canonical_plan_reports_its_time(self, customers_schema,
+                                             customers_s, customers_t):
+        agency = DiscoveryAgency(customers_schema)
+        agency.register("s", customers_s)
+        agency.register("t", customers_t)
+        model = CostModel(StatisticsCatalog.synthetic(customers_schema))
+        cache = PlanCache()
+        cold = agency.negotiate("s", "t", optimizer="canonical",
+                                probe=model, plan_cache=cache)
+        assert not cold.cached
+        assert cold.optimizer_seconds > 0
+        warm = agency.negotiate("s", "t", optimizer="canonical",
+                                probe=model, plan_cache=cache)
+        assert warm.cached
+        assert warm.optimizer_seconds == 0.0
 
     def test_optimal_plan_small(self, customers_schema, customers_s,
                                 customers_t):
