@@ -245,12 +245,19 @@ class FragmentRelationMapper:
     def scan_fragment(self, db: Database,
                       fragment: Fragment) -> FragmentInstance:
         """Read a fragment back as a sorted feed (Scan, Def. 3.6)."""
-        with self._table_locks[fragment.name]:
-            layout, columns, _ = self._sorted_columns(db, fragment)
-            raw_rows = list(zip(*columns))
         return FragmentInstance(
-            fragment, map(layout.row_from_cells, raw_rows)
+            fragment, map(self.layout_for(fragment).row_from_cells,
+                          self.scan_fragment_tuples(db, fragment))
         )
+
+    def scan_fragment_tuples(self, db: Database,
+                             fragment: Fragment) -> list[tuple]:
+        """The sorted feed as the stored tuples, in the layout's
+        column order (``id``, then ``parent``, ...): a copy of the
+        table's clustered columns, taken under the table's lock."""
+        with self._table_locks[fragment.name]:
+            _, columns, _ = self._sorted_columns(db, fragment)
+            return list(zip(*columns))
 
     def scan_fragment_columns(self, db: Database, fragment: Fragment,
                               batch_rows: int,

@@ -2,29 +2,41 @@
 
 Publishing a full document from a fragmentation reads one sorted feed
 per fragment table — the paper's per-fragment ``ORDER BY parent, id``
-query, here a scan of the table's columns, which are stored in that
+query, here the table's clustered columns, which are stored in that
 order — groups each feed by PARENT, and *merges & tags* the feeds into
 a single XML document by walking the schema tree: the strategy of
 Fernández, Morishima & Suciu that the paper uses as its optimized
-publish&map baseline (Section 5.1).  The tagger streams through
-:class:`~repro.xmlkit.writer.XmlStreamWriter`, so no element tree is
-materialized.
+publish&map baseline (Section 5.1).
+
+The tagger reads the stored tuples themselves.  A feed's rows under
+one PARENT are contiguous, so a group is a ``(start, stop)`` range;
+each element is tagged by a plan made once from its fragment's
+:class:`~repro.core.columnar.ColumnLayout` — where its key, text and
+attribute cells are, and which of its schema children sit in the same
+row and which in a child fragment's feed.  No element tree is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.errors import RelationalError
-from repro.core.fragment import Fragment
-from repro.core.fragmentation import Fragmentation
-from repro.core.instance import ElementData
 from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
-from repro.xmlkit.writer import XmlStreamWriter
+from repro.xmlkit.escape import escape_attr, escape_text
+from repro.xmlkit.writer import DECLARATION
 
-#: Feed of one fragment grouped by PARENT: parent eid -> occurrences.
-GroupedFeed = dict[int | None, list[ElementData]]
+#: How one element is tagged: ``(open tag, attributes, text position,
+#: key position, children, close tag)``.  The open tag lacks its ``>``
+#: when there are attributes, each an ``(' name="', position)`` pair.
+#: A child is ``(its plan, None)`` in the same row, or ``(None, child
+#: fragment name)`` for that feed's group under this element's key.
+_Plan = tuple
+
+#: One fragment's sorted feed: ``(rows, first row of each PARENT, row
+#: past the last of each PARENT, plan of the fragment's root)``.
+_Feed = tuple
 
 
 @dataclass(slots=True)
@@ -41,49 +53,86 @@ class PublishReport:
         return len(self.document)
 
 
-def fetch_feeds(db: Database, mapper: FragmentRelationMapper
-                ) -> dict[str, GroupedFeed]:
-    """Scan every fragment's table in (parent, id) order and group
-    each feed by PARENT."""
-    feeds: dict[str, GroupedFeed] = {}
+def _plan(mapper: FragmentRelationMapper, element: str) -> _Plan:
+    """The tagging plan of ``element`` in its fragment's layout."""
+    fragmentation = mapper.fragmentation
+    fragment = fragmentation.fragment_of(element)
+    key_at, text_at, attr_ats, _ = \
+        mapper.layouts[fragment.name].element_cells[element]
+    children = tuple(
+        (_plan(mapper, child.name), None)
+        if child.name in fragment.elements
+        else (None, fragmentation.fragment_of(child.name).name)
+        for child in fragmentation.schema.node(element).children
+    )
+    attributes = tuple(
+        (f' {attribute}="', at) for attribute, at in attr_ats
+    )
+    return (f"<{element}" if attributes else f"<{element}>",
+            attributes, text_at, key_at, children, f"</{element}>")
+
+
+def _fetch_feeds(db: Database, mapper: FragmentRelationMapper
+                 ) -> dict[str, _Feed]:
+    """Every fragment's sorted feed, grouped by PARENT."""
+    feeds: dict[str, _Feed] = {}
     for fragment in mapper.fragmentation:
-        grouped: GroupedFeed = {}
-        instance = mapper.scan_fragment(db, fragment)
-        for row in instance.rows:
-            grouped.setdefault(row.parent, []).append(row.data)
-        feeds[fragment.name] = grouped
+        rows = mapper.scan_fragment_tuples(db, fragment)
+        parents = list(map(itemgetter(1), rows))
+        count = len(rows)
+        feeds[fragment.name] = (
+            rows,
+            dict(zip(reversed(parents), range(count - 1, -1, -1))),
+            dict(zip(parents, range(1, count + 1))),
+            _plan(mapper, fragment.root_name),
+        )
     return feeds
 
 
-def _merge_and_tag(fragmentation: Fragmentation,
-                   feeds: dict[str, GroupedFeed],
-                   root: ElementData) -> str:
-    """The document under ``root``, a root-fragment occurrence: each
-    occurrence's children come from its own fragment's data or, across
-    a fragment boundary, from the child fragment's feed group keyed by
-    the occurrence's eid."""
-    schema = fragmentation.schema
-    writer = XmlStreamWriter()
+def _tag(out: list[str], plan: _Plan, cells: tuple,
+         feeds: dict[str, _Feed]) -> int:
+    """Append the element ``plan`` tags in the row ``cells`` (present:
+    its key is not NULL) to ``out``; returns the elements written.
 
-    def emit(fragment: Fragment, occurrence: ElementData) -> None:
-        writer.start(occurrence.name, occurrence.attrs)
-        if occurrence.text:
-            writer.characters(occurrence.text)
-        for child_node in schema.node(occurrence.name).children:
-            if child_node.name in fragment.elements:
-                for child in occurrence.child_list(child_node.name):
-                    emit(fragment, child)
-            else:
-                child_fragment = fragmentation.fragment_of(
-                    child_node.name
-                )
-                for child in feeds[child_fragment.name].get(
-                        occurrence.eid, []):
-                    emit(child_fragment, child)
-        writer.end(occurrence.name)
+    A module-level function rather than a closure: a closure calling
+    itself is a reference cycle, and would keep every feed of a
+    publish alive until a cyclic collection."""
+    open_tag, attributes, text_at, key_at, children, close_tag = plan
+    out.append(open_tag)
+    if attributes:
+        for prefix, at in attributes:
+            value = cells[at]
+            if value is not None:
+                out.append(f'{prefix}{escape_attr(value)}"')
+        out.append(">")
+    if text_at is not None:
+        text = cells[text_at]
+        if text:
+            out.append(escape_text(text))
+    written = 1
+    for child, feed in children:
+        if feed is None:
+            if cells[child[3]] is not None:
+                written += _tag(out, child, cells, feeds)
+            continue
+        rows, starts, stops, root = feeds[feed]
+        key = cells[key_at]
+        start = starts.get(key)
+        if start is not None:
+            for row in rows[start:stops[key]]:
+                written += _tag(out, root, row, feeds)
+    out.append(close_tag)
+    return written
 
-    emit(fragmentation.root_fragment(), root)
-    return writer.getvalue()
+
+def _roots(mapper: FragmentRelationMapper,
+           feeds: dict[str, _Feed]) -> tuple[list[tuple], _Plan]:
+    """The stored document roots (the root fragment's parentless rows)
+    and their plan."""
+    rows, starts, stops, plan = \
+        feeds[mapper.fragmentation.root_fragment().name]
+    start = starts.get(None)
+    return ([] if start is None else rows[start:stops[None]]), plan
 
 
 def publish_document(db: Database, mapper: FragmentRelationMapper
@@ -95,20 +144,18 @@ def publish_document(db: Database, mapper: FragmentRelationMapper
         RelationalError: if the stored data does not contain exactly one
             document root.
     """
-    fragmentation = mapper.fragmentation
-    feeds = fetch_feeds(db, mapper)
-    rows_merged = sum(
-        len(group) for feed in feeds.values() for group in feed.values()
-    )
-    roots = feeds[fragmentation.root_fragment().name].get(None, [])
+    feeds = _fetch_feeds(db, mapper)
+    roots, plan = _roots(mapper, feeds)
     if len(roots) != 1:
         raise RelationalError(
             f"expected exactly one document root, found {len(roots)} "
             "(use publish_document_set for multi-document services)"
         )
+    out = [DECLARATION]
+    _tag(out, plan, roots[0], feeds)
     return PublishReport(
-        _merge_and_tag(fragmentation, feeds, roots[0]),
-        len(fragmentation.fragments), rows_merged,
+        "".join(out), len(feeds),
+        sum(len(feed[0]) for feed in feeds.values()),
     )
 
 
@@ -120,28 +167,14 @@ def publish_document_set(db: Database,
     Services like CustomerInfoService return *a set of XML documents*,
     one per customer (Section 1.1); a store whose root-fragment table
     holds several parentless rows publishes that set.  Feeds are
-    fetched once and shared across the documents.
+    fetched once and shared across the documents; each report's
+    ``rows_merged`` is the elements its document holds.
     """
-    fragmentation = mapper.fragmentation
-    feeds = fetch_feeds(db, mapper)
+    feeds = _fetch_feeds(db, mapper)
+    roots, plan = _roots(mapper, feeds)
     reports: list[PublishReport] = []
-    for root in feeds[fragmentation.root_fragment().name].get(None, []):
-        document = _merge_and_tag(fragmentation, feeds, root)
-        reports.append(
-            PublishReport(
-                document, len(fragmentation.fragments),
-                _count_elements(document),
-            )
-        )
+    for root in roots:
+        out = [DECLARATION]
+        written = _tag(out, plan, root, feeds)
+        reports.append(PublishReport("".join(out), len(feeds), written))
     return reports
-
-
-def _count_elements(document: str) -> int:
-    """Rows merged into one published document (its element count)."""
-    from repro.xmlkit.parser import iterparse
-    from repro.xmlkit.events import StartElement
-
-    return sum(
-        1 for event in iterparse(document)
-        if isinstance(event, StartElement)
-    )

@@ -1,11 +1,18 @@
 """Stack-based XML shredding into per-fragment tuple feeds.
 
-This mirrors the paper's Section 5.1 implementation: a SAX handler (the
-paper used Expat; we use :mod:`repro.xmlkit.parser`) maintains a stack
-of open elements and a stack of open fragment rows; tuples are flushed
-as soon as their fragment root closes, so memory stays bounded by
-document depth.  Fresh element ids are assigned during the parse — the
-published document carries no keys, exactly like the paper's pipeline.
+This mirrors the paper's Section 5.1 implementation: a SAX-style pass
+(the paper used Expat; we read :func:`repro.xmlkit.parser.tokens`)
+keeps a stack of open elements and a stack of open fragment rows;
+tuples are flushed as soon as their fragment root closes, so memory
+stays bounded by document depth.  Fresh element ids are assigned
+during the parse — the published document carries no keys, exactly
+like the paper's pipeline.
+
+Every element name resolves once, through a dispatch table made per
+schema from the fragment layouts, to where its cells go: its
+fragment's open rows, whether it is that fragment's root, its key,
+text and attribute positions.  An open row is a preallocated cell
+list in the table's column order.
 """
 
 from __future__ import annotations
@@ -15,7 +22,13 @@ from dataclasses import dataclass, field
 from repro.errors import RelationalError, SchemaError
 from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
-from repro.xmlkit.parser import ContentHandler, push_parse
+from repro.xmlkit.parser import END, START, TEXT, tokens
+
+#: Where one element's cells go: ``(open rows of its fragment, row
+#: width, key position or None at the fragment root, text position or
+#: None off the leaves, attribute -> position, flushed tuples of its
+#: table, fragment name)``.
+_Dispatch = tuple
 
 
 @dataclass(slots=True)
@@ -31,90 +44,92 @@ class ShredResult:
         return sum(len(rows) for rows in self.rows.values())
 
     def load_into(self, db: Database) -> int:
-        """Bulk-load every table's tuples (publish&map step 5)."""
-        loaded = 0
-        for table_name, rows in self.rows.items():
-            loaded += db.load(table_name, rows)
-        return loaded
-
-
-class _ShredHandler(ContentHandler):
-    """The SAX callbacks that do the shredding."""
-
-    def __init__(self, mapper: FragmentRelationMapper,
-                 start_eid: int = 1) -> None:
-        self.mapper = mapper
-        self.fragmentation = mapper.fragmentation
-        self.schema = mapper.fragmentation.schema
-        self.result = ShredResult(
-            rows={
-                layout.table_name: []
-                for layout in mapper.layouts.values()
-            }
+        """Bulk-load every table's tuples a column at a time
+        (publish&map step 5), with every check a row load makes."""
+        return sum(
+            db.table(table_name).load_columns(list(zip(*rows)))
+            for table_name, rows in self.rows.items()
         )
-        self._next_eid = start_eid
-        #: Stack of (element name, eid).
-        self._elements: list[tuple[str, int]] = []
-        #: Per-element text accumulation, parallel to ``_elements``.
-        self._texts: list[list[str]] = []
-        #: Open row stacks, keyed by fragment name.
-        self._open_rows: dict[str, list[dict[str, object]]] = {}
 
-    # -- SAX callbacks ------------------------------------------------------------
 
-    def start_element(self, name: str, attrs: dict[str, str]) -> None:
-        if name not in self.schema:
-            raise SchemaError(
-                f"document element {name!r} is not in the schema"
+def _shredding(mapper: FragmentRelationMapper
+               ) -> tuple[ShredResult, dict[str, _Dispatch]]:
+    """An empty result and, per element of the schema, where its cells
+    go; tuples are flushed into the result."""
+    tables: dict[str, list[tuple]] = {
+        layout.table_name: [] for layout in mapper.layouts.values()
+    }
+    dispatch: dict[str, _Dispatch] = {}
+    for layout in mapper.layouts.values():
+        open_rows: list[list] = []
+        root = layout.fragment.root_name
+        for element, (key_at, text_at, attr_ats, _) in \
+                layout.element_cells.items():
+            dispatch[element] = (
+                open_rows, len(layout.specs),
+                None if element == root else key_at,
+                text_at, dict(attr_ats), tables[layout.table_name],
+                layout.fragment.name,
             )
-        eid = self._next_eid
-        self._next_eid += 1
-        fragment = self.fragmentation.fragment_of(name)
-        if fragment.root_name == name:
-            parent_eid = self._elements[-1][1] if self._elements else None
-            row: dict[str, object] = {"id": eid, "parent": parent_eid}
-            self._open_rows.setdefault(fragment.name, []).append(row)
-        else:
-            row = self._current_row(fragment.name, name)
-            row[f"{name.lower()}_eid"] = eid
-        for attribute, value in attrs.items():
-            row[f"{name.lower()}_{attribute.lower()}"] = value
-        self._elements.append((name, eid))
-        self._texts.append([])
-        self.result.elements_parsed += 1
+    return ShredResult(tables), dispatch
 
-    def characters(self, text: str) -> None:
-        if self._texts:
-            self._texts[-1].append(text)
 
-    def end_element(self, name: str) -> None:
-        self._elements.pop()
-        text = "".join(self._texts.pop()).strip()
-        fragment = self.fragmentation.fragment_of(name)
-        row = self._current_row(fragment.name, name)
-        if self.schema.node(name).is_leaf and text:
-            row[name.lower()] = text
-        if fragment.root_name == name:
-            self._flush(fragment.name)
-
-    # -- internals -------------------------------------------------------------------
-
-    def _current_row(self, fragment_name: str,
-                     element: str) -> dict[str, object]:
-        stack = self._open_rows.get(fragment_name)
-        if not stack:
-            raise RelationalError(
-                f"element {element!r} appeared outside its fragment "
-                f"root ({fragment_name!r})"
+def _shred(text: str, dispatch: dict[str, _Dispatch],
+           start_eid: int) -> int:
+    """Shred ``text`` through ``dispatch``, numbering elements from
+    ``start_eid``; returns how many elements it parsed."""
+    eid = start_eid
+    # Open elements, innermost last: (dispatch entry, its fragment
+    # row's cells, its eid, its text parts — None off the leaves).
+    stack: list[tuple] = []
+    for kind, name, attrs in tokens(text):
+        if kind == START:
+            entry = dispatch.get(name)
+            if entry is None:
+                raise SchemaError(
+                    f"document element {name!r} is not in the schema"
+                )
+            open_rows, width, key_at, text_at, attr_ats, _, fragment = \
+                entry
+            if key_at is None:
+                cells = [None] * width
+                cells[0] = eid
+                cells[1] = stack[-1][2] if stack else None
+                open_rows.append(cells)
+            elif open_rows:
+                cells = open_rows[-1]
+                cells[key_at] = eid
+            else:
+                raise RelationalError(
+                    f"element {name!r} appeared outside its fragment "
+                    f"root ({fragment!r})"
+                )
+            if attrs:
+                for attribute, value in attrs.items():
+                    at = attr_ats.get(attribute)
+                    if at is None:
+                        raise SchemaError(
+                            f"document element {name!r} has undeclared "
+                            f"attribute {attribute!r}"
+                        )
+                    cells[at] = value
+            stack.append(
+                (entry, cells, eid, None if text_at is None else [])
             )
-        return stack[-1]
-
-    def _flush(self, fragment_name: str) -> None:
-        row = self._open_rows[fragment_name].pop()
-        layout = self.mapper.layouts[fragment_name]
-        self.result.rows[layout.table_name].append(
-            tuple(row.get(spec.name) for spec in layout.specs)
-        )
+            eid += 1
+        elif kind == END:
+            entry, cells, _, parts = stack.pop()
+            if parts:
+                value = "".join(parts).strip()
+                if value:
+                    cells[entry[3]] = value
+            if entry[2] is None:
+                entry[5].append(tuple(entry[0].pop()))
+        elif kind == TEXT:
+            parts = stack[-1][3]
+            if parts is not None:
+                parts.append(name)
+    return eid - start_eid
 
 
 def shred_document(text: str, mapper: FragmentRelationMapper,
@@ -128,28 +143,23 @@ def shred_document(text: str, mapper: FragmentRelationMapper,
 
     Raises:
         XmlSyntaxError: on malformed XML.
-        SchemaError: if the document uses undeclared elements.
+        SchemaError: if the document uses undeclared elements or
+            attributes.
+        RelationalError: if an element appears outside its fragment's
+            root.
     """
-    handler = _ShredHandler(mapper, start_eid)
-    push_parse(text, handler)
-    return handler.result
+    result, dispatch = _shredding(mapper)
+    result.elements_parsed = _shred(text, dispatch, start_eid)
+    return result
 
 
 def shred_documents(texts: "list[str] | tuple[str, ...]",
                     mapper: FragmentRelationMapper) -> ShredResult:
     """Shred a document *set* (one per service result, Section 1.1)
     into one combined result, assigning globally unique element ids."""
-    combined = ShredResult(
-        rows={
-            layout.table_name: []
-            for layout in mapper.layouts.values()
-        }
-    )
-    next_eid = 1
+    result, dispatch = _shredding(mapper)
     for text in texts:
-        result = shred_document(text, mapper, start_eid=next_eid)
-        next_eid += result.elements_parsed
-        combined.elements_parsed += result.elements_parsed
-        for table_name, rows in result.rows.items():
-            combined.rows[table_name].extend(rows)
-    return combined
+        result.elements_parsed += _shred(
+            text, dispatch, 1 + result.elements_parsed
+        )
+    return result

@@ -8,7 +8,7 @@ in the reproduction:
 * :mod:`repro.xmlkit.events` — streaming event types,
 * :mod:`repro.xmlkit.parser` — a streaming (SAX-style) event parser,
 * :mod:`repro.xmlkit.tree` — a lightweight element tree,
-* :mod:`repro.xmlkit.writer` — serialization (tree and streaming).
+* :mod:`repro.xmlkit.writer` — tree serialization.
 
 It intentionally supports the subset of XML that the paper's documents use:
 elements, attributes, character data, CDATA sections, comments, processing
@@ -28,7 +28,7 @@ from repro.xmlkit.events import (
 )
 from repro.xmlkit.parser import ContentHandler, iterparse, push_parse
 from repro.xmlkit.tree import Element, parse_tree
-from repro.xmlkit.writer import XmlStreamWriter, serialize
+from repro.xmlkit.writer import serialize
 
 __all__ = [
     "escape_attr",
@@ -47,5 +47,4 @@ __all__ = [
     "Element",
     "parse_tree",
     "serialize",
-    "XmlStreamWriter",
 ]

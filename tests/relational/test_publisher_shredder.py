@@ -133,6 +133,27 @@ class TestShredder:
         with pytest.raises(SchemaError):
             shred_document("<site><bogus/></site>", mapper)
 
+    def test_undeclared_eid_attribute_rejected(self, mf_store,
+                                               auction_lf):
+        """An ``eid`` attribute is not the element's key: it once
+        overwrote ``location_eid`` and failed the load as text in an
+        INTEGER column."""
+        db, mapper_mf = mf_store
+        document = publish_document(db, mapper_mf).document.replace(
+            "<location>", '<location eid="oops">', 1
+        )
+        with pytest.raises(SchemaError, match="'location'.*'eid'"):
+            shred_document(document, FragmentRelationMapper(auction_lf))
+
+    def test_undeclared_attribute_rejected(self, mf_store, auction_lf):
+        """Any other undeclared attribute was once dropped silently."""
+        db, mapper_mf = mf_store
+        document = publish_document(db, mapper_mf).document.replace(
+            "<location>", '<location colour="red">', 1
+        )
+        with pytest.raises(SchemaError, match="'location'.*'colour'"):
+            shred_document(document, FragmentRelationMapper(auction_lf))
+
     def test_attribute_values_captured(self, mf_store, auction_lf):
         db, mapper_mf = mf_store
         document = publish_document(db, mapper_mf).document

@@ -1,10 +1,7 @@
-"""Serialization: trees and the streaming writer."""
+"""Serialization of element trees."""
 
-import pytest
-
-from repro.errors import ReproError
 from repro.xmlkit.tree import Element, parse_tree
-from repro.xmlkit.writer import XmlStreamWriter, serialize
+from repro.xmlkit.writer import serialize
 
 
 class TestSerialize:
@@ -28,57 +25,3 @@ class TestSerialize:
         tree = parse_tree(original)
         again = parse_tree(serialize(tree, indent=None))
         assert serialize(tree) == serialize(again)
-
-
-class TestXmlStreamWriter:
-    def test_balanced_document(self):
-        writer = XmlStreamWriter(declaration=False)
-        writer.start("site", {"id": "1"})
-        writer.leaf("name", "ACME")
-        writer.end("site")
-        assert writer.getvalue() == '<site id="1"><name>ACME</name></site>'
-
-    def test_mismatched_end_raises(self):
-        writer = XmlStreamWriter()
-        writer.start("a")
-        with pytest.raises(ReproError):
-            writer.end("b")
-
-    def test_end_without_start_raises(self):
-        writer = XmlStreamWriter()
-        with pytest.raises(ReproError):
-            writer.end("a")
-
-    def test_getvalue_with_open_elements_raises(self):
-        writer = XmlStreamWriter()
-        writer.start("a")
-        with pytest.raises(ReproError):
-            writer.getvalue()
-
-    def test_write_after_root_closed_raises(self):
-        writer = XmlStreamWriter()
-        writer.start("a")
-        writer.end("a")
-        with pytest.raises(ReproError):
-            writer.start("b")
-
-    def test_characters_outside_root_raise(self):
-        writer = XmlStreamWriter()
-        with pytest.raises(ReproError):
-            writer.characters("loose")
-
-    def test_output_is_parseable(self):
-        writer = XmlStreamWriter()
-        writer.start("doc")
-        for index in range(3):
-            writer.leaf("item", f"value {index}", {"n": str(index)})
-        writer.end("doc")
-        root = parse_tree(writer.getvalue())
-        assert len(root.find_all("item")) == 3
-
-    def test_bytes_written_grows(self):
-        writer = XmlStreamWriter(declaration=False)
-        writer.start("a")
-        before = writer.bytes_written()
-        writer.leaf("b", "text")
-        assert writer.bytes_written() > before
