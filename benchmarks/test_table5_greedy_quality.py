@@ -27,6 +27,10 @@ from repro.sim.simulator import ExchangeSimulator
 
 from support import N_TRIALS
 
+#: Optimizer runtimes are single-digit milliseconds, so one run of the
+#: trials is at the mercy of whatever else the machine is doing; each
+#: side's time is the fastest of this many runs.
+_TIMING_REPEATS = 3
 _RATIOS = (("5/1", 5.0, 1.0), ("2/1", 2.0, 1.0), ("1/1", 1.0, 1.0),
            ("1/2", 1.0, 2.0), ("1/5", 1.0, 5.0))
 
@@ -57,18 +61,23 @@ def test_table5_row(benchmark, ratio, source_speed, target_speed,
         ]
 
     trials = benchmark.pedantic(run_trials, rounds=1, iterations=1)
+    runs = [trials] + [
+        run_trials() for _ in range(_TIMING_REPEATS - 1)
+    ]
     worst_over_optimal = sum(
         trial.worst_over_optimal for trial in trials
     ) / len(trials)
     greedy_over_optimal = sum(
         trial.greedy_over_optimal for trial in trials
     ) / len(trials)
-    optimal_seconds = sum(
-        trial.optimal_seconds for trial in trials
-    ) / len(trials)
-    greedy_seconds = sum(
-        trial.greedy_seconds for trial in trials
-    ) / len(trials)
+    optimal_seconds = min(
+        sum(trial.optimal_seconds for trial in run) / len(run)
+        for run in runs
+    )
+    greedy_seconds = min(
+        sum(trial.greedy_seconds for trial in run) / len(run)
+        for run in runs
+    )
 
     _WINDOWS[ratio] = worst_over_optimal
     _GREEDY[ratio] = greedy_over_optimal

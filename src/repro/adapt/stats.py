@@ -5,11 +5,11 @@ The store keeps one quantity: the per-kind measured/predicted ratio of
 :func:`~repro.core.cost.calibrate.strategy_key` (bare kinds for the
 row adapter, ``combine.merge`` etc. for the columnar dataplane) plus
 the ``"comm"`` pseudo-kind — under one ``"source->target"`` pair key.
-The broker's post-session hook and
-:class:`~repro.adapt.executor.AdaptiveRun` both feed it through
-:meth:`StatisticsStore.observe_drift`; :meth:`StatisticsStore.
-scaled_probe` turns it into a correction of *any* probe, which is
-what negotiation prices with.  Fitting seconds per work unit is
+Finished exchanges feed it through :meth:`StatisticsStore.
+observe_run` (a finished run's report, priced against its probe);
+:meth:`StatisticsStore.scaled_probe` turns it into a
+:class:`ScaledProbe` correction of *any* probe, which is what
+negotiation prices with.  Fitting seconds per work unit is
 :func:`~repro.core.cost.calibrate.calibrate` /
 :func:`~repro.obs.drift.calibration_from_trace`.
 
@@ -23,21 +23,82 @@ thread-safe and round-trips through JSON (:meth:`StatisticsStore.save`
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.cost.probe import CostProbe
+from repro.core.fragment import Fragment
+from repro.core.ops.base import Location, Operation
+from repro.core.program.dag import Placement, TransferProgram
+from repro.core.program.executor import ExecutionReport
+from repro.obs.drift import DriftReport, cost_drift_report
 from repro.obs.metrics import MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.drift import DriftReport
 
 
 def pair_key(source_name: str, target_name: str) -> str:
     """Canonical store key for one exchange direction."""
     return f"{source_name}->{target_name}"
+
+
+def _geometric_mean(values: list[float]) -> float:
+    finite = [value for value in values
+              if value > 0 and math.isfinite(value)]
+    if not finite:
+        return 1.0
+    return math.exp(sum(math.log(value) for value in finite)
+                    / len(finite))
+
+
+class ScaledProbe:
+    """A probe whose answers are corrected by observed drift ratios.
+
+    ``kind_scales`` maps :func:`~repro.core.cost.calibrate.
+    strategy_key` keys (``"combine"``, ``"combine.hash"``, …) to the
+    measured/predicted ratio of that kind; ``comm_scale`` corrects
+    ``comm_cost``.  Kinds without evidence — and communication, when
+    ``comm_scale`` is ``None`` — are scaled by the geometric mean of
+    everything observed, so a uniformly slow substrate does not
+    distort the computation/communication balance the optimizer
+    trades on.
+    """
+
+    def __init__(self, base: CostProbe,
+                 kind_scales: dict[str, float],
+                 comm_scale: float | None = None) -> None:
+        self.base = base
+        self.kind_scales = {
+            key: value for key, value in kind_scales.items()
+            if value > 0 and math.isfinite(value)
+        }
+        observed = list(self.kind_scales.values())
+        if comm_scale is not None and comm_scale > 0:
+            observed.append(comm_scale)
+        self.neutral = _geometric_mean(observed)
+        self.comm_scale = (
+            comm_scale if comm_scale is not None and comm_scale > 0
+            else self.neutral
+        )
+
+    def scale_for(self, op: Operation) -> float:
+        """The correction factor for ``op``'s kind (any observed
+        strategy variant of the kind matches; unobserved kinds get
+        the neutral scale)."""
+        prefix = f"{op.kind}."
+        best = None
+        for key, value in self.kind_scales.items():
+            if key == op.kind:
+                return value
+            if key.startswith(prefix) and best is None:
+                best = value
+        return best if best is not None else self.neutral
+
+    def comp_cost(self, op: Operation, location: Location) -> float:
+        return self.base.comp_cost(op, location) * self.scale_for(op)
+
+    def comm_cost(self, fragment: Fragment) -> float:
+        return self.base.comm_cost(fragment) * self.comm_scale
 
 
 @dataclass(slots=True)
@@ -55,7 +116,7 @@ class ScaleEstimate:
 
 
 class StatisticsStore:
-    """Thread-safe learned drift ratios for adaptive negotiation.
+    """Thread-safe learned drift ratios for negotiation.
 
     ``alpha`` is the EWMA smoothing factor (1.0 = keep only the latest
     observation); ``warmup`` sets how many observations it takes for
@@ -112,11 +173,21 @@ class StatisticsStore:
         self._count("drifts")
         self._count("ratio_updates", merged)
 
-    def observe_drift(self, pair: str, report: "DriftReport") -> None:
+    def observe_drift(self, pair: str, report: DriftReport) -> None:
         """Ingest one drift report's per-kind ratios (including the
-        ``"comm"`` pseudo-kind) — what the broker and the adaptive
-        executor call after a run."""
+        ``"comm"`` pseudo-kind)."""
         self.observe_ratios(pair, report.kind_ratios())
+
+    def observe_run(self, pair: str, program: TransferProgram,
+                    placement: Placement, report: ExecutionReport,
+                    probe: CostProbe) -> None:
+        """Ingest one finished run: its report's drift against the
+        ``probe`` that priced it (:func:`~repro.obs.drift.
+        cost_drift_report`).  The broker calls this after every
+        session, ``repro exchange --stats-store`` after a direct run."""
+        self.observe_drift(
+            pair, cost_drift_report(program, placement, report, probe)
+        )
 
     # -- the learned view ------------------------------------------------------
 
@@ -153,8 +224,6 @@ class StatisticsStore:
         evidence — callers can pass the result straight to the
         optimizers either way.
         """
-        from repro.adapt.replan import ScaledProbe
-
         ratios = self.ratios(pair)
         if not ratios:
             return probe

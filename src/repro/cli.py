@@ -34,6 +34,7 @@ import sys
 import time
 from typing import Sequence, TextIO
 
+from repro.adapt.stats import StatisticsStore, pair_key
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel, MachineProfile
 from repro.core.fragmentation import Fragmentation
@@ -275,7 +276,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
     for flag, default, mode, on in (
         ("--since", None, "--delta", args.delta),
         ("--change-rate", 0.1, "--delta", args.delta),
-        ("--replan-threshold", 0.5, "--adaptive", args.adaptive),
         ("--trace-format", "jsonl", "--trace", args.trace),
     ):
         attr = flag[2:].replace("-", "_")
@@ -293,12 +293,12 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
             "with --sessions or --plan-cache"
         )
     if args.delta:
-        if args.sessions > 1 or args.adaptive \
-                or args.drift or args.plan_cache or args.stats_store:
+        if args.sessions > 1 or args.drift or args.plan_cache \
+                or args.stats_store:
             raise SystemExit(
                 "--delta runs its own full+delta pair; it does not "
                 "combine with --sessions, --plan-cache, "
-                "--adaptive, --stats-store or --drift"
+                "--stats-store or --drift"
             )
         if not 0.0 < args.change_rate <= 1.0:
             raise SystemExit(
@@ -346,8 +346,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
         source.load_document(document)
         stats_store = None
         if args.stats_store:
-            from repro.adapt import StatisticsStore
-
             if os.path.exists(args.stats_store):
                 try:
                     stats_store = StatisticsStore.load(args.stats_store)
@@ -355,28 +353,14 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                     raise SystemExit(f"--stats-store: {exc}") from exc
             else:
                 stats_store = StatisticsStore()
-        adaptive_config = None
-        if args.adaptive:
-            from repro.adapt import AdaptiveConfig
-
-            adaptive_config = AdaptiveConfig(
-                probe=CostModel(
-                    StatisticsCatalog.synthetic(source_frag.schema)
-                ),
-                replan_threshold=args.replan_threshold,
-                stats_store=stats_store,
-                pair="source->target",
-            )
         if args.delta:
             return _run_delta_exchange(
                 args, out, source_frag, target_frag, source,
                 make_channel, retry_policy, fault_plan, tracer,
                 metrics,
             )
+        model = CostModel(StatisticsCatalog.synthetic(source_frag.schema))
         if args.sessions > 1 or args.plan_cache:
-            model = CostModel(
-                StatisticsCatalog.synthetic(source_frag.schema)
-            )
             agency = DiscoveryAgency(source_frag.schema)
             agency.register("source", source_frag, source)
             agency.register("target", target_frag)
@@ -405,7 +389,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 retry_policy=retry_policy,
                 fault_plan=fault_plan,
                 stats_store=stats_store,
-                adaptive=adaptive_config,
                 metrics=metrics,
                 tracer=tracer,
             )
@@ -455,10 +438,14 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 batch_rows=args.batch_rows,
                 retry_policy=retry_policy,
                 fault_plan=fault_plan,
-                adaptive=adaptive_config,
                 tracer=tracer,
                 metrics=metrics,
             )
+            if stats_store is not None:
+                stats_store.observe_run(
+                    pair_key("source", "target"), program, placement,
+                    de.report, model,
+                )
         pm_target = RelationalEndpoint("pm-target", target_frag)
         pm = run_publish_and_map(
             source, pm_target, make_channel(),
@@ -512,13 +499,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 f"({de.peak_resident_bytes:,} bytes)",
                 file=out,
             )
-        if args.adaptive:
-            print(
-                f"adaptive execution: {de.replans} replan(s) moved "
-                f"{de.ops_moved} op(s) mid-flight "
-                f"(threshold {args.replan_threshold:g})",
-                file=out,
-            )
         if stats_store is not None:
             stats_store.save(args.stats_store)
             print(
@@ -540,10 +520,9 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
         if args.metrics:
             print(metrics.render(), file=out)
         if args.drift:
-            probe = CostModel(StatisticsCatalog.synthetic(source_frag.schema))
             trace_report = report_from_trace(program, tracer)
             print(cost_drift_report(
-                program, placement, trace_report, probe
+                program, placement, trace_report, model
             ).render(), file=out)
     finally:
         for transport in transports:
@@ -778,24 +757,11 @@ def build_parser() -> argparse.ArgumentParser:
              "feed sink (every byte crosses the kernel)",
     )
     exchange.add_argument(
-        "--adaptive", action="store_true",
-        help="run the DE program phase adaptively: checkpoint "
-             "observed-vs-predicted costs mid-exchange and re-place "
-             "the not-yet-started DAG suffix when they diverge "
-             "(written fragments stay byte-identical)",
-    )
-    exchange.add_argument(
         "--stats-store", default=None, metavar="PATH",
         help="persist learned per-pair cost statistics at PATH: "
              "loaded before the run (when the file exists) so "
              "negotiation prices with learned scales, saved after "
              "with this run's observations folded in",
-    )
-    exchange.add_argument(
-        "--replan-threshold", type=float, default=None,
-        help="(needs --adaptive) divergence (ratio spread) that "
-             "triggers a suffix replan; <= 0 replans at every "
-             "checkpoint, 'inf' never (default 0.5)",
     )
     exchange.add_argument(
         "--delta", action="store_true",

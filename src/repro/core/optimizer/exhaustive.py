@@ -15,9 +15,7 @@ closed (no T → S edge), so each non-Scan/Write node can go to S only
 when all its producers are at S, and can always go to T;
 branch-and-bound prunes with the additive cost.  Both forms return
 cost-minimal placements; the worklist is exponentially slower, not
-different.  Given a partial placement to extend (``pinned``), the
-same search re-places the suffix of an adaptive run
-(:mod:`repro.adapt.executor`).
+different.
 
 :func:`cost_based_pessim` enumerates the same space keeping the *most*
 expensive placement (the optimization-window baseline of Table 5),
@@ -37,8 +35,7 @@ from repro.core.program.dag import Placement, TransferProgram
 
 
 def _topological_search(program: TransferProgram, probe: CostProbe,
-                        weights: CostWeights | None, maximize: bool,
-                        pinned: Placement | None = None
+                        weights: CostWeights | None, maximize: bool
                         ) -> tuple[Placement, float]:
     program.validate()
     weights = resolve_weights(probe, weights)
@@ -87,16 +84,6 @@ def _topological_search(program: TransferProgram, probe: CostProbe,
             return (Location.SOURCE, Location.TARGET)
         return (Location.TARGET,)
 
-    def pinned_options(index: int) -> tuple[Location, ...]:
-        # A pin is viable only where the unpinned search could go.
-        free = options(index)
-        fixed = pinned.get(order[index].op_id)
-        if fixed is None:
-            return free
-        return (fixed,) if fixed in free else ()
-
-    branches = pinned_options if pinned else options
-
     def recurse(index: int, cost: float) -> None:
         nonlocal best_placement, best_cost
         if best_placement is not None:
@@ -109,7 +96,7 @@ def _topological_search(program: TransferProgram, probe: CostProbe,
             best_cost = cost
             return
         node = order[index]
-        for location in branches(index):
+        for location in options(index):
             extra = comp[index][location]
             for position, edge in enumerate(in_edges[index]):
                 if placement[edge.producer.op_id] is not location:
@@ -120,32 +107,20 @@ def _topological_search(program: TransferProgram, probe: CostProbe,
 
     recurse(0, 0.0)
     if best_placement is None:
-        raise PlacementError(
-            "no legal placement extends the pinned prefix" if pinned
-            else "no legal placement exists for this program"
-        )
+        raise PlacementError("no legal placement exists for this program")
     return best_placement, best_cost
 
 
 def cost_based_optim(program: TransferProgram, probe: CostProbe,
-                     weights: CostWeights | None = None,
-                     pinned: Placement | None = None
+                     weights: CostWeights | None = None
                      ) -> tuple[Placement, float]:
     """Exhaustive placement optimization; returns the cheapest legal
     placement and its cost (formula 1).
 
-    Operations in ``pinned`` keep their location (the executed or
-    in-flight prefix of an adaptive run); only placements extending
-    the pins are searched, and the cost includes the pinned
-    operations, so totals compare across re-placements.
-
     Raises:
-        PlacementError: if no legal placement exists, or none extends
-            ``pinned`` (a Scan pinned off the source, a pin forcing a
-            T → S edge).
+        PlacementError: if no legal placement exists.
     """
-    return _topological_search(program, probe, weights, maximize=False,
-                               pinned=pinned)
+    return _topological_search(program, probe, weights, maximize=False)
 
 
 def cost_based_pessim(program: TransferProgram, probe: CostProbe,

@@ -10,7 +10,6 @@ different systems become *cross-edges* and incur communication cost
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import PlacementError, ProgramError
 from repro.core.fragment import Fragment
@@ -274,15 +273,3 @@ class TransferProgram:
             f"<TransferProgram {len(self.nodes)} nodes, "
             f"{len(self.edges)} edges>"
         )
-
-    def iter_expressions(self) -> Iterator[list[Operation]]:
-        """Group nodes into per-Write expressions (Definition 3.10: one
-        expression per target fragment), for rendering."""
-        for write in self.writes():
-            members = self.upstream_closure(write)
-            ordered = [
-                node for node in self.topological_order()
-                if node.op_id in members
-            ]
-            ordered.append(write)
-            yield ordered

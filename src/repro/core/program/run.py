@@ -31,11 +31,10 @@ task on the compute pool — independent expressions run concurrently —
 and each cross-edge gets a prefetch stage on a second pool so producing
 batch *i+1* overlaps shipping batch *i* within a single edge.
 
-Journal resume, adaptive re-placement and delta views wrap this one
-graph: the journal decides which Writes get a drive and which batches
-bypass the wire, :class:`~repro.adapt.executor.AdaptiveRun` runs the
-program one Write-rooted segment at a time, and the delta views stand
-in for the endpoints.
+Journal resume and delta views wrap this one graph: the journal
+decides which Writes get a drive and which batches bypass the wire,
+and the delta views stand in for the endpoints.  The placement is
+fixed before anything runs and never changes mid-flight.
 
 Accounting: per-operation seconds measure each node's own work
 (upstream production pulled from inside a consumer is charged to the

@@ -434,7 +434,7 @@ class ExchangeHttpServer:
                 text=program_to_json(plan.program, plan.placement),
             ))
         if action == "StatsSummary":
-            # Adaptive control plane: the learned per-pair statistics
+            # Learning control plane: the learned per-pair statistics
             # (EWMA drift ratios, observation counts, confidence) as a
             # JSON payload — operators watch what the substrate taught us.
             import json as _json
@@ -442,7 +442,7 @@ class ExchangeHttpServer:
             if self.stats_store is None:
                 raise SoapFault(
                     "this agency endpoint has no statistics store "
-                    "attached; adaptive statistics are unavailable"
+                    "attached; learned statistics are unavailable"
                 )
             self._count("server.http.stats_summaries")
             return soap_envelope(Element(
@@ -546,7 +546,7 @@ class SoapHttpClient:
         return program, placement, result
 
     def stats_summary(self) -> dict:
-        """The server's learned adaptive statistics
+        """The server's learned drift statistics
         (:meth:`~repro.adapt.stats.StatisticsStore.summary`) as a
         JSON-decoded dict."""
         import json as _json

@@ -217,7 +217,7 @@ def cost_drift_report(program: TransferProgram, placement: Placement,
     every cross-edge of ``placement`` an :class:`EdgeDrift` (measured
     seconds/bytes come from the report's shipment accounting).
     Predictions are ``probe.comp_cost(node, location)`` — the number
-    the optimizers price and a :class:`~repro.adapt.replan.
+    the optimizers price and a :class:`~repro.adapt.stats.
     ScaledProbe` scales — whatever strategy the op ran; the strategy
     still names the key the op rolls up under (``combine.merge``).
     A run whose measured costs are one multiple of those prices

@@ -61,7 +61,6 @@ from repro.services.exchange import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
-    from repro.adapt.executor import AdaptiveConfig
     from repro.adapt.stats import StatisticsStore
     from repro.core.program.journal import ExchangeJournal
     from repro.net.faults import FaultPlan, RetryPolicy
@@ -359,7 +358,6 @@ class ExchangeBroker:
                  retry_policy: "RetryPolicy | None" = None,
                  fault_plan: "FaultPlan | None" = None,
                  stats_store: "StatisticsStore | None" = None,
-                 adaptive: "AdaptiveConfig | None" = None,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
         if max_workers < 1:
@@ -390,7 +388,6 @@ class ExchangeBroker:
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.stats_store = stats_store
-        self.adaptive = adaptive
         self.metrics = metrics
         self.tracer = tracer or NULL_TRACER
         self.admitted = 0
@@ -563,7 +560,6 @@ class ExchangeBroker:
                     retry_policy=self.retry_policy,
                     fault_plan=self.fault_plan,
                     journal=journal,
-                    adaptive=self.adaptive,
                     tracer=self.tracer,
                     metrics=self.metrics,
                     delta=delta,
@@ -595,12 +591,8 @@ class ExchangeBroker:
                 or outcome.report is None):
             return
         from repro.adapt.stats import pair_key
-        from repro.obs.drift import cost_drift_report
 
-        self.stats_store.observe_drift(
+        self.stats_store.observe_run(
             pair_key(plan.source_name, plan.target_name),
-            cost_drift_report(
-                plan.program, plan.placement, outcome.report,
-                self.probe,
-            ),
+            plan.program, plan.placement, outcome.report, self.probe,
         )

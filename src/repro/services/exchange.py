@@ -41,7 +41,6 @@ from repro.relational.shredder import shred_document
 from repro.services.endpoint import RelationalEndpoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
-    from repro.adapt.executor import AdaptiveConfig
     from repro.services.endpoint import SystemEndpoint
 
 #: Step keys, in Figure 9 stacking order (bottom to top).
@@ -92,13 +91,10 @@ class ExchangeOutcome:
     retries_by_edge: dict = field(default_factory=dict)
     redelivered_by_edge: dict = field(default_factory=dict)
     #: The program phase's full :class:`~repro.core.program.executor.
-    #: ExecutionReport` — the adaptive layer's raw feedback (per-op
-    #: timings, shipment accounting).  ``None`` only for PM runs.
+    #: ExecutionReport` — per-op timings and shipment accounting, what
+    #: the statistics store learns drift from.  ``None`` only for PM
+    #: runs.
     report: "ExecutionReport | None" = None
-    #: Mid-flight suffix re-placements the adaptive executor performed
-    #: (0 on static runs) and how many operations they moved.
-    replans: int = 0
-    ops_moved: int = 0
     #: Delta-exchange accounting (all zero/False on full runs): the
     #: version window ``(delta_since, delta_high]`` this run covered,
     #: how many source rows had changed in it, how many the closure
@@ -147,7 +143,6 @@ def run_optimized_exchange(
     retry_policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     journal: ExchangeJournal | None = None,
-    adaptive: "AdaptiveConfig | None" = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     reset_channel: bool = True,
@@ -179,15 +174,6 @@ def run_optimized_exchange(
     loss; ``journal`` arms checkpoint/resume.  Communication cost then
     includes the wasted transmissions — loss is charged, not hidden.
 
-    ``adaptive`` runs the program phase through the
-    :class:`~repro.adapt.executor.AdaptiveRun` wrapper instead:
-    checkpoints between write-rooted segments compare observed against
-    predicted costs and re-place the not-yet-started DAG suffix when
-    they diverge.  Written fragments stay byte-identical; the outcome's
-    ``replans``/``ops_moved`` count what the wrapper did.  Adaptive
-    runs do not compose with ``journal`` (resume bookkeeping assumes
-    the placement it recorded is the placement that finishes the run).
-
     ``delta=True`` runs an *incremental* exchange: the source must have
     versioning enabled (:meth:`~repro.services.endpoint.SystemEndpoint.
     enable_versioning`), changed rows since ``since`` (default: the
@@ -203,8 +189,7 @@ def run_optimized_exchange(
     reached raises :class:`~repro.errors.EndpointError` (and records
     no sync).  A completed run records the covered high-water version
     in the ``journal`` (``sync`` event), so the next delta resumes
-    where this one *finished* — a killed run never advances it.  Delta
-    does not compose with ``adaptive``.
+    where this one *finished* — a killed run never advances it.
 
     ``reset_channel=False`` leaves the channel's running totals alone
     and attributes only this run's delta window to the outcome —
@@ -217,16 +202,6 @@ def run_optimized_exchange(
     """
     if parallel_workers < 1:
         raise ValueError("parallel_workers must be >= 1")
-    if adaptive is not None and journal is not None:
-        raise ValueError(
-            "adaptive execution does not compose with journaled "
-            "resume; run one or the other"
-        )
-    if delta and adaptive is not None:
-        raise ValueError(
-            "delta exchange does not compose with adaptive "
-            "re-placement; run one or the other"
-        )
     tracer = tracer or NULL_TRACER
     outcome = ExchangeOutcome(
         scenario, "DE", parallel_workers=parallel_workers,
@@ -299,30 +274,14 @@ def run_optimized_exchange(
         FaultyChannel(channel, fault_plan, tracer=tracer)
         if fault_plan is not None else channel
     )
-    if adaptive is not None:
-        from repro.adapt.executor import AdaptiveRun
-
-        runner = AdaptiveRun(
-            program, placement, source, target, wire,
-            config=adaptive, parallel_workers=parallel_workers,
-            batch_rows=batch_rows, retry=retry_policy,
-            tracer=tracer, metrics=metrics,
-        )
-        with tracer.span("execute program", "step", scenario=scenario,
-                         method="DE", workers=parallel_workers,
-                         adaptive=True):
-            report = runner.run()
-        outcome.replans = runner.replans
-        outcome.ops_moved = runner.ops_moved
-    else:
-        executor = ProgramExecutor(
-            exec_source, exec_target, wire, workers=parallel_workers,
-            batch_rows=batch_rows, retry=retry_policy, journal=journal,
-            tracer=tracer, metrics=metrics,
-        )
-        with tracer.span("execute program", "step", scenario=scenario,
-                         method="DE", workers=parallel_workers):
-            report = executor.run(program, placement)
+    executor = ProgramExecutor(
+        exec_source, exec_target, wire, workers=parallel_workers,
+        batch_rows=batch_rows, retry=retry_policy, journal=journal,
+        tracer=tracer, metrics=metrics,
+    )
+    with tracer.span("execute program", "step", scenario=scenario,
+                     method="DE", workers=parallel_workers):
+        report = executor.run(program, placement)
     outcome.report = report
     outcome.wall_seconds = report.wall_seconds
     outcome.peak_resident_rows = report.peak_resident_rows

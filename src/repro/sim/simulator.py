@@ -33,7 +33,6 @@ from repro.core.fragmentation import Fragmentation
 from repro.core.mapping import derive_mapping
 from repro.core.ops.base import Location
 from repro.core.ops.write import Write
-from repro.core.optimizer.exhaustive import cost_based_optim
 from repro.core.optimizer.search import (
     greedy_exchange,
     optimal_exchange,
@@ -114,41 +113,6 @@ class AmortizedPlanCosts:
         if self.warm_total == 0.0:
             return 1.0
         return self.cold_total / self.warm_total
-
-
-@dataclass(slots=True)
-class AdaptiveCostEstimate:
-    """Mis-calibrated static vs mid-flight adaptive vs oracle, all
-    priced under the *true* cost model (formula-1 units).
-
-    ``static_cost`` is what a plan optimized under the mis-calibrated
-    model really costs; ``oracle_cost`` is the best a clairvoyant
-    optimizer could do; ``adaptive_cost`` runs the first expression
-    under the static plan (the adaptive executor cannot observe drift
-    before executing something), then re-places the remaining suffix
-    under corrected costs with the executed prefix pinned.
-    """
-
-    static_cost: float
-    adaptive_cost: float
-    oracle_cost: float
-    #: Operations executed (and pinned) before the replan fired.
-    pinned_ops: int
-    #: Suffix operations the replan moved off the static placement.
-    moved_ops: int
-
-    @property
-    def gap(self) -> float:
-        """What mis-calibration costs: static minus oracle."""
-        return self.static_cost - self.oracle_cost
-
-    @property
-    def recovered_fraction(self) -> float:
-        """How much of the gap adaptive execution claws back (1.0 =
-        all of it; 0.0 = none, or no gap to recover)."""
-        if self.gap <= 0.0:
-            return 1.0 if self.adaptive_cost <= self.oracle_cost else 0.0
-        return (self.static_cost - self.adaptive_cost) / self.gap
 
 
 @dataclass(slots=True)
@@ -361,79 +325,6 @@ class ExchangeSimulator:
             exchange.communication *= factor
             publish.communication *= factor
         return SimulatedCosts(exchange, publish)
-
-    # -- adaptive mid-flight re-placement ------------------------------------------
-
-    def adaptive_exchange_costs(
-            self, source_fragmentation: Fragmentation,
-            target_fragmentation: Fragmentation,
-            source: MachineProfile, target: MachineProfile, *,
-            miscalibration: "dict[str, float]"
-            ) -> AdaptiveCostEstimate:
-        """Predict the mid-flight adaptation ablation analytically.
-
-        ``miscalibration`` maps operation kinds (``"combine"``, …, or
-        ``"comm"``) to the factor the *believed* model overprices them
-        by — ``{"combine": 4.0}`` is the ISSUE's scenario.  All three
-        variants run over the same canonical transfer program and are
-        priced under the true model:
-
-        * **static** — Algorithm 1 placement under the believed model;
-        * **oracle** — Algorithm 1 placement under the true model;
-        * **adaptive** — the first expression executes under the
-          static placement (drift is only observable *after* running
-          something), then the suffix is re-placed under corrected
-          costs with the executed prefix pinned, exactly what
-          :class:`~repro.adapt.executor.AdaptiveRun` does at its first
-          checkpoint.
-        """
-        from repro.adapt.executor import _expression_groups
-        from repro.adapt.replan import ScaledProbe
-
-        true_model = self.model(source, target)
-        scales = {
-            kind: float(miscalibration.get(kind, 1.0))
-            for kind in ("scan", "combine", "split", "write")
-        }
-        believed = ScaledProbe(
-            true_model, scales,
-            float(miscalibration.get("comm", 1.0)),
-        )
-        mapping = derive_mapping(
-            source_fragmentation, target_fragmentation
-        )
-        program = build_transfer_program(mapping)
-        with self.tracer.span("optimize static", "sim"):
-            static_placement, _ = cost_based_optim(
-                program, believed, self.weights
-            )
-        with self.tracer.span("optimize oracle", "sim"):
-            _, oracle_cost = cost_based_optim(
-                program, true_model, self.weights
-            )
-        static_cost = true_model.breakdown(
-            program, static_placement
-        ).total
-        first = _expression_groups(program)[0]
-        pinned = {
-            op_id: static_placement[op_id] for op_id in first
-        }
-        with self.tracer.span("replan suffix", "sim",
-                              pinned=len(pinned)):
-            adaptive_placement, adaptive_cost = cost_based_optim(
-                program, true_model, self.weights, pinned=pinned
-            )
-        moved = sum(
-            1 for op_id, location in adaptive_placement.items()
-            if static_placement[op_id] is not location
-        )
-        return AdaptiveCostEstimate(
-            static_cost=static_cost,
-            adaptive_cost=adaptive_cost,
-            oracle_cost=oracle_cost,
-            pinned_ops=len(pinned),
-            moved_ops=moved,
-        )
 
     # -- plan-cache amortization ---------------------------------------------------
 

@@ -8,8 +8,12 @@ import threading
 
 import pytest
 
-from repro.adapt.replan import ScaledProbe
-from repro.adapt.stats import ScaleEstimate, StatisticsStore, pair_key
+from repro.adapt.stats import (
+    ScaledProbe,
+    ScaleEstimate,
+    StatisticsStore,
+    pair_key,
+)
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel
 from repro.obs.metrics import MetricsRegistry

@@ -3,11 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.cost.estimates import StatisticsCatalog
-from repro.core.cost.model import CostModel, CostWeights, MachineProfile
+from repro.core.cost.model import CostModel, MachineProfile
 from repro.core.mapping import derive_mapping
 from repro.core.ops.base import Location
 from repro.core.optimizer.exhaustive import (
@@ -16,14 +14,12 @@ from repro.core.optimizer.exhaustive import (
 )
 from repro.core.optimizer.placement import placement_cost
 from repro.core.program.builder import build_transfer_program
-from repro.errors import PlacementError
 
 from tests.optimizer.oracle import (
     cost_based_optim_literal,
     count_placements,
     enumerate_placements,
 )
-from tests.optimizer.test_properties import exchange_cases
 
 
 @pytest.fixture
@@ -118,72 +114,3 @@ class TestEnumeration:
                                                  customer_program):
         for placement in enumerate_placements(customer_program):
             customer_program.validate_placement(placement)
-
-
-class TestPinnedSearch:
-    def test_zero_weight_pinned_optimum_stays_finite(
-            self, auction_schema, auction_mf, auction_lf):
-        """A zero computation weight mutes a dumb target's infinite
-        Combine prices (``0 x inf == 0``) in the pinned search too:
-        pinning the optimum's Scans — an adaptive run's executed
-        prefix — reproduces the optimum's finite cost, where a raw
-        product priced the suffix at ``nan``."""
-        program = build_transfer_program(
-            derive_mapping(auction_mf, auction_lf)
-        )
-        model = CostModel(
-            StatisticsCatalog.synthetic(auction_schema),
-            target=MachineProfile("t", can_combine=False),
-        )
-        weights = CostWeights(0.0, 1.0)
-        optimum, cost = cost_based_optim(program, model, weights)
-        assert cost == 1002.0
-        prefix = {node.op_id: optimum[node.op_id]
-                  for node in program.scans()}
-        placement, pinned_cost = cost_based_optim(
-            program, model, weights, pinned=prefix
-        )
-        assert math.isfinite(pinned_cost)
-        assert pinned_cost == cost
-        assert all(placement[op_id] is location
-                   for op_id, location in prefix.items())
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    exchange_cases(dumb_clients=True),
-    st.sampled_from([
-        None, CostWeights(0.0, 1.0), CostWeights(1.0, 0.0),
-        CostWeights(0.3, 2.0),
-    ]),
-    st.data(),
-)
-def test_pinned_search_is_the_cheapest_extension(case, weights, data):
-    """Algorithm 1 with pins returns the cheapest enumerated legal
-    placement that agrees with every pin, and raises
-    ``PlacementError`` exactly when no legal placement does."""
-    mapping, model = case
-    program = build_transfer_program(mapping)
-    pinned = data.draw(st.dictionaries(
-        st.sampled_from([node.op_id for node in program.nodes]),
-        st.sampled_from(list(Location)),
-        max_size=4,
-    ))
-    extending = [
-        placement for placement in enumerate_placements(program)
-        if all(placement[op_id] is location
-               for op_id, location in pinned.items())
-    ]
-    if not extending:
-        with pytest.raises(PlacementError, match="pinned"):
-            cost_based_optim(program, model, weights, pinned=pinned)
-        return
-    placement, cost = cost_based_optim(
-        program, model, weights, pinned=pinned
-    )
-    assert placement in extending
-    cheapest = min(
-        placement_cost(program, candidate, model, weights)
-        for candidate in extending
-    )
-    assert math.isclose(cost, cheapest, rel_tol=1e-9)

@@ -96,13 +96,6 @@ class TestStructure:
         with pytest.raises(ProgramError):
             program.validate()
 
-    def test_iter_expressions_groups_by_write(self, simple_program):
-        program = simple_program[0]
-        expressions = list(program.iter_expressions())
-        assert len(expressions) == 1
-        assert expressions[0][-1].kind == "write"
-        assert len(expressions[0]) == 4
-
 
 class TestPlacement:
     def _full(self, simple_program, combine_at):

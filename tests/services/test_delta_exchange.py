@@ -157,26 +157,6 @@ class TestDeltaGuards:
         # Not a silent no-op: the change is still owed.
         assert journal.last_sync_version() == synced
 
-    def test_adaptive_combination_rejected(
-            self, auction_schema, auction_mf, auction_lf,
-            auction_document):
-        from repro.adapt import AdaptiveConfig
-
-        source, program, placement = _setup(
-            auction_mf, auction_lf, auction_document
-        )
-        target = RelationalEndpoint("adaptive-tgt", auction_lf)
-        config = AdaptiveConfig(
-            probe=CostModel(
-                StatisticsCatalog.synthetic(auction_schema)
-            )
-        )
-        with pytest.raises(ValueError, match="adaptive"):
-            run_optimized_exchange(
-                program, placement, source, target,
-                SimulatedChannel(), delta=True, adaptive=config,
-            )
-
 
 class TestDeltaCrashRecovery:
     def test_unfinished_run_never_advances_high_water(

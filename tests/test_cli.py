@@ -98,23 +98,13 @@ class TestExchangeCommand:
 
 
 class TestAdaptiveExchange:
-    def test_adaptive_run_reports_replans(self):
-        output = run_cli(
-            "exchange", "MF", "LF", "--size", "2.5",
-            "--scale", "0.02", "--adaptive",
-            "--replan-threshold", "-1",
-        )
-        assert "adaptive execution:" in output
-        assert "replan(s)" in output and "mid-flight" in output
-        assert "(threshold -1)" in output
-
     def test_stats_store_persists_and_warms(self, tmp_path):
         import json
 
         path = tmp_path / "stats.json"
         cold = run_cli(
             "exchange", "MF", "LF", "--size", "2.5",
-            "--scale", "0.02", "--adaptive",
+            "--scale", "0.02",
             "--stats-store", str(path),
         )
         assert f"pair(s) learned -> {path}" in cold
@@ -122,7 +112,7 @@ class TestAdaptiveExchange:
         assert state["ingests"] > 0
         warm = run_cli(
             "exchange", "MF", "LF", "--size", "2.5",
-            "--scale", "0.02", "--adaptive",
+            "--scale", "0.02",
             "--stats-store", str(path),
         )
         assert "statistics store: 1 endpoint pair(s)" in warm
@@ -300,9 +290,6 @@ class TestServiceTier:
                   "--sessions", "2"], io.StringIO())
         with pytest.raises(SystemExit):
             main(["exchange", "MF", "LF", "--delta",
-                  "--adaptive"], io.StringIO())
-        with pytest.raises(SystemExit):
-            main(["exchange", "MF", "LF", "--delta",
                   "--change-rate", "0"], io.StringIO())
         with pytest.raises(SystemExit):
             main(["exchange", "MF", "LF", "--delta",
@@ -311,7 +298,6 @@ class TestServiceTier:
     @pytest.mark.parametrize("flag, value, mode", [
         ("--since", "5", "--delta"),
         ("--change-rate", "0.5", "--delta"),
-        ("--replan-threshold", "3", "--adaptive"),
         ("--trace-format", "chrome", "--trace"),
     ])
     def test_mode_flag_without_its_mode_rejected(self, flag, value,
