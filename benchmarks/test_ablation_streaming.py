@@ -62,7 +62,6 @@ def test_streaming_sweep(benchmark, batch_rows, size_labels, sources,
     _RESULTS[row] = {
         "batch_rows": batch_rows,
         "peak_resident_rows": report.peak_resident_rows,
-        "peak_resident_bytes": report.peak_resident_bytes,
         "wall_seconds": round(wall, 4),
         "comm_seconds": round(report.comm_seconds, 4),
         "shipment_batches": sum(
@@ -76,8 +75,6 @@ def test_streaming_sweep(benchmark, batch_rows, size_labels, sources,
         title="Ablation: streaming dataplane batch-size sweep "
               "(Figure 9 MF->MF, sleeping channel)",
     )
-    results.record("ablation-streaming", row, "peak KB",
-                   round(report.peak_resident_bytes / 1000, 1))
     results.record("ablation-streaming", row, "wall s", round(wall, 3))
     results.record("ablation-streaming", row, "rows/s",
                    round(report.rows_written / wall, 1))

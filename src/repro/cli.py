@@ -495,8 +495,7 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
         if args.batch_rows is not None:
             print(
                 f"streaming dataplane (batch_rows={args.batch_rows}): "
-                f"peak {de.peak_resident_rows} resident rows "
-                f"({de.peak_resident_bytes:,} bytes)",
+                f"peak {de.peak_resident_rows} resident rows",
                 file=out,
             )
         if stats_store is not None:

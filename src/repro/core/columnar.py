@@ -24,24 +24,18 @@ text cells of present elements are strings (SQL ``NULL`` normalizes to
 descendants) are ``None``.  That is what keeps the two representations
 byte-identical in the target tables for every batch size.
 
-Size accounting is per column and inherited.  A batch keeps, for each
-column, how many cells are present and how many characters they hold
-(:data:`ColumnStats`); :meth:`~ColumnBatch.estimated_size` and
-:meth:`~ColumnBatch.feed_size` are sums over those and agree exactly with the per-row formulas
-(:func:`~repro.core.instance.row_estimated_size` /
-:func:`~repro.core.instance.row_feed_size`), so the
-:class:`~repro.core.stream.ResidencyMeter` and the channel charge the
-same bytes whatever the batch representation.  An operator that reuses
-a column zero-copy hands its stats to the output batch, so a chain of
-combines measures each cell once, where it enters the chain.  Slicing
-is zero-copy: a slice shares the parent's column lists and narrows
-``start``/``stop``.
+One size is measured on a batch: :meth:`~ColumnBatch.feed_size`, the
+tabular sorted-feed (wire) estimate a byte-counting channel charges
+for a shipped batch.  It is one pass per column, taken on first use,
+and agrees exactly with the per-row formula
+(:func:`~repro.core.instance.row_feed_size`), so a channel charges the
+same bytes whatever the batch representation.  Slicing is zero-copy: a
+slice shares the parent's column lists and narrows ``start``/``stop``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.errors import OperationError
 from repro.core.fragment import Fragment
@@ -237,39 +231,24 @@ def layout_of(fragment: Fragment) -> ColumnLayout:
     return layout
 
 
-#: Per-column size statistics: ``(present, chars)`` — how many cells
-#: are not ``None``, and the total string length of those (0 for key
-#: columns).  Both size formulas are linear in these two numbers.
-ColumnStats = tuple[int, int]
-
-_STR_OR_NONE = frozenset((str, type(None)))
-
-
 class ColumnBatch:
     """An ordered slice of a fragment's feed, stored column-wise.
 
     Duck-compatible with :class:`~repro.core.stream.RowBatch` where
     the pipeline needs it — ``fragment``/``seq``/``row_count``/
-    ``estimated_size``/``feed_size``/``to_instance`` and a lazily
-    materialized ``rows`` view — so the reliable shipping layer and
-    the residency meter handle either batch kind unchanged.  The wire
-    does not need the row view: a channel encodes the cells and a
-    receiver decodes into columns (:mod:`repro.net.soap`).
-
-    ``stats`` hands over per-column :data:`ColumnStats` the producer
-    already knows (``None`` entries are measured on first use): an
-    operator passes on the stats of every column it reuses, so only
-    the cells it gathered are ever measured again.
+    ``feed_size``/``to_instance`` and a lazily materialized ``rows``
+    view — so the reliable shipping layer and the residency meter
+    handle either batch kind unchanged.  The wire does not need the
+    row view: a channel encodes the cells and a receiver decodes into
+    columns (:mod:`repro.net.soap`).
     """
 
     __slots__ = ("fragment", "layout", "columns", "seq", "start",
-                 "stop", "_rows", "_stats", "_estimated", "_feed")
+                 "stop", "_rows", "_feed")
 
     def __init__(self, fragment: Fragment, columns: list[list],
                  seq: int | None, layout: ColumnLayout | None = None,
-                 start: int = 0, stop: int | None = None,
-                 stats: "list[ColumnStats | None] | None" = None
-                 ) -> None:
+                 start: int = 0, stop: int | None = None) -> None:
         self.fragment = fragment
         self.layout = layout or layout_of(fragment)
         if len(columns) != len(self.layout.specs):
@@ -282,10 +261,6 @@ class ColumnBatch:
         self.start = start
         self.stop = len(columns[0]) if stop is None else stop
         self._rows: list[FragmentRow] | None = None
-        self._stats: list[ColumnStats | None] = (
-            [None] * len(columns) if stats is None else stats
-        )
-        self._estimated: int | None = None
         self._feed: int | None = None
 
     # -- construction ----------------------------------------------------------
@@ -318,8 +293,7 @@ class ColumnBatch:
     def slice(self, start: int, stop: int,
               seq: int | None = None) -> "ColumnBatch":
         """A view of rows ``[start, stop)`` sharing the column arrays
-        (no cell is copied).  A view of every row keeps the measured
-        column stats; a narrower one measures its own range."""
+        (no cell is copied)."""
         count = self.row_count()
         if not 0 <= start <= stop <= count:
             raise OperationError(
@@ -330,7 +304,6 @@ class ColumnBatch:
             self.fragment, self.columns,
             self.seq if seq is None else seq, self.layout,
             self.start + start, self.start + stop,
-            list(self._stats) if stop - start == count else None,
         )
 
     def column(self, name: str) -> list:
@@ -372,17 +345,16 @@ class ColumnBatch:
             self.seq, self.layout,
         )
 
-    def rebind(self, columns: list[list],
-               stale: "Iterable[int]" = ()) -> None:
+    def rebind(self, columns: list[list]) -> None:
         """Point this batch at ``columns``, one cell per row of it: the
         batch becomes a whole-range view of them.
 
         The wire hands on what crossed this way — the encoder rebinds
-        copies of the columns whose cells it normalised (their
-        :data:`ColumnStats`, listed in ``stale``, are dropped and
-        measured again on use), a self-receiving channel the columns
-        it decoded.  The lists the batch pointed at before are left
-        as they were: sibling slices and the store may share them.
+        copies of the columns whose cells it normalised, a
+        self-receiving channel the columns it decoded — and the feed
+        size is measured again on use.  The lists the batch pointed at
+        before are left as they were: sibling slices and the store may
+        share them.
 
         Raises:
             OperationError: if ``columns`` does not fit the layout or
@@ -397,10 +369,7 @@ class ColumnBatch:
             )
         self.columns = columns
         self.start, self.stop = 0, count
-        self._rows = None
-        for position in stale:
-            self._stats[position] = None
-            self._estimated = self._feed = None
+        self._rows = self._feed = None
 
     @property
     def rows(self) -> list[FragmentRow]:
@@ -433,84 +402,35 @@ class ColumnBatch:
         Write's bulk-load without the type checks; tests use it)."""
         return list(zip(*map(self._cells, range(len(self.columns)))))
 
-    # -- per-column byte accounting ---------------------------------------------
-
-    def known_stats(self, position: int) -> ColumnStats | None:
-        """The stats of the column at ``position`` if they have been
-        measured or inherited, else ``None`` — what an operator passes
-        on with a column it reuses."""
-        return self._stats[position]
-
-    def _stats_at(self, position: int) -> ColumnStats:
-        """``(present, chars)`` of the column at ``position`` over
-        this slice's rows — measured once, or never if the producer
-        handed the numbers over."""
-        stats = self._stats[position]
-        if stats is None:
-            cells = self._cells(position)
-            present = len(cells) - cells.count(None)
-            chars = 0
-            if self.layout.specs[position].role in ("text", "attr"):
-                if set(map(type, cells)) <= _STR_OR_NONE:
-                    # filter(None) also drops "", which weighs nothing.
-                    chars = sum(map(len, filter(None, cells)))
-                else:
-                    chars = sum(len(str(cell)) for cell in cells
-                                if cell is not None)
-            stats = self._stats[position] = (present, chars)
-        return stats
-
-    def column_sizes(self) -> dict[str, int]:
-        """Estimated (tagged-XML) bytes attributed to each column.
-
-        The per-element tag overhead rides on the column that keys the
-        element (``id``/``eid``); text and attribute columns carry
-        their value bytes.  Summing the dict plus the 24-byte ID/PARENT
-        exposure per row reproduces :meth:`estimated_size`.
-        """
-        sizes: dict[str, int] = {}
-        for position, spec in enumerate(self.layout.specs):
-            if spec.role == "parent":
-                sizes[spec.name] = 0
-                continue
-            present, chars = self._stats_at(position)
-            if spec.role in ("id", "eid"):
-                sizes[spec.name] = (
-                    (2 * len(spec.element or "") + 5) * present
-                )
-            elif spec.role == "text":
-                sizes[spec.name] = chars
-            else:  # attr
-                sizes[spec.name] = (
-                    chars + (len(spec.attribute or "") + 4) * present
-                )
-        return sizes
-
-    def estimated_size(self) -> int:
-        """Approximate serialized (tagged XML) size in bytes — agrees
-        with the row adapter's per-row accounting exactly."""
-        if self._estimated is None:
-            self._estimated = (
-                sum(self.column_sizes().values())
-                + 24 * self.row_count()
-            )
-        return self._estimated
+    # -- wire size -------------------------------------------------------------
 
     def feed_size(self) -> int:
         """Approximate tabular sorted-feed (wire) size in bytes —
-        agrees with :func:`~repro.core.instance.row_feed_size`."""
+        agrees with :func:`~repro.core.instance.row_feed_size`: the
+        PARENT key of every row, key and separators per present
+        element, and the characters of text and attribute values.
+
+        Measured once, one pass per column.  Text and attribute cells
+        are strings or ``None`` (the relational store's typed columns
+        and the row bridge keep them so); a column holding a truthy
+        value of another type is measured by its cells' ``str()``
+        form instead, while one whose only non-strings are falsy (a
+        ``0``) passes them over like ``""``."""
         if self._feed is None:
             total = 8 * self.row_count()  # the PARENT key per row
             for position, spec in enumerate(self.layout.specs):
-                if spec.role == "parent":
+                role = spec.role
+                if role == "parent":
                     continue
-                present, chars = self._stats_at(position)
-                # key + separators per present element (non-leaf
-                # elements carry no text of their own); values only
-                # for text and attribute cells.
-                total += (
-                    10 * present if spec.role in ("id", "eid")
-                    else chars
-                )
+                cells = self._cells(position)
+                if role in ("id", "eid"):
+                    total += 10 * (len(cells) - cells.count(None))
+                    continue
+                try:
+                    # filter(None) also drops "", which weighs nothing.
+                    total += sum(map(len, filter(None, cells)))
+                except TypeError:
+                    total += sum(len(str(cell)) for cell in cells
+                                 if cell is not None)
             self._feed = total
         return self._feed

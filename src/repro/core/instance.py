@@ -155,14 +155,6 @@ class FragmentRow:
         return self.data.eid
 
 
-def row_estimated_size(row: FragmentRow) -> int:
-    """Approximate serialized (tagged XML) size of one row in bytes,
-    including its ID/PARENT exposure.  The per-row unit both the
-    materialized :meth:`FragmentInstance.estimated_size` and the batch
-    dataplane (:class:`~repro.core.stream.RowBatch`) account in."""
-    return row.data.estimated_size() + 24  # ID/PARENT exposure
-
-
 def row_feed_size(row: FragmentRow) -> int:
     """Approximate size of one row as part of a tabular *sorted feed*:
     keys and values only, no tags — the DE wire format (the paper ships
@@ -205,10 +197,6 @@ class FragmentInstance:
     def element_count(self) -> int:
         """Total element occurrences across all rows."""
         return sum(row.data.element_count() for row in self.rows)
-
-    def estimated_size(self) -> int:
-        """Approximate serialized (tagged XML) size in bytes."""
-        return sum(row_estimated_size(row) for row in self.rows)
 
     def feed_size(self) -> int:
         """Approximate size as a tabular *sorted feed*: keys and values

@@ -35,7 +35,6 @@ from repro.core.instance import (
     FragmentInstance,
     FragmentRow,
     combine_orphan_message,
-    row_estimated_size,
 )
 from repro.core.ops.base import Location, Operation
 from repro.core.stream import ResidencyMeter, RowBatch
@@ -176,28 +175,21 @@ class Combine(Operation):
             for batch in parent:
                 started = time.perf_counter()
                 in_rows = len(batch.rows)
-                in_bytes = batch.estimated_size() if meter else 0
                 attached_rows = 0
-                attached_bytes = 0
                 for row in batch.rows:
                     for occurrence in row.data.occurrences_of(anchor):
                         group = pending.pop(occurrence.eid, None)
                         if group is None:
                             continue
+                        attached_rows += len(group)
                         for child_row in group:
-                            if meter is not None:
-                                attached_rows += 1
-                                attached_bytes += row_estimated_size(
-                                    child_row
-                                )
                             occurrence.add_child(child_row.data)
                 out = RowBatch(result_fragment, batch.rows, batch.seq)
                 if tick is not None:
                     tick(time.perf_counter() - started, len(out.rows))
                 if meter is not None:
-                    meter.acquire(len(out.rows), out.estimated_size())
-                    meter.release(in_rows + attached_rows,
-                                  in_bytes + attached_bytes)
+                    meter.acquire(in_rows)
+                    meter.release(in_rows + attached_rows)
                 yield out
             if pending:
                 orphan_keys = [
@@ -229,9 +221,8 @@ class Combine(Operation):
         anchor key (its own ``id`` when the anchor is the parent root,
         the anchor's ``eid`` column otherwise) probes the index, and
         result columns are assembled without building a single tree:
-        parent-derived columns are reused zero-copy — their measured
-        sizes with them — and child-derived columns are gathered by
-        match position.
+        parent-derived columns are reused zero-copy and child-derived
+        columns are gathered by match position.
 
         Strategy selection: the sorted-outer-union feeds arrive
         ordered by ``parent, id``, so when the child's PARENT keys are
@@ -263,34 +254,30 @@ class Combine(Operation):
         result_layout = layout_of(result_fragment)
         parent_fragment = self.parent_fragment
         child_fragment = self.child_fragment
-        parent_positions = layout_of(parent_fragment).positions
         anchor = child_fragment.parent_element()
         anchor_column = layout_of(parent_fragment).eid_column(anchor)
         child_elements = child_fragment.elements
         child_root = child_fragment.root_name
 
-        # Result columns come from one side each: the parent's column
-        # position (reused, stats and all) or the child's column name
-        # (gathered).
-        column_plan: list[tuple[int | None, str]] = []
+        # Result columns come from one side each: ``(gathered, name)``
+        # — a child column gathered by match, or a parent column
+        # reused.
+        column_plan: list[tuple[bool, str]] = []
         for spec in result_layout.specs:
             if spec.role not in ("id", "parent") \
                     and spec.element in child_elements:
                 source = ("id" if spec.role == "eid"
                           and spec.element == child_root else spec.name)
-                column_plan.append((None, source))
+                column_plan.append((True, source))
             else:
-                column_plan.append(
-                    (parent_positions[spec.name], spec.name)
-                )
+                column_plan.append((False, spec.name))
 
         def generate() -> Iterator[ColumnBatch]:
             # ---- build: drain the child side into column arrays ----
             build_seconds = 0.0
             keys: list[int | float] = []
             child_columns: dict[str, list] = {
-                name: [] for position, name in column_plan
-                if position is None
+                name: [] for gathered, name in column_plan if gathered
             }
             for batch in child:
                 started = time.perf_counter()
@@ -384,49 +371,32 @@ class Combine(Operation):
             for batch in parent:
                 started = time.perf_counter()
                 in_rows = batch.row_count()
-                in_bytes = batch.estimated_size() if meter else 0
                 probe_rows += in_rows
                 matches = matches_of(batch.column(anchor_column))
                 misses = matches.count(None)
                 out_columns: list[list] = []
-                out_stats: list = []
-                for position, name in column_plan:
-                    if position is None:
+                for gathered, name in column_plan:
+                    if gathered:
                         cells = child_columns[name]
                         out_columns.append(
                             [None if hit is None else cells[hit]
                              for hit in matches] if misses
                             else list(map(cells.__getitem__, matches))
                         )
-                        out_stats.append(None)
                     else:
                         out_columns.append(batch.column(name))
-                        out_stats.append(batch.known_stats(position))
                 matched.update(matches)
                 out = ColumnBatch(result_fragment, out_columns,
-                                  batch.seq, result_layout,
-                                  stats=out_stats)
+                                  batch.seq, result_layout)
                 elapsed = time.perf_counter() - started
                 probe_seconds += elapsed
                 if tick is not None:
                     tick(elapsed, out.row_count())
                 if meter is not None:
-                    # An inlined child row weighs its ID/PARENT
-                    # exposure plus its cells, which are exactly the
-                    # gathered columns' cells.
-                    attached_rows = in_rows - misses
-                    sizes = out.column_sizes()
-                    attached_bytes = 24 * attached_rows + sum(
-                        sizes[spec.name]
-                        for spec, (position, _) in zip(
-                            result_layout.specs, column_plan
-                        )
-                        if position is None
-                    )
-                    meter.acquire(out.row_count(),
-                                  out.estimated_size())
-                    meter.release(in_rows + attached_rows,
-                                  in_bytes + attached_bytes)
+                    # The output replaces the parent batch, and every
+                    # matched child row is inlined into it.
+                    meter.acquire(in_rows)
+                    meter.release(in_rows + in_rows - misses)
                 yield out
             if observe is not None:
                 observe(JoinStatistics(

@@ -106,11 +106,8 @@ class Split(Operation):
         piece root's key becomes its ``id``, the key of its schema
         parent becomes its ``parent`` (fresh ID/PARENT exposure straight
         from existing key columns).  The root piece keeps every row and
-        reuses the input's column arrays zero-copy.  Every piece
-        inherits the measured sizes of the columns it projects: the
-        rows a piece drops are the ones where its root is absent, and
-        an absent element's cells are all ``None`` and weigh nothing.
-        Queueing/refill discipline is :meth:`apply_batches`'s.
+        reuses the input's column arrays zero-copy.  Queueing/refill
+        discipline is :meth:`apply_batches`'s.
         """
         pieces = len(self.pieces)
         state = _SplitState(
@@ -145,7 +142,6 @@ class Split(Operation):
                 else:
                     sources.append(spec.name)
             plans.append((piece, layout, key_column, sources))
-        positions = input_layout.positions
 
         def partition(batch: ColumnBatch) -> list[ColumnBatch]:
             in_rows = batch.row_count()
@@ -169,16 +165,7 @@ class Split(Operation):
                         for cells in (batch.column(name)
                                       for name in sources)
                     ]
-                stats = [
-                    batch.known_stats(positions[name])
-                    for name in sources
-                ]
-                # PARENT takes an anchor's key cells, not its weight.
-                stats[layout.positions["parent"]] = None
-                out.append(
-                    ColumnBatch(piece, columns, None, layout,
-                                stats=stats)
-                )
+                out.append(ColumnBatch(piece, columns, None, layout))
             return out
 
         return partition
@@ -217,7 +204,6 @@ class _SplitState:
         """
         batch = next(self._batches)
         started = time.perf_counter()
-        in_bytes = batch.estimated_size() if self._meter else 0
         pieces = self._partition(batch)
         if self._tick is not None:
             self._tick(
@@ -234,12 +220,10 @@ class _SplitState:
                 piece.seq = self._seqs[index]
                 self._seqs[index] += 1
             if self._meter is not None:
-                self._meter.acquire(
-                    piece.row_count(), piece.estimated_size()
-                )
+                self._meter.acquire(piece.row_count())
             self._queues[index].append(piece)
         if self._meter is not None:
-            self._meter.release(batch.row_count(), in_bytes)
+            self._meter.release(batch.row_count())
 
     def _pull(self, index: int) -> RowBatch | None:
         with self._lock:

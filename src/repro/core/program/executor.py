@@ -120,11 +120,11 @@ class ExecutionReport:
     unbatched run (``batch_rows=None``), where each edge is one
     monolithic message.
 
-    **Peak memory.** ``peak_resident_rows``/``peak_resident_bytes``
-    are the high-water marks of fragment rows resident in the
-    dataplane (instances in flight, batch frontiers, combine/split
-    buffers) as measured by :class:`~repro.core.stream.ResidencyMeter`
-    — the quantity ``batch_rows`` bounds.  ``batch_rows`` records the
+    **Peak memory.** ``peak_resident_rows`` is the high-water mark of
+    fragment rows resident in the dataplane (instances in flight,
+    batch frontiers, combine/split buffers) as counted by
+    :class:`~repro.core.stream.ResidencyMeter` — the quantity
+    ``batch_rows`` bounds.  ``batch_rows`` records the
     knob the run used (``None`` = unbatched).
 
     **Robustness** (zero on a fault-free run over a perfect channel):
@@ -162,7 +162,6 @@ class ExecutionReport:
         default_factory=dict
     )
     peak_resident_rows: int = 0
-    peak_resident_bytes: int = 0
     batch_rows: int | None = None
     retries: int = 0
     redelivered_batches: int = 0
@@ -201,10 +200,11 @@ class ExecutionReport:
 
 
 class _ZeroCostChannel:
-    """Accounts bytes but charges no transfer time (LAN-of-zero-latency)."""
+    """Accounts bytes but charges no transfer time (LAN-of-zero-latency):
+    the feed size a byte-counting ``InProcessTransport`` charges."""
 
     def ship_batch(self, batch: RowBatch) -> Shipment:
-        return Shipment(batch.estimated_size(), 0.0)
+        return Shipment(batch.feed_size(), 0.0)
 
 
 class ProgramExecutor:

@@ -307,7 +307,6 @@ class ProgramRun:
                 self.metrics, node.kind, stats.seconds, stats.rows
             )
         report.peak_resident_rows = self.meter.peak_rows
-        report.peak_resident_bytes = self.meter.peak_bytes
         apply_robustness(report, self._rstats)
         report.wall_seconds = time.perf_counter() - started
         report.critical_path_seconds = critical_path_seconds(
@@ -525,9 +524,7 @@ class ProgramRun:
                     tick(time.perf_counter() - started, 0)
                     return
                 tick(time.perf_counter() - started, batch.row_count())
-                self.meter.acquire(
-                    batch.row_count(), batch.estimated_size()
-                )
+                self.meter.acquire(batch.row_count())
                 yield batch
 
         return generate()
@@ -602,7 +599,7 @@ class ProgramRun:
         incremental = self._acks_batches(endpoint)
         pull_seconds = 0.0
         rows_total = 0
-        pending_release: tuple[int, int] | None = None
+        pending_release: int | None = None
         pending_ack: int | None = None
 
         def instrumented() -> Iterator[RowBatch]:
@@ -624,17 +621,13 @@ class ProgramRun:
                     return
                 pull_seconds += time.perf_counter() - started
                 if pending_release is not None:
-                    self.meter.release(*pending_release)
+                    self.meter.release(pending_release)
                     pending_release = None
                 if skip_through >= 0 and batch.seq <= skip_through:
                     # Stored by an earlier attempt; don't load again.
-                    self.meter.release(
-                        batch.row_count(), batch.estimated_size()
-                    )
+                    self.meter.release(batch.row_count())
                     continue
-                pending_release = (
-                    batch.row_count(), batch.estimated_size()
-                )
+                pending_release = batch.row_count()
                 if incremental:
                     pending_ack = batch.seq
                 rows_total += batch.row_count()
@@ -646,7 +639,7 @@ class ProgramRun:
         )
         elapsed = (time.perf_counter() - started) - pull_seconds
         if pending_release is not None:
-            self.meter.release(*pending_release)
+            self.meter.release(pending_release)
         if self.journal is not None:
             if pending_ack is not None:
                 self.journal.ack_batch(jkey, pending_ack)

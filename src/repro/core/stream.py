@@ -9,9 +9,9 @@ a stream is cut into numbered slices of ``N`` rows, so operations hold
 only a bounded frontier of rows; with ``batch_rows=None`` a stream is
 exactly one unbounded batch with no ``seq`` — the whole feed, shipped
 as the single message the paper's setup sends per fragment.
-:class:`ResidencyMeter` measures the resident frontier
-(``peak_resident_rows`` / ``peak_resident_bytes`` in the execution
-report) so the bound is checkable.
+:class:`ResidencyMeter` counts the rows of the resident frontier
+(``peak_resident_rows`` in the execution report) so the bound is
+checkable.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.core.fragment import Fragment
 from repro.core.instance import (
     FragmentInstance,
     FragmentRow,
-    row_estimated_size,
     row_feed_size,
 )
 
@@ -47,14 +46,11 @@ class RowBatch:
     fragment: Fragment
     rows: list[FragmentRow]
     seq: int | None
-    #: Memoized size sums.  Several pipeline stages (residency meter,
-    #: transport charging, shipping accounting) each ask for the size of
-    #: the same immutable slice; walking every row's tree per ask is
-    #: pure waste.  Operations that mutate rows (Combine) emit a *new*
-    #: RowBatch for the result, so a cached value never goes stale.
-    _estimated: int | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: Memoized wire size.  Transport charging and the fault layer
+    #: may each ask for the size of the same immutable slice; walking
+    #: every row's tree per ask is pure waste.  Operations that mutate
+    #: rows (Combine) emit a *new* RowBatch for the result, so a
+    #: cached value never goes stale.
     _feed: int | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -62,15 +58,6 @@ class RowBatch:
     def row_count(self) -> int:
         """Number of fragment-root occurrences in the slice."""
         return len(self.rows)
-
-    def estimated_size(self) -> int:
-        """Approximate serialized (tagged XML) size in bytes
-        (computed once per batch, then memoized)."""
-        if self._estimated is None:
-            self._estimated = sum(
-                row_estimated_size(row) for row in self.rows
-            )
-        return self._estimated
 
     def feed_size(self) -> int:
         """Approximate tabular sorted-feed (wire) size in bytes
@@ -179,46 +166,37 @@ class FragmentStream:
 
 
 class ResidencyMeter:
-    """Tracks rows/bytes resident in the dataplane and their peaks.
+    """Counts the rows resident in the dataplane and their peak.
 
     Producers :meth:`acquire` rows when they enter the dataplane (a
     Scan yields a batch, a Split queues a piece) and consumers
     :meth:`release` them when absorbed (a Write loaded the batch, a
-    Combine inlined a buffered child row).  Thread-safe, since a run
-    with ``workers > 1`` produces and consumes from many threads.
+    Combine inlined a buffered child row).  Rows, not bytes: the one
+    size a batch is measured by is the wire size of a shipment.
+    Thread-safe, since a run with ``workers > 1`` produces and
+    consumes from many threads.
     """
 
-    __slots__ = ("_lock", "_rows", "_bytes", "peak_rows", "peak_bytes")
+    __slots__ = ("_lock", "_rows", "peak_rows")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._rows = 0
-        self._bytes = 0
         self.peak_rows = 0
-        self.peak_bytes = 0
 
-    def acquire(self, rows: int, size_bytes: int) -> None:
-        """Mark ``rows`` totalling ``size_bytes`` as resident."""
+    def acquire(self, rows: int) -> None:
+        """Mark ``rows`` as resident."""
         with self._lock:
             self._rows += rows
-            self._bytes += size_bytes
             if self._rows > self.peak_rows:
                 self.peak_rows = self._rows
-            if self._bytes > self.peak_bytes:
-                self.peak_bytes = self._bytes
 
-    def release(self, rows: int, size_bytes: int) -> None:
-        """Mark ``rows`` totalling ``size_bytes`` as absorbed."""
+    def release(self, rows: int) -> None:
+        """Mark ``rows`` as absorbed."""
         with self._lock:
             self._rows -= rows
-            self._bytes -= size_bytes
 
     @property
     def resident_rows(self) -> int:
         """Rows currently resident."""
         return self._rows
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes currently resident."""
-        return self._bytes

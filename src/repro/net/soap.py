@@ -451,7 +451,7 @@ def _tuple_text(batch: ColumnBatch) -> str:
         raise OperationError(
             f"columnar row of {batch.fragment.name!r} has NULL id"
         )
-    wire, written = [], {}
+    wire, rebound = [], False
     for position, spec in enumerate(layout.specs):
         cells, values = _wire_cells(
             columns[position], spec.role,
@@ -460,9 +460,10 @@ def _tuple_text(batch: ColumnBatch) -> str:
         )
         wire.append(cells)
         if values is not columns[position]:
-            written[position] = columns[position] = values
-    if written:
-        batch.rebind(columns, written)
+            columns[position] = values
+            rebound = True
+    if rebound:
+        batch.rebind(columns)
     return _escaped_end("\n".join(map(SEPARATOR.join, zip(*wire))))
 
 

@@ -74,10 +74,9 @@ class ExchangeOutcome:
     wall_seconds: float = 0.0
     #: Batch size the program phase used (None = unbatched).
     batch_rows: int | None = None
-    #: Peak fragment rows / bytes resident in the dataplane (see
+    #: Peak fragment rows resident in the dataplane (see
     #: :class:`~repro.core.program.executor.ExecutionReport`).
     peak_resident_rows: int = 0
-    peak_resident_bytes: int = 0
     #: Healing work of the reliable shipping layer (all zero on a
     #: fault-free run): re-sends after transport failures, duplicate
     #: deliveries discarded, attempts recorded before this one in the
@@ -285,7 +284,6 @@ def run_optimized_exchange(
     outcome.report = report
     outcome.wall_seconds = report.wall_seconds
     outcome.peak_resident_rows = report.peak_resident_rows
-    outcome.peak_resident_bytes = report.peak_resident_bytes
     outcome.retries = report.retries
     outcome.redelivered_batches = report.redelivered_batches
     outcome.retries_by_edge = dict(report.retries_by_edge)

@@ -1,7 +1,5 @@
 """The columnar dataplane core: layouts, batches, sizes, converters."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,23 +8,11 @@ from repro.errors import OperationError
 from repro.core.columnar import ColumnBatch, ColumnLayout, layout_of
 from repro.core.fragment import Fragment
 from repro.core.fragmentation import Fragmentation
-from repro.core.instance import (
-    ElementData,
-    FragmentRow,
-    row_estimated_size,
-    row_feed_size,
-)
-from repro.core.mapping import derive_mapping
-from repro.core.ops.split import Split
-from repro.core.program.builder import build_transfer_program
-from repro.core.stream import ResidencyMeter, RowBatch
+from repro.core.instance import row_feed_size
+from repro.core.stream import RowBatch
 from repro.schema.dtd import parse_dtd
-from repro.schema.generator import random_schema
 from repro.services.endpoint import RelationalEndpoint
-from repro.workloads.docgen import generate_document
 from repro.xmlkit.writer import serialize
-
-from tests.integration.test_random_roundtrips import flat_fragmentation
 
 
 def _docs(fragment, rows):
@@ -155,15 +141,66 @@ class TestSlicing:
             batch.slice(0, len(rows) + 1)
 
 
-class TestSizes:
-    """Column-wise accounting must agree with the per-row formulas
-    exactly — that is what keeps meters and channels dataplane-blind."""
+#: A flat fragment with a text leaf under the root, an optional
+#: non-leaf element holding an optional leaf, and attributes on a
+#: leaf and on inner elements.
+_SIZED_SCHEMA = parse_dtd(
+    "<!ELEMENT r (a, b?)> <!ATTLIST r k CDATA #IMPLIED>"
+    "<!ELEMENT a (#PCDATA)> <!ATTLIST a x CDATA #IMPLIED>"
+    "<!ELEMENT b (c?, d)> <!ATTLIST b y CDATA #IMPLIED>"
+    "<!ELEMENT c (#PCDATA)> <!ELEMENT d (#PCDATA)>"
+)
+_SIZED = Fragment(_SIZED_SCHEMA, ["r", "a", "b", "c", "d"], "sized")
 
-    def test_estimated_size_matches_row_formula(self, item_rows):
-        fragment, rows = item_rows
-        batch = ColumnBatch.from_rows(fragment, rows, 0)
-        assert batch.estimated_size() == \
-            sum(row_estimated_size(row) for row in rows)
+_TEXT_CELLS = st.one_of(st.none(), st.just(""), st.text(max_size=6))
+# A truthy non-``str`` attribute cell measures through the ``str()``
+# fallback.
+_ATTR_CELLS = st.one_of(_TEXT_CELLS, st.integers(min_value=1))
+
+
+@st.composite
+def flat_batches(draw):
+    """A column batch of ``_SIZED`` under the cell invariant: an
+    absent element (and every element under it) has ``None`` in every
+    cell; a present one holds text, ``""``, ``None`` or any attribute
+    value."""
+    layout = layout_of(_SIZED)
+    schema = _SIZED_SCHEMA
+    columns = [[] for _ in layout.specs]
+    for number in range(draw(st.integers(0, 12))):
+        present = {}
+        for node in schema.iter_nodes():
+            parent = schema.parent_name(node.name)
+            present[node.name] = parent is None or (
+                present[parent] and draw(st.booleans())
+            )
+        for position, spec in enumerate(layout.specs):
+            if spec.role == "parent":
+                cell = draw(st.one_of(st.none(), st.integers(0, 99)))
+            elif not present[spec.element]:
+                cell = None
+            elif spec.role in ("id", "eid"):
+                cell = 10 * number + position
+            else:
+                cell = draw(_TEXT_CELLS if spec.role == "text"
+                            else _ATTR_CELLS)
+            columns[position].append(cell)
+    return ColumnBatch(_SIZED, columns, None, layout)
+
+
+class TestSizes:
+    """Column-wise measurement must agree with the per-row formula
+    exactly — that is what keeps channels dataplane-blind."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(flat_batches(), st.data())
+    def test_random_batches_and_slices(self, batch, data):
+        count = batch.row_count()
+        start = data.draw(st.integers(0, count))
+        stop = data.draw(st.integers(start, count))
+        for view in (batch, batch.slice(start, stop)):
+            assert view.feed_size() == \
+                sum(row_feed_size(row) for row in view.rows)
 
     def test_feed_size_matches_row_formula(self, item_rows):
         fragment, rows = item_rows
@@ -171,18 +208,12 @@ class TestSizes:
         assert batch.feed_size() == \
             sum(row_feed_size(row) for row in rows)
 
-    def test_column_sizes_sum_to_estimated(self, item_rows):
-        fragment, rows = item_rows
-        batch = ColumnBatch.from_rows(fragment, rows, 0)
-        assert (sum(batch.column_sizes().values())
-                + 24 * batch.row_count()) == batch.estimated_size()
-
     def test_slice_sizes_are_slice_local(self, item_rows):
         fragment, rows = item_rows
         batch = ColumnBatch.from_rows(fragment, rows, 0)
         view = batch.slice(0, 4)
-        assert view.estimated_size() == \
-            sum(row_estimated_size(row) for row in rows[:4])
+        assert view.feed_size() == \
+            sum(row_feed_size(row) for row in rows[:4])
 
 
 class TestColumnarScan:
@@ -208,145 +239,3 @@ class TestColumnarScan:
         assert len(tuples) == 3
         assert all(len(entry) == len(layout.specs) for entry in tuples)
         assert [entry[0] for entry in tuples] == batch.column("id")
-
-
-def _measured_afresh(batch):
-    """The same cells in a batch that inherited nothing."""
-    return ColumnBatch(
-        batch.fragment,
-        [batch.column(spec.name) for spec in batch.layout.specs],
-        batch.seq, batch.layout,
-    )
-
-
-def _assert_exact(batch):
-    """Whatever ``batch`` inherited agrees with a fresh walk of its
-    cells and with the per-row formulas — on it and on its slices."""
-    count = batch.row_count()
-    for view in (batch, batch.slice(0, count),
-                 batch.slice(count // 3, count - count // 4)):
-        afresh = _measured_afresh(view)
-        assert view.column_sizes() == afresh.column_sizes()
-        rows = view.rows
-        assert view.estimated_size() == afresh.estimated_size() == \
-            sum(row_estimated_size(row) for row in rows)
-        assert view.feed_size() == afresh.feed_size() == \
-            sum(row_feed_size(row) for row in rows)
-
-
-def _run_on_columns(program, source, batch_rows):
-    """Every Combine/Split output of ``program`` run on column
-    batches with a meter (so inputs are measured and outputs inherit);
-    returns the produced batches and how many of them inherited."""
-    meter = ResidencyMeter()
-    values, produced, inherited = {}, [], 0
-    for node in program.topological_order():
-        inputs = [
-            values.pop((edge.producer.op_id, edge.output_index))
-            for edge in program.in_edges(node)
-        ]
-        if node.kind == "scan":
-            outputs = [list(source.scan_stream_columnar(
-                node.fragment, batch_rows
-            ))]
-        elif node.kind == "combine":
-            outputs = [list(node.apply_column_batches(
-                *inputs, meter=meter
-            ))]
-        elif node.kind == "split":
-            outputs = [list(stream) for stream
-                       in node.apply_column_batches(*inputs, meter=meter)]
-        else:
-            continue
-        if node.kind != "scan":
-            for batches in outputs:
-                for batch in batches:
-                    inherited += any(
-                        batch.known_stats(position) is not None
-                        for position in range(len(batch.columns))
-                    )
-                    produced.append(batch)
-        for index, batches in enumerate(outputs):
-            values[(node.op_id, index)] = batches
-    return produced, inherited
-
-
-class TestInheritedSizes:
-    """Per-column sizes handed on through Combine, Split and slice are
-    the sizes a fresh walk would measure."""
-
-    @pytest.mark.parametrize("direction", ["mf-lf", "lf-mf"])
-    @pytest.mark.parametrize("batch_rows", [5, 10 ** 9])
-    def test_xmark_attributes_and_absent_elements(
-            self, auction_mf, auction_lf, auction_document,
-            direction, batch_rows):
-        source_frag, target_frag = (
-            (auction_mf, auction_lf) if direction == "mf-lf"
-            else (auction_lf, auction_mf)
-        )
-        source = RelationalEndpoint("sizes", source_frag)
-        source.load_document(auction_document)
-        produced, inherited = _run_on_columns(
-            build_transfer_program(
-                derive_mapping(source_frag, target_frag)
-            ),
-            source, batch_rows,
-        )
-        assert produced and inherited == len(produced)
-        for batch in produced:
-            _assert_exact(batch)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 9999), st.integers(0, 9999),
-           st.integers(2, 12), st.sampled_from([1, 3, 10 ** 9]))
-    def test_random_pipelines(self, schema_seed, rng_seed, size,
-                              batch_rows):
-        schema = random_schema(size, seed=schema_seed, repeat_prob=0.4)
-        rng = random.Random(rng_seed)
-        source_frag = flat_fragmentation(schema, rng, "A")
-        target_frag = flat_fragmentation(schema, rng, "B")
-        source = RelationalEndpoint("A", source_frag)
-        source.load_document(generate_document(schema, seed=rng_seed))
-        produced, _ = _run_on_columns(
-            build_transfer_program(
-                derive_mapping(source_frag, target_frag)
-            ),
-            source, batch_rows,
-        )
-        for batch in produced:
-            _assert_exact(batch)
-
-    def test_piece_that_drops_rows(self):
-        """An optional element: the piece rooted at it keeps only the
-        rows where it occurs, its PARENT column takes the key cells of
-        an anchor that occurs in every row — and still every inherited
-        number is the one a fresh walk measures."""
-        schema = parse_dtd(
-            "<!ELEMENT r (a)> <!ELEMENT a (b?)> "
-            "<!ELEMENT b (c)> <!ELEMENT c (#PCDATA)>"
-        )
-        whole = Fragment(schema, ["r", "a", "b", "c"], "whole")
-        rows = []
-        for eid in range(1, 40, 4):
-            a = ElementData("a", eid + 1)
-            if eid % 3:
-                b = a.add_child(ElementData("b", eid + 2))
-                b.add_child(ElementData("c", eid + 3, {}, "x" * eid))
-            root = ElementData("r", eid)
-            root.add_child(a)
-            rows.append(FragmentRow(root, None))
-        batch = ColumnBatch.from_rows(whole, rows, None)
-        batch.estimated_size()  # measured, so the pieces inherit
-        split = Split(whole, [
-            Fragment(schema, ["r", "a"], "top"),
-            Fragment(schema, ["b", "c"], "bottom"),
-        ])
-        top, bottom = (
-            next(stream) for stream
-            in split.apply_column_batches([batch])
-        )
-        assert 0 < bottom.row_count() < top.row_count() == len(rows)
-        assert bottom.known_stats(bottom.layout.positions["c"]) \
-            is not None
-        for piece in (top, bottom):
-            _assert_exact(piece)

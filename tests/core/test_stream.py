@@ -22,8 +22,6 @@ class TestRowBatch:
         batches = list(FragmentStream.from_instance(order_feed, 2))
         assert sum(b.row_count() for b in batches) == \
             order_feed.row_count()
-        assert sum(b.estimated_size() for b in batches) == \
-            order_feed.estimated_size()
         assert sum(b.feed_size() for b in batches) == \
             order_feed.feed_size()
 
@@ -89,16 +87,14 @@ class TestFragmentStream:
 class TestResidencyMeter:
     def test_peaks_track_the_high_water_mark(self):
         meter = ResidencyMeter()
-        meter.acquire(10, 100)
-        meter.acquire(5, 50)
-        meter.release(10, 100)
-        meter.acquire(2, 20)
+        meter.acquire(10)
+        meter.acquire(5)
+        meter.release(10)
+        meter.acquire(2)
         assert meter.peak_rows == 15
-        assert meter.peak_bytes == 150
         assert meter.resident_rows == 7
 
     def test_starts_empty(self):
         meter = ResidencyMeter()
         assert meter.peak_rows == 0
-        assert meter.peak_bytes == 0
         assert meter.resident_rows == 0

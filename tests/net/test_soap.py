@@ -505,14 +505,13 @@ class TestColumnEncoder:
         columns[name_at] = ["a", "  b\t", "c"]
         whole = ColumnBatch(fragment, columns, None)
         view = whole.slice(1, 3, seq=0)
-        view.estimated_size()
+        view.feed_size()
         message, _ = encode_batch(view)
         assert ">3|\\N|4|b\n5|\\N|6|c</" in message
         assert view.column("custname") == ["b", "c"]
-        assert view.known_stats(name_at) is None
-        assert view.estimated_size() == ColumnBatch(
+        assert view.feed_size() == ColumnBatch(
             fragment, [list(cells) for cells in view.columns], 0,
-        ).estimated_size()
+        ).feed_size()
         # The parent batch and its lists are as they were.
         assert whole.columns is columns
         assert columns[name_at] == ["a", "  b\t", "c"]

@@ -419,9 +419,8 @@ class TestMergeWalk:
         assert "PARENT key 11 appears on 2 child rows" in message
 
     def test_residency_matches_the_row_kernel(self, combine):
-        # Inlined child rows are released at what they weigh, read off
-        # the gathered columns' sizes instead of per row.
-        from repro.core.instance import row_estimated_size
+        # Inlined child rows are released as the row kernel releases
+        # them, counted off the matches instead of per tree.
         from repro.core.stream import FragmentStream, ResidencyMeter
 
         combine, order, name = combine
@@ -433,10 +432,7 @@ class TestMergeWalk:
         meters = []
         for columnar in (False, True):
             meter = ResidencyMeter()
-            meter.acquire(
-                len(parents) + len(children),
-                sum(map(row_estimated_size, parents + children)),
-            )
+            meter.acquire(len(parents) + len(children))
             if columnar:
                 list(combine.apply_column_batches(
                     (ColumnBatch.from_rows(order, parents[at:at + 2], at)
@@ -454,8 +450,7 @@ class TestMergeWalk:
                     ),
                     meter=meter,
                 ))
-            meters.append((meter.resident_rows, meter.resident_bytes,
-                           meter.peak_rows, meter.peak_bytes))
+            meters.append((meter.resident_rows, meter.peak_rows))
         assert meters[0] == meters[1]
         assert meters[1][0] == len(parents)
 
@@ -613,31 +608,8 @@ class TestOrphanAccounting:
 
 
 class TestSizeMemoization:
-    """RowBatch memoizes its size sums: repeated metering of one batch
-    must not re-walk the rows (satellite 2)."""
-
-    def test_estimated_size_computed_once(self, customers_schema,
-                                          monkeypatch):
-        import repro.core.stream as stream_module
-        from repro.core.stream import RowBatch
-
-        rows = [_order_row(eid, 1) for eid in (10, 20, 30)]
-        fragment = Fragment(customers_schema, ["Order"], "Order")
-        calls = {"n": 0}
-        real = stream_module.row_estimated_size
-
-        def counting(row):
-            calls["n"] += 1
-            return real(row)
-
-        monkeypatch.setattr(
-            stream_module, "row_estimated_size", counting
-        )
-        batch = RowBatch(fragment, rows, 0)
-        first = batch.estimated_size()
-        second = batch.estimated_size()
-        assert first == second
-        assert calls["n"] == len(rows)  # one walk, not two
+    """A batch memoizes its wire size: asking twice for the size of
+    one batch must not re-walk the rows."""
 
     def test_feed_size_computed_once(self, customers_schema,
                                      monkeypatch):
@@ -663,5 +635,4 @@ class TestSizeMemoization:
         batch = ColumnBatch.from_rows(
             fragment, [_order_row(10, 1)], 0
         )
-        assert batch.estimated_size() is batch.estimated_size()
         assert batch.feed_size() is batch.feed_size()

@@ -6,12 +6,16 @@ from repro.errors import PlacementError
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.mapping import derive_mapping
 from repro.core.ops.base import Location
-from repro.core.optimizer.placement import initial_placement
+from repro.core.optimizer.placement import (
+    initial_placement,
+    source_heavy_placement,
+)
 from repro.core.optimizer.greedy import greedy_placement
 from repro.core.cost.model import CostModel
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
-from repro.services.endpoint import InMemoryEndpoint
+from repro.net.transport import InProcessTransport
+from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.writer import serialize
 
@@ -83,6 +87,25 @@ class TestExecution:
         assert report.shipments == len(program.cross_edges(placement))
         assert report.comm_bytes > 0
         assert report.comm_seconds == 0.0  # zero-cost default channel
+
+    def test_default_channel_charges_what_in_process_charges(
+            self, auction_mf, auction_lf, auction_document):
+        """Figure 9's MF->LF: the default channel charges each batch's
+        feed size, as a byte-counting in-process transport does."""
+        source = RelationalEndpoint("S", auction_mf)
+        source.load_document(auction_document)
+        program = build_transfer_program(
+            derive_mapping(auction_mf, auction_lf)
+        )
+        placement = source_heavy_placement(program)
+        default, in_process = (
+            ProgramExecutor(
+                source, RelationalEndpoint(f"T{number}", auction_lf),
+                *channel,
+            ).run(program, placement)
+            for number, channel in enumerate(((), (InProcessTransport(),)))
+        )
+        assert default.comm_bytes == in_process.comm_bytes > 0
 
     def test_comp_attribution_by_location(self, exchange_setup):
         source, target, program, placement = exchange_setup

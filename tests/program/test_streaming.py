@@ -193,8 +193,6 @@ class TestBoundedMemory:
         )
         assert 0 < streaming.peak_resident_rows < \
             materialized.peak_resident_rows
-        assert 0 < streaming.peak_resident_bytes < \
-            materialized.peak_resident_bytes
 
     def test_streaming_writes_same_rows(self, auction_mf,
                                         auction_document):
