@@ -533,8 +533,8 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
     """Stand up the live service tier: the SOAP-over-HTTP discovery
-    agency + feed endpoints plus the framed-socket feed sink, ready
-    for ``loadgen`` (or any SOAP client) to drive."""
+    agency plus the framed-socket feed sink, ready for ``loadgen`` (or
+    any SOAP client) to drive."""
     if args.duration is not None and args.duration <= 0:
         raise SystemExit(
             f"--duration must be positive, got {args.duration}"
@@ -552,7 +552,7 @@ def cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
         feed_host, feed_port = server.feed_address
         print(
             f"control plane: http://{http_host}:{http_port} "
-            "(POST /soap/agency, /soap/feeds)",
+            "(POST /soap/agency)",
             file=out,
         )
         print(f"data plane: {feed_host}:{feed_port} "
@@ -583,6 +583,10 @@ def cmd_loadgen(args: argparse.Namespace, out: TextIO) -> int:
     if args.workers < 1:
         raise SystemExit(
             f"--workers must be >= 1, got {args.workers}"
+        )
+    if args.batch_rows is not None and args.batch_rows < 1:
+        raise SystemExit(
+            f"--batch-rows must be >= 1, got {args.batch_rows}"
         )
     report = run_load(
         sessions=args.sessions,

@@ -140,7 +140,7 @@ class CalibratedCostModel(CostModel):
 
     def comp_cost(self, op: Operation, location,
                   strategy: str = "row") -> float:
-        base = super().comp_cost(op, location, strategy)
+        base = super().comp_cost(op, location)
         if base == float("inf"):
             return base  # capability restrictions still apply
         machine = self.machine(location)

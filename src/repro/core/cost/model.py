@@ -87,19 +87,6 @@ UNIT_COMBINE = 4.0
 UNIT_SPLIT = 1.5
 UNIT_WRITE = 2.0
 
-#: Default work scale per dataplane strategy, relative to the row
-#: dataplane ("row" = 1.0).  The columnar paths skip tree building
-#: entirely and the build/probe join replaces the per-row grouped
-#: merge; the merge variant additionally skips hashing the build side.
-#: Calibration (:mod:`repro.core.cost.calibrate`) replaces these
-#: defaults with measured per-strategy unit costs.
-DEFAULT_STRATEGY_SCALES: dict[str, float] = {
-    "row": 1.0,
-    "columnar": 0.35,
-    "hash": 0.30,
-    "merge": 0.25,
-}
-
 
 def operation_work(op: Operation, statistics: StatisticsCatalog) -> float:
     """Machine-independent work units of one operation.
@@ -134,8 +121,7 @@ class CostModel:
                  source: MachineProfile | None = None,
                  target: MachineProfile | None = None,
                  weights: CostWeights | None = None,
-                 bandwidth: float = 1.0,
-                 op_scales: dict[str, float] | None = None) -> None:
+                 bandwidth: float = 1.0) -> None:
         self.statistics = statistics
         self.source = source or MachineProfile("source")
         self.target = target or MachineProfile("target")
@@ -143,11 +129,6 @@ class CostModel:
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         self.bandwidth = bandwidth
-        #: Work multiplier per dataplane strategy (missing strategies
-        #: price at the row baseline, scale 1.0).
-        self.op_scales = dict(
-            DEFAULT_STRATEGY_SCALES if op_scales is None else op_scales
-        )
 
     def machine(self, location: Location) -> MachineProfile:
         """The profile of the system at ``location``."""
@@ -157,22 +138,14 @@ class CostModel:
 
     # -- comp_cost(OP, location) ------------------------------------------------
 
-    def comp_cost(self, op: Operation, location: Location,
-                  strategy: str = "row") -> float:
-        """Execution cost of ``op`` at ``location`` (unweighted).
-
-        ``strategy`` selects the dataplane variant to price ("row",
-        "columnar", or the columnar join strategies "hash"/"merge");
-        its :attr:`op_scales` multiplier models how much of the row
-        path's per-occurrence work the variant actually performs.
-        """
+    def comp_cost(self, op: Operation, location: Location) -> float:
+        """Execution cost of ``op`` at ``location`` (unweighted)."""
         machine = self.machine(location)
         if isinstance(op, Combine) and not machine.can_combine:
             return INFINITE_COST
         if isinstance(op, Split) and not machine.can_split:
             return INFINITE_COST
         work = operation_work(op, self.statistics)
-        work *= self.op_scales.get(strategy, 1.0)
         if isinstance(op, Write):
             work *= machine.index_factor
         return work / machine.speed
@@ -189,26 +162,14 @@ class CostModel:
     # -- cost(G), formula 1 -----------------------------------------------------------
 
     def breakdown(self, program: TransferProgram,
-                  placement: Placement,
-                  strategies: dict[str, str] | None = None
-                  ) -> CostBreakdown:
-        """Weighted computation/communication breakdown of a placement.
-
-        ``strategies`` optionally maps an operation *kind* (``scan``/
-        ``combine``/``split``/``write``) to the dataplane strategy to
-        price it at — how the simulator prices a columnar run without
-        touching the program.
-        """
+                  placement: Placement) -> CostBreakdown:
+        """Weighted computation/communication breakdown of a placement."""
         result = CostBreakdown()
         w_comp = self.weights.computation
         w_com = self.weights.communication
-        strategies = strategies or {}
         for node in program.nodes:
             location = placement[node.op_id]
-            strategy = strategies.get(node.kind, "row")
-            cost = weighted(
-                w_comp, self.comp_cost(node, location, strategy)
-            )
+            cost = weighted(w_comp, self.comp_cost(node, location))
             result.computation += cost
             result.by_location[location] += cost
         for edge in program.cross_edges(placement):

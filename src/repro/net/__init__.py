@@ -15,7 +15,7 @@ length-prefixed envelopes over real sockets — and
 retry/de-duplication/re-ordering layer that heals it.
 
 The service tier lives in :mod:`repro.net.server` (SOAP-over-HTTP
-discovery agency + feed endpoints on real sockets) and
+discovery agency + framed-socket feed sink) and
 :mod:`repro.net.loadgen` (the concurrent load harness); both import
 the services layer, so they are deliberately *not* re-exported here.
 """

@@ -216,30 +216,6 @@ class FaultPlan:
                 return FaultKind(name)
         return None
 
-    @property
-    def failure_probability(self) -> float:
-        """Per-transmission chance of an unusable delivery (the
-        re-send-triggering kinds: drop and corrupt)."""
-        return min(1.0, self.drop + self.corrupt)
-
-    def expected_transmission_factor(self, max_attempts: int) -> float:
-        """Expected wire transmissions per delivered message.
-
-        Retries multiply traffic by the truncated geometric series
-        ``(1 - p^n) / (1 - p)`` for failure probability ``p`` and up to
-        ``n`` attempts; duplicates add their extra copy on top.  This
-        is the expected-cost-under-loss model the simulator applies to
-        communication cost.
-        """
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        p = self.failure_probability
-        if p >= 1.0:
-            attempts = float(max_attempts)
-        else:
-            attempts = (1.0 - p ** max_attempts) / (1.0 - p)
-        return attempts * (1.0 + self.duplicate)
-
     def describe(self) -> str:
         """Human-readable one-liner for reports and the CLI."""
         if self.script is not None:

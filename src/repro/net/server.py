@@ -16,9 +16,8 @@ stands that up on real sockets:
   batches.
 * :class:`ExchangeHttpServer` — the control plane: a threaded HTTP
   server exposing the discovery agency (``Register`` / ``Negotiate``,
-  step 1/2 of Figure 2) and the exchange endpoints (fragment-feed
-  upload/download) as SOAP services under ``/soap/agency`` and
-  ``/soap/feeds``.
+  step 1/2 of Figure 2) as a SOAP service under ``/soap/agency``.
+  Feeds travel only over the data plane.
 * :class:`ExchangeServer` — both planes under one lifecycle, which is
   what ``python -m repro serve`` runs and what the load harness
   (:mod:`repro.net.loadgen`) drives.
@@ -45,8 +44,6 @@ from repro.errors import (
     WsdlError,
     XmlSyntaxError,
 )
-from repro.core.fragment import Fragment
-from repro.core.instance import FragmentInstance
 from repro.core.program.dag import Placement, TransferProgram
 from repro.core.program.serialize import (
     program_from_json,
@@ -58,9 +55,6 @@ from repro.net.soap import (
     read_message,
     soap_envelope,
     soap_fault,
-    unwrap_fragment_feed,
-    verify_fragment_feed,
-    wrap_fragment_feed,
 )
 from repro.net.transport import recv_frame, send_frame
 from repro.obs.metrics import MetricsRegistry
@@ -68,7 +62,6 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.xmlkit.tree import Element
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
-    from repro.adapt.stats import StatisticsStore
     from repro.core.cost.probe import CostProbe
     from repro.schema.model import SchemaTree
     from repro.services.agency import DiscoveryAgency
@@ -271,8 +264,15 @@ class _SoapHttpHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                # rfile.read(-1) would read to EOF, which a kept-alive
+                # client never sends: the request would hang.
+                raise ValueError(f"negative Content-Length {length}")
             body = self.rfile.read(length).decode("utf-8")
         except (ValueError, UnicodeDecodeError) as exc:
+            # After a bad Content-Length the body's end is unknown:
+            # never read its leftover bytes as the next request.
+            self.close_connection = True
             self._reply(400, soap_fault(f"unreadable request: {exc}"))
             return
         status, reply = self.server.exchange.dispatch(self.path, body)  # type: ignore[attr-defined]
@@ -288,23 +288,16 @@ class _SoapHttpHandler(BaseHTTPRequestHandler):
 
 
 class ExchangeHttpServer:
-    """SOAP-over-HTTP discovery agency + exchange endpoints.
+    """SOAP-over-HTTP discovery agency.
 
-    Two routes, both ``POST`` with a SOAP envelope body:
-
-    ``/soap/agency``
-        ``<Register name="...">WSDL text</Register>`` registers a
-        system from its serialized WSDL (with the fragmentation
-        extension) on the wrapped agency; ``<Negotiate source=".."
-        target=".." optimizer=".."/>`` runs a negotiation against the
-        configured cost probe and replies with a ``NegotiateResult``
-        whose text is the serialized program + placement
-        (:mod:`repro.core.program.serialize` JSON).
-
-    ``/soap/feeds``
-        A ``FragmentFeed`` body uploads one verified feed into the
-        server's feed store; ``<DownloadFeed fragment="..."/>``
-        returns the stored feed message.
+    One route, ``POST /soap/agency`` with a SOAP envelope body:
+    ``<Register name="...">WSDL text</Register>`` registers a system
+    from its serialized WSDL (with the fragmentation extension) on the
+    wrapped agency; ``<Negotiate source=".." target=".."
+    optimizer=".."/>`` runs a negotiation against the configured cost
+    probe and replies with a ``NegotiateResult`` whose text is the
+    serialized program + placement (:mod:`repro.core.program.serialize`
+    JSON).
 
     Errors travel as SOAP ``Fault`` envelopes with HTTP 4xx/5xx.
     Requests are metered under ``server.http.*``.
@@ -313,16 +306,12 @@ class ExchangeHttpServer:
     def __init__(self, agency: "DiscoveryAgency", *,
                  host: str = "127.0.0.1", port: int = 0,
                  probe: "CostProbe | None" = None,
-                 stats_store: "StatisticsStore | None" = None,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
         self.agency = agency
         self.probe = probe
-        self.stats_store = stats_store
         self.metrics = metrics
         self.tracer = tracer or NULL_TRACER
-        self._feeds: dict[str, str] = {}
-        self._feeds_lock = threading.Lock()
         self._httpd = ThreadingHTTPServer((host, port),
                                           _SoapHttpHandler)
         self._httpd.daemon_threads = True
@@ -377,8 +366,6 @@ class ExchangeHttpServer:
             try:
                 if path == "/soap/agency":
                     return 200, self._serve_agency(payload)
-                if path == "/soap/feeds":
-                    return 200, self._serve_feeds(payload)
                 raise SoapFault(f"no service at {path}", )
             except (XmlSyntaxError, WsdlError) as exc:
                 # A malformed registration document is the client's
@@ -421,7 +408,6 @@ class ExchangeHttpServer:
                 source, target,
                 optimizer=payload.get("optimizer", "greedy"),
                 probe=self.probe,
-                stats_store=self.stats_store,
             )
             self._count("server.http.negotiations")
             return soap_envelope(Element(
@@ -433,52 +419,7 @@ class ExchangeHttpServer:
                 },
                 text=program_to_json(plan.program, plan.placement),
             ))
-        if action == "StatsSummary":
-            # Learning control plane: the learned per-pair statistics
-            # (EWMA drift ratios, observation counts, confidence) as a
-            # JSON payload — operators watch what the substrate taught us.
-            import json as _json
-
-            if self.stats_store is None:
-                raise SoapFault(
-                    "this agency endpoint has no statistics store "
-                    "attached; learned statistics are unavailable"
-                )
-            self._count("server.http.stats_summaries")
-            return soap_envelope(Element(
-                "StatsSummaryResult",
-                {"pairs": str(len(self.stats_store.pairs()))},
-                text=_json.dumps(self.stats_store.summary(),
-                                 sort_keys=True),
-            ))
         raise SoapFault(f"agency cannot serve a <{payload.name}>")
-
-    def _serve_feeds(self, payload: Element) -> str:
-        action = payload.local_name()
-        if action == "FragmentFeed":
-            name, count, digest = verify_fragment_feed(payload)
-            with self._feeds_lock:
-                self._feeds[name] = soap_envelope(payload)
-            self._count("server.http.feeds_uploaded")
-            return soap_envelope(Element("Ack", {
-                "of": "FragmentFeed", "fragment": name,
-                "count": str(count), "checksum": digest,
-            }))
-        if action == "DownloadFeed":
-            name = payload.get("fragment")
-            if not name:
-                raise SoapFault("DownloadFeed names no fragment")
-            with self._feeds_lock:
-                stored = self._feeds.get(name)
-            if stored is None:
-                raise SoapFault(
-                    f"no feed of fragment {name!r} has been uploaded"
-                )
-            self._count("server.http.feeds_downloaded")
-            return stored
-        raise SoapFault(
-            f"feed endpoint cannot serve a <{payload.name}>"
-        )
 
 
 class SoapHttpClient:
@@ -545,31 +486,6 @@ class SoapHttpClient:
             )
         return program, placement, result
 
-    def stats_summary(self) -> dict:
-        """The server's learned drift statistics
-        (:meth:`~repro.adapt.stats.StatisticsStore.summary`) as a
-        JSON-decoded dict."""
-        import json as _json
-
-        result = self.call("/soap/agency", soap_envelope(
-            Element("StatsSummary", {})
-        ))
-        return _json.loads(result.text)
-
-    # -- feed actions ----------------------------------------------------------
-
-    def upload_feed(self, instance: FragmentInstance) -> Element:
-        """Upload one fragment feed to the exchange endpoint."""
-        return self.call("/soap/feeds",
-                         wrap_fragment_feed(instance))
-
-    def download_feed(self, fragment: Fragment) -> FragmentInstance:
-        """Download the stored feed of ``fragment``."""
-        result = self.call("/soap/feeds", soap_envelope(
-            Element("DownloadFeed", {"fragment": fragment.name})
-        ))
-        return unwrap_fragment_feed(soap_envelope(result), fragment)
-
 
 class ExchangeServer:
     """Both planes of the service tier under one lifecycle.
@@ -584,14 +500,12 @@ class ExchangeServer:
                  host: str = "127.0.0.1",
                  http_port: int = 0, feed_port: int = 0,
                  probe: "CostProbe | None" = None,
-                 stats_store: "StatisticsStore | None" = None,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
         self.metrics = metrics
         self.tracer = tracer or NULL_TRACER
         self.http = ExchangeHttpServer(
             agency, host=host, port=http_port, probe=probe,
-            stats_store=stats_store,
             metrics=metrics, tracer=self.tracer,
         )
         self.sink = FeedSink(

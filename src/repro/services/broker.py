@@ -340,21 +340,20 @@ class ExchangeBroker:
     execution; ``max_pending`` bounds admitted-but-unfinished sessions
     — :meth:`submit` beyond it either raises
     :class:`~repro.errors.BrokerSaturatedError` or, with ``wait=True``,
-    blocks until capacity frees (what :meth:`run` does).
+    blocks until capacity frees (what :meth:`run` does).  Sessions
+    negotiate with the greedy optimizer and the default formula-1
+    weights.
     """
 
     def __init__(self, agency: "DiscoveryAgency", *,
                  plan_cache: PlanCache | None = None,
                  max_workers: int = 4,
                  max_pending: int | None = None,
-                 optimizer: str = "greedy",
                  probe: CostProbe | None = None,
-                 weights: CostWeights | None = None,
                  channel_factory: Callable[[], Transport]
                  = SimulatedChannel,
                  parallel_workers: int = 1,
                  batch_rows: int | None = None,
-                 delta: bool = False,
                  retry_policy: "RetryPolicy | None" = None,
                  fault_plan: "FaultPlan | None" = None,
                  stats_store: "StatisticsStore | None" = None,
@@ -370,21 +369,19 @@ class ExchangeBroker:
             raise ValueError(
                 f"max_pending must be >= 1, got {max_pending}"
             )
+        # Every session would fail on these; refuse them up front.
+        if parallel_workers < 1:
+            raise ValueError("parallel_workers must be >= 1")
+        if batch_rows is not None and batch_rows < 1:
+            raise ValueError("batch_rows must be >= 1 or None")
         self.agency = agency
         self.plan_cache = plan_cache
         self.max_workers = max_workers
         self.max_pending = max_pending
-        self.optimizer = optimizer
         self.probe = probe
-        self.weights = weights
         self.channel_factory = channel_factory
         self.parallel_workers = parallel_workers
         self.batch_rows = batch_rows
-        #: Broker-wide default for delta sessions.  Deliberately NOT a
-        #: plan knob: a delta run executes the same negotiated program
-        #: over a filtered feed, so full and delta sessions share one
-        #: cached plan.
-        self.delta = delta
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.stats_store = stats_store
@@ -455,7 +452,7 @@ class ExchangeBroker:
                target_factory: Callable[[], SystemEndpoint], *,
                scenario: str | None = None,
                wait: bool = False,
-               delta: bool | None = None,
+               delta: bool = False,
                journal: "ExchangeJournal | None" = None,
                since: int | None = None
                ) -> "Future[ExchangeSession]":
@@ -467,14 +464,14 @@ class ExchangeBroker:
         multi-user serving model).  Returns a future resolving to the
         session's :class:`ExchangeSession`.
 
-        ``delta`` overrides the broker-wide default for this session
-        only.  A delta session reuses the cached plan of its full
-        predecessor (delta is not part of the plan fingerprint) and
-        runs it through the delta views; pass the exchange's
-        ``journal`` so the session resolves ``since`` from (and
-        records its sync into) the right high-water record, and note
-        the ``target_factory`` must then return the *same* target the
-        previous sync wrote.
+        ``delta=True`` runs an incremental session.  It reuses the
+        cached plan of its full predecessor (delta is not part of the
+        plan fingerprint: a delta run executes the same negotiated
+        program over a filtered feed) and runs it through the delta
+        views; pass the exchange's ``journal`` so the session resolves
+        ``since`` from (and records its sync into) the right
+        high-water record, and note the ``target_factory`` must then
+        return the *same* target the previous sync wrote.
 
         Raises:
             BrokerError: if the broker is closed or the source system
@@ -499,7 +496,7 @@ class ExchangeBroker:
                 self._run_session, session_id, source_name,
                 target_name, target_factory,
                 scenario or f"{source_name}->{target_name}",
-                self.delta if delta is None else delta,
+                delta,
                 journal,
                 since,
             )
@@ -536,9 +533,7 @@ class ExchangeBroker:
                 with self._negotiation_lock:
                     plan = self.agency.negotiate(
                         source_name, target_name,
-                        optimizer=self.optimizer,
                         probe=self.probe,
-                        weights=self.weights,
                         plan_cache=self.plan_cache,
                         plan_knobs={
                             "parallel_workers": self.parallel_workers,

@@ -325,17 +325,12 @@ class RelationalEndpoint(SystemEndpoint):
     incremental_writes = True
 
     def __init__(self, name: str, fragmentation: Fragmentation,
-                 machine: MachineProfile | None = None,
-                 db: Database | None = None) -> None:
+                 machine: MachineProfile | None = None) -> None:
         super().__init__(name, machine)
         self.fragmentation = fragmentation
-        self.db = db or Database(name)
+        self.db = Database(name)
         self.mapper = FragmentRelationMapper(fragmentation)
-        for fragment in fragmentation:
-            if not self.db.has_table(self.mapper.table_name(fragment)):
-                self.db.create_table(
-                    self.mapper.layout_for(fragment).table_schema()
-                )
+        self.mapper.create_tables(self.db)
 
     # -- data ----------------------------------------------------------------------
 
@@ -526,11 +521,10 @@ class DirectoryEndpoint(SystemEndpoint):
     """
 
     def __init__(self, name: str, fragmentation: Fragmentation,
-                 machine: MachineProfile | None = None,
-                 store: DirectoryStore | None = None) -> None:
+                 machine: MachineProfile | None = None) -> None:
         super().__init__(name, machine)
         self.fragmentation = fragmentation
-        self.store = store or DirectoryStore(name)
+        self.store = DirectoryStore(name)
         self._dn_by_eid: dict[int, tuple[int, ...]] = {}
         self._written: dict[str, FragmentInstance] = {}
         self._materialized = False

@@ -144,7 +144,6 @@ def run_optimized_exchange(
     journal: ExchangeJournal | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    reset_channel: bool = True,
     delta: bool = False,
     since: int | None = None,
 ) -> ExchangeOutcome:
@@ -190,13 +189,8 @@ def run_optimized_exchange(
     in the ``journal`` (``sync`` event), so the next delta resumes
     where this one *finished* — a killed run never advances it.
 
-    ``reset_channel=False`` leaves the channel's running totals alone
-    and attributes only this run's delta window to the outcome —
-    required when the channel is not exclusively this run's (resetting
-    a channel another exchange still accounts against would silently
-    zero *its* communication step).  Note the delta is only meaningful
-    while no other session charges the channel concurrently; truly
-    concurrent sessions must each get their own channel, which is what
+    The channel's totals are reset first, so the channel must be this
+    run's alone; concurrent sessions each get their own, which is what
     :class:`~repro.services.broker.ExchangeBroker` does.
     """
     if parallel_workers < 1:
@@ -206,10 +200,7 @@ def run_optimized_exchange(
         scenario, "DE", parallel_workers=parallel_workers,
         batch_rows=batch_rows,
     )
-    if reset_channel:
-        channel.reset()
-    comm_seconds_start = channel.total_seconds
-    comm_bytes_start = channel.total_bytes
+    channel.reset()
     exec_source: "SystemEndpoint | DeltaSourceView" = source
     exec_target: "SystemEndpoint | DeltaTargetView" = target
     sync_version: int | None = None
@@ -293,9 +284,7 @@ def run_optimized_exchange(
         outcome.faults_injected = wire.stats.injected
     load_seconds = report.seconds_for_kind("write")
     outcome.steps["source_processing"] = report.source_seconds
-    outcome.steps["communication"] = (
-        channel.total_seconds - comm_seconds_start
-    )
+    outcome.steps["communication"] = channel.total_seconds
     outcome.steps["target_processing"] = (
         report.target_seconds - load_seconds
     )
@@ -306,7 +295,7 @@ def run_optimized_exchange(
     outcome.steps["indexing"] = indexing
     tracer.record("indexing", "step", start=started, seconds=indexing,
                   indexes=outcome.indexes_built)
-    outcome.comm_bytes = channel.total_bytes - comm_bytes_start
+    outcome.comm_bytes = channel.total_bytes
     outcome.rows_written = report.rows_written
     if journal is not None and sync_version is not None:
         # Only reached on success: a killed run records no sync, so

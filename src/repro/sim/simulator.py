@@ -1,7 +1,9 @@
 """Estimated-cost exchange simulation (Section 5.4).
 
 :class:`ExchangeSimulator` prices data-exchange and publishing programs
-for arbitrary machine-speed configurations:
+for arbitrary machine-speed configurations.  Everything else is the
+paper's one setting: synthetic statistics, the default formula-1
+weights and a fast interconnect.
 
 * :meth:`ExchangeSimulator.exchange_costs` — the optimized DE program
   (Algorithm 1 placement over combine orders) vs publishing-only, as
@@ -13,14 +15,15 @@ for arbitrary machine-speed configurations:
   identical exchanges costs when the negotiated plan is cached: only
   the first exchange pays the optimizer, every later one reuses the
   plan (the amortization argument behind the
-  :class:`~repro.services.broker.PlanCache`).
+  :class:`~repro.services.broker.PlanCache`);
+* :meth:`ExchangeSimulator.delta_exchange_costs` — an incremental
+  re-exchange over a change-rate sweep, as a fraction of a full one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import (
@@ -39,11 +42,7 @@ from repro.core.optimizer.search import (
     worst_exchange,
 )
 from repro.core.program.builder import build_transfer_program
-from repro.core.program.parallel import ParallelEstimate
 from repro.obs.trace import NULL_TRACER, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - keeps the sim layer net-free
-    from repro.net.faults import FaultPlan
 from repro.schema.model import SchemaTree
 from repro.sim.random_fragmentation import random_fragmentation
 
@@ -124,10 +123,10 @@ class DeltaCostEstimate:
     walked through keyed lookups
     (:func:`~repro.core.delta.compute_delta`), so nothing in a delta
     run is paid per stored row: scans, shipping, splits, combines and
-    writes all scale with the fraction of rows that actually changed,
-    inflated by ``amplification`` when the contribution closure drags
-    unchanged rows along (mutating a spine row re-ships its whole
-    subtree)."""
+    writes all scale with the fraction of rows that actually changed.
+    The estimate is the best case: it leaves out the unchanged rows
+    the contribution closure drags along (mutating a spine row
+    re-ships its whole subtree)."""
 
     #: Fraction of source rows changed since the last sync, in [0, 1].
     change_rate: float
@@ -150,21 +149,21 @@ class DeltaCostEstimate:
 
 
 class ExchangeSimulator:
-    """Prices exchanges over one schema under synthetic statistics."""
+    """Prices exchanges over one schema under synthetic statistics.
+
+    Weights are formula 1's defaults and the bandwidth is 100.
+    """
 
     def __init__(self, schema: SchemaTree,
-                 statistics: StatisticsCatalog | None = None,
-                 weights: CostWeights | None = None,
-                 bandwidth: float = 100.0,
                  tracer: Tracer | None = None) -> None:
         self.schema = schema
-        self.statistics = statistics or StatisticsCatalog.synthetic(schema)
-        self.weights = weights or CostWeights()
+        self.statistics = StatisticsCatalog.synthetic(schema)
+        self.weights = CostWeights()
         self.tracer = tracer or NULL_TRACER
-        # A fast interconnect by default, as in Section 5.4.2 ("we
-        # assumed a fast interconnect network, so computation cost was
-        # the major factor").
-        self.bandwidth = bandwidth
+        # A fast interconnect, as in Section 5.4.2 ("we assumed a fast
+        # interconnect network, so computation cost was the major
+        # factor").
+        self.bandwidth = 100.0
 
     def model(self, source: MachineProfile,
               target: MachineProfile) -> CostModel:
@@ -220,52 +219,13 @@ class ExchangeSimulator:
 
     def exchange_costs(self, source_fragmentation: Fragmentation,
                        target_fragmentation: Fragmentation,
-                       source: MachineProfile, target: MachineProfile,
-                       parallel: ParallelEstimate | None = None,
-                       batch_rows: int | None = None,
-                       columnar: bool = False,
-                       fault_plan: "FaultPlan | None" = None,
-                       retry_attempts: int = 4
+                       source: MachineProfile, target: MachineProfile
                        ) -> SimulatedCosts:
         """Optimized DE vs publishing-only for one configuration.
 
         Writes are excluded from the DE side for comparability — the
         publishing-only baseline ends with a shipped document and does
         no storing either.
-
-        ``parallel`` re-runs the scenario in parallel mode: pass a
-        measured (or simulated) makespan and the DE side is compressed
-        by its observed speedup — the publishing baseline is a single
-        monolithic query and stays sequential, exactly the asymmetry
-        the Section 5.2 remark points at.
-
-        ``batch_rows`` prices batched runs' intra-edge pipelining: chunked shipping lets transfer of batch *i* hide
-        behind production of batch *i+1*, so up to ``min(comm, comp)``
-        of the communication cost disappears, scaled by the pipeline
-        efficiency ``(n-1)/n`` for ``n`` batches per feed (one batch
-        cannot overlap itself; many small batches approach full
-        overlap).  Batch counts come from the statistics catalog.  The
-        publishing baseline ships one monolithic document and gets no
-        credit.
-
-        ``columnar=True`` prices DE's computation at the columnar
-        dataplane's
-        per-strategy work scales (:data:`~repro.core.cost.model.
-        DEFAULT_STRATEGY_SCALES`): scans, splits and writes at the
-        ``"columnar"`` scale and combines at the ``"merge"`` scale —
-        sorted feeds make the merge join the auto-selected strategy on
-        an in-order simulated exchange.  Communication is unchanged
-        (the wire format stays row feeds).  The publishing baseline is
-        one monolithic query with no columnar variant.
-
-        ``fault_plan`` prices communication under loss: both sides'
-        communication cost is multiplied by the plan's expected
-        transmissions per delivered message (a truncated geometric
-        series over ``retry_attempts``, see
-        :meth:`~repro.net.faults.FaultPlan.
-        expected_transmission_factor`) — failed and duplicated sends
-        burn the wire too, and both methods pay the same per-message
-        inflation.
         """
         model = self.model(source, target)
         mapping = derive_mapping(
@@ -273,57 +233,20 @@ class ExchangeSimulator:
         )
         with self.tracer.span("optimize exchange", "sim"):
             best = optimal_exchange(mapping, model, self.weights)
-        strategies: dict[str, str] | None = None
-        if columnar:
-            strategies = {
-                "scan": "columnar", "split": "columnar",
-                "write": "columnar", "combine": "merge",
-            }
         with self.tracer.span("price exchange", "sim"):
-            exchange = model.breakdown(
-                best.program, best.placement, strategies
-            )
-        write_strategy = "columnar" if columnar else "row"
+            exchange = model.breakdown(best.program, best.placement)
         for node in best.program.nodes:
             if isinstance(node, Write):
                 location = best.placement[node.op_id]
                 cost = self.weights.computation * model.comp_cost(
-                    node, location, write_strategy
+                    node, location
                 )
                 exchange.computation -= cost
                 exchange.by_location[location] -= cost
-        if parallel is not None:
-            shrink = 1.0 / max(parallel.speedup, 1.0)
-            exchange.computation *= shrink
-            exchange.communication *= shrink
-            for location in exchange.by_location:
-                exchange.by_location[location] *= shrink
-        if batch_rows is not None:
-            if batch_rows < 1:
-                raise ValueError("batch_rows must be >= 1 or None")
-            largest_feed = max(
-                (self.statistics.count(fragment.root_name)
-                 for fragment in source_fragmentation),
-                default=0.0,
-            )
-            n_batches = max(
-                1, -(-int(largest_feed) // batch_rows)  # ceil division
-            )
-            efficiency = (n_batches - 1) / n_batches
-            hidden = efficiency * min(
-                exchange.communication, exchange.computation
-            )
-            exchange.communication -= hidden
         with self.tracer.span("price publish", "sim"):
             publish = self.publish_cost(
                 source_fragmentation, source, target
             )
-        if fault_plan is not None:
-            factor = fault_plan.expected_transmission_factor(
-                retry_attempts
-            )
-            exchange.communication *= factor
-            publish.communication *= factor
         return SimulatedCosts(exchange, publish)
 
     # -- plan-cache amortization ---------------------------------------------------
@@ -372,30 +295,20 @@ class ExchangeSimulator:
             self, source_fragmentation: Fragmentation,
             target_fragmentation: Fragmentation,
             source: MachineProfile, target: MachineProfile,
-            change_rates: "list[float] | tuple[float, ...]",
-            amplification: float = 1.0) -> list[DeltaCostEstimate]:
+            change_rates: "list[float] | tuple[float, ...]"
+            ) -> list[DeltaCostEstimate]:
         """Price incremental delta syncs over a change-rate sweep.
 
         For each rate ``r`` in ``change_rates``, predicts what a delta
         re-exchange costs when ``r`` of the source rows changed since
         the last sync.  The full exchange is optimized and priced once
         (Algorithm 1 placement over combine orders); a delta run then
-        pays ``min(1, r * amplification)`` of it — detection reads
-        the changed rows and their anchors, not the document, and
-        scans, shipping, splits, combines and writes all scale with
-        the rows that travel.  ``amplification`` (>= 1) models the
-        contribution closure dragging unchanged rows along so no
-        dataplane sees a combine orphan: 1.0 is the fine-grained best
-        case (each changed row is its own island); coarse spine
-        mutations push it well above 1.
+        pays ``r`` of it — detection reads the changed rows and their
+        anchors, not the document, and scans, shipping, splits,
+        combines and writes all scale with the rows that travel.
 
-        Raises ``ValueError`` on a rate outside [0, 1] or
-        ``amplification < 1``.
+        Raises ``ValueError`` on a rate outside [0, 1].
         """
-        if amplification < 1.0:
-            raise ValueError(
-                f"amplification must be >= 1, got {amplification}"
-            )
         for rate in change_rates:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(
@@ -414,7 +327,7 @@ class ExchangeSimulator:
             DeltaCostEstimate(
                 change_rate=rate,
                 full_cost=full,
-                delta_cost=full * min(1.0, rate * amplification),
+                delta_cost=full * rate,
             )
             for rate in change_rates
         ]

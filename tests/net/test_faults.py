@@ -123,15 +123,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="start at 0"):
             FaultPlan.scripted({-1: "drop"})
 
-    def test_expected_transmission_factor(self):
-        assert FaultPlan().expected_transmission_factor(4) == 1.0
-        lossy = FaultPlan(drop=0.5)
-        # 1 + 0.5 + 0.25 + 0.125 expected transmissions.
-        assert lossy.expected_transmission_factor(4) \
-            == pytest.approx(1.875)
-        assert FaultPlan(duplicate=0.5) \
-            .expected_transmission_factor(1) == pytest.approx(1.5)
-
     def test_describe(self):
         assert FaultPlan().describe() == "no faults"
         assert "drop=0.1" in FaultPlan(drop=0.1, seed=3).describe()

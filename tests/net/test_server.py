@@ -1,6 +1,7 @@
 """The service tier: feed sink verification over real sockets, the
-SOAP-over-HTTP agency/feed endpoints, graceful shutdown, metrics."""
+SOAP-over-HTTP agency, graceful shutdown, metrics."""
 
+import http.client
 import socket
 
 import pytest
@@ -280,24 +281,6 @@ class TestHttpControlPlane:
             with pytest.raises(SoapFault, match="already registered"):
                 client.register("s", wsdl_texts["s"])
 
-    def test_feed_upload_download_round_trip(self, customer_agency,
-                                             feed):
-        with ExchangeHttpServer(customer_agency) as http:
-            client = SoapHttpClient(http.host, http.port)
-            ack = client.upload_feed(feed)
-            assert ack.get("fragment") == "Order"
-            downloaded = client.download_feed(feed.fragment)
-            assert downloaded.row_count() == feed.row_count()
-            assert sorted(r.eid for r in downloaded.rows) \
-                == sorted(r.eid for r in feed.rows)
-
-    def test_download_missing_feed_is_fault(self, customer_agency,
-                                            feed):
-        with ExchangeHttpServer(customer_agency) as http:
-            client = SoapHttpClient(http.host, http.port)
-            with pytest.raises(SoapFault, match="no feed"):
-                client.download_feed(feed.fragment)
-
     def test_unknown_path_is_fault(self, customer_agency):
         with ExchangeHttpServer(customer_agency) as http:
             client = SoapHttpClient(http.host, http.port)
@@ -337,38 +320,28 @@ class TestHttpControlPlane:
             # The server still serves the next request.
             assert client.register("s", wsdl_texts["s"]).get("name") == "s"
 
+    def test_negative_content_length_gets_a_400(self, customer_agency):
+        with ExchangeHttpServer(customer_agency) as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=2.0
+            )
+            try:
+                connection.putrequest("POST", "/soap/agency")
+                connection.putheader("Content-Length", "-1")
+                connection.endheaders()
+                response = connection.getresponse()
+                body = response.read().decode("utf-8")
+            finally:
+                connection.close()
+        assert response.status == 400
+        with pytest.raises(SoapFault, match="Content-Length"):
+            parse_envelope(body)
+
     def test_client_connection_failure_is_transport_error(self):
         client = SoapHttpClient("127.0.0.1", 1, timeout=0.2)
         with pytest.raises(TransportError, match="failed"):
             client.call("/soap/agency",
                         soap_envelope(Element("Ping")))
-
-
-class TestStatsSummaryAction:
-    def test_learned_statistics_served_as_json(self, customer_agency,
-                                               probe):
-        from repro.adapt.stats import StatisticsStore
-
-        store = StatisticsStore()
-        store.observe_ratios("s->t", {"combine": 0.5, "comm": 2.0})
-        metrics = MetricsRegistry()
-        with ExchangeHttpServer(customer_agency, probe=probe,
-                                stats_store=store,
-                                metrics=metrics) as http:
-            client = SoapHttpClient(http.host, http.port)
-            summary = client.stats_summary()
-        assert list(summary["pairs"]) == ["s->t"]
-        ratios = summary["pairs"]["s->t"]["ratios"]
-        assert ratios["combine"]["value"] == pytest.approx(0.5)
-        assert metrics.counter(
-            "server.http.stats_summaries").value == 1
-
-    def test_without_store_is_fault(self, customer_agency, probe):
-        with ExchangeHttpServer(customer_agency,
-                                probe=probe) as http:
-            client = SoapHttpClient(http.host, http.port)
-            with pytest.raises(SoapFault, match="statistics store"):
-                client.stats_summary()
 
 
 class TestExchangeServer:

@@ -56,96 +56,6 @@ class TestExchangeCosts:
         # Figure 11: the reduction grows with a 10x faster target.
         assert fast.reduction_percent > equal.reduction_percent
 
-    def test_parallel_estimate_compresses_de_side(self, simulator,
-                                                  fragmentations):
-        from repro.core.program.parallel import ParallelEstimate
-
-        source_fragmentation, target_fragmentation = fragmentations
-        sequential = simulator.exchange_costs(
-            source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"),
-        )
-        parallel = simulator.exchange_costs(
-            source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"),
-            parallel=ParallelEstimate(
-                sequential_seconds=2.0, parallel_seconds=1.0,
-                groups=4, workers=4,
-            ),
-        )
-        # The DE side shrinks by the measured speedup; the publishing
-        # baseline stays sequential, so the reduction grows.
-        assert parallel.exchange.total < sequential.exchange.total
-        assert parallel.publish.total == sequential.publish.total
-        assert parallel.reduction_percent > sequential.reduction_percent
-
-    def test_batch_rows_hides_communication(self, simulator,
-                                            fragmentations):
-        source_fragmentation, target_fragmentation = fragmentations
-        materialized = simulator.exchange_costs(
-            source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"),
-        )
-        streamed = simulator.exchange_costs(
-            source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"),
-            batch_rows=1,
-        )
-        # Pipelined shipping hides communication behind computation;
-        # the compute estimate itself is untouched.
-        assert streamed.exchange.communication < \
-            materialized.exchange.communication
-        assert streamed.exchange.computation == pytest.approx(
-            materialized.exchange.computation
-        )
-        assert streamed.publish.total == materialized.publish.total
-
-    def test_bad_batch_rows_rejected(self, simulator,
-                                     fragmentations):
-        source_fragmentation, target_fragmentation = fragmentations
-        with pytest.raises(ValueError):
-            simulator.exchange_costs(
-                source_fragmentation, target_fragmentation,
-                MachineProfile("s"), MachineProfile("t"), batch_rows=0,
-            )
-
-    def test_columnar_prices_below_row(self, simulator,
-                                       fragmentations):
-        source_fragmentation, target_fragmentation = fragmentations
-        row = simulator.exchange_costs(
-            source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"),
-            batch_rows=64,
-        )
-        columnar = simulator.exchange_costs(
-            source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"),
-            batch_rows=64, columnar=True,
-        )
-        # The per-strategy scales shrink every priced operator, so the
-        # compute estimate drops; shipping is dataplane-blind.
-        assert columnar.exchange.computation < row.exchange.computation
-        assert columnar.exchange.communication == pytest.approx(
-            row.exchange.communication
-        )
-
-    def test_columnar_prices_unbatched(self, simulator,
-                                       fragmentations):
-        """Columnar pricing needs no ``batch_rows`` (an unbatched
-        columnar run is one unbounded batch per feed)."""
-        source_fragmentation, target_fragmentation = fragmentations
-        costs = {
-            columnar: simulator.exchange_costs(
-                source_fragmentation, target_fragmentation,
-                MachineProfile("s"), MachineProfile("t"), columnar=columnar,
-            ).exchange
-            for columnar in (False, True)
-        }
-        assert costs[True].computation < costs[False].computation
-        assert costs[True].communication == pytest.approx(
-            costs[False].communication
-        )
-
     def test_publish_cost_all_at_source(self, simulator,
                                         fragmentations):
         source_fragmentation, _ = fragmentations
@@ -203,54 +113,6 @@ class TestGreedyQuality:
         assert average_window(5.0, 1.0) > average_window(1.0, 1.0)
 
 
-class TestLossyCosts:
-    def test_fault_plan_inflates_both_pipelines(self, simulator,
-                                                fragmentations):
-        from repro.net.faults import FaultPlan
-
-        source_fragmentation, target_fragmentation = fragmentations
-        clean = simulator.exchange_costs(
-            source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"),
-        )
-        plan = FaultPlan(drop=0.2, corrupt=0.05, duplicate=0.1)
-        lossy = simulator.exchange_costs(
-            source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"),
-            fault_plan=plan, retry_attempts=4,
-        )
-        factor = plan.expected_transmission_factor(4)
-        assert factor > 1.0
-        assert lossy.exchange.communication == pytest.approx(
-            clean.exchange.communication * factor
-        )
-        assert lossy.publish.communication == pytest.approx(
-            clean.publish.communication * factor
-        )
-        # Compute costs are untouched: loss only burns the wire.
-        assert lossy.exchange.computation == pytest.approx(
-            clean.exchange.computation
-        )
-
-    def test_lossless_plan_changes_nothing(self, simulator,
-                                           fragmentations):
-        from repro.net.faults import FaultPlan
-
-        source_fragmentation, target_fragmentation = fragmentations
-        clean = simulator.exchange_costs(
-            source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"),
-        )
-        delay_only = simulator.exchange_costs(
-            source_fragmentation, target_fragmentation,
-            MachineProfile("s"), MachineProfile("t"),
-            fault_plan=FaultPlan(delay=0.3), retry_attempts=4,
-        )
-        assert delay_only.exchange.communication == pytest.approx(
-            clean.exchange.communication
-        )
-
-
 class TestDeltaExchangeCosts:
     """Incremental sync pricing: the full exchange, scaled by the
     fraction of rows that travel."""
@@ -279,26 +141,6 @@ class TestDeltaExchangeCosts:
             assert estimate.savings_percent \
                 == pytest.approx(100 * (1 - estimate.relative_cost))
 
-    def test_amplification_inflates_the_variable_part(
-            self, simulator, fragmentations):
-        source_fragmentation, target_fragmentation = fragmentations
-        machines = (MachineProfile("s"), MachineProfile("t"))
-        plain = simulator.delta_exchange_costs(
-            source_fragmentation, target_fragmentation, *machines,
-            [0.1],
-        )[0]
-        inflated = simulator.delta_exchange_costs(
-            source_fragmentation, target_fragmentation, *machines,
-            [0.1], amplification=4.0,
-        )[0]
-        assert inflated.delta_cost > plain.delta_cost
-        # The closure can never cost more than shipping everything.
-        capped = simulator.delta_exchange_costs(
-            source_fragmentation, target_fragmentation, *machines,
-            [0.5], amplification=100.0,
-        )[0]
-        assert capped.delta_cost == pytest.approx(capped.full_cost)
-
     def test_bad_inputs_rejected(self, simulator, fragmentations):
         source_fragmentation, target_fragmentation = fragmentations
         machines = (MachineProfile("s"), MachineProfile("t"))
@@ -306,9 +148,4 @@ class TestDeltaExchangeCosts:
             simulator.delta_exchange_costs(
                 source_fragmentation, target_fragmentation,
                 *machines, [1.5],
-            )
-        with pytest.raises(ValueError, match="amplification"):
-            simulator.delta_exchange_costs(
-                source_fragmentation, target_fragmentation,
-                *machines, [0.1], amplification=0.5,
             )

@@ -358,3 +358,9 @@ class TestServiceTier:
     def test_loadgen_rejects_bad_sessions(self):
         with pytest.raises(SystemExit):
             main(["loadgen", "--sessions", "0"], io.StringIO())
+
+    def test_loadgen_rejects_bad_batch_rows_before_serving(self):
+        out = io.StringIO()
+        with pytest.raises(SystemExit, match="--batch-rows"):
+            main(["loadgen", "--sessions", "2", "--batch-rows", "0"], out)
+        assert out.getvalue() == ""
