@@ -53,7 +53,6 @@ _READS_PER_CHANGE = 3
 _READ_BOUND_RATES = (0.01, 0.05)
 _DATAPLANES = {
     "materialized": {},
-    "parallel": {"parallel_workers": 3},
     "streaming": {"batch_rows": 64},
 }
 _SWEEP: dict[float, dict[str, object]] = {}

@@ -230,31 +230,7 @@ class StatisticsStore:
         comm_scale = ratios.pop("comm", None)
         return ScaledProbe(probe, ratios, comm_scale)
 
-    # -- introspection and persistence ----------------------------------------
-
-    def summary(self) -> dict[str, object]:
-        """JSON-able snapshot (the control-plane stats endpoint)."""
-        with self._lock:
-            return {
-                "alpha": self.alpha,
-                "warmup": self.warmup,
-                "ingests": self.ingests,
-                "pairs": {
-                    pair: {
-                        "ratios": {
-                            key: {
-                                "value": entry.value,
-                                "observations": entry.observations,
-                                "confidence": entry.observations / (
-                                    entry.observations + self.warmup
-                                ),
-                            }
-                            for key, entry in sorted(table.items())
-                        },
-                    }
-                    for pair, table in sorted(self._ratios.items())
-                },
-            }
+    # -- persistence ----------------------------------------------------------
 
     def to_dict(self) -> dict[str, object]:
         """Full JSON-able state (see :meth:`from_dict`)."""

@@ -4,7 +4,6 @@ Usage::
 
     python -m repro program MF LF            # print the negotiated program
     python -m repro exchange MF LF --size 25 # run DE vs publish&map
-    python -m repro exchange MF MF --workers 4   # parallel DE execution
     python -m repro exchange MF MF --batch-rows 64  # bounded-memory batches
     python -m repro exchange MF LF --fault-plan drop=0.1,corrupt=0.05 \
         --retries 6                          # lossy channel, healed
@@ -176,7 +175,6 @@ def _run_delta_exchange(args: argparse.Namespace, out: TextIO,
     source.enable_versioning()
     journal = ExchangeJournal()
     run_kwargs = dict(
-        parallel_workers=args.workers,
         batch_rows=args.batch_rows,
         retry_policy=retry_policy,
         fault_plan=fault_plan,
@@ -248,9 +246,8 @@ def _run_delta_exchange(args: argparse.Namespace, out: TextIO,
 
 
 def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
-    """Run DE vs publish&map on XMark data; ``--workers N`` executes
-    the DE program phase with N executor workers; ``--sessions
-    N`` brokers N concurrent DE sessions (``--plan-cache`` memoizes
+    """Run DE vs publish&map on XMark data; ``--sessions N`` brokers
+    N concurrent DE sessions (``--plan-cache`` memoizes
     their negotiations so only the first pays the optimizer).  Every
     DE target must publish publish&map's document byte for byte: a
     mismatch is printed and exits 1."""
@@ -258,10 +255,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
             or args.target.upper() not in _XMARK_KEYS:
         raise SystemExit(
             "exchange runs on the XMark workload: use MF or LF"
-        )
-    if args.workers < 1:
-        raise SystemExit(
-            f"--workers must be >= 1, got {args.workers}"
         )
     if args.sessions < 1:
         raise SystemExit(
@@ -369,10 +362,7 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
             cache = PlanCache(metrics=metrics) if args.plan_cache else None
             plan = agency.negotiate(
                 "source", "target", probe=model, plan_cache=cache,
-                plan_knobs={
-                    "parallel_workers": args.workers,
-                    "batch_rows": args.batch_rows,
-                },
+                plan_knobs={"batch_rows": args.batch_rows},
                 stats_store=stats_store,
                 metrics=metrics,
             )
@@ -384,7 +374,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 channel_factory=make_channel,
                 max_workers=min(args.sessions, 4),
                 probe=model,
-                parallel_workers=args.workers,
                 batch_rows=args.batch_rows,
                 retry_policy=retry_policy,
                 fault_plan=fault_plan,
@@ -434,7 +423,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
             de = run_optimized_exchange(
                 program, placement, source, de_target, make_channel(),
                 f"{args.source}->{args.target}",
-                parallel_workers=args.workers,
                 batch_rows=args.batch_rows,
                 retry_policy=retry_policy,
                 fault_plan=fault_plan,
@@ -486,12 +474,6 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
             + ("OK" if identical else "MISMATCH"),
             file=out,
         )
-        if args.workers > 1:
-            print(
-                f"parallel program execution ({args.workers} workers): "
-                f"{de.wall_seconds:.3f}s wall",
-                file=out,
-            )
         if args.batch_rows is not None:
             print(
                 f"streaming dataplane (batch_rows={args.batch_rows}): "
@@ -697,11 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     exchange.add_argument("--scale", type=float, default=0.02,
                           help="fraction of the paper size")
     exchange.add_argument("--seed", type=int, default=42)
-    exchange.add_argument(
-        "--workers", type=int, default=1,
-        help="run the DE program phase with this many parallel "
-             "workers (1 = sequential, the paper's setup)",
-    )
     exchange.add_argument(
         "--fault-plan", default=None,
         help="inject channel faults: rates like "

@@ -16,7 +16,7 @@ keeping the merged target *byte-identical* to a full re-exchange:
   wrappers that restrict the scan side to the ship set and turn the
   write side into an eid-keyed merge.  They present the ordinary
   endpoint data interface, so the existing transfer program runs
-  unmodified at any worker count and batch size, on columnar and row
+  unmodified at any batch size, on columnar and row
   streams alike.
 
 **Why shipping just the changed rows is not enough.**  A changed source
@@ -127,8 +127,8 @@ class VersionLog:
     a row's latest stamp counts; the entries it superseded are dropped
     whenever they outnumber the live ones, which bounds the change
     list by the stored rows however long the endpoint lives.
-    Thread-safe — endpoints are scanned and mutated from executor
-    worker threads.
+    Thread-safe — an endpoint is scanned and mutated by concurrent
+    sessions.
     """
 
     def __init__(self) -> None:

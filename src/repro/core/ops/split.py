@@ -13,16 +13,15 @@ of an input that does not flatten, and concatenating the per-batch
 piece rows reproduces the split of the whole feed exactly.  The two
 differ only in that per-batch partition; the n piece streams are
 drained by different consumers, so undrained piece batches queue
-inside one shared (thread-safe) :class:`_SplitState` — at most one
-input batch is split ahead of the slowest consumer's
-need.  An unbatched input (one ``seq``-less batch) yields exactly one
-``seq``-less batch per piece, empty pieces included; a batched input
-drops empty piece batches and numbers the rest.
+inside one shared :class:`_SplitState` — an input batch is split only
+when some consumer finds its own queue empty.  An unbatched input (one
+``seq``-less batch) yields exactly one ``seq``-less batch per piece,
+empty pieces included; a batched input drops empty piece batches and
+numbers the rest.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from typing import Callable, Iterable, Iterator, Sequence
@@ -76,8 +75,6 @@ class Split(Operation):
         Each pulled input batch is split with the instance-level
         semantics and its piece rows are queued on every piece's
         output; pulling any piece refills from the input as needed.
-        Safe to drain from concurrent threads (a run with several
-        workers drains each downstream expression in its own task).
         """
         pieces = list(self.pieces)
 
@@ -188,7 +185,6 @@ class _SplitState:
         self._batches = batches
         self._tick = tick
         self._meter = meter
-        self._lock = threading.Lock()
         self._queues: list[deque[RowBatch]] = [
             deque() for _ in range(pieces)
         ]
@@ -197,7 +193,7 @@ class _SplitState:
         self._failure: BaseException | None = None
 
     def _refill(self) -> None:
-        """Split one more input batch into the queues (lock held).
+        """Split one more input batch into the queues.
 
         Raises:
             StopIteration: when the input stream is exhausted.
@@ -226,20 +222,19 @@ class _SplitState:
             self._meter.release(batch.row_count())
 
     def _pull(self, index: int) -> RowBatch | None:
-        with self._lock:
-            while not self._queues[index]:
-                if self._failure is not None:
-                    raise self._failure
-                if self._exhausted:
-                    return None
-                try:
-                    self._refill()
-                except StopIteration:
-                    self._exhausted = True
-                except BaseException as exc:
-                    self._failure = exc
-                    raise
-            return self._queues[index].popleft()
+        while not self._queues[index]:
+            if self._failure is not None:
+                raise self._failure
+            if self._exhausted:
+                return None
+            try:
+                self._refill()
+            except StopIteration:
+                self._exhausted = True
+            except BaseException as exc:
+                self._failure = exc
+                raise
+        return self._queues[index].popleft()
 
     def stream(self, index: int) -> Iterator[RowBatch]:
         while True:

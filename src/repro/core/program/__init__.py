@@ -16,16 +16,7 @@ from repro.core.program.builder import (
     enumerate_transfer_programs,
 )
 from repro.core.program.dag import Edge, TransferProgram
-from repro.core.program.executor import (
-    ExecutionReport,
-    ProgramExecutor,
-    critical_path_seconds,
-)
-from repro.core.program.parallel import (
-    ParallelEstimate,
-    partition_expressions,
-    simulate_parallel_makespan,
-)
+from repro.core.program.executor import ExecutionReport, ProgramExecutor
 from repro.core.program.serialize import (
     program_from_dict,
     program_from_json,
@@ -41,10 +32,6 @@ __all__ = [
     "build_transfer_program",
     "enumerate_transfer_programs",
     "ProgramExecutor",
-    "critical_path_seconds",
-    "ParallelEstimate",
-    "partition_expressions",
-    "simulate_parallel_makespan",
     "program_to_dict",
     "program_from_dict",
     "program_to_json",

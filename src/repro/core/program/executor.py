@@ -100,23 +100,19 @@ class OperationTiming:
 class ExecutionReport:
     """Aggregate metrics of one program execution.
 
-    The same for every worker count, batch size and batch
-    representation; consumers should not need to know which ran.
+    The same for every batch size and batch representation;
+    consumers should not need to know which ran.
 
     **Time.** ``wall_seconds`` is the end-to-end wall-clock time of the
-    run; with one worker it equals ``total_seconds`` up to bookkeeping
-    overhead, with several it is the measured makespan.
-    ``critical_path_seconds`` is the longest compute+ship chain through
-    the DAG — the floor no amount of parallelism can beat.
+    run; it equals ``total_seconds`` up to bookkeeping overhead.
 
     **Shipment accounting** (the single definition — executors link
     here rather than restating it): every cross-edge counts once in
     ``shipments``; its transferred volume and simulated transfer time
     accumulate in ``comm_bytes``/``comm_seconds`` and, keyed by
     producer port ``(op_id, output_index)``, in ``shipment_bytes``/
-    ``shipment_seconds`` so makespan estimators can attribute
-    communication by actual volume.  ``shipment_batches`` records how
-    many messages each edge shipped: one per batch, so exactly 1 on an
+    ``shipment_seconds``.  ``shipment_batches`` records how many
+    messages each edge shipped: one per batch, so exactly 1 on an
     unbatched run (``batch_rows=None``), where each edge is one
     monolithic message.
 
@@ -151,7 +147,6 @@ class ExecutionReport:
     shipments: int = 0
     rows_written: int = 0
     wall_seconds: float = 0.0
-    critical_path_seconds: float = 0.0
     shipment_bytes: dict[tuple[int, int], int] = field(
         default_factory=dict
     )
@@ -210,12 +205,8 @@ class _ZeroCostChannel:
 class ProgramExecutor:
     """Runs placed programs against a source and a target endpoint.
 
-    ``workers`` is how many Write-rooted chains run concurrently: 1
-    (default) drives them one after another on the calling thread, more
-    run them on a thread pool with cross-edge shipping overlapped
-    against computation — the channel and both endpoints must then be
-    thread-safe (every bundled :class:`~repro.net.transport.Transport`
-    and the relational / in-memory endpoints are).
+    The Write-rooted chains run one after another on the calling
+    thread, in topological order — the paper's sequential execution.
 
     ``batch_rows`` is the size of the batches that flow along the
     edges: ``None`` (default, the paper's setup) moves each feed as one
@@ -239,20 +230,16 @@ class ProgramExecutor:
 
     def __init__(self, source: DataEndpoint, target: DataEndpoint,
                  channel: ShippingChannel | None = None,
-                 workers: int = 1,
                  batch_rows: int | None = None,
                  retry: "RetryPolicy | None" = None,
                  journal: ExchangeJournal | None = None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if batch_rows is not None and batch_rows < 1:
             raise ValueError("batch_rows must be >= 1 or None")
         self.source = source
         self.target = target
         self.channel: ShippingChannel = channel or _ZeroCostChannel()
-        self.workers = workers
         self.batch_rows = batch_rows
         self.retry = retry
         self.journal = journal
@@ -281,7 +268,7 @@ class ProgramExecutor:
             self.channel, self.batch_rows,
             retry=self.retry, journal=self.journal,
             tracer=self.tracer, metrics=self.metrics,
-        ).drive(self.workers)
+        ).drive()
 
 
 def apply_robustness(report: ExecutionReport, stats) -> None:
@@ -304,27 +291,3 @@ def apply_robustness(report: ExecutionReport, stats) -> None:
             report.redelivered_by_edge.get(edge, 0) + count
         )
 
-
-def critical_path_seconds(program: TransferProgram,
-                          report: ExecutionReport) -> float:
-    """Longest compute+ship chain through the DAG, from measured times.
-
-    Per-operation seconds come from the report's timings (matched by
-    ``op_id``); a cross-edge adds its recorded shipment seconds.  This
-    is the lower bound on the makespan of any parallel schedule.
-    """
-    seconds_by_op = {
-        timing.op_id: timing.seconds for timing in report.op_timings
-    }
-    finish: dict[int, float] = {}
-    for node in program.topological_order():
-        arrival = 0.0
-        for edge in program.in_edges(node):
-            key = (edge.producer.op_id, edge.output_index)
-            arrival = max(
-                arrival,
-                finish.get(edge.producer.op_id, 0.0)
-                + report.shipment_seconds.get(key, 0.0),
-            )
-        finish[node.op_id] = arrival + seconds_by_op.get(node.op_id, 0.0)
-    return max(finish.values(), default=0.0)

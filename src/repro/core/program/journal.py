@@ -33,7 +33,7 @@ from typing import IO
 class ExchangeJournal:
     """Append-only acknowledgement log for one exchange.
 
-    Thread-safe: multi-worker runs ack from worker threads.  Keys
+    Thread-safe: concurrent sessions may share one journal.  Keys
     identify Write operations stably across runs (the executor uses
     ``"<op_id>:<fragment name>"``), so a fresh process replaying the
     same program resolves its acknowledgements.

@@ -25,11 +25,8 @@ streams into numbered slices of that many rows, so resident rows stay
 bounded by the batch size times the pipeline depth (plus Combine's
 child frontier) instead of the document size.
 
-With one worker the Writes drive one after another in topological
-order on the calling thread.  With more, every Write's chain is one
-task on the compute pool — independent expressions run concurrently —
-and each cross-edge gets a prefetch stage on a second pool so producing
-batch *i+1* overlaps shipping batch *i* within a single edge.
+The Writes drive one after another in topological order on the
+calling thread; a run is touched by that thread alone.
 
 Journal resume and delta views wrap this one graph: the journal
 decides which Writes get a drive and which batches bypass the wire,
@@ -45,11 +42,8 @@ the single definition on
 
 from __future__ import annotations
 
-import queue
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Iterator
 
 from repro.errors import ProgramError
@@ -66,7 +60,6 @@ from repro.core.program.executor import (
     OperationTiming,
     ShippingChannel,
     apply_robustness,
-    critical_path_seconds,
 )
 from repro.core.program.journal import ExchangeJournal, write_key
 from repro.core.stream import FragmentStream, ResidencyMeter, RowBatch
@@ -87,10 +80,6 @@ from repro.obs.trace import NULL_TRACER, Tracer
 #: ``batch_rows`` an unbatched run asks the endpoints for: the whole
 #: feed in one batch.
 _WHOLE_FEED = sys.maxsize
-
-
-class _AbortedRun(RuntimeError):
-    """Internal: a task bailed because another task already failed."""
 
 
 class _NodeStats:
@@ -127,61 +116,6 @@ def _whole_feed(batches: Iterator[RowBatch], fragment,
         )
 
 
-class _Prefetch:
-    """Pulls an upstream iterator on a pool into a bounded queue.
-
-    The consumer's pulls then overlap the producer's work — on a
-    cross-edge this is what lets shipping batch *i* (in the consumer)
-    overlap producing batch *i+1* (here).  ``abort`` unblocks both
-    sides when the run fails elsewhere.
-    """
-
-    _DONE = object()
-    _POLL_SECONDS = 0.05
-
-    def __init__(self, source: Iterator[RowBatch],
-                 pool: ThreadPoolExecutor, abort: threading.Event,
-                 depth: int = 2) -> None:
-        self._queue: queue.Queue = queue.Queue(maxsize=depth)
-        self._abort = abort
-        pool.submit(self._produce, source)
-
-    def _produce(self, source: Iterator[RowBatch]) -> None:
-        try:
-            for batch in source:
-                if not self._put(batch):
-                    return
-            self._put(self._DONE)
-        except BaseException as exc:  # noqa: BLE001 - forwarded below
-            self._put(exc)
-
-    def _put(self, item: object) -> bool:
-        while not self._abort.is_set():
-            try:
-                self._queue.put(item, timeout=self._POLL_SECONDS)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def __iter__(self) -> "_Prefetch":
-        return self
-
-    def __next__(self) -> RowBatch:
-        while True:
-            try:
-                item = self._queue.get(timeout=self._POLL_SECONDS)
-            except queue.Empty:
-                if self._abort.is_set():
-                    raise _AbortedRun("run aborted") from None
-                continue
-            if item is self._DONE:
-                raise StopIteration
-            if isinstance(item, BaseException):
-                raise item
-            return item
-
-
 class ProgramRun:
     """One execution of a placed program."""
 
@@ -205,7 +139,6 @@ class ProgramRun:
         self._rstats = RobustnessStats()
         self.report = ExecutionReport(batch_rows=batch_rows)
         self.meter = ResidencyMeter()
-        self._lock = threading.Lock()
         self._stats = {
             node.op_id: _NodeStats() for node in program.nodes
         }
@@ -214,63 +147,18 @@ class ProgramRun:
         #: join strategy for a columnar combine) — reported on each
         #: OperationTiming.
         self._strategies: dict[int, str] = {}
-        self._abort = threading.Event()
-        self._prefetch_pool: ThreadPoolExecutor | None = None
         self._leftovers: list[tuple[int, int]] = []
 
     # -- driving ----------------------------------------------------------------
 
-    def drive(self, workers: int = 1) -> ExecutionReport:
-        """Drive every Write: in topological order on this thread
-        (``workers == 1``), or each as its own task on a
-        ``workers``-wide pool with cross-edge prefetch on a second
-        pool."""
+    def drive(self) -> ExecutionReport:
+        """Drive every Write, in topological order, on this thread."""
         started = time.perf_counter()
         if self.journal is not None:
             self.report.resume_count = self.journal.begin_run()
-        if workers == 1:
-            for drive in self._build():
-                self._drive_write(*drive)
-            return self._finish(started)
-        # One prefetch thread per cross-edge: a producer occupies its
-        # thread while blocked on its bounded queue, so a smaller pool
-        # deadlocks whenever the running producers feed writes that are
-        # queued behind writes whose own producers never got a thread
-        # (placements with multi-input cross chains hit this).
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-run",
-        ) as compute, ThreadPoolExecutor(
-            max_workers=max(workers, self._cross_edge_count(), 1),
-            thread_name_prefix="repro-prefetch",
-        ) as prefetch:
-            self._prefetch_pool = prefetch
-            futures = [
-                compute.submit(self._drive_write, *drive)
-                for drive in self._build()
-            ]
-            failure: BaseException | None = None
-            for future in as_completed(futures):
-                exc = future.exception()
-                if exc is None:
-                    continue
-                self._abort.set()
-                if failure is None or isinstance(failure, _AbortedRun):
-                    failure = exc
-        if failure is not None:
-            raise failure
+        for drive in self._build():
+            self._drive_write(*drive)
         return self._finish(started)
-
-    def _cross_edge_count(self) -> int:
-        """Edges whose producer and consumer are placed apart — each
-        one becomes a :class:`_Prefetch` producer with several
-        workers."""
-        count = 0
-        for node in self.program.nodes:
-            location = self.placement[node.op_id]
-            for edge in self.program.in_edges(node):
-                if self.placement[edge.producer.op_id] is not location:
-                    count += 1
-        return count
 
     def _finish(self, started: float) -> ExecutionReport:
         if self._leftovers:
@@ -309,9 +197,6 @@ class ProgramRun:
         report.peak_resident_rows = self.meter.peak_rows
         apply_robustness(report, self._rstats)
         report.wall_seconds = time.perf_counter() - started
-        report.critical_path_seconds = critical_path_seconds(
-            self.program, report
-        )
         return report
 
     # -- compiling the DAG into a batch network ---------------------------------
@@ -367,10 +252,6 @@ class ProgramRun:
                 # travels as columns, anything else as row trees.
                 is_columnar = edge.fragment.is_flat_storable()
                 if holder is not location and not done:
-                    if self._prefetch_pool is not None:
-                        iterator = _Prefetch(
-                            iterator, self._prefetch_pool, self._abort
-                        )
                     iterator = self._shipped(
                         key, iterator, skip_through
                     )
@@ -460,11 +341,10 @@ class ProgramRun:
         stats = self._stats[node.op_id]
 
         def tick(seconds: float, rows: int) -> None:
-            with self._lock:
-                if stats.started is None:
-                    stats.started = time.perf_counter() - seconds
-                stats.seconds += seconds
-                stats.rows += rows
+            if stats.started is None:
+                stats.started = time.perf_counter() - seconds
+            stats.seconds += seconds
+            stats.rows += rows
 
         return tick
 
@@ -472,8 +352,7 @@ class ProgramRun:
         """Callback recording a columnar combine's join statistics."""
 
         def observe(join: JoinStatistics) -> None:
-            with self._lock:
-                self._strategies[node.op_id] = join.strategy
+            self._strategies[node.op_id] = join.strategy
             observe_join(
                 self.metrics, join.strategy, join.build_rows,
                 join.probe_rows, join.build_seconds,
@@ -533,11 +412,10 @@ class ProgramRun:
                  iterator: Iterator[RowBatch],
                  skip_through: int = -1) -> Iterator[RowBatch]:
         report = self.report
-        with self._lock:
-            report.shipments += 1
-            report.shipment_bytes.setdefault(key, 0)
-            report.shipment_seconds.setdefault(key, 0.0)
-            report.shipment_batches.setdefault(key, 0)
+        report.shipments += 1
+        report.shipment_bytes.setdefault(key, 0)
+        report.shipment_seconds.setdefault(key, 0.0)
+        report.shipment_batches.setdefault(key, 0)
         link = None
         if self.retry is not None:
             link = ReliableBatchLink(
@@ -547,12 +425,11 @@ class ProgramRun:
 
         def account(shipment, batch: RowBatch,
                     started: float) -> None:
-            with self._lock:
-                report.comm_bytes += shipment.bytes_sent
-                report.comm_seconds += shipment.seconds
-                report.shipment_bytes[key] += shipment.bytes_sent
-                report.shipment_seconds[key] += shipment.seconds
-                report.shipment_batches[key] += 1
+            report.comm_bytes += shipment.bytes_sent
+            report.comm_seconds += shipment.seconds
+            report.shipment_bytes[key] += shipment.bytes_sent
+            report.shipment_seconds[key] += shipment.seconds
+            report.shipment_batches[key] += 1
             fragment = batch.fragment.name
             chunked = batch.seq is not None
             self.tracer.record(
@@ -593,8 +470,6 @@ class ProgramRun:
     def _drive_write(self, node: Write, endpoint: DataEndpoint,
                      batches: Iterator[RowBatch],
                      skip_through: int = -1) -> None:
-        if self._abort.is_set():
-            raise _AbortedRun("run aborted")
         jkey = write_key(node.op_id, node.fragment.name)
         incremental = self._acks_batches(endpoint)
         pull_seconds = 0.0

@@ -16,7 +16,6 @@ checkable.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -172,29 +171,25 @@ class ResidencyMeter:
     Scan yields a batch, a Split queues a piece) and consumers
     :meth:`release` them when absorbed (a Write loaded the batch, a
     Combine inlined a buffered child row).  Rows, not bytes: the one
-    size a batch is measured by is the wire size of a shipment.
-    Thread-safe, since a run with ``workers > 1`` produces and
-    consumes from many threads.
+    size a batch is measured by is the wire size of a shipment.  One
+    meter per run, touched by the run's one thread.
     """
 
-    __slots__ = ("_lock", "_rows", "peak_rows")
+    __slots__ = ("_rows", "peak_rows")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._rows = 0
         self.peak_rows = 0
 
     def acquire(self, rows: int) -> None:
         """Mark ``rows`` as resident."""
-        with self._lock:
-            self._rows += rows
-            if self._rows > self.peak_rows:
-                self.peak_rows = self._rows
+        self._rows += rows
+        if self._rows > self.peak_rows:
+            self.peak_rows = self._rows
 
     def release(self, rows: int) -> None:
         """Mark ``rows`` as absorbed."""
-        with self._lock:
-            self._rows -= rows
+        self._rows -= rows
 
     @property
     def resident_rows(self) -> int:

@@ -167,9 +167,8 @@ class Transport(abc.ABC):
     injection wraps it, the exchange service resets and reads its
     accounting windows, and cost probes ask it :meth:`transfer_cost`.
 
-    Accounting is thread-safe: concurrent shippers (the parallel
-    executor pipelines transfers against computation) may charge the
-    transport from multiple threads.  Lifecycle is uniform across
+    Accounting is thread-safe: a caller may share one transport
+    across its threads.  Lifecycle is uniform across
     implementations: :meth:`close` is idempotent and thread-safe, and
     any send after it raises :class:`~repro.errors.TransportError`.
     """

@@ -77,8 +77,8 @@ class FragmentRelationMapper:
             fragment.name: _FragmentLayout(fragment)
             for fragment in fragmentation
         }
-        # One lock per fragment table: a multi-worker run scans and
-        # writes concurrently, and while distinct fragments always hit
+        # One lock per fragment table: concurrent sessions scan one
+        # source together, and while distinct fragments always hit
         # distinct tables, same-table access must serialize.
         self._table_locks: dict[str, threading.Lock] = {
             name: threading.Lock() for name in self.layouts

@@ -352,7 +352,6 @@ class ExchangeBroker:
                  probe: CostProbe | None = None,
                  channel_factory: Callable[[], Transport]
                  = SimulatedChannel,
-                 parallel_workers: int = 1,
                  batch_rows: int | None = None,
                  retry_policy: "RetryPolicy | None" = None,
                  fault_plan: "FaultPlan | None" = None,
@@ -370,8 +369,6 @@ class ExchangeBroker:
                 f"max_pending must be >= 1, got {max_pending}"
             )
         # Every session would fail on these; refuse them up front.
-        if parallel_workers < 1:
-            raise ValueError("parallel_workers must be >= 1")
         if batch_rows is not None and batch_rows < 1:
             raise ValueError("batch_rows must be >= 1 or None")
         self.agency = agency
@@ -380,7 +377,6 @@ class ExchangeBroker:
         self.max_pending = max_pending
         self.probe = probe
         self.channel_factory = channel_factory
-        self.parallel_workers = parallel_workers
         self.batch_rows = batch_rows
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
@@ -535,10 +531,7 @@ class ExchangeBroker:
                         source_name, target_name,
                         probe=self.probe,
                         plan_cache=self.plan_cache,
-                        plan_knobs={
-                            "parallel_workers": self.parallel_workers,
-                            "batch_rows": self.batch_rows,
-                        },
+                        plan_knobs={"batch_rows": self.batch_rows},
                         stats_store=self.stats_store,
                         metrics=self.metrics,
                     )
@@ -550,7 +543,6 @@ class ExchangeBroker:
                     source.endpoint, target,
                     self.channel_factory(),
                     scenario=scenario,
-                    parallel_workers=self.parallel_workers,
                     batch_rows=self.batch_rows,
                     retry_policy=self.retry_policy,
                     fault_plan=self.fault_plan,

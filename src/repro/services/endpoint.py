@@ -58,7 +58,7 @@ class SystemEndpoint(abc.ABC):
         # kept until that fragment is written (see _stored_keys).
         self._scanned_keys: dict[str, _ScannedKeys] = {}
         # Serializes whole-store access for endpoints without finer
-        # locking; a multi-worker run calls scan/write concurrently.
+        # locking; concurrent sessions scan one source together.
         self._store_lock = threading.RLock()
 
     # -- data interface (used by the program executor) ---------------------

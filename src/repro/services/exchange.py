@@ -66,11 +66,8 @@ class ExchangeOutcome:
     comm_bytes: int = 0
     rows_written: int = 0
     indexes_built: int = 0
-    #: Workers the program executor ran with (1 = sequential).
-    parallel_workers: int = 1
-    #: Measured wall-clock of the program-execution phase.  Equals the
-    #: summed per-step attribution sequentially; with parallel workers
-    #: it is the real makespan (smaller when overlap pays off).
+    #: Measured wall-clock of the program-execution phase; equals the
+    #: summed per-step attribution up to bookkeeping overhead.
     wall_seconds: float = 0.0
     #: Batch size the program phase used (None = unbatched).
     batch_rows: int | None = None
@@ -136,7 +133,6 @@ def run_optimized_exchange(
     target: RelationalEndpoint,
     channel: Transport,
     scenario: str = "exchange",
-    parallel_workers: int = 1,
     batch_rows: int | None = None,
     columnar: bool = False,
     retry_policy: RetryPolicy | None = None,
@@ -150,17 +146,15 @@ def run_optimized_exchange(
     """Run the optimized data exchange (Section 5.2 steps 1–5).
 
     The program phase runs on the one
-    :class:`~repro.core.program.executor.ProgramExecutor`.  With
-    ``parallel_workers > 1`` independent expressions execute
-    concurrently and cross-edge shipping overlaps computation.  Written
-    fragments are identical either way; the per-step attribution keeps
-    its sequential meaning while ``wall_seconds`` carries the measured
-    makespan.
+    :class:`~repro.core.program.executor.ProgramExecutor`, which drives
+    the program's expressions one after another, as the paper does.
 
     ``batch_rows`` sizes the batches that flow along the program's
     edges: ``None`` moves each feed as one unbounded batch (one message
     per cross-edge), an integer moves slices of that many rows (bounded
-    peak residency, chunked shipping, same written fragments).
+    peak residency, chunked shipping, same written fragments); any
+    other value raises ``ValueError`` before the channel, the source or
+    the target is touched.
     How batches are represented is read off each fragment — columns
     for every flat-storable one, row trees otherwise (see
     :mod:`repro.core.program.run`) — so ``columnar`` is accepted and
@@ -193,13 +187,10 @@ def run_optimized_exchange(
     run's alone; concurrent sessions each get their own, which is what
     :class:`~repro.services.broker.ExchangeBroker` does.
     """
-    if parallel_workers < 1:
-        raise ValueError("parallel_workers must be >= 1")
+    if batch_rows is not None and batch_rows < 1:
+        raise ValueError("batch_rows must be >= 1 or None")
     tracer = tracer or NULL_TRACER
-    outcome = ExchangeOutcome(
-        scenario, "DE", parallel_workers=parallel_workers,
-        batch_rows=batch_rows,
-    )
+    outcome = ExchangeOutcome(scenario, "DE", batch_rows=batch_rows)
     channel.reset()
     exec_source: "SystemEndpoint | DeltaSourceView" = source
     exec_target: "SystemEndpoint | DeltaTargetView" = target
@@ -265,12 +256,12 @@ def run_optimized_exchange(
         if fault_plan is not None else channel
     )
     executor = ProgramExecutor(
-        exec_source, exec_target, wire, workers=parallel_workers,
-        batch_rows=batch_rows, retry=retry_policy, journal=journal,
-        tracer=tracer, metrics=metrics,
+        exec_source, exec_target, wire, batch_rows=batch_rows,
+        retry=retry_policy, journal=journal, tracer=tracer,
+        metrics=metrics,
     )
     with tracer.span("execute program", "step", scenario=scenario,
-                     method="DE", workers=parallel_workers):
+                     method="DE"):
         report = executor.run(program, placement)
     outcome.report = report
     outcome.wall_seconds = report.wall_seconds

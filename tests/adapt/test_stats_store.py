@@ -150,18 +150,6 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not valid JSON"):
             StatisticsStore.load(path)
 
-    def test_summary_shape(self):
-        store = self._populated()
-        summary = store.summary()
-        assert summary["ingests"] == 2
-        assert sorted(summary["pairs"]) == [PAIR, "t->s"]
-        entry = summary["pairs"][PAIR]["ratios"]["scan"]
-        assert entry["value"] == pytest.approx(1.5)
-        assert entry["observations"] == 1
-        assert entry["confidence"] == pytest.approx(1 / 6)
-        # The summary is the control-plane payload: JSON-able as is.
-        json.dumps(store.summary())
-
 
 class TestThreadSafety:
     def test_concurrent_ingestion(self):

@@ -171,10 +171,10 @@ class TestCrashResume:
             target.db, target.mapper
         ).document == reference
 
-    def test_parallel_executor_skips_acked_writes(
+    def test_unbatched_rerun_skips_acked_writes(
             self, exchange, tmp_path):
-        """A multi-worker run honours the same journal: writes acked
-        by a previous (sequential) run are not repeated."""
+        """An unbatched run acknowledges whole writes: a rerun over
+        the completed journal ships and writes nothing."""
         source, target_frag, program, placement = exchange
         reference, _ = run_uninterrupted(exchange)
         journal_path = tmp_path / "cross.journal"
@@ -189,8 +189,7 @@ class TestCrashResume:
         idle_channel = SimulatedChannel(wire_format=True)
         with ExchangeJournal(journal_path) as journal:
             report = ProgramExecutor(
-                source, target, idle_channel, workers=2,
-                journal=journal,
+                source, target, idle_channel, journal=journal,
             ).run(program, placement)
         assert report.resume_count == 1
         assert idle_channel.messages == 0

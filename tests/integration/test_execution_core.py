@@ -1,8 +1,8 @@
 """One execution core: every configuration writes the same bytes.
 
 The byte-identity invariant over the product of the executor's knobs —
-batch size × worker count × journal (none, or killed mid-run and
-resumed) — on inputs whose streams are all columnar and on inputs
+batch size × journal (none, or killed mid-run and resumed) — on
+inputs whose streams are all columnar and on inputs
 where row and columnar streams meet, plus the wire contract of
 unbatched runs: a ``batch_rows=None`` exchange ships exactly the one
 ``wrap_fragment_feed`` message per cross-edge that the paper's setup
@@ -146,10 +146,8 @@ def flat_exchanges(exchange):
 @pytest.mark.parametrize("resumed", [False, True],
                          ids=["fresh", "resumed-after-kill"])
 @pytest.mark.parametrize("streams", ["row", "columnar"])
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("batch_rows", [None, 1, 7, 64])
-def test_byte_identity(request, batch_rows, workers, streams,
-                       resumed):
+def test_byte_identity(request, batch_rows, streams, resumed):
     """``streams`` is not a knob — how a stream travels is read off
     its fragment — so the axis varies the input: ``columnar`` is flat
     fragmentations between relational endpoints (no row batch
@@ -164,7 +162,6 @@ def test_byte_identity(request, batch_rows, workers, streams,
         placement = source_heavy_placement(program)
         assert len(program.cross_edges(placement)) > 2
         target = new_target()
-        knobs = dict(workers=workers, batch_rows=batch_rows)
         journal = ExchangeJournal() if resumed else None
         if resumed:
             # The first attempt dies after two shipped messages; the
@@ -174,11 +171,12 @@ def test_byte_identity(request, batch_rows, workers, streams,
             )
             with pytest.raises(RuntimeError, match="process death"):
                 ProgramExecutor(
-                    source, target, dying, journal=journal, **knobs
+                    source, target, dying, batch_rows=batch_rows,
+                    journal=journal,
                 ).run(program, placement)
         report = ProgramExecutor(
             source, target, SimulatedChannel(wire_format=True),
-            journal=journal, **knobs
+            batch_rows=batch_rows, journal=journal,
         ).run(program, placement)
         assert report.resume_count == int(resumed)
         check(target)
@@ -208,18 +206,17 @@ class TestUnbatchedWire:
         assert all('seq="' not in message for message in messages)
         return placement, messages
 
-    def run(self, exchange, placement, channel, **knobs):
+    def run(self, exchange, placement, channel):
         source, target_frag, program, reference = exchange
         target = RelationalEndpoint("B", target_frag)
-        report = ProgramExecutor(
-            source, target, channel, **knobs
-        ).run(program, placement)
+        report = ProgramExecutor(source, target, channel).run(
+            program, placement
+        )
         assert publish_document(
             target.db, target.mapper
         ).document == reference
         return report
 
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize(
         "make_channel",
         [lambda: SimulatedChannel(wire_format=True),
@@ -227,11 +224,10 @@ class TestUnbatchedWire:
         ids=["simulated", "in-process"],
     )
     def test_comm_bytes_are_the_ship_fragment_messages(
-            self, exchange, shipped_scans, make_channel, workers):
+            self, exchange, shipped_scans, make_channel):
         placement, messages = shipped_scans
         channel = make_channel()
-        report = self.run(exchange, placement, channel,
-                          workers=workers)
+        report = self.run(exchange, placement, channel)
         assert report.comm_bytes == sum(map(len, messages))
         assert channel.total_bytes == report.comm_bytes
         assert channel.messages == report.shipments == len(messages)

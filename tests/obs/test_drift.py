@@ -260,30 +260,7 @@ class TestDegenerateRatios:
 
 
 class TestOtherDataplanes:
-    """Span coverage must hold for multi-worker and batched runs."""
-
-    def test_parallel_executor_trace_is_complete(self, auction_mf,
-                                                 auction_document):
-        program, placement, report, tracer = mf_to_mf(
-            auction_mf, auction_document,
-            lambda source, target, tracer: ProgramExecutor(
-                source, target, SimulatedChannel(), workers=4,
-                tracer=tracer,
-            ),
-        )
-        rebuilt = report_from_trace(program, tracer)
-        assert len(rebuilt.op_timings) == len(program.nodes)
-        assert tracer.total_seconds("op") == pytest.approx(sum(
-            timing.seconds for timing in report.op_timings
-        ))
-        shipped = {
-            (span.attrs["edge_op"], span.attrs["edge_port"])
-            for span in tracer.spans_of("ship")
-        }
-        assert shipped == {
-            (edge.producer.op_id, edge.output_index)
-            for edge in program.cross_edges(placement)
-        }
+    """Span coverage must hold for batched runs."""
 
     def test_streaming_trace_records_batches(self, auction_mf,
                                              auction_document):

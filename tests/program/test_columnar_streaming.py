@@ -134,17 +134,6 @@ class TestByteIdentity:
         ).run(program, placement)
         assert _table_dump(columnar_target) == _table_dump(row_target)
 
-    def test_parallel_columnar_matches(self, mf_source, mf_to_lf,
-                                       auction_lf):
-        program, placement = mf_to_lf
-        expected = _row_reference(mf_source, mf_to_lf, auction_lf)
-        target = RelationalEndpoint("col-par", auction_lf)
-        ProgramExecutor(
-            mf_source, target, SimulatedChannel(), workers=4,
-            batch_rows=32,
-        ).run(program, placement)
-        assert _table_dump(target) == expected
-
 
 class TestStrategySelection:
     """Document-order feeds must auto-select the merge join, shuffled

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PlacementError
+from repro.errors import EndpointError, PlacementError, ProgramError
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.mapping import derive_mapping
 from repro.core.ops.base import Location
@@ -13,6 +13,7 @@ from repro.core.optimizer.placement import (
 from repro.core.optimizer.greedy import greedy_placement
 from repro.core.cost.model import CostModel
 from repro.core.program.builder import build_transfer_program
+from repro.core.program.dag import Edge
 from repro.core.program.executor import ProgramExecutor
 from repro.net.transport import InProcessTransport
 from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
@@ -35,6 +36,36 @@ def exchange_setup(customers_schema, customers_s, customers_t,
     model = CostModel(StatisticsCatalog.synthetic(customers_schema))
     placement = greedy_placement(program, model)
     return source, target, program, placement
+
+
+@pytest.fixture
+def setup(customers_s, customers_t, customer_documents):
+    """``(make, build)``: fresh S-fragmented source and empty target,
+    and the S->T program under its source-heavy placement."""
+    def make():
+        source = InMemoryEndpoint("src")
+        for instance in fragment_customers(
+            customer_documents, customers_s
+        ).values():
+            source.put(instance)
+        return source, InMemoryEndpoint("tgt")
+
+    def build():
+        program = build_transfer_program(
+            derive_mapping(customers_s, customers_t)
+        )
+        return program, source_heavy_placement(program)
+
+    return make, build
+
+
+def _written_documents(target: InMemoryEndpoint) -> dict[str, list[str]]:
+    return {
+        name: sorted(
+            serialize(doc) for doc in instance.to_xml_documents()
+        )
+        for name, instance in target.store.items()
+    }
 
 
 class TestExecution:
@@ -116,3 +147,76 @@ class TestExecution:
             + report.comp_seconds[Location.TARGET]
         )
         assert attributed == pytest.approx(total)
+
+
+class TestDeterminism:
+    def test_repeated_runs_stable(self, setup):
+        make, build = setup
+        program, placement = build()
+        results = []
+        for _ in range(3):
+            source, target = make()
+            ProgramExecutor(source, target).run(program, placement)
+            results.append(_written_documents(target))
+        assert results[0] == results[1] == results[2]
+
+
+class TestErrors:
+    def test_operation_failure_propagates(self, setup):
+        make, build = setup
+        program, placement = build()
+        source, target = make()
+        source.store.clear()  # every Scan now raises EndpointError
+        with pytest.raises(EndpointError):
+            ProgramExecutor(source, target).run(program, placement)
+
+
+class TestMissingValueMessages:
+    """The executor distinguishes never-produced from doubly-consumed
+    values instead of blaming everything on double consumption."""
+
+    def test_never_produced_message(self, setup, customers_s,
+                                    customers_t):
+        program = build_transfer_program(
+            derive_mapping(customers_s, customers_t)
+        )
+        scan = program.scans()[0]
+        write = program.writes()[0]
+        # Rig an edge from an output port the Scan never fills; bypass
+        # connect(), which would reject the out-of-range port, and
+        # validate(), which the rig deliberately breaks.
+        phantom = Edge(scan, 7, write, 0)
+        program._in_edges[write.op_id][:] = [phantom]
+        program.validate = lambda: None
+        make, _ = setup
+        source, target = make()
+        with pytest.raises(ProgramError, match="never produced"):
+            ProgramExecutor(source, target).run(
+                program, source_heavy_placement(program)
+            )
+
+    def test_consumed_twice_message(self, setup, customers_s,
+                                    customers_t):
+        program = build_transfer_program(
+            derive_mapping(customers_s, customers_t)
+        )
+        scan = program.scans()[0]
+        first = next(
+            edge for edge in program.edges if edge.producer is scan
+        )
+        other_write = next(
+            write for write in program.writes()
+            if write is not first.consumer
+        )
+        # A second consumer of the same output port; registered on both
+        # endpoints so the topological order still resolves.
+        double = Edge(scan, first.output_index, other_write, 0)
+        program._in_edges[other_write.op_id].append(double)
+        program._out_edges[scan.op_id].append(double)
+        program.validate = lambda: None
+        make, _ = setup
+        source, target = make()
+        with pytest.raises(ProgramError, match="consumed twice"):
+            ProgramExecutor(source, target).run(
+                program, source_heavy_placement(program)
+            )

@@ -10,7 +10,7 @@ from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
 from repro.core.stream import FragmentStream
-from repro.net.transport import NetworkProfile, SimulatedChannel
+from repro.net.transport import SimulatedChannel
 from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.writer import serialize
@@ -64,25 +64,6 @@ class TestByteIdentity:
         ).run(program, placement)
         assert _written_documents(streaming_target) == expected
 
-    @pytest.mark.parametrize("batch_rows", [1, 64])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_matches_materialized(self, setup, batch_rows,
-                                           workers):
-        make, build = setup
-        program, placement = build()
-        source, materialized_target = make()
-        ProgramExecutor(source, materialized_target).run(
-            program, placement
-        )
-        expected = _written_documents(materialized_target)
-
-        source, streaming_target = make()
-        ProgramExecutor(
-            source, streaming_target, workers=workers,
-            batch_rows=batch_rows,
-        ).run(program, placement)
-        assert _written_documents(streaming_target) == expected
-
     def test_reverse_direction(self, customers_s, customers_t,
                                customer_documents):
         """T -> S exercises the other op mix (splits feeding writes)."""
@@ -116,9 +97,9 @@ class TestByteIdentity:
         results = []
         for _ in range(3):
             source, target = make()
-            ProgramExecutor(
-                source, target, workers=4, batch_rows=8
-            ).run(program, placement)
+            ProgramExecutor(source, target, batch_rows=8).run(
+                program, placement
+            )
             results.append(_written_documents(target))
         assert results[0] == results[1] == results[2]
 
@@ -226,28 +207,6 @@ class TestChannelInteraction:
         assert _written_documents(streaming_target) == \
             _written_documents(materialized_target)
 
-    def test_parallel_streaming_overlaps_realtime_channel(self, setup):
-        """With a sleeping channel the pipelined wall clock beats the
-        fully serialized comp+comm total."""
-        make, build = setup
-        program, placement = build()
-        profile = NetworkProfile(
-            "slow", bandwidth_bytes_per_second=200_000.0,
-            latency_seconds=0.0,
-        )
-        source, target = make()
-        report = ProgramExecutor(
-            source, target,
-            SimulatedChannel(profile, realtime=True),
-            workers=4, batch_rows=4,
-        ).run(program, placement)
-        serialized = (
-            report.source_seconds + report.target_seconds
-            + report.comm_seconds
-        )
-        assert report.comm_seconds > 0.0
-        assert report.wall_seconds < serialized
-
 
 class TestErrors:
     def test_bad_batch_rows_rejected(self, setup):
@@ -269,12 +228,6 @@ class TestErrors:
             ProgramExecutor(source, target, batch_rows=4).run(
                 program, placement
             )
-        source, target = make()
-        source.store.clear()
-        with pytest.raises(EndpointError):
-            ProgramExecutor(
-                source, target, workers=4, batch_rows=4
-            ).run(program, placement)
 
 
 class TestCombineOrphanParity:

@@ -221,8 +221,6 @@ class TestAdmissionControl:
             ExchangeBroker(loaded_agency, max_pending=0, probe=model)
         with pytest.raises(ValueError, match="batch_rows"):
             ExchangeBroker(loaded_agency, batch_rows=0, probe=model)
-        with pytest.raises(ValueError, match="parallel_workers"):
-            ExchangeBroker(loaded_agency, parallel_workers=0, probe=model)
 
     def test_empty_batch_is_a_no_op(self, loaded_agency, model):
         """The 0-session edge: an empty batch admits nothing, touches

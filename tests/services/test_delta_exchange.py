@@ -14,6 +14,7 @@ from repro.core.program.builder import build_transfer_program
 from repro.core.program.journal import ExchangeJournal
 from repro.net.faults import FaultPlan, RetryPolicy
 from repro.net.transport import SimulatedChannel
+from repro.relational.publisher import publish_document
 from repro.services.agency import DiscoveryAgency
 from repro.services.broker import ExchangeBroker, PlanCache
 from repro.services.endpoint import RelationalEndpoint
@@ -22,7 +23,6 @@ from repro.workloads.mutate import mutate_endpoint
 
 DATAPLANES = {
     "materialized": {},
-    "parallel": {"parallel_workers": 3},
     "streaming": {"batch_rows": 64},
 }
 
@@ -155,6 +155,36 @@ class TestDeltaGuards:
                 since=source.versions.current + 5,
             )
         # Not a silent no-op: the change is still owed.
+        assert journal.last_sync_version() == synced
+
+    def test_bad_batch_rows_leaves_the_target_untouched(
+            self, auction_mf, auction_lf, auction_document):
+        """A rejected call is rejected before any delta work: no
+        tombstone is applied to the target and no sync is recorded.
+        LF -> MF, so that deleted source rows are target rows."""
+        source, program, placement = _setup(
+            auction_lf, auction_mf, auction_document, "rejected-src"
+        )
+        journal = ExchangeJournal()
+        target = RelationalEndpoint("rejected-tgt", auction_mf)
+        run_optimized_exchange(
+            program, placement, source, target, SimulatedChannel(),
+            journal=journal,
+        )
+        synced = journal.last_sync_version()
+        assert mutate_endpoint(
+            source, 0.1, seed=8, delete_fraction=0.05
+        ).deleted
+        published = publish_document(target.db, target.mapper).document
+        with pytest.raises(ValueError, match="batch_rows"):
+            run_optimized_exchange(
+                program, placement, source, target,
+                SimulatedChannel(), journal=journal, delta=True,
+                batch_rows=0,
+            )
+        assert publish_document(
+            target.db, target.mapper
+        ).document == published
         assert journal.last_sync_version() == synced
 
 

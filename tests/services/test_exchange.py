@@ -99,16 +99,6 @@ class TestStreamingExchange:
         assert 0 < streaming.peak_resident_rows \
             < materialized.peak_resident_rows
 
-    def test_parallel_streaming_wiring(self, loaded_source,
-                                       auction_lf):
-        streaming, target = de_outcome(
-            loaded_source, auction_lf, "ps", batch_rows=16,
-            parallel_workers=2,
-        )
-        assert streaming.batch_rows == 16
-        assert streaming.rows_written == target.total_rows()
-        assert streaming.peak_resident_rows > 0
-
 
 @pytest.fixture(scope="module")
 def figure9_sources(auction_mf, auction_lf, auction_document):
@@ -155,14 +145,13 @@ class _ProcessDeath:
 
 class TestResidencyDrains:
     """Every row a run's meter acquires is released by the run's end,
-    on each Figure 9 direction, batched or not, serial or parallel."""
+    on each Figure 9 direction, batched or not."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("batch_rows", [None, 64])
     @pytest.mark.parametrize("scenario", ["MF->MF", "LF->MF", "MF->LF",
                                           "LF->LF"])
-    def test_meter_drains(self, scenario, batch_rows, workers,
-                          figure9_sources, meters):
+    def test_meter_drains(self, scenario, batch_rows, figure9_sources,
+                          meters):
         source_kind, target_kind = scenario.split("->")
         source = figure9_sources[source_kind]
         target_frag = figure9_sources[target_kind].fragmentation
@@ -172,7 +161,7 @@ class TestResidencyDrains:
         run_optimized_exchange(
             program, source_heavy_placement(program), source,
             RelationalEndpoint("T", target_frag), SimulatedChannel(),
-            scenario, parallel_workers=workers, batch_rows=batch_rows,
+            scenario, batch_rows=batch_rows,
         )
         (meter,) = meters
         assert meter.resident_rows == 0

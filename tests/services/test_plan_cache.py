@@ -186,14 +186,11 @@ class TestNegotiateWithCache:
         assert not renegotiated.cached
         assert metrics.counter("optimizer.runs").value == 2
 
-    @pytest.mark.parametrize(
-        "workers,batch_rows",
-        [(1, None), (3, None), (1, 64)],
-        ids=["sequential", "parallel", "streaming"],
-    )
+    @pytest.mark.parametrize("batch_rows", [None, 64],
+                             ids=["sequential", "streaming"])
     def test_warm_plan_writes_identical_fragments(
             self, auction_schema, auction_mf, auction_lf,
-            auction_document, model, workers, batch_rows):
+            auction_document, model, batch_rows):
         source = RelationalEndpoint("S", auction_mf)
         source.load_document(auction_document)
         agency = DiscoveryAgency(auction_schema)
@@ -208,8 +205,7 @@ class TestNegotiateWithCache:
             target = RelationalEndpoint(f"T-{label}", auction_lf)
             run_optimized_exchange(
                 plan.annotate(), plan.placement, source, target,
-                SimulatedChannel(), label,
-                parallel_workers=workers, batch_rows=batch_rows,
+                SimulatedChannel(), label, batch_rows=batch_rows,
             )
             documents.append(
                 publish_document(target.db, target.mapper).document

@@ -64,13 +64,14 @@ class TestExchangeCommand:
         with pytest.raises(SystemExit):
             main(["exchange", "S", "T"], io.StringIO())
 
-    def test_parallel_workers(self):
-        output = run_cli(
-            "exchange", "MF", "MF", "--size", "2.5",
-            "--scale", "0.02", "--workers", "2",
-        )
-        assert "parallel program execution (2 workers)" in output
-        assert "s wall" in output
+    def test_workers_flag_is_gone(self, capsys):
+        """The program phase has one schedule: ``exchange`` takes no
+        worker count (``loadgen --workers`` is session concurrency)."""
+        with pytest.raises(SystemExit) as exited:
+            main(["exchange", "MF", "MF", "--workers", "2"],
+                 io.StringIO())
+        assert exited.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_streaming_batch_rows(self):
         output = run_cli(
