@@ -27,6 +27,7 @@ from repro.core.fragmentation import Fragmentation
 from repro.core.instance import ElementData, FragmentInstance, FragmentRow
 from repro.relational.engine import Database
 from repro.relational.schema import Column, TableSchema
+from repro.relational.table import transpose
 from repro.relational.types import ColumnType
 
 
@@ -148,9 +149,9 @@ class FragmentRelationMapper:
         loaded = 0
         for name, rows in buffers.items():
             layout = self.layouts[name]
-            columns = [list(cells) for cells in zip(*rows)] \
-                or [[] for _ in layout.specs]
-            loaded += db.table(layout.table_name).load_columns(columns)
+            loaded += db.table(layout.table_name).load_columns(
+                transpose(rows, len(layout.specs))
+            )
         return loaded
 
     def load_instance(self, db: Database, fragment: Fragment,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.errors import RelationalError, SchemaError
 from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
+from repro.relational.table import transpose
 from repro.xmlkit.parser import END, START, TEXT, tokens
 
 #: Where one element's cells go: ``(open rows of its fragment, row
@@ -46,10 +47,13 @@ class ShredResult:
     def load_into(self, db: Database) -> int:
         """Bulk-load every table's tuples a column at a time
         (publish&map step 5), with every check a row load makes."""
-        return sum(
-            db.table(table_name).load_columns(list(zip(*rows)))
-            for table_name, rows in self.rows.items()
-        )
+        loaded = 0
+        for table_name, rows in self.rows.items():
+            table = db.table(table_name)
+            loaded += table.load_columns(
+                transpose(rows, len(table.schema.columns))
+            )
+        return loaded
 
 
 def _shredding(mapper: FragmentRelationMapper

@@ -20,6 +20,28 @@ def _non_decreasing(values: list) -> bool:
     return all(map(le, values, islice(values, 1, None)))
 
 
+#: Rows :func:`transpose` turns at a time.  ``zip(*rows)`` holds one
+#: iterator per row alive until it is done; over a paper-scale table
+#: that is hundreds of thousands of objects for the cyclic collector
+#: to scan, while a few hundred rows at a time leave it idle and keep
+#: ``zip``'s speed on small loads.
+_TRANSPOSE_ROWS = 512
+
+
+def transpose(rows: Sequence[Sequence[object]], width: int) -> list[list]:
+    """``rows``, each ``width`` cells long, as ``width`` column lists.
+
+    Raises:
+        ValueError: if a row is not ``width`` cells long.
+    """
+    columns: list[list] = [[] for _ in range(width)]
+    for start in range(0, len(rows), _TRANSPOSE_ROWS):
+        chunk = zip(*rows[start:start + _TRANSPOSE_ROWS], strict=True)
+        for column, cells in zip(columns, chunk, strict=True):
+            column.extend(cells)
+    return columns
+
+
 class Table:
     """A heap of typed rows, stored one list per column, plus its
     indexes.
@@ -189,14 +211,14 @@ class Table:
         columns = self._columns
         watched = [(at, columns[at]) for at in self._watched(key_at, live)]
         for row in rows:
-            held = by_key.lookup(row[key_at])
-            if len(held) > 1:
+            held = by_key.entry(row[key_at])
+            if held.__class__ is list:
                 # Duplicates of one key (only a LOAD can leave them)
                 # collapse into the one incoming row.
                 self._remove(list(held))
-                held = []
-            if held:
-                row_id = held[0]
+                held = None
+            if held is not None:
+                row_id = held
                 for at, cells in watched:
                     if cells[row_id] != row[at]:
                         self._rekeyed(row_id, row, live)
@@ -239,9 +261,7 @@ class Table:
             return 0
         index = self.get_index(column)
         if index is not None:
-            doomed = [
-                row_id for key in wanted for row_id in index.lookup(key)
-            ]
+            doomed = index.row_ids(wanted)
         else:
             doomed = [
                 row_id for row_id, value in enumerate(self._columns[position])
@@ -406,8 +426,7 @@ class Table:
         """Heap positions of the rows whose ``column`` value is in
         ``keys`` (distinct), read through :meth:`lookup_index` —
         proportional to the answer."""
-        lookup = self.lookup_index(column).lookup
-        return [row_id for key in keys for row_id in lookup(key)]
+        return self.lookup_index(column).row_ids(keys)
 
     def rows_where(self, column: str,
                    keys: Iterable[object]) -> list[tuple]:

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.core.instance import ElementData
 from repro.errors import RelationalError, SchemaError
 from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
 from repro.relational.publisher import publish_document
-from repro.relational.shredder import shred_document
+from repro.relational.shredder import shred_document, shred_documents
 from repro.xmlkit.tree import parse_tree
 
 
@@ -171,3 +172,77 @@ class TestShredder:
             for row in result.rows[item_layout.table_name]
         }
         assert any(value and value.startswith("item") for value in ids)
+
+
+def _one_item_document() -> ElementData:
+    """``site/regions/africa/item`` with one ``location``: every other
+    fragment table stays empty, the item's table holds one row, the
+    absent ``featured`` attribute and ``iname`` leaf are NULL cells."""
+    site = ElementData("site", 1)
+    regions = site.add_child(ElementData("regions", 2))
+    africa = regions.add_child(ElementData("africa", 3))
+    item = africa.add_child(ElementData("item", 4, {"id": "item0"}))
+    item.add_child(ElementData("location", 5, text="Kenya"))
+    return site
+
+
+class TestTransposedLoads:
+    """``load_document`` and ``ShredResult.load_into`` hand each table
+    its rows a column at a time; the edge cases of that transposition
+    (no rows, one row, NULL cells) store what the rows say."""
+
+    @staticmethod
+    def _stored(db, mapper):
+        return {layout.fragment.name: db.table(layout.table_name).columns
+                for layout in mapper.layouts.values()}
+
+    def test_load_document_stores_the_rows(self, auction_lf):
+        db = Database("T")
+        mapper = FragmentRelationMapper(auction_lf)
+        mapper.create_tables(db)
+        assert mapper.load_document(db, _one_item_document()) == 2
+        item = mapper.layouts[auction_lf.fragment_of("item").name]
+        cells = dict(zip(
+            [spec.name for spec in item.specs],
+            db.table(item.table_name).rows[0],
+        ))
+        assert len(db.table(item.table_name)) == 1
+        assert (cells["id"], cells["parent"], cells["item_id"]) \
+            == (4, 3, "item0")
+        assert (cells["location_eid"], cells["location"]) == (5, "Kenya")
+        assert cells["item_featured"] is None  # NULL attribute
+        assert cells["iname_eid"] is None and cells["iname"] is None
+        category = mapper.layouts[
+            auction_lf.fragment_of("category").name
+        ]
+        assert db.table(category.table_name).columns \
+            == [[] for _ in category.specs]
+
+    @pytest.mark.parametrize("fragmentation", ["auction_lf", "auction_mf"])
+    def test_load_into_stores_what_load_document_stores(
+            self, fragmentation, request):
+        fragmentation = request.getfixturevalue(fragmentation)
+        mapper = FragmentRelationMapper(fragmentation)
+        loaded, shredded = Database("L"), Database("S")
+        mapper.create_tables(loaded)
+        mapper.create_tables(shredded)
+        mapper.load_document(loaded, _one_item_document())
+        document = publish_document(loaded, mapper).document
+        result = shred_document(document, mapper)
+        assert result.load_into(shredded) == result.tuple_count \
+            == loaded.total_rows()
+        assert self._stored(shredded, mapper) \
+            == self._stored(loaded, mapper)
+        assert publish_document(shredded, mapper).document == document
+
+    def test_load_into_an_empty_result(self, auction_mf):
+        db = Database("T")
+        mapper = FragmentRelationMapper(auction_mf)
+        mapper.create_tables(db)
+        index = db.table(mapper.table_name(
+            auction_mf.fragment_of("item"))).create_index("id")
+        assert shred_documents([], mapper).load_into(db) == 0
+        assert not index.built  # a LOAD, if of nothing
+        for layout in mapper.layouts.values():
+            assert db.table(layout.table_name).columns \
+                == [[] for _ in layout.specs]

@@ -1,5 +1,7 @@
 """Column storage and hash indexes."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,19 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.errors import TableError
 from repro.relational.index import HashIndex
 from repro.relational.schema import Column, TableSchema
-from repro.relational.table import Table
+from repro.relational.table import Table, transpose
 from repro.relational.types import ColumnType
+
+
+def _assert_answers_like_a_fresh_build(index, table, keys):
+    """``index`` answers every key of ``keys`` and counts its rows as
+    a fresh :meth:`HashIndex.build_column` over the heap would."""
+    fresh = HashIndex(table.schema.name, index.column, index.position)
+    fresh.build_column(table.columns[index.position])
+    for key in keys:
+        assert index.lookup(key) == fresh.lookup(key)
+        assert index.row_ids([key]) == fresh.lookup(key)
+    assert len(index) == len(fresh) == len(table)
 
 
 @pytest.fixture
@@ -69,7 +82,63 @@ class TestHashIndex:
         index.build_column([1, 2, 1])
         assert index.lookup(1) == [0, 2]
         assert index.lookup(9) == []
+        assert index.row_ids([2, 9, 1]) == [1, 0, 2]
         assert len(index) == 3
+
+    def test_distinct_keys_store_no_list(self):
+        """A build over distinct keys (an ``id`` column) stores one
+        row id per key and no container the collector would track."""
+        index = HashIndex("t", "id", 0)
+        index.build_column([f"k{n}" for n in range(1000)] + [None])
+        assert all(type(held) is int for held in index._rows.values())
+        assert not gc.is_tracked(index._rows)
+        assert index.lookup("k7") == [7] and index.lookup(None) == [1000]
+        assert len(index) == 1001
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["add", "discard", "renumber"]),
+        st.integers(0, 9), st.integers(0, 2),
+    ), max_size=30))
+    def test_maintenance_answers_like_the_model(self, steps):
+        """``add`` / ``discard`` / ``renumber`` against a plain map of
+        row id → key, whatever they do to how many rows hold a key."""
+        index = HashIndex("t", "c", 0)
+        index.build_column([])
+        model: dict[int, int] = {}
+        for step, row_id, key in steps:
+            if step == "add" and row_id not in model:
+                index.add(row_id, key)
+                model[row_id] = key
+            elif step == "discard" and row_id in model:
+                index.discard(row_id, model.pop(row_id))
+            elif step == "renumber" and model:
+                old_id = sorted(model)[key % len(model)]
+                if row_id not in model:
+                    index.renumber(old_id, row_id, model[old_id])
+                    model[row_id] = model.pop(old_id)
+            for held_key in range(3):
+                expected = sorted(at for at, value in model.items()
+                                  if value == held_key)
+                assert index.lookup(held_key) == expected
+                held = index.entry(held_key)
+                assert held == (None if not expected else expected[0]
+                                if len(expected) == 1 else expected)
+            assert len(index) == len(model)
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1300])
+    def test_columns_are_the_rows_cells(self, count):
+        rows = [(n, f"n{n}", None) for n in range(count)]
+        expected = [list(cells) for cells in zip(*rows)] or [[], [], []]
+        assert transpose(rows, 3) == expected
+
+    @pytest.mark.parametrize("rows", [[(1, "a"), (2,)], [(1, "a", 3)]],
+                             ids=["short-row", "wide-rows"])
+    def test_rows_of_another_width_raise(self, rows):
+        with pytest.raises(ValueError):
+            transpose(rows, 2)
 
 
 class TestLoadColumns:
@@ -180,9 +249,9 @@ class TestUpsertAndDelete:
         ]
         assert by_id.built and by_name.built
         for index in (by_id, by_name):
-            fresh = HashIndex("t", index.column, index.position)
-            fresh.build_column(table.columns[index.position])
-            assert index._buckets == fresh._buckets
+            _assert_answers_like_a_fresh_build(
+                index, table, {0, 1, 2, 3, 4, 5, 99, "n0", "n1"}
+            )
 
     def test_delete_without_an_index_reads_the_column(self, table):
         table.bulk_load([[1, "a"], [2, "b"], [3, "a"]])
@@ -210,7 +279,27 @@ class TestIndexMaintenance:
         st.tuples(st.just("truncate"), st.none()),
         st.tuples(st.just("lookup_index"),
                   st.sampled_from(["id", "name"])),
+        st.tuples(st.just("one_two_one_none"),
+                  st.tuples(KEYS, KEYS, NAMES).filter(
+                      lambda argument: argument[0] != argument[1])),
     )
+
+    @staticmethod
+    def _expanded(steps):
+        """The steps, a ``one_two_one_none`` taken apart: a built
+        ``name`` index, then ``name`` upserted into two rows and
+        deleted from them one at a time — a key held by 1, 2, 1 and
+        0 of those rows, checked after each."""
+        for step, argument in steps:
+            if step != "one_two_one_none":
+                yield step, argument
+                continue
+            first, second, name = argument
+            yield "lookup_index", "name"
+            yield "upsert", [(first, name)]
+            yield "upsert", [(second, name)]
+            yield "delete", [first]
+            yield "delete", [second]
 
     @staticmethod
     def _apply(table, model, step, argument):
@@ -256,20 +345,18 @@ class TestIndexMaintenance:
             Column("name", ColumnType.TEXT),
         ], primary_key="id"))
         model: list[tuple] = []
-        for step, argument in steps:
+        for step, argument in self._expanded(steps):
             self._apply(table, model, step, argument)
             # Heap order is free; the rows are not.  (An upsert keeps
             # the newest row per key, so order the model's ties too.)
             assert sorted(table.scan(), key=repr) \
                 == sorted(model, key=repr)
             for index in table.indexes.values():
-                if not index.built:
-                    continue
-                fresh = HashIndex("t", index.column, index.position)
-                fresh.build_column(table.columns[index.position])
-                for key in {row[index.position] for row in model} | {99}:
-                    assert index.lookup(key) == fresh.lookup(key)
-                assert len(index) == len(fresh)
+                if index.built:
+                    _assert_answers_like_a_fresh_build(
+                        index, table,
+                        {row[index.position] for row in model} | {99},
+                    )
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(STEPS, max_size=12), st.randoms())
@@ -284,7 +371,7 @@ class TestIndexMaintenance:
 
         table = fragment_table()
         model: list[tuple] = []
-        for step, argument in steps:
+        for step, argument in self._expanded(steps):
             if step in ("bulk_load", "load_columns"):
                 continue  # unique ids: the order is then total
             if step == "delete_names" or argument == "name":
@@ -365,6 +452,27 @@ class ClusteredTableMachine(RuleBasedStateMachine):
     def index(self, column):
         self.table.lookup_index(column)
 
+    @rule()
+    def ordered_read(self):
+        """A read in clustered order, which sorts a disordered heap
+        and rebuilds the built indexes (the invariants check them)."""
+        self.table.clustered_columns()
+
+    @rule(ids=st.lists(IDS, min_size=2, max_size=2, unique=True),
+          parent=st.integers(0, 5))
+    def parent_one_two_one_none(self, ids, parent):
+        """``parent`` held by 1, 2, 1 and 0 of the rows ``ids``, the
+        keyed reads checked after each write."""
+        self.table.lookup_index("parent")
+        for row_id in ids:
+            rows = [(row_id, parent, "a")]
+            self.table.upsert(rows)
+            self._upserted(rows)
+            self.keyed_reads_answer_like_a_fresh_build()
+        for row_id in ids:
+            self.delete([row_id])
+            self.keyed_reads_answer_like_a_fresh_build()
+
     @invariant()
     def ordered_scan_is_the_sorted_model(self):
         scanned = list(zip(*self.table.clustered_columns()))
@@ -376,17 +484,17 @@ class ClusteredTableMachine(RuleBasedStateMachine):
 
     @invariant()
     def keyed_reads_answer_like_a_fresh_build(self):
+        for index in self.table.indexes.values():
+            if index.built:
+                _assert_answers_like_a_fresh_build(
+                    index, self.table,
+                    {row[index.position] for row in self.model} | {99},
+                )
         for column, at in (("id", 0), ("parent", 1)):
             keys = {row[at] for row in self.model} | {99}
             assert sorted(self.table.rows_where(column, keys), key=repr) \
                 == sorted([row for row in self.model if row[at] in keys],
                           key=repr)
-        for index in self.table.indexes.values():
-            if index.built:
-                fresh = HashIndex("f", index.column, index.position)
-                fresh.build_column(self.table.columns[index.position])
-                for key in {row[index.position] for row in self.model}:
-                    assert index.lookup(key) == fresh.lookup(key)
 
     @invariant()
     def the_heap_holds_the_model(self):
@@ -443,6 +551,21 @@ class TestSortsOnlyWhenDisordered:
         feed.clustered_columns()
         feed.clustered_columns()
         assert sorts == ["f", "f"]
+
+    def test_the_sort_rebuilds_the_built_indexes(self, feed, sorts):
+        by_id = feed.lookup_index("id")
+        by_parent = feed.lookup_index("parent")
+        feed.upsert([[2, 3], [6, None]])  # re-parents two rows
+        assert by_parent.lookup(3) == [1, 6, 7]
+        feed.clustered_columns()
+        assert sorts == ["f"]
+        assert by_parent.lookup(3) == [5, 6, 7]
+        assert by_parent.lookup(None) == [0, 1]
+        assert by_id.lookup(2) == [5] and by_id.lookup(6) == [1]
+        for index in (by_id, by_parent):
+            _assert_answers_like_a_fresh_build(
+                index, feed, set(range(10)) | {None}
+            )
 
     def test_swap_remove_sorts_once(self, feed, sorts):
         feed.lookup_index("id")
