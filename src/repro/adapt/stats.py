@@ -10,14 +10,11 @@ observe_run` (a finished run's report, priced against its probe);
 :meth:`StatisticsStore.scaled_probe` turns it into a
 :class:`ScaledProbe` correction of *any* probe, which is what
 negotiation prices with.  Fitting seconds per work unit is
-:func:`~repro.core.cost.calibrate.calibrate` /
-:func:`~repro.obs.drift.calibration_from_trace`.
+:func:`~repro.core.cost.calibrate.calibrate`.
 
-Ratios are EWMA-smoothed (``alpha``) with per-key observation counts;
-:meth:`StatisticsStore.confidence` rises from 0 toward 1 as
-observations accumulate (``n / (n + warmup)``).  The store is
-thread-safe and round-trips through JSON (:meth:`StatisticsStore.save`
-/ :meth:`StatisticsStore.load`).
+Ratios are EWMA-smoothed (``alpha``) with per-key observation counts.
+The store is thread-safe and round-trips through JSON
+(:meth:`StatisticsStore.save` / :meth:`StatisticsStore.load`).
 """
 
 from __future__ import annotations
@@ -119,20 +116,15 @@ class StatisticsStore:
     """Thread-safe learned drift ratios for negotiation.
 
     ``alpha`` is the EWMA smoothing factor (1.0 = keep only the latest
-    observation); ``warmup`` sets how many observations it takes for
-    :meth:`confidence` to reach 0.5.  Mutations mirror into
-    ``metrics`` as ``adapt.stats.*`` counters when a registry is
-    supplied.
+    observation).  Mutations mirror into ``metrics`` as
+    ``adapt.stats.*`` counters when a registry is supplied.
     """
 
-    def __init__(self, *, alpha: float = 0.3, warmup: int = 3,
+    def __init__(self, *, alpha: float = 0.3,
                  metrics: MetricsRegistry | None = None) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {warmup}")
         self.alpha = alpha
-        self.warmup = warmup
         self.metrics = metrics
         self.ingests = 0
         self._ratios: dict[str, dict[str, ScaleEstimate]] = {}
@@ -205,13 +197,6 @@ class StatisticsStore:
             entry = self._ratios.get(pair, {}).get(key)
         return entry.observations if entry else 0
 
-    def confidence(self, pair: str, key: str) -> float:
-        """How much to trust the learned value for ``key``:
-        ``n / (n + warmup)`` over the evidence count — 0.0 with no
-        observations, 0.5 at ``warmup``, asymptotically 1.0."""
-        count = self.observations(pair, key)
-        return count / (count + self.warmup)
-
     def scaled_probe(self, pair: str,
                      probe: CostProbe) -> CostProbe:
         """Correct ``probe`` by the learned drift ratios.
@@ -237,7 +222,6 @@ class StatisticsStore:
         with self._lock:
             return {
                 "alpha": self.alpha,
-                "warmup": self.warmup,
                 "ingests": self.ingests,
                 "ratios": {
                     pair: {
@@ -253,8 +237,8 @@ class StatisticsStore:
                   metrics: MetricsRegistry | None = None
                   ) -> "StatisticsStore":
         """Rebuild a store serialized by :meth:`to_dict`.  The
-        ``scales`` table older stores also wrote (a seconds-per-unit
-        view) is ignored.
+        ``scales`` table (a seconds-per-unit view) and the ``warmup``
+        count older stores also wrote are ignored.
 
         Raises:
             ValueError: naming the first field of the wrong shape.
@@ -277,7 +261,6 @@ class StatisticsStore:
 
         store = cls(
             alpha=field("alpha", float, 0.3),  # type: ignore[arg-type]
-            warmup=field("warmup", int, 3),  # type: ignore[arg-type]
             metrics=metrics,
         )
         store.ingests = field("ingests", int, 0)  # type: ignore[assignment]

@@ -236,7 +236,7 @@ class ColumnBatch:
 
     Duck-compatible with :class:`~repro.core.stream.RowBatch` where
     the pipeline needs it — ``fragment``/``seq``/``row_count``/
-    ``feed_size``/``to_instance`` and a lazily materialized ``rows``
+    ``feed_size`` and a lazily materialized ``rows``
     view — so the reliable shipping layer and the residency meter
     handle either batch kind unchanged.  The wire does not need the
     row view: a channel encodes the cells and a receiver decodes into
@@ -286,24 +286,6 @@ class ColumnBatch:
         """Convert one :class:`RowBatch` (keeps ``seq``)."""
         return cls.from_rows(
             batch.fragment, batch.rows, batch.seq, layout
-        )
-
-    # -- zero-copy slicing -----------------------------------------------------
-
-    def slice(self, start: int, stop: int,
-              seq: int | None = None) -> "ColumnBatch":
-        """A view of rows ``[start, stop)`` sharing the column arrays
-        (no cell is copied)."""
-        count = self.row_count()
-        if not 0 <= start <= stop <= count:
-            raise OperationError(
-                f"slice [{start}:{stop}) out of range for "
-                f"{count} rows"
-            )
-        return ColumnBatch(
-            self.fragment, self.columns,
-            self.seq if seq is None else seq, self.layout,
-            self.start + start, self.start + stop,
         )
 
     def column(self, name: str) -> list:
@@ -390,17 +372,6 @@ class ColumnBatch:
     def to_row_batch(self) -> RowBatch:
         """This slice as a :class:`RowBatch` (same ``seq``)."""
         return RowBatch(self.fragment, self.rows, self.seq)
-
-    def to_instance(self):
-        """A :class:`~repro.core.instance.FragmentInstance` view."""
-        from repro.core.instance import FragmentInstance
-
-        return FragmentInstance(self.fragment, self.rows)
-
-    def row_tuples(self) -> list[tuple]:
-        """The slice as storage tuples in layout order (a columnar
-        Write's bulk-load without the type checks; tests use it)."""
-        return list(zip(*map(self._cells, range(len(self.columns)))))
 
     # -- wire size -------------------------------------------------------------
 

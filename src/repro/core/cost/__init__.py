@@ -6,31 +6,24 @@ endpoints and communication cost equal to the size of the fragment
 flowing along each cross-edge.
 """
 
-from repro.core.cost.calibrate import (
-    CalibratedCostModel,
-    Calibration,
-    calibrate,
-)
+from repro.core.cost.calibrate import Calibration, calibrate
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import (
     CostBreakdown,
     CostModel,
     CostWeights,
     MachineProfile,
-    program_cost,
 )
 from repro.core.cost.probe import CostProbe, EndpointProbe
 
 __all__ = [
     "StatisticsCatalog",
     "Calibration",
-    "CalibratedCostModel",
     "calibrate",
     "MachineProfile",
     "CostWeights",
     "CostModel",
     "CostBreakdown",
-    "program_cost",
     "CostProbe",
     "EndpointProbe",
 ]

@@ -12,7 +12,6 @@ Usage::
     report = ProgramExecutor(source, target).run(program, placement)
     calibration = calibrate(program, report, statistics)
     predicted = calibration.predict(op)          # seconds
-    model = calibration.scaled_model(...)        # a CostModel in seconds
 """
 
 from __future__ import annotations
@@ -21,12 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.cost.estimates import StatisticsCatalog
-from repro.core.cost.model import (
-    CostModel,
-    CostWeights,
-    MachineProfile,
-    operation_work,
-)
+from repro.core.cost.model import operation_work
 from repro.core.ops.base import Operation
 from repro.core.program.dag import TransferProgram
 from repro.core.program.executor import ExecutionReport, OperationTiming
@@ -83,15 +77,6 @@ class Calibration:
             scale = sum(fitted) / len(fitted) if fitted else 0.0
         return work * scale
 
-    def scaled_model(self, source: MachineProfile | None = None,
-                     target: MachineProfile | None = None,
-                     weights: CostWeights | None = None,
-                     bandwidth: float = 1.0) -> "CalibratedCostModel":
-        """A cost model whose comp costs are calibrated seconds."""
-        return CalibratedCostModel(
-            self, self.statistics, source, target, weights, bandwidth
-        )
-
     def to_dict(self) -> dict[str, object]:
         """JSON-able form of the fitted scales.
 
@@ -130,26 +115,6 @@ class Calibration:
         )
 
 
-class CalibratedCostModel(CostModel):
-    """A :class:`CostModel` that prices computation in fitted seconds."""
-
-    def __init__(self, calibration: Calibration, *args,
-                 **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.calibration = calibration
-
-    def comp_cost(self, op: Operation, location,
-                  strategy: str = "row") -> float:
-        base = super().comp_cost(op, location)
-        if base == float("inf"):
-            return base  # capability restrictions still apply
-        machine = self.machine(location)
-        seconds = self.calibration.predict(op, strategy) / machine.speed
-        if op.kind == "write":
-            seconds *= machine.index_factor
-        return seconds
-
-
 def calibrate(program: TransferProgram, report: ExecutionReport,
               statistics: StatisticsCatalog) -> Calibration:
     """Fit per-kind scales from one executed program.
@@ -178,8 +143,8 @@ def calibrate_timings(program: TransferProgram,
     Timings are matched to program nodes by ``op_id``; timings that
     carry no id (``op_id == -1``, e.g. hand-built reports) are paired
     with the unmatched nodes in topological order instead.  Execution
-    reports and recorded traces (see
-    :func:`repro.obs.drift.calibration_from_trace`) both feed this.
+    reports and the reports rebuilt from recorded traces (see
+    :func:`repro.obs.drift.report_from_trace`) both feed this.
 
     Raises:
         ValueError: if a timing references an op the program lacks.

@@ -178,11 +178,6 @@ class CostModel:
             )
         return result
 
-    def program_cost(self, program: TransferProgram,
-                     placement: Placement) -> float:
-        """``cost(G)`` of formula 1."""
-        return self.breakdown(program, placement).total
-
 
 def weighted(weight: float, cost: float) -> float:
     """``weight * cost`` with ``0 x inf == 0``: a zero formula-1 weight
@@ -191,9 +186,3 @@ def weighted(weight: float, cost: float) -> float:
     if weight == 0.0:
         return 0.0
     return weight * cost
-
-
-def program_cost(program: TransferProgram, placement: Placement,
-                 model: CostModel) -> float:
-    """Module-level convenience mirror of :meth:`CostModel.program_cost`."""
-    return model.program_cost(program, placement)

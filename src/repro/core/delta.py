@@ -171,11 +171,6 @@ class VersionLog:
                 self._superseded = 0
             return value
 
-    def version_of(self, fragment_name: str, eid: int) -> int:
-        """The stamped version of one row (0 when never stamped)."""
-        with self._lock:
-            return self._stamps.get(fragment_name, {}).get(eid, 0)
-
     def stamp_rows(self, fragment_name: str,
                    rows: Iterable[FragmentRow]) -> None:
         """Write the stored stamps onto scanned rows — the feed-side
@@ -253,15 +248,6 @@ class DeltaSet:
     def shipped_rows(self) -> int:
         """Source rows the filtered scans will produce."""
         return sum(len(eids) for eids in self.ship.values())
-
-    @property
-    def deleted_rows(self) -> int:
-        """Target rows the merge will delete."""
-        return sum(len(eids) for eids in self.deletes.values())
-
-    def is_empty(self) -> bool:
-        """Whether nothing changed since ``since``."""
-        return not self.ship and not self.deletes
 
 
 def compute_delta(source: "SystemEndpoint",

@@ -96,11 +96,6 @@ class Fragment:
 
     # -- basic properties ---------------------------------------------------
 
-    @property
-    def root_node(self) -> SchemaNode:
-        """Schema node of the fragment root."""
-        return self.schema.node(self.root_name)
-
     def __contains__(self, element: str) -> bool:
         return element in self.elements
 
@@ -151,15 +146,6 @@ class Fragment:
             if child.name in self.elements
         ]
 
-    def is_leaf_in_fragment(self, element: str) -> bool:
-        """True if ``element`` has no children *within the fragment*.
-
-        Note an element can be a fragment leaf while having schema
-        children (they were pruned into other fragments); such elements
-        carry no text — only true schema leaves do.
-        """
-        return not self.children_of(element)
-
     def leaf_elements(self) -> list[str]:
         """True schema leaves contained in this fragment, pre-order
         (these carry text content and become relational columns)."""
@@ -167,15 +153,6 @@ class Fragment:
             node.name
             for node in self.schema.iter_nodes()
             if node.name in self.elements and node.is_leaf
-        ]
-
-    def attribute_columns(self) -> list[tuple[str, str]]:
-        """``(element, attribute)`` pairs declared inside this fragment."""
-        return [
-            (node.name, attr)
-            for node in self.schema.iter_nodes()
-            if node.name in self.elements
-            for attr in node.attributes
         ]
 
     # -- the algebraic structure used by Combine / Split ---------------------

@@ -193,16 +193,6 @@ class Fragmentation:
             return None
         return self.fragment_of(parent_element)
 
-    def child_fragments(self, fragment: Fragment) -> list[Fragment]:
-        """Fragments whose parent fragment is ``fragment``, in pre-order
-        of their roots."""
-        return [
-            candidate
-            for candidate in self.fragments
-            if candidate is not fragment
-            and self.parent_fragment(candidate) is fragment
-        ]
-
     def root_fragment(self) -> Fragment:
         """The fragment containing the schema root."""
         return self.fragment_of(self.schema.root.name)

@@ -18,7 +18,7 @@ inverses, which the property tests verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import OperationError
 from repro.core.fragment import ID_ATTR, PARENT_ATTR, Fragment
@@ -64,10 +64,6 @@ class ElementData:
         self.children.setdefault(child.name, []).append(child)
         return child
 
-    def child_list(self, name: str) -> list["ElementData"]:
-        """Occurrences of child element ``name`` (empty list if none)."""
-        return self.children.get(name, [])
-
     def iter_all(self) -> Iterator["ElementData"]:
         """This occurrence and all descendants, pre-order."""
         stack = [self]
@@ -95,20 +91,6 @@ class ElementData:
                 for name, group in self.children.items()
             },
         )
-
-    def element_count(self) -> int:
-        """Number of element occurrences in this subtree."""
-        return sum(1 for _ in self.iter_all())
-
-    def estimated_size(self) -> int:
-        """Approximate serialized size in bytes (tags + attrs + text)."""
-        total = 0
-        for node in self.iter_all():
-            total += 2 * len(node.name) + 5  # <n></n>
-            total += len(node.text)
-            for key, value in node.attrs.items():
-                total += len(key) + len(value) + 4
-        return total
 
     def to_xml(self, schema: SchemaTree,
                expose: tuple[int | None, ...] | None = None) -> Element:
@@ -193,10 +175,6 @@ class FragmentInstance:
     def row_count(self) -> int:
         """Number of fragment-root occurrences."""
         return len(self.rows)
-
-    def element_count(self) -> int:
-        """Total element occurrences across all rows."""
-        return sum(row.data.element_count() for row in self.rows)
 
     def feed_size(self) -> int:
         """Approximate size as a tabular *sorted feed*: keys and values
@@ -324,10 +302,3 @@ class FragmentInstance:
             row.data.to_xml(self.fragment.schema, expose=(row.parent,))
             for row in self.rows
         ]
-
-    def map_rows(self, function: Callable[[FragmentRow], FragmentRow]
-                 ) -> "FragmentInstance":
-        """Return a new instance with ``function`` applied to each row."""
-        return FragmentInstance(
-            self.fragment, [function(row) for row in self.rows]
-        )

@@ -45,17 +45,6 @@ class Mapping:
     target: Fragmentation
     entries: list[MappingEntry]
 
-    def entry_for(self, target_name: str) -> MappingEntry:
-        """Return the entry for target fragment ``target_name``.
-
-        Raises:
-            MappingError: if the target fragment is unknown.
-        """
-        for entry in self.entries:
-            if entry.target.name == target_name:
-                return entry
-        raise MappingError(f"no mapping entry for target {target_name!r}")
-
     def split_requirements(self) -> dict[str, list[frozenset[str]]]:
         """For each source fragment that feeds several target fragments
         (or feeds one partially), the element partition it must be split

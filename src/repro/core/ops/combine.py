@@ -31,11 +31,7 @@ from typing import Callable, Iterable, Iterator
 from repro.errors import OperationError
 from repro.core.columnar import ColumnBatch, layout_of
 from repro.core.fragment import Fragment
-from repro.core.instance import (
-    FragmentInstance,
-    FragmentRow,
-    combine_orphan_message,
-)
+from repro.core.instance import FragmentRow, combine_orphan_message
 from repro.core.ops.base import Location, Operation
 from repro.core.stream import ResidencyMeter, RowBatch
 
@@ -116,16 +112,6 @@ class Combine(Operation):
     def result(self) -> Fragment:
         """The combined fragment."""
         return self.outputs[0]
-
-    def apply(self, parent: FragmentInstance,
-              child: FragmentInstance) -> FragmentInstance:
-        """Instance-level combine (consumes both inputs): one
-        unbatched pass through :meth:`apply_batches`."""
-        [combined] = self.apply_batches(
-            [RowBatch(parent.fragment, parent.rows, None)],
-            [RowBatch(child.fragment, child.rows, None)],
-        )
-        return combined.to_instance()
 
     def apply_batches(self, parent: Iterable[RowBatch],
                       child: Iterable[RowBatch], *,

@@ -57,15 +57,6 @@ class Split(Operation):
         """The output fragments, in positional order."""
         return self.outputs
 
-    def apply(self, instance: FragmentInstance) -> list[FragmentInstance]:
-        """Instance-level split (consumes the input): one unbatched
-        pass through :meth:`apply_batches`."""
-        whole = RowBatch(instance.fragment, instance.rows, None)
-        return [
-            next(stream).to_instance()
-            for stream in self.apply_batches([whole])
-        ]
-
     def apply_batches(self, batches: Iterable[RowBatch], *,
                       tick: Callable[[float, int], None] | None = None,
                       meter: ResidencyMeter | None = None

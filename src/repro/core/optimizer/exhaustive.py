@@ -3,7 +3,7 @@
 Placement of *one given program*.  The plan search
 (:mod:`repro.core.optimizer.search`, the engine) runs it once, on the
 program its recurrence picked; run over every program of
-:func:`~repro.core.program.builder.enumerate_transfer_programs` it is
+:meth:`~repro.core.program.builder.ProgramBuilder.enumerate` it is
 the exhaustive *oracle* the tests hold that search equal to — the
 paper's own formulation, too slow beyond ~40-node schemas.
 

@@ -32,7 +32,7 @@ The winning merge steps are materialized into **one** program, and the
 reported placement and cost are ``Cost_Based_Optim``'s (or its pessimal
 twin's) on it — a formula-1 evaluation, checked against the
 recurrence's own total.  The enumerator
-(:func:`~repro.core.program.builder.enumerate_transfer_programs` ×
+(:meth:`~repro.core.program.builder.ProgramBuilder.enumerate` ×
 :mod:`repro.core.optimizer.exhaustive`) is the oracle the property
 tests hold this search equal to.
 """

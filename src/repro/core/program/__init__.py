@@ -10,11 +10,7 @@ against system endpoints (on the one batch pipeline of
 programs in the style of Figures 3–6 and 8.
 """
 
-from repro.core.program.builder import (
-    ProgramBuilder,
-    build_transfer_program,
-    enumerate_transfer_programs,
-)
+from repro.core.program.builder import ProgramBuilder, build_transfer_program
 from repro.core.program.dag import Edge, TransferProgram
 from repro.core.program.executor import ExecutionReport, ProgramExecutor
 from repro.core.program.serialize import (
@@ -30,7 +26,6 @@ __all__ = [
     "TransferProgram",
     "ProgramBuilder",
     "build_transfer_program",
-    "enumerate_transfer_programs",
     "ProgramExecutor",
     "program_to_dict",
     "program_from_dict",

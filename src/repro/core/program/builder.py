@@ -16,7 +16,7 @@ Construction proceeds exactly as the paper describes:
 
 :func:`build_transfer_program` produces one program with a deterministic
 ("canonical") or caller-supplied combine order;
-:func:`enumerate_transfer_programs` lazily enumerates all structurally
+:meth:`ProgramBuilder.enumerate` lazily enumerates all structurally
 distinct orders — the paper's search space, kept as the oracle the
 tests check :mod:`repro.core.optimizer.search` against (the plan search
 itself never enumerates).
@@ -314,9 +314,3 @@ def build_transfer_program(mapping: Mapping,
                            ) -> TransferProgram:
     """Convenience wrapper: one program for ``mapping``."""
     return ProgramBuilder(mapping).build(policy)
-
-
-def enumerate_transfer_programs(mapping: Mapping, limit: int | None = None
-                                ) -> Iterator[TransferProgram]:
-    """Convenience wrapper: enumerate programs for ``mapping``."""
-    return ProgramBuilder(mapping).enumerate(limit)

@@ -17,7 +17,7 @@ checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import OperationError
 from repro.core.fragment import Fragment
@@ -64,10 +64,6 @@ class RowBatch:
         if self._feed is None:
             self._feed = sum(row_feed_size(row) for row in self.rows)
         return self._feed
-
-    def to_instance(self) -> FragmentInstance:
-        """A :class:`FragmentInstance` sharing this batch's rows."""
-        return FragmentInstance(self.fragment, self.rows)
 
 
 class FragmentStream:
@@ -156,13 +152,6 @@ class FragmentStream:
             instance.rows.extend(batch.rows)
         return instance
 
-    def map_batches(self, function: Callable[[RowBatch], RowBatch]
-                    ) -> "FragmentStream":
-        """A stream applying ``function`` to each batch (lazily)."""
-        return FragmentStream(
-            self.fragment, (function(batch) for batch in self)
-        )
-
 
 class ResidencyMeter:
     """Counts the rows resident in the dataplane and their peak.
@@ -172,26 +161,22 @@ class ResidencyMeter:
     :meth:`release` them when absorbed (a Write loaded the batch, a
     Combine inlined a buffered child row).  Rows, not bytes: the one
     size a batch is measured by is the wire size of a shipment.  One
-    meter per run, touched by the run's one thread.
+    meter per run, touched by the run's one thread.  ``rows`` is the
+    count resident now and ``peak_rows`` its high-water mark.
     """
 
-    __slots__ = ("_rows", "peak_rows")
+    __slots__ = ("rows", "peak_rows")
 
     def __init__(self) -> None:
-        self._rows = 0
+        self.rows = 0
         self.peak_rows = 0
 
     def acquire(self, rows: int) -> None:
         """Mark ``rows`` as resident."""
-        self._rows += rows
-        if self._rows > self.peak_rows:
-            self.peak_rows = self._rows
+        self.rows += rows
+        if self.rows > self.peak_rows:
+            self.peak_rows = self.rows
 
     def release(self, rows: int) -> None:
         """Mark ``rows`` as absorbed."""
-        self._rows -= rows
-
-    @property
-    def resident_rows(self) -> int:
-        """Rows currently resident."""
-        return self._rows
+        self.rows -= rows

@@ -36,7 +36,6 @@ from repro.net.soap import (
     read_fragment_feed,
     soap_envelope,
     soap_fault,
-    unwrap_document,
     unwrap_fragment_feed,
     verify_fragment_feed,
     wrap_document,
@@ -76,6 +75,5 @@ __all__ = [
     "FeedReceipt",
     "unwrap_fragment_feed",
     "wrap_document",
-    "unwrap_document",
     "verify_fragment_feed",
 ]

@@ -133,16 +133,6 @@ class FaultPlan:
             )
 
     @classmethod
-    def scripted(cls, schedule: Mapping[int, FaultKind | str],
-                 **kwargs: object) -> "FaultPlan":
-        """A plan firing exactly the given ``index -> kind`` schedule."""
-        script = {
-            int(index): FaultKind(kind)
-            for index, kind in schedule.items()
-        }
-        return cls(script=script, **kwargs)  # type: ignore[arg-type]
-
-    @classmethod
     def parse(cls, text: str) -> "FaultPlan":
         """Parse a CLI spec.
 

@@ -56,7 +56,7 @@ from repro.net.soap import (
     soap_envelope,
     soap_fault,
 )
-from repro.net.transport import recv_frame, send_frame
+from repro.net.transport import MAX_FRAME_BYTES, recv_frame, send_frame
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.xmlkit.tree import Element
@@ -268,6 +268,13 @@ class _SoapHttpHandler(BaseHTTPRequestHandler):
                 # rfile.read(-1) would read to EOF, which a kept-alive
                 # client never sends: the request would hang.
                 raise ValueError(f"negative Content-Length {length}")
+            if length > MAX_FRAME_BYTES:
+                # Refused before a buffer that size is allocated and
+                # waited for: no request may outweigh a data frame.
+                raise ValueError(
+                    f"Content-Length {length} exceeds the "
+                    f"{MAX_FRAME_BYTES}-byte limit"
+                )
             body = self.rfile.read(length).decode("utf-8")
         except (ValueError, UnicodeDecodeError) as exc:
             # After a bad Content-Length the body's end is unknown:

@@ -227,25 +227,6 @@ def wrap_document(text: str) -> str:
     )
 
 
-def unwrap_document(payload: Element) -> str:
-    """Extract the document text from a ``Document`` payload.
-
-    Raises:
-        SoapFault: on a wrong payload or a byte-count mismatch.
-    """
-    if payload.local_name() != "Document":
-        raise SoapFault(f"expected a Document, got <{payload.name}>")
-    text = payload.text
-    declared = payload.get("bytes")
-    if declared is not None \
-            and _number(payload.name, "bytes", declared) != len(text):
-        raise SoapFault(
-            f"document declares {declared} bytes but carries "
-            f"{len(text)}"
-        )
-    return text
-
-
 def _feed_name(attrs: dict[str, str]) -> str:
     name = attrs.get("fragment")
     if not name:

@@ -189,12 +189,6 @@ class Transport(abc.ABC):
 
     # -- lifecycle --------------------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called."""
-        with self._lock:
-            return self._closed
-
     def close(self) -> None:
         """Close the transport; further sends raise.
 

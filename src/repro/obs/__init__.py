@@ -58,7 +58,6 @@ __all__ = [
     "DriftReport",
     "EdgeDrift",
     "OpDrift",
-    "calibration_from_trace",
     "cost_drift_report",
     "report_from_trace",
 ]
@@ -67,7 +66,6 @@ _DRIFT_NAMES = {
     "DriftReport",
     "EdgeDrift",
     "OpDrift",
-    "calibration_from_trace",
     "cost_drift_report",
     "report_from_trace",
 }

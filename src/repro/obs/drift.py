@@ -8,18 +8,10 @@ trace — against what the optimizer predicted, and reports the drift
 ratio ``measured / predicted`` for every executed operation and every
 cross-edge shipment, rolled up per operation kind.
 
-Two readings of the ratios:
-
-* against the raw unit-cost model the per-kind ratios *are* the
-  machine's seconds-per-work-unit scales (what
-  :func:`repro.core.cost.calibrate.calibrate` fits) — large spread
-  between kinds means the unit ratios are off for this substrate;
-* against a calibrated model
-  (:meth:`~repro.core.cost.calibrate.Calibration.scaled_model`) the
-  ratios should hover near 1.0 — sustained drift means the
-  calibration has gone stale and should be re-fit, which
-  :func:`calibration_from_trace` does straight from a recorded trace
-  instead of re-running synthetic probes.
+Against the raw unit-cost model the per-kind ratios *are* the
+machine's seconds-per-work-unit scales (what
+:func:`repro.core.cost.calibrate.calibrate` fits) — large spread
+between kinds means the unit ratios are off for this substrate.
 """
 
 from __future__ import annotations
@@ -28,12 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.cost.calibrate import (
-    Calibration,
-    calibrate_timings,
-    strategy_key,
-)
-from repro.core.cost.estimates import StatisticsCatalog
+from repro.core.cost.calibrate import strategy_key
 from repro.core.cost.probe import CostProbe
 from repro.core.ops.base import Location
 from repro.core.program.dag import Placement, TransferProgram
@@ -49,7 +36,6 @@ __all__ = [
     "DriftReport",
     "cost_drift_report",
     "report_from_trace",
-    "calibration_from_trace",
 ]
 
 
@@ -334,20 +320,3 @@ def report_from_trace(program: TransferProgram,
         if node.kind == "write":
             report.rows_written += rows
     return report
-
-
-def calibration_from_trace(program: TransferProgram,
-                           trace: Tracer | Iterable[Span],
-                           statistics: StatisticsCatalog) -> Calibration:
-    """Fit per-kind cost scales from a recorded trace.
-
-    The trace's op spans carry the same measured seconds the execution
-    report would, so this is the drop-in replacement for probing: run
-    once with tracing on, keep the trace, re-fit whenever the drift
-    report says the model has gone stale.
-
-    Raises:
-        ValueError: if the trace does not cover the program.
-    """
-    report = report_from_trace(program, trace)
-    return calibrate_timings(program, report.op_timings, statistics)

@@ -159,32 +159,6 @@ class Histogram:
             if value > self.max:
                 self.max = value
 
-    @property
-    def mean(self) -> float:
-        """Mean observation (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the bucket in
-        which the ``q``-th observation falls (``max`` for overflow).
-
-        Raises:
-            ValueError: if ``q`` is outside [0, 1].
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} must be in [0, 1]")
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.max
-        return self.max
-
     def snapshot(self) -> dict[str, object]:
         """Plain-dict form for reports."""
         return {

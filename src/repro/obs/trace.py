@@ -220,14 +220,6 @@ class Tracer:
 
     # -- queries ------------------------------------------------------------------
 
-    def spans_of(self, category: str) -> list[Span]:
-        """Spans of one category, in recording order."""
-        with self._lock:
-            return [
-                span for span in self.spans
-                if span.category == category
-            ]
-
     def total_seconds(self, category: str | None = None) -> float:
         """Summed duration of all spans (optionally one category)."""
         with self._lock:

@@ -19,9 +19,9 @@ components the paper builds on top:
 
 from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
-from repro.relational.publisher import publish_document, publish_document_set
+from repro.relational.publisher import publish_document
 from repro.relational.schema import Column, TableSchema
-from repro.relational.shredder import ShredResult, shred_document, shred_documents
+from repro.relational.shredder import ShredResult, shred_document
 from repro.relational.types import ColumnType
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "ColumnType",
     "FragmentRelationMapper",
     "publish_document",
-    "publish_document_set",
     "shred_document",
-    "shred_documents",
     "ShredResult",
 ]

@@ -42,10 +42,6 @@ class Database:
                 f"database {self.name!r} has no table {name!r}"
             ) from exc
 
-    def has_table(self, name: str) -> bool:
-        """True if the table exists."""
-        return name.lower() in self._tables
-
     def load(self, table_name: str,
              rows: Iterable[Sequence[object]]) -> int:
         """Bulk-load rows (LOAD semantics: indexes left stale)."""

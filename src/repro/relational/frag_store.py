@@ -302,11 +302,6 @@ class FragmentRelationMapper:
         with self._table_locks[fragment.name]:
             return db.table(layout.table_name).load_columns(columns)
 
-    def truncate_all(self, db: Database) -> None:
-        """Empty every fragment table (fresh target before a run)."""
-        for layout in self.layouts.values():
-            db.table(layout.table_name).truncate()
-
 
 def _normalized(layout: ColumnLayout, stored: list[list]) -> list[list]:
     """``stored`` (a table's columns) under the dataplane's cell

@@ -101,17 +101,14 @@ class HashIndex:
     def entry(self, value: object) -> int | list[int] | None:
         """What the index stores for ``value``: the row id of a key one
         row holds, the ascending ids of a key several rows hold, None
-        for a key no row holds — :meth:`lookup` without making a list.
+        for a key no row holds — :meth:`row_ids` of one key without
+        making a list.
         The list is the index's own: read it, never write to it."""
         return self._rows.get(value)
 
-    def lookup(self, value: object) -> list[int]:
-        """Row ids whose column equals ``value``, ascending."""
-        return self.row_ids((value,))
-
     def row_ids(self, values: Iterable[object]) -> list[int]:
         """Row ids whose column equals one of ``values`` (distinct),
-        key by key — :meth:`lookup` over many keys, one list in all."""
+        key by key, ascending per key, one list in all."""
         found: list[int] = []
         for held in map(self._rows.get, values):
             if held.__class__ is int:

@@ -148,8 +148,7 @@ def publish_document(db: Database, mapper: FragmentRelationMapper
     roots, plan = _roots(mapper, feeds)
     if len(roots) != 1:
         raise RelationalError(
-            f"expected exactly one document root, found {len(roots)} "
-            "(use publish_document_set for multi-document services)"
+            f"expected exactly one document root, found {len(roots)}"
         )
     out = [DECLARATION]
     _tag(out, plan, roots[0], feeds)
@@ -157,24 +156,3 @@ def publish_document(db: Database, mapper: FragmentRelationMapper
         "".join(out), len(feeds),
         sum(len(feed[0]) for feed in feeds.values()),
     )
-
-
-def publish_document_set(db: Database,
-                         mapper: FragmentRelationMapper
-                         ) -> list[PublishReport]:
-    """Publish one document per stored root occurrence.
-
-    Services like CustomerInfoService return *a set of XML documents*,
-    one per customer (Section 1.1); a store whose root-fragment table
-    holds several parentless rows publishes that set.  Feeds are
-    fetched once and shared across the documents; each report's
-    ``rows_merged`` is the elements its document holds.
-    """
-    feeds = _fetch_feeds(db, mapper)
-    roots, plan = _roots(mapper, feeds)
-    reports: list[PublishReport] = []
-    for root in roots:
-        out = [DECLARATION]
-        written = _tag(out, plan, root, feeds)
-        reports.append(PublishReport("".join(out), len(feeds), written))
-    return reports

@@ -47,10 +47,6 @@ class TableSchema:
                 f"{self.name!r}"
             )
 
-    def column_names(self) -> list[str]:
-        """Column names in declaration order."""
-        return [column.name for column in self.columns]
-
     def position(self, name: str) -> int:
         """Index of column ``name`` (case-insensitive).
 

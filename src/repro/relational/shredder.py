@@ -39,11 +39,6 @@ class ShredResult:
     rows: dict[str, list[tuple]] = field(default_factory=dict)
     elements_parsed: int = 0
 
-    @property
-    def tuple_count(self) -> int:
-        """Total tuples across all tables."""
-        return sum(len(rows) for rows in self.rows.values())
-
     def load_into(self, db: Database) -> int:
         """Bulk-load every table's tuples a column at a time
         (publish&map step 5), with every check a row load makes."""
@@ -123,10 +118,10 @@ def _shred(text: str, dispatch: dict[str, _Dispatch],
             eid += 1
         elif kind == END:
             entry, cells, _, parts = stack.pop()
-            if parts:
-                value = "".join(parts).strip()
-                if value:
-                    cells[entry[3]] = value
+            if parts is not None:
+                # A present leaf with no text holds "", as a loaded
+                # row and a tuple feed hold it; NULL means absent.
+                cells[entry[3]] = "".join(parts).strip()
             if entry[2] is None:
                 entry[5].append(tuple(entry[0].pop()))
         elif kind == TEXT:
@@ -142,8 +137,7 @@ def shred_document(text: str, mapper: FragmentRelationMapper,
     tuple format (publish&map step 4).
 
     ``start_eid`` is the first element id assigned; shredding several
-    documents into one store must use disjoint id ranges (see
-    :func:`shred_documents`).
+    documents into one store must use disjoint id ranges.
 
     Raises:
         XmlSyntaxError: on malformed XML.
@@ -154,16 +148,4 @@ def shred_document(text: str, mapper: FragmentRelationMapper,
     """
     result, dispatch = _shredding(mapper)
     result.elements_parsed = _shred(text, dispatch, start_eid)
-    return result
-
-
-def shred_documents(texts: "list[str] | tuple[str, ...]",
-                    mapper: FragmentRelationMapper) -> ShredResult:
-    """Shred a document *set* (one per service result, Section 1.1)
-    into one combined result, assigning globally unique element ids."""
-    result, dispatch = _shredding(mapper)
-    for text in texts:
-        result.elements_parsed += _shred(
-            text, dispatch, 1 + result.elements_parsed
-        )
     return result

@@ -378,7 +378,7 @@ class Table:
     def lookup_index(self, column: str) -> HashIndex:
         """The index on ``column``, built: created here if the table
         has none, rebuilt here if a LOAD left it stale.  The keyed
-        reads and writes (:meth:`rows_where`, :meth:`upsert`) come
+        reads and writes (:meth:`row_ids_where`, :meth:`upsert`) come
         through this, so an index exists only on tables that are read
         or written by key, from the first time they are."""
         index = self.indexes.get(column.lower())
@@ -428,13 +428,6 @@ class Table:
         proportional to the answer."""
         return self.lookup_index(column).row_ids(keys)
 
-    def rows_where(self, column: str,
-                   keys: Iterable[object]) -> list[tuple]:
-        """The rows :meth:`row_ids_where` finds."""
-        columns = self._columns
-        return [tuple([cells[row_id] for cells in columns])
-                for row_id in self.row_ids_where(column, keys)]
-
     def clustered_columns_where(self, column: str,
                                 keys: Iterable[object]) -> list[list]:
         """The rows :meth:`row_ids_where` finds, gathered into new
@@ -449,7 +442,3 @@ class Table:
         ))
         return [list(map(cells.__getitem__, row_ids))
                 for cells in self._columns]
-
-    def column_values(self, column: str) -> list[object]:
-        """All values of one column, in row order."""
-        return list(self._columns[self.schema.position(column)])

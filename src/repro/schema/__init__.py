@@ -1,29 +1,20 @@
-"""Schema substrate: schema trees, DTD parsing and fragment XSD syntax.
+"""Schema substrate: schema trees and DTD parsing.
 
 The paper views XML Schemas as trees (Section 3.1).  This package holds
 the tree model (:mod:`repro.schema.model`), a DTD parser that produces
 schema trees (:mod:`repro.schema.dtd`, used for the XMark workload of
-Figure 7), serialization of schema fragments in the paper's XSD-like
-syntax (:mod:`repro.schema.xsdfrag`) and random schema generators used by
-the simulation study (:mod:`repro.schema.generator`).
+Figure 7) and the balanced schema generator of the simulation study
+(:mod:`repro.schema.generator`).
 """
 
 from repro.schema.dtd import parse_dtd
-from repro.schema.generator import balanced_schema, random_schema
+from repro.schema.generator import balanced_schema
 from repro.schema.model import Cardinality, SchemaNode, SchemaTree
-from repro.schema.xsd import parse_xsd_element, parse_xsd_schema
-
-# NOTE: repro.schema.validate is imported lazily by callers — it
-# depends on repro.core.instance, and importing it here would create a
-# package-level cycle (core.fragment <- schema.model).
 
 __all__ = [
     "Cardinality",
     "SchemaNode",
     "SchemaTree",
     "parse_dtd",
-    "parse_xsd_element",
-    "parse_xsd_schema",
     "balanced_schema",
-    "random_schema",
 ]

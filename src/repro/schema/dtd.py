@@ -175,23 +175,3 @@ def _parse_attlist(name: str, rest: str) -> list[str]:
         elif index < len(tokens) and tokens[index].startswith(('"', "'")):
             index += 1
     return names
-
-
-def serialize_dtd(schema: SchemaTree) -> str:
-    """Render a schema tree back to DTD text (inverse of :func:`parse_dtd`)."""
-    lines: list[str] = []
-    for node in schema.iter_nodes():
-        if node.is_leaf:
-            lines.append(f"<!ELEMENT {node.name} (#PCDATA)>")
-        else:
-            parts = ", ".join(
-                child.name + child.cardinality.value
-                for child in node.children
-            )
-            lines.append(f"<!ELEMENT {node.name} ({parts})>")
-        if node.attributes:
-            attr_decls = " ".join(
-                f"{attr} CDATA #IMPLIED" for attr in node.attributes
-            )
-            lines.append(f"<!ATTLIST {node.name} {attr_decls}>")
-    return "\n".join(lines) + "\n"

@@ -2,8 +2,7 @@
 
 The paper evaluates on synthetic DTDs: a balanced tree with 3 levels and
 fan-out 4 (Figures 10/11) and balanced trees of height 2 with fan-out 5,
-i.e. 31 nodes (Table 5).  :func:`balanced_schema` builds exactly those;
-:func:`random_schema` grows irregular trees for wider test coverage.
+i.e. 31 nodes (Table 5).  :func:`balanced_schema` builds exactly those.
 """
 
 from __future__ import annotations
@@ -11,13 +10,6 @@ from __future__ import annotations
 import random
 
 from repro.schema.model import Cardinality, SchemaNode, SchemaTree
-
-_CARDINALITIES = [
-    Cardinality.ONE,
-    Cardinality.MANY,
-    Cardinality.PLUS,
-    Cardinality.OPT,
-]
 
 
 def balanced_schema(levels: int, fanout: int, *, repeat_prob: float = 0.3,
@@ -53,31 +45,3 @@ def balanced_schema(levels: int, fanout: int, *, repeat_prob: float = 0.3,
         return node
 
     return SchemaTree(build(0))
-
-
-def random_schema(n_nodes: int, *, max_fanout: int = 4,
-                  repeat_prob: float = 0.3, seed: int = 0,
-                  prefix: str = "e") -> SchemaTree:
-    """Grow a random schema tree with exactly ``n_nodes`` elements.
-
-    Nodes are attached to uniformly chosen existing nodes whose fan-out
-    is below ``max_fanout``; cardinalities are drawn with the given
-    repeat probability.  Deterministic for a fixed seed.
-    """
-    if n_nodes < 1:
-        raise ValueError("a schema tree needs at least one element")
-    rng = random.Random(seed)
-    root = SchemaNode(f"{prefix}0")
-    open_nodes = [root]
-    for index in range(1, n_nodes):
-        parent = rng.choice(open_nodes)
-        cardinality = (
-            Cardinality.MANY if rng.random() < repeat_prob
-            else Cardinality.ONE
-        )
-        child = SchemaNode(f"{prefix}{index}", cardinality)
-        parent.children.append(child)
-        if len(parent.children) >= max_fanout:
-            open_nodes.remove(parent)
-        open_nodes.append(child)
-    return SchemaTree(root)

@@ -191,15 +191,6 @@ class SchemaTree:
         self.node(name)
         return self._positions[name]
 
-    def is_ancestor(self, ancestor: str, descendant: str) -> bool:
-        """True if ``ancestor`` lies strictly above ``descendant``."""
-        current = self.parent_name(descendant)
-        while current is not None:
-            if current == ancestor:
-                return True
-            current = self._parents[current]
-        return False
-
     def path(self, name: str) -> list[str]:
         """Element names from the root down to ``name`` (inclusive)."""
         chain = [name]
@@ -221,21 +212,6 @@ class SchemaTree:
         return frozenset(names)
 
     # -- structure checks used by fragments ------------------------------
-
-    def is_connected(self, names: frozenset[str] | set[str]) -> bool:
-        """True if ``names`` forms a connected subgraph of the tree.
-
-        Equivalently: exactly one element of the set has its parent
-        outside the set (or is the root).
-        """
-        if not names:
-            return False
-        tops = 0
-        for name in names:
-            parent = self.parent_name(name)
-            if parent is None or parent not in names:
-                tops += 1
-        return tops == 1
 
     def top_of(self, names: frozenset[str] | set[str]) -> str:
         """Return the unique topmost element of a connected name set.
@@ -266,19 +242,3 @@ class SchemaTree:
             if self.node(name).cardinality.repeated:
                 return True
         return False
-
-    # -- pretty printing --------------------------------------------------
-
-    def sketch(self) -> str:
-        """Return an indented one-line-per-element sketch of the tree."""
-        lines: list[str] = []
-
-        def walk(node: SchemaNode, depth: int) -> None:
-            suffix = node.cardinality.value
-            attrs = f" @{','.join(node.attributes)}" if node.attributes else ""
-            lines.append("  " * depth + node.name + suffix + attrs)
-            for child in node.children:
-                walk(child, depth + 1)
-
-        walk(self.root, 0)
-        return "\n".join(lines)

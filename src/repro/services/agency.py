@@ -224,10 +224,6 @@ class DiscoveryAgency:
                 f"system {name!r} is not registered"
             ) from exc
 
-    def registered_names(self) -> list[str]:
-        """Names of all registered systems, sorted."""
-        return sorted(self._registry)
-
     # -- negotiation (steps 2-4) ------------------------------------------------------
 
     def negotiate(self, source_name: str, target_name: str, *,

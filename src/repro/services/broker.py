@@ -190,7 +190,7 @@ class PlanCache:
     """LRU cache of negotiated exchange plans, keyed by fingerprint.
 
     Thread-safe: the broker's sessions share one cache.  Counters are
-    kept locally (``hits``/``misses``/``evictions``/``invalidations``)
+    kept locally (``hits``/``misses``/``evictions``)
     and mirrored into ``metrics`` as ``plancache.*`` counters when a
     registry is supplied.
     """
@@ -204,7 +204,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
         self._entries: OrderedDict[str, CachedPlan] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -268,28 +267,6 @@ class PlanCache:
                 self._count("evictions")
         return entry
 
-    def invalidate(self, digest: str | None = None,
-                   cost_signature: str | None = None) -> int:
-        """Drop entries by exact digest, by cost signature, or — with
-        neither — all of them.  Returns how many were dropped."""
-        with self._lock:
-            if digest is not None:
-                dropped = 1 if self._entries.pop(digest, None) else 0
-            elif cost_signature is not None:
-                stale = [
-                    key for key, entry in self._entries.items()
-                    if entry.cost_signature == cost_signature
-                ]
-                for key in stale:
-                    del self._entries[key]
-                dropped = len(stale)
-            else:
-                dropped = len(self._entries)
-                self._entries.clear()
-            if dropped:
-                self._count("invalidations", dropped)
-        return dropped
-
     def stats(self) -> dict[str, int]:
         """Counter snapshot plus current size."""
         with self._lock:
@@ -299,7 +276,6 @@ class PlanCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "invalidations": self.invalidations,
         }
 
 

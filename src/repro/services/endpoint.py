@@ -214,14 +214,6 @@ class SystemEndpoint(abc.ABC):
             self.versions = log
             return log
 
-    def scan_versioned(self, fragment: Fragment) -> FragmentInstance:
-        """:meth:`scan`, with each row stamped with its stored version
-        (0 when versioning is not enabled)."""
-        instance = self.scan(fragment)
-        if self.versions is not None:
-            self.versions.stamp_rows(fragment.name, instance.rows)
-        return instance
-
     def apply_changes(self, fragment: Fragment,
                       upserts: "list | tuple" = (),
                       deletes: "set[int] | list[int] | tuple" = ()
@@ -411,10 +403,6 @@ class RelationalEndpoint(SystemEndpoint):
         """Create/refresh the standard indexes (the separately timed
         step of Table 4); returns indexes built."""
         return self.mapper.create_indexes(self.db)
-
-    def reset_storage(self) -> None:
-        """Empty all fragment tables (fresh target before a run)."""
-        self.mapper.truncate_all(self.db)
 
     def total_rows(self) -> int:
         """Rows across the fragment tables."""

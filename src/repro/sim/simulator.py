@@ -102,11 +102,6 @@ class AmortizedPlanCosts:
     warm_total: float
 
     @property
-    def savings(self) -> float:
-        """Absolute cost saved by the cache over the stream."""
-        return self.cold_total - self.warm_total
-
-    @property
     def speedup(self) -> float:
         """Cold total over warm total (>= 1; grows with the stream)."""
         if self.warm_total == 0.0:
@@ -141,11 +136,6 @@ class DeltaCostEstimate:
         if self.full_cost == 0.0:
             return 1.0
         return self.delta_cost / self.full_cost
-
-    @property
-    def savings_percent(self) -> float:
-        """Percentage saved by syncing incrementally."""
-        return 100.0 * (1.0 - self.relative_cost)
 
 
 class ExchangeSimulator:

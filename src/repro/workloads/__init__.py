@@ -4,8 +4,6 @@
   MF/LF fragmentations and a size-targeted document generator,
 * :mod:`repro.workloads.customer` — the Section 1.1 customer/orders
   scenario (schema S, LDAP schema T, the Figure 1 WSDL, sample data),
-* :mod:`repro.workloads.docgen` — a generic random document generator
-  for arbitrary schema trees,
 * :mod:`repro.workloads.sizes` — the 2.5/12.5/25 MB document ladder and
   the ``REPRO_SCALE`` environment knob.
 """
@@ -18,7 +16,6 @@ from repro.workloads.customer import (
     s_fragmentation,
     t_fragmentation,
 )
-from repro.workloads.docgen import generate_document
 from repro.workloads.sizes import DOCUMENT_SIZES_MB, scaled_bytes
 from repro.workloads.xmark import (
     xmark_lf_fragmentation,
@@ -34,7 +31,6 @@ __all__ = [
     "t_fragmentation",
     "generate_customer_instances",
     "fragment_customers",
-    "generate_document",
     "DOCUMENT_SIZES_MB",
     "scaled_bytes",
     "xmark_schema",

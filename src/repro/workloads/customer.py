@@ -152,13 +152,6 @@ def customer_info_wsdl() -> Definitions:
     )
 
 
-def generate_customer_document(*, seed: int = 0) -> ElementData:
-    """One seeded customer document (the schema's root is ``Customer``,
-    so a document holds one customer; see
-    :func:`generate_customer_instances` for a whole result set)."""
-    return generate_customer_instances(1, seed=seed)[0]
-
-
 def generate_customer_instances(n_customers: int = 5, *,
                                 seed: int = 0) -> list[ElementData]:
     """One document per customer (CustomerInfoService returns a set of

@@ -5,8 +5,8 @@ parser); this package provides the pure-Python equivalent used everywhere
 in the reproduction:
 
 * :mod:`repro.xmlkit.escape` — entity escaping/unescaping,
-* :mod:`repro.xmlkit.events` — streaming event types,
-* :mod:`repro.xmlkit.parser` — a streaming (SAX-style) event parser,
+* :mod:`repro.xmlkit.parser` — a streaming tokenizer and SAX-style
+  push parser,
 * :mod:`repro.xmlkit.tree` — a lightweight element tree,
 * :mod:`repro.xmlkit.writer` — tree serialization.
 
@@ -17,16 +17,7 @@ as plain prefixed names, which is all WSDL round-tripping needs here.
 """
 
 from repro.xmlkit.escape import escape_attr, escape_text, unescape
-from repro.xmlkit.events import (
-    Characters,
-    Comment,
-    EndElement,
-    Event,
-    ProcessingInstruction,
-    StartElement,
-    XmlDeclaration,
-)
-from repro.xmlkit.parser import ContentHandler, iterparse, push_parse
+from repro.xmlkit.parser import ContentHandler, push_parse
 from repro.xmlkit.tree import Element, parse_tree
 from repro.xmlkit.writer import serialize
 
@@ -34,14 +25,6 @@ __all__ = [
     "escape_attr",
     "escape_text",
     "unescape",
-    "Event",
-    "XmlDeclaration",
-    "StartElement",
-    "EndElement",
-    "Characters",
-    "Comment",
-    "ProcessingInstruction",
-    "iterparse",
     "push_parse",
     "ContentHandler",
     "Element",

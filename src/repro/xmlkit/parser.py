@@ -1,17 +1,11 @@
 """A streaming XML parser.
 
 The paper's shredder uses the Expat SAX parser; this module is its
-pure-Python stand-in.  One tokenizer, :func:`tokens`, with two views
-over it:
-
-* :func:`iterparse` — a generator of :mod:`repro.xmlkit.events` events,
-  convenient for pull-style consumers.
-* :func:`push_parse` — a SAX-style push API that drives a
-  :class:`ContentHandler`, used by the relational shredder
-  (:mod:`repro.relational.shredder`) exactly like the paper drives Expat.
-
-The tree builder (:func:`repro.xmlkit.tree.parse_tree`, under every
-SOAP envelope) reads the tokens directly.
+pure-Python stand-in.  One tokenizer, :func:`tokens`, which the
+relational shredder (:mod:`repro.relational.shredder`) and the tree
+builder (:func:`repro.xmlkit.tree.parse_tree`, under every SOAP
+envelope) read directly, and :func:`push_parse`, a SAX-style push API
+that drives a :class:`ContentHandler` over it.
 
 Supported syntax: the XML declaration, elements with attributes (both
 quote styles), character data with entity/character references, CDATA
@@ -27,15 +21,6 @@ from typing import Iterator
 
 from repro.errors import XmlSyntaxError
 from repro.xmlkit.escape import unescape
-from repro.xmlkit.events import (
-    Characters,
-    Comment,
-    EndElement,
-    Event,
-    ProcessingInstruction,
-    StartElement,
-    XmlDeclaration,
-)
 
 _WS = " \t\r\n"
 
@@ -195,9 +180,8 @@ START, END, TEXT, COMMENT, PI, DECLARATION = range(6)
 def tokens(text: str) -> Iterator[tuple]:
     """Tokenize ``text`` into ``(kind, value, extra)`` tuples.
 
-    The one tokenizer under :func:`iterparse` and :func:`push_parse`,
-    for consumers that want neither an object nor a type test per
-    event.
+    The one tokenizer, under :func:`push_parse` and for consumers
+    that want neither an object nor a type test per event.
 
     ``value`` is the element name (``START``/``END``), the character
     data (``TEXT``), the comment text, the PI target, or the declared
@@ -326,30 +310,6 @@ def tokens(text: str) -> Iterator[tuple]:
         raise scanner.error(f"unclosed element <{stack[-1]}>")
     if not seen_root:
         raise scanner.error("document has no root element")
-
-
-def iterparse(text: str) -> Iterator[Event]:
-    """Parse ``text`` and yield a stream of events.
-
-    The element structure is validated (tags must nest and match) and
-    exactly one root element is required.
-
-    Raises:
-        XmlSyntaxError: on any well-formedness violation.
-    """
-    for kind, value, extra in tokens(text):
-        if kind == START:
-            yield StartElement(value, extra)
-        elif kind == END:
-            yield EndElement(value)
-        elif kind == TEXT:
-            yield Characters(value)
-        elif kind == COMMENT:
-            yield Comment(value)
-        elif kind == PI:
-            yield ProcessingInstruction(value, extra)
-        else:
-            yield XmlDeclaration(value, *extra)
 
 
 class ContentHandler:

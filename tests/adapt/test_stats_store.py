@@ -1,4 +1,4 @@
-"""The learned-statistics store: EWMA smoothing, confidence,
+"""The learned-statistics store: EWMA smoothing,
 probe correction, JSON persistence, thread safety, and the broker
 feeding it."""
 
@@ -33,10 +33,6 @@ class TestBasics:
         with pytest.raises(ValueError, match="alpha"):
             StatisticsStore(alpha=alpha)
 
-    def test_warmup_validated(self):
-        with pytest.raises(ValueError, match="warmup"):
-            StatisticsStore(warmup=0)
-
     def test_scale_estimate_ewma(self):
         estimate = ScaleEstimate(2.0)
         estimate.update(4.0, alpha=0.5)
@@ -51,7 +47,7 @@ class TestBasics:
         assert len(store) == 0
         assert store.pairs() == []
         assert store.ratios(PAIR) == {}
-        assert store.confidence(PAIR, "combine") == 0.0
+        assert store.observations(PAIR, "combine") == 0
 
 
 class TestIngestion:
@@ -67,17 +63,6 @@ class TestIngestion:
         store = StatisticsStore()
         store.observe_ratios(PAIR, {"scan": 0.0, "combine": -2.0})
         assert store.ratios(PAIR) == {}
-
-    def test_confidence_rises_toward_one(self):
-        store = StatisticsStore(alpha=1.0, warmup=3)
-        assert store.confidence(PAIR, "scan") == 0.0
-        for _ in range(3):
-            store.observe_ratios(PAIR, {"scan": 1.5})
-        # n == warmup observations -> confidence exactly 0.5.
-        assert store.confidence(PAIR, "scan") == pytest.approx(0.5)
-        for _ in range(24):
-            store.observe_ratios(PAIR, {"scan": 1.5})
-        assert store.confidence(PAIR, "scan") == pytest.approx(0.9)
 
     def test_metrics_mirrored(self):
         metrics = MetricsRegistry()
@@ -106,7 +91,7 @@ class TestLearnedViews:
 
 class TestPersistence:
     def _populated(self):
-        store = StatisticsStore(alpha=0.4, warmup=5)
+        store = StatisticsStore(alpha=0.4)
         store.observe_ratios(PAIR, {"scan": 1.5, "comm": 2.5})
         store.observe_ratios("t->s", {"combine": 0.25})
         return store
@@ -115,10 +100,10 @@ class TestPersistence:
         store = self._populated()
         clone = StatisticsStore.from_dict(store.to_dict())
         assert clone.to_dict() == store.to_dict()
-        assert clone.alpha == 0.4 and clone.warmup == 5
+        assert clone.alpha == 0.4
         assert clone.ratios(PAIR) == store.ratios(PAIR)
-        assert clone.confidence(PAIR, "scan") \
-            == store.confidence(PAIR, "scan")
+        assert clone.observations(PAIR, "scan") \
+            == store.observations(PAIR, "scan")
 
     def test_save_load_roundtrip(self, tmp_path):
         store = self._populated()

@@ -36,9 +36,9 @@ from repro.schema.generator import balanced_schema
 from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
 from repro.services.exchange import run_optimized_exchange
 from repro.sim.random_fragmentation import random_fragmentation
-from repro.workloads.docgen import generate_document
 from repro.workloads.mutate import mutate_endpoint
 
+from tests.documents import generate_document
 from tests.core.delta_reference import compute_delta as reference_delta
 
 ROUND_KINDS = ("mutate", "cascade", "recreate", "empty")

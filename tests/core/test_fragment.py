@@ -92,7 +92,7 @@ class TestProperties:
 
     def test_is_leaf_in_fragment(self, customers_schema):
         fragment = Fragment(customers_schema, ["Order"])
-        assert fragment.is_leaf_in_fragment("Order")
+        assert fragment.children_of("Order") == []  # children pruned
 
     def test_equality_and_hash(self, customers_schema):
         first = Fragment(customers_schema, ["Order"], "x")
@@ -101,11 +101,6 @@ class TestProperties:
         assert hash(first) == hash(second)
         assert first != Fragment(customers_schema, ["Service",
                                                     "ServiceName"])
-
-    def test_attribute_columns(self, auction_schema):
-        fragment = Fragment.full_subtree(auction_schema, "item")
-        assert ("item", "id") in fragment.attribute_columns()
-        assert ("item", "featured") in fragment.attribute_columns()
 
 
 class TestCombineSplitAlgebra:

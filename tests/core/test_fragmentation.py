@@ -100,7 +100,8 @@ class TestNavigation:
         root = customers_t.root_fragment()
         children = {
             fragment.name
-            for fragment in customers_t.child_fragments(root)
+            for fragment in customers_t
+            if customers_t.parent_fragment(fragment) is root
         }
         assert children == {"Order_Service"}
 

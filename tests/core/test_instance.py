@@ -8,6 +8,8 @@ from repro.core.instance import ElementData, FragmentInstance, FragmentRow
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.writer import serialize
 
+from tests.documents import feed_element_count
+
 
 def whole_instance(schema, documents):
     whole = Fragment.whole(schema)
@@ -22,12 +24,8 @@ class TestElementData:
         parent.add_child(ElementData("b", 2))
         parent.add_child(ElementData("b", 3))
         parent.add_child(ElementData("c", 4))
-        assert [child.eid for child in parent.child_list("b")] == [2, 3]
-        assert parent.child_list("missing") == []
-
-    def test_iter_all_counts(self, customer_documents):
-        document = customer_documents[0]
-        assert document.element_count() == len(list(document.iter_all()))
+        assert [child.eid for child in parent.children["b"]] == [2, 3]
+        assert "missing" not in parent.children
 
     def test_occurrences_of(self, customer_documents):
         document = customer_documents[0]
@@ -39,15 +37,10 @@ class TestElementData:
         parent = ElementData("a", 1, {"k": "v"})
         parent.add_child(ElementData("b", 2, text="t"))
         clone = parent.copy()
-        clone.child_list("b")[0].text = "changed"
+        clone.children["b"][0].text = "changed"
         clone.attrs["k"] = "other"
-        assert parent.child_list("b")[0].text == "t"
+        assert parent.children["b"][0].text == "t"
         assert parent.attrs["k"] == "v"
-
-    def test_estimated_size_monotone(self):
-        small = ElementData("a", 1)
-        big = ElementData("a", 1, text="x" * 100)
-        assert big.estimated_size() > small.estimated_size()
 
     def test_to_xml_orders_children_by_schema(self, customers_schema):
         line = ElementData("Line", 1)
@@ -80,7 +73,7 @@ class TestCombine:
         }
         # Every order now carries exactly one service.
         for row in combined.rows:
-            assert len(row.data.child_list("Service")) == 1
+            assert len(row.data.children["Service"]) == 1
 
     def test_combine_row_counts_preserved(
             self, customers_s, customer_documents):
@@ -120,12 +113,12 @@ class TestSplit:
     def test_split_produces_partition_instances(
             self, customers_schema, customer_documents):
         instance = whole_instance(customers_schema, customer_documents)
-        total_elements = instance.element_count()
+        total_elements = feed_element_count(instance)
         pieces = instance.split([
             Fragment(customers_schema, ["Customer", "CustName"]),
             Fragment.full_subtree(customers_schema, "Order"),
         ])
-        assert sum(piece.element_count() for piece in pieces) == \
+        assert sum(feed_element_count(piece) for piece in pieces) == \
             total_elements
 
     def test_split_sets_parent_references(
@@ -214,14 +207,3 @@ class TestInstanceViews:
                 for document in instance.to_xml_documents()
             )
             assert instance.feed_size() <= xml_size
-
-    def test_map_rows(self, customers_schema):
-        fragment = Fragment(customers_schema, ["Order"])
-        instance = FragmentInstance(fragment, [
-            FragmentRow(ElementData("Order", 1), None),
-        ])
-        mapped = instance.map_rows(
-            lambda row: FragmentRow(row.data, 42)
-        )
-        assert mapped.rows[0].parent == 42
-        assert instance.rows[0].parent is None

@@ -12,12 +12,17 @@ from hypothesis import strategies as st
 from repro.core.fragment import Fragment
 from repro.core.fragmentation import Fragmentation
 from repro.core.instance import FragmentInstance, FragmentRow
-from repro.schema.generator import random_schema
 from repro.sim.random_fragmentation import random_fragmentation
-from repro.workloads.docgen import generate_document
 from repro.xmlkit.writer import serialize
 
 import random
+
+from tests.documents import (
+    element_count,
+    feed_element_count,
+    generate_document,
+    random_schema,
+)
 
 
 @st.composite
@@ -83,10 +88,10 @@ def test_split_then_combine_is_identity(case):
 def test_split_partitions_element_occurrences(case):
     schema, document, fragmentation = case
     whole = Fragment.whole(schema)
-    total = document.element_count()
+    total = element_count(document)
     instance = FragmentInstance(whole, [FragmentRow(document, None)])
     pieces = instance.split(list(fragmentation.fragments))
-    assert sum(piece.element_count() for piece in pieces) == total
+    assert sum(feed_element_count(piece) for piece in pieces) == total
     # Row counts: one row per occurrence of each fragment root.
     for piece in pieces:
         root = piece.fragment.root_name

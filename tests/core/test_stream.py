@@ -7,7 +7,6 @@ from repro.core.stream import (
     DEFAULT_BATCH_ROWS,
     FragmentStream,
     ResidencyMeter,
-    RowBatch,
 )
 from repro.workloads.customer import fragment_customers
 
@@ -24,16 +23,6 @@ class TestRowBatch:
             order_feed.row_count()
         assert sum(b.feed_size() for b in batches) == \
             order_feed.feed_size()
-
-    def test_to_instance_shares_rows(self, order_feed):
-        batch = RowBatch(order_feed.fragment, order_feed.rows, 0)
-        instance = batch.to_instance()
-        assert instance.fragment is order_feed.fragment
-        assert instance.rows == batch.rows
-        assert all(
-            mine is theirs
-            for mine, theirs in zip(instance.rows, batch.rows)
-        )
 
 
 class TestFragmentStream:
@@ -76,13 +65,6 @@ class TestFragmentStream:
                 row.data.text = "mutated"
         assert all(row.data.text != "mutated" for row in order_feed.rows)
 
-    def test_map_batches(self, order_feed):
-        stream = FragmentStream.from_instance(order_feed, 2)
-        mapped = stream.map_batches(
-            lambda b: RowBatch(b.fragment, b.rows[:1], b.seq)
-        )
-        assert all(b.row_count() == 1 for b in mapped)
-
 
 class TestResidencyMeter:
     def test_peaks_track_the_high_water_mark(self):
@@ -92,9 +74,9 @@ class TestResidencyMeter:
         meter.release(10)
         meter.acquire(2)
         assert meter.peak_rows == 15
-        assert meter.resident_rows == 7
+        assert meter.rows == 7
 
     def test_starts_empty(self):
         meter = ResidencyMeter()
         assert meter.peak_rows == 0
-        assert meter.resident_rows == 0
+        assert meter.rows == 0

@@ -6,12 +6,11 @@ import pytest
 
 from repro.core.cost.calibrate import Calibration, calibrate
 from repro.core.cost.estimates import StatisticsCatalog
-from repro.core.cost.model import MachineProfile
 from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
-from repro.core.ops import Combine, Scan
+from repro.core.ops import Scan
 from repro.services.endpoint import RelationalEndpoint
 
 
@@ -68,7 +67,6 @@ class TestCalibrate:
                                             auction_schema,
                                             auction_lf):
         calibration = calibrated[0]
-        from repro.core.fragment import Fragment
         fragment = auction_lf.fragment_of("item")
         pieces = fragment.split_into([
             ["item", "location", "quantity", "iname"],
@@ -77,40 +75,6 @@ class TestCalibrate:
         from repro.core.ops import Split
         seconds = calibration.predict(Split(fragment, pieces))
         assert seconds > 0 and math.isfinite(seconds)
-
-    def test_scaled_model_prices_in_seconds(self, calibrated,
-                                            auction_mf):
-        calibration = calibrated[0]
-        model = calibration.scaled_model()
-        from repro.core.ops.base import Location
-        scan = Scan(auction_mf.fragment_of("item"))
-        assert model.comp_cost(scan, Location.SOURCE) == \
-            pytest.approx(calibration.predict(scan))
-
-    def test_scaled_model_keeps_capabilities(self, calibrated,
-                                             auction_schema):
-        calibration = calibrated[0]
-        model = calibration.scaled_model(
-            target=MachineProfile("dumb", can_combine=False)
-        )
-        from repro.core.fragment import Fragment
-        from repro.core.ops.base import Location
-        site = Fragment.single(auction_schema, "site")
-        regions = Fragment.single(auction_schema, "regions")
-        assert math.isinf(
-            model.comp_cost(Combine(site, regions), Location.TARGET)
-        )
-
-    def test_speed_scaling(self, calibrated, auction_mf):
-        calibration = calibrated[0]
-        from repro.core.ops.base import Location
-        fast = calibration.scaled_model(
-            target=MachineProfile("fast", speed=4.0)
-        )
-        scan = Scan(auction_mf.fragment_of("item"))
-        assert fast.comp_cost(scan, Location.TARGET) == pytest.approx(
-            fast.comp_cost(scan, Location.SOURCE) / 4.0
-        )
 
     def test_report_program_mismatch_rejected(self, calibrated,
                                               auction_mf,

@@ -19,7 +19,7 @@ from repro.core.program.executor import (
     ProgramExecutor,
 )
 from repro.net.transport import SimulatedChannel
-from repro.obs import Tracer, calibration_from_trace
+from repro.obs import Tracer, report_from_trace
 from repro.services.endpoint import RelationalEndpoint
 
 
@@ -42,11 +42,18 @@ def traced(auction_mf, auction_document, auction_schema):
     return program, report, tracer, statistics
 
 
+def _fit_from_trace(program, trace, statistics):
+    """Calibrate from the report a recorded trace rebuilds."""
+    return calibrate_timings(
+        program, report_from_trace(program, trace).op_timings, statistics
+    )
+
+
 class TestCalibrationFromTrace:
     def test_matches_report_fed_calibration(self, traced):
         program, report, tracer, statistics = traced
         from_report = calibrate(program, report, statistics)
-        from_trace = calibration_from_trace(
+        from_trace = _fit_from_trace(
             program, tracer, statistics
         )
         assert set(from_trace.seconds_per_unit) == set(
@@ -60,7 +67,7 @@ class TestCalibrationFromTrace:
 
     def test_predicts_positive_seconds(self, traced):
         program, _, tracer, statistics = traced
-        calibration = calibration_from_trace(
+        calibration = _fit_from_trace(
             program, tracer, statistics
         )
         for node in program.topological_order():
@@ -73,7 +80,7 @@ class TestCalibrationFromTrace:
             if span.attrs.get("op_id") != program.nodes[0].op_id
         ]
         with pytest.raises(ValueError, match="no op span"):
-            calibration_from_trace(program, partial, statistics)
+            _fit_from_trace(program, partial, statistics)
 
 
 class TestCalibrateTimings:

@@ -13,6 +13,7 @@ from repro.core.cost.estimates import (
 )
 from repro.core.fragment import Fragment
 
+from tests.documents import tagged_size
 from tests.core.fragment_walks import combine_walks, walk_fragments
 
 
@@ -68,7 +69,7 @@ class TestFromDocument:
             customers_schema, document
         )
         whole = Fragment.whole(customers_schema)
-        measured = document.estimated_size()
+        measured = tagged_size(document)
         # fragment_size adds the per-row ID/PARENT exposure (24 bytes).
         assert stats.fragment_size(whole) == pytest.approx(
             measured + 24, rel=0.01

@@ -22,10 +22,9 @@ from repro.core.program.executor import ProgramExecutor
 from repro.net.faults import FaultPlan, FaultyChannel, RetryPolicy
 from repro.net.transport import SimulatedChannel
 from repro.relational.publisher import publish_document
-from repro.schema.generator import random_schema
 from repro.services.endpoint import RelationalEndpoint
-from repro.workloads.docgen import generate_document
 
+from tests.documents import generate_document, random_schema
 from tests.integration.test_random_roundtrips import flat_fragmentation
 
 pytestmark = pytest.mark.faults

@@ -28,15 +28,14 @@ from repro.net.transport import (
     TcpTransport,
 )
 from repro.relational.publisher import publish_document
-from repro.schema.generator import random_schema
 from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
 from repro.services.exchange import run_publish_and_map
 from repro.workloads.customer import (
     fragment_customers,
-    generate_customer_document,
+    generate_customer_instances,
 )
-from repro.workloads.docgen import generate_document
 
+from tests.documents import generate_document, random_schema
 from tests.integration.test_crash_resume import KillSwitch
 from tests.integration.test_random_roundtrips import flat_fragmentation
 
@@ -83,7 +82,7 @@ def adapter_exchanges(customers_s, customers_t):
     row batches: S -> T splits it into flat pieces, T -> S combines
     two flat columnar streams into it.  The reference is what
     publish&map leaves a relational target publishing."""
-    document = generate_customer_document(seed=11)
+    document = generate_customer_instances(1, seed=11)[0]
     flat = customers_t  # every T fragment flattens
     relational = RelationalEndpoint("S-flat", flat)
     relational.load_document(document)

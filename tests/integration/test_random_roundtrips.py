@@ -26,9 +26,9 @@ from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
 from repro.relational.publisher import publish_document
 from repro.relational.shredder import shred_document
-from repro.schema.generator import random_schema
 from repro.services.endpoint import RelationalEndpoint
-from repro.workloads.docgen import generate_document
+
+from tests.documents import generate_document, random_schema
 
 
 def flat_fragmentation(schema, rng: random.Random,

@@ -48,8 +48,8 @@ def batches(feed):
 
 def scripted(**schedule):
     """drop=0 → FaultPlan dropping message 0, etc."""
-    return FaultPlan.scripted(
-        {index: kind for kind, index in schedule.items()},
+    return FaultPlan(
+        script={index: FaultKind(kind) for kind, index in schedule.items()},
         delay_seconds=0.25,
     )
 
@@ -81,7 +81,7 @@ class TestFaultPlan:
             != [b.fault_for(i) for i in range(100)]
 
     def test_scripted_fires_exactly(self):
-        plan = FaultPlan.scripted({3: "drop", 5: FaultKind.CORRUPT})
+        plan = FaultPlan(script={3: FaultKind.DROP, 5: FaultKind.CORRUPT})
         hits = {i: plan.fault_for(i) for i in range(8)}
         assert hits[3] is FaultKind.DROP
         assert hits[5] is FaultKind.CORRUPT
@@ -121,12 +121,12 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="start at 0"):
             FaultPlan.parse("drop@-1")
         with pytest.raises(ValueError, match="start at 0"):
-            FaultPlan.scripted({-1: "drop"})
+            FaultPlan(script={-1: FaultKind.DROP})
 
     def test_describe(self):
         assert FaultPlan().describe() == "no faults"
         assert "drop=0.1" in FaultPlan(drop=0.1, seed=3).describe()
-        assert FaultPlan.scripted({2: "drop"}).describe() == "drop@2"
+        assert FaultPlan.parse("drop@2").describe() == "drop@2"
 
 
 class TestRetryPolicy:
@@ -348,7 +348,7 @@ class TestReliableBatchLink:
     def test_exhaustion_raises_retry_exhausted(self, whole):
         # Every message the policy may send is scheduled to fail.
         link, _ = self._link(
-            FaultPlan.scripted({0: "drop", 1: "corrupt", 2: "drop"}),
+            FaultPlan.parse("drop@0,corrupt@1,drop@2"),
             RetryPolicy(max_attempts=3, sleep=lambda d: None),
         )
         with pytest.raises(RetryExhausted) as info:
@@ -462,9 +462,9 @@ class TestPerEdgeAttribution:
             stats, edge=(7, 0), tracer=tracer,
         )
         link.send(whole)
-        retries = tracer.spans_of("retry")
+        retries = [s for s in tracer.spans if s.category == "retry"]
         assert len(retries) == 1
         assert retries[0].attrs["error"] == "MessageDropped"
-        faults = tracer.spans_of("fault")
+        faults = [s for s in tracer.spans if s.category == "fault"]
         assert len(faults) == 1
         assert faults[0].name == "fault:drop"

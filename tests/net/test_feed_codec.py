@@ -93,10 +93,10 @@ def column_batches(draw):
     columns = [list(column) for column in zip(*rows)] if rows else [
         [] for _ in layout.specs
     ]
-    batch = ColumnBatch(
-        fragment, columns, draw(st.none() | st.integers(0, 500))
-    )
-    return batch.slice(lead, lead + count) if lead else batch
+    seq = draw(st.none() | st.integers(0, 500))
+    if lead:  # a view of rows [lead, lead + count) of wider columns
+        return ColumnBatch(fragment, columns, seq, None, lead, lead + count)
+    return ColumnBatch(fragment, columns, seq)
 
 
 def typed(columns):

@@ -6,7 +6,7 @@ import socket
 
 import pytest
 
-from repro.errors import SoapFault, TransportError
+from repro.errors import NegotiationError, SoapFault, TransportError
 from repro.core.columnar import ColumnBatch
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel
@@ -25,7 +25,7 @@ from repro.net.soap import (
     wrap_document,
     wrap_fragment_feed,
 )
-from repro.net.transport import recv_frame, send_frame
+from repro.net.transport import MAX_FRAME_BYTES, recv_frame, send_frame
 from repro.obs.metrics import MetricsRegistry
 from repro.services.agency import DiscoveryAgency
 from repro.workloads.customer import fragment_customers
@@ -309,7 +309,8 @@ class TestHttpControlPlane:
         with pytest.raises(SoapFault, match=message):
             parse_envelope(reply)
         assert metrics.counter("server.http.faults").value == 1
-        assert customer_agency.registered_names() == []
+        with pytest.raises(NegotiationError):
+            customer_agency.registration("x")
 
     def test_malformed_wsdl_register_gets_a_reply(self, customer_agency,
                                                   wsdl_texts):
@@ -320,21 +321,35 @@ class TestHttpControlPlane:
             # The server still serves the next request.
             assert client.register("s", wsdl_texts["s"]).get("name") == "s"
 
-    def test_negative_content_length_gets_a_400(self, customer_agency):
-        with ExchangeHttpServer(customer_agency) as server:
+    @staticmethod
+    def _post_headers_only(agency, length):
+        """POST a ``Content-Length`` header and no body: the reply's
+        status and body (the socket times out if none comes)."""
+        with ExchangeHttpServer(agency) as server:
             connection = http.client.HTTPConnection(
                 server.host, server.port, timeout=2.0
             )
             try:
                 connection.putrequest("POST", "/soap/agency")
-                connection.putheader("Content-Length", "-1")
+                connection.putheader("Content-Length", str(length))
                 connection.endheaders()
                 response = connection.getresponse()
-                body = response.read().decode("utf-8")
+                return response.status, response.read().decode("utf-8")
             finally:
                 connection.close()
-        assert response.status == 400
+
+    def test_negative_content_length_gets_a_400(self, customer_agency):
+        status, body = self._post_headers_only(customer_agency, -1)
+        assert status == 400
         with pytest.raises(SoapFault, match="Content-Length"):
+            parse_envelope(body)
+
+    def test_oversized_content_length_gets_a_400(self, customer_agency):
+        status, body = self._post_headers_only(
+            customer_agency, MAX_FRAME_BYTES + 1
+        )
+        assert status == 400
+        with pytest.raises(SoapFault, match="exceeds"):
             parse_envelope(body)
 
     def test_client_connection_failure_is_transport_error(self):

@@ -21,7 +21,6 @@ from repro.net.soap import (
     read_message,
     soap_envelope,
     soap_fault,
-    unwrap_document,
     unwrap_fragment_feed,
     verify_fragment_feed,
     wrap_document,
@@ -193,16 +192,9 @@ class TestDocumentWrapper:
     def test_round_trip(self):
         text = "<Site><Item money='3.50'/></Site>"
         payload = parse_envelope(wrap_document(text))
-        assert unwrap_document(payload) == text
-
-    def test_wrong_payload_rejected(self):
-        with pytest.raises(SoapFault, match="expected a Document"):
-            unwrap_document(Element("FragmentFeed"))
-
-    def test_byte_count_mismatch_rejected(self):
-        payload = Element("Document", {"bytes": "999"}, text="tiny")
-        with pytest.raises(SoapFault, match="999 bytes"):
-            unwrap_document(payload)
+        assert payload.local_name() == "Document"
+        assert payload.text == text
+        assert payload.get("bytes") == str(len(text))
 
 
 class TestVerifyFragmentFeed:
@@ -345,7 +337,7 @@ class TestGoldenMessages:
         writes, digests and leaves on the row the stripped text: the
         checksum verifies and sender and receiver hold the same rows
         whether or not the sender decodes its own message."""
-        leaf = golden_feed.rows[0].data.child_list("Line")[0]
+        leaf = golden_feed.rows[0].data.children["Line"][0]
         leaf.text = " \r\n padded\rtext \t\r "
         golden_feed.rows[1].data.text = "   "
         message = wrap_fragment_feed(golden_feed)
@@ -395,11 +387,6 @@ class TestMalformedNumbers:
             unwrap_fragment_feed(
                 soap_envelope(payload), golden_feed.fragment
             )
-
-    def test_document_bytes(self):
-        payload = Element("Document", {"bytes": "4 KB"}, text="tiny")
-        with pytest.raises(SoapFault, match="bytes='4 KB'"):
-            unwrap_document(payload)
 
 
 # -- flat feeds as tuples: the encoder from cells, the receivers -------------------
@@ -504,7 +491,7 @@ class TestColumnEncoder:
         columns[layout.positions["custname_eid"]] = [2, 4, 6]
         columns[name_at] = ["a", "  b\t", "c"]
         whole = ColumnBatch(fragment, columns, None)
-        view = whole.slice(1, 3, seq=0)
+        view = ColumnBatch(fragment, whole.columns, 0, None, 1, 3)
         view.feed_size()
         message, _ = encode_batch(view)
         assert ">3|\\N|4|b\n5|\\N|6|c</" in message

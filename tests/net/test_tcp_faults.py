@@ -22,6 +22,7 @@ from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.stream import FragmentStream, RowBatch
 from repro.net.faults import (
+    FaultKind,
     FaultPlan,
     FaultyChannel,
     ReliableBatchLink,
@@ -77,8 +78,8 @@ def batches(feed):
 
 def scripted(**schedule):
     """drop=0 → FaultPlan dropping message 0, etc."""
-    return FaultPlan.scripted(
-        {index: kind for kind, index in schedule.items()},
+    return FaultPlan(
+        script={index: FaultKind(kind) for kind, index in schedule.items()},
         delay_seconds=0.25,
     )
 

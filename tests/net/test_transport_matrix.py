@@ -74,10 +74,11 @@ class TestUniformLifecycle:
     @pytest.mark.parametrize("kind", TRANSPORTS)
     def test_close_is_idempotent(self, kind, sink):
         transport = make_transport(kind, sink)
-        assert not transport.closed
+        transport.ship_document("x")
         transport.close()
         transport.close()
-        assert transport.closed
+        with pytest.raises(TransportError, match="send after close"):
+            transport.ship_document("x")
 
     @pytest.mark.parametrize("kind", TRANSPORTS)
     def test_send_after_close_raises_uniformly(self, kind, sink, whole):

@@ -64,7 +64,7 @@ class TestTraceReconciliation:
     def test_every_op_has_exactly_one_span(self, traced_run):
         program, _, _, tracer = traced_run
         op_ids = [
-            span.attrs["op_id"] for span in tracer.spans_of("op")
+            span.attrs["op_id"] for span in [s for s in tracer.spans if s.category == "op"]
         ]
         assert sorted(op_ids) == sorted(
             node.op_id for node in program.nodes
@@ -82,7 +82,7 @@ class TestTraceReconciliation:
         program, placement, report, tracer = traced_run
         shipped = {
             (span.attrs["edge_op"], span.attrs["edge_port"])
-            for span in tracer.spans_of("ship")
+            for span in [s for s in tracer.spans if s.category == "ship"]
         }
         expected = {
             (edge.producer.op_id, edge.output_index)
@@ -134,7 +134,7 @@ class TestTraceReconciliation:
         program, _, _, tracer = traced_run
         start = {
             span.attrs["op_id"]: span.start
-            for span in tracer.spans_of("op")
+            for span in [s for s in tracer.spans if s.category == "op"]
         }
         scans = sorted(start[node.op_id] for node in program.scans())
         writes = sorted(start[node.op_id] for node in program.writes())
@@ -273,7 +273,7 @@ class TestOtherDataplanes:
         )
         rebuilt = report_from_trace(program, tracer)
         assert len(rebuilt.op_timings) == len(program.nodes)
-        batch_spans = tracer.spans_of("batch")
+        batch_spans = [s for s in tracer.spans if s.category == "batch"]
         assert batch_spans
         assert sum(
             report.shipment_batches.values()

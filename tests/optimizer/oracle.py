@@ -40,7 +40,7 @@ from repro.core.optimizer.search import (
     optimal_exchange,
     worst_exchange,
 )
-from repro.core.program.builder import enumerate_transfer_programs
+from repro.core.program.builder import ProgramBuilder
 from repro.core.program.dag import Placement, TransferProgram
 
 
@@ -48,7 +48,7 @@ def exhaust(mapping, probe, weights=None, programs=None):
     """``(min, max)`` of formula 1 over the whole search space.
     ``programs`` reuses an already enumerated program list."""
     if programs is None:
-        programs = enumerate_transfer_programs(mapping)
+        programs = ProgramBuilder(mapping).enumerate()
     cheapest, dearest = math.inf, -math.inf
     for program in programs:
         cheapest = min(

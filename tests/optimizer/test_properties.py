@@ -27,9 +27,9 @@ from repro.core.optimizer.exhaustive import (
 from repro.core.optimizer.greedy import greedy_placement
 from repro.core.optimizer.placement import placement_cost
 from repro.core.program.builder import build_transfer_program
-from repro.schema.generator import random_schema
 from repro.sim.random_fragmentation import random_fragmentation
 
+from tests.documents import random_schema
 from tests.optimizer.oracle import (
     assert_search_is_exact,
     cost_based_optim_literal,

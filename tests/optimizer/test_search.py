@@ -18,10 +18,7 @@ from repro.core.optimizer.search import (
     optimal_exchange,
     worst_exchange,
 )
-from repro.core.program.builder import (
-    ProgramBuilder,
-    enumerate_transfer_programs,
-)
+from repro.core.program.builder import ProgramBuilder
 from repro.schema.generator import balanced_schema
 from repro.sim.random_fragmentation import random_fragmentation
 
@@ -100,7 +97,7 @@ class TestAgainstExhaustion:
                 schema, n_fragments=n_fragments, rng=rng, name="T"
             ),
         )
-        programs = list(enumerate_transfer_programs(mapping))
+        programs = list(ProgramBuilder(mapping).enumerate())
         assert 24 <= len(programs) <= 120
         statistics = StatisticsCatalog.synthetic(schema)
         for source_speed, target_speed in SPEED_RATIOS:
@@ -226,9 +223,6 @@ class TestZeroWeightTimesInfiniteCost:
             assert all(math.isfinite(cost)
                        for cost in breakdown.by_location.values())
             assert breakdown.total == pytest.approx(result.cost)
-            assert model.program_cost(
-                result.program, result.placement
-            ) == pytest.approx(result.cost)
 
 
 def test_enumerator_limit_zero_yields_nothing(mapping):

@@ -7,7 +7,6 @@ from repro.core.mapping import derive_mapping
 from repro.core.program.builder import (
     ProgramBuilder,
     build_transfer_program,
-    enumerate_transfer_programs,
 )
 from repro.core.program.render import summary, to_text
 
@@ -82,24 +81,24 @@ class TestEnumeration:
         # Both assemblies are two-piece (Order+Service, Line+Switch):
         # exactly one combine order each, so one program total.
         mapping = derive_mapping(customers_s, customers_t)
-        programs = list(enumerate_transfer_programs(mapping, limit=50))
+        programs = list(ProgramBuilder(mapping).enumerate(50))
         assert len(programs) == 1
 
     def test_enumerates_distinct_orders(self, auction_mf, auction_lf):
         mapping = derive_mapping(auction_mf, auction_lf)
-        programs = list(enumerate_transfer_programs(mapping, limit=8))
+        programs = list(ProgramBuilder(mapping).enumerate(8))
         assert len(programs) == 8
         shapes = {to_text(program) for program in programs}
         assert len(shapes) == len(programs)
 
     def test_limit_respected(self, auction_mf, auction_lf):
         mapping = derive_mapping(auction_mf, auction_lf)
-        programs = list(enumerate_transfer_programs(mapping, limit=5))
+        programs = list(ProgramBuilder(mapping).enumerate(5))
         assert len(programs) == 5
 
     def test_identity_mapping_single_program(self, customers_t):
         mapping = derive_mapping(customers_t, customers_t)
-        programs = list(enumerate_transfer_programs(mapping, limit=10))
+        programs = list(ProgramBuilder(mapping).enumerate(10))
         assert len(programs) == 1
 
     def test_merge_orders_respect_schema(self, customers_s,

@@ -21,7 +21,7 @@ from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.writer import serialize
 
-from tests.program.rowplane import run_on_rows
+from tests.program.rowplane import combine_rows, run_on_rows
 
 
 def _docs(fragment, rows):
@@ -266,7 +266,8 @@ class TestJoinUnit:
 
     @staticmethod
     def _materialized(combine, order, service, parents, children):
-        result = combine.apply(
+        result = combine_rows(
+            combine,
             FragmentInstance(order, parents).copy(),
             FragmentInstance(service, children).copy(),
         )
@@ -439,7 +440,7 @@ class TestMergeWalk:
                     ),
                     meter=meter,
                 ))
-            meters.append((meter.resident_rows, meter.peak_rows))
+            meters.append((meter.rows, meter.peak_rows))
         assert meters[0] == meters[1]
         assert meters[1][0] == len(parents)
 
@@ -473,7 +474,8 @@ class TestOrphanAccounting:
     def test_matches_materialized_message(self, orphans):
         combine, order, service, parents, children = orphans
         with pytest.raises(OperationError) as materialized:
-            combine.apply(
+            combine_rows(
+                combine,
                 FragmentInstance(order, parents).copy(),
                 FragmentInstance(service, children).copy(),
             )
@@ -521,7 +523,8 @@ class TestOrphanAccounting:
         message = str(columnar.value)
         assert "None" in message and "-1" in message
         with pytest.raises(OperationError) as materialized:
-            combine.apply(
+            combine_rows(
+                combine,
                 FragmentInstance(order, parents).copy(),
                 FragmentInstance(service, children).copy(),
             )

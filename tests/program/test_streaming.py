@@ -15,6 +15,8 @@ from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.writer import serialize
 
+from tests.program.rowplane import combine_rows
+
 
 @pytest.fixture
 def setup(customers_s, customers_t, customer_documents):
@@ -251,7 +253,7 @@ class TestCombineOrphanParity:
         empty_parent = parent.copy()
         empty_parent.rows.clear()
         with pytest.raises(OperationError) as materialized_error:
-            op.apply(empty_parent, child.copy())
+            combine_rows(op, empty_parent, child.copy())
 
         empty_parent = parent.copy()
         empty_parent.rows.clear()
@@ -266,7 +268,7 @@ class TestCombineOrphanParity:
     def test_streaming_combine_matches_apply(self, instances):
         parent_fragment, child_fragment, parent, child = instances
         op = Combine(parent_fragment, child_fragment)
-        expected = op.apply(parent.copy(), child.copy())
+        expected = combine_rows(op, parent.copy(), child.copy())
         streamed_batches = list(op.apply_batches(
             FragmentStream.from_instance(parent, 2, copy_rows=True),
             FragmentStream.from_instance(child, 2, copy_rows=True),

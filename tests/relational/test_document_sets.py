@@ -4,13 +4,16 @@ import pytest
 
 from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
-from repro.relational.publisher import (
-    publish_document,
-    publish_document_set,
-)
-from repro.relational.shredder import shred_document, shred_documents
+from repro.relational.publisher import publish_document
+from repro.relational.shredder import shred_document
 from repro.errors import RelationalError
 from repro.xmlkit.tree import parse_tree
+
+from tests.documents import element_count
+from tests.relational.document_sets import (
+    publish_document_set,
+    shred_documents,
+)
 
 
 @pytest.fixture
@@ -44,7 +47,7 @@ class TestPublishDocumentSet:
             report.rows_merged for report in reports
         )
         assert published_elements == sum(
-            document.element_count()
+            element_count(document)
             for document in customer_documents
         )
 
@@ -92,7 +95,7 @@ class TestPublishDocumentSet:
     def test_single_document_publish_rejects_sets(self,
                                                   customer_store):
         db, mapper = customer_store
-        with pytest.raises(RelationalError, match="document_set"):
+        with pytest.raises(RelationalError, match="exactly one"):
             publish_document(db, mapper)
 
     def test_empty_store_publishes_empty_set(self, customers_t):

@@ -24,7 +24,7 @@ class TestLayout:
         db, mapper = lf_store
         item = auction_lf.fragment_of("item")
         table = db.table(mapper.table_name(item))
-        names = table.schema.column_names()
+        names = [column.name for column in table.schema.columns]
         assert names[0] == "id"
         assert names[1] == "parent"
         assert "location" in names           # leaf text column
@@ -46,7 +46,8 @@ class TestLayout:
     def test_internal_eid_columns(self, auction_lf, lf_store):
         db, mapper = lf_store
         site = auction_lf.root_fragment()
-        names = db.table(mapper.table_name(site)).schema.column_names()
+        names = [column.name for column in
+                 db.table(mapper.table_name(site)).schema.columns]
         # Internal one-to-one elements keep their keys.
         assert "regions_eid" in names
         assert "africa_eid" in names
@@ -107,12 +108,6 @@ class TestLoadAndScan:
             instance.row_count() for instance in feeds.values()
         )
 
-    def test_truncate_all(self, lf_store, auction_document):
-        db, mapper = lf_store
-        mapper.load_document(db, auction_document)
-        mapper.truncate_all(db)
-        assert db.total_rows() == 0
-
     def test_create_indexes_counts(self, lf_store, auction_document):
         db, mapper = lf_store
         mapper.load_document(db, auction_document)
@@ -127,7 +122,7 @@ class TestLoadAndScan:
         mapper.load_document(db, auction_document)
         item = auction_lf.fragment_of("item")
         table = db.table(mapper.table_name(item))
-        featured = table.column_values("item_featured")
+        featured = table.columns[table.schema.position("item_featured")]
         assert any(value is None for value in featured)
         assert any(value == "yes" for value in featured)
 

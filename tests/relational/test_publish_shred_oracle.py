@@ -19,14 +19,16 @@ from repro.core.fragmentation import Fragmentation
 from repro.errors import RelationalError, SchemaError
 from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
-from repro.relational.publisher import (
-    publish_document,
-    publish_document_set,
-)
-from repro.relational.shredder import shred_document, shred_documents
+from repro.relational.publisher import publish_document
+from repro.relational.shredder import shred_document
 from repro.schema.model import Cardinality, SchemaNode, SchemaTree
 
+from tests.documents import element_count
 from tests.integration.test_random_roundtrips import pipelines
+from tests.relational.document_sets import (
+    publish_document_set,
+    shred_documents,
+)
 from tests.relational.tree_publisher import (
     tree_publish_document,
     tree_publish_document_set,
@@ -227,7 +229,7 @@ def test_document_sets_match_the_oracles(customers_t, customers_s,
     texts = [report.document for report in reports]
     assert texts == tree_publish_document_set(db, mapper)
     assert [report.rows_merged for report in reports] == [
-        document.element_count() for document in customer_documents
+        element_count(document) for document in customer_documents
     ]
 
     combined = shred_documents(texts, mapper)
@@ -281,4 +283,3 @@ def test_publish_leaves_no_garbage_cycle(auction_mf, auction_document):
     finally:
         gc.enable()
     assert gc.collect() == 0
-

@@ -7,8 +7,11 @@ from repro.errors import RelationalError, SchemaError
 from repro.relational.engine import Database
 from repro.relational.frag_store import FragmentRelationMapper
 from repro.relational.publisher import publish_document
-from repro.relational.shredder import shred_document, shred_documents
+from repro.relational.shredder import shred_document
 from repro.xmlkit.tree import parse_tree
+
+from tests.documents import element_count
+from tests.relational.document_sets import shred_documents, tuple_count
 
 
 @pytest.fixture
@@ -76,7 +79,7 @@ class TestShredder:
             mapper_lf.table_name(auction_lf.fragment_of("category"))
         ]
         assert len(items) > 0 and len(categories) > 0
-        assert result.tuple_count == len(items) + len(categories) + 1
+        assert tuple_count(result) == len(items) + len(categories) + 1
 
     def test_elements_parsed_counts_all(self, mf_store, auction_lf,
                                         auction_document):
@@ -86,7 +89,7 @@ class TestShredder:
             document, FragmentRelationMapper(auction_lf)
         )
         assert result.elements_parsed == \
-            auction_document.element_count()
+            element_count(auction_document)
 
     def test_load_into_then_republish_identical(
             self, mf_store, auction_lf):
@@ -97,7 +100,7 @@ class TestShredder:
         mapper_lf.create_tables(target_db)
         shredded = shred_document(document, mapper_lf)
         loaded = shredded.load_into(target_db)
-        assert loaded == shredded.tuple_count
+        assert loaded == tuple_count(shredded)
         assert publish_document(target_db, mapper_lf).document == \
             document
 
@@ -123,7 +126,7 @@ class TestShredder:
             )
             for table_name, rows in shredded.rows.items()
         )
-        assert loaded == row_loaded == shredded.tuple_count
+        assert loaded == row_loaded == tuple_count(shredded)
         for layout in mapper_lf.layouts.values():
             assert list(
                 columnar_db.table(layout.table_name).scan()
@@ -174,15 +177,18 @@ class TestShredder:
         assert any(value and value.startswith("item") for value in ids)
 
 
-def _one_item_document() -> ElementData:
+def _one_item_document(empty_iname: bool = False) -> ElementData:
     """``site/regions/africa/item`` with one ``location``: every other
     fragment table stays empty, the item's table holds one row, the
-    absent ``featured`` attribute and ``iname`` leaf are NULL cells."""
+    absent ``featured`` attribute and ``iname`` leaf are NULL cells.
+    With ``empty_iname`` the item has an ``iname`` with no text."""
     site = ElementData("site", 1)
     regions = site.add_child(ElementData("regions", 2))
     africa = regions.add_child(ElementData("africa", 3))
     item = africa.add_child(ElementData("item", 4, {"id": "item0"}))
     item.add_child(ElementData("location", 5, text="Kenya"))
+    if empty_iname:
+        item.add_child(ElementData("iname", 6))
     return site
 
 
@@ -218,18 +224,22 @@ class TestTransposedLoads:
         assert db.table(category.table_name).columns \
             == [[] for _ in category.specs]
 
-    @pytest.mark.parametrize("fragmentation", ["auction_lf", "auction_mf"])
+    @pytest.mark.parametrize("fragmentation, empty_iname", [
+        ("auction_lf", False), ("auction_mf", False),
+        ("auction_lf", True), ("auction_mf", True),
+    ], ids=["auction_lf", "auction_mf",
+            "auction_lf-empty-text", "auction_mf-empty-text"])
     def test_load_into_stores_what_load_document_stores(
-            self, fragmentation, request):
+            self, fragmentation, empty_iname, request):
         fragmentation = request.getfixturevalue(fragmentation)
         mapper = FragmentRelationMapper(fragmentation)
         loaded, shredded = Database("L"), Database("S")
         mapper.create_tables(loaded)
         mapper.create_tables(shredded)
-        mapper.load_document(loaded, _one_item_document())
+        mapper.load_document(loaded, _one_item_document(empty_iname))
         document = publish_document(loaded, mapper).document
         result = shred_document(document, mapper)
-        assert result.load_into(shredded) == result.tuple_count \
+        assert result.load_into(shredded) == tuple_count(result) \
             == loaded.total_rows()
         assert self._stored(shredded, mapper) \
             == self._stored(loaded, mapper)

@@ -31,6 +31,12 @@ def db():
     return database
 
 
+def _rows_where(table, column, keys):
+    """The rows whose ``column`` value is in ``keys``, by index."""
+    return [table.row(row_id)
+            for row_id in table.row_ids_where(column, keys)]
+
+
 class TestExecutor:
     """Reads and deletes by value, through the table API."""
 
@@ -44,17 +50,17 @@ class TestExecutor:
 
     def test_index_assisted_equality(self, db):
         customer = db.table("customer")
-        rows = customer.rows_where("region", ["east"])
+        rows = _rows_where(customer, "region", ["east"])
         assert sorted(row[1] for row in rows) == ["acme", "initech"]
         assert customer.get_index("region") is not None
         # And the read can be repeated through the same index.
-        assert customer.rows_where("region", ["east"]) == rows
+        assert _rows_where(customer, "region", ["east"]) == rows
 
     def test_unknown_table_and_column(self, db):
         with pytest.raises(TableError):
             db.table("nope")
         with pytest.raises(TableError):
-            db.table("customer").rows_where("nope", [1])
+            db.table("customer").row_ids_where("nope", [1])
 
     def test_create_duplicate_table_rejected(self, db):
         with pytest.raises(TableError):
@@ -65,7 +71,6 @@ class TestExecutor:
 
 class TestDatabase:
     def test_table_names(self, db):
-        assert db.has_table("CUSTOMER") and not db.has_table("nope")
         assert db.table("Orders").schema.name == "orders"
 
     def test_totals(self, db):

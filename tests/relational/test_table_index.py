@@ -20,8 +20,7 @@ def _assert_answers_like_a_fresh_build(index, table, keys):
     fresh = HashIndex(table.schema.name, index.column, index.position)
     fresh.build_column(table.columns[index.position])
     for key in keys:
-        assert index.lookup(key) == fresh.lookup(key)
-        assert index.row_ids([key]) == fresh.lookup(key)
+        assert index.row_ids([key]) == fresh.row_ids([key])
     assert len(index) == len(fresh) == len(table)
 
 
@@ -52,36 +51,32 @@ class TestTable:
         assert not index.built
         assert table.lookup_index("id") is index
         assert index.built
-        assert index.lookup(2) == [1]
+        assert index.row_ids((2,)) == [1]
 
     def test_insert_maintains_indexes(self, table):
         index = table.create_index("name")
         table.upsert([[1, "x"]])
-        assert index.lookup("x") == [0]
+        assert index.row_ids(("x",)) == [0]
 
     def test_truncate(self, table):
         table.create_index("id")
         table.bulk_load([[1, "a"]])
         table.truncate()
         assert len(table) == 0
-        assert table.get_index("id").lookup(1) == []
+        assert table.get_index("id").row_ids((1,)) == []
 
     def test_duplicate_index_rejected(self, table):
         table.create_index("id")
         with pytest.raises(TableError):
             table.create_index("id")
 
-    def test_column_values(self, table):
-        table.bulk_load([[1, "a"], [2, "b"]])
-        assert table.column_values("name") == ["a", "b"]
-
 
 class TestHashIndex:
     def test_build_and_lookup(self):
         index = HashIndex("t", "c", 0)
         index.build_column([1, 2, 1])
-        assert index.lookup(1) == [0, 2]
-        assert index.lookup(9) == []
+        assert index.row_ids((1,)) == [0, 2]
+        assert index.row_ids((9,)) == []
         assert index.row_ids([2, 9, 1]) == [1, 0, 2]
         assert len(index) == 3
 
@@ -92,7 +87,7 @@ class TestHashIndex:
         index.build_column([f"k{n}" for n in range(1000)] + [None])
         assert all(type(held) is int for held in index._rows.values())
         assert not gc.is_tracked(index._rows)
-        assert index.lookup("k7") == [7] and index.lookup(None) == [1000]
+        assert index.row_ids(("k7",)) == [7] and index.row_ids((None,)) == [1000]
         assert len(index) == 1001
 
     @settings(max_examples=200, deadline=None)
@@ -120,7 +115,7 @@ class TestHashIndex:
             for held_key in range(3):
                 expected = sorted(at for at, value in model.items()
                                   if value == held_key)
-                assert index.lookup(held_key) == expected
+                assert index.row_ids((held_key,)) == expected
                 held = index.entry(held_key)
                 assert held == (None if not expected else expected[0]
                                 if len(expected) == 1 else expected)
@@ -217,11 +212,11 @@ class TestUpsertAndDelete:
         assert table.upsert([[2, "B"], [3, "c"]]) == 2
         assert list(table.scan()) == [(1, "a"), (2, "B"), (3, "c")]
         assert by_name.built
-        assert by_name.lookup("b") == []
-        assert by_name.lookup("B") == [1]
-        assert by_name.lookup("c") == [2]
+        assert by_name.row_ids(("b",)) == []
+        assert by_name.row_ids(("B",)) == [1]
+        assert by_name.row_ids(("c",)) == [2]
         # The key index upsert made for itself is a built one too.
-        assert table.get_index("id").lookup(3) == [2]
+        assert table.get_index("id").row_ids((3,)) == [2]
 
     def test_upsert_collapses_loaded_duplicates(self, table):
         table.bulk_load([[1, "a"], [2, "b"], [1, "again"]])
@@ -492,7 +487,9 @@ class ClusteredTableMachine(RuleBasedStateMachine):
                 )
         for column, at in (("id", 0), ("parent", 1)):
             keys = {row[at] for row in self.model} | {99}
-            assert sorted(self.table.rows_where(column, keys), key=repr) \
+            found = [self.table.row(row_id) for row_id
+                     in self.table.row_ids_where(column, keys)]
+            assert sorted(found, key=repr) \
                 == sorted([row for row in self.model if row[at] in keys],
                           key=repr)
 
@@ -556,12 +553,12 @@ class TestSortsOnlyWhenDisordered:
         by_id = feed.lookup_index("id")
         by_parent = feed.lookup_index("parent")
         feed.upsert([[2, 3], [6, None]])  # re-parents two rows
-        assert by_parent.lookup(3) == [1, 6, 7]
+        assert by_parent.row_ids((3,)) == [1, 6, 7]
         feed.clustered_columns()
         assert sorts == ["f"]
-        assert by_parent.lookup(3) == [5, 6, 7]
-        assert by_parent.lookup(None) == [0, 1]
-        assert by_id.lookup(2) == [5] and by_id.lookup(6) == [1]
+        assert by_parent.row_ids((3,)) == [5, 6, 7]
+        assert by_parent.row_ids((None,)) == [0, 1]
+        assert by_id.row_ids((2,)) == [5] and by_id.row_ids((6,)) == [1]
         for index in (by_id, by_parent):
             _assert_answers_like_a_fresh_build(
                 index, feed, set(range(10)) | {None}
@@ -571,6 +568,6 @@ class TestSortsOnlyWhenDisordered:
         feed.lookup_index("id")
         feed.delete_where("id", [3])
         assert feed.clustered_columns()[0] == [1, 2, 4, 5, 6, 7, 8]
-        assert feed.get_index("id").lookup(4) == [2]
+        assert feed.get_index("id").row_ids((4,)) == [2]
         feed.clustered_columns()
         assert sorts == ["f"]

@@ -41,7 +41,8 @@ class TestTableSchema:
             schema.position("zz")
 
     def test_column_names_preserve_case(self):
-        assert self.make().column_names() == ["id", "Name"]
+        assert [column.name for column in self.make().columns] \
+            == ["id", "Name"]
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(TableError):

@@ -59,7 +59,7 @@ def merge_and_tag(fragmentation: Fragmentation,
             out.append(escape_text(occurrence.text))
         for child_node in schema.node(occurrence.name).children:
             if child_node.name in fragment.elements:
-                for child in occurrence.child_list(child_node.name):
+                for child in occurrence.children.get(child_node.name, []):
                     emit(fragment, child)
             else:
                 child_fragment = fragmentation.fragment_of(
@@ -154,7 +154,7 @@ class ShredHandler(ContentHandler):
         text = "".join(self._texts.pop()).strip()
         fragment = self.fragmentation.fragment_of(name)
         row = self._current_row(fragment.name, name)
-        if self.schema.node(name).is_leaf and text:
+        if self.schema.node(name).is_leaf:
             row[name.lower()] = text
         if fragment.root_name == name:
             row = self._open_rows[fragment.name].pop()

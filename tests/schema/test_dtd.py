@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DtdSyntaxError, SchemaError
-from repro.schema.dtd import parse_dtd, serialize_dtd
+from repro.schema.dtd import parse_dtd
 from repro.schema.model import Cardinality
 from repro.workloads.xmark import XMARK_DTD
 
@@ -116,12 +116,3 @@ class TestXmarkDtd:
         assert tree.node("category").cardinality is Cardinality.PLUS
         assert tree.node("item").attributes == ["id", "featured"]
         assert len(tree) == 24
-
-    def test_serialize_round_trip(self):
-        tree = parse_dtd(XMARK_DTD)
-        again = parse_dtd(serialize_dtd(tree))
-        assert again.element_names() == tree.element_names()
-        assert all(
-            again.node(name).cardinality is tree.node(name).cardinality
-            for name in tree.element_names()
-        )

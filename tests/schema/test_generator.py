@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.schema.generator import balanced_schema, random_schema
+from repro.schema.generator import balanced_schema
+
+from tests.documents import random_schema
 
 
 class TestBalancedSchema:
@@ -15,12 +17,12 @@ class TestBalancedSchema:
     def test_deterministic_per_seed(self):
         first = balanced_schema(2, 3, seed=7)
         second = balanced_schema(2, 3, seed=7)
-        assert first.sketch() == second.sketch()
+        assert first.fingerprint() == second.fingerprint()
 
     def test_seeds_differ(self):
         assert (
-            balanced_schema(2, 3, seed=1, repeat_prob=0.5).sketch()
-            != balanced_schema(2, 3, seed=2, repeat_prob=0.5).sketch()
+            balanced_schema(2, 3, seed=1, repeat_prob=0.5).fingerprint()
+            != balanced_schema(2, 3, seed=2, repeat_prob=0.5).fingerprint()
         )
 
     def test_no_repeats_when_prob_zero(self):
@@ -47,8 +49,8 @@ class TestRandomSchema:
 
     def test_deterministic(self):
         assert (
-            random_schema(20, seed=9).sketch()
-            == random_schema(20, seed=9).sketch()
+            random_schema(20, seed=9).fingerprint()
+            == random_schema(20, seed=9).fingerprint()
         )
 
     def test_zero_nodes_rejected(self):

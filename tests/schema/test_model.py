@@ -59,14 +59,6 @@ class TestSchemaTree:
         assert tree.depth("a") == 0
         assert tree.depth("d") == 2
 
-    def test_ancestry(self):
-        tree = small_tree()
-        assert tree.is_ancestor("a", "d")
-        assert tree.is_ancestor("b", "e")
-        assert not tree.is_ancestor("d", "b")
-        assert not tree.is_ancestor("c", "d")
-        assert not tree.is_ancestor("a", "a")
-
     def test_path(self):
         tree = small_tree()
         assert tree.path("d") == ["a", "b", "d"]
@@ -90,13 +82,6 @@ class TestSchemaTree:
         with pytest.raises(SchemaError):
             tree.node("a").child("zz")
 
-    def test_is_connected(self):
-        tree = small_tree()
-        assert tree.is_connected({"b", "d"})
-        assert tree.is_connected({"a"})
-        assert not tree.is_connected({"d", "e"})  # two tops
-        assert not tree.is_connected(set())
-
     def test_top_of(self):
         tree = small_tree()
         assert tree.top_of({"b", "d", "e"}) == "b"
@@ -109,8 +94,3 @@ class TestSchemaTree:
         assert not tree.has_repeated_below("b", {"b", "d"})
         # The root itself being repeated does not matter.
         assert not tree.has_repeated_below("c", {"c"})
-
-    def test_sketch_mentions_every_element(self):
-        sketch = small_tree().sketch()
-        for name in ("a", "b*", "c+", "d", "e?"):
-            assert name in sketch

@@ -31,7 +31,7 @@ class TestRegistration:
         assert "fragmentation" in registration.wsdl_text
         parsed = parse_wsdl(registration.wsdl_text)
         assert parsed.find_extension("fragmentation") is not None
-        assert agency.registered_names() == ["sales"]
+        assert agency.registration("sales") is registration
 
     def test_register_without_fragmentation_defaults_to_document(
             self, agency, auction_schema):

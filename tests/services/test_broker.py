@@ -84,7 +84,7 @@ class TestBrokerSessions:
             self, loaded_agency, auction_lf, model, reference):
         # Every session wraps its own channel in the broker-wide plan,
         # so each one loses and re-sends on the same schedule.
-        plan = FaultPlan.scripted({1: "drop", 3: "corrupt"})
+        plan = FaultPlan.parse("drop@1,corrupt@3")
         with ExchangeBroker(
                 loaded_agency, plan_cache=PlanCache(), max_workers=3,
                 probe=model, fault_plan=plan,

@@ -9,7 +9,7 @@ from repro.core.program import run as run_module
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.journal import ExchangeJournal, write_key
 from repro.core.stream import ResidencyMeter
-from repro.net.faults import FaultPlan, RetryPolicy
+from repro.net.faults import FaultKind, FaultPlan, RetryPolicy
 from repro.net.transport import SimulatedChannel
 from repro.relational.publisher import publish_document
 from repro.services.endpoint import RelationalEndpoint
@@ -164,7 +164,7 @@ class TestResidencyDrains:
             scenario, batch_rows=batch_rows,
         )
         (meter,) = meters
-        assert meter.resident_rows == 0
+        assert meter.rows == 0
         assert meter.peak_rows > 0
 
     def test_resumed_run_drains(self, figure9_sources, auction_lf,
@@ -199,7 +199,7 @@ class TestResidencyDrains:
             )
         assert outcome.resume_count == 1
         resumed = meters[-1]
-        assert resumed.resident_rows == 0
+        assert resumed.rows == 0
         assert resumed.peak_rows > 0
 
 
@@ -238,7 +238,7 @@ class TestPublishAndMapUnderLoss:
     def test_drop_then_heal(self, loaded_source, auction_lf, document):
         outcome, _, target = self.lossy_pm(
             loaded_source, auction_lf, "pm-drop",
-            FaultPlan.scripted({0: "drop"}),
+            FaultPlan.parse("drop@0"),
             RetryPolicy(max_attempts=3, sleep=lambda d: None),
         )
         assert outcome.retries == 1
@@ -253,7 +253,7 @@ class TestPublishAndMapUnderLoss:
         with pytest.raises(RetryExhausted) as info:
             self.lossy_pm(
                 loaded_source, auction_lf, "pm-lost",
-                FaultPlan.scripted({0: "drop", 1: "corrupt", 2: "drop"}),
+                FaultPlan.parse("drop@0,corrupt@1,drop@2"),
                 RetryPolicy(max_attempts=3, sleep=lambda d: None),
             )
         assert info.value.attempts == 3
@@ -263,7 +263,7 @@ class TestPublishAndMapUnderLoss:
         budget = SimulatedChannel().transfer_cost(len(document))
         outcome, channel, _ = self.lossy_pm(
             loaded_source, auction_lf, "pm-late",
-            FaultPlan.scripted({0: "delay"}, delay_seconds=1.0),
+            FaultPlan(script={0: FaultKind.DELAY}, delay_seconds=1.0),
             RetryPolicy(max_attempts=3, timeout_seconds=budget + 0.5,
                         sleep=lambda d: None),
         )
@@ -339,8 +339,8 @@ class TestObservabilityWiring:
             tracer=tracer, metrics=metrics,
         )
         assert outcome.total_seconds > 0
-        assert tracer.spans_of("op") and tracer.spans_of("ship")
-        steps = {span.name for span in tracer.spans_of("step")}
+        assert [s for s in tracer.spans if s.category == "op"] and [s for s in tracer.spans if s.category == "ship"]
+        steps = {span.name for span in [s for s in tracer.spans if s.category == "step"]}
         assert {"execute program", "indexing"} <= steps
         assert metrics.counter("ship.messages").value > 0
         assert metrics.histogram("op.scan.seconds").count > 0
@@ -354,7 +354,7 @@ class TestObservabilityWiring:
         run_publish_and_map(
             loaded_source, target, SimulatedChannel(), tracer=tracer
         )
-        steps = {span.name for span in tracer.spans_of("step")}
+        steps = {span.name for span in [s for s in tracer.spans if s.category == "step"]}
         assert {"publish", "ship document", "shred", "load",
                 "indexing"} <= steps
 

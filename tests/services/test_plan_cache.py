@@ -106,8 +106,7 @@ class TestPlanCache:
             == locations(plan.program, plan.placement)
         assert entry.estimated_cost == plan.estimated_cost
         assert cache.stats() == {
-            "size": 1, "hits": 2, "misses": 1,
-            "evictions": 0, "invalidations": 0,
+            "size": 1, "hits": 2, "misses": 1, "evictions": 0,
         }
         assert metrics.counter("plancache.hits").value == 2
         assert metrics.counter("plancache.misses").value == 1
@@ -130,33 +129,6 @@ class TestPlanCache:
         assert cache.get(forward) is None  # evicted, counts a miss
         assert cache.get(variant) is not None
 
-    def test_invalidate_by_cost_signature(
-            self, agency, auction_mf, auction_lf, auction_schema,
-            model):
-        cache = PlanCache()
-        plan = agency.negotiate("s", "t", probe=model)
-        fingerprint = plan_fingerprint(auction_mf, auction_lf, model,
-                                       "greedy")
-        cache.put(fingerprint, plan.program, plan.placement,
-                  estimated_cost=1.0, optimizer="greedy",
-                  optimizer_seconds=0.0)
-        other = CostModel(
-            StatisticsCatalog.synthetic(auction_schema),
-            target=MachineProfile("t", speed=0.1),
-        )
-        assert cache.invalidate(
-            cost_signature=plan_fingerprint(
-                auction_mf, auction_lf, other, "greedy"
-            ).cost_signature
-        ) == 0
-        assert len(cache) == 1
-        dropped = cache.invalidate(
-            cost_signature=fingerprint.cost_signature,
-        )
-        assert dropped == 1
-        assert len(cache) == 0
-        assert cache.invalidations == 1
-
 
 class TestNegotiateWithCache:
     def test_warm_negotiation_skips_optimizer(self, agency, model):
@@ -172,19 +144,6 @@ class TestNegotiateWithCache:
         # The acceptance check: a warm hit runs zero optimizations.
         assert metrics.counter("optimizer.runs").value == 1
         assert metrics.counter("optimizer.greedy.runs").value == 1
-
-    def test_invalidation_forces_reoptimization(self, agency, model):
-        metrics = MetricsRegistry()
-        cache = PlanCache(metrics=metrics)
-        agency.negotiate("s", "t", probe=model, plan_cache=cache,
-                         metrics=metrics)
-        assert cache.invalidate() == 1
-        assert len(cache) == 0
-        renegotiated = agency.negotiate("s", "t", probe=model,
-                                        plan_cache=cache,
-                                        metrics=metrics)
-        assert not renegotiated.cached
-        assert metrics.counter("optimizer.runs").value == 2
 
     @pytest.mark.parametrize("batch_rows", [None, 64],
                              ids=["sequential", "streaming"])

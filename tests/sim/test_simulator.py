@@ -90,7 +90,7 @@ class TestGreedyQuality:
             n_fragments=5, source=MachineProfile("s"),
             target=MachineProfile("t"), rng=random.Random(11),
         )
-        spans = {span.name: span for span in tracer.spans_of("sim")}
+        spans = {span.name: span for span in [s for s in tracer.spans if s.category == "sim"]}
         for name in ("optimal search", "worst search"):
             assert spans[name].attrs["programs_considered"] == 1
             assert spans[name].attrs["subproblems"] > 0
@@ -138,8 +138,6 @@ class TestDeltaExchangeCosts:
             == pytest.approx(estimates[-1].full_cost)
         for estimate in estimates:
             assert 0.0 <= estimate.relative_cost <= 1.0 + 1e-9
-            assert estimate.savings_percent \
-                == pytest.approx(100 * (1 - estimate.relative_cost))
 
     def test_bad_inputs_rejected(self, simulator, fragmentations):
         source_fragmentation, target_fragmentation = fragmentations

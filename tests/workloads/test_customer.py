@@ -2,9 +2,10 @@
 
 from repro.workloads.customer import (
     fragment_customers,
-    generate_customer_document,
     generate_customer_instances,
 )
+
+from tests.documents import element_count, feed_element_count
 
 
 class TestGenerator:
@@ -14,9 +15,9 @@ class TestGenerator:
         assert all(doc.name == "Customer" for doc in documents)
 
     def test_single_document(self):
-        document = generate_customer_document(seed=3)
+        document = generate_customer_instances(1, seed=3)[0]
         assert document.name == "Customer"
-        assert document.child_list("CustName")
+        assert document.children["CustName"]
 
     def test_structure(self, customers_schema):
         for document in generate_customer_instances(3, seed=2):
@@ -26,14 +27,14 @@ class TestGenerator:
     def test_deterministic(self):
         first = generate_customer_instances(3, seed=5)
         second = generate_customer_instances(3, seed=5)
-        assert [d.element_count() for d in first] == \
-            [d.element_count() for d in second]
+        assert [element_count(d) for d in first] == \
+            [element_count(d) for d in second]
 
     def test_every_line_has_switch_and_telno(self):
         for document in generate_customer_instances(4, seed=6):
             for line in document.occurrences_of("Line"):
-                assert len(line.child_list("Switch")) == 1
-                assert len(line.child_list("TelNo")) == 1
+                assert len(line.children["Switch"]) == 1
+                assert len(line.children["TelNo"]) == 1
 
 
 class TestFragmentCustomers:
@@ -51,8 +52,8 @@ class TestFragmentCustomers:
                                   customer_documents):
         feeds = fragment_customers(customer_documents, customers_t)
         total = sum(
-            instance.element_count() for instance in feeds.values()
+            feed_element_count(instance) for instance in feeds.values()
         )
         assert total == sum(
-            document.element_count() for document in customer_documents
+            element_count(document) for document in customer_documents
         )

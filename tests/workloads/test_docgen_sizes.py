@@ -3,7 +3,6 @@
 import pytest
 
 from repro.schema.generator import balanced_schema
-from repro.workloads.docgen import generate_document, iter_leaf_texts
 from repro.workloads.sizes import (
     DOCUMENT_SIZES_MB,
     current_scale,
@@ -11,13 +10,15 @@ from repro.workloads.sizes import (
     size_label,
 )
 
+from tests.documents import element_count, generate_document
+
 
 class TestDocgen:
     def test_conforms_and_is_seeded(self):
         schema = balanced_schema(2, 3, seed=4, repeat_prob=0.5)
         first = generate_document(schema, seed=7)
         second = generate_document(schema, seed=7)
-        assert first.element_count() == second.element_count()
+        assert element_count(first) == element_count(second)
         for node in first.iter_all():
             assert node.name in schema
 
@@ -30,7 +31,7 @@ class TestDocgen:
     def test_leaf_texts(self):
         schema = balanced_schema(1, 2, seed=0, repeat_prob=0.0)
         document = generate_document(schema, seed=1, text_words=3)
-        texts = list(iter_leaf_texts(document))
+        texts = [node.text for node in document.iter_all() if node.text]
         assert texts
         assert all(len(text.split()) == 3 for text in texts)
 

@@ -9,25 +9,27 @@ from repro.workloads.xmark import (
     xmark_schema,
 )
 
+from tests.documents import element_count, tagged_size
+
 
 class TestGenerator:
     def test_size_targeting(self):
         for target in (20_000, 100_000):
             document = generate_xmark_document(target, seed=1)
-            size = document.estimated_size()
+            size = tagged_size(document)
             assert 0.7 * target <= size <= 1.4 * target
 
     def test_size_ratio_preserved(self):
         small = generate_xmark_document(25_000, seed=1)
         large = generate_xmark_document(250_000, seed=1)
-        ratio = large.estimated_size() / small.estimated_size()
+        ratio = tagged_size(large) / tagged_size(small)
         assert 8.0 <= ratio <= 12.0
 
     def test_deterministic(self):
         first = generate_xmark_document(20_000, seed=4)
         second = generate_xmark_document(20_000, seed=4)
-        assert first.estimated_size() == second.estimated_size()
-        assert first.element_count() == second.element_count()
+        assert tagged_size(first) == tagged_size(second)
+        assert element_count(first) == element_count(second)
 
     def test_conforms_to_schema(self):
         schema = xmark_schema()

@@ -3,81 +3,83 @@
 import pytest
 
 from repro.errors import XmlSyntaxError
-from repro.xmlkit.events import (
-    Characters,
-    Comment,
-    EndElement,
-    ProcessingInstruction,
-    StartElement,
-    XmlDeclaration,
+from repro.xmlkit.parser import (
+    COMMENT,
+    DECLARATION,
+    END,
+    PI,
+    START,
+    TEXT,
+    ContentHandler,
+    push_parse,
+    tokens,
 )
-from repro.xmlkit.parser import ContentHandler, iterparse, push_parse
 
 
 def events(text):
-    return list(iterparse(text))
+    return list(tokens(text))
 
 
 class TestBasicParsing:
     def test_single_empty_element(self):
-        assert events("<a/>") == [StartElement("a"), EndElement("a")]
+        assert events("<a/>") == [(START, "a", {}), (END, "a", None)]
 
     def test_element_with_text(self):
         got = events("<a>hello</a>")
         assert got == [
-            StartElement("a"), Characters("hello"), EndElement("a"),
+            (START, "a", {}), (TEXT, "hello", None), (END, "a", None),
         ]
 
     def test_nested_elements(self):
         got = events("<a><b/><c/></a>")
-        names = [e.name for e in got if isinstance(e, StartElement)]
+        names = [value for kind, value, _ in got if kind == START]
         assert names == ["a", "b", "c"]
 
     def test_attributes_double_and_single_quotes(self):
         got = events("""<a x="1" y='two'/>""")
-        assert got[0] == StartElement("a", {"x": "1", "y": "two"})
+        assert got[0] == (START, "a", {"x": "1", "y": "two"})
 
     def test_attribute_entities_resolved(self):
         got = events('<a x="&lt;&amp;&gt;"/>')
-        assert got[0].attrs["x"] == "<&>"
+        assert got[0][2]["x"] == "<&>"
 
     def test_text_entities_resolved(self):
         got = events("<a>&lt;tag&gt;</a>")
-        assert got[1] == Characters("<tag>")
+        assert got[1] == (TEXT, "<tag>", None)
 
     def test_xml_declaration(self):
         got = events('<?xml version="1.0" encoding="UTF-8"?><a/>')
-        assert got[0] == XmlDeclaration("1.0", "UTF-8", None)
+        assert got[0] == (DECLARATION, "1.0", ("UTF-8", None))
 
     def test_comment(self):
         got = events("<a><!-- note --></a>")
-        assert Comment(" note ") in got
+        assert (COMMENT, " note ", None) in got
 
     def test_comment_before_root(self):
         got = events("<!-- head --><a/>")
-        assert got[0] == Comment(" head ")
+        assert got[0] == (COMMENT, " head ", None)
 
     def test_processing_instruction(self):
         got = events('<?pi some data?><a/>')
-        assert got[0] == ProcessingInstruction("pi", "some data")
+        assert got[0] == (PI, "pi", "some data")
 
     def test_cdata_section(self):
         got = events("<a><![CDATA[<raw> & stuff]]></a>")
-        assert got[1] == Characters("<raw> & stuff")
+        assert got[1] == (TEXT, "<raw> & stuff", None)
 
     def test_doctype_skipped(self):
         got = events("<!DOCTYPE a [<!ELEMENT a (#PCDATA)>]><a/>")
-        assert got == [StartElement("a"), EndElement("a")]
+        assert got == [(START, "a", {}), (END, "a", None)]
 
     def test_whitespace_between_elements_is_characters(self):
         got = events("<a> <b/> </a>")
-        texts = [e.text for e in got if isinstance(e, Characters)]
+        texts = [value for kind, value, _ in got if kind == TEXT]
         assert texts == [" ", " "]
 
     def test_namespaced_names(self):
         got = events('<soap:Envelope xmlns:soap="ns"><soap:Body/>'
                      "</soap:Envelope>")
-        assert got[0].name == "soap:Envelope"
+        assert got[0][1] == "soap:Envelope"
 
 
 class TestWellFormedness:

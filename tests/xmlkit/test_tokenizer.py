@@ -13,14 +13,16 @@ from hypothesis import strategies as st
 
 from repro.errors import XmlSyntaxError
 from repro.xmlkit.escape import unescape
-from repro.xmlkit.events import (
-    Characters,
-    Comment,
-    EndElement,
-    ProcessingInstruction,
-    StartElement,
+from repro.xmlkit.parser import (
+    COMMENT,
+    END,
+    PI,
+    START,
+    TEXT,
+    ContentHandler,
+    push_parse,
+    tokens,
 )
-from repro.xmlkit.parser import ContentHandler, iterparse, push_parse
 from repro.xmlkit.tree import parse_tree
 from repro.xmlkit.writer import serialize
 
@@ -137,17 +139,17 @@ def expat_stream(text):
 
 def tokenizer_stream(text):
     stream = []
-    for event in iterparse(text):
-        if isinstance(event, StartElement):
-            stream.append(("start", event.name, event.attrs))
-        elif isinstance(event, EndElement):
-            stream.append(("end", event.name))
-        elif isinstance(event, Characters):
-            stream.append(("chars", event.text))
-        elif isinstance(event, Comment):
-            stream.append(("comment", event.text))
-        elif isinstance(event, ProcessingInstruction):
-            stream.append(("pi", event.target, event.data))
+    for kind, value, extra in tokens(text):
+        if kind == START:
+            stream.append(("start", value, extra))
+        elif kind == END:
+            stream.append(("end", value))
+        elif kind == TEXT:
+            stream.append(("chars", value))
+        elif kind == COMMENT:
+            stream.append(("comment", value))
+        elif kind == PI:
+            stream.append(("pi", value, extra))
     return _merged(stream)
 
 
@@ -282,7 +284,7 @@ class TestMalformedInput:
     def test_message_and_position_unchanged(self, bad, message, line,
                                             column):
         with pytest.raises(XmlSyntaxError) as caught:
-            list(iterparse(bad))
+            list(tokens(bad))
         error = caught.value
         where = f" (line {line}, column {column})" if line else ""
         assert str(error) == message + where
@@ -303,7 +305,7 @@ MEGABYTE = 1 << 20
 
 
 def _events(text):
-    return list(iterparse(text))
+    return list(tokens(text))
 
 
 def _timed(function, *args):
@@ -331,7 +333,7 @@ class TestLinearTime:
         count = MEGABYTE // 10
         tag = "<a" + self._attributes(count) + "/>"
         events, seconds = _timed(_events, tag)
-        assert len(events[0].attrs) == count
+        assert len(events[0][2]) == count
         assert seconds < WALL_BOUND_SECONDS
 
     def test_a_megabyte_attribute_value_that_never_closes(self):
@@ -362,6 +364,7 @@ class TestLinearTime:
             if isinstance(result, XmlSyntaxError):
                 assert str(parsed) == str(result)
             else:
-                assert result in (parsed[0].attrs.get("x"),
-                                  getattr(parsed[1], "text", None))
+                kind, value, _ = parsed[1]
+                assert result in (parsed[0][2].get("x"),
+                                  value if kind == TEXT else None)
             assert seconds < WALL_BOUND_SECONDS
