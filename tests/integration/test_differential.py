@@ -5,7 +5,10 @@ optimized exchange must publish a byte-identical target document from
 every executor configuration — unbatched, and batched at several
 batch sizes — and that answer must not change when the channel drops,
 corrupts, duplicates or reorders messages, as long as the retry layer
-is allowed to heal it.
+is allowed to heal it.  The customer scenario's S -> T and T -> S,
+whose ``Line_Feature`` does not flatten, run the same matrix between
+in-memory endpoints, checked against the instance-level split of the
+documents.
 
 Marked ``faults``: tier-1 deselects this module (see pyproject.toml);
 CI runs it in the dedicated fault-blitz job.
@@ -15,6 +18,7 @@ import random
 
 import pytest
 
+from repro.core.delta import instance_digest
 from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
@@ -22,7 +26,11 @@ from repro.core.program.executor import ProgramExecutor
 from repro.net.faults import FaultPlan, FaultyChannel, RetryPolicy
 from repro.net.transport import SimulatedChannel
 from repro.relational.publisher import publish_document
-from repro.services.endpoint import RelationalEndpoint
+from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
+from repro.workloads.customer import (
+    fragment_customers,
+    generate_customer_instances,
+)
 
 from tests.documents import generate_document, random_schema
 from tests.integration.test_random_roundtrips import flat_fragmentation
@@ -148,3 +156,79 @@ def test_lossy_wire_charges_for_waste(scenario):
         assert lossy.total_bytes > clean.total_bytes
         assert lossy.lost_bytes > 0
     assert lossy.total_bytes >= clean.total_bytes
+
+
+@pytest.fixture(scope="module", params=["S-T", "T-S"])
+def customer_scenario(request, customers_s, customers_t):
+    """The customer exchange between in-memory endpoints, and the
+    target instances the documents split into."""
+    source_frag, target_frag = (
+        (customers_s, customers_t) if request.param == "S-T"
+        else (customers_t, customers_s)
+    )
+    documents = generate_customer_instances(6, seed=17)
+    source = InMemoryEndpoint("source")
+    for instance in fragment_customers(documents, source_frag).values():
+        source.put(instance)
+    expected = {
+        name: instance_digest(instance)
+        for name, instance in fragment_customers(
+            documents, target_frag
+        ).items()
+    }
+    program = build_transfer_program(
+        derive_mapping(source_frag, target_frag)
+    )
+    return source, target_frag, program, expected
+
+
+@pytest.mark.parametrize(
+    "options",
+    [pytest.param(opts, id=name) for name, opts in EXECUTORS],
+)
+@pytest.mark.parametrize(
+    "plan",
+    [pytest.param(plan, id=name) for name, plan in FAULT_PLANS],
+)
+def test_non_flat_exchanges_agree_under_every_plan(
+        customer_scenario, options, plan):
+    source, target_frag, program, expected = customer_scenario
+    target = InMemoryEndpoint("target")
+    channel = SimulatedChannel(wire_format=True)
+    wire = channel if plan is None else FaultyChannel(channel, plan)
+    retry = None if plan is None else RetryPolicy(max_attempts=10)
+    report = ProgramExecutor(
+        source, target, wire, retry=retry, **options
+    ).run(program, source_heavy_placement(program))
+    assert {
+        fragment.name: instance_digest(target.scan(fragment))
+        for fragment in target_frag
+    } == expected
+    if plan is None:
+        assert report.retries == 0
+        assert report.redelivered_batches == 0
+
+
+def test_non_flat_runs_exercise_every_fault(customer_scenario):
+    """Guard against a vacuous matrix: over the batched configs the
+    two lossy plans drop, corrupt, duplicate and re-order messages of
+    the customer exchange, and the retry layer heals them."""
+    source, target_frag, program, expected = customer_scenario
+    injected = {}
+    for _, plan in FAULT_PLANS[1:]:
+        for batch_rows in (1, 7):
+            wire = FaultyChannel(SimulatedChannel(wire_format=True), plan)
+            target = InMemoryEndpoint("target")
+            ProgramExecutor(
+                source, target, wire, batch_rows=batch_rows,
+                retry=RetryPolicy(max_attempts=10),
+            ).run(program, source_heavy_placement(program))
+            for kind in ("drops", "corruptions", "duplicates",
+                         "reorders"):
+                injected[kind] = (
+                    injected.get(kind, 0) + getattr(wire.stats, kind)
+                )
+            assert instance_digest(
+                target.scan(target_frag.fragments[-1])
+            ) == expected[target_frag.fragments[-1].name]
+    assert all(injected.values()), injected

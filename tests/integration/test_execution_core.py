@@ -2,9 +2,11 @@
 
 The byte-identity invariant over the product of the executor's knobs —
 batch size × journal (none, or killed mid-run and resumed) — on
-inputs whose streams are all columnar and on inputs
-where row and columnar streams meet, plus the wire contract of
-unbatched runs: a ``batch_rows=None`` exchange ships exactly the one
+inputs whose fragments all flatten and on inputs holding fragments
+that do not (the customer scenario and its whole-document
+fragmentation, over the simulated wire and over TCP into a live
+``FeedSink``), plus the wire contract of unbatched runs: a
+``batch_rows=None`` exchange ships exactly the one
 ``wrap_fragment_feed`` message per cross-edge that the paper's setup
 sends.
 """
@@ -13,6 +15,7 @@ import random
 
 import pytest
 
+from repro.core.fragmentation import Fragmentation
 from repro.core.mapping import derive_mapping
 from repro.core.ops.base import Location
 from repro.core.ops.scan import Scan
@@ -74,13 +77,28 @@ def _assembled(endpoint, fragmentation):
     return row.data
 
 
+def target_heavy_placement(program):
+    """Scans at the source, everything else at the target: every
+    scanned fragment crosses the wire."""
+    return {
+        node.op_id: (
+            Location.SOURCE if isinstance(node, Scan)
+            else Location.TARGET
+        )
+        for node in program.nodes
+    }
+
+
 @pytest.fixture(scope="module")
-def adapter_exchanges(customers_s, customers_t):
-    """Where rows and columns meet: the customer scenario on in-memory
-    endpoints, in both directions.  S holds ``Line_Feature`` with its
-    repeated ``Feature`` inside, which does not flatten and travels as
-    row batches: S -> T splits it into flat pieces, T -> S combines
-    two flat columnar streams into it.  The reference is what
+def adapter_exchanges(customers_s, customers_t, customers_schema):
+    """Fragments that do not flatten: the customer scenario on
+    in-memory endpoints, S -> T, T -> S, S -> DOC and DOC -> T, where
+    DOC is the whole-document fragmentation.  S holds
+    ``Line_Feature`` with its repeated ``Feature`` inside: S -> T
+    splits it into flat pieces, T -> S combines two flat streams into
+    it.  DOC repeats ``Order``, ``Line`` and ``Feature`` at three
+    depths.  S -> DOC runs with every combine at the target, so all
+    five S fragments cross the wire.  The reference is what
     publish&map leaves a relational target publishing."""
     document = generate_customer_instances(1, seed=11)[0]
     flat = customers_t  # every T fragment flattens
@@ -89,9 +107,13 @@ def adapter_exchanges(customers_s, customers_t):
     mapped = RelationalEndpoint("T-flat", flat)
     run_publish_and_map(relational, mapped, SimulatedChannel())
     reference = publish_document(mapped.db, mapped.mapper).document
+    whole = Fragmentation.whole_document(customers_schema)
     exchanges = []
-    for source_frag, target_frag in ((customers_s, customers_t),
-                                     (customers_t, customers_s)):
+    for source_frag, target_frag, place in (
+            (customers_s, customers_t, source_heavy_placement),
+            (customers_t, customers_s, source_heavy_placement),
+            (customers_s, whole, target_heavy_placement),
+            (whole, customers_t, source_heavy_placement)):
         source = InMemoryEndpoint(source_frag.name)
         for instance in fragment_customers(
             [document], source_frag
@@ -100,8 +122,8 @@ def adapter_exchanges(customers_s, customers_t):
         program = build_transfer_program(
             derive_mapping(source_frag, target_frag)
         )
-        exchanges.append((source, target_frag, program))
-    (_, _, split_side), (_, _, combine_side) = exchanges
+        exchanges.append((source, target_frag, program, place))
+    (_, _, split_side, _), (_, _, combine_side, _) = exchanges[:2]
     assert any(  # a non-flat Split feeding flat pieces
         node.kind == "split" and not node.inputs[0].is_flat_storable()
         and all(piece.is_flat_storable() for piece in node.outputs)
@@ -124,8 +146,8 @@ def adapter_exchanges(customers_s, customers_t):
 
     return [
         (source, lambda: InMemoryEndpoint("target"), program,
-         lambda target, frag=target_frag: check(target, frag))
-        for source, target_frag, program in exchanges
+         lambda target, frag=target_frag: check(target, frag), place)
+        for source, target_frag, program, place in exchanges
     ]
 
 
@@ -139,46 +161,60 @@ def flat_exchanges(exchange):
         ).document == reference
 
     return [(source, lambda: RelationalEndpoint("B", target_frag),
-             program, check)]
+             program, check, source_heavy_placement)]
+
+
+@pytest.fixture(scope="module")
+def sink():
+    with FeedSink() as live:
+        yield live
 
 
 @pytest.mark.parametrize("resumed", [False, True],
                          ids=["fresh", "resumed-after-kill"])
 @pytest.mark.parametrize("streams", ["row", "columnar"])
 @pytest.mark.parametrize("batch_rows", [None, 1, 7, 64])
-def test_byte_identity(request, batch_rows, streams, resumed):
+def test_byte_identity(request, sink, batch_rows, streams, resumed):
     """``streams`` is not a knob — how a stream travels is read off
     its fragment — so the axis varies the input: ``columnar`` is flat
-    fragmentations between relational endpoints (no row batch
-    anywhere), ``row`` the exchanges of :func:`adapter_exchanges`
-    (row batches, columnar batches and both conversions between
-    them)."""
+    fragmentations between relational endpoints, ``row`` the
+    exchanges of :func:`adapter_exchanges`, which hold fragments that
+    do not flatten and run over the simulated wire and over TCP into
+    a live feed sink."""
     exchanges = request.getfixturevalue(
         "flat_exchanges" if streams == "columnar"
         else "adapter_exchanges"
     )
-    for source, new_target, program, check in exchanges:
-        placement = source_heavy_placement(program)
+    channels = [lambda: SimulatedChannel(wire_format=True)]
+    if streams == "row":
+        channels.append(lambda: TcpTransport.connect(sink.host, sink.port))
+    for source, new_target, program, check, place in exchanges:
+        placement = place(program)
         assert len(program.cross_edges(placement)) > 2
-        target = new_target()
-        journal = ExchangeJournal() if resumed else None
-        if resumed:
-            # The first attempt dies after two shipped messages; the
-            # second finishes against the surviving target store.
-            dying = KillSwitch(
-                SimulatedChannel(wire_format=True), lives=2
-            )
-            with pytest.raises(RuntimeError, match="process death"):
-                ProgramExecutor(
-                    source, target, dying, batch_rows=batch_rows,
-                    journal=journal,
+        for new_channel in channels:
+            target = new_target()
+            journal = ExchangeJournal() if resumed else None
+            if resumed:
+                # The first attempt dies after two shipped messages;
+                # the second finishes against the surviving target
+                # store.
+                dying = KillSwitch(new_channel(), lives=2)
+                with pytest.raises(RuntimeError, match="process death"):
+                    ProgramExecutor(
+                        source, target, dying, batch_rows=batch_rows,
+                        journal=journal,
+                    ).run(program, placement)
+                dying.close()
+            channel = new_channel()
+            try:
+                report = ProgramExecutor(
+                    source, target, channel,
+                    batch_rows=batch_rows, journal=journal,
                 ).run(program, placement)
-        report = ProgramExecutor(
-            source, target, SimulatedChannel(wire_format=True),
-            batch_rows=batch_rows, journal=journal,
-        ).run(program, placement)
-        assert report.resume_count == int(resumed)
-        check(target)
+            finally:
+                channel.close()
+            assert report.resume_count == int(resumed)
+            check(target)
 
 
 class TestUnbatchedWire:
