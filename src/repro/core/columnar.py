@@ -1,4 +1,4 @@
-"""Columnar fragment batches: the dataplane of flat-storable fragments.
+"""Columnar fragment batches: the one batch type of the dataplane.
 
 A fragment whose repeated elements are all fragment roots
 (:meth:`~repro.core.fragment.Fragment.is_flat_storable`) spends its
@@ -12,24 +12,24 @@ column per XML attribute — in exactly the order
 them, so a scan is a slice of the raw sorted feed and a write is a
 straight bulk load.  ``Combine`` is a build/probe join on the key
 columns, ``Split`` a column projection; no trees are built anywhere in
-between.  Row batches (:mod:`repro.core.stream`, one nested
-:class:`~repro.core.instance.ElementData` tree per occurrence) remain
-only as the adapter for fragments that do *not* flatten: repeated
-inner elements, which only in-memory and directory endpoints hold.
+between.  A fragment with repeated inner elements, which only
+in-memory and directory endpoints hold, moves as the column batches of
+its flat parts (:meth:`~repro.core.fragment.Fragment.flat_parts`),
+keyed to each other by ID/PARENT.
 
-Invariant: column cells hold the values the row adapter would store —
-text cells of present elements are strings (SQL ``NULL`` normalizes to
-``""``, mirroring the tree round-trip), cells of absent elements
-(every column of an element whose key cell is ``None``, and of its
-descendants) are ``None``.  That is what keeps the two representations
-byte-identical in the target tables for every batch size.
+Invariant: column cells hold the values a tree store round-trips —
+text cells of present elements are strings without leading or
+trailing whitespace (SQL ``NULL`` normalizes to ``""``, and the
+shredder and the tuple-feed writer strip text alike), cells of absent
+elements (every column of an element whose key cell is ``None``, and
+of its descendants) are ``None``.  That is what keeps a load from
+trees and a load from shredded text byte-identical.
 
 One size is measured on a batch: :meth:`~ColumnBatch.feed_size`, the
 tabular sorted-feed (wire) estimate a byte-counting channel charges
 for a shipped batch.  It is one pass per column, taken on first use,
 and agrees exactly with the per-row formula
-(:func:`~repro.core.instance.row_feed_size`), so a channel charges the
-same bytes whatever the batch representation.  Slicing is zero-copy: a
+(:func:`~repro.core.instance.row_feed_size`).  Slicing is zero-copy: a
 slice shares the parent's column lists and narrows ``start``/``stop``.
 """
 
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from repro.errors import OperationError
 from repro.core.fragment import Fragment
 from repro.core.instance import ElementData, FragmentRow
-from repro.core.stream import RowBatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +70,7 @@ class ColumnLayout:
     Raises:
         OperationError: if the fragment has repeated inner elements —
             such fragments do not flatten to one row per occurrence
-            and travel as row batches.
+            and travel as their flat parts.
     """
 
     __slots__ = ("fragment", "specs", "positions", "keys",
@@ -82,7 +81,7 @@ class ColumnLayout:
             raise OperationError(
                 f"fragment {fragment.name!r} has repeated inner "
                 "elements and no flat column layout (it travels as "
-                "row batches)"
+                "its flat parts)"
             )
         self.fragment = fragment
         specs: list[ColumnSpec] = [
@@ -157,7 +156,9 @@ class ColumnLayout:
     # -- row <-> cells --------------------------------------------------------
 
     def cells_from_row(self, row: FragmentRow) -> list[object]:
-        """Flatten one row's tree into this layout's cells."""
+        """Flatten one row's tree into this layout's cells, leaf text
+        stripped of leading and trailing whitespace (as the shredder
+        stores it); attribute values stay as they are."""
         found: dict[str, ElementData] = {}
         elements = self.fragment.elements
 
@@ -182,7 +183,7 @@ class ColumnLayout:
                 elif spec.role == "eid":
                     cells.append(node.eid)
                 elif spec.role == "text":
-                    cells.append(node.text)
+                    cells.append(node.text.strip())
                 else:
                     cells.append(node.attrs.get(spec.attribute or ""))
         return cells
@@ -232,15 +233,14 @@ def layout_of(fragment: Fragment) -> ColumnLayout:
 
 
 class ColumnBatch:
-    """An ordered slice of a fragment's feed, stored column-wise.
+    """An ordered slice of a flat fragment's feed, stored
+    column-wise.
 
-    Duck-compatible with :class:`~repro.core.stream.RowBatch` where
-    the pipeline needs it — ``fragment``/``seq``/``row_count``/
-    ``feed_size`` and a lazily materialized ``rows``
-    view — so the reliable shipping layer and the residency meter
-    handle either batch kind unchanged.  The wire does not need the
-    row view: a channel encodes the cells and a receiver decodes into
-    columns (:mod:`repro.net.soap`).
+    What the pipeline reads off a batch — ``fragment``/``seq``/
+    ``row_count``/``feed_size`` — is columnar; a lazily materialized
+    ``rows`` view serves the stores that hold trees.  The wire does
+    not need the row view: a channel encodes the cells and a receiver
+    decodes into columns (:mod:`repro.net.soap`).
     """
 
     __slots__ = ("fragment", "layout", "columns", "seq", "start",
@@ -267,10 +267,9 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(cls, fragment: Fragment, rows: "list[FragmentRow]",
-                  seq: int | None, layout: ColumnLayout | None = None
-                  ) -> "ColumnBatch":
+                  seq: int | None) -> "ColumnBatch":
         """Flatten row trees into columns (the row→columnar bridge)."""
-        layout = layout or layout_of(fragment)
+        layout = layout_of(fragment)
         width = len(layout.specs)
         columns: list[list] = [[] for _ in range(width)]
         for row in rows:
@@ -278,15 +277,6 @@ class ColumnBatch:
             for index in range(width):
                 columns[index].append(cells[index])
         return cls(fragment, columns, seq, layout)
-
-    @classmethod
-    def from_row_batch(cls, batch: RowBatch,
-                       layout: ColumnLayout | None = None
-                       ) -> "ColumnBatch":
-        """Convert one :class:`RowBatch` (keeps ``seq``)."""
-        return cls.from_rows(
-            batch.fragment, batch.rows, batch.seq, layout
-        )
 
     def column(self, name: str) -> list:
         """The cells of column ``name`` for this slice's rows.
@@ -302,7 +292,7 @@ class ColumnBatch:
             return cells
         return cells[self.start:self.stop]
 
-    # -- RowBatch-compatible surface -------------------------------------------
+    # -- the batch surface ------------------------------------------------------
 
     def row_count(self) -> int:
         """Number of fragment-root occurrences in the slice."""
@@ -356,8 +346,7 @@ class ColumnBatch:
     @property
     def rows(self) -> list[FragmentRow]:
         """Materialized row view (built once, cached) — the bridge
-        back to tree consumers (materializing stores, the row
-        kernels of non-flat fragments)."""
+        back to the stores that hold trees."""
         if self._rows is None:
             layout = self.layout
             width = len(layout.specs)
@@ -369,10 +358,6 @@ class ColumnBatch:
             ]
         return self._rows
 
-    def to_row_batch(self) -> RowBatch:
-        """This slice as a :class:`RowBatch` (same ``seq``)."""
-        return RowBatch(self.fragment, self.rows, self.seq)
-
     # -- wire size -------------------------------------------------------------
 
     def feed_size(self) -> int:
@@ -383,7 +368,7 @@ class ColumnBatch:
 
         Measured once, one pass per column.  Text and attribute cells
         are strings or ``None`` (the relational store's typed columns
-        and the row bridge keep them so); a column holding a truthy
+        and :meth:`from_rows` keep them so); a column holding a truthy
         value of another type is measured by its cells' ``str()``
         form instead, while one whose only non-strings are falsy (a
         ``0``) passes them over like ``""``."""

@@ -51,10 +51,13 @@ from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.errors import EndpointError, FragmentationError
-from repro.core.columnar import ColumnBatch
 from repro.core.fragment import Fragment
 from repro.core.instance import FragmentInstance, FragmentRow
-from repro.core.stream import DEFAULT_BATCH_ROWS, FragmentStream
+from repro.core.stream import (
+    DEFAULT_BATCH_ROWS,
+    FragmentStream,
+    combine_parts,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
     from repro.services.endpoint import SystemEndpoint
@@ -501,9 +504,9 @@ class DeltaSourceView(_EndpointView):
 
     The stored feed order is kept — sorted feeds stay sorted, so the
     columnar combine's merge-join auto-selection works exactly as on a
-    full run.  Columnar feeds (every flat-storable fragment) are
-    restricted by the endpoint itself, which can fetch the ship set by
-    id; row feeds are filtered here.
+    full run.  Feeds are restricted by the endpoint itself, which can
+    fetch the ship set by id; the parts of a fragment that does not
+    flatten are cut from the rows of the ship set.
     """
 
     def _keep(self, fragment: Fragment) -> set[int]:
@@ -517,22 +520,17 @@ class DeltaSourceView(_EndpointView):
             [row for row in instance.rows if row.eid in keep],
         )
 
-    def scan_stream(self, fragment: Fragment,
-                    batch_rows: int = DEFAULT_BATCH_ROWS
-                    ) -> FragmentStream:
-        keep = self._keep(fragment)
-        inner = self._endpoint.scan_stream(fragment, batch_rows)
-        return FragmentStream.from_rows(
-            fragment,
-            (row for batch in inner for row in batch.rows
-             if row.eid in keep),
-            batch_rows,
-        )
-
     def scan_stream_columnar(self, fragment: Fragment,
                              batch_rows: int = DEFAULT_BATCH_ROWS
                              ) -> FragmentStream:
         return self._endpoint.scan_stream_columnar(
+            fragment, batch_rows, self._keep(fragment)
+        )
+
+    def scan_parts(self, fragment: Fragment,
+                   batch_rows: int = DEFAULT_BATCH_ROWS
+                   ) -> dict[Fragment, FragmentStream]:
+        return self._endpoint.scan_parts(
             fragment, batch_rows, self._keep(fragment)
         )
 
@@ -543,8 +541,9 @@ class DeltaTargetView(_EndpointView):
     Every write becomes an eid-keyed upsert restricted to the delta's
     affected rows (by the closure argument the filter is a no-op on a
     correct program — it is kept as the write-side safety discipline).
-    A batch reaches the endpoint's ``merge_rows`` in the representation
-    it arrived in: columns stay columns.  Target-row deletes are
+    A batch reaches the endpoint's ``merge_rows`` as the columns it
+    arrived in; a fragment that does not flatten is combined back from
+    its parts first.  Target-row deletes are
     applied by the exchange service before the program runs, not here.
     """
 
@@ -563,12 +562,13 @@ class DeltaTargetView(_EndpointView):
                      stream: FragmentStream) -> None:
         wanted = self._wanted(fragment)
         for batch in stream:
-            if isinstance(batch, ColumnBatch):
-                rows = batch.where_id_in(wanted)
-            else:
-                rows = [row for row in batch.rows if row.eid in wanted]
+            rows = batch.where_id_in(wanted)
             if len(rows):
                 self._endpoint.merge_rows(fragment, rows)
+
+    def write_parts(self, fragment: Fragment,
+                    parts: dict[Fragment, FragmentStream]) -> None:
+        self.write(fragment, combine_parts(fragment, parts))
 
 
 def instance_digest(instance: FragmentInstance) -> str:

@@ -22,6 +22,10 @@ from repro.schema.model import SchemaNode, SchemaTree
 ID_ATTR = "ID"
 PARENT_ATTR = "PARENT"
 
+#: Shared cache of :meth:`Fragment.flat_parts` — the parts are a pure
+#: function of the fragment.
+_FLAT_PARTS: dict["Fragment", tuple["Fragment", ...]] = {}
+
 
 class Fragment:
     """A named, pruned subtree of a schema tree.
@@ -130,6 +134,35 @@ class Fragment:
         return not self.schema.has_repeated_below(
             self.root_name, self.elements
         )
+
+    def flat_parts(self) -> tuple["Fragment", ...]:
+        """The flat-storable fragments this one is the Combine of,
+        cut at each repeated element (Definition 3.7 read backwards):
+        one part rooted at our root and one at every repeated element
+        below it, each holding the elements under its root up to the
+        next repeated one.  Parts come in pre-order of their roots, so
+        every part's schema parent lies in an earlier one.  A flat
+        fragment is its own single part.  Computed once per fragment
+        (equal fragments share their parts)."""
+        if self.is_flat_storable():
+            return (self,)
+        parts = _FLAT_PARTS.get(self)
+        if parts is None:
+            schema = self.schema
+            owner: dict[str, str] = {}
+            for element in schema.in_preorder(self.elements):
+                owner[element] = (
+                    element if element == self.root_name
+                    or schema.node(element).cardinality.repeated
+                    else owner[schema.parent_name(element)]
+                )
+            roots = dict.fromkeys(owner.values())
+            parts = _FLAT_PARTS[self] = tuple(
+                Fragment(schema, [element for element in owner
+                                  if owner[element] == root])
+                for root in roots
+            )
+        return parts
 
     # -- pruned-subtree navigation -----------------------------------------
 

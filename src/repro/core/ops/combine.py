@@ -7,16 +7,20 @@ repetition of the inlined element are recovered from the schema
 (:meth:`repro.core.instance.ElementData.to_xml` serializes children in
 schema order).
 
-The operation runs over batch streams: child rows are buffered first
-(keyed by PARENT, the frontier of rows still awaiting their parents)
-while the parent side, which accumulates the combined result and is
-the large side in a combine chain, streams through batch by batch.
+The operation runs over column batch streams, and
 :meth:`Combine.apply_column_batches` — a build/probe join over column
-arrays — is the kernel whenever the result is flat-storable;
-:meth:`Combine.apply_batches` does the same over row trees (a grouped
-merge) for results that inline a repeated child and therefore do not
-flatten.  An unbatched run is the same kernels fed one unbounded batch
-per side.  Each output batch keeps its parent batch's ``seq``.
+arrays — is its one kernel: child rows are buffered first (keyed by
+PARENT, the frontier of rows still awaiting their parents) while the
+parent side, which accumulates the combined result and is the large
+side in a combine chain, streams through batch by batch.  An unbatched
+run is the same kernel fed one unbounded batch per side.  Each output
+batch keeps its parent batch's ``seq``.
+
+A result that inlines a repeated child does not flatten and travels as
+its flat parts (:meth:`~repro.core.fragment.Fragment.flat_parts`);
+the execution core then joins, with this same kernel, only the part
+the child's root joins (when that root is not repeated) and passes
+every other part through (:mod:`repro.core.program.run`).
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from typing import Callable, Iterable, Iterator
 from repro.errors import OperationError
 from repro.core.columnar import ColumnBatch, layout_of
 from repro.core.fragment import Fragment
-from repro.core.instance import FragmentRow, combine_orphan_message
+from repro.core.instance import combine_orphan_message
 from repro.core.ops.base import Location, Operation
-from repro.core.stream import ResidencyMeter, RowBatch
+from repro.core.stream import ResidencyMeter
 
 #: Join strategies of the columnar combine.
 JOIN_STRATEGIES = ("hash", "merge")
@@ -113,81 +117,6 @@ class Combine(Operation):
         """The combined fragment."""
         return self.outputs[0]
 
-    def apply_batches(self, parent: Iterable[RowBatch],
-                      child: Iterable[RowBatch], *,
-                      tick: Callable[[float, int], None] | None = None,
-                      meter: ResidencyMeter | None = None
-                      ) -> Iterator[RowBatch]:
-        """Grouped merge over row batches (Definition 3.7's semantics,
-        :meth:`~repro.core.instance.FragmentInstance.combine`).
-
-        The child stream is drained first into a PARENT-keyed frontier
-        of pending rows; parent batches then stream through, each row
-        adopting its pending children, and are re-emitted under the
-        result fragment — so only the child frontier plus one parent
-        batch is resident here at any time.  Emitted rows are the
-        parent's own row objects in their original order, and children
-        attach per anchor in child-feed order: byte-identical whatever
-        the batch size.
-
-        ``tick(seconds, rows)`` reports local work (excluding upstream
-        production time) to the executor's per-operation accounting;
-        ``meter`` tracks row residency.
-
-        Raises:
-            OperationError: if child rows reference parent occurrences
-                that never arrive.  Detection happens at end-of-stream,
-                after earlier parent batches were already forwarded
-                downstream — a failed run may leave partial output
-                behind.
-        """
-        result_fragment = self.result
-        anchor = self.child_fragment.parent_element()
-        parent_name = self.parent_fragment.name
-        child_name = self.child_fragment.name
-
-        def generate() -> Iterator[RowBatch]:
-            pending: dict[int | None, list[FragmentRow]] = {}
-            for batch in child:
-                started = time.perf_counter()
-                for row in batch.rows:
-                    # None keys can never match an anchor eid, so such
-                    # rows simply stay pending and surface as orphans;
-                    # folding them onto -1 (the old sentinel) would
-                    # collide with a genuine negative eid.
-                    pending.setdefault(row.parent, []).append(row)
-                if tick is not None:
-                    tick(time.perf_counter() - started, 0)
-            for batch in parent:
-                started = time.perf_counter()
-                in_rows = len(batch.rows)
-                attached_rows = 0
-                for row in batch.rows:
-                    for occurrence in row.data.occurrences_of(anchor):
-                        group = pending.pop(occurrence.eid, None)
-                        if group is None:
-                            continue
-                        attached_rows += len(group)
-                        for child_row in group:
-                            occurrence.add_child(child_row.data)
-                out = RowBatch(result_fragment, batch.rows, batch.seq)
-                if tick is not None:
-                    tick(time.perf_counter() - started, len(out.rows))
-                if meter is not None:
-                    meter.acquire(in_rows)
-                    meter.release(in_rows + attached_rows)
-                yield out
-            if pending:
-                orphan_keys = [
-                    key for key, group in pending.items()
-                    for _ in group
-                ]
-                raise OperationError(combine_orphan_message(
-                    parent_name, child_name, orphan_keys
-                ))
-
-        return generate()
-
     def apply_column_batches(
         self, parent: Iterable[ColumnBatch],
         child: Iterable[ColumnBatch], *,
@@ -196,9 +125,10 @@ class Combine(Operation):
         observe: Callable[[JoinStatistics], None] | None = None,
         force: str | None = None,
     ) -> Iterator[ColumnBatch]:
-        """Columnar build/probe join (same semantics as
-        :meth:`apply_batches`) — what runs whenever the result is
-        flat-storable.
+        """Columnar build/probe join with the semantics of
+        :meth:`~repro.core.instance.FragmentInstance.combine`: the
+        parent's rows in their order, each anchor adopting its child
+        row.
 
         **Build**: the child stream — the small side, since a combine
         chain accumulates everything into the parent — is drained into
@@ -228,8 +158,8 @@ class Combine(Operation):
                 the same PARENT key — a flat result means the child is
                 not repeated under its anchor, so the data is wrong
                 and nothing has been emitted yet; at end of stream,
-                listing orphaned PARENT keys exactly as the row kernel
-                does.
+                listing orphaned PARENT keys exactly as the instance
+                combine does.
         """
         if force is not None and force not in JOIN_STRATEGIES:
             raise OperationError(

@@ -9,9 +9,9 @@ the executor delegates to the endpoint and this node only records
 ``endpoint.scan_stream_columnar(fragment, batch_rows)`` for a
 flat-storable fragment — the endpoint yields the feed as
 :class:`~repro.core.columnar.ColumnBatch` slices — and
-``endpoint.scan_stream(fragment, batch_rows)``, yielding
-:class:`~repro.core.stream.RowBatch` slices, for one that does not
-flatten (one slice holding the whole feed on an unbatched run).
+``endpoint.scan_parts(fragment, batch_rows)``, one such stream per
+flat part, for one that does not flatten (one slice holding the whole
+feed on an unbatched run).
 """
 
 from __future__ import annotations

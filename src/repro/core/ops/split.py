@@ -4,20 +4,22 @@
 ``f1 ... fn``, introducing fresh ``ID``/``PARENT`` exposure on each piece
 to preserve the parent/child relationships the schema dictates.
 
-Splitting is row-local, so the operation runs batch by batch:
-:meth:`Split.apply_column_batches` projects columns — the kernel
-whenever the input is flat-storable (its pieces then are too) —
-:meth:`Split.apply_batches` maps the instance-level split
-(:meth:`~repro.core.instance.FragmentInstance.split`) over row batches
-of an input that does not flatten, and concatenating the per-batch
-piece rows reproduces the split of the whole feed exactly.  The two
-differ only in that per-batch partition; the n piece streams are
-drained by different consumers, so undrained piece batches queue
-inside one shared :class:`_SplitState` — an input batch is split only
-when some consumer finds its own queue empty.  An unbatched input (one
+Splitting is row-local, so the operation runs batch by batch, and
+:meth:`Split.apply_column_batches`, a column projection, is its one
+kernel: concatenating the per-batch piece rows reproduces the
+instance-level split of the whole feed
+(:meth:`~repro.core.instance.FragmentInstance.split`) exactly.  The n
+piece streams are drained by different consumers, so undrained piece
+batches queue inside one shared :class:`_SplitState` — an input batch
+is split only when some consumer finds its own queue empty.  An unbatched input (one
 ``seq``-less batch) yields exactly one ``seq``-less batch per piece,
 empty pieces included; a batched input drops empty piece batches and
 numbers the rest.
+
+An input that does not flatten arrives as its flat parts
+(:meth:`~repro.core.fragment.Fragment.flat_parts`); the execution core
+projects each part, with this same kernel, onto the parts of the
+pieces it holds (:mod:`repro.core.program.run`).
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.columnar import ColumnBatch, layout_of
 from repro.core.fragment import Fragment
-from repro.core.instance import FragmentInstance
 from repro.core.ops.base import Location, Operation
-from repro.core.stream import ResidencyMeter, RowBatch
+from repro.core.stream import ResidencyMeter
 
 
 class Split(Operation):
@@ -57,36 +58,11 @@ class Split(Operation):
         """The output fragments, in positional order."""
         return self.outputs
 
-    def apply_batches(self, batches: Iterable[RowBatch], *,
-                      tick: Callable[[float, int], None] | None = None,
-                      meter: ResidencyMeter | None = None
-                      ) -> list[Iterator[RowBatch]]:
-        """Row split: one output batch iterator per piece.
-
-        Each pulled input batch is split with the instance-level
-        semantics and its piece rows are queued on every piece's
-        output; pulling any piece refills from the input as needed.
-        """
-        pieces = list(self.pieces)
-
-        def partition(batch: RowBatch) -> list[RowBatch]:
-            return [
-                RowBatch(piece.fragment, piece.rows, None)
-                for piece in FragmentInstance(
-                    self.fragment, batch.rows
-                ).split(pieces)
-            ]
-
-        state = _SplitState(
-            len(pieces), partition, iter(batches), tick, meter
-        )
-        return [state.stream(index) for index in range(len(pieces))]
-
     def apply_column_batches(
         self, batches: Iterable[ColumnBatch], *,
         tick: Callable[[float, int], None] | None = None,
         meter: ResidencyMeter | None = None,
-    ) -> "list[Iterator[ColumnBatch]]":
+    ) -> list[Iterator[ColumnBatch]]:
         """Columnar split: pure projection/partition, no tree work.
 
         Each piece selects the input rows where its root's key column
@@ -94,8 +70,9 @@ class Split(Operation):
         piece root's key becomes its ``id``, the key of its schema
         parent becomes its ``parent`` (fresh ID/PARENT exposure straight
         from existing key columns).  The root piece keeps every row and
-        reuses the input's column arrays zero-copy.  Queueing/refill
-        discipline is :meth:`apply_batches`'s.
+        reuses the input's column arrays zero-copy.  Each pulled
+        input batch is projected onto every piece and queued on its
+        output; pulling any piece refills from the input as needed.
         """
         pieces = len(self.pieces)
         state = _SplitState(
@@ -162,21 +139,19 @@ class Split(Operation):
 class _SplitState:
     """Shared refill state behind the piece streams of one Split.
 
-    ``partition`` turns one input batch into one batch per piece (row
-    trees or column projections — the only thing the two kernels do
-    differently here).
+    ``partition`` turns one input batch into one batch per piece.
     """
 
     def __init__(self, pieces: int,
-                 partition: Callable[[RowBatch], list[RowBatch]],
-                 batches: Iterator[RowBatch],
+                 partition: Callable[[ColumnBatch], list[ColumnBatch]],
+                 batches: Iterator[ColumnBatch],
                  tick: Callable[[float, int], None] | None,
                  meter: ResidencyMeter | None) -> None:
         self._partition = partition
         self._batches = batches
         self._tick = tick
         self._meter = meter
-        self._queues: list[deque[RowBatch]] = [
+        self._queues: list[deque[ColumnBatch]] = [
             deque() for _ in range(pieces)
         ]
         self._seqs = [0] * pieces
@@ -212,7 +187,7 @@ class _SplitState:
         if self._meter is not None:
             self._meter.release(batch.row_count())
 
-    def _pull(self, index: int) -> RowBatch | None:
+    def _pull(self, index: int) -> ColumnBatch | None:
         while not self._queues[index]:
             if self._failure is not None:
                 raise self._failure
@@ -227,7 +202,7 @@ class _SplitState:
                 raise
         return self._queues[index].popleft()
 
-    def stream(self, index: int) -> Iterator[RowBatch]:
+    def stream(self, index: int) -> Iterator[ColumnBatch]:
         while True:
             batch = self._pull(index)
             if batch is None:

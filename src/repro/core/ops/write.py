@@ -7,7 +7,9 @@ file-system endpoint would publish documents.  The node records only the
 fragment written.  The delegation is ``endpoint.write_stream(fragment,
 stream)``: batches are stored as they arrive (the relational endpoint
 bulk-loads each batch), so a batched write never holds the whole
-instance.
+instance.  A fragment that does not flatten arrives as the streams of
+its flat parts, ``endpoint.write_parts(fragment, parts)``, which a
+store of trees combines back into one instance.
 """
 
 from __future__ import annotations

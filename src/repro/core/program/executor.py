@@ -23,11 +23,12 @@ from repro.core.fragment import Fragment
 from repro.core.ops.base import Location
 from repro.core.program.dag import Placement, TransferProgram
 from repro.core.program.journal import ExchangeJournal
-from repro.core.stream import FragmentStream, RowBatch
+from repro.core.stream import FragmentStream
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.columnar import ColumnBatch
     from repro.net.faults import RetryPolicy
 
 
@@ -41,15 +42,23 @@ class DataEndpoint(Protocol):
         Def. 3.6)."""
         ...
 
-    def scan_stream(self, fragment: Fragment,
-                    batch_rows: int) -> FragmentStream:
-        """Produce the feed of a ``fragment`` that does not flatten
-        as a stream of :class:`~repro.core.stream.RowBatch`."""
+    def scan_parts(self, fragment: Fragment, batch_rows: int
+                   ) -> dict[Fragment, FragmentStream]:
+        """Produce the feed of a ``fragment`` that does not flatten as
+        one column stream per flat part
+        (:meth:`~repro.core.fragment.Fragment.flat_parts`, in that
+        order)."""
         ...
 
     def write_stream(self, fragment: Fragment,
                      stream: FragmentStream) -> None:
         """Store a batch stream (Write, Def. 3.9)."""
+        ...
+
+    def write_parts(self, fragment: Fragment,
+                    parts: dict[Fragment, FragmentStream]) -> None:
+        """Store a ``fragment`` that does not flatten from the streams
+        of its flat parts."""
         ...
 
 
@@ -61,7 +70,7 @@ class ShippingChannel(Protocol):
     protocol; the core stays import-free of :mod:`repro.net`.
     """
 
-    def ship_batch(self, batch: RowBatch) -> "Shipment":
+    def ship_batch(self, batch: "ColumnBatch") -> "Shipment":
         """Transfer one batch source → target; return the receipt."""
         ...
 
@@ -78,13 +87,12 @@ class Shipment:
 class OperationTiming:
     """Wall-clock timing of one executed operation.
 
-    ``strategy`` names the batch representation the operation ran on
-    — a fact derived from its fragments, not a setting: ``"columnar"``
-    for a scan/split/write of a flat-storable fragment,
-    ``"hash"``/``"merge"`` for the join strategy a columnar Combine
-    selected, ``"row"`` for the row adapter of fragments that do not
-    flatten — the key the cost calibration uses to fit per-strategy
-    unit costs.
+    ``strategy`` names how the operation ran — a fact derived from
+    its fragments and data, not a setting: ``"hash"``/``"merge"`` for
+    the join strategy a Combine selected, ``"columnar"`` for every
+    other operation (a Combine that only passes the flat parts of a
+    repeated child through included) — the key the cost calibration
+    uses to fit per-strategy unit costs.
     """
 
     label: str
@@ -93,15 +101,15 @@ class OperationTiming:
     seconds: float
     rows: int
     op_id: int = -1
-    strategy: str = "row"
+    strategy: str = "columnar"
 
 
 @dataclass(slots=True)
 class ExecutionReport:
     """Aggregate metrics of one program execution.
 
-    The same for every batch size and batch representation;
-    consumers should not need to know which ran.
+    The same for every batch size; consumers should not need to know
+    which ran.
 
     **Time.** ``wall_seconds`` is the end-to-end wall-clock time of the
     run; it equals ``total_seconds`` up to bookkeeping overhead.
@@ -114,13 +122,16 @@ class ExecutionReport:
     ``shipment_seconds``.  ``shipment_batches`` records how many
     messages each edge shipped: one per batch, so exactly 1 on an
     unbatched run (``batch_rows=None``), where each edge is one
-    monolithic message.
+    monolithic message — or, for a fragment that does not flatten,
+    one per flat part, each part being a stream of its own.
 
     **Peak memory.** ``peak_resident_rows`` is the high-water mark of
     fragment rows resident in the dataplane (instances in flight,
     batch frontiers, combine/split buffers) as counted by
     :class:`~repro.core.stream.ResidencyMeter` — the quantity
-    ``batch_rows`` bounds.  ``batch_rows`` records the
+    ``batch_rows`` bounds.  A fragment that does not flatten counts
+    the rows of its flat parts: one occurrence of each part root is
+    one row.  ``batch_rows`` records the
     knob the run used (``None`` = unbatched).
 
     **Robustness** (zero on a fault-free run over a perfect channel):
@@ -130,7 +141,9 @@ class ExecutionReport:
     recorded in the run's :class:`~repro.core.program.journal.
     ExchangeJournal` (0 when no journal, or on its first attempt).
     ``retries_by_edge``/``redelivered_by_edge`` break those totals
-    down by producer port — counts are *summed* per edge as the
+    down by producer port — ``(op_id, output_index, part)`` for the
+    part streams of a fragment that does not flatten, each with its
+    own sequence space — and counts are *summed* per edge as the
     reliable links report them, so edges sharing one retry layer (and
     repeated runs merging into one stats object) accumulate instead
     of overwriting each other.
@@ -198,7 +211,7 @@ class _ZeroCostChannel:
     """Accounts bytes but charges no transfer time (LAN-of-zero-latency):
     the feed size a byte-counting ``InProcessTransport`` charges."""
 
-    def ship_batch(self, batch: RowBatch) -> Shipment:
+    def ship_batch(self, batch: "ColumnBatch") -> Shipment:
         return Shipment(batch.feed_size(), 0.0)
 
 
@@ -212,10 +225,10 @@ class ProgramExecutor:
     edges: ``None`` (default, the paper's setup) moves each feed as one
     unbounded batch, an integer moves slices of that many rows — same
     written output, resident rows bounded by the batch size times the
-    pipeline depth.  How a batch is represented is not a setting: a
-    flat-storable fragment moves as
-    :class:`~repro.core.columnar.ColumnBatch` columns, any other as
-    row trees (see :mod:`repro.core.program.run`).
+    pipeline depth.  Every batch is a
+    :class:`~repro.core.columnar.ColumnBatch`; a fragment that does not
+    flatten moves as one stream per flat part (see
+    :mod:`repro.core.program.run`).
 
     ``retry`` arms the reliable shipping layer (see
     :mod:`repro.net.faults`): cross-edge sends that fail with a

@@ -7,23 +7,32 @@ and the Write nodes *drive* the network by pulling: a batch travels
 the whole chain scan → transform → ship → load before the next one is
 produced.
 
-How a stream is represented is read off its fragment, not chosen: a
-flat-storable fragment moves as
-:class:`~repro.core.columnar.ColumnBatch` columns (Scan slices the
-sorted feed, Combine is the build/probe join, Split a projection,
-Write a bulk load — no trees anywhere), and only a fragment with
-repeated inner elements, which does not flatten, moves as
-:class:`~repro.core.stream.RowBatch` trees through the row kernels.
-Where the two meet — a Combine that inlines a repeated child, a Split
-of a non-flat fragment into flat pieces — the flat side is converted
-at that node.
+Every batch is a :class:`~repro.core.columnar.ColumnBatch` and every
+hop a tuple feed: Scan slices the sorted feed, Combine is the
+build/probe join, Split a projection, Write a bulk load — no trees
+anywhere.  A fragment with repeated inner elements does not flatten,
+so it moves as its flat parts
+(:meth:`~repro.core.fragment.Fragment.flat_parts`): the flat fragments
+it is the Combine of, each a column stream of its own, keyed to the
+others by ID/PARENT — the paper's own representation of an instance.
+An edge carries one stream per part of its fragment (a single one when
+the fragment is flat), and each part stream crosses the wire as its
+own feed.  A Combine whose result does not flatten joins, with the
+same kernel, only the part its child's root joins when that root is
+not repeated, and otherwise passes the child's parts through beside
+the parent's, holding the child's PARENT keys against the anchors that
+passed; a Split of a fragment that does not flatten projects each part
+onto the parts of the pieces it holds.  Parts exist only inside a run:
+the program, its costs and its placement name whole fragments, and a
+store that holds trees combines the parts back
+(:meth:`~repro.core.program.executor.DataEndpoint.write_parts`).
 
 How large a batch is depends on ``batch_rows`` alone.  ``None`` makes
 every stream exactly one unbounded batch without a ``seq`` — each edge
-ships one monolithic message, the paper's setup.  An integer cuts
-streams into numbered slices of that many rows, so resident rows stay
-bounded by the batch size times the pipeline depth (plus Combine's
-child frontier) instead of the document size.
+ships one monolithic message per part, the paper's setup.  An integer
+cuts streams into numbered slices of that many rows, so resident rows
+stay bounded by the batch size times the pipeline depth (plus
+Combine's child frontier) instead of the document size.
 
 The Writes drive one after another in topological order on the
 calling thread; a run is touched by that thread alone.
@@ -46,8 +55,10 @@ import sys
 import time
 from typing import Iterator
 
-from repro.errors import ProgramError
-from repro.core.columnar import ColumnBatch
+from repro.errors import OperationError, ProgramError
+from repro.core.columnar import ColumnBatch, layout_of
+from repro.core.fragment import Fragment
+from repro.core.instance import combine_orphan_message
 from repro.core.ops.base import Location, Operation
 from repro.core.ops.combine import Combine, JoinStatistics
 from repro.core.ops.scan import Scan
@@ -62,7 +73,7 @@ from repro.core.program.executor import (
     apply_robustness,
 )
 from repro.core.program.journal import ExchangeJournal, write_key
-from repro.core.stream import FragmentStream, ResidencyMeter, RowBatch
+from repro.core.stream import FragmentStream, ResidencyMeter
 from repro.net.faults import (
     ReliableBatchLink,
     RetryPolicy,
@@ -81,6 +92,11 @@ from repro.obs.trace import NULL_TRACER, Tracer
 #: feed in one batch.
 _WHOLE_FEED = sys.maxsize
 
+#: What flows along an edge: one column stream per flat part of its
+#: fragment, in :meth:`~repro.core.fragment.Fragment.flat_parts` order
+#: (a flat fragment is its own single part).
+Streams = dict[Fragment, Iterator[ColumnBatch]]
+
 
 class _NodeStats:
     """Per-node accumulators filled while batches flow."""
@@ -94,8 +110,8 @@ class _NodeStats:
         self.rows = 0
 
 
-def _whole_feed(batches: Iterator[RowBatch], fragment,
-                columnar: bool) -> Iterator[RowBatch]:
+def _whole_feed(batches: Iterator[ColumnBatch],
+                fragment: Fragment) -> Iterator[ColumnBatch]:
     """An unbatched stream: the whole feed as exactly one ``seq``-less
     batch.  An empty feed still crosses its edges, as one empty
     message.
@@ -105,8 +121,7 @@ def _whole_feed(batches: Iterator[RowBatch], fragment,
     """
     batch = next(batches, None)
     if batch is None:
-        make = ColumnBatch.from_rows if columnar else RowBatch
-        batch = make(fragment, [], None)
+        batch = ColumnBatch.from_rows(fragment, [], None)
     batch.seq = None
     yield batch
     if next(batches, None) is not None:
@@ -114,6 +129,13 @@ def _whole_feed(batches: Iterator[RowBatch], fragment,
             f"scan of fragment {fragment.name!r} returned several "
             f"batches for batch_rows={_WHOLE_FEED}"
         )
+
+
+def _named(part: Fragment, name: str) -> Fragment:
+    """``part`` under ``name`` (equal to ``part``: names play no part
+    in equality) — so that a join of two parts reports its errors in
+    the names of the fragments the program combines."""
+    return Fragment(part.schema, part.elements, name)
 
 
 class ProgramRun:
@@ -142,10 +164,8 @@ class ProgramRun:
         self._stats = {
             node.op_id: _NodeStats() for node in program.nodes
         }
-        #: Per-op batch representation actually used ("row" when
-        #: absent; "columnar" for a columnar scan/split/write, the
-        #: join strategy for a columnar combine) — reported on each
-        #: OperationTiming.
+        #: Per-op strategy reported on each OperationTiming: the join
+        #: strategy of a combine that joins, "columnar" when absent.
         self._strategies: dict[int, str] = {}
         self._leftovers: list[tuple[int, int]] = []
 
@@ -171,7 +191,7 @@ class ProgramRun:
         for node in self.program.topological_order():
             stats = self._stats[node.op_id]
             location = self.placement[node.op_id]
-            strategy = self._strategies.get(node.op_id, "row")
+            strategy = self._strategies.get(node.op_id, "columnar")
             report.op_timings.append(
                 OperationTiming(node.label(), node.kind, location,
                                 stats.seconds, stats.rows, node.op_id,
@@ -201,12 +221,11 @@ class ProgramRun:
 
     # -- compiling the DAG into a batch network ---------------------------------
 
-    def _build(self) -> list[tuple[Write, DataEndpoint,
-                                   Iterator[RowBatch], int]]:
-        """Wire every node's output iterators; return the Write drives.
+    def _build(self) -> list[tuple[Write, DataEndpoint, Streams, int]]:
+        """Wire every node's output streams; return the Write drives.
 
         Resume (journal set): a write acknowledged by an earlier
-        attempt gets no drive at all — its input iterator is wired but
+        attempt gets no drive at all — its input streams are wired but
         never pulled, so nothing upstream of it is recomputed or
         re-shipped.  A partially-stored write into an endpoint that
         loads incrementally resumes mid-stream: batches up to the
@@ -214,11 +233,9 @@ class ProgramRun:
         the pipeline but bypass the wire and the store.
         """
         # Output streams by producer port; None once consumed.
-        streams: dict[tuple[int, int],
-                      tuple[Iterator[RowBatch], Location] | None
-                      ] = {}
-        drives: list[tuple[Write, DataEndpoint,
-                           Iterator[RowBatch], int]] = []
+        streams: dict[tuple[int, int], tuple[Streams, Location] | None] \
+            = {}
+        drives: list[tuple[Write, DataEndpoint, Streams, int]] = []
         for node in self.program.topological_order():
             location = self.placement[node.op_id]
             endpoint = (
@@ -230,10 +247,10 @@ class ProgramRun:
             if isinstance(node, Write) and self.journal is not None:
                 jkey = write_key(node.op_id, node.fragment.name)
                 done = self.journal.write_done(jkey)
-                if not done and self._acks_batches(endpoint):
+                if not done and self._acks_batches(endpoint,
+                                                   node.fragment):
                     skip_through = self.journal.acked_through(jkey)
-            inputs: list[Iterator[RowBatch]] = []
-            input_columnar: list[bool] = []
+            inputs: list[Streams] = []
             for edge in self.program.in_edges(node):
                 key = (edge.producer.op_id, edge.output_index)
                 wired = streams.get(key)
@@ -247,73 +264,38 @@ class ProgramRun:
                         f"{edge.output_index} {detail}"
                     )
                 streams[key] = None
-                iterator, holder = wired
-                # The one dataplane rule: a flat-storable fragment
-                # travels as columns, anything else as row trees.
-                is_columnar = edge.fragment.is_flat_storable()
+                parts, holder = wired
                 if holder is not location and not done:
-                    iterator = self._shipped(
-                        key, iterator, skip_through
-                    )
-                inputs.append(iterator)
-                input_columnar.append(is_columnar)
-            outputs: list[Iterator[RowBatch]]
-            strategy = "columnar"
-            if isinstance(node, Scan):
-                flat = node.fragment.is_flat_storable()
-                outputs = [self._scan_batches(node, endpoint, flat)]
-            elif isinstance(node, Combine):
-                # A flat result means both inputs are flat too.
-                flat = node.result.is_flat_storable()
-                if flat:
-                    outputs = [node.apply_column_batches(
-                        inputs[0], inputs[1],
-                        tick=self._ticker(node), meter=self.meter,
-                        observe=self._join_observer(node),
-                    )]
-                    # Pre-seed; the join observer overwrites with the
-                    # strategy actually selected once the build
-                    # finishes.
-                    strategy = "hash"
-                else:
-                    outputs = [node.apply_batches(
-                        self._as_rows(inputs[0], input_columnar[0]),
-                        self._as_rows(inputs[1], input_columnar[1]),
-                        tick=self._ticker(node), meter=self.meter,
-                    )]
-            elif isinstance(node, Split):
-                # The pieces of a flat fragment are flat too.
-                flat = input_columnar[0]
-                if flat:
-                    outputs = node.apply_column_batches(
-                        inputs[0], tick=self._ticker(node),
-                        meter=self.meter,
-                    )
-                else:
-                    outputs = [
-                        self._as_columns(pieces)
-                        if piece.is_flat_storable() else pieces
-                        for piece, pieces in zip(
-                            node.pieces,
-                            node.apply_batches(
-                                inputs[0], tick=self._ticker(node),
-                                meter=self.meter,
-                            ),
+                    # One shipment per edge; every part its own stream
+                    # (own sequence numbers) on the wire.
+                    self.report.shipments += 1
+                    flat = edge.fragment.is_flat_storable()
+                    parts = {
+                        part: self._shipped(
+                            key if flat else (*key, index), batches,
+                            skip_through,
                         )
-                    ]
+                        for index, (part, batches)
+                        in enumerate(parts.items())
+                    }
+                inputs.append(parts)
+            outputs: list[Streams]
+            if isinstance(node, Scan):
+                outputs = [self._scan(node, endpoint)]
+            elif isinstance(node, Combine):
+                outputs = [self._combine(node, *inputs)]
+            elif isinstance(node, Split):
+                outputs = self._split(node, inputs[0])
             elif isinstance(node, Write):
                 if not done:
                     drives.append(
                         (node, endpoint, inputs[0], skip_through)
                     )
-                flat = input_columnar[0]
                 outputs = []
             else:
                 raise ProgramError(
                     f"unknown operation kind {node.kind!r}"
                 )
-            if flat:
-                self._strategies[node.op_id] = strategy
             for index, output in enumerate(outputs):
                 streams[(node.op_id, index)] = (output, location)
         # Whatever was wired but never consumed is exactly the
@@ -324,17 +306,21 @@ class ProgramRun:
         )
         return drives
 
-    def _acks_batches(self, endpoint: DataEndpoint) -> bool:
-        """Whether writes into ``endpoint`` are journaled batch by
-        batch.  Per-batch acknowledgements are only meaningful for
-        endpoints that store each batch as it arrives; a materializing
-        endpoint replaces the whole instance at end of stream — and an
-        unbatched stream *is* one batch — so a partial run stored
-        nothing and only the whole-write ack holds."""
+    def _acks_batches(self, endpoint: DataEndpoint,
+                      fragment: Fragment) -> bool:
+        """Whether writes of ``fragment`` into ``endpoint`` are
+        journaled batch by batch.  Per-batch acknowledgements are only
+        meaningful for endpoints that store each batch as it arrives,
+        and for one stream: a materializing endpoint replaces the
+        whole instance at end of stream — an unbatched stream *is* one
+        batch, and a fragment that does not flatten arrives as several
+        part streams — so a partial run stored nothing and only the
+        whole-write ack holds."""
         return (
             self.journal is not None
             and self.batch_rows is not None
             and getattr(endpoint, "incremental_writes", False)
+            and fragment.is_flat_storable()
         )
 
     def _ticker(self, node: Operation):
@@ -349,7 +335,7 @@ class ProgramRun:
         return tick
 
     def _join_observer(self, node: Combine):
-        """Callback recording a columnar combine's join statistics."""
+        """Callback recording a combine's join statistics."""
 
         def observe(join: JoinStatistics) -> None:
             self._strategies[node.op_id] = join.strategy
@@ -361,40 +347,29 @@ class ProgramRun:
 
         return observe
 
-    @staticmethod
-    def _as_rows(iterator: Iterator[RowBatch],
-                 is_columnar: bool) -> Iterator[RowBatch]:
-        """Bridge a columnar stream to row batches (a flat input of a
-        Combine whose result does not flatten)."""
-        if not is_columnar:
-            return iterator
-        return (batch.to_row_batch() for batch in iterator)
-
-    @staticmethod
-    def _as_columns(iterator: Iterator[RowBatch]
-                    ) -> Iterator[RowBatch]:
-        """Bridge a row stream to columnar batches (a flat piece of a
-        Split whose input does not flatten)."""
-        return (ColumnBatch.from_row_batch(batch) for batch in iterator)
-
     # -- per-kind batch stages -----------------------------------------------------
 
-    def _scan_batches(self, node: Scan, endpoint: DataEndpoint,
-                      columnar: bool) -> Iterator[RowBatch]:
+    def _scan(self, node: Scan, endpoint: DataEndpoint) -> Streams:
+        """The scanned feed, one stream per flat part.  The endpoint
+        is asked on the first pull of any of them."""
+        fragment = node.fragment
+        batch_rows = self.batch_rows or _WHOLE_FEED
         tick = self._ticker(node)
-        scan = (
-            endpoint.scan_stream_columnar if columnar
-            else endpoint.scan_stream
-        )
+        opened: dict[Fragment, FragmentStream] = {}
 
-        def generate() -> Iterator[RowBatch]:
-            iterator = iter(scan(
-                node.fragment, self.batch_rows or _WHOLE_FEED
-            ))
-            if self.batch_rows is None:
-                iterator = _whole_feed(
-                    iterator, node.fragment, columnar
+        def generate(part: Fragment) -> Iterator[ColumnBatch]:
+            started = time.perf_counter()
+            if not opened:
+                opened.update(
+                    {fragment: endpoint.scan_stream_columnar(
+                        fragment, batch_rows
+                    )} if fragment.is_flat_storable()
+                    else endpoint.scan_parts(fragment, batch_rows)
                 )
+            iterator = iter(opened[part])
+            if self.batch_rows is None:
+                iterator = _whole_feed(iterator, part)
+            tick(time.perf_counter() - started, 0)
             while True:
                 started = time.perf_counter()
                 try:
@@ -406,16 +381,117 @@ class ProgramRun:
                 self.meter.acquire(batch.row_count())
                 yield batch
 
-        return generate()
+        return {part: generate(part) for part in fragment.flat_parts()}
 
-    def _shipped(self, key: tuple[int, int],
-                 iterator: Iterator[RowBatch],
-                 skip_through: int = -1) -> Iterator[RowBatch]:
+    def _combine(self, node: Combine, parent: Streams,
+                 child: Streams) -> Streams:
+        """Join the part the child's root joins — the whole result when
+        it is flat — or, when that root is repeated, pass the child's
+        parts through beside the parent's."""
+        result = node.result
+        anchor = node.child_fragment.parent_element()
+        anchor_part = next(part for part in parent
+                           if anchor in part.elements)
+        root_part = next(iter(child))  # the child's root part
+        streams = {**parent, **child}
+        if result.schema.node(root_part.root_name).cardinality.repeated:
+            streams[anchor_part], streams[root_part] = \
+                self._orphan_checked(node, anchor_part,
+                                     streams[anchor_part],
+                                     streams[root_part])
+        else:
+            # Pre-seed; the join observer overwrites with the strategy
+            # actually selected once the build finishes.
+            self._strategies[node.op_id] = "hash"
+            joined = next(part for part in result.flat_parts()
+                          if part.root_name == anchor_part.root_name)
+            join = node if joined == result else Combine(
+                _named(anchor_part, node.parent_fragment.name),
+                _named(root_part, node.child_fragment.name),
+                result=joined,
+            )
+            streams[joined] = join.apply_column_batches(
+                streams.pop(anchor_part), streams.pop(root_part),
+                tick=self._ticker(node), meter=self.meter,
+                observe=self._join_observer(node),
+            )
+        return {part: streams[part] for part in result.flat_parts()}
+
+    def _orphan_checked(self, node: Combine, anchor_part: Fragment,
+                        parent: Iterator[ColumnBatch],
+                        child: Iterator[ColumnBatch]
+                        ) -> tuple[Iterator[ColumnBatch],
+                                   Iterator[ColumnBatch]]:
+        """Pass a repeated child's root part through beside the parent
+        part it hangs under, collecting the anchor occurrences and the
+        child's PARENT keys that pass: once both streams have ended,
+        keys that matched no anchor raise as the join's orphans do."""
+        tick = self._ticker(node)
+        anchor_column = layout_of(anchor_part).eid_column(
+            node.child_fragment.parent_element()
+        )
+        anchors: set[int | None] = set()
+        keys: list[int | None] = []
+        running = 2
+
+        def watch(batches: Iterator[ColumnBatch], column: str,
+                  collect, parent_side: bool) -> Iterator[ColumnBatch]:
+            nonlocal running
+            for batch in batches:
+                started = time.perf_counter()
+                collect(batch.column(column))
+                tick(time.perf_counter() - started,
+                     batch.row_count() if parent_side else 0)
+                yield batch
+            running -= 1
+            if running:
+                return
+            anchors.discard(None)
+            orphans = [key for key in keys if key not in anchors]
+            if orphans:
+                raise OperationError(combine_orphan_message(
+                    node.parent_fragment.name, node.child_fragment.name,
+                    orphans,
+                ))
+
+        return (watch(parent, anchor_column, anchors.update, True),
+                watch(child, "parent", keys.extend, False))
+
+    def _split(self, node: Split, parts: Streams) -> list[Streams]:
+        """Each part is projected onto the parts of the pieces it
+        holds — exactly its non-empty intersections with the pieces
+        (a part inside one piece passes through whole)."""
+        outputs: Streams = {}
+        for part, batches in parts.items():
+            cut = [piece_part for piece in node.pieces
+                   for piece_part in piece.flat_parts()
+                   if piece_part.elements <= part.elements]
+            if part == node.fragment:  # a flat input: its pieces
+                op = node
+            elif len(cut) == 1:
+                outputs[cut[0]] = batches
+                continue
+            else:
+                op = Split(part, cut)
+            outputs.update(zip(cut, op.apply_column_batches(
+                batches, tick=self._ticker(node), meter=self.meter,
+            )))
+        return [
+            {part: outputs[part] for part in piece.flat_parts()}
+            for piece in node.pieces
+        ]
+
+    def _shipped(self, key: tuple[int, ...],
+                 iterator: Iterator[ColumnBatch],
+                 skip_through: int = -1) -> Iterator[ColumnBatch]:
+        """Ship one stream of the edge ``key[:2]``; ``key`` itself —
+        the edge, plus the part index for a part stream — scopes the
+        reliable link's sequence space."""
         report = self.report
-        report.shipments += 1
-        report.shipment_bytes.setdefault(key, 0)
-        report.shipment_seconds.setdefault(key, 0.0)
-        report.shipment_batches.setdefault(key, 0)
+        edge = key[:2]
+        report.shipment_bytes.setdefault(edge, 0)
+        report.shipment_seconds.setdefault(edge, 0.0)
+        report.shipment_batches.setdefault(edge, 0)
         link = None
         if self.retry is not None:
             link = ReliableBatchLink(
@@ -423,13 +499,13 @@ class ProgramRun:
                 start_seq=skip_through + 1, tracer=self.tracer,
             )
 
-        def account(shipment, batch: RowBatch,
+        def account(shipment, batch: ColumnBatch,
                     started: float) -> None:
             report.comm_bytes += shipment.bytes_sent
             report.comm_seconds += shipment.seconds
-            report.shipment_bytes[key] += shipment.bytes_sent
-            report.shipment_seconds[key] += shipment.seconds
-            report.shipment_batches[key] += 1
+            report.shipment_bytes[edge] += shipment.bytes_sent
+            report.shipment_seconds[edge] += shipment.seconds
+            report.shipment_batches[edge] += 1
             fragment = batch.fragment.name
             chunked = batch.seq is not None
             self.tracer.record(
@@ -445,7 +521,7 @@ class ProgramRun:
                 batch=chunked,
             )
 
-        def generate() -> Iterator[RowBatch]:
+        def generate() -> Iterator[ColumnBatch]:
             for batch in iterator:
                 if skip_through >= 0 and batch.seq <= skip_through:
                     # Already stored by the consumer in an earlier
@@ -468,19 +544,18 @@ class ProgramRun:
         return generate()
 
     def _drive_write(self, node: Write, endpoint: DataEndpoint,
-                     batches: Iterator[RowBatch],
-                     skip_through: int = -1) -> None:
+                     parts: Streams, skip_through: int = -1) -> None:
         jkey = write_key(node.op_id, node.fragment.name)
-        incremental = self._acks_batches(endpoint)
+        incremental = self._acks_batches(endpoint, node.fragment)
         pull_seconds = 0.0
         rows_total = 0
         pending_release: int | None = None
         pending_ack: int | None = None
 
-        def instrumented() -> Iterator[RowBatch]:
+        def instrumented(batches: Iterator[ColumnBatch]
+                         ) -> Iterator[ColumnBatch]:
             nonlocal pull_seconds, rows_total, pending_release, \
                 pending_ack
-            iterator = iter(batches)
             while True:
                 # Resuming the pull means the endpoint finished
                 # storing the previously yielded batch — acknowledge
@@ -490,7 +565,7 @@ class ProgramRun:
                     pending_ack = None
                 started = time.perf_counter()
                 try:
-                    batch = next(iterator)
+                    batch = next(batches)
                 except StopIteration:
                     pull_seconds += time.perf_counter() - started
                     return
@@ -509,9 +584,17 @@ class ProgramRun:
                 yield batch
 
         started = time.perf_counter()
-        endpoint.write_stream(
-            node.fragment, FragmentStream(node.fragment, instrumented())
-        )
+        fragment = node.fragment
+        if fragment.is_flat_storable():
+            [batches] = parts.values()
+            endpoint.write_stream(
+                fragment, FragmentStream(fragment, instrumented(batches))
+            )
+        else:
+            endpoint.write_parts(fragment, {
+                part: FragmentStream(part, instrumented(batches))
+                for part, batches in parts.items()
+            })
         elapsed = (time.perf_counter() - started) - pull_seconds
         if pending_release is not None:
             self.meter.release(pending_release)

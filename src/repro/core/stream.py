@@ -1,74 +1,39 @@
 """Fragment streams: what flows along every edge of a running program.
 
 The execution core (:mod:`repro.core.program.run`) moves batches, never
-whole instances.  A :class:`RowBatch` is an ordered slice of a
-fragment's feed and a :class:`FragmentStream` is a single-use iterator
-of batches, with bridges to and from the materialized
-:class:`~repro.core.instance.FragmentInstance`.  With ``batch_rows=N``
-a stream is cut into numbered slices of ``N`` rows, so operations hold
-only a bounded frontier of rows; with ``batch_rows=None`` a stream is
-exactly one unbounded batch with no ``seq`` — the whole feed, shipped
-as the single message the paper's setup sends per fragment.
-:class:`ResidencyMeter` counts the rows of the resident frontier
-(``peak_resident_rows`` in the execution report) so the bound is
-checkable.
+whole instances.  Every batch is a
+:class:`~repro.core.columnar.ColumnBatch` — an ordered slice of a flat
+fragment's feed — and a :class:`FragmentStream` is a single-use
+iterator of them, with bridges to and from the materialized
+:class:`~repro.core.instance.FragmentInstance`.  A fragment that does
+not flatten travels as one stream per flat part
+(:meth:`~repro.core.fragment.Fragment.flat_parts`), and
+:func:`combine_parts` is how a store that holds trees takes it back.
+With ``batch_rows=N`` a stream is cut into numbered slices of ``N``
+rows, so operations hold only a bounded frontier of rows; with
+``batch_rows=None`` a stream is exactly one unbounded batch with no
+``seq`` — the whole feed, shipped as the single message the paper's
+setup sends per fragment.  :class:`ResidencyMeter` counts the rows of
+the resident frontier (``peak_resident_rows`` in the execution report)
+so the bound is checkable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import OperationError
+from repro.core.columnar import ColumnBatch
 from repro.core.fragment import Fragment
-from repro.core.instance import (
-    FragmentInstance,
-    FragmentRow,
-    row_feed_size,
-)
+from repro.core.instance import FragmentInstance, FragmentRow
 
 #: Batch size used when a stream is requested without an explicit one.
 DEFAULT_BATCH_ROWS = 256
 
 
-@dataclass(slots=True)
-class RowBatch:
-    """An ordered slice of a fragment's feed.
-
-    Attributes:
-        fragment: the fragment every row conforms to.
-        rows: the slice, in feed order.
-        seq: 0-based position of this batch within its stream;
-            ``None`` on the single batch of an unbatched stream.
-    """
-
-    fragment: Fragment
-    rows: list[FragmentRow]
-    seq: int | None
-    #: Memoized wire size.  Transport charging and the fault layer
-    #: may each ask for the size of the same immutable slice; walking
-    #: every row's tree per ask is pure waste.  Operations that mutate
-    #: rows (Combine) emit a *new* RowBatch for the result, so a
-    #: cached value never goes stale.
-    _feed: int | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def row_count(self) -> int:
-        """Number of fragment-root occurrences in the slice."""
-        return len(self.rows)
-
-    def feed_size(self) -> int:
-        """Approximate tabular sorted-feed (wire) size in bytes
-        (computed once per batch, then memoized)."""
-        if self._feed is None:
-            self._feed = sum(row_feed_size(row) for row in self.rows)
-        return self._feed
-
-
 class FragmentStream:
-    """A single-use, ordered stream of :class:`RowBatch` for one
-    fragment.
+    """A single-use, ordered stream of
+    :class:`~repro.core.columnar.ColumnBatch` for one fragment.
 
     Concatenating the batches of a stream in ``seq`` order yields
     exactly the rows of the materialized instance — that equivalence
@@ -79,12 +44,12 @@ class FragmentStream:
     __slots__ = ("fragment", "_batches", "_consumed")
 
     def __init__(self, fragment: Fragment,
-                 batches: Iterable[RowBatch]) -> None:
+                 batches: Iterable[ColumnBatch]) -> None:
         self.fragment = fragment
         self._batches = iter(batches)
         self._consumed = False
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         """Iterate the batches (once).
 
         Raises:
@@ -102,46 +67,35 @@ class FragmentStream:
 
     @classmethod
     def from_instance(cls, instance: FragmentInstance,
-                      batch_rows: int = DEFAULT_BATCH_ROWS,
-                      copy_rows: bool = False) -> "FragmentStream":
-        """Re-batch a materialized instance.
-
-        With ``copy_rows`` each row is deep-copied lazily as its batch
-        is produced, so consumers that mutate rows (Combine does) never
-        touch the stored original — and only one batch of copies is
-        resident at a time.
-        """
-        if copy_rows:
-            rows: Iterable[FragmentRow] = (
-                FragmentRow(row.data.copy(), row.parent)
-                for row in instance.rows
-            )
-        else:
-            rows = instance.rows
-        return cls.from_rows(instance.fragment, rows, batch_rows)
+                      batch_rows: int = DEFAULT_BATCH_ROWS
+                      ) -> "FragmentStream":
+        """Re-batch a materialized instance of a flat fragment.  The
+        batches hold cells, never the instance's trees."""
+        return cls.from_rows(instance.fragment, instance.rows, batch_rows)
 
     @classmethod
     def from_rows(cls, fragment: Fragment,
                   rows: Iterable[FragmentRow],
                   batch_rows: int = DEFAULT_BATCH_ROWS
                   ) -> "FragmentStream":
-        """Slice an iterable of rows into batches of ``batch_rows``."""
+        """Slice an iterable of rows of a flat fragment into column
+        batches of ``batch_rows``."""
         if batch_rows < 1:
             raise OperationError(
                 f"batch_rows must be >= 1, got {batch_rows}"
             )
 
-        def generate() -> Iterator[RowBatch]:
+        def generate() -> Iterator[ColumnBatch]:
             buffer: list[FragmentRow] = []
             seq = 0
             for row in rows:
                 buffer.append(row)
                 if len(buffer) >= batch_rows:
-                    yield RowBatch(fragment, buffer, seq)
+                    yield ColumnBatch.from_rows(fragment, buffer, seq)
                     seq += 1
                     buffer = []
             if buffer:
-                yield RowBatch(fragment, buffer, seq)
+                yield ColumnBatch.from_rows(fragment, buffer, seq)
 
         return cls(fragment, generate())
 
@@ -151,6 +105,26 @@ class FragmentStream:
         for batch in self:
             instance.rows.extend(batch.rows)
         return instance
+
+
+def combine_parts(fragment: Fragment,
+                  parts: Mapping[Fragment, FragmentStream]
+                  ) -> FragmentInstance:
+    """The instance of ``fragment`` rebuilt from the streams of its
+    flat parts, given in :meth:`~repro.core.fragment.Fragment.
+    flat_parts` order: each part is drained in turn and inlined with
+    :meth:`~repro.core.instance.FragmentInstance.combine`.
+
+    Raises:
+        OperationError: if part rows reference occurrences that no
+            earlier part holds.
+    """
+    whole: FragmentInstance | None = None
+    for stream in parts.values():
+        part = stream.materialize()
+        whole = part if whole is None else whole.combine(part)
+    assert whole is not None and whole.fragment.elements == fragment.elements
+    return FragmentInstance(fragment, whole.rows)
 
 
 class ResidencyMeter:

@@ -29,8 +29,8 @@ messages.  This module makes transport failure a first-class input:
 
 Corruption detection is real where the wire is real: with a
 ``wire_format`` channel the batch is encoded as the channel would send
-it (:func:`~repro.net.soap.encode_batch`, a flat batch as a tuple
-feed straight from its columns) and the corrupted message fails its
+it (:func:`~repro.net.soap.encode_batch`, a tuple feed straight from
+its columns) and the corrupted message fails its
 Adler-32 feed checksum in the receivers' verifier
 (:func:`~repro.net.soap.read_fragment_feed`);
 on byte-counting channels the checksum verdict is simulated.
@@ -55,7 +55,6 @@ from repro.errors import (
 )
 from repro.core.columnar import ColumnBatch
 from repro.core.program.executor import Shipment
-from repro.core.stream import RowBatch
 from repro.net.soap import (
     CHECKSUM_ATTR,
     encode_batch,
@@ -461,7 +460,7 @@ class FaultyChannel:
         self.tracer = tracer or NULL_TRACER
         self._lock = threading.Lock()
         self._index = 0
-        self._held: dict[object, list[RowBatch]] = {}
+        self._held: dict[object, list[ColumnBatch]] = {}
 
     def __getattr__(self, name: str) -> object:
         return getattr(self.inner, name)
@@ -499,18 +498,18 @@ class FaultyChannel:
     def _wire(self) -> bool:
         return bool(getattr(self.inner, "wire_format", False))
 
-    def _encoded(self, batch: ColumnBatch | RowBatch) -> str | None:
+    def _encoded(self, batch: ColumnBatch) -> str | None:
         """The message a wire-format channel sends for ``batch``, or
         ``None`` on a byte-counting one."""
         if not self._wire():
             return None
         return encode_batch(batch)[0]
 
-    def _size(self, batch: ColumnBatch | RowBatch) -> int:
+    def _size(self, batch: ColumnBatch) -> int:
         message = self._encoded(batch)
         return batch.feed_size() if message is None else len(message)
 
-    def _corrupt(self, index: int, batch: ColumnBatch | RowBatch) -> None:
+    def _corrupt(self, index: int, batch: ColumnBatch) -> None:
         """Charge the garbled transmission and raise its detection."""
         self._count("corruptions")
         message = self._encoded(batch)
@@ -532,7 +531,7 @@ class FaultyChannel:
 
     # -- ShippingChannel protocol -------------------------------------------------
 
-    def ship_batch(self, batch: RowBatch) -> Shipment:
+    def ship_batch(self, batch: ColumnBatch) -> Shipment:
         """Ship one batch; raises on injected drop/corruption."""
         shipment, _ = self.transmit_batch(batch)
         return shipment
@@ -569,13 +568,14 @@ class FaultyChannel:
     # -- delivery-level API (used by the reliable layer) ---------------------------
 
     def transmit_batch(
-        self, batch: RowBatch, edge: object = None,
-    ) -> tuple[Shipment, list[RowBatch]]:
+        self, batch: ColumnBatch, edge: object = None,
+    ) -> tuple[Shipment, list[ColumnBatch]]:
         """One wire transmission of a stream batch.
 
         ``edge`` scopes the re-order holdback: a held batch is released
         right after the next successful transmission *of the same
-        edge*, arriving behind its successor (the out-of-order
+        edge* (the same part stream, for a fragment shipped as its
+        flat parts), arriving behind its successor (the out-of-order
         delivery the receiver's seq reassembly must fix).
         """
         index, kind = self._next_fault()
@@ -611,7 +611,7 @@ class FaultyChannel:
             )
         return shipment, delivered
 
-    def flush_batches(self, edge: object = None) -> list[RowBatch]:
+    def flush_batches(self, edge: object = None) -> list[ColumnBatch]:
         """Deliver any batches still held back on ``edge`` (stream
         end: the late messages do eventually arrive)."""
         with self._lock:
@@ -645,10 +645,11 @@ class ReliableBatchLink:
         self._flush = getattr(channel, "flush_batches", None)
         self._expected = start_seq
         self._seen: set[int] = set()
-        self._buffer: dict[int, RowBatch] = {}
+        self._buffer: dict[int, ColumnBatch] = {}
 
-    def _absorb(self, delivered: Iterable[RowBatch]) -> list[RowBatch]:
-        ready: list[RowBatch] = []
+    def _absorb(self, delivered: Iterable[ColumnBatch]
+                ) -> list[ColumnBatch]:
+        ready: list[ColumnBatch] = []
         for batch in delivered:
             seq = batch.seq or 0
             if seq in self._seen or seq < self._expected:
@@ -662,11 +663,11 @@ class ReliableBatchLink:
             self._expected += 1
         return ready
 
-    def send(self, batch: RowBatch
-             ) -> tuple[Shipment, list[RowBatch]]:
+    def send(self, batch: ColumnBatch
+             ) -> tuple[Shipment, list[ColumnBatch]]:
         """Transmit one batch; return the charge receipt and every
         batch that became deliverable in order."""
-        ready: list[RowBatch] = []
+        ready: list[ColumnBatch] = []
 
         def attempt() -> Shipment:
             if self._transmit is not None:
@@ -684,7 +685,7 @@ class ReliableBatchLink:
         )
         return shipment, ready
 
-    def finish(self) -> list[RowBatch]:
+    def finish(self) -> list[ColumnBatch]:
         """Flush held-back deliveries at end of stream.
 
         Raises:

@@ -51,6 +51,7 @@ from repro.core.program.serialize import (
 )
 from repro.net.soap import (
     FeedReceipt,
+    _number,
     parse_envelope,
     read_message,
     soap_envelope,
@@ -83,9 +84,10 @@ class FeedSink:
     One handler thread per connection; each connection serves any
     number of messages (the transport keeps its socket for the whole
     exchange).  Every message is verified — a feed whose checksum or
-    row count does not match its declaration, or that is not XML a
-    feed can be, gets a ``Fault`` reply, never a silent ack or a
-    dropped connection — and metered (``server.connections``,
+    row count does not match its declaration, a feed that is no tuple
+    feed, a document whose length is not the ``bytes`` it declares,
+    or XML that is neither, gets a ``Fault`` reply, never a silent ack
+    or a dropped connection — and metered (``server.connections``,
     ``server.messages``, ``server.bytes_in``, ``server.faults``, plus
     the ``server.open_connections`` gauge).
     """
@@ -241,10 +243,19 @@ class FeedSink:
         payload = received
         kind = payload.local_name()
         if kind == "Document":
+            # Held against what arrived, as a feed's count is.
+            declared = payload.get("bytes")
+            if declared is None:
+                raise SoapFault("document declares no bytes")
+            carried = len(payload.text)
+            if _number(payload.name, "bytes", declared) != carried:
+                raise SoapFault(
+                    f"document declares {declared} bytes but carries "
+                    f"{carried}"
+                )
             self._count("server.documents")
             return soap_envelope(Element("Ack", {
-                "of": "Document",
-                "bytes": str(len(payload.text)),
+                "of": "Document", "bytes": str(carried),
             }))
         raise SoapFault(f"feed sink cannot serve a <{payload.name}>")
 

@@ -10,39 +10,34 @@ instead of silently wrong data; the sequence numbers let the reliable
 shipping layer de-duplicate and re-order deliveries (see
 :mod:`repro.net.faults`).
 
-The rows take one of two forms.
+The rows are the paper's sorted *tuple* feed of a flat-storable
+fragment.  The ``columns`` attribute names the fragment's
+:class:`~repro.core.columnar.ColumnLayout` once, and the text is one
+line per row: the row's cells in that order, joined by ``|``.  Keys
+(``id``, ``parent``, every ``<element>_eid``) are decimal numbers,
+``\N`` is an absent cell (``None``), and ``""`` is written as nothing.
+One escape, ``\`` and four hex digits, writes a character by its code
+point: it covers ``|``, newline, ``\r``, ``\`` itself and ``&<>``
+wherever they occur (so the text needs no XML escaping), and
+whitespace at the end of the text, which a tree parser strips.  The
+checksum is the Adler-32 of the text's UTF-8 bytes.  A fragment that
+does not flatten is sent as its flat parts, each a tuple feed of its
+own (:mod:`repro.core.program.run`); a feed that names no columns is
+no feed any receiver accepts.
 
-* A flat-storable fragment's feed is the paper's sorted *tuple* feed.
-  Its ``columns`` attribute names the fragment's
-  :class:`~repro.core.columnar.ColumnLayout` once, and its text is one
-  line per row: the row's cells in that order, joined by ``|``.  Keys
-  (``id``, ``parent``, every ``<element>_eid``) are decimal numbers,
-  ``\N`` is an absent cell (``None``), and ``""`` is written as
-  nothing.  One escape, ``\`` and four hex digits, writes a character
-  by its code point: it covers ``|``, newline, ``\r``, ``\`` itself and
-  ``&<>`` wherever they occur (so the text needs no XML escaping), and
-  whitespace at the end of the text, which a tree parser strips.  The
-  checksum is the Adler-32 of the text's UTF-8 bytes.
-* Any other fragment's feed is a tagged tree: each row one
-  fragment-instance document with an ``_eid`` attribute on every
-  element and ``ID``/``PARENT`` on its root (Definition 3.1), the
-  checksum taken over each row as its own compact document
-  (:func:`feed_digest`).
-
-Either writer strips element text, as publish&map's shredder does, and
-leaves what it wrote on the batch it encoded (a column batch is
-:meth:`~repro.core.columnar.ColumnBatch.rebind`-ed, rows rewritten), so
-sender and receiver hold the same values whether or not anyone decodes.
-A receiver parses the envelope — a tuple feed is four elements and one
-text node — and checks it with :func:`verify_fragment_feed`: the feed
-sink (:func:`read_message`) checks kind, name, count and checksum
-without splitting a cell; :func:`read_fragment_feed` also decodes a
-tuple feed into the column lists of the fragment's layout, and
-:func:`unwrap_fragment_feed` either form into rows.  A message is
-decoded by whoever receives it, never by its sender.  Everything a
-receiver reads is input from outside the process: whatever is
-malformed, numbers and escapes included, is a
-:class:`~repro.errors.SoapFault`.
+The writer strips element text, as publish&map's shredder does, and
+leaves what it wrote on the batch it encoded (the batch is
+:meth:`~repro.core.columnar.ColumnBatch.rebind`-ed to it), so sender
+and receiver hold the same values whether or not anyone decodes.
+A receiver parses the envelope — four elements and one text node — and
+checks it with :func:`verify_fragment_feed`: the feed sink
+(:func:`read_message`) checks kind, name, count and checksum without
+splitting a cell; :func:`read_fragment_feed` also decodes the feed
+into the column lists of the fragment's layout, and
+:func:`unwrap_fragment_feed` into rows.  A message is decoded by
+whoever receives it, never by its sender.  Everything a receiver reads
+is input from outside the process: whatever is malformed, numbers and
+escapes included, is a :class:`~repro.errors.SoapFault`.
 """
 
 from __future__ import annotations
@@ -53,15 +48,13 @@ from dataclasses import dataclass
 
 from repro.errors import OperationError, SoapFault
 from repro.core.columnar import ColumnBatch, ColumnLayout, layout_of
-from repro.core.fragment import ID_ATTR, PARENT_ATTR, Fragment
-from repro.core.instance import ElementData, FragmentInstance, FragmentRow
-from repro.core.stream import RowBatch
-from repro.xmlkit.escape import escape_attr, escape_text
+from repro.core.fragment import Fragment
+from repro.core.instance import FragmentInstance
+from repro.xmlkit.escape import escape_attr
 from repro.xmlkit.tree import Element, parse_tree
 from repro.xmlkit.writer import serialize
 
 ENVELOPE_NS = "http://schemas.xmlsoap.org/soap/envelope/"
-_EID_ATTR = "_eid"
 CHECKSUM_ATTR = "checksum"
 SEQ_ATTR = "seq"
 COLUMNS_ATTR = "columns"
@@ -156,42 +149,6 @@ def _number(element: str, attr: str, raw: str) -> int:
         ) from None
 
 
-def _missing_eid(element: str) -> SoapFault:
-    return SoapFault(f"wire element <{element}> is missing its {_EID_ATTR}")
-
-
-def _element_from_wire(row: Element, fragment: Fragment,
-                       children: dict[str, frozenset[str]]
-                       ) -> ElementData:
-    """Decode one wire row tree of ``fragment``, whose elements'
-    children are ``children``; iterative, so no nesting depth is a
-    crash."""
-
-    def data_of(element: Element, allowed: frozenset[str]
-                ) -> ElementData:
-        if element.name not in allowed:
-            raise SoapFault(
-                f"feed of fragment {fragment.name!r} carries an element "
-                f"<{element.name}> the fragment does not have there"
-            )
-        attrs = dict(element.attrs)
-        if _EID_ATTR not in attrs:
-            raise _missing_eid(element.name)
-        eid = _number(element.name, _EID_ATTR, attrs.pop(_EID_ATTR))
-        attrs.pop(ID_ATTR, None)
-        attrs.pop(PARENT_ATTR, None)
-        return ElementData(element.name, eid, attrs, element.text)
-
-    root = data_of(row, frozenset((fragment.root_name,)))
-    stack = [(row, root)]
-    while stack:
-        element, data = stack.pop()
-        allowed = children[element.name]
-        for child in element.children:
-            stack.append((child, data.add_child(data_of(child, allowed))))
-    return root
-
-
 def _digest(value: int) -> str:
     return format(value & 0xFFFFFFFF, "08x")
 
@@ -199,22 +156,6 @@ def _digest(value: int) -> str:
 def _text_digest(text: str) -> str:
     """The checksum of a tuple feed: Adler-32 over its text."""
     return _digest(zlib.adler32(text.encode("utf-8", "surrogatepass")))
-
-
-def feed_digest(rows: list[Element]) -> str:
-    """The checksum of a tree feed: Adler-32 over its wire rows.
-
-    The wire serializer is deterministic (fixed attribute and child
-    order), so re-serializing the rows a receiver parsed reproduces the
-    sender's bytes — any in-flight mutation of row content changes the
-    digest.
-    """
-    running = zlib.adler32(b"")
-    for row in rows:
-        running = zlib.adler32(
-            serialize(row, indent=None).encode("utf-8"), running
-        )
-    return _digest(running)
 
 
 def wrap_document(text: str) -> str:
@@ -263,97 +204,37 @@ def verify_fragment_feed(payload: Element) -> tuple[str, int, str]:
     It needs no :class:`~repro.core.fragment.Fragment`: it checks what
     a receiver that does not know the fragment *can* see — payload
     kind, fragment name, and the declared row count and checksum
-    against the rows that arrived (the lines of a tuple feed, the row
-    elements of a tree feed).  No cell is split and no row decoded.
-    Returns ``(fragment name, row count, recomputed digest)``.
+    against the lines that arrived.  No cell is split and no row
+    decoded.  Returns ``(fragment name, row count, recomputed
+    digest)``.
 
     Raises:
         SoapFault: on a wrong payload kind, a missing fragment name, a
-            missing or mismatched count or checksum, a tuple feed
-            holding elements, or rows nested too deep to serialize
-            again.
+            feed that names no columns (no tuple feed) or holds
+            elements, or a missing or mismatched count or checksum.
     """
     if payload.local_name() != "FragmentFeed":
         raise SoapFault(
             f"expected a FragmentFeed, got <{payload.name}>"
         )
     name = _feed_name(payload.attrs)
-    if COLUMNS_ATTR in payload.attrs:
-        if payload.children:
-            raise SoapFault(
-                f"tuple feed of fragment {name!r} carries elements"
-            )
-        text = payload.text
-        count = text.count("\n") + 1 if text else 0
-        digest = _text_digest(text)
-    else:
-        try:
-            digest = feed_digest(payload.children)
-        except RecursionError:
-            raise SoapFault(
-                f"feed of fragment {name!r} nests too deep to verify"
-            ) from None
-        count = len(payload.children)
+    if COLUMNS_ATTR not in payload.attrs:
+        raise SoapFault(
+            f"feed of fragment {name!r} names no columns: it is no "
+            "tuple feed"
+        )
+    if payload.children:
+        raise SoapFault(
+            f"tuple feed of fragment {name!r} carries elements"
+        )
+    text = payload.text
+    count = text.count("\n") + 1 if text else 0
+    digest = _text_digest(text)
     _check_totals(payload.name, payload.attrs, count, digest)
     return name, count, digest
 
 
-# -- the tree writer (fragments that do not flatten) ------------------------------
-
-
-def _wire_element(data: ElementData, keys: str = "") -> str:
-    """One element occurrence in wire form: its own attributes, its
-    ``_eid``, then ``keys`` (a fragment root's ``ID``/``PARENT``).
-
-    The wire carries element text without leading or trailing
-    whitespace — every receiver strips it, as the shredder does for
-    publish&map — so the stripped text is what is written, digested,
-    and left on the row: sender and receiver hold the same value
-    whether or not the row is decoded again.
-    """
-    name = data.name
-    attrs = "".join([
-        f' {key}="{escape_attr(value)}"'
-        for key, value in data.attrs.items()
-    ]) if data.attrs else ""
-    text = data.text
-    if text:
-        stripped = text.strip()
-        if stripped is not text:
-            data.text = text = stripped
-        text = escape_text(text)
-    children = "".join([
-        _wire_element(child)
-        for group in data.children.values() for child in group
-    ]) if data.children else ""
-    if text or children:
-        return (
-            f'<{name}{attrs} {_EID_ATTR}="{data.eid}"{keys}>'
-            f"{text}{children}</{name}>"
-        )
-    return f'<{name}{attrs} {_EID_ATTR}="{data.eid}"{keys}/>'
-
-
-def _root_keys(eid: int, parent: int | None) -> str:
-    return (
-        f' {ID_ATTR}="{eid}" {PARENT_ATTR}='
-        f'"{"" if parent is None else parent}"'
-    )
-
-
-# ``feed_digest`` serializes each row as a document of its own.
-_ROW_PROLOG = serialize(Element("row"), indent=None).removesuffix("<row/>")
-
-
-def _row_digest(rows: list[str]) -> str:
-    """The feed checksum over wire rows: each row as its own compact
-    document, exactly the bytes :func:`feed_digest` covers."""
-    return _digest(zlib.adler32(
-        _ROW_PROLOG.join(["", *rows]).encode("utf-8")
-    ))
-
-
-# -- the tuple writer (flat fragments) --------------------------------------------
+# -- the tuple writer --------------------------------------------
 
 _KEYS = frozenset(("id", "parent", "eid"))
 _STR_OR_NONE = frozenset((str, type(None)))
@@ -454,76 +335,48 @@ _ENVELOPE_HEAD, _ENVELOPE_TAIL = soap_envelope(
 ).split("<FragmentFeed/>")
 
 
-def _assemble(fragment: Fragment, count: int, rows: str, checksum: str,
-              seq: int | None, columns: str | None = None) -> str:
-    """Wrap written rows in the feed envelope."""
-    named = "" if columns is None else f' {COLUMNS_ATTR}="{columns}"'
-    numbering = "" if seq is None else f' {SEQ_ATTR}="{seq}"'
-    feed = (
-        f'{_ENVELOPE_HEAD}<FragmentFeed'
-        f' fragment="{escape_attr(fragment.name)}"{named}'
-        f' count="{count}"{numbering} {CHECKSUM_ATTR}="{checksum}"'
-    )
-    if rows:
-        return f"{feed}>{rows}</FragmentFeed>{_ENVELOPE_TAIL}"
-    return f"{feed}/>{_ENVELOPE_TAIL}"
-
-
 def _encode_columns(batch: ColumnBatch) -> tuple[str, str]:
+    """``batch``'s feed message and the checksum written into it."""
     text = _tuple_text(batch)
     checksum = _text_digest(text)
-    return _assemble(
-        batch.fragment, batch.row_count(), text, checksum, batch.seq,
-        _column_names(batch.layout),
-    ), checksum
-
-
-def _encode_rows(fragment: Fragment, rows: list[FragmentRow],
-                 seq: int | None) -> tuple[str, str]:
-    """A feed of row trees: a flat fragment's as tuples (``rows`` is
-    rewritten to what crossed the wire when anything was written
-    differently), any other's by the tree writer."""
-    if fragment.is_flat_storable():
-        batch = ColumnBatch.from_rows(fragment, rows, seq)
-        cells = batch.columns
-        encoded = _encode_columns(batch)
-        if batch.columns is not cells:
-            rows[:] = batch.rows
-        return encoded
-    written = [
-        _wire_element(row.data, _root_keys(row.data.eid, row.parent))
-        for row in rows
-    ]
-    checksum = _row_digest(written)
-    return _assemble(
-        fragment, len(written), "".join(written), checksum, seq
-    ), checksum
+    numbering = "" if batch.seq is None else f' {SEQ_ATTR}="{batch.seq}"'
+    feed = (
+        f'{_ENVELOPE_HEAD}<FragmentFeed'
+        f' fragment="{escape_attr(batch.fragment.name)}"'
+        f' {COLUMNS_ATTR}="{_column_names(batch.layout)}"'
+        f' count="{batch.row_count()}"{numbering}'
+        f' {CHECKSUM_ATTR}="{checksum}"'
+    )
+    if text:
+        return f"{feed}>{text}</FragmentFeed>{_ENVELOPE_TAIL}", checksum
+    return f"{feed}/>{_ENVELOPE_TAIL}", checksum
 
 
 def encode_fragment_feed(instance: FragmentInstance,
                          seq: int | None = None) -> tuple[str, str]:
-    """Encode a fragment instance; returns ``(message, checksum)``.
+    """Encode an instance of a flat fragment; returns ``(message,
+    checksum)``.
 
-    The message is :func:`wrap_fragment_feed`'s; the checksum is the
-    one written into it, which a sender keeps to hold the receiver's
-    ack against.  A flat fragment's rows are written as tuples, any
-    other's once each, straight from its
-    :class:`~repro.core.instance.ElementData`.
+    The message is :func:`wrap_fragment_feed`'s: the tuple feed of the
+    rows' column batch, whose leaf text is stripped as every receiver
+    stores it (:meth:`~repro.core.columnar.ColumnLayout.
+    cells_from_row`); the rows themselves are left as they are.  The
+    checksum is the one written into the message, which a sender keeps
+    to hold the receiver's ack against.
+
+    Raises:
+        OperationError: if the fragment does not flatten (it is sent
+            as its flat parts).
     """
-    return _encode_rows(instance.fragment, instance.rows, seq)
+    return _encode_columns(
+        ColumnBatch.from_rows(instance.fragment, instance.rows, seq)
+    )
 
 
-def encode_batch(batch: ColumnBatch | RowBatch) -> tuple[str, str]:
-    """Encode one batch of a feed; returns ``(message, checksum)``.
-
-    A :class:`~repro.core.columnar.ColumnBatch` is written straight
-    from its column lists; a :class:`~repro.core.stream.RowBatch` as
-    :func:`encode_fragment_feed` writes its rows — for a flat fragment
-    the same tuple feed its column batch would be.
-    """
-    if isinstance(batch, ColumnBatch):
-        return _encode_columns(batch)
-    return _encode_rows(batch.fragment, batch.rows, batch.seq)
+def encode_batch(batch: ColumnBatch) -> tuple[str, str]:
+    """Encode one batch of a feed, straight from its column lists;
+    returns ``(message, checksum)``."""
+    return _encode_columns(batch)
 
 
 def wrap_fragment_feed(instance: FragmentInstance,
@@ -623,43 +476,26 @@ def _expect(name: str, fragment: Fragment) -> None:
 
 def unwrap_fragment_feed(text: str,
                          fragment: Fragment) -> FragmentInstance:
-    """Parse a SOAP fragment-feed message, tuples or tree, into rows.
+    """Parse a SOAP fragment-feed message into rows of ``fragment``.
 
     Raises:
         SoapFault: on anything :func:`verify_fragment_feed` rejects, a
-            feed of another fragment or of the other form, an element
-            the fragment does not have, or missing / non-numeric keys.
+            feed of another fragment, a fragment that does not flatten
+            (it travels as its flat parts), or rows that do not
+            decode.
     """
     payload = parse_envelope(text)
     name, _, _ = verify_fragment_feed(payload)
     _expect(name, fragment)
-    if fragment.is_flat_storable():
-        row_from_cells = layout_of(fragment).row_from_cells
-        return FragmentInstance(fragment, map(
-            row_from_cells, zip(*_tuple_columns(payload, fragment))
-        ))
-    if COLUMNS_ATTR in payload.attrs:
+    if not fragment.is_flat_storable():
         raise SoapFault(
             f"feed of fragment {name!r} is a tuple feed, but the "
             "fragment does not flatten"
         )
-    children = {
-        element: frozenset(
-            child.name for child in fragment.children_of(element)
-        )
-        for element in fragment.elements
-    }
-    rows: list[FragmentRow] = []
-    for child in payload.children:
-        parent_raw = child.get(PARENT_ATTR, "")
-        parent = (
-            _number(child.name, PARENT_ATTR, parent_raw) if parent_raw
-            else None
-        )
-        rows.append(FragmentRow(
-            _element_from_wire(child, fragment, children), parent
-        ))
-    return FragmentInstance(fragment, rows)
+    row_from_cells = layout_of(fragment).row_from_cells
+    return FragmentInstance(fragment, map(
+        row_from_cells, zip(*_tuple_columns(payload, fragment))
+    ))
 
 
 @dataclass(frozen=True, slots=True)

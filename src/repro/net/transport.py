@@ -23,8 +23,8 @@ All three account thread-safely, enforce send-after-close uniformly
 its SOAP message (always on for :class:`TcpTransport`, where the wire
 is real).
 
-A hop costs one encode and one decode, and a flat fragment crosses it
-as tuples: a :class:`~repro.core.columnar.ColumnBatch` is written
+A hop costs one encode and one decode, and every batch crosses it as
+tuples: a :class:`~repro.core.columnar.ColumnBatch` is written
 straight from its columns, one line of cells per row
 (:func:`~repro.net.soap.encode_batch`), and the receiver verifies the
 lines' count and checksum (:func:`~repro.net.soap.read_fragment_feed`)
@@ -47,14 +47,12 @@ from dataclasses import dataclass
 from repro.errors import SoapFault, TransportError
 from repro.core.columnar import ColumnBatch
 from repro.core.program.executor import Shipment
-from repro.core.stream import RowBatch
 from repro.net.soap import (
     CHECKSUM_ATTR,
     SEQ_ATTR,
     encode_batch,
     parse_envelope,
     read_fragment_feed,
-    unwrap_fragment_feed,
     wrap_document,
 )
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -277,7 +275,7 @@ class Transport(abc.ABC):
 
     # -- shipping ----------------------------------------------------------------
 
-    def ship_batch(self, batch: ColumnBatch | RowBatch) -> Shipment:
+    def ship_batch(self, batch: ColumnBatch) -> Shipment:
         """Ship one batch of a fragment feed — the only way a feed
         crosses a cross-edge.  An unbatched run's single ``seq``-less
         batch is the whole feed as one message, byte-for-byte
@@ -287,20 +285,15 @@ class Transport(abc.ABC):
         finer batching buys pipelining at the price of more handshakes,
         exactly the chunk-size trade-off of a streamed transfer.  Wire
         format encodes the batch and, playing the receiver, takes back
-        what crossed the network: a column batch is verified as the
-        feed sink verifies it (:func:`~repro.net.soap.read_fragment_feed`)
-        and rebound to the columns it decoded, a row batch is decoded
-        back into its rows (:func:`~repro.net.soap.unwrap_fragment_feed`).
+        what crossed the network: the batch is verified as the feed
+        sink verifies it (:func:`~repro.net.soap.read_fragment_feed`)
+        and rebound to the columns it decoded.
         """
         if not self.wire_format:
             return self._charge(batch.feed_size())
         message, _ = encode_batch(batch)
         shipment = self._charge(len(message))
-        if isinstance(batch, ColumnBatch):
-            batch.rebind(read_fragment_feed(message, batch.fragment).columns)
-        else:
-            received = unwrap_fragment_feed(message, batch.fragment)
-            batch.rows[:] = received.rows
+        batch.rebind(read_fragment_feed(message, batch.fragment).columns)
         return shipment
 
     def ship_document(self, text: str) -> Shipment:
@@ -381,9 +374,9 @@ class TcpTransport(Transport):
     side checks the ``Ack`` (kind, fragment, count, checksum, ``seq``;
     ``bytes`` for a document) against what it sent, raising
     :class:`~repro.errors.SoapFault` on any difference.  The message
-    is *not* decoded again here: the shipped batch keeps its rows or
-    columns (the encoder has already left on them exactly
-    the text it wrote — see :func:`~repro.net.soap.encode_batch`).
+    is *not* decoded again here: the shipped batch keeps its columns
+    (the encoder has already left on them exactly the text it wrote —
+    see :func:`~repro.net.soap.encode_batch`).
     Round trips are serialized per transport (one in-flight message
     per connection); concurrent sessions get their own connections.
     """
@@ -484,7 +477,7 @@ class TcpTransport(Transport):
         self._account(size_bytes, seconds, lost=lost)
         return Shipment(size_bytes, seconds)
 
-    def ship_batch(self, batch: ColumnBatch | RowBatch) -> Shipment:
+    def ship_batch(self, batch: ColumnBatch) -> Shipment:
         message, checksum = encode_batch(batch)
         return self._roundtrip(message, {
             "of": "FragmentFeed",

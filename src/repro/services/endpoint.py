@@ -26,7 +26,11 @@ from repro.core.fragment import Fragment
 from repro.core.fragmentation import Fragmentation
 from repro.core.instance import ElementData, FragmentInstance, FragmentRow
 from repro.core.ops.base import Operation
-from repro.core.stream import DEFAULT_BATCH_ROWS, FragmentStream
+from repro.core.stream import (
+    DEFAULT_BATCH_ROWS,
+    FragmentStream,
+    combine_parts,
+)
 from repro.core.ops.combine import Combine
 from repro.core.ops.split import Split
 from repro.core.ops.write import Write
@@ -75,22 +79,8 @@ class SystemEndpoint(abc.ABC):
     # -- streaming data interface (the batch dataplane) --------------------
     #
     # The executor reads a flat-storable fragment through
-    # scan_stream_columnar and any other through scan_stream; either
-    # kind of batch may arrive at write_stream.
-
-    def scan_stream(self, fragment: Fragment,
-                    batch_rows: int = DEFAULT_BATCH_ROWS
-                    ) -> FragmentStream:
-        """Produce the stored feed of ``fragment`` as a stream of row
-        batches — how a fragment that does not flatten travels.
-
-        The default re-batches the materialized :meth:`scan` result;
-        an endpoint that holds trees (the in-memory one) overrides it
-        to copy lazily.
-        """
-        return FragmentStream.from_instance(
-            self.scan(fragment), batch_rows
-        )
+    # scan_stream_columnar and any other, part by part, through
+    # scan_parts; it writes them through write_stream and write_parts.
 
     def write_stream(self, fragment: Fragment,
                      stream: FragmentStream) -> None:
@@ -103,6 +93,23 @@ class SystemEndpoint(abc.ABC):
         """
         self.write(fragment, stream.materialize())
 
+    def write_parts(self, fragment: Fragment,
+                    parts: dict[Fragment, FragmentStream]) -> None:
+        """Store a fragment that does not flatten from the streams of
+        its flat parts: they are combined back into one instance
+        (:func:`~repro.core.stream.combine_parts`) and stored with
+        :meth:`write`."""
+        self.write(fragment, combine_parts(fragment, parts))
+
+    def _stored_rows(self, fragment: Fragment,
+                     eids: "set[int] | None") -> list[FragmentRow]:
+        """The :meth:`scan` feed, cut to the rows with root eids in
+        ``eids`` when given."""
+        rows = self.scan(fragment).rows
+        if eids is None:
+            return rows
+        return [row for row in rows if row.eid in eids]
+
     def scan_stream_columnar(self, fragment: Fragment,
                              batch_rows: int = DEFAULT_BATCH_ROWS,
                              eids: "set[int] | None" = None
@@ -112,24 +119,33 @@ class SystemEndpoint(abc.ABC):
         travels.  With ``eids``, the feed of just the rows with those
         root eids, in feed order (a delta run's ship set).
 
-        The default flattens the row-batch stream (filtering it first
-        when ``eids`` is given); endpoints whose store is already
-        tabular (the relational one) override this to skip tree
-        building entirely and to fetch ``eids`` by key.
+        The default slices the :meth:`scan` feed into column batches;
+        endpoints whose store is already tabular (the relational one)
+        override this to skip tree building entirely and to fetch
+        ``eids`` by key.
         """
-        row_stream = self.scan_stream(fragment, batch_rows)
-        if eids is not None:
-            row_stream = FragmentStream.from_rows(
-                fragment,
-                (row for batch in row_stream for row in batch.rows
-                 if row.eid in eids),
-                batch_rows,
-            )
-        return FragmentStream(
-            fragment,
-            (ColumnBatch.from_row_batch(batch)
-             for batch in row_stream),
+        return FragmentStream.from_rows(
+            fragment, self._stored_rows(fragment, eids), batch_rows
         )
+
+    def scan_parts(self, fragment: Fragment,
+                   batch_rows: int = DEFAULT_BATCH_ROWS,
+                   eids: "set[int] | None" = None
+                   ) -> dict[Fragment, FragmentStream]:
+        """Produce the stored feed of a fragment that does not flatten
+        as one column stream per flat part
+        (:meth:`~repro.core.fragment.Fragment.flat_parts`, in that
+        order): the :meth:`scan` feed — cut to ``eids`` as
+        :meth:`scan_stream_columnar` cuts it — split into the parts
+        (:meth:`~repro.core.instance.FragmentInstance.split`), each
+        part's rows sliced into batches of ``batch_rows``."""
+        instance = FragmentInstance(
+            fragment, self._stored_rows(fragment, eids)
+        )
+        return {
+            part.fragment: FragmentStream.from_instance(part, batch_rows)
+            for part in instance.split(fragment.flat_parts())
+        }
 
     # -- keyed lookups (delta detection, cascading deletes) -----------------
     #
@@ -356,15 +372,10 @@ class RelationalEndpoint(SystemEndpoint):
 
     def write_stream(self, fragment: Fragment,
                      stream: FragmentStream) -> None:
-        """Bulk-load each arriving batch into the fragment's table.
-        Columnar batches — all the executor sends, since every stored
-        fragment is flat — load without flattening any trees; row
-        batches from other callers flatten per row."""
+        """Bulk-load each arriving batch into the fragment's table,
+        without flattening any trees."""
         for batch in stream:
-            if isinstance(batch, ColumnBatch):
-                self.mapper.load_columns(self.db, fragment, batch)
-            else:
-                self.mapper.load_rows(self.db, fragment, batch.rows)
+            self.mapper.load_columns(self.db, fragment, batch)
 
     def stored_fragments(self) -> list[Fragment]:
         return list(self.fragmentation)
@@ -439,27 +450,6 @@ class InMemoryEndpoint(SystemEndpoint):
                     f"{self.name!r} stores no fragment {fragment.name!r}"
                 ) from exc
             return stored.copy()
-
-    def scan_stream(self, fragment: Fragment,
-                    batch_rows: int = DEFAULT_BATCH_ROWS
-                    ) -> FragmentStream:
-        """Re-batch the stored instance, deep-copying rows lazily so
-        only one batch of copies is resident at a time (the consumer
-        may mutate rows, as :meth:`scan` callers may)."""
-        with self._store_lock:
-            try:
-                stored = self.store[fragment.name]
-            except KeyError as exc:
-                raise EndpointError(
-                    f"{self.name!r} stores no fragment {fragment.name!r}"
-                ) from exc
-            snapshot = list(stored.rows)
-        return FragmentStream.from_rows(
-            fragment,
-            (FragmentRow(row.data.copy(), row.parent)
-             for row in snapshot),
-            batch_rows,
-        )
 
     def write(self, fragment: Fragment,
               instance: FragmentInstance) -> None:

@@ -9,7 +9,6 @@ from repro.core.columnar import ColumnBatch, ColumnLayout, layout_of
 from repro.core.fragment import Fragment
 from repro.core.fragmentation import Fragmentation
 from repro.core.instance import row_feed_size
-from repro.core.stream import RowBatch
 from repro.schema.dtd import parse_dtd
 from repro.services.endpoint import RelationalEndpoint
 from repro.xmlkit.writer import serialize
@@ -102,9 +101,9 @@ class TestRoundTrip:
             [row.parent for row in rows]
         assert _docs(fragment, rebuilt) == _docs(fragment, rows)
 
-    def test_from_row_batch_keeps_seq(self, item_rows):
+    def test_from_rows_keeps_seq(self, item_rows):
         fragment, rows = item_rows
-        batch = ColumnBatch.from_row_batch(RowBatch(fragment, rows, 7))
+        batch = ColumnBatch.from_rows(fragment, rows, 7)
         assert batch.seq == 7
         assert batch.row_count() == len(rows)
 

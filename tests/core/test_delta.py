@@ -271,11 +271,32 @@ class TestDeltaViews:
             if row.eid in keep
         ]
         streamed = [
-            row.eid
-            for batch in view.scan_stream(fragment, 2)
-            for row in batch.rows
+            eid
+            for batch in view.scan_stream_columnar(fragment, 2)
+            for eid in batch.column("id")
         ]
         assert streamed == [row.eid for row in scanned]
+
+    def test_source_view_cuts_parts_from_the_ship_set(
+            self, customers_s, customer_documents):
+        feed = fragment_customers(
+            customer_documents, customers_s
+        )["Line_Feature"]
+        endpoint = InMemoryEndpoint("m")
+        endpoint.put(feed)
+        keep = {row.eid for row in feed.rows[1::2]}
+        view = DeltaSourceView(
+            endpoint, DeltaSet(0, 1, ship={"Line_Feature": keep})
+        )
+        lines, features = view.scan_parts(feed.fragment, 2).values()
+        assert [eid for batch in lines for eid in batch.column("id")] \
+            == [row.eid for row in feed.rows if row.eid in keep]
+        assert [
+            eid for batch in features for eid in batch.column("id")
+        ] == [
+            feature.eid for row in feed.rows if row.eid in keep
+            for feature in row.data.children.get("Feature", [])
+        ]
 
     def test_columnar_scan_filters_too(self, auction_mf,
                                        auction_document):

@@ -77,6 +77,29 @@ class TestProperties:
             customers_schema, ["Line", "TelNo", "Feature", "FeatureID"]
         ).is_flat_storable()
 
+    def test_flat_parts(self, customers_schema):
+        """A fragment that does not flatten is the Combine of its flat
+        parts, cut at each repeated element, roots in pre-order; a flat
+        fragment is its own single part."""
+        flat = Fragment(customers_schema, ["Order", "Service"])
+        assert flat.flat_parts() == (flat,)
+        assert flat.flat_parts()[0] is flat
+        whole = Fragment.whole(customers_schema)
+        parts = whole.flat_parts()
+        assert [sorted(part.elements) for part in parts] == [
+            ["CustName", "Customer"],
+            ["Order", "Service", "ServiceName"],
+            ["Line", "Switch", "SwitchID", "TelNo"],
+            ["Feature", "FeatureID"],
+        ]
+        assert all(part.is_flat_storable() for part in parts)
+        combined = parts[0]
+        for part in parts[1:]:
+            combined = combined.combined_with(part)
+        assert combined == whole
+        # Memoized, and shared by equal fragments whatever their name.
+        assert Fragment.whole(customers_schema, "x").flat_parts() is parts
+
     def test_children_of_respects_pruning(self, customers_schema):
         fragment = Fragment(
             customers_schema, ["Line", "TelNo", "Feature", "FeatureID"]

@@ -1,4 +1,4 @@
-"""RowBatch / FragmentStream / ResidencyMeter: the batch dataplane units."""
+"""FragmentStream / ResidencyMeter: the batch dataplane units."""
 
 import pytest
 
@@ -16,7 +16,7 @@ def order_feed(customers_s, customer_documents):
     return fragment_customers(customer_documents, customers_s)["Order"]
 
 
-class TestRowBatch:
+class TestStreamBatches:
     def test_sizes_partition_the_instance(self, order_feed):
         batches = list(FragmentStream.from_instance(order_feed, 2))
         assert sum(b.row_count() for b in batches) == \
@@ -57,9 +57,9 @@ class TestFragmentStream:
             FragmentStream.from_instance(order_feed, 0)
 
     def test_copy_rows_isolates_the_original(self, order_feed):
-        stream = FragmentStream.from_instance(
-            order_feed, 2, copy_rows=True
-        )
+        """Batches hold cells, so their row views are trees of their
+        own: mutating them never touches the instance."""
+        stream = FragmentStream.from_instance(order_feed, 2)
         for batch in stream:
             for row in batch.rows:
                 row.data.text = "mutated"

@@ -16,7 +16,8 @@ from repro.errors import (
     TransportError,
 )
 from repro.core.program.executor import Shipment
-from repro.core.stream import FragmentStream, RowBatch
+from repro.core.columnar import ColumnBatch
+from repro.core.stream import FragmentStream
 from repro.net.faults import (
     FaultKind,
     FaultPlan,
@@ -38,7 +39,7 @@ def feed(customers_s, customer_documents):
 def whole(feed):
     """The executor's unbatched message: the feed as one seq-less
     batch."""
-    return RowBatch(feed.fragment, feed.rows, None)
+    return ColumnBatch.from_rows(feed.fragment, feed.rows, None)
 
 
 @pytest.fixture
@@ -468,3 +469,96 @@ class TestPerEdgeAttribution:
         faults = [s for s in tracer.spans if s.category == "fault"]
         assert len(faults) == 1
         assert faults[0].name == "fault:drop"
+
+
+class TestPartStreams:
+    """A fragment that does not flatten crosses its edge as one stream
+    per flat part, each with a sequence space of its own: the reliable
+    link numbers, de-duplicates and re-orders each part apart, and the
+    channel holds a re-ordered message back per part."""
+
+    def test_two_parts_of_one_edge_keep_their_own_seqs(
+            self, customers_s, customers_t, customer_documents):
+        from repro.core.delta import instance_digest
+        from repro.core.mapping import derive_mapping
+        from repro.core.ops.base import Location
+        from repro.core.ops.scan import Scan
+        from repro.core.program.builder import build_transfer_program
+        from repro.core.program.executor import ProgramExecutor
+        from repro.services.endpoint import InMemoryEndpoint
+
+        source = InMemoryEndpoint("sales")
+        for instance in fragment_customers(
+            customer_documents, customers_s
+        ).values():
+            source.put(instance)
+        program = build_transfer_program(
+            derive_mapping(customers_s, customers_t)
+        )
+        # Scans at the source: Line_Feature (parts Line_TelNo and
+        # Feature_FeatureID) crosses as two part streams.
+        placement = {
+            node.op_id: Location.SOURCE if isinstance(node, Scan)
+            else Location.TARGET
+            for node in program.nodes
+        }
+        [edge] = [edge for edge in program.cross_edges(placement)
+                  if not edge.fragment.is_flat_storable()]
+        key = (edge.producer.op_id, edge.output_index)
+
+        def run(wire, retry=None):
+            target = InMemoryEndpoint("provisioning")
+            report = ProgramExecutor(
+                source, target, wire, batch_rows=1, retry=retry,
+            ).run(program, placement)
+            return report, {
+                fragment.name: instance_digest(target.scan(fragment))
+                for fragment in customers_t
+            }
+
+        _, expected = run(SimulatedChannel(wire_format=True))
+        # Every message is held back behind the next of its stream,
+        # and a few are dropped and sent again.
+        plan = FaultPlan(
+            script={index: FaultKind.REORDER for index in range(0, 40, 2)}
+            | {index: FaultKind.DROP for index in (5, 13, 21, 29)}
+        )
+        wire = FaultyChannel(SimulatedChannel(wire_format=True), plan)
+        report, written = run(
+            wire, RetryPolicy(max_attempts=4, sleep=lambda d: None)
+        )
+        assert written == expected
+        assert wire.stats.reorders >= 2 and wire.stats.drops == 4
+        assert report.shipment_batches[key] > 2
+        # The retries were counted per part stream of the edge.
+        parts = {edge_key for edge_key in report.retries_by_edge
+                 if edge_key[:2] == key}
+        assert parts and all(len(edge_key) == 3 for edge_key in parts)
+
+    def test_interleaved_parts_do_not_swap_held_messages(self, feed):
+        """Why each part needs a key of its own: with the two part
+        streams of edge (1, 0) interleaved on one channel, a message of
+        part 0 held back by a re-order is released behind part 0's
+        next message, never into part 1's stream."""
+        batches = list(FragmentStream.from_instance(feed, 2))
+        assert len(batches) >= 2
+        channel = FaultyChannel(
+            SimulatedChannel(), FaultPlan(script={0: FaultKind.REORDER})
+        )
+        stats = RobustnessStats()
+        policy = RetryPolicy(max_attempts=4, sleep=lambda d: None)
+        links = [
+            ReliableBatchLink(channel, policy, stats, edge=(1, 0, part))
+            for part in (0, 1)
+        ]
+        delivered: list[list] = [[], []]
+        for batch in batches:
+            for part, link in enumerate(links):
+                delivered[part].extend(link.send(batch)[1])
+        for part, link in enumerate(links):
+            delivered[part].extend(link.finish())
+        assert channel.stats.reorders == 1
+        for part in (0, 1):
+            assert [batch.seq for batch in delivered[part]] \
+                == list(range(len(batches)))
+        assert stats.redelivered == 0

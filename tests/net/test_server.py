@@ -73,6 +73,23 @@ class TestFeedSink:
         assert ack.get("of") == "Document"
         assert ack.get("bytes") == "321"
 
+    @pytest.mark.parametrize("declared, match", [
+        ("999", "declares 999 bytes but carries 4"),
+        ("four", "non-numeric bytes='four'"),
+        (None, "declares no bytes"),
+    ])
+    def test_document_must_carry_the_bytes_it_declares(self, declared,
+                                                      match):
+        attrs = {} if declared is None else {"bytes": declared}
+        message = soap_envelope(Element("Document", attrs, text="<d/>"))
+        metrics = MetricsRegistry()
+        with FeedSink(metrics=metrics) as sink:
+            reply = raw_call(sink, message)
+        assert reply.name == "Fault"
+        assert match in reply.get("message")
+        assert metrics.counter("server.faults").value == 1
+        assert metrics.counter("server.documents").value == 0
+
     def test_corrupted_feed_gets_checksum_fault(self, feed):
         corrupted = corrupt_soap_message(wrap_fragment_feed(feed))
         metrics = MetricsRegistry()
@@ -145,8 +162,9 @@ class TestFeedSink:
     def test_deeply_nested_row_gets_fault_and_the_connection_lives(
             self, feed):
         """5 000 nested elements once killed the connection's thread
-        (a recursive serializer); now they draw a Fault, are counted,
-        and the same connection goes on to ack a valid feed."""
+        (a recursive serializer); a feed of tagged rows is no tuple
+        feed, so they draw a Fault, are counted, and the same
+        connection goes on to ack a valid feed."""
         metrics = MetricsRegistry()
         with FeedSink(metrics=metrics) as sink:
             with socket.create_connection(
@@ -157,7 +175,7 @@ class TestFeedSink:
                     sock, wrap_fragment_feed(feed).encode("utf-8")
                 )
                 ack = recv_frame(sock)
-        with pytest.raises(SoapFault, match="too deep"):
+        with pytest.raises(SoapFault, match="names no columns"):
             parse_envelope(fault.decode("utf-8"))
         assert parse_envelope(ack.decode("utf-8")).name == "Ack"
         assert metrics.counter("server.faults").value == 1

@@ -1,5 +1,6 @@
 """SOAP envelopes and fragment-feed wire format."""
 
+import re
 import zlib
 
 import pytest
@@ -15,7 +16,6 @@ from repro.net.soap import (
     FeedReceipt,
     encode_batch,
     encode_fragment_feed,
-    feed_digest,
     parse_envelope,
     read_fragment_feed,
     read_message,
@@ -29,6 +29,10 @@ from repro.net.soap import (
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.tree import Element
 from repro.xmlkit.writer import serialize
+
+
+def _adler(text: str) -> str:
+    return format(zlib.adler32(text.encode("utf-8")), "08x")
 
 from tests.net.test_feed_codec import (
     assert_every_change_faults,
@@ -66,9 +70,9 @@ class TestEnvelope:
 
 class TestFragmentFeed:
     @pytest.fixture
-    def order_feed(self, customers_s, customer_documents):
-        return fragment_customers(customer_documents, customers_s)[
-            "Line_Feature"
+    def order_feed(self, customers_t, customer_documents):
+        return fragment_customers(customer_documents, customers_t)[
+            "Line_Switch"
         ]
 
     def test_round_trip_preserves_rows(self, order_feed):
@@ -105,19 +109,19 @@ class TestFragmentFeed:
         with pytest.raises(SoapFault, match="declares"):
             unwrap_fragment_feed(tampered, order_feed.fragment)
 
-    def test_missing_eid_rejected(self, order_fragment):
-        text = feed_message('<Order ID="1" PARENT=""/>')
-        with pytest.raises(SoapFault, match="_eid"):
-            unwrap_fragment_feed(text, order_fragment)
+    def test_missing_eid_rejected(self, tuple_fragment):
+        text = tuple_message("\\N|1|8|9|x")
+        with pytest.raises(SoapFault, match="row with no id"):
+            unwrap_fragment_feed(text, tuple_fragment)
 
 
 class TestFeedIntegrity:
     """Checksums and sequence numbers on the wire."""
 
     @pytest.fixture
-    def order_feed(self, customers_s, customer_documents):
-        return fragment_customers(customer_documents, customers_s)[
-            "Line_Feature"
+    def order_feed(self, customers_t, customer_documents):
+        return fragment_customers(customer_documents, customers_t)[
+            "Line_Switch"
         ]
 
     def test_message_carries_checksum(self, order_feed):
@@ -137,8 +141,9 @@ class TestFeedIntegrity:
         message = wrap_fragment_feed(order_feed)
         first_row = order_feed.rows[0]
         tampered = message.replace(
-            f'_eid="{first_row.eid}"', '_eid="evil"', 1
+            f'">{first_row.eid}|', '">evil|', 1
         )
+        assert tampered != message
         with pytest.raises(SoapFault, match="checksum"):
             unwrap_fragment_feed(tampered, order_feed.fragment)
 
@@ -199,16 +204,16 @@ class TestDocumentWrapper:
 
 class TestVerifyFragmentFeed:
     @pytest.fixture
-    def order_payload(self, customers_s, customer_documents):
-        feed = fragment_customers(customer_documents, customers_s)[
-            "Line_Feature"
+    def order_payload(self, customers_t, customer_documents):
+        feed = fragment_customers(customer_documents, customers_t)[
+            "Line_Switch"
         ]
         return parse_envelope(wrap_fragment_feed(feed))
 
     def test_returns_name_count_digest(self, order_payload):
         name, count, digest = verify_fragment_feed(order_payload)
-        assert name == "Line_Feature"
-        assert count == len(order_payload.children)
+        assert name == "Line_Switch"
+        assert count == len(order_payload.text.split("\n"))
         assert digest == order_payload.get("checksum")
 
     def test_wrong_payload_kind_rejected(self):
@@ -225,11 +230,9 @@ class TestVerifyFragmentFeed:
             verify_fragment_feed(order_payload)
 
     def test_count_mismatch_rejected(self, order_payload):
-        order_payload.children.pop()
+        order_payload.text = order_payload.text.rsplit("\n", 1)[0]
         # Recompute the digest so only the count is wrong.
-        order_payload.attrs["checksum"] = feed_digest(
-            order_payload.children
-        )
+        order_payload.attrs["checksum"] = _adler(order_payload.text)
         with pytest.raises(SoapFault, match="declares"):
             verify_fragment_feed(order_payload)
 
@@ -241,24 +244,22 @@ _HEAD = (
     '"http://schemas.xmlsoap.org/soap/envelope/"><soap:Body>'
 )
 _TAIL = "</soap:Body></soap:Envelope>"
-#: Rows of :func:`golden_feed` as the commit before the single-pass
-#: encoder wrote them (captured from it, checksum included).
+#: Rows of :func:`golden_feed` as ``wrap_fragment_feed`` writes them
+#: (captured from it, checksum included).
 _GOLDEN_ROWS = (
-    '<Order note="a &quot;quoted&quot; &lt;b&gt; &amp; c&#10;&#9;z"'
-    ' _eid="7" ID="7" PARENT=""><Service _eid="8">x &lt; y &amp; z &gt; w'
-    '<ServiceName k="v\'" _eid="9">café ☃</ServiceName></Service>'
-    '<Service _eid="10"/><Line _eid="11">in\rner</Line></Order>'
-    '<Order _eid="12" ID="12" PARENT="3">text and child'
-    '<Line _eid="13"/></Order>'
-    '<Order _eid="14" ID="14" PARENT="0"/>'
+    '7|\\N|8|9|a "quoted" \\003cb\\003e \\0026 c\\007cd\\005ce'
+    "\\000a\tz\\000dcafé ☃\n"
+    "12|3|\\N|\\N|\\N\n"
+    "14|0|15|16|"
 )
-_GOLDEN_CHECKSUM = "bf3e80b1"
+_GOLDEN_CHECKSUM = "d5861eb9"
+_GOLDEN_COLUMNS = "id parent service_eid servicename_eid servicename"
 
 
 @pytest.fixture
 def order_fragment(customers_schema):
     """``Order`` with its repeated ``Line``: a fragment that does not
-    flatten, so its feed is a tagged tree."""
+    flatten, so it is sent as its flat parts, never as one feed."""
     fragment = Fragment(
         customers_schema, ["Order", "Service", "ServiceName", "Line"],
         name="Order",
@@ -268,41 +269,39 @@ def order_fragment(customers_schema):
 
 
 @pytest.fixture
-def golden_feed(order_fragment):
-    """Nested children, text beside children, escaped text and
-    attribute values, non-ASCII text, an inner ``\\r``, a ``None``
-    parent, a parent of 0, and a child group left empty."""
-    first = ElementData("Order", 7, {"note": 'a "quoted" <b> & c\n\tz'})
-    service = first.add_child(
-        ElementData("Service", 8, {}, "x < y & z > w")
-    )
-    service.add_child(
-        ElementData("ServiceName", 9, {"k": "v'"}, "café ☃")
-    )
-    first.add_child(ElementData("Service", 10))
-    first.add_child(ElementData("Line", 11, {}, "in\rner"))
-    second = ElementData("Order", 12, {}, "text and child")
-    second.add_child(ElementData("Line", 13))
+def golden_feed(tuple_fragment):
+    """Nested children, escaped and non-ASCII text, an inner ``\\r``,
+    a ``None`` parent, a parent of 0, an absent ``Service`` and an
+    empty leaf."""
+    first = ElementData("Order", 7)
+    first.add_child(ElementData("Service", 8)).add_child(ElementData(
+        "ServiceName", 9, {}, 'a "quoted" <b> & c|d\\e\n\tz\rcafé ☃'
+    ))
     third = ElementData("Order", 14)
-    third.children["Line"] = []
-    return FragmentInstance(order_fragment, [
-        FragmentRow(first, None), FragmentRow(second, 3),
+    third.add_child(ElementData("Service", 15)).add_child(
+        ElementData("ServiceName", 16)
+    )
+    return FragmentInstance(tuple_fragment, [
+        FragmentRow(first, None), FragmentRow(ElementData("Order", 12), 3),
         FragmentRow(third, 0),
     ])
 
 
 class TestGoldenMessages:
-    """``wrap_fragment_feed`` is byte-for-byte what it always was."""
+    """``wrap_fragment_feed`` is byte-for-byte what it always was: the
+    tuple feed of the instance's rows."""
 
     @pytest.mark.parametrize("seq, numbering", [
         (None, ""), (0, ' seq="0"'), (41, ' seq="41"'),
     ])
     def test_rows_and_checksum(self, golden_feed, seq, numbering):
         assert wrap_fragment_feed(golden_feed, seq) == (
-            f'{_HEAD}<FragmentFeed fragment="Order" count="3"{numbering}'
+            f'{_HEAD}<FragmentFeed fragment="Order" columns='
+            f'"{_GOLDEN_COLUMNS}" count="3"{numbering}'
             f' checksum="{_GOLDEN_CHECKSUM}">{_GOLDEN_ROWS}'
             f"</FragmentFeed>{_TAIL}"
         )
+        assert _adler(_GOLDEN_ROWS) == _GOLDEN_CHECKSUM
 
     @pytest.mark.parametrize("seq, numbering", [
         (None, ""), (5, ' seq="5"'),
@@ -310,7 +309,8 @@ class TestGoldenMessages:
     def test_empty_feed(self, golden_feed, seq, numbering):
         empty = FragmentInstance(golden_feed.fragment)
         assert wrap_fragment_feed(empty, seq) == (
-            f'{_HEAD}<FragmentFeed fragment="Order" count="0"{numbering}'
+            f'{_HEAD}<FragmentFeed fragment="Order" columns='
+            f'"{_GOLDEN_COLUMNS}" count="0"{numbering}'
             f' checksum="00000001"/>{_TAIL}'
         )
 
@@ -319,34 +319,32 @@ class TestGoldenMessages:
         assert message == wrap_fragment_feed(golden_feed, 3)
         assert checksum == _GOLDEN_CHECKSUM
         # ... which is the digest a receiver recomputes.
-        assert feed_digest(parse_envelope(message).children) == checksum
+        assert verify_fragment_feed(parse_envelope(message))[2] \
+            == checksum
 
     def test_decodes_to_the_rows_it_encoded(self, golden_feed):
         received = unwrap_fragment_feed(
             wrap_fragment_feed(golden_feed), golden_feed.fragment
         )
         assert [row.parent for row in received.rows] == [None, 3, 0]
-        assert [row.data for row in received.rows[:2]] == [
-            row.data for row in golden_feed.rows[:2]
+        assert [row.data for row in received.rows] == [
+            row.data for row in golden_feed.rows
         ]
-        # An empty child group does not exist on the wire.
-        assert received.rows[2].data == ElementData("Order", 14)
 
     def test_padded_text_is_normalised_by_the_encoder(self, golden_feed):
-        """A receiver's tree parser strips element text, so the encoder
-        writes, digests and leaves on the row the stripped text: the
-        checksum verifies and sender and receiver hold the same rows
-        whether or not the sender decodes its own message."""
-        leaf = golden_feed.rows[0].data.children["Line"][0]
+        """A receiver stores leaf text stripped, so the encoder writes
+        and digests the stripped text, which is what the rows decode
+        to; the sender's rows are left as they are."""
+        leaf = golden_feed.rows[2].data.children["Service"][0] \
+            .children["ServiceName"][0]
         leaf.text = " \r\n padded\rtext \t\r "
-        golden_feed.rows[1].data.text = "   "
         message = wrap_fragment_feed(golden_feed)
-        assert ">padded\rtext</Line>" in message
-        assert leaf.text == "padded\rtext"
-        assert golden_feed.rows[1].data.text == ""
+        assert "\n14|0|15|16|padded\\000dtext</" in message
+        assert leaf.text == " \r\n padded\rtext \t\r "
         received = unwrap_fragment_feed(message, golden_feed.fragment)
+        assert received.rows[2].data.children["Service"][0] \
+            .children["ServiceName"][0].text == "padded\rtext"
         assert received.rows[0].data == golden_feed.rows[0].data
-        assert received.rows[1].data == golden_feed.rows[1].data
 
 
 class TestMalformedNumbers:
@@ -361,7 +359,7 @@ class TestMalformedNumbers:
         """``message`` with its checksum recomputed, so that only the
         malformed number is wrong."""
         payload = parse_envelope(message)
-        payload.attrs["checksum"] = feed_digest(payload.children)
+        payload.attrs["checksum"] = _adler(payload.text)
         return payload
 
     def test_count(self, message, golden_feed):
@@ -373,17 +371,20 @@ class TestMalformedNumbers:
 
     def test_parent(self, message, golden_feed):
         payload = self._rechecksummed(
-            message.replace('PARENT="3"', 'PARENT="zz"')
+            message.replace("\n12|3|", "\n12|zz|")
         )
-        with pytest.raises(SoapFault, match="PARENT='zz'"):
+        with pytest.raises(SoapFault, match="parent='zz'"):
             unwrap_fragment_feed(
                 soap_envelope(payload), golden_feed.fragment
             )
 
-    @pytest.mark.parametrize("eid", ['_eid="12"', '_eid="13"'])
-    def test_eid(self, message, golden_feed, eid):
-        payload = self._rechecksummed(message.replace(eid, '_eid="x1"'))
-        with pytest.raises(SoapFault, match="_eid='x1'"):
+    @pytest.mark.parametrize("row, column", [
+        ("\n12|3|", "id"), ("\n14|0|15|", "service_eid"),
+    ])
+    def test_key(self, message, golden_feed, row, column):
+        tampered = row.replace("12|", "x1|").replace("15|", "x1|")
+        payload = self._rechecksummed(message.replace(row, tampered))
+        with pytest.raises(SoapFault, match=f"{column}='x1'"):
             unwrap_fragment_feed(
                 soap_envelope(payload), golden_feed.fragment
             )
@@ -444,11 +445,8 @@ class TestGoldenTupleMessage:
     def test_rows_of_a_flat_fragment_are_written_as_tuples(
             self, tuple_batch):
         message, _ = encode_batch(tuple_batch)
-        rows = tuple_batch.to_row_batch()
-        assert encode_batch(rows)[0] == message
-        assert wrap_fragment_feed(
-            FragmentInstance(rows.fragment, rows.rows), 4
-        ) == message
+        rows = FragmentInstance(tuple_batch.fragment, tuple_batch.rows)
+        assert wrap_fragment_feed(rows, 4) == message
         received = unwrap_fragment_feed(message, rows.fragment)
         assert [row.data for row in received.rows] \
             == [row.data for row in rows.rows]
@@ -465,12 +463,12 @@ class TestColumnEncoder:
     def test_same_message_and_checksum_as_the_row_writer(self, batch):
         shared = batch.columns
         before = [list(column) for column in shared]
-        rows = ColumnBatch(
+        rows = FragmentInstance(batch.fragment, ColumnBatch(
             batch.fragment,
             [batch.column(spec.name)[:] for spec in batch.layout.specs],
             batch.seq,
-        ).to_row_batch()
-        expected = encode_batch(rows)
+        ).rows)
+        expected = encode_fragment_feed(rows, batch.seq)
         assert encode_batch(batch) == expected
         # The row writer left the written values on its rows; the
         # column batch holds the same, and the lists it shared with its
@@ -641,28 +639,35 @@ class TestUndeclaredTotals:
                 with pytest.raises(SoapFault, match=expected):
                     receive(text)
 
-    def test_tree_feed(self, golden_feed):
-        message = wrap_fragment_feed(golden_feed)
-        unchecked = message.replace(f' checksum="{_GOLDEN_CHECKSUM}"', "")
-        for receive in (
-            read_message,
-            lambda text: unwrap_fragment_feed(text, golden_feed.fragment),
-        ):
-            with pytest.raises(SoapFault, match="carries no checksum"):
-                receive(unchecked)
+    def test_tree_feed(self, order_fragment, tuple_fragment):
+        """A feed that names no columns is no tuple feed: every receiver
+        answers it with a fault, checksum declared or not."""
+        message = feed_message('<Order _eid="1" ID="1" PARENT=""/>')
+        unchecked = re.sub(' checksum="[0-9a-f]*"', "", message)
+        for text in (message, unchecked):
+            for receive in (
+                read_message,
+                lambda text: read_fragment_feed(text, tuple_fragment),
+                lambda text: unwrap_fragment_feed(text, order_fragment),
+                lambda text: verify_fragment_feed(parse_envelope(text)),
+            ):
+                with pytest.raises(SoapFault, match="names no columns"):
+                    receive(text)
+
+
+def tuple_message(rows: str, columns: str = _TUPLE_COLUMNS) -> str:
+    """A tuple feed of ``Order`` carrying ``rows`` with the right count
+    and checksum, so that only the rows can be wrong."""
+    return (
+        f'{_HEAD}<FragmentFeed fragment="Order" columns="{columns}"'
+        f' count="{rows.count(chr(10)) + 1}"'
+        f' checksum="{_adler(rows)}">{rows}</FragmentFeed>{_TAIL}'
+    )
 
 
 class TestTupleDecodeRejects:
     """Rows that verify but do not decode as the named fragment's are
     a ``SoapFault`` naming what is wrong."""
-
-    def _message(self, rows: str, columns: str = _TUPLE_COLUMNS) -> str:
-        digest = zlib.adler32(rows.encode("utf-8"))
-        return (
-            f'{_HEAD}<FragmentFeed fragment="Order" columns="{columns}"'
-            f' count="{rows.count(chr(10)) + 1}"'
-            f' checksum="{digest:08x}">{rows}</FragmentFeed>{_TAIL}'
-        )
 
     @pytest.mark.parametrize("rows, columns, match", [
         ("7|1|8|9|x", "id parent servicename", "names columns"),
@@ -675,33 +680,33 @@ class TestTupleDecodeRejects:
         ("7|1|8|9|\\0041", _TUPLE_COLUMNS, "bad escape"),
     ])
     def test_rows(self, tuple_fragment, rows, columns, match):
-        message = self._message(rows, columns)
+        message = tuple_message(rows, columns)
         assert read_message(message).count == 1  # it verifies
         for decode in (read_fragment_feed, unwrap_fragment_feed):
             with pytest.raises(SoapFault, match=match):
                 decode(message, tuple_fragment)
 
     def test_elements_in_a_tuple_feed(self):
-        message = self._message("7|1|8|9|x").replace(
+        message = tuple_message("7|1|8|9|x").replace(
             "x</", "x<Order/></"
         )
         with pytest.raises(SoapFault, match="carries elements"):
             read_message(message)
 
     def test_the_form_must_fit_the_fragment(self, tuple_fragment,
-                                            order_fragment, golden_feed):
-        tuples = self._message("7|1|8|9|x")
+                                            order_fragment):
+        tuples = tuple_message("7|1|8|9|x")
         with pytest.raises(SoapFault, match="does not flatten"):
             unwrap_fragment_feed(tuples, order_fragment)
-        tree = wrap_fragment_feed(golden_feed)
+        tree = feed_message('<Order _eid="7" ID="7" PARENT="1"/>')
         for decode in (read_fragment_feed, unwrap_fragment_feed):
-            with pytest.raises(SoapFault, match="names columns None"):
+            with pytest.raises(SoapFault, match="names no columns"):
                 decode(tree, tuple_fragment)
 
 
 def feed_message(*rows: str, fragment: str = "Order") -> str:
-    """A tree feed message carrying ``rows`` with the right count and
-    checksum, so that only the rows' shape can be wrong."""
+    """A feed of tagged rows (no ``columns``) with the right count and
+    checksum, so that only its form is wrong."""
     digest = zlib.adler32("".join(
         f'<?xml version="1.0"?>{row}' for row in rows
     ).encode("utf-8"))
@@ -721,39 +726,28 @@ DEEP_ROW = (
 
 
 class TestHostileShapes:
-    """Elements a fragment cannot have are a ``SoapFault`` on every
-    receiving path — never a ``RecursionError``."""
+    """A feed of tagged rows is no tuple feed: a ``SoapFault`` on every
+    receiving path, however deep it nests — never a
+    ``RecursionError``."""
 
     def test_deep_nesting_streaming(self, customers_schema):
         """The sink's path, with and without the fragment."""
         message = feed_message(DEEP_ROW)
-        with pytest.raises(SoapFault, match="too deep"):
+        with pytest.raises(SoapFault, match="names no columns"):
             read_fragment_feed(message)
-        with pytest.raises(SoapFault, match="too deep"):
+        with pytest.raises(SoapFault, match="names no columns"):
             read_fragment_feed(
                 message, Fragment(customers_schema, ["Order"])
             )
 
     def test_deep_nesting_tree_path(self, customers_schema):
         message = feed_message(DEEP_ROW)
-        with pytest.raises(SoapFault, match="too deep"):
+        with pytest.raises(SoapFault, match="names no columns"):
             unwrap_fragment_feed(
                 message, Fragment(customers_schema, ["Order"])
             )
-        with pytest.raises(SoapFault, match="too deep"):
+        with pytest.raises(SoapFault, match="names no columns"):
             verify_fragment_feed(parse_envelope(message))
-
-    @pytest.mark.parametrize("row, match", [
-        ('<Order _eid="1" ID="1" PARENT=""><Order _eid="2"/></Order>',
-         "does not have"),
-        ('<Customer _eid="1" ID="1" PARENT=""/>', "does not have"),
-        ('<Order ID="1" PARENT=""/>', "missing its _eid"),
-        ('<Order _eid="x1" ID="1" PARENT=""/>', "_eid='x1'"),
-        ('<Order _eid="1" ID="1" PARENT="zz"/>', "PARENT='zz'"),
-    ])
-    def test_decode_rejects(self, order_fragment, row, match):
-        with pytest.raises(SoapFault, match=match):
-            unwrap_fragment_feed(feed_message(row), order_fragment)
 
     def test_repeated_element_in_a_flat_row(self, customers_schema):
         """A flat row holds one cell per column, so no element can
@@ -764,7 +758,7 @@ class TestHostileShapes:
             '<Customer _eid="1" ID="1" PARENT=""><CustName _eid="2">a'
             '</CustName><CustName _eid="3">b</CustName></Customer>'
         )
-        with pytest.raises(SoapFault, match="names columns None"):
+        with pytest.raises(SoapFault, match="names no columns"):
             read_fragment_feed(
                 feed_message(row, fragment=fragment.name), fragment
             )

@@ -20,7 +20,8 @@ from repro.errors import (
 from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
-from repro.core.stream import FragmentStream, RowBatch
+from repro.core.columnar import ColumnBatch
+from repro.core.stream import FragmentStream
 from repro.net.faults import (
     FaultKind,
     FaultPlan,
@@ -68,7 +69,7 @@ def feed(customers_s, customer_documents):
 def whole(feed):
     """The executor's unbatched message: the feed as one seq-less
     batch."""
-    return RowBatch(feed.fragment, feed.rows, None)
+    return ColumnBatch.from_rows(feed.fragment, feed.rows, None)
 
 
 @pytest.fixture

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import TransportError
-from repro.core.stream import FragmentStream, RowBatch
+from repro.core.columnar import ColumnBatch
+from repro.core.stream import FragmentStream
 from repro.net.transport import NetworkProfile, SimulatedChannel
 from repro.workloads.customer import fragment_customers
 
@@ -17,7 +18,7 @@ def feed(customers_s, customer_documents):
 def whole(feed):
     """The executor's unbatched message: the feed as one seq-less
     batch."""
-    return RowBatch(feed.fragment, feed.rows, None)
+    return ColumnBatch.from_rows(feed.fragment, feed.rows, None)
 
 
 class TestNetworkProfile:
@@ -82,9 +83,7 @@ class TestSimulatedChannel:
         channel = SimulatedChannel(wire_format=True)
         total_rows = 0
         eids = []
-        for batch in FragmentStream.from_instance(
-            feed, 3, copy_rows=True
-        ):
+        for batch in FragmentStream.from_instance(feed, 3):
             shipment = channel.ship_batch(batch)
             assert shipment.bytes_sent > batch.feed_size()
             total_rows += batch.row_count()

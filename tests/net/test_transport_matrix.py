@@ -10,11 +10,10 @@ import threading
 import pytest
 
 from repro.errors import SoapFault, TransportError
-from repro.core.columnar import ColumnLayout
+from repro.core.columnar import ColumnBatch, ColumnLayout
 from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
-from repro.core.stream import RowBatch
 from repro.net.server import FeedSink
 from repro.net.soap import (
     parse_envelope,
@@ -50,7 +49,7 @@ def feed(customers_s, customer_documents):
 def whole(feed):
     """The executor's unbatched message: the feed as one seq-less
     batch."""
-    return RowBatch(feed.fragment, feed.rows, None)
+    return ColumnBatch.from_rows(feed.fragment, feed.rows, None)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +184,7 @@ class TestTcpTransport:
         is not decoded again on the sending side, and the sink's ack
         is held against what was sent."""
         metrics = MetricsRegistry()
-        batch = RowBatch(feed.fragment, list(feed.rows), 3)
+        batch = ColumnBatch.from_rows(feed.fragment, list(feed.rows), 3)
         rows_before = list(batch.rows)
         with FeedSink(metrics=metrics) as live:
             transport = TcpTransport.connect(live.host, live.port)
@@ -245,7 +244,9 @@ class TestAckIsChecked:
         with lying_sink() as (host, port):
             transport = TcpTransport.connect(host, port)
             transport.ship_batch(whole)
-            transport.ship_batch(RowBatch(feed.fragment, feed.rows, 0))
+            transport.ship_batch(
+                ColumnBatch.from_rows(feed.fragment, feed.rows, 0)
+            )
             transport.ship_document("<doc/>")
             transport.close()
 
@@ -264,7 +265,7 @@ class TestAckIsChecked:
             transport = TcpTransport.connect(host, port)
             with pytest.raises(SoapFault, match="feed sink"):
                 transport.ship_batch(
-                    RowBatch(feed.fragment, feed.rows, 7)
+                    ColumnBatch.from_rows(feed.fragment, feed.rows, 7)
                 )
             transport.close()
 

@@ -1,40 +1,37 @@
 """The row plane, kept as a test reference.
 
-The executor moves every flat-storable fragment as columns, so on
-relational endpoints row trees can no longer be selected.  This runs a
-program the other way regardless — every value a materialized
+The executor moves every batch as columns.  This runs a program on row
+trees regardless — every value a materialized
 :class:`~repro.core.instance.FragmentInstance` of nested trees, through
-the endpoints' ``scan``/``write`` and one unbatched pass of each
-operator's row kernel (:func:`combine_rows`, :func:`split_rows`) —
-which is what the columnar runs are compared against, table for table.
+the endpoints' ``scan``/``write`` and the instance-level semantics of
+each operator (:func:`combine_rows`, :func:`split_rows`) — which is
+what the columnar runs are compared against, table for table.
 """
 
 from repro.core.instance import FragmentInstance
 from repro.core.ops.combine import Combine
 from repro.core.ops.scan import Scan
 from repro.core.ops.split import Split
-from repro.core.stream import RowBatch
+from repro.core.ops.write import Write
+from repro.core.optimizer.placement import source_heavy_placement
+from repro.core.program.dag import TransferProgram
+from repro.core.program.executor import ProgramExecutor
+from repro.services.endpoint import InMemoryEndpoint
 
 
 def combine_rows(op: Combine, parent: FragmentInstance,
                  child: FragmentInstance) -> FragmentInstance:
-    """Instance-level combine (consumes both inputs): one unbatched
-    pass through :meth:`Combine.apply_batches`."""
-    [combined] = op.apply_batches(
-        [RowBatch(parent.fragment, parent.rows, None)],
-        [RowBatch(child.fragment, child.rows, None)],
-    )
-    return FragmentInstance(combined.fragment, combined.rows)
+    """Instance-level combine (consumes both inputs), under the op's
+    result fragment."""
+    combined = parent.combine(child)
+    return FragmentInstance(op.result, combined.rows)
 
 
 def split_rows(op: Split,
                instance: FragmentInstance) -> list[FragmentInstance]:
-    """Instance-level split (consumes the input): one unbatched pass
-    through :meth:`Split.apply_batches`."""
-    whole = RowBatch(instance.fragment, instance.rows, None)
-    pieces = [next(stream) for stream in op.apply_batches([whole])]
-    return [FragmentInstance(piece.fragment, piece.rows)
-            for piece in pieces]
+    """Instance-level split (consumes the input) into the op's
+    pieces."""
+    return instance.split(list(op.pieces))
 
 
 def run_on_rows(program, source, target) -> None:
@@ -58,3 +55,26 @@ def run_on_rows(program, source, target) -> None:
             outputs = []
         for index, output in enumerate(outputs):
             values[(node.op_id, index)] = output
+
+
+def run_combine(op: Combine, parent: FragmentInstance,
+                child: FragmentInstance,
+                batch_rows: int | None = None) -> FragmentInstance:
+    """``op`` run by the executor as the program Scan, Scan -> Combine
+    -> Write between in-memory endpoints: what it writes."""
+    source = InMemoryEndpoint("source")
+    source.put(parent)
+    source.put(child)
+    target = InMemoryEndpoint("target")
+    program = TransferProgram()
+    scans = [program.add(Scan(fragment))
+             for fragment in (op.parent_fragment, op.child_fragment)]
+    program.add(op)
+    write = program.add(Write(op.result))
+    for port, scan in enumerate(scans):
+        program.connect(scan, 0, op, port)
+    program.connect(op, 0, write, 0)
+    ProgramExecutor(source, target, batch_rows=batch_rows).run(
+        program, source_heavy_placement(program)
+    )
+    return target.scan(op.result)

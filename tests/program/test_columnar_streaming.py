@@ -1,6 +1,6 @@
 """The columnar dataplane end to end: byte-identity against the row
-plane, join strategies, orphan and duplicate-key diagnosis, and the
-size-memoization guard."""
+plane, join strategies, orphan and duplicate-key diagnosis on the
+kernel and through a run, and the size-memoization guard."""
 
 import random
 
@@ -21,7 +21,7 @@ from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.writer import serialize
 
-from tests.program.rowplane import combine_rows, run_on_rows
+from tests.program.rowplane import combine_rows, run_combine, run_on_rows
 
 
 def _docs(fragment, rows):
@@ -179,10 +179,12 @@ class TestStrategySelection:
             if timing.kind in ("scan", "write"):
                 assert timing.strategy == "columnar"
 
-    def test_row_dataplane_reports_row(self, customers_s, customers_t,
-                                       customer_documents):
-        """A non-flat stream reports ``row``, a flat one never does:
-        the label is read off the operation's fragments."""
+    def test_part_streams_report_columnar(self, customers_s,
+                                          customers_t,
+                                          customer_documents):
+        """A fragment that does not flatten runs as its flat parts, so
+        its operations report ``columnar`` too (a join its strategy):
+        no operation reports a row dataplane any more."""
         source = InMemoryEndpoint("sales")
         for instance in fragment_customers(
             customer_documents, customers_s
@@ -198,14 +200,15 @@ class TestStrategySelection:
             node.op_id: node.inputs + node.outputs
             for node in program.nodes
         }
-        assert {t.strategy for t in report.op_timings} >= {
-            "row", "columnar", "merge",
+        assert {t.strategy for t in report.op_timings} == {
+            "columnar", "merge",
         }
-        for timing in report.op_timings:
-            flat = all(fragment.is_flat_storable()
-                       for fragment in fragments[timing.op_id])
-            assert (timing.strategy == "row") == (not flat), \
-                timing.label
+        assert any(
+            not fragment.is_flat_storable()
+            for timing in report.op_timings
+            if timing.strategy == "columnar"
+            for fragment in fragments[timing.op_id]
+        )
 
 
 def _service_combine(schema):
@@ -409,9 +412,10 @@ class TestMergeWalk:
         assert "PARENT key 11 appears on 2 child rows" in message
 
     def test_residency_matches_the_row_kernel(self, combine):
-        # Inlined child rows are released as the row kernel releases
-        # them, counted off the matches instead of per tree.
-        from repro.core.stream import FragmentStream, ResidencyMeter
+        # Inlined child rows are released as the row kernel's grouped
+        # merge released them — (5 resident, peak 10) on this input —
+        # counted off the matches instead of per tree.
+        from repro.core.stream import ResidencyMeter
 
         combine, order, name = combine
         anchors = [None, 11, 21, None, 31]
@@ -419,30 +423,15 @@ class TestMergeWalk:
                    for n, anchor in enumerate(anchors, 1)]
         children = [_service_name_row(anchor + 1, anchor)
                     for anchor in (11, 21, 31)]
-        meters = []
-        for columnar in (False, True):
-            meter = ResidencyMeter()
-            meter.acquire(len(parents) + len(children))
-            if columnar:
-                list(combine.apply_column_batches(
-                    (ColumnBatch.from_rows(order, parents[at:at + 2], at)
-                     for at in range(0, len(parents), 2)),
-                    [ColumnBatch.from_rows(name, children, 0)],
-                    meter=meter,
-                ))
-            else:
-                list(combine.apply_batches(
-                    FragmentStream.from_instance(
-                        FragmentInstance(order, parents).copy(), 2
-                    ),
-                    FragmentStream.from_instance(
-                        FragmentInstance(name, children).copy(), 2
-                    ),
-                    meter=meter,
-                ))
-            meters.append((meter.rows, meter.peak_rows))
-        assert meters[0] == meters[1]
-        assert meters[1][0] == len(parents)
+        meter = ResidencyMeter()
+        meter.acquire(len(parents) + len(children))
+        list(combine.apply_column_batches(
+            (ColumnBatch.from_rows(order, parents[at:at + 2], at)
+             for at in range(0, len(parents), 2)),
+            [ColumnBatch.from_rows(name, children, 0)],
+            meter=meter,
+        ))
+        assert (meter.rows, meter.peak_rows) == (len(parents), 10)
 
 
 class TestOrphanAccounting:
@@ -486,22 +475,17 @@ class TestOrphanAccounting:
         assert str(columnar.value) == str(materialized.value)
 
     def test_row_streaming_matches_too(self, orphans):
+        """A batched run reports the kernel's message."""
         combine, order, service, parents, children = orphans
-        from repro.core.stream import FragmentStream
-
         with pytest.raises(OperationError) as columnar:
             TestJoinUnit._run(
                 combine, order, service, parents, children
             )
         with pytest.raises(OperationError) as streaming:
-            list(combine.apply_batches(
-                FragmentStream.from_instance(
-                    FragmentInstance(order, parents).copy(), 2
-                ),
-                FragmentStream.from_instance(
-                    FragmentInstance(service, children).copy(), 2
-                ),
-            ))
+            run_combine(
+                combine, FragmentInstance(order, parents),
+                FragmentInstance(service, children), batch_rows=2,
+            )
         assert str(streaming.value) == str(columnar.value)
 
     def test_null_parent_distinct_from_negative_eid(
@@ -605,22 +589,20 @@ class TestSizeMemoization:
 
     def test_feed_size_computed_once(self, customers_schema,
                                      monkeypatch):
-        import repro.core.stream as stream_module
-        from repro.core.stream import RowBatch
-
         rows = [_order_row(eid, 1) for eid in (10, 20)]
         fragment = Fragment(customers_schema, ["Order"], "Order")
+        batch = ColumnBatch.from_rows(fragment, rows, 0)
         calls = {"n": 0}
-        real = stream_module.row_feed_size
+        real = ColumnBatch._cells
 
-        def counting(row):
+        def counting(self, position):
             calls["n"] += 1
-            return real(row)
+            return real(self, position)
 
-        monkeypatch.setattr(stream_module, "row_feed_size", counting)
-        batch = RowBatch(fragment, rows, 0)
+        monkeypatch.setattr(ColumnBatch, "_cells", counting)
         assert batch.feed_size() == batch.feed_size()
-        assert calls["n"] == len(rows)
+        # One pass over the columns a size is read off (not PARENT).
+        assert calls["n"] == len(batch.layout.specs) - 1
 
     def test_columnar_batches_memoize_too(self, customers_schema):
         fragment = Fragment(customers_schema, ["Order"], "Order")

@@ -9,13 +9,12 @@ from repro.core.ops.combine import Combine
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
-from repro.core.stream import FragmentStream
 from repro.net.transport import SimulatedChannel
 from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.writer import serialize
 
-from tests.program.rowplane import combine_rows
+from tests.program.rowplane import combine_rows, run_combine
 
 
 @pytest.fixture
@@ -233,8 +232,9 @@ class TestErrors:
 
 
 class TestCombineOrphanParity:
-    """The streaming grouped merge reports orphans with the same error
-    as the materialized combine."""
+    """A combine that inlines a repeated child passes the child's part
+    through and still reports orphans at the Combine, with the same
+    error as the materialized combine."""
 
     @pytest.fixture
     def instances(self, customers_t, customer_documents):
@@ -249,6 +249,7 @@ class TestCombineOrphanParity:
     def test_identical_messages(self, instances):
         parent_fragment, child_fragment, parent, child = instances
         op = Combine(parent_fragment, child_fragment)
+        assert not op.result.is_flat_storable()
 
         empty_parent = parent.copy()
         empty_parent.rows.clear()
@@ -258,10 +259,7 @@ class TestCombineOrphanParity:
         empty_parent = parent.copy()
         empty_parent.rows.clear()
         with pytest.raises(OperationError) as streaming_error:
-            list(op.apply_batches(
-                FragmentStream.from_instance(empty_parent, 2),
-                FragmentStream.from_instance(child.copy(), 2),
-            ))
+            run_combine(op, empty_parent, child.copy(), batch_rows=2)
         assert str(streaming_error.value) == \
             str(materialized_error.value)
 
@@ -269,16 +267,44 @@ class TestCombineOrphanParity:
         parent_fragment, child_fragment, parent, child = instances
         op = Combine(parent_fragment, child_fragment)
         expected = combine_rows(op, parent.copy(), child.copy())
-        streamed_batches = list(op.apply_batches(
-            FragmentStream.from_instance(parent, 2, copy_rows=True),
-            FragmentStream.from_instance(child, 2, copy_rows=True),
-        ))
-        streamed_rows = [
-            row for batch in streamed_batches for row in batch.rows
-        ]
+        streamed = run_combine(op, parent, child, batch_rows=2)
         schema = parent_fragment.schema
         assert [
-            serialize(row.data.to_xml(schema)) for row in streamed_rows
+            serialize(row.data.to_xml(schema)) for row in streamed.rows
         ] == [
             serialize(row.data.to_xml(schema)) for row in expected.rows
         ]
+
+    def test_joined_part_reports_like_apply(self, customers_s,
+                                            customer_documents):
+        """A child whose root is not repeated joins the part of the
+        parent it hangs under: orphans and duplicated keys are
+        reported at the Combine, in the program's fragment names."""
+        feeds = fragment_customers(customer_documents, customers_s)
+        op = Combine(customers_s.fragment("Line_Feature"),
+                     customers_s.fragment("Switch"))
+        assert not op.result.is_flat_storable()
+        expected = combine_rows(
+            op, feeds["Line_Feature"].copy(), feeds["Switch"].copy()
+        )
+        for batch_rows in (None, 2):
+            joined = run_combine(
+                op, feeds["Line_Feature"].copy(), feeds["Switch"].copy(),
+                batch_rows,
+            )
+            assert [row.data for row in joined.rows] \
+                == [row.data for row in expected.rows]
+        orphaned = feeds["Switch"].copy()
+        orphaned.rows[0].parent = 999_999
+        with pytest.raises(OperationError) as materialized_error:
+            combine_rows(op, feeds["Line_Feature"].copy(), orphaned.copy())
+        with pytest.raises(OperationError) as streaming_error:
+            run_combine(op, feeds["Line_Feature"].copy(), orphaned, 2)
+        assert str(streaming_error.value) == \
+            str(materialized_error.value)
+        doubled = feeds["Switch"].copy()
+        doubled.rows[1].parent = doubled.rows[0].parent
+        with pytest.raises(OperationError,
+                           match="combine\\('Line_Feature', 'Switch'\\): "
+                                 "PARENT key .* appears on 2"):
+            run_combine(op, feeds["Line_Feature"].copy(), doubled, 2)

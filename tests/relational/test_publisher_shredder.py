@@ -177,7 +177,8 @@ class TestShredder:
         assert any(value and value.startswith("item") for value in ids)
 
 
-def _one_item_document(empty_iname: bool = False) -> ElementData:
+def _one_item_document(empty_iname: bool = False,
+                       location: str = "Kenya") -> ElementData:
     """``site/regions/africa/item`` with one ``location``: every other
     fragment table stays empty, the item's table holds one row, the
     absent ``featured`` attribute and ``iname`` leaf are NULL cells.
@@ -186,7 +187,7 @@ def _one_item_document(empty_iname: bool = False) -> ElementData:
     regions = site.add_child(ElementData("regions", 2))
     africa = regions.add_child(ElementData("africa", 3))
     item = africa.add_child(ElementData("item", 4, {"id": "item0"}))
-    item.add_child(ElementData("location", 5, text="Kenya"))
+    item.add_child(ElementData("location", 5, text=location))
     if empty_iname:
         item.add_child(ElementData("iname", 6))
     return site
@@ -224,19 +225,25 @@ class TestTransposedLoads:
         assert db.table(category.table_name).columns \
             == [[] for _ in category.specs]
 
-    @pytest.mark.parametrize("fragmentation, empty_iname", [
-        ("auction_lf", False), ("auction_mf", False),
-        ("auction_lf", True), ("auction_mf", True),
+    @pytest.mark.parametrize("fragmentation, empty_iname, location", [
+        ("auction_lf", False, "Kenya"), ("auction_mf", False, "Kenya"),
+        ("auction_lf", True, "Kenya"), ("auction_mf", True, "Kenya"),
+        ("auction_lf", False, " Kenya "), ("auction_mf", False, "\tKenya\n"),
     ], ids=["auction_lf", "auction_mf",
-            "auction_lf-empty-text", "auction_mf-empty-text"])
+            "auction_lf-empty-text", "auction_mf-empty-text",
+            "auction_lf-padded-text", "auction_mf-padded-text"])
     def test_load_into_stores_what_load_document_stores(
-            self, fragmentation, empty_iname, request):
+            self, fragmentation, empty_iname, location, request):
+        """Both loads store leaf text stripped, so a padded leaf
+        publishes the same bytes after either."""
         fragmentation = request.getfixturevalue(fragmentation)
         mapper = FragmentRelationMapper(fragmentation)
         loaded, shredded = Database("L"), Database("S")
         mapper.create_tables(loaded)
         mapper.create_tables(shredded)
-        mapper.load_document(loaded, _one_item_document(empty_iname))
+        mapper.load_document(
+            loaded, _one_item_document(empty_iname, location)
+        )
         document = publish_document(loaded, mapper).document
         result = shred_document(document, mapper)
         assert result.load_into(shredded) == tuple_count(result) \
@@ -244,6 +251,7 @@ class TestTransposedLoads:
         assert self._stored(shredded, mapper) \
             == self._stored(loaded, mapper)
         assert publish_document(shredded, mapper).document == document
+        assert "<location>Kenya</location>" in document
 
     def test_load_into_an_empty_result(self, auction_mf):
         db = Database("T")

@@ -17,8 +17,12 @@ from repro.net.transport import SimulatedChannel
 from repro.relational.publisher import publish_document
 from repro.services.agency import DiscoveryAgency
 from repro.services.broker import ExchangeBroker, PlanCache
-from repro.services.endpoint import RelationalEndpoint
+from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
 from repro.services.exchange import run_optimized_exchange
+from repro.workloads.customer import (
+    fragment_customers,
+    generate_customer_instances,
+)
 from repro.workloads.mutate import mutate_endpoint
 
 DATAPLANES = {
@@ -118,6 +122,55 @@ class TestDeltaByteIdentity:
         assert delta.delta_shipped_rows == 0
         assert delta.rows_written == 0
         assert _digest(target, auction_lf) == before
+
+
+class _TreeTarget(InMemoryEndpoint):
+    """An in-memory target the exchange service can drive (it asks a
+    target to build its indexes; trees have none)."""
+
+    def build_indexes(self) -> int:
+        return 0
+
+
+class TestNonFlatDelta:
+    """The customer scenario between in-memory endpoints: the source
+    view cuts the parts of ``Line_Feature`` from the ship set, and the
+    target view merges what the parts combine back to."""
+
+    @pytest.mark.parametrize("dataplane", DATAPLANES)
+    @pytest.mark.parametrize("direction", ["S-T", "T-S"])
+    def test_merged_target_matches_full_re_exchange(
+            self, customers_s, customers_t, direction, dataplane):
+        stored, wanted = (
+            (customers_s, customers_t) if direction == "S-T"
+            else (customers_t, customers_s)
+        )
+        source = InMemoryEndpoint("delta-src")
+        for instance in fragment_customers(
+            generate_customer_instances(6, seed=8), stored
+        ).values():
+            source.put(instance)
+        source.enable_versioning()
+        program = build_transfer_program(derive_mapping(stored, wanted))
+        placement = source_heavy_placement(program)
+        assert any(not edge.fragment.is_flat_storable()
+                   for edge in program.edges)
+
+        def exchange(target, **knobs):
+            return run_optimized_exchange(
+                program, placement, source, target, SimulatedChannel(),
+                **DATAPLANES[dataplane], **knobs,
+            )
+
+        target = _TreeTarget("delta-tgt")
+        exchange(target)
+        synced = source.versions.current
+        mutate_endpoint(source, 0.3, seed=4, delete_fraction=0.2)
+        outcome = exchange(target, delta=True, since=synced)
+        assert outcome.delta_since == synced
+        fresh = _TreeTarget("fresh")
+        exchange(fresh)
+        assert _digest(target, wanted) == _digest(fresh, wanted)
 
 
 class TestDeltaGuards:

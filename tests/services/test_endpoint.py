@@ -40,7 +40,7 @@ class TestInMemoryEndpoint:
         feeds = fragment_customers(customer_documents, customers_s)
         endpoint.put(feeds["Order"])
         fragment = customers_s.fragment("Order")
-        for batch in endpoint.scan_stream(fragment, 2):
+        for batch in endpoint.scan_stream_columnar(fragment, 2):
             for row in batch.rows:
                 row.data.attrs["mutated"] = "yes"
         clean = endpoint.scan(fragment)
@@ -51,7 +51,44 @@ class TestInMemoryEndpoint:
     def test_scan_stream_missing_fragment(self, customers_s):
         endpoint = InMemoryEndpoint("m")
         with pytest.raises(EndpointError):
-            endpoint.scan_stream(customers_s.fragment("Order"), 2)
+            endpoint.scan_stream_columnar(customers_s.fragment("Order"), 2)
+        with pytest.raises(EndpointError):
+            endpoint.scan_parts(customers_s.fragment("Line_Feature"), 2)
+
+    def test_parts_round_trip(self, customers_s, customer_documents):
+        """A fragment that does not flatten streams out as its flat
+        parts, batched, and is stored back from them unchanged."""
+        from repro.core.stream import FragmentStream
+
+        feed = fragment_customers(
+            customer_documents, customers_s
+        )["Line_Feature"]
+        fragment = feed.fragment
+        endpoint = InMemoryEndpoint("m")
+        endpoint.put(feed)
+        parts = endpoint.scan_parts(fragment, 2)
+        assert list(parts) == list(fragment.flat_parts())
+        assert [part.name for part in parts] == [
+            "Line_TelNo", "Feature_FeatureID",
+        ]
+        batches = {part: list(stream) for part, stream in parts.items()}
+        assert all(
+            0 < batch.row_count() <= 2
+            for streamed in batches.values() for batch in streamed
+        )
+        target = InMemoryEndpoint("t")
+        target.write_parts(fragment, {
+            part: FragmentStream(part, streamed)
+            for part, streamed in batches.items()
+        })
+        schema = fragment.schema
+        assert [
+            serialize(row.data.to_xml(schema, expose=(row.parent,)))
+            for row in target.scan(fragment).rows
+        ] == [
+            serialize(row.data.to_xml(schema, expose=(row.parent,)))
+            for row in feed.rows
+        ]
 
     def test_write_stream_round_trip(self, customers_s,
                                      customer_documents):
@@ -88,14 +125,14 @@ class TestRelationalEndpoint:
 
     def test_stream_round_trip_matches_materialized(self, auction_mf,
                                                     auction_document):
-        """scan_stream batches concatenate to the scan feed, and
-        write_stream loads them identically to write."""
+        """scan_stream_columnar batches concatenate to the scan feed,
+        and write_stream loads them identically to write."""
         source = RelationalEndpoint("S", auction_mf)
         source.load_document(auction_document)
         fragment = auction_mf.fragment_of("item")
         streamed_rows = [
             row
-            for batch in source.scan_stream(fragment, 7)
+            for batch in source.scan_stream_columnar(fragment, 7)
             for row in batch.rows
         ]
         materialized = source.scan(fragment)
