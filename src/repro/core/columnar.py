@@ -233,8 +233,7 @@ def layout_of(fragment: Fragment) -> ColumnLayout:
 
 
 class ColumnBatch:
-    """An ordered slice of a flat fragment's feed, stored
-    column-wise.
+    """An ordered slice of a flat fragment's feed, column-wise.
 
     What the pipeline reads off a batch — ``fragment``/``seq``/
     ``row_count``/``feed_size`` — is columnar; a lazily materialized

@@ -29,12 +29,13 @@ _KINDS = ("scan", "combine", "split", "write")
 
 
 def strategy_key(kind: str, strategy: str) -> str:
-    """Calibration key for one (kind, dataplane-strategy) pair.
+    """Calibration key for one (kind, strategy) pair.
 
-    The row dataplane keeps the bare kind (``"combine"``) so existing
-    calibrations and callers read unchanged; other strategies qualify
-    it (``"combine.hash"``, ``"scan.columnar"``), letting one fit hold
-    hash, merge and row unit costs side by side.
+    A strategy qualifies the kind (``"combine.hash"``,
+    ``"scan.columnar"``), letting one fit hold hash and merge unit
+    costs side by side; a timing that names none (``""``, or the
+    ``"row"`` of runs from before every batch was columnar) keeps the
+    bare kind (``"combine"``), so older calibrations read unchanged.
     """
     if strategy in ("", "row"):
         return kind
@@ -45,19 +46,19 @@ def strategy_key(kind: str, strategy: str) -> str:
 class Calibration:
     """Fitted seconds-per-work-unit by operation kind.
 
-    Keys are :func:`strategy_key` results — bare kinds for the row
-    dataplane plus ``<kind>.<strategy>`` entries for every other
-    dataplane strategy seen in the timings.
+    Keys are :func:`strategy_key` results — ``<kind>.<strategy>``
+    for every strategy seen in the timings (bare kinds for timings
+    that name none).
     """
 
     statistics: StatisticsCatalog
     seconds_per_unit: dict[str, float] = field(default_factory=dict)
     samples: dict[str, int] = field(default_factory=dict)
 
-    def predict(self, op: Operation, strategy: str = "row") -> float:
+    def predict(self, op: Operation, strategy: str = "columnar") -> float:
         """Predicted execution seconds for ``op`` on the calibrated
-        machine under the given dataplane strategy.  An uncalibrated
-        strategy falls back to the row fit, then to whichever strategy
+        machine under the given strategy.  An uncalibrated strategy
+        falls back to the bare kind's fit, then to whichever strategy
         of the kind *was* fitted — which strategy an operation runs is
         read off its fragments, so a measured run fits exactly one per
         kind and that is the one a default-priced query means — and an
@@ -178,9 +179,7 @@ def calibrate_timings(program: TransferProgram,
         work = operation_work(node, statistics)
         if work <= 0:
             continue
-        key = strategy_key(
-            node.kind, getattr(timing, "strategy", "row")
-        )
+        key = strategy_key(node.kind, timing.strategy)
         numerator[key] = numerator.get(key, 0.0) + work * timing.seconds
         denominator[key] = denominator.get(key, 0.0) + work * work
         samples[key] = samples.get(key, 0) + 1

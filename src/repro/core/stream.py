@@ -32,9 +32,9 @@ DEFAULT_BATCH_ROWS = 256
 
 
 class FragmentStream:
-    """A single-use, ordered stream of
-    :class:`~repro.core.columnar.ColumnBatch` for one fragment.
+    """A single-use, ordered stream of column batches of a fragment.
 
+    Every batch is a :class:`~repro.core.columnar.ColumnBatch`.
     Concatenating the batches of a stream in ``seq`` order yields
     exactly the rows of the materialized instance — that equivalence
     (checked by the determinism tests for every batch size) is what
@@ -110,9 +110,11 @@ class FragmentStream:
 def combine_parts(fragment: Fragment,
                   parts: Mapping[Fragment, FragmentStream]
                   ) -> FragmentInstance:
-    """The instance of ``fragment`` rebuilt from the streams of its
-    flat parts, given in :meth:`~repro.core.fragment.Fragment.
-    flat_parts` order: each part is drained in turn and inlined with
+    """Rebuild an instance of ``fragment`` from its part streams.
+
+    The streams of its flat parts come in
+    :meth:`~repro.core.fragment.Fragment.flat_parts` order; each part
+    is drained in turn and inlined with
     :meth:`~repro.core.instance.FragmentInstance.combine`.
 
     Raises:

@@ -354,8 +354,7 @@ def _encode_columns(batch: ColumnBatch) -> tuple[str, str]:
 
 def encode_fragment_feed(instance: FragmentInstance,
                          seq: int | None = None) -> tuple[str, str]:
-    """Encode an instance of a flat fragment; returns ``(message,
-    checksum)``.
+    """Encode an instance of a flat fragment: ``(message, checksum)``.
 
     The message is :func:`wrap_fragment_feed`'s: the tuple feed of the
     rows' column batch, whose leaf text is stripped as every receiver
@@ -374,8 +373,9 @@ def encode_fragment_feed(instance: FragmentInstance,
 
 
 def encode_batch(batch: ColumnBatch) -> tuple[str, str]:
-    """Encode one batch of a feed, straight from its column lists;
-    returns ``(message, checksum)``."""
+    """Encode one batch: returns ``(message, checksum)``.
+
+    The batch is written straight from its column lists."""
     return _encode_columns(batch)
 
 

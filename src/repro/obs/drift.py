@@ -50,9 +50,9 @@ class OpDrift:
     predicted: float
     measured_seconds: float
     rows: int
-    #: Dataplane strategy the op actually ran ("row", "columnar",
-    #: or the columnar join strategies "hash"/"merge").
-    strategy: str = "row"
+    #: Strategy the op actually ran: a Combine's join strategy
+    #: ("hash"/"merge"), "columnar" for every other operation.
+    strategy: str = "columnar"
 
     @property
     def ratio(self) -> float | None:
@@ -233,7 +233,7 @@ def cost_drift_report(program: TransferProgram, placement: Placement,
             predicted=probe.comp_cost(node, location),
             measured_seconds=timing.seconds,
             rows=timing.rows,
-            strategy=getattr(timing, "strategy", "row"),
+            strategy=timing.strategy,
         ))
     for edge in program.cross_edges(placement):
         key = (edge.producer.op_id, edge.output_index)
@@ -311,7 +311,7 @@ def report_from_trace(program: TransferProgram,
             )
         location = Location[str(span.attrs["location"]).upper()]
         rows = int(span.attrs.get("rows", 0))  # type: ignore[arg-type]
-        strategy = str(span.attrs.get("strategy", "row"))
+        strategy = str(span.attrs.get("strategy", "columnar"))
         report.op_timings.append(OperationTiming(
             span.name, str(span.attrs.get("kind", node.kind)),
             location, span.seconds, rows, node.op_id, strategy,
