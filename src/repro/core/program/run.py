@@ -269,7 +269,7 @@ class ProgramRun:
                     # One shipment per edge; every part its own stream
                     # (own sequence numbers) on the wire.
                     self.report.shipments += 1
-                    flat = edge.fragment.is_flat_storable()
+                    flat = len(parts) == 1
                     parts = {
                         part: self._shipped(
                             key if flat else (*key, index), batches,
@@ -353,6 +353,7 @@ class ProgramRun:
         """The scanned feed, one stream per flat part.  The endpoint
         is asked on the first pull of any of them."""
         fragment = node.fragment
+        parts = fragment.flat_parts()
         batch_rows = self.batch_rows or _WHOLE_FEED
         tick = self._ticker(node)
         opened: dict[Fragment, FragmentStream] = {}
@@ -363,7 +364,7 @@ class ProgramRun:
                 opened.update(
                     {fragment: endpoint.scan_stream_columnar(
                         fragment, batch_rows
-                    )} if fragment.is_flat_storable()
+                    )} if len(parts) == 1
                     else endpoint.scan_parts(fragment, batch_rows)
                 )
             iterator = iter(opened[part])
@@ -381,7 +382,7 @@ class ProgramRun:
                 self.meter.acquire(batch.row_count())
                 yield batch
 
-        return {part: generate(part) for part in fragment.flat_parts()}
+        return {part: generate(part) for part in parts}
 
     def _combine(self, node: Combine, parent: Streams,
                  child: Streams) -> Streams:
@@ -389,6 +390,19 @@ class ProgramRun:
         it is flat — or, when that root is repeated, pass the child's
         parts through beside the parent's."""
         result = node.result
+        result_parts = result.flat_parts()
+        kernel = {
+            "tick": self._ticker(node), "meter": self.meter,
+            "observe": self._join_observer(node),
+        }
+        if len(result_parts) == 1:
+            # A flat result means both inputs are flat too.  Pre-seed;
+            # the join observer overwrites with the strategy actually
+            # selected once the build finishes.
+            self._strategies[node.op_id] = "hash"
+            return {result: node.apply_column_batches(
+                *parent.values(), *child.values(), **kernel
+            )}
         anchor = node.child_fragment.parent_element()
         anchor_part = next(part for part in parent
                            if anchor in part.elements)
@@ -400,22 +414,18 @@ class ProgramRun:
                                      streams[anchor_part],
                                      streams[root_part])
         else:
-            # Pre-seed; the join observer overwrites with the strategy
-            # actually selected once the build finishes.
             self._strategies[node.op_id] = "hash"
-            joined = next(part for part in result.flat_parts()
+            joined = next(part for part in result_parts
                           if part.root_name == anchor_part.root_name)
-            join = node if joined == result else Combine(
+            streams[joined] = Combine(
                 _named(anchor_part, node.parent_fragment.name),
                 _named(root_part, node.child_fragment.name),
                 result=joined,
-            )
-            streams[joined] = join.apply_column_batches(
+            ).apply_column_batches(
                 streams.pop(anchor_part), streams.pop(root_part),
-                tick=self._ticker(node), meter=self.meter,
-                observe=self._join_observer(node),
+                **kernel,
             )
-        return {part: streams[part] for part in result.flat_parts()}
+        return {part: streams[part] for part in result_parts}
 
     def _orphan_checked(self, node: Combine, anchor_part: Fragment,
                         parent: Iterator[ColumnBatch],
@@ -461,10 +471,11 @@ class ProgramRun:
         """Each part is projected onto the parts of the pieces it
         holds — exactly its non-empty intersections with the pieces
         (a part inside one piece passes through whole)."""
+        pieces = [piece.flat_parts() for piece in node.pieces]
         outputs: Streams = {}
         for part, batches in parts.items():
-            cut = [piece_part for piece in node.pieces
-                   for piece_part in piece.flat_parts()
+            cut = [piece_part for piece_parts in pieces
+                   for piece_part in piece_parts
                    if piece_part.elements <= part.elements]
             if part == node.fragment:  # a flat input: its pieces
                 op = node
@@ -477,8 +488,8 @@ class ProgramRun:
                 batches, tick=self._ticker(node), meter=self.meter,
             )))
         return [
-            {part: outputs[part] for part in piece.flat_parts()}
-            for piece in node.pieces
+            {part: outputs[part] for part in piece_parts}
+            for piece_parts in pieces
         ]
 
     def _shipped(self, key: tuple[int, ...],
@@ -585,7 +596,7 @@ class ProgramRun:
 
         started = time.perf_counter()
         fragment = node.fragment
-        if fragment.is_flat_storable():
+        if len(parts) == 1:  # a flat fragment
             [batches] = parts.values()
             endpoint.write_stream(
                 fragment, FragmentStream(fragment, instrumented(batches))
