@@ -80,14 +80,17 @@ class _CountingSource:
             self.rows_read += batch.row_count()
             yield batch
 
-    def scan_stream(self, fragment, *args):
-        return FragmentStream(fragment, self._counted(
-            self._endpoint.scan_stream(fragment, *args)
-        ))
+    def scan_parts(self, fragment, *args, **kwargs):
+        return {
+            part: FragmentStream(part, self._counted(stream))
+            for part, stream in self._endpoint.scan_parts(
+                fragment, *args, **kwargs
+            ).items()
+        }
 
-    def scan_stream_columnar(self, fragment, *args):
+    def scan_stream_columnar(self, fragment, *args, **kwargs):
         return FragmentStream(fragment, self._counted(
-            self._endpoint.scan_stream_columnar(fragment, *args)
+            self._endpoint.scan_stream_columnar(fragment, *args, **kwargs)
         ))
 
     def rows_by_id(self, fragment, eids):

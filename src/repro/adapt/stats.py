@@ -138,11 +138,6 @@ class StatisticsStore:
         with self._lock:
             return len(self._ratios)
 
-    def pairs(self) -> list[str]:
-        """Pair keys with any learned state, sorted."""
-        with self._lock:
-            return sorted(self._ratios)
-
     # -- ingestion -------------------------------------------------------------
 
     def observe_ratios(self, pair: str,

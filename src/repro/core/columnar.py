@@ -27,9 +27,10 @@ trees and a load from shredded text byte-identical.
 
 One size is measured on a batch: :meth:`~ColumnBatch.feed_size`, the
 tabular sorted-feed (wire) estimate a byte-counting channel charges
-for a shipped batch.  It is one pass per column, taken on first use,
-and agrees exactly with the per-row formula
-(:func:`~repro.core.instance.row_feed_size`).  Slicing is zero-copy: a
+for a shipped batch: keys and values only, no tags — the DE wire
+format (the paper ships fragments as sorted feeds, cf. Section 4.1
+and Table 3).  It is one pass per column, taken on first use.  Slicing
+is zero-copy: a
 slice shares the parent's column lists and narrows ``start``/``stop``.
 """
 
@@ -360,8 +361,7 @@ class ColumnBatch:
     # -- wire size -------------------------------------------------------------
 
     def feed_size(self) -> int:
-        """Approximate tabular sorted-feed (wire) size in bytes —
-        agrees with :func:`~repro.core.instance.row_feed_size`: the
+        """Approximate tabular sorted-feed (wire) size in bytes: the
         PARENT key of every row, key and separators per present
         element, and the characters of text and attribute values.
 

@@ -133,10 +133,6 @@ class StatisticsCatalog:
         """Estimated occurrences of ``element`` in the full document."""
         return self._counts[element]
 
-    def width(self, element: str) -> float:
-        """Estimated serialized bytes per occurrence of ``element``."""
-        return self._widths[element]
-
     # -- per-fragment accessors ----------------------------------------------------
 
     def fragment_rows(self, fragment: Fragment) -> float:

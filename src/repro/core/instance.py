@@ -137,17 +137,6 @@ class FragmentRow:
         return self.data.eid
 
 
-def row_feed_size(row: FragmentRow) -> int:
-    """Approximate size of one row as part of a tabular *sorted feed*:
-    keys and values only, no tags — the DE wire format (the paper ships
-    fragments as sorted feeds, cf. Section 4.1 and Table 3)."""
-    total = 8  # the PARENT key
-    for node in row.data.iter_all():
-        total += 10 + len(node.text)  # key + separators
-        total += sum(len(value) for value in node.attrs.values())
-    return total
-
-
 class FragmentInstance:
     """A feed of :class:`FragmentRow` conforming to one fragment.
 
@@ -175,12 +164,6 @@ class FragmentInstance:
     def row_count(self) -> int:
         """Number of fragment-root occurrences."""
         return len(self.rows)
-
-    def feed_size(self) -> int:
-        """Approximate size as a tabular *sorted feed*: keys and values
-        only, no tags — the DE wire format (the paper ships fragments
-        as sorted feeds, cf. Section 4.1 and Table 3)."""
-        return sum(row_feed_size(row) for row in self.rows)
 
     def copy(self) -> "FragmentInstance":
         """Deep copy of the feed."""

@@ -143,10 +143,10 @@ class ExecutionReport:
     ``retries_by_edge``/``redelivered_by_edge`` break those totals
     down by producer port — ``(op_id, output_index, part)`` for the
     part streams of a fragment that does not flatten, each with its
-    own sequence space — and counts are *summed* per edge as the
-    reliable links report them, so edges sharing one retry layer (and
-    repeated runs merging into one stats object) accumulate instead
-    of overwriting each other.
+    own sequence space.  Each edge's
+    :class:`~repro.net.faults.ReliableBatchLink` adds its counts here
+    as it heals, so links sharing an edge key sum instead of
+    overwriting each other.
     """
 
     op_timings: list[OperationTiming] = field(default_factory=list)
@@ -174,10 +174,10 @@ class ExecutionReport:
     retries: int = 0
     redelivered_batches: int = 0
     resume_count: int = 0
-    retries_by_edge: dict[tuple[int, int], int] = field(
+    retries_by_edge: dict[tuple[int, ...], int] = field(
         default_factory=dict
     )
-    redelivered_by_edge: dict[tuple[int, int], int] = field(
+    redelivered_by_edge: dict[tuple[int, ...], int] = field(
         default_factory=dict
     )
 
@@ -282,25 +282,4 @@ class ProgramExecutor:
             retry=self.retry, journal=self.journal,
             tracer=self.tracer, metrics=self.metrics,
         ).drive()
-
-
-def apply_robustness(report: ExecutionReport, stats) -> None:
-    """Fold a :class:`~repro.net.faults.RobustnessStats` into the
-    report.
-
-    Per-edge counters are *added* to
-    whatever the report already holds — when several reliable links
-    (or several runs merging into one stats object) touched the same
-    edge, their counts sum instead of the last writer winning.
-    """
-    report.retries += stats.retries
-    report.redelivered_batches += stats.redelivered
-    for edge, count in stats.retries_by_edge.items():
-        report.retries_by_edge[edge] = (
-            report.retries_by_edge.get(edge, 0) + count
-        )
-    for edge, count in stats.redelivered_by_edge.items():
-        report.redelivered_by_edge[edge] = (
-            report.redelivered_by_edge.get(edge, 0) + count
-        )
 

@@ -70,15 +70,10 @@ from repro.core.program.executor import (
     ExecutionReport,
     OperationTiming,
     ShippingChannel,
-    apply_robustness,
 )
 from repro.core.program.journal import ExchangeJournal, write_key
 from repro.core.stream import FragmentStream, ResidencyMeter
-from repro.net.faults import (
-    ReliableBatchLink,
-    RetryPolicy,
-    RobustnessStats,
-)
+from repro.net.faults import ReliableBatchLink, RetryPolicy
 from repro.obs.metrics import (
     MetricsRegistry,
     observe_join,
@@ -158,7 +153,6 @@ class ProgramRun:
         self.journal = journal
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
-        self._rstats = RobustnessStats()
         self.report = ExecutionReport(batch_rows=batch_rows)
         self.meter = ResidencyMeter()
         self._stats = {
@@ -215,7 +209,6 @@ class ProgramRun:
                 self.metrics, node.kind, stats.seconds, stats.rows
             )
         report.peak_resident_rows = self.meter.peak_rows
-        apply_robustness(report, self._rstats)
         report.wall_seconds = time.perf_counter() - started
         return report
 
@@ -506,7 +499,7 @@ class ProgramRun:
         link = None
         if self.retry is not None:
             link = ReliableBatchLink(
-                self.channel, self.retry, self._rstats, edge=key,
+                self.channel, self.retry, report, edge=key,
                 start_seq=skip_through + 1, tracer=self.tracer,
             )
 

@@ -84,10 +84,6 @@ class MessageCorrupted(TransportError):
     """Raised when a received message fails its integrity check."""
 
 
-class MessageTimeout(TransportError):
-    """Raised when a message exceeds the per-message delivery timeout."""
-
-
 class RetryExhausted(TransportError):
     """Raised when a retry policy gives up on a message.
 

@@ -26,7 +26,6 @@ from repro.net.faults import (
     FaultyChannel,
     ReliableBatchLink,
     RetryPolicy,
-    RobustnessStats,
 )
 from repro.net.soap import (
     FeedReceipt,
@@ -64,7 +63,6 @@ __all__ = [
     "FaultyChannel",
     "RetryPolicy",
     "ReliableBatchLink",
-    "RobustnessStats",
     "soap_envelope",
     "soap_fault",
     "parse_envelope",

@@ -10,30 +10,30 @@ messages.  This module makes transport failure a first-class input:
   that transmission fails.  Same plan, same decisions — runs are
   reproducible, which is what lets the differential suite assert
   byte-identical output under loss.
-* :class:`FaultyChannel` — wraps any shipping channel and applies the
-  plan: drops and corruptions raise (after charging the wasted bytes
-  to the wrapped channel — a lost message burned the wire), duplicates
+* :class:`FaultyChannel` — wraps a transport and applies the plan:
+  drops and corruptions raise (after charging the wasted bytes to the
+  wrapped transport — a lost message burned the wire), duplicates
   deliver twice, re-orders hold a message back until the next one
   passes it, delays inflate transfer time.
-* :class:`RetryPolicy` — bounded attempts with exponential backoff (a
-  ``jitter`` hook decorates the delay) and an optional per-message
-  timeout; exhaustion raises :class:`~repro.errors.RetryExhausted`
+* :class:`RetryPolicy` — at most ``max_attempts`` sends of one
+  message; exhaustion raises :class:`~repro.errors.RetryExhausted`
   carrying the attempt count and last cause.
 * :class:`ReliableBatchLink` — the healing layer the executor arms on
   every cross-edge (an unbatched feed is its stream's one batch):
-  re-send on drop/corruption/timeout, de-duplicate re-deliveries by
-  sequence number (idempotent delivery), and re-assemble re-ordered
-  batch streams in ``seq`` order, so the written output stays
-  byte-identical to a fault-free run.  Publish&map's one document is
-  re-sent by :meth:`RetryPolicy.run` directly.
+  re-send on drop/corruption, de-duplicate re-deliveries by sequence
+  number (idempotent delivery), and re-assemble re-ordered batch
+  streams in ``seq`` order, so the written output stays byte-identical
+  to a fault-free run.  It counts its healing work into the run's
+  :class:`~repro.core.program.executor.ExecutionReport`.  Publish&map's
+  one document is re-sent by :meth:`RetryPolicy.run` directly.
 
-Corruption detection is real where the wire is real: with a
-``wire_format`` channel the batch is encoded as the channel would send
-it (:func:`~repro.net.soap.encode_batch`, a tuple feed straight from
-its columns) and the corrupted message fails its
-Adler-32 feed checksum in the receivers' verifier
-(:func:`~repro.net.soap.read_fragment_feed`);
-on byte-counting channels the checksum verdict is simulated.
+What a batch costs on the wire, and what message carries it, is the
+transport's answer (:meth:`~repro.net.transport.Transport.frame`), the
+same one its ``ship_batch`` sends.  So corruption detection is real
+where the wire carries messages: the frame's message is garbled and
+fails its Adler-32 feed checksum in the receivers' verifier
+(:func:`~repro.net.soap.read_fragment_feed`); on a byte-counting wire,
+which sends no message, the checksum verdict is simulated.
 """
 
 from __future__ import annotations
@@ -41,25 +41,21 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import Callable, Iterable, Mapping, TypeVar
 
 from repro.errors import (
     MessageCorrupted,
     MessageDropped,
-    MessageTimeout,
     RetryExhausted,
     SoapFault,
     TransportError,
 )
 from repro.core.columnar import ColumnBatch
-from repro.core.program.executor import Shipment
-from repro.net.soap import (
-    CHECKSUM_ATTR,
-    encode_batch,
-    read_fragment_feed,
-)
+from repro.core.program.executor import ExecutionReport, Shipment
+from repro.net.soap import CHECKSUM_ATTR, read_fragment_feed
+from repro.net.transport import Frame, Transport
 from repro.obs.trace import NULL_TRACER, Tracer
 
 _T = TypeVar("_T")
@@ -227,69 +223,24 @@ class FaultPlan:
 class RetryPolicy:
     """Bounded re-send policy for one message.
 
-    ``delay_for(failures)`` grows exponentially from
-    ``base_delay_seconds`` by ``backoff_factor``, capped at
-    ``max_delay_seconds``; a ``jitter`` hook (e.g. ``lambda d:
-    d * random.random()``) decorates the computed delay.  ``sleep`` is
-    injectable so tests never wait for real.  ``timeout_seconds``
-    bounds one message's simulated delivery time — a slower delivery
-    counts as a failure and is re-sent.
-    """
+    At most ``max_attempts`` sends, back to back."""
 
     max_attempts: int = 4
-    base_delay_seconds: float = 0.0
-    backoff_factor: float = 2.0
-    max_delay_seconds: float = 1.0
-    timeout_seconds: float | None = None
-    jitter: Callable[[float], float] | None = None
-    sleep: Callable[[float], None] | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_seconds < 0:
-            raise ValueError("base_delay_seconds cannot be negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive or None")
-
-    def delay_for(self, failures: int) -> float:
-        """Backoff delay after the ``failures``-th consecutive failure
-        (1-based)."""
-        delay = min(
-            self.base_delay_seconds
-            * self.backoff_factor ** (failures - 1),
-            self.max_delay_seconds,
-        )
-        if self.jitter is not None:
-            delay = self.jitter(delay)
-        return max(delay, 0.0)
-
-    def check_timeout(self, shipment: Shipment) -> Shipment:
-        """Enforce the per-message timeout on a delivery receipt.
-
-        Raises:
-            MessageTimeout: if the shipment took longer than allowed
-                (the wasted transmission stays charged).
-        """
-        if self.timeout_seconds is not None \
-                and shipment.seconds > self.timeout_seconds:
-            raise MessageTimeout(
-                f"message took {shipment.seconds:.3f}s, over the "
-                f"{self.timeout_seconds:.3f}s timeout"
-            )
-        return shipment
 
     def run(self, send: Callable[[], _T], describe: str,
-            stats: "RobustnessStats | _EdgeScopedStats | None" = None,
-            tracer: "Tracer | None" = None) -> _T:
+            tracer: Tracer | None = None,
+            on_retry: Callable[[], None] | None = None) -> _T:
         """Call ``send`` until it succeeds or attempts run out.
 
         Retryable failures are :class:`~repro.errors.TransportError`
-        and :class:`~repro.errors.SoapFault` (drop, corruption,
-        timeout); anything else propagates immediately.  Every failed
-        attempt records one ``retry`` span on ``tracer``.
+        and :class:`~repro.errors.SoapFault` (drop, corruption);
+        anything else propagates immediately.  Every failed attempt
+        records one ``retry`` span on ``tracer``, and every re-send
+        that follows one calls ``on_retry``.
 
         Raises:
             RetryExhausted: after ``max_attempts`` failures, carrying
@@ -311,92 +262,14 @@ class RetryPolicy:
                     seconds=time.perf_counter() - attempt_started,
                     attempt=attempt, error=type(exc).__name__,
                 )
-                if stats is not None and isinstance(exc, MessageTimeout):
-                    stats.count_timeout()
-                if attempt == self.max_attempts:
-                    break
-                if stats is not None:
-                    stats.count_retry()
-                delay = self.delay_for(attempt)
-                if delay > 0:
-                    (self.sleep or time.sleep)(delay)
+                if attempt < self.max_attempts and on_retry is not None:
+                    on_retry()
         raise RetryExhausted(
             f"{describe}: gave up after {self.max_attempts} attempts "
             f"({last})",
             attempts=self.max_attempts,
             last_cause=last,
         ) from last
-
-
-class RobustnessStats:
-    """Thread-safe counters of the reliable layer's healing work.
-
-    Besides the run-wide totals, retries and discarded duplicates are
-    broken down per edge (the producer-port key the executors use) in
-    ``retries_by_edge``/``redelivered_by_edge``.  Edge counts are
-    accumulated with ``+=`` under the lock — several links sharing one
-    stats object (the streaming executors arm one
-    :class:`ReliableBatchLink` per cross-edge over a single stats
-    instance) sum per edge rather than overwrite each other.
-    """
-
-    __slots__ = ("_lock", "retries", "redelivered", "timeouts",
-                 "retries_by_edge", "redelivered_by_edge")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.retries = 0
-        self.redelivered = 0
-        self.timeouts = 0
-        self.retries_by_edge: dict[object, int] = {}
-        self.redelivered_by_edge: dict[object, int] = {}
-
-    def count_retry(self, edge: object = None) -> None:
-        """One re-send after a transport failure (on ``edge``)."""
-        with self._lock:
-            self.retries += 1
-            if edge is not None:
-                self.retries_by_edge[edge] = (
-                    self.retries_by_edge.get(edge, 0) + 1
-                )
-
-    def count_redelivered(self, copies: int = 1,
-                          edge: object = None) -> None:
-        """``copies`` duplicate deliveries discarded by seq dedup."""
-        with self._lock:
-            self.redelivered += copies
-            if edge is not None:
-                self.redelivered_by_edge[edge] = (
-                    self.redelivered_by_edge.get(edge, 0) + copies
-                )
-
-    def count_timeout(self) -> None:
-        """One delivery abandoned for exceeding the message timeout."""
-        with self._lock:
-            self.timeouts += 1
-
-    def scoped(self, edge: object) -> "_EdgeScopedStats":
-        """A view that attributes every count to ``edge``."""
-        return _EdgeScopedStats(self, edge)
-
-
-class _EdgeScopedStats:
-    """Forwards to a :class:`RobustnessStats`, binding one edge."""
-
-    __slots__ = ("_stats", "_edge")
-
-    def __init__(self, stats: RobustnessStats, edge: object) -> None:
-        self._stats = stats
-        self._edge = edge
-
-    def count_retry(self) -> None:
-        self._stats.count_retry(self._edge)
-
-    def count_redelivered(self, copies: int = 1) -> None:
-        self._stats.count_redelivered(copies, self._edge)
-
-    def count_timeout(self) -> None:
-        self._stats.count_timeout()
 
 
 @dataclass(slots=True)
@@ -412,47 +285,54 @@ class FaultStats:
     @property
     def injected(self) -> int:
         """Total faults fired."""
-        return (self.drops + self.corruptions + self.duplicates
-                + self.reorders + self.delays)
+        return sum(astuple(self))
 
 
 def corrupt_soap_message(message: str) -> str:
     """Flip content inside a SOAP message (the in-flight bit error).
 
-    Prefers mangling the feed checksum's first hex digit — guaranteed
-    to be caught by verification — and falls back to rotating a
-    character in the middle of the payload.
+    Mangles the first hex digit of the feed checksum every batch
+    message declares — guaranteed to be caught by verification.
     """
     marker = f'{CHECKSUM_ATTR}="'
-    position = message.find(marker)
-    if position >= 0:
-        position += len(marker)
-    else:
-        position = len(message) // 2
+    position = message.index(marker) + len(marker)
     original = message[position]
     replacement = "0" if original != "0" else "1"
     return message[:position] + replacement + message[position + 1:]
 
 
-class FaultyChannel:
-    """Deterministic fault-injecting wrapper around a shipping channel.
+#: The :class:`FaultStats` field each fault kind counts in.
+_STAT_FIELDS = {
+    FaultKind.DROP: "drops",
+    FaultKind.CORRUPT: "corruptions",
+    FaultKind.DUPLICATE: "duplicates",
+    FaultKind.REORDER: "reorders",
+    FaultKind.DELAY: "delays",
+}
 
-    Implements the executors' ``ShippingChannel`` protocol: without a
-    retry layer above it, injected drops/corruptions surface as raised
+
+class FaultyChannel:
+    """Deterministic fault-injecting wrapper around a transport.
+
+    Wraps a :class:`~repro.net.transport.Transport` and implements
+    the executors' ``ShippingChannel`` protocol: without a retry layer
+    above it, injected drops/corruptions surface as raised
     :class:`~repro.errors.TransportError` subclasses (fail-fast, the
     pre-robustness behaviour).  :meth:`transmit_batch` additionally
     reports *what the receiver got* — zero, one, or two copies, possibly
     out of order — which is what :class:`ReliableBatchLink` heals from.
 
     Every transmission (including re-sends) consumes a fresh message
-    index from the plan and, when the wrapped channel supports it
-    (:meth:`~repro.net.transport.SimulatedChannel.charge_lost`), failed
-    transmissions charge their bytes — loss is never free.  Unknown
-    attributes delegate to the wrapped channel so accounting
-    (``total_bytes``, ``reset``, …) reads through.
+    index from the plan, and a copy that delivers nothing — a drop, a
+    corruption, the discarded half of a duplicate — is charged to the
+    wrapped transport (:meth:`~repro.net.transport.Transport.
+    charge_lost`) at what the transport says it puts on the wire
+    (:meth:`~repro.net.transport.Transport.frame`): loss is never
+    free.  Unknown attributes delegate to the wrapped transport so
+    accounting (``total_bytes``, ``reset``, …) reads through.
     """
 
-    def __init__(self, inner: object, plan: FaultPlan,
+    def __init__(self, inner: Transport, plan: FaultPlan,
                  tracer: Tracer | None = None) -> None:
         self.inner = inner
         self.plan = plan
@@ -464,8 +344,6 @@ class FaultyChannel:
 
     def __getattr__(self, name: str) -> object:
         return getattr(self.inner, name)
-
-    # -- plan bookkeeping --------------------------------------------------------
 
     def _next_fault(self) -> tuple[int, FaultKind | None]:
         with self._lock:
@@ -479,90 +357,74 @@ class FaultyChannel:
             )
         return index, kind
 
-    def _charge_lost(self, size_bytes: int) -> None:
-        charge = getattr(self.inner, "charge_lost", None)
-        if charge is not None:
-            charge(size_bytes)
-
-    def _charge_delay(self, seconds: float) -> None:
-        charge = getattr(self.inner, "charge_delay", None)
-        if charge is not None:
-            charge(seconds)
-
-    def _count(self, attr: str) -> None:
+    def _count(self, kind: FaultKind) -> None:
+        attr = _STAT_FIELDS[kind]
         with self._lock:
             setattr(self.stats, attr, getattr(self.stats, attr) + 1)
 
-    # -- sizes mirror what the wrapped channel charges ----------------------------
-
-    def _wire(self) -> bool:
-        return bool(getattr(self.inner, "wire_format", False))
-
-    def _encoded(self, batch: ColumnBatch) -> str | None:
-        """The message a wire-format channel sends for ``batch``, or
-        ``None`` on a byte-counting one."""
-        if not self._wire():
-            return None
-        return encode_batch(batch)[0]
-
-    def _size(self, batch: ColumnBatch) -> int:
-        message = self._encoded(batch)
-        return batch.feed_size() if message is None else len(message)
-
-    def _corrupt(self, index: int, batch: ColumnBatch) -> None:
-        """Charge the garbled transmission and raise its detection."""
-        self._count("corruptions")
-        message = self._encoded(batch)
-        if message is None:
-            self._charge_lost(batch.feed_size())
-        else:
-            garbled = corrupt_soap_message(message)
-            self._charge_lost(len(garbled))
-            try:
-                read_fragment_feed(garbled)
-            except SoapFault as fault:
-                raise MessageCorrupted(
-                    f"message {index} corrupted in flight: {fault}"
-                ) from fault
-        raise MessageCorrupted(
-            f"message {index} corrupted in flight "
-            "(feed checksum mismatch)"
+    def _delayed(self, shipment: Shipment) -> Shipment:
+        self.inner.charge_delay(self.plan.delay_seconds)
+        return Shipment(
+            shipment.bytes_sent,
+            shipment.seconds + self.plan.delay_seconds,
         )
+
+    def _transmit(self, what: str, frame: Callable[[], Frame],
+                  send: Callable[[], Shipment]
+                  ) -> tuple[Shipment, FaultKind | None]:
+        """One wire transmission of ``what`` under the plan — the one
+        fault switch of both shipping verbs.  A drop or a corruption
+        charges ``frame()`` lost and raises (a corrupted message fails
+        the receivers' verifier; with no message, its verdict is
+        simulated); otherwise ``send()`` ships, a duplicate charges
+        its discarded copy and a delay adds the plan's delay.  Returns
+        the receipt and the fault that fired."""
+        index, kind = self._next_fault()
+        if kind is FaultKind.DROP or kind is FaultKind.CORRUPT:
+            self._count(kind)
+            message, _, size = frame()
+            self.inner.charge_lost(size)
+            if kind is FaultKind.DROP:
+                raise MessageDropped(
+                    f"{what} (message {index}) dropped by fault plan"
+                )
+            if message is not None:
+                try:
+                    read_fragment_feed(corrupt_soap_message(message))
+                except SoapFault as fault:
+                    raise MessageCorrupted(
+                        f"{what} (message {index}) corrupted in "
+                        f"flight: {fault}"
+                    ) from fault
+            raise MessageCorrupted(
+                f"{what} (message {index}) corrupted in flight "
+                "(checksum mismatch)"
+            )
+        shipment = send()
+        if kind is not None:
+            self._count(kind)
+        if kind is FaultKind.DUPLICATE:
+            self.inner.charge_lost(frame().size)
+        elif kind is FaultKind.DELAY:
+            shipment = self._delayed(shipment)
+        return shipment, kind
 
     # -- ShippingChannel protocol -------------------------------------------------
 
     def ship_batch(self, batch: ColumnBatch) -> Shipment:
         """Ship one batch; raises on injected drop/corruption."""
-        shipment, _ = self.transmit_batch(batch)
-        return shipment
+        return self.transmit_batch(batch)[0]
 
     def ship_document(self, text: str) -> Shipment:
-        """Ship a published document; raises on drop/corruption."""
-        index, kind = self._next_fault()
-        if kind is FaultKind.DROP:
-            self._count("drops")
-            self._charge_lost(len(text))
-            raise MessageDropped(
-                f"document message {index} dropped by fault plan"
-            )
-        if kind is FaultKind.CORRUPT:
-            self._count("corruptions")
-            self._charge_lost(len(text))
-            raise MessageCorrupted(
-                f"document message {index} corrupted in flight"
-            )
-        shipment = self.inner.ship_document(text)
-        if kind is FaultKind.DUPLICATE:
-            self._count("duplicates")
-            self._charge_lost(len(text))
-        elif kind in (FaultKind.DELAY, FaultKind.REORDER):
-            self._count("delays" if kind is FaultKind.DELAY
-                        else "reorders")
-            self._charge_delay(self.plan.delay_seconds)
-            shipment = Shipment(
-                shipment.bytes_sent,
-                shipment.seconds + self.plan.delay_seconds,
-            )
+        """Ship a published document; raises on drop/corruption.  A
+        lost copy is charged the document's length; a re-order is a
+        delay, since one document has nothing to fall behind."""
+        shipment, kind = self._transmit(
+            "document", lambda: Frame(None, None, len(text)),
+            lambda: self.inner.ship_document(text),
+        )
+        if kind is FaultKind.REORDER:
+            shipment = self._delayed(shipment)
         return shipment
 
     # -- delivery-level API (used by the reliable layer) ---------------------------
@@ -578,45 +440,27 @@ class FaultyChannel:
         flat parts), arriving behind its successor (the out-of-order
         delivery the receiver's seq reassembly must fix).
         """
-        index, kind = self._next_fault()
-        if kind is FaultKind.DROP:
-            self._count("drops")
-            self._charge_lost(self._size(batch))
-            raise MessageDropped(
-                f"message {index} (batch {batch.seq}) dropped by "
-                "fault plan"
-            )
-        if kind is FaultKind.CORRUPT:
-            self._corrupt(index, batch)
-        shipment = self.inner.ship_batch(batch)
+        shipment, kind = self._transmit(
+            f"batch {batch.seq}", lambda: self.inner.frame(batch),
+            lambda: self.inner.ship_batch(batch),
+        )
         with self._lock:
             held = self._held.setdefault(edge, [])
             if kind is FaultKind.REORDER:
                 # Transmitted now, delivered behind the next message.
-                self.stats.reorders += 1
                 held.append(batch)
                 return shipment, []
-            delivered = [batch] + held[:]
+            delivered = [batch, *held]
             held.clear()
         if kind is FaultKind.DUPLICATE:
-            self._count("duplicates")
-            self._charge_lost(self._size(batch))
             delivered.insert(1, batch)
-        elif kind is FaultKind.DELAY:
-            self._count("delays")
-            self._charge_delay(self.plan.delay_seconds)
-            shipment = Shipment(
-                shipment.bytes_sent,
-                shipment.seconds + self.plan.delay_seconds,
-            )
         return shipment, delivered
 
     def flush_batches(self, edge: object = None) -> list[ColumnBatch]:
         """Deliver any batches still held back on ``edge`` (stream
         end: the late messages do eventually arrive)."""
         with self._lock:
-            held = self._held.pop(edge, [])
-        return held
+            return self._held.pop(edge, [])
 
 
 class ReliableBatchLink:
@@ -625,20 +469,22 @@ class ReliableBatchLink:
     The sender side re-sends on failure (per :class:`RetryPolicy`);
     the receiver side de-duplicates by batch ``seq`` and buffers
     out-of-order arrivals until the gap fills, emitting batches in
-    exactly the order a fault-free channel would have.  Deliveries are
-    absorbed *before* the timeout verdict, so a late-but-delivered
-    message is never lost — its re-send is simply discarded as a
-    duplicate.  The single ``seq``-less batch of an unbatched stream
-    counts as batch 0.
+    exactly the order a fault-free channel would have.  The single
+    ``seq``-less batch of an unbatched stream counts as batch 0.
+
+    The healing work is counted straight into the run's ``report``:
+    ``retries``/``redelivered_batches`` and, under this link's
+    ``edge`` key, ``retries_by_edge``/``redelivered_by_edge`` — added
+    to, so links sharing an edge key sum rather than overwrite.
     """
 
     def __init__(self, channel: object, policy: RetryPolicy,
-                 stats: RobustnessStats, edge: object,
+                 report: ExecutionReport, edge: tuple,
                  start_seq: int = 0,
                  tracer: Tracer | None = None) -> None:
         self.channel = channel
         self.policy = policy
-        self.stats = stats.scoped(edge)
+        self.report = report
         self.edge = edge
         self.tracer = tracer or NULL_TRACER
         self._transmit = getattr(channel, "transmit_batch", None)
@@ -647,13 +493,18 @@ class ReliableBatchLink:
         self._seen: set[int] = set()
         self._buffer: dict[int, ColumnBatch] = {}
 
+    def _count(self, total: str, by_edge: dict[tuple, int]) -> None:
+        setattr(self.report, total, getattr(self.report, total) + 1)
+        by_edge[self.edge] = by_edge.get(self.edge, 0) + 1
+
     def _absorb(self, delivered: Iterable[ColumnBatch]
                 ) -> list[ColumnBatch]:
         ready: list[ColumnBatch] = []
         for batch in delivered:
             seq = batch.seq or 0
             if seq in self._seen or seq < self._expected:
-                self.stats.count_redelivered()
+                self._count("redelivered_batches",
+                            self.report.redelivered_by_edge)
                 continue
             self._seen.add(seq)
             self._buffer[seq] = batch
@@ -676,12 +527,13 @@ class ReliableBatchLink:
                 shipment = self.channel.ship_batch(batch)
                 delivered = [batch]
             ready.extend(self._absorb(delivered))
-            return self.policy.check_timeout(shipment)
+            return shipment
 
         shipment = self.policy.run(
             attempt,
             f"batch {batch.seq} of fragment {batch.fragment.name!r}",
-            self.stats, self.tracer,
+            self.tracer,
+            lambda: self._count("retries", self.report.retries_by_edge),
         )
         return shipment, ready
 

@@ -162,7 +162,12 @@ def wrap_document(text: str) -> str:
     """Serialize a whole published document as one SOAP message
     (publish&map ships the tagged document monolithically).  The
     document travels as escaped character data with its byte count
-    declared for receiver-side verification."""
+    declared for receiver-side verification.
+
+    Receivers read element text stripped, and whitespace outside a
+    document's root element carries no content, so what travels — and
+    is declared — is the document stripped of it."""
+    text = text.strip()
     return soap_envelope(
         Element("Document", {"bytes": str(len(text))}, text=text)
     )

@@ -21,7 +21,9 @@ All three account thread-safely, enforce send-after-close uniformly
 (:class:`~repro.errors.TransportError`), and support the optional
 ``wire_format`` fidelity level: each feed batch is serialized into
 its SOAP message (always on for :class:`TcpTransport`, where the wire
-is real).
+is real).  What a batch puts on the wire, and what it costs, has one
+answer, :meth:`Transport.frame`: ``ship_batch`` sends by it and the
+fault injector charges a lost copy by it.
 
 A hop costs one encode and one decode, and every batch crosses it as
 tuples: a :class:`~repro.core.columnar.ColumnBatch` is written
@@ -43,6 +45,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SoapFault, TransportError
 from repro.core.columnar import ColumnBatch
@@ -121,6 +124,20 @@ def recv_frame(sock: socket.socket) -> bytes | None:
     if payload is None and length:
         raise TransportError("connection closed before frame payload")
     return payload if payload is not None else b""
+
+
+class Frame(NamedTuple):
+    """One batch as a transport puts it on its wire.
+
+    See :meth:`Transport.frame`."""
+
+    #: The SOAP message sent; ``None`` on a byte-counting wire.
+    message: str | None
+    #: The feed checksum the message declares (``None`` with no
+    #: message).
+    checksum: str | None
+    #: The bytes the transmission is charged.
+    size: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,25 +292,40 @@ class Transport(abc.ABC):
 
     # -- shipping ----------------------------------------------------------------
 
+    def frame(self, batch: ColumnBatch) -> Frame:
+        """What shipping ``batch`` puts on this wire and what it costs
+        — the one answer :meth:`ship_batch` sends by and the fault
+        injector charges a lost copy by.  A byte-counting wire sends
+        no message and charges the batch's feed size; a wire-format
+        one sends the batch's SOAP message
+        (:func:`~repro.net.soap.encode_batch`) and charges its length.
+        """
+        if not self.wire_format:
+            return Frame(None, None, batch.feed_size())
+        message, checksum = encode_batch(batch)
+        return Frame(message, checksum, len(message))
+
     def ship_batch(self, batch: ColumnBatch) -> Shipment:
         """Ship one batch of a fragment feed — the only way a feed
         crosses a cross-edge.  An unbatched run's single ``seq``-less
         batch is the whole feed as one message, byte-for-byte
         :func:`~repro.net.soap.wrap_fragment_feed`'s.
 
-        Each batch is one message: it pays the per-message latency —
-        finer batching buys pipelining at the price of more handshakes,
-        exactly the chunk-size trade-off of a streamed transfer.  Wire
-        format encodes the batch and, playing the receiver, takes back
-        what crossed the network: the batch is verified as the feed
-        sink verifies it (:func:`~repro.net.soap.read_fragment_feed`)
-        and rebound to the columns it decoded.
+        Each batch is one message (its :meth:`frame`): it pays the
+        per-message latency — finer batching buys pipelining at the
+        price of more handshakes, exactly the chunk-size trade-off of
+        a streamed transfer.  Wire format, playing the receiver, takes
+        back what crossed the network: the message is verified as the
+        feed sink verifies it (:func:`~repro.net.soap.
+        read_fragment_feed`) and the batch rebound to the columns it
+        decoded.
         """
-        if not self.wire_format:
-            return self._charge(batch.feed_size())
-        message, _ = encode_batch(batch)
-        shipment = self._charge(len(message))
-        batch.rebind(read_fragment_feed(message, batch.fragment).columns)
+        message, _, size = self.frame(batch)
+        shipment = self._charge(size)
+        if message is not None:
+            batch.rebind(
+                read_fragment_feed(message, batch.fragment).columns
+            )
         return shipment
 
     def ship_document(self, text: str) -> Shipment:
@@ -477,8 +509,14 @@ class TcpTransport(Transport):
         self._account(size_bytes, seconds, lost=lost)
         return Shipment(size_bytes, seconds)
 
-    def ship_batch(self, batch: ColumnBatch) -> Shipment:
+    def frame(self, batch: ColumnBatch) -> Frame:
+        """The batch's SOAP message, charged its UTF-8 bytes — the
+        payload :meth:`_roundtrip` frames."""
         message, checksum = encode_batch(batch)
+        return Frame(message, checksum, len(message.encode("utf-8")))
+
+    def ship_batch(self, batch: ColumnBatch) -> Shipment:
+        message, checksum, _ = self.frame(batch)
         return self._roundtrip(message, {
             "of": "FragmentFeed",
             "fragment": batch.fragment.name,
@@ -488,7 +526,9 @@ class TcpTransport(Transport):
         })
 
     def ship_document(self, text: str) -> Shipment:
+        # What crosses is the document stripped of the whitespace
+        # around its root (see wrap_document).
         return self._roundtrip(
             wrap_document(text),
-            {"of": "Document", "bytes": str(len(text))},
+            {"of": "Document", "bytes": str(len(text.strip()))},
         )

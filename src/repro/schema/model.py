@@ -73,13 +73,6 @@ class SchemaNode:
                 return node
         raise SchemaError(f"{self.name!r} has no child element {name!r}")
 
-    def child_index(self, name: str) -> int:
-        """Return the position of child ``name`` in schema order."""
-        for index, node in enumerate(self.children):
-            if node.name == name:
-                return index
-        raise SchemaError(f"{self.name!r} has no child element {name!r}")
-
 
 class SchemaTree:
     """A rooted schema tree with unique element names and fast lookups."""

@@ -27,12 +27,7 @@ from repro.core.delta import (
 from repro.core.program.dag import Placement, TransferProgram
 from repro.core.program.executor import ExecutionReport, ProgramExecutor
 from repro.core.program.journal import ExchangeJournal
-from repro.net.faults import (
-    FaultPlan,
-    FaultyChannel,
-    RetryPolicy,
-    RobustnessStats,
-)
+from repro.net.faults import FaultPlan, FaultyChannel, RetryPolicy
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -82,14 +77,10 @@ class ExchangeOutcome:
     redelivered_batches: int = 0
     resume_count: int = 0
     faults_injected: int = 0
-    #: Healing work attributed per cross-edge ``(producer op, port)``
-    #: — summed across attempts and executors, never overwritten.
-    retries_by_edge: dict = field(default_factory=dict)
-    redelivered_by_edge: dict = field(default_factory=dict)
     #: The program phase's full :class:`~repro.core.program.executor.
-    #: ExecutionReport` — per-op timings and shipment accounting, what
-    #: the statistics store learns drift from.  ``None`` only for PM
-    #: runs.
+    #: ExecutionReport` — per-op timings, shipment accounting and the
+    #: healing work per cross-edge, what the statistics store learns
+    #: drift from.  ``None`` only for PM runs.
     report: "ExecutionReport | None" = None
     #: Delta-exchange accounting (all zero/False on full runs): the
     #: version window ``(delta_since, delta_high]`` this run covered,
@@ -268,8 +259,6 @@ def run_optimized_exchange(
     outcome.peak_resident_rows = report.peak_resident_rows
     outcome.retries = report.retries
     outcome.redelivered_batches = report.redelivered_batches
-    outcome.retries_by_edge = dict(report.retries_by_edge)
-    outcome.redelivered_by_edge = dict(report.redelivered_by_edge)
     outcome.resume_count = report.resume_count
     if isinstance(wire, FaultyChannel):
         outcome.faults_injected = wire.stats.injected
@@ -320,7 +309,6 @@ def run_publish_and_map(
         FaultyChannel(channel, fault_plan, tracer=tracer)
         if fault_plan is not None else channel
     )
-    stats = RobustnessStats()
 
     with tracer.span("publish", "step", scenario=scenario,
                      method="PM"):
@@ -334,17 +322,17 @@ def run_publish_and_map(
         if retry_policy is None:
             wire.ship_document(report.document)
         else:
+            def count_retry() -> None:
+                outcome.retries += 1
+
             retry_policy.run(
-                lambda: retry_policy.check_timeout(
-                    wire.ship_document(report.document)
-                ),
-                "published document", stats, tracer,
+                lambda: wire.ship_document(report.document),
+                "published document", tracer, count_retry,
             )
     # Totals rather than the receipt: failed attempts burned the wire
     # too, and PM pays them at whole-document size.
     outcome.steps["communication"] = channel.total_seconds
     outcome.comm_bytes = channel.total_bytes
-    outcome.retries = stats.retries
     if isinstance(wire, FaultyChannel):
         outcome.faults_injected = wire.stats.injected
 

@@ -46,18 +46,6 @@ class Definitions:
     types: list[Element] = field(default_factory=list)
     services: list[Service] = field(default_factory=list)
 
-    def service(self, name: str) -> Service:
-        """Return the service called ``name``.
-
-        Raises:
-            WsdlError: if it does not exist.
-        """
-        for service in self.services:
-            if service.name == name:
-                return service
-        raise WsdlError(f"no service {name!r} in definitions "
-                        f"{self.name!r}")
-
     def find_extension(self, local_name: str) -> Element | None:
         """First ``<types>`` child with the given local name."""
         for element in self.types:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.errors import XmlSyntaxError
 from repro.xmlkit.parser import END, START, TEXT, tokens
@@ -39,14 +38,6 @@ class Element:
     def find_all(self, name: str) -> list["Element"]:
         """Return all direct children named ``name``."""
         return [node for node in self.children if node.name == name]
-
-    def iter(self) -> Iterator["Element"]:
-        """Iterate over this element and all descendants, pre-order."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
 
     def get(self, attr: str, default: str | None = None) -> str | None:
         """Return attribute ``attr`` or ``default``."""

@@ -45,7 +45,7 @@ class TestBasics:
     def test_empty_store(self):
         store = StatisticsStore()
         assert len(store) == 0
-        assert store.pairs() == []
+        assert store.to_dict()["ratios"] == {}
         assert store.ratios(PAIR) == {}
         assert store.observations(PAIR, "combine") == 0
 
@@ -186,7 +186,7 @@ class TestBrokerIntegration:
         assert all(session.outcome.rows_written > 0
                    for session in sessions)
         pair = pair_key("src", "tgt")
-        assert store.pairs() == [pair]
+        assert list(store.to_dict()["ratios"]) == [pair]
         assert store.ingests == 2
         assert store.observations(pair, "comm") == 2
         assert metrics.counter("adapt.stats.drifts").value == 2

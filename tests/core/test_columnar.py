@@ -8,10 +8,20 @@ from repro.errors import OperationError
 from repro.core.columnar import ColumnBatch, ColumnLayout, layout_of
 from repro.core.fragment import Fragment
 from repro.core.fragmentation import Fragmentation
-from repro.core.instance import row_feed_size
 from repro.schema.dtd import parse_dtd
 from repro.services.endpoint import RelationalEndpoint
 from repro.xmlkit.writer import serialize
+
+
+def row_feed_size(row):
+    """The per-row sorted-feed size :meth:`ColumnBatch.feed_size` is
+    held to: the PARENT key, key and separators per element, and the
+    characters of text and attribute values."""
+    total = 8  # the PARENT key
+    for node in row.data.iter_all():
+        total += 10 + len(node.text)  # key + separators
+        total += sum(len(value) for value in node.attrs.values())
+    return total
 
 
 def _view(batch, start, stop):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import OperationError
+from repro.core.columnar import ColumnBatch
 from repro.core.stream import (
     DEFAULT_BATCH_ROWS,
     FragmentStream,
@@ -21,8 +22,9 @@ class TestStreamBatches:
         batches = list(FragmentStream.from_instance(order_feed, 2))
         assert sum(b.row_count() for b in batches) == \
             order_feed.row_count()
-        assert sum(b.feed_size() for b in batches) == \
-            order_feed.feed_size()
+        assert sum(b.feed_size() for b in batches) == ColumnBatch.from_rows(
+            order_feed.fragment, order_feed.rows, None
+        ).feed_size()
 
 
 class TestFragmentStream:

@@ -27,9 +27,13 @@ class TestSynthetic:
         assert stats.count("Feature") == 64.0
 
     def test_widths_positive(self, customers_schema):
+        """Every element weighs something: a one-element fragment is
+        larger than its rows' ID/PARENT exposure alone."""
         stats = StatisticsCatalog.synthetic(customers_schema)
         for name in customers_schema.element_names():
-            assert stats.width(name) > 0
+            fragment = Fragment.single(customers_schema, name)
+            assert stats.fragment_size(fragment) \
+                > 24.0 * stats.fragment_rows(fragment)
 
     def test_fragment_accessors_compose(self, customers_schema):
         stats = StatisticsCatalog.synthetic(customers_schema, fanout=2.0)

@@ -25,7 +25,12 @@ from repro.net.soap import (
     wrap_document,
     wrap_fragment_feed,
 )
-from repro.net.transport import MAX_FRAME_BYTES, recv_frame, send_frame
+from repro.net.transport import (
+    MAX_FRAME_BYTES,
+    TcpTransport,
+    recv_frame,
+    send_frame,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.services.agency import DiscoveryAgency
 from repro.workloads.customer import fragment_customers
@@ -72,6 +77,21 @@ class TestFeedSink:
             ack = raw_call(sink, wrap_document("x" * 321))
         assert ack.get("of") == "Document"
         assert ack.get("bytes") == "321"
+
+    @pytest.mark.parametrize("text", ["<a/>\n", " <a/>", "\t<a/> \r\n"])
+    def test_whitespace_around_the_root_crosses(self, text):
+        """Whitespace outside the root carries no content: sender and
+        sink agree on the stripped document, so a padded one crosses
+        and is acknowledged at the length the sink read."""
+        with FeedSink() as sink:
+            transport = TcpTransport.connect(sink.host, sink.port)
+            try:
+                transport.ship_document(text)
+            finally:
+                transport.close()
+            ack = raw_call(sink, wrap_document(text))
+        assert ack.get("of") == "Document"
+        assert ack.get("bytes") == "4"
 
     @pytest.mark.parametrize("declared, match", [
         ("999", "declares 999 bytes but carries 4"),

@@ -21,6 +21,7 @@ from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.columnar import ColumnBatch
+from repro.core.program.executor import ExecutionReport
 from repro.core.stream import FragmentStream
 from repro.net.faults import (
     FaultKind,
@@ -28,7 +29,6 @@ from repro.net.faults import (
     FaultyChannel,
     ReliableBatchLink,
     RetryPolicy,
-    RobustnessStats,
     corrupt_soap_message,
 )
 from repro.net.server import FeedSink
@@ -85,10 +85,6 @@ def scripted(**schedule):
     )
 
 
-def no_sleep_policy(attempts=4):
-    return RetryPolicy(max_attempts=attempts, sleep=lambda d: None)
-
-
 class TestFaultMatrixOverTcp:
     def test_drop_charges_wire_without_socket_traffic(self, tcp, whole):
         channel = FaultyChannel(tcp, scripted(drop=0))
@@ -118,6 +114,21 @@ class TestFaultMatrixOverTcp:
         assert tcp.messages == 2
         assert shipment.bytes_sent > 0
 
+    def test_duplicate_copy_costs_the_delivered_frame(
+            self, tcp, customers_s, customer_documents):
+        """The discarded copy of a duplicate is charged the bytes of
+        the frame that crossed the socket — UTF-8 bytes, not
+        characters, when a cell is not ASCII."""
+        feed = fragment_customers(customer_documents, customers_s)[
+            "Customer"
+        ]
+        batch = ColumnBatch.from_rows(feed.fragment, feed.rows, None)
+        batch.columns[-1][0] = "café"
+        channel = FaultyChannel(tcp, scripted(duplicate=0))
+        shipment, _ = channel.transmit_batch(batch)
+        assert tcp.lost_messages == 1
+        assert tcp.lost_bytes == shipment.bytes_sent
+
     def test_delay_adds_seconds_on_top_of_measured_time(
             self, tcp, whole):
         channel = FaultyChannel(tcp, scripted(delay=0))
@@ -126,27 +137,27 @@ class TestFaultMatrixOverTcp:
         assert channel.stats.delays == 1
 
     def test_reliable_link_heals_drop_over_tcp(self, tcp, whole):
-        stats = RobustnessStats()
+        report = ExecutionReport()
         link = ReliableBatchLink(
             FaultyChannel(tcp, scripted(drop=0)),
-            no_sleep_policy(), stats, edge="tcp-edge",
+            RetryPolicy(), report, edge=(1, 0),
         )
         shipment, ready = link.send(whole)
         assert ready == [whole]
         assert shipment.bytes_sent > 0
-        assert stats.retries == 1
+        assert report.retries == 1
         assert tcp.messages == 2  # lost copy + successful resend
 
     def test_reliable_link_discards_duplicate_over_tcp(
             self, tcp, whole):
-        stats = RobustnessStats()
+        report = ExecutionReport()
         link = ReliableBatchLink(
             FaultyChannel(tcp, scripted(duplicate=0)),
-            no_sleep_policy(), stats, edge="tcp-edge",
+            RetryPolicy(), report, edge=(1, 0),
         )
         _, ready = link.send(whole)
         assert ready == [whole]
-        assert stats.redelivered == 1
+        assert report.redelivered_batches == 1
 
 
 class TestSeqRedeliveryOverTcp:
@@ -154,10 +165,10 @@ class TestSeqRedeliveryOverTcp:
     reorder fault holds a batch back, the link reassembles by seq."""
 
     def test_reorder_is_reassembled_in_seq_order(self, tcp, batches):
-        stats = RobustnessStats()
+        report = ExecutionReport()
         link = ReliableBatchLink(
             FaultyChannel(tcp, scripted(reorder=0)),
-            no_sleep_policy(), stats, edge="tcp-edge",
+            RetryPolicy(), report, edge=(1, 0),
         )
         out = []
         for batch in batches:
@@ -169,10 +180,10 @@ class TestSeqRedeliveryOverTcp:
         assert tcp.messages == len(batches)
 
     def test_duplicate_seq_is_delivered_once(self, tcp, batches):
-        stats = RobustnessStats()
+        report = ExecutionReport()
         link = ReliableBatchLink(
             FaultyChannel(tcp, scripted(duplicate=0)),
-            no_sleep_policy(), stats, edge="tcp-edge",
+            RetryPolicy(), report, edge=(1, 0),
         )
         out = []
         for batch in batches:
@@ -180,7 +191,7 @@ class TestSeqRedeliveryOverTcp:
             out.extend(ready)
         out.extend(link.finish())
         assert [b.seq for b in out] == [b.seq for b in batches]
-        assert stats.redelivered == 1
+        assert report.redelivered_batches == 1
 
     def test_sink_echoes_seq_for_reordered_batches(self, sink, feed):
         """The server acks each batch with the seq it saw, so the
@@ -244,7 +255,7 @@ class TestEndToEndFaultyTcpExchange:
             program, placement, source, target, transport,
             "faulty-tcp",
             fault_plan=FaultPlan(drop=0.2, seed=11),
-            retry_policy=no_sleep_policy(attempts=8),
+            retry_policy=RetryPolicy(max_attempts=8),
         )
         transport.close()
         document = publish_document(target.db, target.mapper).document

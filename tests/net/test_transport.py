@@ -41,10 +41,10 @@ class TestSimulatedChannel:
         )
         assert channel.transfer_cost(200) == pytest.approx(2.5)
 
-    def test_fragment_shipping_charges_feed_bytes(self, feed, whole):
+    def test_fragment_shipping_charges_feed_bytes(self, whole):
         channel = SimulatedChannel()
         shipment = channel.ship_batch(whole)
-        assert shipment.bytes_sent == feed.feed_size()
+        assert shipment.bytes_sent == whole.feed_size()
         assert channel.total_bytes == shipment.bytes_sent
         assert channel.messages == 1
         assert channel.total_seconds == pytest.approx(shipment.seconds)
@@ -59,7 +59,7 @@ class TestSimulatedChannel:
         rows_before = feed.row_count()
         eids_before = sorted(row.eid for row in feed.rows)
         shipment = channel.ship_batch(whole)
-        assert shipment.bytes_sent > feed.feed_size()  # tagged + SOAP
+        assert shipment.bytes_sent > whole.feed_size()  # tagged + SOAP
         assert feed.row_count() == rows_before
         assert sorted(row.eid for row in feed.rows) == eids_before
 
@@ -68,7 +68,7 @@ class TestSimulatedChannel:
         batches = list(FragmentStream.from_instance(feed, 2))
         shipped = [channel.ship_batch(batch) for batch in batches]
         assert channel.messages == len(batches)
-        assert sum(s.bytes_sent for s in shipped) == feed.feed_size()
+        assert sum(s.bytes_sent for s in shipped) == whole.feed_size()
         # Chunking pays the per-message latency once per batch.
         unbatched = SimulatedChannel()
         unbatched.ship_batch(whole)
@@ -115,9 +115,9 @@ class TestSimulatedChannel:
 class TestLostByteAccounting:
     """Failed, retried and duplicated sends still burn the wire."""
 
-    def test_charge_lost_counts_both_ways(self, feed):
+    def test_charge_lost_counts_both_ways(self, whole):
         channel = SimulatedChannel()
-        size = feed.feed_size()
+        size = whole.feed_size()
         shipment = channel.charge_lost(size)
         assert shipment.bytes_sent == size
         assert channel.total_bytes == size
@@ -128,11 +128,11 @@ class TestLostByteAccounting:
             channel.transfer_cost(size)
         )
 
-    def test_retried_send_charges_twice(self, feed, whole):
+    def test_retried_send_charges_twice(self, whole):
         """A drop followed by a successful resend costs two
         transmissions: loss is never free."""
         channel = SimulatedChannel()
-        size = feed.feed_size()
+        size = whole.feed_size()
         channel.charge_lost(size)       # the dropped attempt
         channel.ship_batch(whole)       # the retry that lands
         assert channel.messages == 2
@@ -147,9 +147,9 @@ class TestLostByteAccounting:
         assert channel.total_bytes == 0
         assert channel.messages == 0
 
-    def test_reset_clears_lost_counters(self, feed):
+    def test_reset_clears_lost_counters(self, whole):
         channel = SimulatedChannel()
-        channel.charge_lost(feed.feed_size())
+        channel.charge_lost(whole.feed_size())
         channel.reset()
         assert channel.lost_bytes == 0
         assert channel.lost_messages == 0

@@ -161,10 +161,10 @@ class TestTcpTransport:
         assert transport.wire_format is True
         transport.close()
 
-    def test_measured_seconds_and_counted_bytes(self, sink, feed, whole):
+    def test_measured_seconds_and_counted_bytes(self, sink, whole):
         transport = TcpTransport.connect(sink.host, sink.port)
         shipment = transport.ship_batch(whole)
-        assert shipment.bytes_sent > feed.feed_size()  # SOAP overhead
+        assert shipment.bytes_sent > whole.feed_size()  # SOAP overhead
         assert shipment.seconds > 0.0  # real wall time
         assert transport.total_bytes == shipment.bytes_sent
         transport.close()

@@ -14,6 +14,13 @@ from tests.documents import element_count
 from tests.relational.document_sets import shred_documents, tuple_count
 
 
+def _walk(node):
+    """``node`` and its descendants, pre-order."""
+    yield node
+    for child in node.children:
+        yield from _walk(child)
+
+
 @pytest.fixture
 def mf_store(auction_mf, auction_document):
     db = Database("S")
@@ -31,9 +38,8 @@ class TestPublisher:
         published = parse_tree(report.document)
         assert published.name == "site"
         # Same number of items as the original document.
-        count = sum(
-            1 for node in published.iter() if node.name == "item"
-        )
+        count = sum(1 for node in _walk(published) if node.name == "item")
+
         expected = sum(
             1 for node in auction_document.iter_all()
             if node.name == "item"

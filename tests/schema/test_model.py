@@ -77,7 +77,8 @@ class TestSchemaTree:
 
     def test_child_index_and_child(self):
         tree = small_tree()
-        assert tree.node("a").child_index("c") == 1
+        assert [node.name for node in tree.node("a").children] \
+            == ["b", "c"]
         assert tree.node("a").child("b").name == "b"
         with pytest.raises(SchemaError):
             tree.node("a").child("zz")

@@ -88,7 +88,7 @@ class TestBrokerSessions:
         with ExchangeBroker(
                 loaded_agency, plan_cache=PlanCache(), max_workers=3,
                 probe=model, fault_plan=plan,
-                retry_policy=RetryPolicy(sleep=lambda _: None),
+                retry_policy=RetryPolicy(),
         ) as broker:
             sessions = broker.run(
                 [("src", "tgt", _target_factory(auction_lf, []))] * 3

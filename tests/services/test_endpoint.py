@@ -222,7 +222,12 @@ class TestStatisticsFromStore:
         endpoint.load_document(auction_document)
         stats = statistics_from_store(endpoint.db, endpoint.mapper)
         # idescription carries 12 words of text; quantity a digit.
-        assert stats.width("idescription") > stats.width("quantity")
+        def width(name):
+            fragment = Fragment.single(auction_mf.schema, name)
+            return stats.fragment_feed_size(fragment) \
+                / stats.fragment_rows(fragment)
+
+        assert width("idescription") > width("quantity")
 
 
 class TestDirectoryEndpoint:

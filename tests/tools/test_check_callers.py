@@ -106,6 +106,29 @@ def test_a_string_annotation_counts(tree):
     assert "repro.mod:unused" not in uncalled(tree)
 
 
+def test_a_member_called_only_by_bare_name_is_listed(tree):
+    """A bare name never reaches a class member: the builtin
+    ``iter(...)`` does not call ``Walker.iter``; an attribute does."""
+    write(tree, "src/repro/walk.py", """
+        class Walker:
+            def iter(self):
+                return iter([self])
+
+
+        print(Walker())
+    """)
+    write(tree, "tools/walk.py", """
+        print(list(iter([1])))
+    """)
+    assert "repro.walk:Walker.iter" in uncalled(tree)
+    write(tree, "examples/walk.py", """
+        from repro.walk import Walker
+
+        print(list(Walker().iter()))
+    """)
+    assert "repro.walk:Walker.iter" not in uncalled(tree)
+
+
 def test_an_allow_listed_name_passes(tree):
     allowed = {"repro.mod:unused": "reached by name"}
     assert "repro.mod:unused" not in uncalled(tree, allowed)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WsdlError
-from repro.wsdl.model import Definitions, parse_wsdl, serialize_wsdl
+from repro.wsdl.model import parse_wsdl, serialize_wsdl
 from repro.workloads.customer import customer_info_wsdl
 
 
@@ -11,7 +11,8 @@ class TestFigure1:
     def test_structure(self):
         definitions = customer_info_wsdl()
         assert definitions.name == "CustomerInfo"
-        service = definitions.service("CustomerInfoService")
+        [service] = definitions.services
+        assert service.name == "CustomerInfoService"
         assert service.documentation == \
             "Provides customer information"
         assert service.ports[0].address == "http://customerinfo"
@@ -23,7 +24,8 @@ class TestFigure1:
         parsed = parse_wsdl(text)
         assert parsed.name == original.name
         assert parsed.target_namespace == original.target_namespace
-        service = parsed.service("CustomerInfoService")
+        [service] = parsed.services
+        assert service.name == "CustomerInfoService"
         assert service.ports[0].address == "http://customerinfo"
         # The embedded schema types survive.
         schema = parsed.types[0]
@@ -44,11 +46,6 @@ class TestFigure1:
 
 
 class TestParsing:
-    def test_unknown_service(self):
-        definitions = Definitions("x")
-        with pytest.raises(WsdlError):
-            definitions.service("nope")
-
     def test_non_wsdl_document_rejected(self):
         with pytest.raises(WsdlError):
             parse_wsdl("<html/>")

