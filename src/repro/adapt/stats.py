@@ -3,7 +3,7 @@
 The store keeps one quantity: the per-kind measured/predicted ratio of
 :meth:`~repro.obs.drift.DriftReport.kind_ratios` — keyed by
 :func:`~repro.core.cost.calibrate.strategy_key` (bare kinds for the
-row adapter, ``combine.merge`` etc. for the columnar dataplane) plus
+row adapter, ``combine.aligned`` etc. for the columnar dataplane) plus
 the ``"comm"`` pseudo-kind — under one ``"source->target"`` pair key.
 Finished exchanges feed it through :meth:`StatisticsStore.
 observe_run` (a finished run's report, priced against its probe);

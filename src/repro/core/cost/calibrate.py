@@ -32,7 +32,7 @@ def strategy_key(kind: str, strategy: str) -> str:
     """Calibration key for one (kind, strategy) pair.
 
     A strategy qualifies the kind (``"combine.hash"``,
-    ``"scan.columnar"``), letting one fit hold hash and merge unit
+    ``"scan.columnar"``), letting one fit hold aligned and hash unit
     costs side by side; a timing that names none (``""``, or the
     ``"row"`` of runs from before every batch was columnar) keeps the
     bare kind (``"combine"``), so older calibrations read unchanged.

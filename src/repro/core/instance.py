@@ -180,7 +180,7 @@ class FragmentInstance:
         eid, matching the relational engine's NULLS-FIRST ``ORDER BY
         parent, id``; keying on ``row.parent or 0`` would collapse
         root rows with children of a genuine eid-0 parent and diverge
-        from the document order the columnar merge join relies on.
+        from the document order the aligned join lines up with.
         """
         self.rows.sort(
             key=lambda row: (row.parent is not None, row.parent or 0,

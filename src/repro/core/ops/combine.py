@@ -8,13 +8,17 @@ repetition of the inlined element are recovered from the schema
 schema order).
 
 The operation runs over column batch streams, and
-:meth:`Combine.apply_column_batches` — a build/probe join over column
-arrays — is its one kernel: child rows are buffered first (keyed by
-PARENT, the frontier of rows still awaiting their parents) while the
-parent side, which accumulates the combined result and is the large
-side in a combine chain, streams through batch by batch.  An unbatched
-run is the same kernel fed one unbounded batch per side.  Each output
-batch keeps its parent batch's ``seq``.
+:meth:`Combine.apply_column_batches` — a join over column arrays — is
+its one kernel: child rows are buffered first (keyed by PARENT, the
+frontier of rows still awaiting their parents) while the parent side,
+which accumulates the combined result and is the large side in a
+combine chain, streams through batch by batch.  The sorted feeds
+arrive ordered by PARENT, so a parent batch's anchor keys are usually
+the next run of the child's PARENT keys: the batch is *aligned* and
+its child columns are a slice of the buffered ones.  Any other batch
+is probed through a dict.  An unbatched run is the same kernel fed one
+unbounded batch per side.  Each output batch keeps its parent batch's
+``seq``.
 
 A result that inlines a repeated child does not flatten and travels as
 its flat parts (:meth:`~repro.core.fragment.Fragment.flat_parts`);
@@ -26,10 +30,8 @@ every other part through (:mod:`repro.core.program.run`).
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from operator import le
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import OperationError
@@ -39,17 +41,17 @@ from repro.core.instance import combine_orphan_message
 from repro.core.ops.base import Location, Operation
 from repro.core.stream import ResidencyMeter
 
-#: Join strategies of the columnar combine.
-JOIN_STRATEGIES = ("hash", "merge")
 
 @dataclass(frozen=True, slots=True)
 class JoinStatistics:
-    """What one build/probe join did (after SNIPPETS.md Snippet 1).
+    """What one join did (after SNIPPETS.md Snippet 1).
 
-    Seconds are the join's own work — upstream production pulled from
-    inside it is not included; ``hash_table_rows`` is the size of the
-    hash join's dict index (0 for a merge join, which probes the
-    sorted key array itself).
+    ``strategy`` is ``"aligned"`` when every parent batch lined up
+    with the child's PARENT keys, ``"hash"`` when some batch was
+    probed through the dict.  Seconds are the join's own work —
+    upstream production pulled from inside it is not included;
+    ``hash_table_rows`` is the size of that dict (0 when none was
+    built).
     """
 
     strategy: str
@@ -60,24 +62,21 @@ class JoinStatistics:
     hash_table_rows: int = 0
 
 
-#: Columnar build-side stand-in for a NULL PARENT key.  It orders
-#: strictly before every real eid (so the merge join's sortedness check
-#: and binary search stay valid) and can never equal one — unlike the
-#: old sentinel ``-1``, which a genuine negative eid would collide
-#: with.  Orphan reports translate it back to ``None``.
+#: Columnar build-side stand-in for a NULL PARENT key.  It can never
+#: equal an anchor key — neither a real eid (a genuine negative eid
+#: included) nor an absent anchor's ``None``.  Orphan reports
+#: translate it back to ``None``.
 _NO_PARENT = float("-inf")
 
 
-def _repeated_key(keys: list, sorted_keys: bool) -> int | None:
+def _repeated_key(keys: list) -> int | None:
     """The real PARENT key that occurs twice in ``keys`` and is named
-    in the error: the last one seen next to itself, else (unsorted
-    keys only) the first seen a second time."""
+    in the error: the last one seen next to itself, else the first
+    seen a second time."""
     for later, earlier in zip(reversed(keys), islice(reversed(keys), 1,
                                                       None)):
         if later == earlier and later != _NO_PARENT:
             return later
-    if sorted_keys:
-        return None
     seen: set = set()
     for key in keys:
         if key in seen and key != _NO_PARENT:
@@ -123,35 +122,31 @@ class Combine(Operation):
         tick: Callable[[float, int], None] | None = None,
         meter: ResidencyMeter | None = None,
         observe: Callable[[JoinStatistics], None] | None = None,
-        force: str | None = None,
     ) -> Iterator[ColumnBatch]:
-        """Columnar build/probe join with the semantics of
+        """Columnar join with the semantics of
         :meth:`~repro.core.instance.FragmentInstance.combine`: the
         parent's rows in their order, each anchor adopting its child
         row.
 
         **Build**: the child stream — the small side, since a combine
         chain accumulates everything into the parent — is drained into
-        consolidated column arrays plus a join index on its PARENT key.
+        column arrays (a one-batch stream's own lists, uncopied).
         **Probe**: parent batches stream through; each parent row's
-        anchor key (its own ``id`` when the anchor is the parent root,
-        the anchor's ``eid`` column otherwise) probes the index, and
-        result columns are assembled without building a single tree:
-        parent-derived columns are reused zero-copy and child-derived
-        columns are gathered by match position.
-
-        Strategy selection: the sorted-outer-union feeds arrive
-        ordered by ``parent, id``, so when the child's PARENT keys are
-        non-decreasing after the build the probe runs a **merge** join:
-        one cursor walks the sorted key array while a batch's anchor
-        keys ascend, and a key that goes backwards bisects; shuffled
-        feeds fall back to a **hash** join (dict index).  ``force``
-        pins ``"hash"`` or ``"merge"`` regardless (a forced merge over
-        unsorted keys sorts a permutation first); it exists for the
-        unit tests of the two strategies.
+        anchor key is its own ``id`` when the anchor is the parent
+        root, the anchor's ``eid`` column otherwise.  Parent-derived
+        result columns are reused zero-copy.  When a batch's anchor
+        keys equal the next run of the child's PARENT keys — the
+        sorted feeds arrive ordered by ``parent, id``, so they usually
+        do — the batch is **aligned** and its child-derived columns
+        are that run's slice of the child columns (the lists
+        themselves when the batch covers them all).  Any other batch
+        probes a dict index, built on the first such batch, and
+        gathers its child cells by match position.
 
         ``observe(statistics)`` fires once after probing with the
-        join's :class:`JoinStatistics`, feeding the ``join.*`` metrics.
+        join's :class:`JoinStatistics`, feeding the ``join.*`` metrics;
+        its strategy is ``"aligned"`` when no batch needed the dict,
+        ``"hash"`` otherwise.
 
         Raises:
             OperationError: after the build, if two child rows carry
@@ -161,11 +156,6 @@ class Combine(Operation):
                 listing orphaned PARENT keys exactly as the instance
                 combine does.
         """
-        if force is not None and force not in JOIN_STRATEGIES:
-            raise OperationError(
-                f"unknown join strategy {force!r} "
-                f"(expected one of {JOIN_STRATEGIES})"
-            )
         result_fragment = self.result
         result_layout = layout_of(result_fragment)
         parent_fragment = self.parent_fragment
@@ -187,86 +177,40 @@ class Combine(Operation):
                 column_plan.append((True, source))
             else:
                 column_plan.append((False, spec.name))
+        child_names = ["parent"] + [name for gathered, name
+                                    in column_plan if gathered]
 
         def generate() -> Iterator[ColumnBatch]:
             # ---- build: drain the child side into column arrays ----
             build_seconds = 0.0
-            keys: list[int | float] = []
-            child_columns: dict[str, list] = {
-                name: [] for gathered, name in column_plan if gathered
-            }
+            drained: list[list] = []
+            owned = False  # whether ``drained`` are lists of our own
             for batch in child:
                 started = time.perf_counter()
-                parents = batch.column("parent")
-                if None in parents:
-                    parents = [_NO_PARENT if key is None else key
-                               for key in parents]
-                keys.extend(parents)
-                for name, cells in child_columns.items():
-                    cells.extend(batch.column(name))
+                cells = list(map(batch.column, child_names))
+                if not drained:
+                    drained = cells  # read, never written
+                else:
+                    if not owned:
+                        drained, owned = list(map(list, drained)), True
+                    for stored, more in zip(drained, cells):
+                        stored += more
                 elapsed = time.perf_counter() - started
                 build_seconds += elapsed
                 if tick is not None:
                     tick(elapsed, 0)
 
             started = time.perf_counter()
-            sorted_keys = all(map(le, keys, islice(keys, 1, None)))
-            strategy = force or ("merge" if sorted_keys else "hash")
+            keys, *columns = drained or [[] for _ in child_names]
+            child_columns = dict(zip(child_names[1:], columns))
+            nulls = keys.count(None)
+            if nulls:
+                keys = [_NO_PARENT if key is None else key
+                        for key in keys]
             build_rows = len(keys)
-            hash_table_rows = 0
-            if strategy == "merge":
-                if sorted_keys:
-                    order = None
-                    probe_keys = keys
-                else:
-                    order = sorted(range(build_rows),
-                                   key=keys.__getitem__)
-                    probe_keys = [keys[i] for i in order]
-                # The walk's position: the last probe key and where
-                # it landed in the sorted build keys.
-                cursor = 0
-                last = _NO_PARENT
-
-                def matches_of(anchor_keys: list) -> list:
-                    """Merge walk: each key advances the cursor from
-                    where the previous one left it (a step, then a
-                    bisection over the rest if that was not enough);
-                    a key that goes backwards bisects from the start."""
-                    nonlocal cursor, last
-                    found: list[int | None] = []
-                    append = found.append
-                    for key in anchor_keys:
-                        if key is None:
-                            append(None)
-                            continue
-                        if key < last:
-                            cursor = bisect_left(probe_keys, key)
-                        elif (cursor < build_rows
-                              and probe_keys[cursor] < key):
-                            cursor += 1
-                            if (cursor < build_rows
-                                    and probe_keys[cursor] < key):
-                                cursor = bisect_left(
-                                    probe_keys, key, cursor
-                                )
-                        last = key
-                        if (cursor < build_rows
-                                and probe_keys[cursor] == key):
-                            append(order[cursor] if order else cursor)
-                        else:
-                            append(None)
-                    return found
-            else:
-                by_key = dict(zip(keys, range(build_rows)))
-                hash_table_rows = len(by_key)
-
-                def matches_of(anchor_keys: list) -> list:
-                    return [None if key is None else by_key.get(key)
-                            for key in anchor_keys]
-            nulls = keys.count(_NO_PARENT)
             repeated = None  # a real PARENT key on two child rows
             if len(set(keys)) - bool(nulls) < build_rows - nulls:
-                repeated = _repeated_key(keys, sorted_keys)
+                repeated = _repeated_key(keys)
             elapsed = time.perf_counter() - started
             build_seconds += elapsed
             if tick is not None:
@@ -280,30 +224,48 @@ class Combine(Operation):
                     f"{anchor!r}"
                 )
 
-            # ---- probe: stream parent batches through the index ----
+            # ---- probe: stream parent batches past the child keys ----
             probe_rows = 0
             probe_seconds = 0.0
-            matched: set[int | None] = set()
+            by_key: dict | None = None  # built for the first unaligned batch
+            cursor = 0  # where the next aligned run starts
+            adopted = bytearray(build_rows)  # 1 per child row inlined
             for batch in parent:
                 started = time.perf_counter()
                 in_rows = batch.row_count()
                 probe_rows += in_rows
-                matches = matches_of(batch.column(anchor_column))
-                misses = matches.count(None)
-                out_columns: list[list] = []
-                for gathered, name in column_plan:
-                    if gathered:
-                        cells = child_columns[name]
-                        out_columns.append(
-                            [None if hit is None else cells[hit]
-                             for hit in matches] if misses
-                            else list(map(cells.__getitem__, matches))
-                        )
-                    else:
-                        out_columns.append(batch.column(name))
-                matched.update(matches)
-                out = ColumnBatch(result_fragment, out_columns,
-                                  batch.seq, result_layout)
+                anchors = batch.column(anchor_column)
+                stop = cursor + in_rows
+                if anchors == keys[cursor:stop]:
+                    misses = 0
+                    adopted[cursor:stop] = b"\1" * in_rows
+                    inlined = child_columns if cursor == 0 \
+                        and stop == build_rows else {
+                            name: cells[cursor:stop]
+                            for name, cells in child_columns.items()
+                        }
+                    cursor = stop
+                else:
+                    if by_key is None:
+                        by_key = dict(zip(keys, range(build_rows)))
+                    matches = list(map(by_key.get, anchors))
+                    misses = matches.count(None)
+                    for hit in matches:
+                        if hit is not None:
+                            adopted[hit] = 1
+                    inlined = {
+                        name: [None if hit is None else cells[hit]
+                               for hit in matches] if misses
+                        else list(map(cells.__getitem__, matches))
+                        for name, cells in child_columns.items()
+                    }
+                    cursor += in_rows - misses
+                out = ColumnBatch(
+                    result_fragment,
+                    [inlined[name] if gathered else batch.column(name)
+                     for gathered, name in column_plan],
+                    batch.seq, result_layout,
+                )
                 elapsed = time.perf_counter() - started
                 probe_seconds += elapsed
                 if tick is not None:
@@ -316,16 +278,15 @@ class Combine(Operation):
                 yield out
             if observe is not None:
                 observe(JoinStatistics(
-                    strategy, build_rows, probe_rows, build_seconds,
-                    probe_seconds, hash_table_rows,
+                    "aligned" if by_key is None else "hash",
+                    build_rows, probe_rows, build_seconds,
+                    probe_seconds, 0 if by_key is None else len(by_key),
                 ))
-            matched.discard(None)
-            if len(matched) < build_rows:
+            if 0 in adopted:
                 raise OperationError(combine_orphan_message(
                     parent_fragment.name, child_fragment.name,
                     [None if key == _NO_PARENT else key
-                     for index, key in enumerate(keys)
-                     if index not in matched],
+                     for key, hit in zip(keys, adopted) if not hit],
                 ))
 
         return generate()

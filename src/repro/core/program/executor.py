@@ -88,8 +88,8 @@ class OperationTiming:
     """Wall-clock timing of one executed operation.
 
     ``strategy`` names how the operation ran — a fact derived from
-    its fragments and data, not a setting: ``"hash"``/``"merge"`` for
-    the join strategy a Combine selected, ``"columnar"`` for every
+    its fragments and data, not a setting: ``"aligned"``/``"hash"`` for
+    the join strategy a Combine ran, ``"columnar"`` for every
     other operation (a Combine that only passes the flat parts of a
     repeated child through included) — the key the cost calibration
     uses to fit per-strategy unit costs.

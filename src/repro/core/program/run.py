@@ -390,9 +390,9 @@ class ProgramRun:
         }
         if len(result_parts) == 1:
             # A flat result means both inputs are flat too.  Pre-seed;
-            # the join observer overwrites with the strategy actually
-            # selected once the build finishes.
-            self._strategies[node.op_id] = "hash"
+            # the join observer overwrites with the strategy the probe
+            # actually ran once the parent stream ends.
+            self._strategies[node.op_id] = "aligned"
             return {result: node.apply_column_batches(
                 *parent.values(), *child.values(), **kernel
             )}
@@ -407,7 +407,7 @@ class ProgramRun:
                                      streams[anchor_part],
                                      streams[root_part])
         else:
-            self._strategies[node.op_id] = "hash"
+            self._strategies[node.op_id] = "aligned"
             joined = next(part for part in result_parts
                           if part.root_name == anchor_part.root_name)
             streams[joined] = Combine(

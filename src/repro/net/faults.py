@@ -417,10 +417,13 @@ class FaultyChannel:
 
     def ship_document(self, text: str) -> Shipment:
         """Ship a published document; raises on drop/corruption.  A
-        lost copy is charged the document's length; a re-order is a
-        delay, since one document has nothing to fall behind."""
+        lost copy is charged what the transport puts on its wire
+        (:meth:`~repro.net.transport.Transport.document_size`); a
+        re-order is a delay, since one document has nothing to fall
+        behind."""
         shipment, kind = self._transmit(
-            "document", lambda: Frame(None, None, len(text)),
+            "document",
+            lambda: Frame(None, None, self.inner.document_size(text)),
             lambda: self.inner.ship_document(text),
         )
         if kind is FaultKind.REORDER:

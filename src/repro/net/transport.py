@@ -328,9 +328,16 @@ class Transport(abc.ABC):
             )
         return shipment
 
+    def document_size(self, text: str) -> int:
+        """The bytes shipping the document ``text`` puts on this wire
+        — what :meth:`ship_document` charges and the fault injector
+        charges a lost copy.  The simulated and in-process wires
+        charge its characters."""
+        return len(text)
+
     def ship_document(self, text: str) -> Shipment:
         """Ship a whole published document (publish&map step 3)."""
-        return self._charge(len(text))
+        return self._charge(self.document_size(text))
 
 
 class SimulatedChannel(Transport):
@@ -524,6 +531,11 @@ class TcpTransport(Transport):
             CHECKSUM_ATTR: checksum,
             SEQ_ATTR: None if batch.seq is None else str(batch.seq),
         })
+
+    def document_size(self, text: str) -> int:
+        """The UTF-8 bytes of the document's envelope — the payload
+        :meth:`ship_document` frames."""
+        return len(wrap_document(text).encode("utf-8"))
 
     def ship_document(self, text: str) -> Shipment:
         # What crosses is the document stripped of the whitespace

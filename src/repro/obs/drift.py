@@ -51,7 +51,7 @@ class OpDrift:
     measured_seconds: float
     rows: int
     #: Strategy the op actually ran: a Combine's join strategy
-    #: ("hash"/"merge"), "columnar" for every other operation.
+    #: ("aligned"/"hash"), "columnar" for every other operation.
     strategy: str = "columnar"
 
     @property
@@ -97,8 +97,8 @@ class DriftReport:
         the cross-edges; kinds whose predictions are all degenerate
         are omitted.  Ops that ran a non-row dataplane strategy roll
         up under the qualified :func:`~repro.core.cost.calibrate.
-        strategy_key` (``"combine.hash"``), so hash, merge and row
-        drifts are visible side by side.
+        strategy_key` (``"combine.aligned"``), so aligned, hash and
+        row drifts are visible side by side.
         """
         sums: dict[str, tuple[float, float]] = {}
         for entry in self.ops:
@@ -205,7 +205,7 @@ def cost_drift_report(program: TransferProgram, placement: Placement,
     Predictions are ``probe.comp_cost(node, location)`` — the number
     the optimizers price and a :class:`~repro.adapt.stats.
     ScaledProbe` scales — whatever strategy the op ran; the strategy
-    still names the key the op rolls up under (``combine.merge``).
+    still names the key the op rolls up under (``combine.aligned``).
     A run whose measured costs are one multiple of those prices
     therefore reads that multiple on every key.
 

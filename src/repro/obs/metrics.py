@@ -266,9 +266,9 @@ def observe_join(registry: MetricsRegistry | None, strategy: str,
     join metrics: ``join.build_rows``/``join.probe_rows`` accumulate
     the side sizes, ``join.build_seconds``/``join.probe_seconds`` the
     join's own time in each phase (one observation per join),
-    ``join.hash_table_rows`` the entries hash joins indexed, and
-    ``join.strategy.<strategy>`` counts how often each join strategy
-    was selected."""
+    ``join.hash_table_rows`` the entries of the dicts built for
+    batches that did not line up, and ``join.strategy.<strategy>``
+    counts the joins that ran each strategy (``aligned``/``hash``)."""
     if registry is None:
         return
     registry.counter("join.build_rows").add(build_rows)

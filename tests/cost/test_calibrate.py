@@ -38,9 +38,9 @@ class TestCalibrate:
     def test_fits_every_executed_kind(self, calibrated):
         calibration = calibrated[0]
         # The MF->LF program has no splits, and every XMark fragment
-        # is flat-storable: sorted feeds, so merge joins.
+        # is flat-storable: sorted feeds, so aligned joins.
         assert set(calibration.seconds_per_unit) == {
-            "scan.columnar", "combine.merge", "write.columnar",
+            "scan.columnar", "combine.aligned", "write.columnar",
         }
         assert all(
             scale > 0

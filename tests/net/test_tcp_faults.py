@@ -129,6 +129,17 @@ class TestFaultMatrixOverTcp:
         assert tcp.lost_messages == 1
         assert tcp.lost_bytes == shipment.bytes_sent
 
+    def test_lost_document_costs_the_delivered_frame(self, tcp):
+        """A dropped document is charged what its delivery costs on
+        the socket: the UTF-8 bytes of its envelope, not the
+        characters of its text."""
+        channel = FaultyChannel(tcp, FaultPlan.parse("drop@0"))
+        with pytest.raises(MessageDropped):
+            channel.ship_document("<a>café</a>")
+        shipment = channel.ship_document("<a>café</a>")
+        assert tcp.lost_messages == 1
+        assert tcp.lost_bytes == shipment.bytes_sent
+
     def test_delay_adds_seconds_on_top_of_measured_time(
             self, tcp, whole):
         channel = FaultyChannel(tcp, scripted(delay=0))

@@ -233,7 +233,7 @@ class TestUniformDrift:
         )
         drift = cost_drift_report(program, placement, priced, probe)
         ratios = drift.kind_ratios()
-        assert {"combine.merge", "scan.columnar", "write.columnar",
+        assert {"combine.aligned", "scan.columnar", "write.columnar",
                 "comm"} <= set(ratios)
         assert ratios == pytest.approx(dict.fromkeys(ratios, factor))
 

@@ -1,10 +1,14 @@
 """The columnar dataplane end to end: byte-identity against the row
-plane, join strategies, orphan and duplicate-key diagnosis on the
-kernel and through a run, and the size-memoization guard."""
+plane, the join kernel against the row combine, orphan and
+duplicate-key diagnosis on the kernel and through a run, and the
+size-memoization guard."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OperationError
 from repro.core.columnar import ColumnBatch
@@ -15,6 +19,7 @@ from repro.core.ops.combine import Combine
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
+from repro.core.stream import ResidencyMeter
 from repro.net.transport import SimulatedChannel
 from repro.obs.metrics import MetricsRegistry
 from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
@@ -77,7 +82,7 @@ def _row_reference(mf_source, mf_to_lf, auction_lf):
 
 class TestByteIdentity:
     """The columnar dataplane must write the tables the row plane
-    writes, for every batch size and both pinned join strategies."""
+    writes, for every batch size."""
 
     @pytest.mark.parametrize("batch_rows", [1, 7, 64, 10 ** 9])
     def test_combine_heavy_exchange(self, mf_source, mf_to_lf,
@@ -94,35 +99,6 @@ class TestByteIdentity:
         assert _table_dump(target) == expected
         assert report.rows_written > 0
 
-    @pytest.mark.parametrize("join_strategy", ["hash", "merge"])
-    @pytest.mark.parametrize("batch_rows", [1, 7, 64, 10 ** 9])
-    def test_forced_strategies(self, mf_source, mf_to_lf, auction_lf,
-                               join_strategy, batch_rows,
-                               monkeypatch):
-        program, placement = mf_to_lf
-        expected = _row_reference(mf_source, mf_to_lf, auction_lf)
-        target = RelationalEndpoint(
-            f"col-{join_strategy}-{batch_rows}", auction_lf
-        )
-        # The executor never pins a strategy (selection from observed
-        # feed order is the behaviour); pin it under the executor.
-        join = Combine.apply_column_batches
-        monkeypatch.setattr(
-            Combine, "apply_column_batches",
-            lambda self, *streams, **hooks: join(
-                self, *streams, force=join_strategy, **hooks
-            ),
-        )
-        report = ProgramExecutor(
-            mf_source, target, SimulatedChannel(),
-            batch_rows=batch_rows,
-        ).run(program, placement)
-        assert {
-            timing.strategy for timing in report.op_timings
-            if timing.kind == "combine"
-        } == {join_strategy}
-        assert _table_dump(target) == expected
-
     def test_split_heavy_exchange(self, lf_to_mf, auction_mf):
         source, program, placement = lf_to_mf
         row_target = RelationalEndpoint("row-mf", auction_mf)
@@ -136,15 +112,15 @@ class TestByteIdentity:
 
 
 class TestStrategySelection:
-    """Document-order feeds must auto-select the merge join, shuffled
-    feeds the hash join; every timing names the representation its
-    operation actually ran on."""
+    """Document-order feeds line up batch for batch, so every combine
+    runs aligned and builds no dict; every timing names the
+    representation its operation actually ran on."""
 
-    def test_sorted_feeds_select_merge(self, mf_source, mf_to_lf,
-                                       auction_lf):
+    def test_sorted_feeds_select_aligned(self, mf_source, mf_to_lf,
+                                         auction_lf):
         program, placement = mf_to_lf
         metrics = MetricsRegistry()
-        target = RelationalEndpoint("col-merge-sel", auction_lf)
+        target = RelationalEndpoint("col-aligned-sel", auction_lf)
         report = ProgramExecutor(
             mf_source, target, SimulatedChannel(),
             batch_rows=64, metrics=metrics,
@@ -153,11 +129,11 @@ class TestStrategySelection:
             1 for node in program.nodes if node.kind == "combine"
         )
         assert combines == 21  # the Figure 9 MF->LF shape
-        assert metrics.counter("join.strategy.merge").value == combines
+        assert metrics.counter("join.strategy.aligned").value == combines
         assert metrics.counter("join.build_rows").value > 0
         assert metrics.counter("join.probe_rows").value > 0
-        # The time split: one observation per join and phase, no hash
-        # table behind a merge join.
+        # The time split: one observation per join and phase, no dict
+        # behind an aligned join.
         for phase in ("build", "probe"):
             seconds = metrics.histogram(f"join.{phase}_seconds")
             assert seconds.count == combines and seconds.total > 0
@@ -166,7 +142,7 @@ class TestStrategySelection:
             timing.strategy for timing in report.op_timings
             if timing.kind == "combine"
         }
-        assert strategies == {"merge"}
+        assert strategies == {"aligned"}
 
     def test_non_combine_ops_report_columnar(self, mf_source, mf_to_lf,
                                              auction_lf):
@@ -201,7 +177,7 @@ class TestStrategySelection:
             for node in program.nodes
         }
         assert {t.strategy for t in report.op_timings} == {
-            "columnar", "merge",
+            "columnar", "aligned",
         }
         assert any(
             not fragment.is_flat_storable()
@@ -244,7 +220,7 @@ class TestJoinUnit:
 
     @staticmethod
     def _run(combine, order, service, parents, children,
-             batch_rows=2, observe=None, force=None):
+             batch_rows=2, observe=None):
         def batches(fragment, rows):
             return (
                 ColumnBatch.from_rows(
@@ -260,7 +236,7 @@ class TestJoinUnit:
 
         out = list(combine.apply_column_batches(
             batches(order, parents), batches(service, children),
-            observe=observed if observe else None, force=force,
+            observe=observed if observe else None,
         ))
         return _docs(
             combine.result,
@@ -276,7 +252,7 @@ class TestJoinUnit:
         )
         return _docs(combine.result, result.rows)
 
-    def test_sorted_children_use_merge(self, parts):
+    def test_sorted_children_align(self, parts):
         combine, order, service, parents, children = parts
         observed = []
         got = self._run(combine, order, service, parents, children,
@@ -284,7 +260,7 @@ class TestJoinUnit:
         assert got == self._materialized(
             combine, order, service, parents, children
         )
-        assert observed == [("merge", 4, 4)]
+        assert observed == [("aligned", 4, 4)]
 
     def test_shuffled_children_use_hash(self, parts):
         combine, order, service, parents, children = parts
@@ -299,24 +275,6 @@ class TestJoinUnit:
             combine, order, service, parents, children
         )
         assert observed == [("hash", 4, 4)]
-
-    def test_forced_merge_over_shuffled_children(self, parts):
-        combine, order, service, parents, children = parts
-        shuffled = list(children)
-        random.Random(5).shuffle(shuffled)
-        observed = []
-        got = self._run(combine, order, service, parents, shuffled,
-                        observe=observed.append, force="merge")
-        assert got == self._materialized(
-            combine, order, service, parents, children
-        )
-        assert observed == [("merge", 4, 4)]
-
-    def test_unknown_strategy_rejected(self, parts):
-        combine, order, service, parents, children = parts
-        with pytest.raises(OperationError, match="join strategy"):
-            self._run(combine, order, service, parents, children,
-                      force="nested-loop")
 
 
 def _order_with_service(eid, service_eid):
@@ -334,11 +292,19 @@ def _service_name_row(eid, parent):
     )
 
 
+def _lines_up(anchors, child_keys):
+    """Whether every parent batch lines up with the next run of the
+    child's PARENT keys, whatever the batch sizes: the anchors, none
+    absent, are the child keys' prefix."""
+    return None not in anchors and anchors == child_keys[:len(anchors)]
+
+
 class TestMergeWalk:
-    """The merge join walks sorted build keys with one cursor; it must
-    answer exactly as the hash join whatever order the probe keys come
-    in — ascending, going backwards mid-batch, or NULL (an absent
-    anchor)."""
+    """The probe walks the child's PARENT keys with one cursor, a run
+    per parent batch, and looks up through the dict where a batch
+    does not line up; it must answer exactly as the hash join whatever
+    order the probe keys come in — ascending, going backwards
+    mid-batch, or NULL (an absent anchor)."""
 
     @pytest.fixture
     def combine(self, customers_schema):
@@ -347,7 +313,7 @@ class TestMergeWalk:
         return Combine(order, name), order, name
 
     @staticmethod
-    def _outcome(combine, parents, children, force, batch_rows=3):
+    def _outcome(combine, parents, children, batch_rows=3):
         """The combined documents or the error text, and the strategy
         the join reports."""
         combine, order, name = combine
@@ -356,31 +322,42 @@ class TestMergeWalk:
             out = TestJoinUnit._run(
                 combine, order, name, parents, children,
                 batch_rows=batch_rows, observe=strategies.append,
-                force=force,
             )
         except OperationError as exc:
             out = str(exc)
         return out, [strategy for strategy, _, _ in strategies]
 
     def _same_as_hash(self, combine, parents, children):
+        """The kernel's answer on ``children``, checked against its
+        answer on them reversed (another key order, so another path
+        through the walk and the dict), and each run's strategy
+        against the alignment rule."""
+        _, order, name = combine
+        anchors = ColumnBatch.from_rows(order, parents, 0).column(
+            "service_eid"
+        )
         for batch_rows in (1, 3, 100):
-            merged, strategy = self._outcome(
-                combine, parents, children, "merge", batch_rows
-            )
-            hashed, _ = self._outcome(
-                combine, parents, children, "hash", batch_rows
-            )
-            assert merged == hashed
-            assert strategy in ([], ["merge"])
-        return merged
+            runs = [
+                (self._outcome(combine, parents, ordered, batch_rows),
+                 ColumnBatch.from_rows(name, ordered, 0).column("parent"))
+                for ordered in (children, children[::-1])
+            ]
+            (walked, _), _ = runs[0]
+            (hashed, _), _ = runs[1]
+            assert walked == hashed
+            for (_, strategy), keys in runs:
+                assert strategy in ([], [
+                    "aligned" if _lines_up(anchors, keys) else "hash"
+                ])
+        return walked
 
     def test_sorted_probes(self, combine):
         parents = [_order_with_service(10 * n, 10 * n + 1)
                    for n in range(1, 7)]
         children = [_service_name_row(10 * n + 2, 10 * n + 1)
                     for n in range(1, 7) if n != 4]
-        merged = self._same_as_hash(combine, parents, children)
-        assert len(merged) == 6
+        joined = self._same_as_hash(combine, parents, children)
+        assert len(joined) == 6
 
     def test_probe_going_backwards_mid_batch(self, combine):
         anchors = [41, 11, 51, 21, 61, 31, 71]
@@ -388,8 +365,8 @@ class TestMergeWalk:
                    for n, anchor in enumerate(anchors, 1)]
         children = [_service_name_row(anchor + 1, anchor)
                     for anchor in sorted(anchors)]
-        merged = self._same_as_hash(combine, parents, children)
-        assert all("ServiceName" in document for document in merged)
+        joined = self._same_as_hash(combine, parents, children)
+        assert all("ServiceName" in document for document in joined)
 
     def test_null_anchors(self, combine):
         anchors = [None, 11, None, 21, 31, None]
@@ -397,8 +374,8 @@ class TestMergeWalk:
                    for n, anchor in enumerate(anchors, 1)]
         children = [_service_name_row(anchor + 1, anchor)
                     for anchor in (11, 21, 31)]
-        merged = self._same_as_hash(combine, parents, children)
-        assert sum("ServiceName" in document for document in merged) == 3
+        joined = self._same_as_hash(combine, parents, children)
+        assert sum("ServiceName" in document for document in joined) == 3
 
     def test_errors_match_the_hash_join(self, combine):
         parents = [_order_with_service(10, 11), _order_with_service(20, None),
@@ -415,8 +392,6 @@ class TestMergeWalk:
         # Inlined child rows are released as the row kernel's grouped
         # merge released them — (5 resident, peak 10) on this input —
         # counted off the matches instead of per tree.
-        from repro.core.stream import ResidencyMeter
-
         combine, order, name = combine
         anchors = [None, 11, 21, None, 31]
         parents = [_order_with_service(10 * n, anchor)
@@ -434,10 +409,145 @@ class TestMergeWalk:
         assert (meter.rows, meter.peak_rows) == (len(parents), 10)
 
 
+#: Batch sizes of the property test; ``None`` is one unbounded batch.
+_BATCH_ROWS = [1, 3, 7, None]
+
+
+def _batches(fragment, rows, batch_rows):
+    if batch_rows is None:
+        return [ColumnBatch.from_rows(fragment, rows, None)]
+    return [
+        ColumnBatch.from_rows(fragment, rows[at:at + batch_rows], seq)
+        for seq, at in enumerate(range(0, len(rows), batch_rows))
+    ]
+
+
+@st.composite
+def _join_inputs(draw):
+    """Parent anchors and child PARENT keys, and a batch size per
+    side.  The anchors ascend.  Half the inputs line up: the children
+    carry the anchors' keys in their order, then perhaps orphans.  In
+    the other half the anchors have absent (NULL) ones among them and
+    perhaps one window shuffled; the children follow them sorted,
+    shuffled, or sorted with gaps, with orphans (NULL PARENTs, keys no
+    anchor has, negative ones among them) anywhere and perhaps a
+    repeated key."""
+    keys = sorted(draw(st.lists(st.integers(-20, 40), unique=True,
+                                max_size=10)))
+    orphans = st.lists(st.one_of(st.none(), st.integers(-20, 40).filter(
+        lambda key: key not in keys)), max_size=2)
+    if draw(st.booleans()):
+        return (keys, keys + draw(orphans),
+                draw(st.sampled_from(_BATCH_ROWS)),
+                draw(st.sampled_from(_BATCH_ROWS)))
+    anchors = list(keys)
+    for _ in range(draw(st.integers(0, 3))):
+        anchors.insert(draw(st.integers(0, len(anchors))), None)
+    if anchors and draw(st.booleans()):
+        start = draw(st.integers(0, len(anchors) - 1))
+        stop = draw(st.integers(start + 1, len(anchors)))
+        anchors[start:stop] = draw(st.permutations(anchors[start:stop]))
+    order = draw(st.sampled_from(["sorted", "shuffled", "gaps"]))
+    if order == "shuffled":
+        child_keys = draw(st.permutations(keys))
+    elif order == "gaps":
+        child_keys = [key for key in keys if draw(st.booleans())]
+    else:
+        child_keys = list(keys)
+    for key in draw(orphans):
+        child_keys.insert(draw(st.integers(0, len(child_keys))), key)
+    if child_keys and draw(st.integers(0, 3)) == 0:
+        child_keys.insert(draw(st.integers(0, len(child_keys))),
+                          draw(st.sampled_from(child_keys)))
+    return (anchors, child_keys, draw(st.sampled_from(_BATCH_ROWS)),
+            draw(st.sampled_from(_BATCH_ROWS)))
+
+
+class TestKernelAgainstRows:
+    """The kernel against the row combine on generated inputs: the
+    same output, the same duplicate and orphan errors, the residency
+    the matches imply, ``aligned`` exactly when every batch lined up,
+    and its input batches left as they came."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_join_inputs())
+    def test_same_as_the_row_combine(self, customers_schema, inputs):
+        anchors, child_keys, parent_rows, child_rows = inputs
+        order = Fragment(customers_schema, ["Order", "Service"], "Order")
+        name = Fragment(customers_schema, ["ServiceName"], "ServiceName")
+        combine = Combine(order, name)
+        parents = [_order_with_service(1000 + 10 * n, anchor)
+                   for n, anchor in enumerate(anchors)]
+        children = [_service_name_row(2000 + n, key)
+                    for n, key in enumerate(child_keys)]
+        parent_batches = _batches(order, parents, parent_rows)
+        child_batches = _batches(name, children, child_rows)
+        given_columns = [[list(cells) for cells in batch.columns]
+                         for batch in parent_batches + child_batches]
+
+        meter = ResidencyMeter()
+        meter.acquire(len(parents) + len(children))
+        joins, out, error = [], [], None
+        try:
+            for batch in combine.apply_column_batches(
+                    iter(parent_batches), iter(child_batches),
+                    meter=meter, observe=joins.append):
+                out.append(batch)
+        except OperationError as exc:
+            error = str(exc)
+        assert [batch.columns for batch in
+                parent_batches + child_batches] == given_columns
+        assert all(len(cells) == len(batch)
+                   for batch in out for cells in batch.columns)
+
+        real = [key for key in child_keys if key is not None]
+        if len(set(real)) < len(real):
+            # Raised after the build, before any output.
+            found = re.fullmatch(
+                r"combine\('Order', 'ServiceName'\): PARENT key (-?\d+) "
+                r"appears on (\d+) child rows, but 'ServiceName' is not "
+                r"repeated under 'Service'", error or "",
+            )
+            assert found, error
+            assert real.count(int(found[1])) == int(found[2]) > 1
+            assert out == [] and joins == []
+            assert meter.rows == meter.peak_rows == len(parents) + len(
+                children)
+            return
+
+        try:
+            expected = TestJoinUnit._materialized(
+                combine, order, name, parents, children
+            )
+        except OperationError as exc:
+            assert error == str(exc)  # raised at end of stream
+            assert sum(map(len, out)) == len(parents)
+        else:
+            assert error is None
+            assert _docs(combine.result,
+                         [row for batch in out for row in batch.rows]) \
+                == expected
+
+        (join,) = joins
+        aligned = _lines_up(anchors, child_keys)
+        assert join.strategy == ("aligned" if aligned else "hash")
+        assert join.hash_table_rows == (0 if aligned
+                                        else len(set(child_keys)))
+        resident = peak = len(parents) + len(children)
+        for batch in parent_batches:
+            rows = len(batch)
+            matched = sum(anchor in real
+                          for anchor in batch.column("service_eid"))
+            resident += rows
+            peak = max(peak, resident)
+            resident -= rows + matched
+        assert (meter.rows, meter.peak_rows) == (resident, peak)
+
+
 class TestOrphanAccounting:
     """Orphaned PARENT keys must be listed, identically across the
     materialized, row-streaming and columnar paths; a duplicated key
-    is diagnosed as what it is, under both join strategies."""
+    is diagnosed as what it is, whichever way the children arrive."""
 
     @pytest.fixture
     def orphans(self, customers_schema):
@@ -514,11 +624,12 @@ class TestOrphanAccounting:
             )
         assert message == str(materialized.value)
 
-    @pytest.mark.parametrize("force", ["merge", "hash", None])
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["sorted", "reversed"])
     def test_duplicate_parent_key_is_not_an_orphan(
-            self, customers_schema, force):
+            self, customers_schema, reverse):
         # Regression: two Service rows under Order 10 left one build
-        # row unmatched (hash keeps the last index, merge finds the
+        # row unmatched (a dict keeps the last index, a walk finds the
         # first) and were reported as "1 orphaned PARENT key(s)
         # reference missing parents: [10]" although Order 10 exists.
         combine, order, service = _service_combine(customers_schema)
@@ -528,10 +639,11 @@ class TestOrphanAccounting:
             _service_row(110, 10),
             _service_row(120, 20),
         ]
+        if reverse:
+            children.reverse()
         with pytest.raises(OperationError) as failure:
             TestJoinUnit._run(
-                combine, order, service, parents, children,
-                force=force,
+                combine, order, service, parents, children
             )
         message = str(failure.value)
         assert "PARENT key 10 appears on 2 child rows" in message
@@ -548,13 +660,11 @@ class TestOrphanAccounting:
             _service_row(120, 20),
             _service_row(130, 10),
         ]
-        for force in ("merge", None):  # sorted permutation / hash
-            with pytest.raises(OperationError,
-                               match="PARENT key 10 appears on 2"):
-                TestJoinUnit._run(
-                    combine, order, service, parents, children,
-                    force=force,
-                )
+        with pytest.raises(OperationError,
+                           match="PARENT key 10 appears on 2"):
+            TestJoinUnit._run(
+                combine, order, service, parents, children
+            )
 
     def test_two_parentless_children_stay_orphans(
             self, customers_schema):
