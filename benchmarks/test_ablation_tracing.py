@@ -12,6 +12,7 @@ Measured numbers land in ``BENCH_tracing.json`` at the repo root.
 
 import json
 import pathlib
+import statistics
 import time
 
 import pytest
@@ -20,8 +21,11 @@ from repro.core.program.executor import ProgramExecutor
 from repro.net.transport import SimulatedChannel
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 
-#: Best-of-N wall clocks; min filters scheduler noise.
-_ROUNDS = 5
+#: Interleaved off/on pairs.  Which side runs first alternates, and
+#: the median of the per-pair on/off ratios is what is asserted: two
+#: sequential best-of blocks let load that drifts between the blocks
+#: read as overhead (or hide it), at ~5 ms a run.
+_PAIRS = 15
 
 _RESULTS: dict[str, object] = {}
 
@@ -39,20 +43,27 @@ def _run_once(sources, programs, fresh_target, label, tracer,
     return time.perf_counter() - started, report
 
 
-def _best_of(sources, programs, fresh_target, label, make_tracer,
-             make_metrics):
-    best = float("inf")
+def _paired(sources, programs, fresh_target, label):
+    """Median off and on seconds, the median paired on/off ratio and
+    the spans of the last traced run."""
+    offs, ons, ratios = [], [], []
     spans = 0
-    for _ in range(_ROUNDS):
-        tracer = make_tracer()
-        wall, _ = _run_once(
-            sources, programs, fresh_target, label, tracer,
-            make_metrics(),
-        )
-        best = min(best, wall)
-        if tracer is not None:
-            spans = len(tracer.spans)
-    return best, spans
+    for index in range(_PAIRS):
+        walls = {}
+        first = index % 2 == 0
+        for traced in (first, not first):
+            tracer = Tracer() if traced else None
+            walls[traced], _ = _run_once(
+                sources, programs, fresh_target, label, tracer,
+                MetricsRegistry() if traced else None,
+            )
+            if tracer is not None:
+                spans = len(tracer.spans)
+        offs.append(walls[False])
+        ons.append(walls[True])
+        ratios.append(walls[True] / max(walls[False], 1e-9))
+    return (statistics.median(offs), statistics.median(ons),
+            statistics.median(ratios), spans)
 
 
 def test_tracing_overhead(benchmark, sources, programs, fresh_target,
@@ -60,21 +71,12 @@ def test_tracing_overhead(benchmark, sources, programs, fresh_target,
     label = size_labels[-1]
 
     def measure():
-        off, _ = _best_of(
-            sources, programs, fresh_target, label,
-            lambda: None, lambda: None,
-        )
-        on, spans = _best_of(
-            sources, programs, fresh_target, label,
-            Tracer, MetricsRegistry,
-        )
-        return off, on, spans
+        return _paired(sources, programs, fresh_target, label)
 
     _RESULTS["document"] = label
 
-    off, on, spans = benchmark.pedantic(measure, rounds=1,
-                                        iterations=1)
-    ratio = on / max(off, 1e-9)
+    off, on, ratio, spans = benchmark.pedantic(measure, rounds=1,
+                                               iterations=1)
     _RESULTS.update({
         "tracing_off_seconds": round(off, 5),
         "tracing_on_seconds": round(on, 5),
@@ -89,7 +91,7 @@ def test_tracing_overhead(benchmark, sources, programs, fresh_target,
     results.record("ablation-tracing", "MF->MF program phase", "on s",
                    round(on, 4))
     results.record("ablation-tracing", "MF->MF program phase",
-                   "on/off", round(ratio, 3))
+                   "median on/off", round(ratio, 3))
     results.record("ablation-tracing", "MF->MF program phase",
                    "spans", spans)
 
@@ -125,7 +127,7 @@ def test_tracing_shape_and_bench_file(results):
     payload = {
         "experiment": "tracing-ablation",
         "scenario": "MF->MF",
-        "rounds": _ROUNDS,
+        "pairs": _PAIRS,
         **_RESULTS,
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -7,11 +7,12 @@ one quantity — the per-kind measured/predicted ratio of
 :func:`~repro.obs.drift.cost_drift_report`, priced against the
 probe's ``comp_cost(op, location)`` / ``comm_cost(fragment)``:
 :class:`~repro.adapt.stats.StatisticsStore` keeps those ratios
-EWMA-smoothed per (endpoint pair, op kind, strategy), every finished
-exchange feeds it (:meth:`~repro.adapt.stats.StatisticsStore.
+EWMA-smoothed per (endpoint pair, op kind), every finished exchange
+feeds it (:meth:`~repro.adapt.stats.StatisticsStore.
 observe_run`), and the next negotiation prices with its
-:meth:`~repro.adapt.stats.StatisticsStore.scaled_probe`.  A placement,
-once negotiated, runs as placed.
+:meth:`~repro.adapt.stats.StatisticsStore.scaled_probe`.  A key no
+run can produce, observed or loaded, is dropped on entry and never
+priced.  A placement, once negotiated, runs as placed.
 """
 
 from repro.adapt.stats import (

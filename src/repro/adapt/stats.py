@@ -1,20 +1,27 @@
 """Learned drift ratios, keyed by endpoint pair and op kind.
 
-The store keeps one quantity: the per-kind measured/predicted ratio of
-:meth:`~repro.obs.drift.DriftReport.kind_ratios` — keyed by
-:func:`~repro.core.cost.calibrate.strategy_key` (bare kinds for the
-row adapter, ``combine.aligned`` etc. for the columnar dataplane) plus
-the ``"comm"`` pseudo-kind — under one ``"source->target"`` pair key.
-Finished exchanges feed it through :meth:`StatisticsStore.
-observe_run` (a finished run's report, priced against its probe);
-:meth:`StatisticsStore.scaled_probe` turns it into a
-:class:`ScaledProbe` correction of *any* probe, which is what
-negotiation prices with.  Fitting seconds per work unit is
-:func:`~repro.core.cost.calibrate.calibrate`.
+The store keeps one quantity: the measured/predicted ratio of
+:meth:`~repro.obs.drift.DriftReport.kind_ratios`, one per operation
+kind the optimizer prices (``scan``, ``combine``, ``split``,
+``write``) plus the ``"comm"`` pseudo-kind, under one
+``"source->target"`` pair key.  How an operation ran (a Combine's
+``aligned`` or ``hash`` join) is a label on its timing, not a key:
+the input decides it at run time, and the cost model prices one
+number per kind.  Finished exchanges feed the store through
+:meth:`StatisticsStore.observe_run` (a finished run's report, priced
+against its probe); :meth:`StatisticsStore.scaled_probe` turns it
+into a :class:`ScaledProbe` correction of *any* probe, which is what
+negotiation prices with.
 
-Ratios are EWMA-smoothed (``alpha``) with per-key observation counts.
-The store is thread-safe and round-trips through JSON
-(:meth:`StatisticsStore.save` / :meth:`StatisticsStore.load`).
+Ratios are EWMA-smoothed (:data:`ALPHA`) with per-key observation
+counts.  A ratio enters a table only through one check, whether it is
+observed or loaded: its key must be in :data:`KEYS` and its value
+finite and positive.  Anything else is dropped and counted in
+``adapt.stats.dropped_keys``, never priced, so a key no run can
+produce any more (``combine.merge``, ``scan.columnar``) cannot shadow
+what later runs observe.  The store is thread-safe and round-trips
+through JSON (:meth:`StatisticsStore.save` /
+:meth:`StatisticsStore.load`).
 """
 
 from __future__ import annotations
@@ -34,62 +41,57 @@ from repro.obs.drift import DriftReport, cost_drift_report
 from repro.obs.metrics import MetricsRegistry
 
 
+#: Every key a ratio table may hold: the kinds the optimizer prices,
+#: plus the ``"comm"`` pseudo-kind for cross-edge shipments.
+KEYS = frozenset({"scan", "combine", "split", "write", "comm"})
+
+#: EWMA smoothing factor: the weight of each new observation.
+ALPHA = 0.3
+
+
 def pair_key(source_name: str, target_name: str) -> str:
     """Canonical store key for one exchange direction."""
     return f"{source_name}->{target_name}"
 
 
 def _geometric_mean(values: list[float]) -> float:
-    finite = [value for value in values
-              if value > 0 and math.isfinite(value)]
-    if not finite:
+    if not values:
         return 1.0
-    return math.exp(sum(math.log(value) for value in finite)
-                    / len(finite))
+    return math.exp(sum(math.log(value) for value in values)
+                    / len(values))
 
 
 class ScaledProbe:
     """A probe whose answers are corrected by observed drift ratios.
 
-    ``kind_scales`` maps :func:`~repro.core.cost.calibrate.
-    strategy_key` keys (``"combine"``, ``"combine.hash"``, …) to the
-    measured/predicted ratio of that kind; ``comm_scale`` corrects
-    ``comm_cost``.  Kinds without evidence — and communication, when
-    ``comm_scale`` is ``None`` — are scaled by the geometric mean of
-    everything observed, so a uniformly slow substrate does not
-    distort the computation/communication balance the optimizer
-    trades on.
+    ``kind_scales`` maps operation kinds (``"scan"``, ``"combine"``,
+    …) to the measured/predicted ratio of that kind; ``comm_scale``
+    corrects ``comm_cost``.  Kinds without evidence — and
+    communication, when ``comm_scale`` is ``None`` — are scaled by the
+    geometric mean of everything observed, so a uniformly slow
+    substrate does not distort the computation/communication balance
+    the optimizer trades on.  Every scale must be finite and positive:
+    :meth:`StatisticsStore.scaled_probe` only hands over ratios that
+    passed the store's check.
     """
 
     def __init__(self, base: CostProbe,
                  kind_scales: dict[str, float],
                  comm_scale: float | None = None) -> None:
         self.base = base
-        self.kind_scales = {
-            key: value for key, value in kind_scales.items()
-            if value > 0 and math.isfinite(value)
-        }
-        observed = list(self.kind_scales.values())
-        if comm_scale is not None and comm_scale > 0:
+        self.kind_scales = kind_scales
+        observed = list(kind_scales.values())
+        if comm_scale is not None:
             observed.append(comm_scale)
         self.neutral = _geometric_mean(observed)
         self.comm_scale = (
-            comm_scale if comm_scale is not None and comm_scale > 0
-            else self.neutral
+            self.neutral if comm_scale is None else comm_scale
         )
 
     def scale_for(self, op: Operation) -> float:
-        """The correction factor for ``op``'s kind (any observed
-        strategy variant of the kind matches; unobserved kinds get
-        the neutral scale)."""
-        prefix = f"{op.kind}."
-        best = None
-        for key, value in self.kind_scales.items():
-            if key == op.kind:
-                return value
-            if key.startswith(prefix) and best is None:
-                best = value
-        return best if best is not None else self.neutral
+        """The correction factor for ``op``'s kind (unobserved kinds
+        get the neutral scale)."""
+        return self.kind_scales.get(op.kind, self.neutral)
 
     def comp_cost(self, op: Operation, location: Location) -> float:
         return self.base.comp_cost(op, location) * self.scale_for(op)
@@ -105,26 +107,22 @@ class ScaleEstimate:
     value: float
     observations: int = 1
 
-    def update(self, observed: float, alpha: float,
-               weight: int = 1) -> None:
-        """Fold one observation in (EWMA with smoothing ``alpha``)."""
-        self.value = (1.0 - alpha) * self.value + alpha * observed
-        self.observations += max(1, weight)
+    def update(self, observed: float) -> None:
+        """Fold one observation in (EWMA with smoothing
+        :data:`ALPHA`)."""
+        self.value = (1.0 - ALPHA) * self.value + ALPHA * observed
+        self.observations += 1
 
 
 class StatisticsStore:
     """Thread-safe learned drift ratios for negotiation.
 
-    ``alpha`` is the EWMA smoothing factor (1.0 = keep only the latest
-    observation).  Mutations mirror into ``metrics`` as
-    ``adapt.stats.*`` counters when a registry is supplied.
+    Mutations mirror into ``metrics`` as ``adapt.stats.*`` counters
+    when a registry is supplied.
     """
 
-    def __init__(self, *, alpha: float = 0.3,
+    def __init__(self, *,
                  metrics: MetricsRegistry | None = None) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
         self.metrics = metrics
         self.ingests = 0
         self._ratios: dict[str, dict[str, ScaleEstimate]] = {}
@@ -138,27 +136,38 @@ class StatisticsStore:
         with self._lock:
             return len(self._ratios)
 
+    @staticmethod
+    def _enter(table: dict[str, ScaleEstimate], key: str,
+               value: float, observations: int = 1) -> bool:
+        """The one way into a ratio table: fold ``value`` into
+        ``table[key]`` if ``key`` is in :data:`KEYS` and ``value`` is
+        finite and positive.  Returns whether it was admitted; the
+        caller counts what was not."""
+        if key not in KEYS or not (math.isfinite(value) and value > 0):
+            return False
+        entry = table.get(key)
+        if entry is None:
+            table[key] = ScaleEstimate(value, observations)
+        else:
+            entry.update(value)
+        return True
+
     # -- ingestion -------------------------------------------------------------
 
     def observe_ratios(self, pair: str,
                        ratios: dict[str, float]) -> None:
-        """Ingest per-kind measured/predicted ratios (non-positive
-        ones are skipped)."""
+        """Ingest per-kind measured/predicted ratios (see
+        :meth:`_enter` for what is dropped)."""
         merged = 0
         with self._lock:
             table = self._ratios.setdefault(pair, {})
             for key, value in ratios.items():
-                if value <= 0:
-                    continue
-                entry = table.get(key)
-                if entry is None:
-                    table[key] = ScaleEstimate(value)
-                else:
-                    entry.update(value, self.alpha)
-                merged += 1
+                merged += self._enter(table, key, value)
             self.ingests += 1
         self._count("drifts")
         self._count("ratio_updates", merged)
+        if merged < len(ratios):
+            self._count("dropped_keys", len(ratios) - merged)
 
     def observe_drift(self, pair: str, report: DriftReport) -> None:
         """Ingest one drift report's per-kind ratios (including the
@@ -186,12 +195,6 @@ class StatisticsStore:
                 for key, entry in self._ratios.get(pair, {}).items()
             }
 
-    def observations(self, pair: str, key: str) -> int:
-        """Evidence count behind one key."""
-        with self._lock:
-            entry = self._ratios.get(pair, {}).get(key)
-        return entry.observations if entry else 0
-
     def scaled_probe(self, pair: str,
                      probe: CostProbe) -> CostProbe:
         """Correct ``probe`` by the learned drift ratios.
@@ -216,7 +219,6 @@ class StatisticsStore:
         """Full JSON-able state (see :meth:`from_dict`)."""
         with self._lock:
             return {
-                "alpha": self.alpha,
                 "ingests": self.ingests,
                 "ratios": {
                     pair: {
@@ -231,9 +233,12 @@ class StatisticsStore:
     def from_dict(cls, data: dict[str, object], *,
                   metrics: MetricsRegistry | None = None
                   ) -> "StatisticsStore":
-        """Rebuild a store serialized by :meth:`to_dict`.  The
-        ``scales`` table (a seconds-per-unit view) and the ``warmup``
-        count older stores also wrote are ignored.
+        """Rebuild a store serialized by :meth:`to_dict`.  Each
+        ``[value, observations]`` entry goes through the same check as
+        an observed ratio: a key outside :data:`KEYS` or a value that
+        is not finite and positive is dropped and counted.  The
+        ``alpha``, ``warmup`` and ``scales`` fields older stores also
+        wrote are ignored.
 
         Raises:
             ValueError: naming the first field of the wrong shape.
@@ -243,34 +248,31 @@ class StatisticsStore:
                 "a statistics store must be a JSON object, got "
                 f"{type(data).__name__}"
             )
-
-        def field(name: str, convert: type, default: object) -> object:
-            value = data.get(name, default)
-            try:
-                return convert(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"statistics store field {name!r} is malformed: "
-                    f"{value!r}"
-                ) from None
-
-        store = cls(
-            alpha=field("alpha", float, 0.3),  # type: ignore[arg-type]
-            metrics=metrics,
-        )
-        store.ingests = field("ingests", int, 0)  # type: ignore[assignment]
+        store = cls(metrics=metrics)
+        ingests = data.get("ingests", 0)
+        try:
+            store.ingests = int(ingests)  # type: ignore[arg-type]
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError(
+                "statistics store field 'ingests' is malformed: "
+                f"{ingests!r}"
+            ) from None
         table = data.get("ratios") or {}
+        dropped = 0
         try:
             for pair, entries in table.items():
-                store._ratios[pair] = {
-                    key: ScaleEstimate(float(value), int(count))
-                    for key, (value, count) in entries.items()
-                }
-        except (AttributeError, TypeError, ValueError):
+                ratios = store._ratios[pair] = {}
+                for key, (value, count) in entries.items():
+                    if not store._enter(ratios, key, float(value),
+                                        int(count)):
+                        dropped += 1
+        except (AttributeError, OverflowError, TypeError, ValueError):
             raise ValueError(
                 "statistics store field 'ratios' is malformed: "
                 "expected {pair: {key: [value, observations]}}"
             ) from None
+        if dropped:
+            store._count("dropped_keys", dropped)
         return store
 
     def save(self, path: str | os.PathLike) -> None:

@@ -341,11 +341,13 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
         if args.stats_store:
             if os.path.exists(args.stats_store):
                 try:
-                    stats_store = StatisticsStore.load(args.stats_store)
+                    stats_store = StatisticsStore.load(
+                        args.stats_store, metrics=metrics
+                    )
                 except (OSError, ValueError) as exc:
                     raise SystemExit(f"--stats-store: {exc}") from exc
             else:
-                stats_store = StatisticsStore()
+                stats_store = StatisticsStore(metrics=metrics)
         if args.delta:
             return _run_delta_exchange(
                 args, out, source_frag, target_frag, source,

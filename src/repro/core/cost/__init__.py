@@ -6,7 +6,6 @@ endpoints and communication cost equal to the size of the fragment
 flowing along each cross-edge.
 """
 
-from repro.core.cost.calibrate import Calibration, calibrate
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import (
     CostBreakdown,
@@ -18,8 +17,6 @@ from repro.core.cost.probe import CostProbe, EndpointProbe
 
 __all__ = [
     "StatisticsCatalog",
-    "Calibration",
-    "calibrate",
     "MachineProfile",
     "CostWeights",
     "CostModel",

@@ -91,8 +91,9 @@ class OperationTiming:
     its fragments and data, not a setting: ``"aligned"``/``"hash"`` for
     the join strategy a Combine ran, ``"columnar"`` for every
     other operation (a Combine that only passes the flat parts of a
-    repeated child through included) — the key the cost calibration
-    uses to fit per-strategy unit costs.
+    repeated child through included).  It is a label for traces,
+    metrics and drift reports; nothing prices by it, since the input
+    decides it at run time and the cost model has one price per kind.
     """
 
     label: str

@@ -15,9 +15,9 @@ Three cooperating pieces (see ``docs/observability.md``):
 * :mod:`repro.obs.drift` — joins a recorded trace (or an
   :class:`~repro.core.program.executor.ExecutionReport`) against the
   optimizer's predicted ``comp_cost``/``comm_cost`` and reports
-  per-op-kind drift ratios; also rebuilds calibration inputs from a
-  trace so :mod:`repro.core.cost.calibrate` can fit scales from real
-  runs instead of synthetic probes.
+  per-op-kind drift ratios (what :mod:`repro.adapt` learns from);
+  also rebuilds an execution report from a recorded trace, so a
+  traced run's drift reads the same as its report's.
 
 ``drift`` imports the core program machinery, which itself imports
 ``repro.obs.trace``; the lazy ``__getattr__`` below keeps that cycle

@@ -9,9 +9,9 @@ ratio ``measured / predicted`` for every executed operation and every
 cross-edge shipment, rolled up per operation kind.
 
 Against the raw unit-cost model the per-kind ratios *are* the
-machine's seconds-per-work-unit scales (what
-:func:`repro.core.cost.calibrate.calibrate` fits) — large spread
-between kinds means the unit ratios are off for this substrate.
+machine's seconds-per-work-unit scales — large spread between kinds
+means the unit ratios are off for this substrate.
+:class:`~repro.adapt.stats.StatisticsStore` learns them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.cost.calibrate import strategy_key
 from repro.core.cost.probe import CostProbe
 from repro.core.ops.base import Location
 from repro.core.program.dag import Placement, TransferProgram
@@ -95,18 +94,16 @@ class DriftReport:
 
         Keys are the operation kinds that executed plus ``"comm"`` for
         the cross-edges; kinds whose predictions are all degenerate
-        are omitted.  Ops that ran a non-row dataplane strategy roll
-        up under the qualified :func:`~repro.core.cost.calibrate.
-        strategy_key` (``"combine.aligned"``), so aligned, hash and
-        row drifts are visible side by side.
+        are omitted.  An op's strategy is a label, not a key: aligned
+        and hash Combines both roll up under ``"combine"``, the one
+        price the cost model has for them.
         """
         sums: dict[str, tuple[float, float]] = {}
         for entry in self.ops:
             if entry.ratio is None:
                 continue
-            key = strategy_key(entry.kind, entry.strategy)
-            measured, predicted = sums.get(key, (0.0, 0.0))
-            sums[key] = (
+            measured, predicted = sums.get(entry.kind, (0.0, 0.0))
+            sums[entry.kind] = (
                 measured + entry.measured_seconds,
                 predicted + entry.predicted,
             )
@@ -204,10 +201,9 @@ def cost_drift_report(program: TransferProgram, placement: Placement,
     seconds/bytes come from the report's shipment accounting).
     Predictions are ``probe.comp_cost(node, location)`` — the number
     the optimizers price and a :class:`~repro.adapt.stats.
-    ScaledProbe` scales — whatever strategy the op ran; the strategy
-    still names the key the op rolls up under (``combine.aligned``).
-    A run whose measured costs are one multiple of those prices
-    therefore reads that multiple on every key.
+    ScaledProbe` scales — whatever strategy the op ran.  A run whose
+    measured costs are one multiple of those prices therefore reads
+    that multiple on every key.
 
     Raises:
         ValueError: if the report lacks a timing for some node — it
@@ -265,7 +261,7 @@ def report_from_trace(program: TransferProgram,
     Op spans (category ``op``) become ``op_timings`` in topological
     order; ship and batch spans (categories ``ship``/``batch``, one
     per shipped message) rebuild the per-edge shipment accounting.  The result carries
-    exactly the fields drift reporting and calibration consume —
+    exactly the fields drift reporting consumes —
     robustness counters and peaks stay zero (they are not per-span
     facts).
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adapt.stats import ScaledProbe
+from repro.adapt.stats import ScaledProbe, StatisticsStore
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel
 from repro.core.mapping import derive_mapping
@@ -28,11 +28,6 @@ class TestScaledProbe:
         assert probe.comp_cost(scan, Location.SOURCE) \
             == pytest.approx(2.0 * base)
 
-    def test_strategy_variant_matches_bare_kind(self, program, model):
-        combine = next(n for n in program.nodes if n.kind == "combine")
-        probe = ScaledProbe(model, {"combine.hash": 3.0})
-        assert probe.scale_for(combine) == pytest.approx(3.0)
-
     def test_unobserved_kind_gets_geometric_mean(self, program, model):
         write = next(n for n in program.nodes if n.kind == "write")
         probe = ScaledProbe(model, {"scan": 2.0, "combine": 8.0})
@@ -51,9 +46,12 @@ class TestScaledProbe:
         assert probe.neutral == pytest.approx(4.0)
 
     def test_degenerate_scales_filtered(self, model):
-        probe = ScaledProbe(
-            model, {"scan": 0.0, "combine": -1.0,
-                    "split": float("inf")},
-        )
-        assert probe.kind_scales == {}
-        assert probe.neutral == 1.0
+        """Degenerate ratios never reach a scaled probe: the store
+        drops them on entry, and a pair with no evidence left prices
+        with the base probe."""
+        store = StatisticsStore()
+        store.observe_ratios("s->t", {
+            "scan": 0.0, "combine": -1.0, "split": float("inf"),
+            "comm": float("nan"),
+        })
+        assert store.scaled_probe("s->t", model) is model
