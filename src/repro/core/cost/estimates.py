@@ -17,6 +17,7 @@ latter is what the simulator of Section 5.4 uses.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable
 
 from repro.core.fragment import Fragment
@@ -61,6 +62,7 @@ class StatisticsCatalog:
         self._value_widths = value_widths
         self._element_sums: dict[tuple[str, ...], float] = {}
         self._feed_sums: dict[tuple[str, ...], float] = {}
+        self._signature: str | None = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -126,6 +128,22 @@ class StatisticsCatalog:
             for name in counts
         }
         return cls(schema, counts, widths, value_widths)
+
+    @property
+    def signature(self) -> str:
+        """Digest of the schema and the three tables: equal exactly
+        when every count and width is.  Hashed on first read, so a
+        catalog no plan cache keys on never pays for it."""
+        if self._signature is None:
+            tables = (self._counts, self._widths, self._value_widths)
+            text = "\n".join([
+                self.schema.fingerprint(),
+                *(repr(sorted(table.items())) for table in tables),
+            ])
+            self._signature = hashlib.sha256(
+                text.encode("utf-8")
+            ).hexdigest()
+        return self._signature
 
     # -- per-element accessors ---------------------------------------------------
 

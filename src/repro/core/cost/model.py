@@ -12,6 +12,7 @@ or split — is modeled by infinite cost, exactly as the paper suggests.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -129,6 +130,17 @@ class CostModel:
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         self.bandwidth = bandwidth
+
+    @property
+    def signature(self) -> str:
+        """Digest of everything this model's prices depend on: the
+        catalog, both machine profiles, the weights and the bandwidth
+        (what a plan cache keys a negotiation on)."""
+        text = "\n".join([
+            self.statistics.signature, repr(self.source),
+            repr(self.target), repr(self.weights), repr(self.bandwidth),
+        ])
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def machine(self, location: Location) -> MachineProfile:
         """The profile of the system at ``location``."""

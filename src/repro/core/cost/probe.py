@@ -12,6 +12,8 @@ directly and is what the simulator uses.
 
 from __future__ import annotations
 
+import hashlib
+from functools import cached_property
 from typing import Protocol
 
 from repro.core.fragment import Fragment
@@ -19,7 +21,10 @@ from repro.core.ops.base import Location, Operation
 
 
 class CostProbe(Protocol):
-    """What the optimizers need to price programs."""
+    """What the optimizers need to price programs.
+
+    A probe a plan cache keys on also states a ``signature`` string
+    (see :func:`~repro.services.broker.plan_fingerprint`)."""
 
     def comp_cost(self, op: Operation, location: Location) -> float:
         """Cost of executing ``op`` at ``location``."""
@@ -31,11 +36,15 @@ class CostProbe(Protocol):
 
 
 class _CostReportingEndpoint(Protocol):
+    machine: object
+
     def estimate_cost(self, op: Operation) -> float:
         ...
 
 
 class _SizedChannel(Protocol):
+    profile: object
+
     def transfer_cost(self, size_bytes: float) -> float:
         ...
 
@@ -71,7 +80,23 @@ class EndpointProbe:
             self.size_of.fragment_feed_size(fragment)
         )
 
+    @cached_property
+    def signature(self) -> str:
+        """Digest of what the answers depend on: each endpoint's
+        machine profile, the shared catalog (the agency hands the
+        source's to the target) and the channel's type and link
+        profile.  Stated once per probe, which the agency builds once
+        per negotiation."""
+        text = "\n".join([
+            repr(self.source.machine), repr(self.target.machine),
+            self.size_of.signature,
+            type(self.channel).__name__, repr(self.channel.profile),
+        ])
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 class _FragmentSizer(Protocol):
+    signature: str
+
     def fragment_feed_size(self, fragment: Fragment) -> float:
         ...

@@ -94,9 +94,11 @@ class DriftReport:
 
         Keys are the operation kinds that executed plus ``"comm"`` for
         the cross-edges; kinds whose predictions are all degenerate
-        are omitted.  An op's strategy is a label, not a key: aligned
-        and hash Combines both roll up under ``"combine"``, the one
-        price the cost model has for them.
+        are omitted, and so are kinds that measured no seconds at all
+        (every shipment over an in-process hop): that is no evidence.
+        An op's strategy is a label, not a key: aligned and hash
+        Combines both roll up under ``"combine"``, the one price the
+        cost model has for them.
         """
         sums: dict[str, tuple[float, float]] = {}
         for entry in self.ops:
@@ -118,7 +120,7 @@ class DriftReport:
         return {
             kind: measured / predicted
             for kind, (measured, predicted) in sorted(sums.items())
-            if predicted > 0
+            if predicted > 0 and measured > 0
         }
 
     def to_dict(self) -> dict[str, object]:

@@ -5,7 +5,9 @@ on a negotiation request the agency derives the source → target mapping
 and data transfer program (step 2), probes the endpoints' cost
 interfaces (step 3), and returns a plan assigning each operation a
 location (step 4).  The agency never sees the systems' internal data
-structures — only fragmentations and the cost probe.
+structures — only fragmentations and the cost probe.  With a
+:class:`~repro.services.broker.PlanCache` steps 2–4 run once per setup:
+a repeat is a lookup keyed by the probe's stated ``signature``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.core.program.dag import Placement, TransferProgram
 from repro.net.transport import Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.schema.model import SchemaTree
+from repro.services.broker import PlanCache, plan_fingerprint
 from repro.services.endpoint import SystemEndpoint
 from repro.wsdl.extension import (
     fragmentation_from_element,
@@ -40,7 +43,6 @@ from repro.wsdl.model import Definitions, Port, Service, serialize_wsdl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
     from repro.adapt.stats import StatisticsStore
-    from repro.services.broker import PlanCache
 
 #: The optimizer strategies negotiate() accepts.
 OPTIMIZERS = ("greedy", "optimal", "canonical")
@@ -123,7 +125,7 @@ class ExchangePlan:
     cached: bool = False
 
     def annotate(self) -> TransferProgram:
-        """Write the placement onto the program and return it."""
+        """Write the placement onto the program and return it (to render)."""
         self.program.apply_placement(self.placement)
         return self.program
 
@@ -231,7 +233,7 @@ class DiscoveryAgency:
                   probe: CostProbe | None = None,
                   channel: Transport | None = None,
                   weights: CostWeights | None = None,
-                  plan_cache: "PlanCache | None" = None,
+                  plan_cache: PlanCache | None = None,
                   plan_knobs: MappingType[str, object] | None = None,
                   stats_store: "StatisticsStore | None" = None,
                   metrics: MetricsRegistry | None = None
@@ -244,13 +246,14 @@ class DiscoveryAgency:
         live endpoints.
 
         With a ``plan_cache`` the negotiation is memoized: the setup is
-        fingerprinted (fragmentations, probe cost signature, optimizer,
-        weights plus any ``plan_knobs``) and a hit skips the optimizer
-        entirely — the returned plan carries ``cached=True`` and
-        ``optimizer_seconds=0.0``.  ``metrics`` counts actual optimizer
-        executions (``optimizer.runs`` and ``optimizer.<kind>.runs``,
-        with the plan search's ``optimizer.subproblems``), which is how
-        callers assert that a warm cache really skipped optimization.
+        fingerprinted (fragmentations, the probe's ``signature``,
+        optimizer, weights plus any ``plan_knobs``) and a hit hands back
+        the first negotiation's program and placement, shared and
+        read-only, with ``cached=True`` and ``optimizer_seconds=0.0``.
+        ``metrics`` counts actual optimizer executions
+        (``optimizer.runs`` and ``optimizer.<kind>.runs``, with the plan
+        search's ``optimizer.subproblems``), which is how callers assert
+        that a warm cache really skipped optimization.
 
         A ``stats_store`` corrects the *pricing* the optimizer sees
         with the learned per-kind drift ratios for this endpoint pair
@@ -284,21 +287,20 @@ class DiscoveryAgency:
         )
         fingerprint = None
         if plan_cache is not None:
-            fingerprint = plan_cache.fingerprint(
+            fingerprint = plan_fingerprint(
                 source.fragmentation, target.fragmentation, probe,
-                optimizer, weights, plan_knobs, mapping=mapping,
+                optimizer, weights, plan_knobs,
             )
-            hit = plan_cache.load(fingerprint, self.schema)
+            hit = plan_cache.get(fingerprint)
             if hit is not None:
-                program, placement, entry = hit
                 return ExchangePlan(
                     source_name,
                     target_name,
                     mapping,
-                    program,
-                    placement,
-                    entry.estimated_cost,
-                    entry.optimizer,
+                    hit.program,
+                    hit.placement,
+                    hit.estimated_cost,
+                    hit.optimizer,
                     0.0,
                     cached=True,
                 )
@@ -325,7 +327,6 @@ class DiscoveryAgency:
             plan_cache.put(
                 fingerprint, result.program, result.placement,
                 estimated_cost=result.cost, optimizer=optimizer,
-                optimizer_seconds=result.elapsed_seconds,
             )
         return ExchangePlan(
             source_name,

@@ -9,12 +9,15 @@ requests; this module does the same for negotiated exchange plans:
 
 * :class:`PlanCache` keys optimized ``TransferProgram`` + ``Placement``
   pairs on a deterministic :class:`PlanFingerprint` of (schema, source
-  fragmentation, target fragmentation, probe cost signature, optimizer
-  kind, formula-1 weights, executor knobs).  Entries store the plan
-  through the :mod:`repro.core.program.serialize` round-trip — loads
-  re-validate structure and placement legality, and every session gets
-  its own program object.  Eviction is LRU; hit/miss/evict/invalidate
-  counts feed a :class:`~repro.obs.metrics.MetricsRegistry`.
+  fragmentation, target fragmentation, the probe's ``signature``,
+  optimizer kind, formula-1 weights, executor knobs).  An entry is the
+  pair the optimizer built, and a hit hands out that object: sessions
+  share one read-only plan (a run keeps its state in its own
+  :class:`~repro.core.program.run.ProgramRun` and reads the placement
+  dict), so the op ids — and with them an
+  :class:`~repro.core.program.journal.ExchangeJournal`'s write keys —
+  match across sessions.  Eviction is LRU; hit/miss/evict counts feed
+  a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 * :class:`ExchangeBroker` runs N concurrent exchange sessions against
   one :class:`~repro.services.agency.DiscoveryAgency` on a bounded
@@ -40,20 +43,11 @@ from repro.errors import BrokerError, BrokerSaturatedError
 from repro.core.cost.model import CostWeights
 from repro.core.cost.probe import CostProbe
 from repro.core.fragmentation import Fragmentation
-from repro.core.mapping import Mapping as FragmentMapping
-from repro.core.mapping import derive_mapping
-from repro.core.ops.base import Location
 from repro.core.optimizer.placement import resolve_weights
-from repro.core.program.builder import build_transfer_program
 from repro.core.program.dag import Placement, TransferProgram
-from repro.core.program.serialize import (
-    program_from_json,
-    program_to_json,
-)
 from repro.net.transport import SimulatedChannel, Transport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.schema.model import SchemaTree
 from repro.services.endpoint import SystemEndpoint
 from repro.services.exchange import (
     ExchangeOutcome,
@@ -81,16 +75,9 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class PlanFingerprint:
-    """A deterministic cache key for one negotiation setup.
-
-    ``digest`` identifies the full setup; ``cost_signature`` is the
-    probe-derived component alone, which :meth:`PlanCache.invalidate`
-    can drop by (every plan optimized under one probe, whatever the
-    optimizer knobs).
-    """
+    """A deterministic cache key for one negotiation setup."""
 
     digest: str
-    cost_signature: str
 
 
 def _fragmentation_token(fragmentation: Fragmentation) -> str:
@@ -104,52 +91,31 @@ def _fragmentation_token(fragmentation: Fragmentation) -> str:
     return f"{fragmentation.name}:{fragments}"
 
 
-def _cost_signature(mapping: FragmentMapping,
-                    probe: CostProbe) -> str:
-    """Hash the probe's answers over the canonical transfer program.
-
-    The probe is opaque (a cost model, or two live endpoints behind a
-    channel), so the signature samples it: ``comp_cost`` of every
-    canonical-program operation at both locations plus ``comm_cost`` of
-    every fragment an edge carries, in topological order.  Two probes
-    that answer identically — the only thing the optimizers can see —
-    get the same signature.
-    """
-    program = build_transfer_program(mapping)
-    readings: list[str] = []
-    for node in program.topological_order():
-        source = probe.comp_cost(node, Location.SOURCE)
-        target = probe.comp_cost(node, Location.TARGET)
-        readings.append(f"{node.label()}|{source:.9g}|{target:.9g}")
-    seen: set[str] = set()
-    for edge in program.edges:
-        name = edge.fragment.name
-        if name in seen:
-            continue
-        seen.add(name)
-        readings.append(f"{name}~{probe.comm_cost(edge.fragment):.9g}")
-    return hashlib.sha256(
-        "\n".join(readings).encode("utf-8")
-    ).hexdigest()
-
-
 def plan_fingerprint(source: Fragmentation, target: Fragmentation,
                      probe: CostProbe, optimizer: str,
                      weights: CostWeights | None = None,
-                     knobs: Mapping[str, object] | None = None,
-                     mapping: FragmentMapping | None = None
+                     knobs: Mapping[str, object] | None = None
                      ) -> PlanFingerprint:
     """Fingerprint one negotiation setup.
 
-    ``knobs`` carries whatever else the plan's consumer keys on (the
-    broker passes its executor knobs); it must be JSON-serializable.
-    ``mapping`` avoids re-deriving when the caller already holds the
-    source → target mapping.
+    The probe is keyed by the ``signature`` it states (a
+    :class:`~repro.core.cost.model.CostModel` or an
+    :class:`~repro.core.cost.probe.EndpointProbe`): a digest of
+    everything its answers depend on.  ``knobs`` carries whatever else
+    the plan's consumer keys on (the broker passes its executor knobs);
+    it must be JSON-serializable.
+
+    Raises:
+        TypeError: if the probe states no ``signature``.
     """
-    if mapping is None:
-        mapping = derive_mapping(source, target)
+    signature = getattr(probe, "signature", None)
+    if signature is None:
+        raise TypeError(
+            f"a {type(probe).__name__} states no cost signature, so a "
+            "plan cache cannot key on it; negotiate with a CostModel "
+            "or through live endpoints"
+        )
     resolved = resolve_weights(probe, weights)
-    signature = _cost_signature(mapping, probe)
     parts = "\n".join([
         source.schema.fingerprint(),
         _fragmentation_token(source),
@@ -161,29 +127,25 @@ def plan_fingerprint(source: Fragmentation, target: Fragmentation,
             dict(knobs or {}), sort_keys=True, default=str
         ),
     ])
-    digest = hashlib.sha256(parts.encode("utf-8")).hexdigest()
-    return PlanFingerprint(digest, signature)
+    return PlanFingerprint(
+        hashlib.sha256(parts.encode("utf-8")).hexdigest()
+    )
 
 
 # -- the cache ---------------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CachedPlan:
-    """One cached negotiation result.
+    """One cached negotiation result, as the optimizer built it.
 
-    ``payload`` is the serialized program + placement (the
-    :mod:`repro.core.program.serialize` JSON form); ``optimizer_seconds``
-    is what the cold negotiation paid, kept so amortization reports can
-    charge it to the first exchange only.
-    """
+    Every session the entry serves shares its program and placement,
+    read-only."""
 
-    payload: str
+    program: TransferProgram
+    placement: Placement
     estimated_cost: float
     optimizer: str
-    optimizer_seconds: float
-    cost_signature: str
-    hits: int = 0
 
 
 class PlanCache:
@@ -216,8 +178,6 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    fingerprint = staticmethod(plan_fingerprint)
-
     def get(self, fingerprint: PlanFingerprint) -> CachedPlan | None:
         """The cached entry for ``fingerprint`` (LRU-touched), else
         ``None``.  Counts a hit or a miss either way."""
@@ -227,45 +187,22 @@ class PlanCache:
                 self._count("misses")
                 return None
             self._entries.move_to_end(fingerprint.digest)
-            entry.hits += 1
             self._count("hits")
             return entry
 
-    def load(self, fingerprint: PlanFingerprint, schema: SchemaTree
-             ) -> tuple[TransferProgram, Placement, CachedPlan] | None:
-        """Deserialize a cached plan against the agreed ``schema``.
-
-        Every load round-trips through the serializer, so the caller
-        gets a *fresh* program object (concurrent sessions never share
-        one) and the placement is re-validated on the way in.
-        """
-        entry = self.get(fingerprint)
-        if entry is None:
-            return None
-        program, placement = program_from_json(entry.payload, schema)
-        assert placement is not None  # put() always stores locations
-        return program, placement, entry
-
     def put(self, fingerprint: PlanFingerprint,
             program: TransferProgram, placement: Placement, *,
-            estimated_cost: float, optimizer: str,
-            optimizer_seconds: float) -> CachedPlan:
+            estimated_cost: float, optimizer: str) -> None:
         """Store one optimized plan, evicting the LRU tail beyond
-        ``capacity``."""
-        entry = CachedPlan(
-            payload=program_to_json(program, placement),
-            estimated_cost=estimated_cost,
-            optimizer=optimizer,
-            optimizer_seconds=optimizer_seconds,
-            cost_signature=fingerprint.cost_signature,
-        )
+        ``capacity``.  The cache keeps ``program`` itself: nothing may
+        write to it afterwards."""
+        entry = CachedPlan(program, placement, estimated_cost, optimizer)
         with self._lock:
             self._entries[fingerprint.digest] = entry
             self._entries.move_to_end(fingerprint.digest)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._count("evictions")
-        return entry
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot plus current size."""
@@ -443,7 +380,10 @@ class ExchangeBroker:
         views; pass the exchange's ``journal`` so the session resolves
         ``since`` from (and records its sync into) the right
         high-water record, and note the ``target_factory`` must then
-        return the *same* target the previous sync wrote.
+        return the *same* target the previous sync wrote.  That holds
+        for full sessions too: sessions served one cached plan share
+        its op ids, so a journal matches across them, and a *fresh*
+        target reusing a finished session's journal gets no rows.
 
         Raises:
             BrokerError: if the broker is closed or the source system
@@ -515,7 +455,7 @@ class ExchangeBroker:
                 source = self.agency.registration(source_name)
                 target = target_factory()
                 outcome = run_optimized_exchange(
-                    plan.annotate(), plan.placement,
+                    plan.program, plan.placement,
                     source.endpoint, target,
                     self.channel_factory(),
                     scenario=scenario,

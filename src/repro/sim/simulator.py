@@ -251,8 +251,8 @@ class ExchangeSimulator:
         Without a cache every exchange renegotiates, so each pays the
         measured optimizer runtime on top of its data cost; with a
         :class:`~repro.services.broker.PlanCache` only the first does
-        (cache hits deserialize a stored plan, whose cost is noise next
-        to an optimizer search).  The cost model's units are seconds
+        (a cache hit is a lookup, whose cost is noise next to an
+        optimizer search).  The cost model's units are seconds
         (work over machine speed, bytes over bandwidth), so optimizer
         wall seconds add onto the estimated data cost directly.
         """

@@ -297,6 +297,36 @@ class TestLearningFromRuns:
         assert 0.5 <= predicted / measured <= 2.0
 
 
+class TestInProcessRun:
+    def test_unmeasured_comm_is_no_evidence(self, auction_mf,
+                                            auction_lf,
+                                            auction_document,
+                                            auction_schema):
+        """With no channel every shipment measures 0 s: that is no
+        evidence about ``comm``, so the run yields no ``comm`` ratio
+        and drops no key."""
+        source = RelationalEndpoint("inproc-src", auction_mf)
+        source.load_document(auction_document)
+        program = build_transfer_program(
+            derive_mapping(auction_mf, auction_lf)
+        )
+        placement = source_heavy_placement(program)
+        report = ProgramExecutor(
+            source, RelationalEndpoint("inproc-tgt", auction_lf),
+        ).run(program, placement)
+        assert program.cross_edges(placement)
+        assert sum(report.shipment_seconds.values()) == 0.0
+        metrics = MetricsRegistry()
+        store = StatisticsStore(metrics=metrics)
+        store.observe_run(
+            PAIR, program, placement, report,
+            CostModel(StatisticsCatalog.synthetic(auction_schema)),
+        )
+        assert "comm" not in store.ratios(PAIR)
+        assert set(store.ratios(PAIR)) == {"scan", "combine", "write"}
+        assert metrics.counter("adapt.stats.dropped_keys").value == 0
+
+
 class TestBrokerIntegration:
     def test_two_sessions_feed_comm_evidence(
             self, auction_schema, auction_mf, auction_lf,

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import BrokerError, BrokerSaturatedError
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel
+from repro.core.program.journal import ExchangeJournal
 from repro.net.faults import FaultPlan, RetryPolicy
 from repro.net.transport import SimulatedChannel
 from repro.obs.metrics import MetricsRegistry
@@ -79,6 +80,34 @@ class TestBrokerSessions:
         assert len(targets) == 6
         for target in targets:
             assert _published(target) == reference
+        # The warm sessions ran the one program the cache holds: op ids
+        # are unique per operation object, and every run shipped from
+        # the same ones.
+        shipped = {
+            frozenset(s.outcome.report.shipment_bytes)
+            for s in sessions if s.cached
+        }
+        assert sum(s.cached for s in sessions) == 5
+        assert len(shipped) == 1
+
+    def test_journal_matches_across_cached_sessions(
+            self, loaded_agency, auction_lf, model, reference):
+        """Two journaled full sessions into one target (the contract
+        ``submit`` documents): the second finds every write
+        acknowledged and appends nothing, so the target publishes the
+        reference document, once."""
+        target = RelationalEndpoint("journaled", auction_lf)
+        journal = ExchangeJournal()
+        with ExchangeBroker(loaded_agency, plan_cache=PlanCache(),
+                            max_workers=2, probe=model) as broker:
+            first, second = (
+                broker.submit("src", "tgt", lambda: target,
+                              journal=journal).result()
+                for _ in range(2)
+            )
+        assert _published(target) == reference
+        assert first.outcome.rows_written > 0
+        assert second.cached and second.outcome.rows_written == 0
 
     def test_lossy_sessions_heal_to_serial(
             self, loaded_agency, auction_lf, model, reference):
