@@ -4,7 +4,7 @@ Runs the Figure 9 MF->LF exchange ``N_REPEATS`` times through the
 discovery agency, once renegotiating from scratch every time (cold) and
 once against a :class:`~repro.services.broker.PlanCache` (warm: the
 first exchange pays the optimizer, every later negotiation is a cache
-hit that deserializes the stored plan).  The per-exchange latency —
+hit that hands out the plan the optimizer built).  The per-exchange latency —
 negotiation plus the exchange itself — is what a requester in a
 multi-session deployment observes.
 

@@ -53,7 +53,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     cost_drift_report,
-    report_from_trace,
     write_chrome_trace,
     write_jsonl_trace,
 )
@@ -279,8 +278,8 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 f"{flag} needs {mode}; without it the flag does nothing"
             )
     if args.drift and (args.sessions > 1 or args.plan_cache):
-        # The brokered sessions run their own programs into one
-        # tracer; --drift prices a single exchange's spans.
+        # Drift prices the CLI's own program; without a cache each
+        # brokered session negotiates a program of its own.
         raise SystemExit(
             "--drift prices one direct exchange; it does not combine "
             "with --sessions or --plan-cache"
@@ -316,7 +315,7 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
                 f"--retries must be >= 1, got {attempts}"
             )
         retry_policy = RetryPolicy(max_attempts=attempts)
-    tracer = Tracer() if (args.trace or args.drift) else None
+    tracer = Tracer() if args.trace else None
     metrics = MetricsRegistry() if args.metrics else None
     sink = FeedSink().start() if args.transport == "tcp" else None
     transports: list[Transport] = []
@@ -503,9 +502,8 @@ def cmd_exchange(args: argparse.Namespace, out: TextIO) -> int:
         if args.metrics:
             print(metrics.render(), file=out)
         if args.drift:
-            trace_report = report_from_trace(program, tracer)
             print(cost_drift_report(
-                program, placement, trace_report, model
+                program, placement, de.report, model
             ).render(), file=out)
     finally:
         for transport in transports:
@@ -730,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--drift", action="store_true",
         help="print the cost-drift report: the optimizer's predicted "
              "comp/comm costs vs the measured seconds, per op and "
-             "per cross-edge (implies tracing internally)",
+             "per cross-edge, read from the run's report",
     )
     exchange.add_argument(
         "--transport", default="sim", choices=("sim", "tcp"),

@@ -21,10 +21,11 @@ from typing import TYPE_CHECKING, Protocol
 
 from repro.core.fragment import Fragment
 from repro.core.ops.base import Location
+from repro.core.ops.combine import JoinStatistics
 from repro.core.program.dag import Placement, TransferProgram
 from repro.core.program.journal import ExchangeJournal
 from repro.core.stream import FragmentStream
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, observe_report
 from repro.obs.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -94,6 +95,9 @@ class OperationTiming:
     repeated child through included).  It is a label for traces,
     metrics and drift reports; nothing prices by it, since the input
     decides it at run time and the cost model has one price per kind.
+    ``join`` is what a Combine's join did (``None`` for every other
+    operation, and for a join that never ran): the ``join.*``
+    metrics are read from it.
     """
 
     label: str
@@ -103,6 +107,7 @@ class OperationTiming:
     rows: int
     op_id: int = -1
     strategy: str = "columnar"
+    join: JoinStatistics | None = None
 
 
 @dataclass(slots=True)
@@ -239,7 +244,9 @@ class ProgramExecutor:
     checkpoint/resume: completed writes — and, for endpoints that load
     incrementally, individual stored batches — are acknowledged as the
     run progresses, and a rerun over the same journal skips the
-    acknowledged work instead of re-shipping it.
+    acknowledged work instead of re-shipping it.  ``metrics`` receives
+    the run's ``op.*``/``join.*``/``ship.*`` metrics, read from the
+    returned report once the run has finished.
     """
 
     def __init__(self, source: DataEndpoint, target: DataEndpoint,
@@ -277,10 +284,11 @@ class ProgramExecutor:
         if placement is None:
             placement = program.placement_from_nodes()
         program.validate_placement(placement)
-        return ProgramRun(
+        report = ProgramRun(
             program, placement, self.source, self.target,
             self.channel, self.batch_rows,
-            retry=self.retry, journal=self.journal,
-            tracer=self.tracer, metrics=self.metrics,
+            retry=self.retry, journal=self.journal, tracer=self.tracer,
         ).drive()
+        observe_report(self.metrics, report)
+        return report
 

@@ -74,12 +74,6 @@ from repro.core.program.executor import (
 from repro.core.program.journal import ExchangeJournal, write_key
 from repro.core.stream import FragmentStream, ResidencyMeter
 from repro.net.faults import ReliableBatchLink, RetryPolicy
-from repro.obs.metrics import (
-    MetricsRegistry,
-    observe_join,
-    observe_operation,
-    observe_shipment,
-)
 from repro.obs.trace import NULL_TRACER, Tracer
 
 
@@ -96,13 +90,15 @@ Streams = dict[Fragment, Iterator[ColumnBatch]]
 class _NodeStats:
     """Per-node accumulators filled while batches flow."""
 
-    __slots__ = ("started", "seconds", "rows")
+    __slots__ = ("started", "seconds", "rows", "join")
 
     def __init__(self) -> None:
         #: When the node first did any work (its span's start).
         self.started: float | None = None
         self.seconds = 0.0
         self.rows = 0
+        #: What a Combine's join did, once its parent stream ended.
+        self.join: JoinStatistics | None = None
 
 
 def _whole_feed(batches: Iterator[ColumnBatch],
@@ -126,6 +122,14 @@ def _whole_feed(batches: Iterator[ColumnBatch],
         )
 
 
+def _joins(node: Combine) -> bool:
+    """Whether ``node`` joins its child's root part into the parent's;
+    a repeated child root passes through beside the parent instead."""
+    return not node.result.schema.node(
+        node.child_fragment.root_name
+    ).cardinality.repeated
+
+
 def _named(part: Fragment, name: str) -> Fragment:
     """``part`` under ``name`` (equal to ``part``: names play no part
     in equality) — so that a join of two parts reports its errors in
@@ -141,8 +145,7 @@ class ProgramRun:
                  channel: ShippingChannel, batch_rows: int | None,
                  retry: RetryPolicy | None = None,
                  journal: ExchangeJournal | None = None,
-                 tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None) -> None:
+                 tracer: Tracer | None = None) -> None:
         self.program = program
         self.placement = placement
         self.source = source
@@ -152,15 +155,11 @@ class ProgramRun:
         self.retry = retry
         self.journal = journal
         self.tracer = tracer or NULL_TRACER
-        self.metrics = metrics
         self.report = ExecutionReport(batch_rows=batch_rows)
         self.meter = ResidencyMeter()
         self._stats = {
             node.op_id: _NodeStats() for node in program.nodes
         }
-        #: Per-op strategy reported on each OperationTiming: the join
-        #: strategy of a combine that joins, "columnar" when absent.
-        self._strategies: dict[int, str] = {}
         self._leftovers: list[tuple[int, int]] = []
 
     # -- driving ----------------------------------------------------------------
@@ -185,11 +184,18 @@ class ProgramRun:
         for node in self.program.topological_order():
             stats = self._stats[node.op_id]
             location = self.placement[node.op_id]
-            strategy = self._strategies.get(node.op_id, "columnar")
+            join = stats.join
+            # A join wired but never pulled (its Write was journaled
+            # done) probed nothing, and nothing failed to line up.
+            strategy = (
+                join.strategy if join is not None
+                else "aligned" if isinstance(node, Combine)
+                and _joins(node) else "columnar"
+            )
             report.op_timings.append(
                 OperationTiming(node.label(), node.kind, location,
                                 stats.seconds, stats.rows, node.op_id,
-                                strategy)
+                                strategy, join)
             )
             report.comp_seconds[location] += stats.seconds
             if node.kind == "write":
@@ -204,9 +210,6 @@ class ProgramRun:
                 seconds=stats.seconds, op_id=node.op_id,
                 kind=node.kind, location=location.name.lower(),
                 rows=stats.rows, strategy=strategy,
-            )
-            observe_operation(
-                self.metrics, node.kind, stats.seconds, stats.rows
             )
         report.peak_resident_rows = self.meter.peak_rows
         report.wall_seconds = time.perf_counter() - started
@@ -328,15 +331,11 @@ class ProgramRun:
         return tick
 
     def _join_observer(self, node: Combine):
-        """Callback recording a combine's join statistics."""
+        """Callback keeping a combine's join statistics with it."""
+        stats = self._stats[node.op_id]
 
         def observe(join: JoinStatistics) -> None:
-            self._strategies[node.op_id] = join.strategy
-            observe_join(
-                self.metrics, join.strategy, join.build_rows,
-                join.probe_rows, join.build_seconds,
-                join.probe_seconds, join.hash_table_rows,
-            )
+            stats.join = join
 
         return observe
 
@@ -389,10 +388,7 @@ class ProgramRun:
             "observe": self._join_observer(node),
         }
         if len(result_parts) == 1:
-            # A flat result means both inputs are flat too.  Pre-seed;
-            # the join observer overwrites with the strategy the probe
-            # actually ran once the parent stream ends.
-            self._strategies[node.op_id] = "aligned"
+            # A flat result means both inputs are flat too.
             return {result: node.apply_column_batches(
                 *parent.values(), *child.values(), **kernel
             )}
@@ -401,13 +397,7 @@ class ProgramRun:
                            if anchor in part.elements)
         root_part = next(iter(child))  # the child's root part
         streams = {**parent, **child}
-        if result.schema.node(root_part.root_name).cardinality.repeated:
-            streams[anchor_part], streams[root_part] = \
-                self._orphan_checked(node, anchor_part,
-                                     streams[anchor_part],
-                                     streams[root_part])
-        else:
-            self._strategies[node.op_id] = "aligned"
+        if _joins(node):
             joined = next(part for part in result_parts
                           if part.root_name == anchor_part.root_name)
             streams[joined] = Combine(
@@ -418,6 +408,11 @@ class ProgramRun:
                 streams.pop(anchor_part), streams.pop(root_part),
                 **kernel,
             )
+        else:
+            streams[anchor_part], streams[root_part] = \
+                self._orphan_checked(node, anchor_part,
+                                     streams[anchor_part],
+                                     streams[root_part])
         return {part: streams[part] for part in result_parts}
 
     def _orphan_checked(self, node: Combine, anchor_part: Fragment,
@@ -519,10 +514,6 @@ class ProgramRun:
                 start=started, seconds=shipment.seconds,
                 edge_op=key[0], edge_port=key[1], seq=batch.seq,
                 bytes=shipment.bytes_sent, fragment=fragment,
-            )
-            observe_shipment(
-                self.metrics, shipment.bytes_sent, shipment.seconds,
-                batch=chunked,
             )
 
         def generate() -> Iterator[ColumnBatch]:

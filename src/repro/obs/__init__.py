@@ -10,14 +10,13 @@ Three cooperating pieces (see ``docs/observability.md``):
   return when tracing is off.
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, and
   fixed-bucket histograms (plus the :class:`~repro.obs.metrics.Timer`
-  context manager) replacing the ad-hoc accounting that used to live
-  around the executors.
-* :mod:`repro.obs.drift` — joins a recorded trace (or an
-  :class:`~repro.core.program.executor.ExecutionReport`) against the
+  context manager); a program run's metrics are read from its
+  :class:`~repro.core.program.executor.ExecutionReport` once the run
+  has finished.
+* :mod:`repro.obs.drift` — joins an executed program's
+  :class:`~repro.core.program.executor.ExecutionReport` against the
   optimizer's predicted ``comp_cost``/``comm_cost`` and reports
-  per-op-kind drift ratios (what :mod:`repro.adapt` learns from);
-  also rebuilds an execution report from a recorded trace, so a
-  traced run's drift reads the same as its report's.
+  per-op-kind drift ratios (what :mod:`repro.adapt` learns from).
 
 ``drift`` imports the core program machinery, which itself imports
 ``repro.obs.trace``; the lazy ``__getattr__`` below keeps that cycle
@@ -59,7 +58,6 @@ __all__ = [
     "EdgeDrift",
     "OpDrift",
     "cost_drift_report",
-    "report_from_trace",
 ]
 
 _DRIFT_NAMES = {
@@ -67,7 +65,6 @@ _DRIFT_NAMES = {
     "EdgeDrift",
     "OpDrift",
     "cost_drift_report",
-    "report_from_trace",
 }
 
 

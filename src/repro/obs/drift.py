@@ -2,10 +2,10 @@
 
 ``Cost_Based_Optim`` picks combine orderings and placements by the
 cost model's ``comp_cost``/``comm_cost`` predictions (formula 1).
-This module closes the loop: it joins what actually happened — an
-:class:`~repro.core.program.executor.ExecutionReport`, or a recorded
-trace — against what the optimizer predicted, and reports the drift
-ratio ``measured / predicted`` for every executed operation and every
+This module closes the loop: it joins what actually happened — the
+run's :class:`~repro.core.program.executor.ExecutionReport` — against
+what the optimizer predicted, and reports the drift ratio
+``measured / predicted`` for every executed operation and every
 cross-edge shipment, rolled up per operation kind.
 
 Against the raw unit-cost model the per-kind ratios *are* the
@@ -18,23 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.core.cost.probe import CostProbe
 from repro.core.ops.base import Location
 from repro.core.program.dag import Placement, TransferProgram
-from repro.core.program.executor import (
-    ExecutionReport,
-    OperationTiming,
-)
-from repro.obs.trace import Span, Tracer
+from repro.core.program.executor import ExecutionReport
 
 __all__ = [
     "OpDrift",
     "EdgeDrift",
     "DriftReport",
     "cost_drift_report",
-    "report_from_trace",
 ]
 
 
@@ -244,77 +238,3 @@ def cost_drift_report(program: TransferProgram, placement: Placement,
             batches=report.shipment_batches.get(key, 1),
         ))
     return result
-
-
-# -- rebuilding execution facts from a recorded trace -----------------------------
-
-
-def _spans(trace: Tracer | Iterable[Span]) -> list[Span]:
-    if isinstance(trace, Tracer):
-        return list(trace.spans)
-    return list(trace)
-
-
-def report_from_trace(program: TransferProgram,
-                      trace: Tracer | Iterable[Span]
-                      ) -> ExecutionReport:
-    """Rebuild an :class:`ExecutionReport` from a recorded trace.
-
-    Op spans (category ``op``) become ``op_timings`` in topological
-    order; ship and batch spans (categories ``ship``/``batch``, one
-    per shipped message) rebuild the per-edge shipment accounting.  The result carries
-    exactly the fields drift reporting consumes —
-    robustness counters and peaks stay zero (they are not per-span
-    facts).
-
-    Raises:
-        ValueError: if the trace has no op span for some program node,
-            or several for one node.
-    """
-    op_spans: dict[int, Span] = {}
-    report = ExecutionReport()
-    for span in _spans(trace):
-        if span.category == "op":
-            op_id = int(span.attrs["op_id"])  # type: ignore[arg-type]
-            if op_id in op_spans:
-                raise ValueError(
-                    f"trace has multiple op spans for op {op_id}"
-                )
-            op_spans[op_id] = span
-        elif span.category in ("ship", "batch"):
-            key = (
-                int(span.attrs["edge_op"]),  # type: ignore[arg-type]
-                int(span.attrs["edge_port"]),  # type: ignore[arg-type]
-            )
-            size = int(span.attrs.get("bytes", 0))  # type: ignore[arg-type]
-            if key not in report.shipment_seconds:
-                report.shipments += 1
-            report.shipment_seconds[key] = (
-                report.shipment_seconds.get(key, 0.0) + span.seconds
-            )
-            report.shipment_bytes[key] = (
-                report.shipment_bytes.get(key, 0) + size
-            )
-            report.shipment_batches[key] = (
-                report.shipment_batches.get(key, 0) + 1
-            )
-            report.comm_seconds += span.seconds
-            report.comm_bytes += size
-    for node in program.topological_order():
-        span = op_spans.get(node.op_id)
-        if span is None:
-            raise ValueError(
-                f"trace has no op span for op {node.op_id} "
-                f"({node.label()})"
-            )
-        location = Location[str(span.attrs["location"]).upper()]
-        rows = int(span.attrs.get("rows", 0))  # type: ignore[arg-type]
-        strategy = str(span.attrs.get("strategy", "columnar"))
-        report.op_timings.append(OperationTiming(
-            span.name, str(span.attrs.get("kind", node.kind)),
-            location, span.seconds, rows, node.op_id, strategy,
-        ))
-        report.comp_seconds[location] += span.seconds
-        if node.kind == "write":
-            report.rows_written += rows
-    return report

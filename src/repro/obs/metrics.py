@@ -1,10 +1,10 @@
 """Metrics: counters, gauges, fixed-bucket histograms, one registry.
 
-This replaces the ad-hoc accounting that used to be scattered across
-the pipeline — the executor feeds per-op-kind rows/bytes/seconds
-histograms and the fault layer counts retries and discarded
-duplicates.  Metric names are
-dotted lowercase (``op.combine.seconds``, ``ship.bytes``,
+A program run's metrics are a read of its
+:class:`~repro.core.program.executor.ExecutionReport`, taken once when
+the run has finished (:func:`observe_report`); the service tier counts
+its own events (sessions, plan-cache hits, server frames).  Metric
+names are dotted lowercase (``op.combine.seconds``, ``ship.bytes``,
 ``retry.resends``); the full catalogue lives in
 ``docs/observability.md``.
 
@@ -18,7 +18,13 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.program.executor import (
+        ExecutionReport,
+        OperationTiming,
+    )
 
 __all__ = [
     "Counter",
@@ -27,22 +33,15 @@ __all__ = [
     "MetricsRegistry",
     "Timer",
     "SECONDS_BUCKETS",
-    "SIZE_BUCKETS",
-    "observe_join",
-    "observe_operation",
-    "observe_shipment",
+    "observe_report",
 ]
 
-#: Default histogram bounds for durations (seconds): 10 µs … 100 s in
-#: 1-2-5 steps — wide enough for a scan batch and a whole run alike.
+#: Every histogram's bucket bounds (every histogram holds seconds):
+#: 10 µs … 100 s in 1-2-5 steps — wide enough for a scan batch and a
+#: whole run alike.
 SECONDS_BUCKETS: tuple[float, ...] = (
     1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3,
     1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0,
-)
-
-#: Default bounds for sizes/counts (rows, bytes): powers of four.
-SIZE_BUCKETS: tuple[float, ...] = tuple(
-    4.0 ** exponent for exponent in range(0, 16)
 )
 
 
@@ -123,25 +122,18 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram with sum/count/min/max.
 
-    ``bounds`` are the inclusive upper edges of the first
-    ``len(bounds)`` buckets; one overflow bucket catches the rest.
-    Bucket layout is frozen at construction (fixed-bucket by design:
-    merging and comparing across runs needs stable edges).
+    :data:`SECONDS_BUCKETS` are the inclusive upper edges of the first
+    buckets; one overflow bucket catches the rest (fixed buckets by
+    design: merging and comparing across runs needs stable edges).
     """
 
-    __slots__ = ("name", "bounds", "_lock", "counts", "total", "count",
-                 "min", "max")
+    __slots__ = ("name", "_lock", "counts", "total", "count", "min",
+                 "max")
 
-    def __init__(self, name: str,
-                 bounds: Sequence[float] = SECONDS_BUCKETS) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError(
-                f"histogram {name!r} needs ascending bucket bounds"
-            )
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds = tuple(float(bound) for bound in bounds)
         self._lock = threading.Lock()
-        self.counts = [0] * (len(self.bounds) + 1)
+        self.counts = [0] * (len(SECONDS_BUCKETS) + 1)
         self.total = 0.0
         self.count = 0
         self.min = float("inf")
@@ -149,7 +141,7 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        index = bisect.bisect_left(self.bounds, value)
+        index = bisect.bisect_left(SECONDS_BUCKETS, value)
         with self._lock:
             self.counts[index] += 1
             self.total += value
@@ -169,7 +161,7 @@ class Histogram:
             "max": self.max if self.count else 0.0,
             "buckets": {
                 str(bound): count
-                for bound, count in zip(self.bounds, self.counts)
+                for bound, count in zip(SECONDS_BUCKETS, self.counts)
                 if count
             },
             "overflow": self.counts[-1],
@@ -185,11 +177,11 @@ class MetricsRegistry:
             str, Counter | Gauge | Histogram
         ] = {}
 
-    def _get(self, name: str, kind: type, factory):
+    def _get(self, name: str, kind: type):
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
-                instrument = self._instruments[name] = factory()
+                instrument = self._instruments[name] = kind(name)
             elif not isinstance(instrument, kind):
                 raise TypeError(
                     f"metric {name!r} is a "
@@ -200,20 +192,15 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """The counter called ``name`` (created on first use)."""
-        return self._get(name, Counter, lambda: Counter(name))
+        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
         """The gauge called ``name`` (created on first use)."""
-        return self._get(name, Gauge, lambda: Gauge(name))
+        return self._get(name, Gauge)
 
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = SECONDS_BUCKETS
-                  ) -> Histogram:
-        """The histogram called ``name`` (created on first use;
-        ``bounds`` only applies at creation)."""
-        return self._get(
-            name, Histogram, lambda: Histogram(name, bounds)
-        )
+    def histogram(self, name: str) -> Histogram:
+        """The histogram called ``name`` (created on first use)."""
+        return self._get(name, Histogram)
 
     def names(self) -> list[str]:
         """All registered metric names, sorted."""
@@ -245,55 +232,57 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
-def observe_operation(registry: MetricsRegistry | None, kind: str,
-                      seconds: float, rows: int) -> None:
-    """Record one executed operation into the standard op metrics
-    (``op.<kind>.count``/``.rows``/``.seconds``).  ``None`` registry
-    is the no-op fast path."""
+def observe_report(registry: MetricsRegistry | None,
+                   report: "ExecutionReport") -> None:
+    """Record one finished program run, read from its report.
+
+    Per executed operation: ``op.<kind>.count``/``.rows`` and its
+    seconds in ``op.<kind>.seconds``.  Per join a Combine ran:
+    ``join.build_rows``/``join.probe_rows`` accumulate the side sizes,
+    ``join.build_seconds``/``join.probe_seconds`` observe the join's
+    own time in each phase, ``join.hash_table_rows`` counts the
+    entries of the dicts built for batches that did not line up, and
+    ``join.strategy.<strategy>`` counts the joins that ran each
+    strategy (``aligned``/``hash``).  Per shipment — one cross-edge —
+    its seconds in ``ship.seconds``; ``ship.messages`` counts the
+    messages of every edge and ``ship.bytes`` their bytes.  ``None``
+    registry records nothing.
+    """
     if registry is None:
         return
-    registry.counter(f"op.{kind}.count").add(1)
-    registry.counter(f"op.{kind}.rows").add(rows)
-    registry.histogram(f"op.{kind}.seconds").observe(seconds)
-
-
-def observe_join(registry: MetricsRegistry | None, strategy: str,
-                 build_rows: int, probe_rows: int,
-                 build_seconds: float = 0.0,
-                 probe_seconds: float = 0.0,
-                 hash_table_rows: int = 0) -> None:
-    """Record one columnar combine's build/probe statistics into the
-    join metrics: ``join.build_rows``/``join.probe_rows`` accumulate
-    the side sizes, ``join.build_seconds``/``join.probe_seconds`` the
-    join's own time in each phase (one observation per join),
-    ``join.hash_table_rows`` the entries of the dicts built for
-    batches that did not line up, and ``join.strategy.<strategy>``
-    counts the joins that ran each strategy (``aligned``/``hash``)."""
-    if registry is None:
-        return
-    registry.counter("join.build_rows").add(build_rows)
-    registry.counter("join.probe_rows").add(probe_rows)
-    registry.histogram("join.build_seconds").observe(build_seconds)
-    registry.histogram("join.probe_seconds").observe(probe_seconds)
-    registry.counter("join.hash_table_rows").add(hash_table_rows)
-    registry.counter(f"join.strategy.{strategy}").add(1)
-
-
-def observe_shipment(registry: MetricsRegistry | None,
-                     bytes_sent: int, seconds: float,
-                     batch: bool = False) -> None:
-    """Record one cross-edge transfer into the standard ship metrics
-    (``ship.messages``/``.bytes``/``.seconds`` plus
-    ``ship.batch_bytes`` for streamed chunks)."""
-    if registry is None:
-        return
-    registry.counter("ship.messages").add(1)
-    registry.counter("ship.bytes").add(bytes_sent)
-    registry.histogram("ship.seconds").observe(seconds)
-    if batch:
-        registry.histogram(
-            "ship.batch_bytes", SIZE_BUCKETS
-        ).observe(bytes_sent)
+    by_kind: dict[str, list[OperationTiming]] = {}
+    for timing in report.op_timings:
+        by_kind.setdefault(timing.kind, []).append(timing)
+    for kind, timings in by_kind.items():
+        registry.counter(f"op.{kind}.count").add(len(timings))
+        registry.counter(f"op.{kind}.rows").add(
+            sum(timing.rows for timing in timings)
+        )
+        histogram = registry.histogram(f"op.{kind}.seconds")
+        for timing in timings:
+            histogram.observe(timing.seconds)
+    joins = [timing.join for timing in report.op_timings
+             if timing.join is not None]
+    if joins:
+        for field in ("build_rows", "probe_rows", "hash_table_rows"):
+            registry.counter(f"join.{field}").add(
+                sum(getattr(join, field) for join in joins)
+            )
+        for field in ("build_seconds", "probe_seconds"):
+            histogram = registry.histogram(f"join.{field}")
+            for join in joins:
+                histogram.observe(getattr(join, field))
+        for strategy in {join.strategy for join in joins}:
+            registry.counter(f"join.strategy.{strategy}").add(
+                sum(join.strategy == strategy for join in joins)
+            )
+    registry.counter("ship.messages").add(
+        sum(report.shipment_batches.values())
+    )
+    registry.counter("ship.bytes").add(report.comm_bytes)
+    histogram = registry.histogram("ship.seconds")
+    for seconds in report.shipment_seconds.values():
+        histogram.observe(seconds)
 
 
 class Timer:
@@ -302,21 +291,13 @@ class Timer:
         with Timer() as timer:
             work()
         print(timer.seconds)
-
-    Optionally bind a registry: each exit observes the elapsed seconds
-    into the named histogram, so ad-hoc timers feed the same metric
-    namespace as the executor.
     """
 
-    __slots__ = ("seconds", "_started", "_histogram")
+    __slots__ = ("seconds", "_started")
 
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 metric: str = "timer.seconds") -> None:
+    def __init__(self) -> None:
         self.seconds = 0.0
         self._started = 0.0
-        self._histogram = (
-            registry.histogram(metric) if registry is not None else None
-        )
 
     def __enter__(self) -> "Timer":
         self._started = time.perf_counter()
@@ -324,5 +305,3 @@ class Timer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.seconds = time.perf_counter() - self._started
-        if self._histogram is not None:
-            self._histogram.observe(self.seconds)

@@ -1,19 +1,20 @@
-"""Counters, gauges, histograms, the registry, and the helpers."""
+"""Counters, gauges, histograms, the registry, and the report reader."""
 
 import threading
-import time
 
 import pytest
 
+from repro.core.ops.base import Location
+from repro.core.ops.combine import JoinStatistics
+from repro.core.program.executor import ExecutionReport, OperationTiming
 from repro.obs.metrics import (
-    SIZE_BUCKETS,
+    SECONDS_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     Timer,
-    observe_operation,
-    observe_shipment,
+    observe_report,
 )
 
 
@@ -58,29 +59,28 @@ class TestGauge:
 
 class TestHistogram:
     def test_buckets_and_stats(self):
-        histogram = Histogram("h", bounds=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
+        histogram = Histogram("h")
+        for value in (0.3, 5.0, 500.0):
             histogram.observe(value)
         assert histogram.count == 3
-        assert histogram.total == 55.5
-        assert histogram.min == 0.5 and histogram.max == 50.0
-        assert histogram.counts == [1, 1, 1]  # last is overflow
+        assert histogram.total == 505.3
+        assert histogram.min == 0.3 and histogram.max == 500.0
+        # Bounds are inclusive upper edges; the last bucket overflows.
+        expected = [0] * (len(SECONDS_BUCKETS) + 1)
+        expected[SECONDS_BUCKETS.index(0.5)] = 1
+        expected[SECONDS_BUCKETS.index(5.0)] = 1
+        expected[-1] = 1
+        assert histogram.counts == expected
 
     def test_empty_histogram(self):
         histogram = Histogram("h")
         assert histogram.snapshot()["min"] == 0.0
 
-    def test_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError, match="ascending"):
-            Histogram("h", bounds=(2.0, 1.0))
-        with pytest.raises(ValueError, match="ascending"):
-            Histogram("h", bounds=())
-
     def test_snapshot_skips_empty_buckets(self):
-        histogram = Histogram("h", bounds=(1.0, 10.0))
-        histogram.observe(5.0)
+        histogram = Histogram("h")
+        histogram.observe(3.0)
         snapshot = histogram.snapshot()
-        assert snapshot["buckets"] == {"10.0": 1}
+        assert snapshot["buckets"] == {"5.0": 1}
         assert snapshot["overflow"] == 0
 
 
@@ -116,41 +116,68 @@ class TestRegistry:
         assert "op.scan.seconds" in text and "n=1" in text
 
 
+def _report() -> ExecutionReport:
+    """Two scans, a hash and an aligned join, two edges of two and
+    one messages."""
+    return ExecutionReport(
+        op_timings=[
+            OperationTiming("scan a", "scan", Location.SOURCE, 0.25, 100),
+            OperationTiming("scan b", "scan", Location.SOURCE, 0.75, 50),
+            OperationTiming(
+                "combine", "combine", Location.SOURCE, 0.5, 100,
+                strategy="hash",
+                join=JoinStatistics("hash", 50, 100, 0.125, 0.25, 40),
+            ),
+            OperationTiming(
+                "combine", "combine", Location.SOURCE, 0.5, 20,
+                strategy="aligned",
+                join=JoinStatistics("aligned", 10, 20, 0.125, 0.25),
+            ),
+        ],
+        comm_bytes=1500,
+        shipment_bytes={(1, 0): 1000, (2, 0): 500},
+        shipment_seconds={(1, 0): 0.1, (2, 0): 0.2},
+        shipment_batches={(1, 0): 2, (2, 0): 1},
+    )
+
+
 class TestHelpers:
     def test_observe_operation_populates_standard_names(self):
         registry = MetricsRegistry()
-        observe_operation(registry, "scan", 0.25, 100)
-        observe_operation(registry, "scan", 0.75, 50)
+        observe_report(registry, _report())
         assert registry.counter("op.scan.count").value == 2
         assert registry.counter("op.scan.rows").value == 150
         histogram = registry.histogram("op.scan.seconds")
         assert histogram.count == 2
         assert histogram.total == 1.0
+        assert registry.counter("op.combine.count").value == 2
 
     def test_observe_shipment_counts_bytes_and_batches(self):
         registry = MetricsRegistry()
-        observe_shipment(registry, 1000, 0.1)
-        observe_shipment(registry, 500, 0.2, batch=True)
-        assert registry.counter("ship.messages").value == 2
+        observe_report(registry, _report())
+        assert registry.counter("ship.messages").value == 3
         assert registry.counter("ship.bytes").value == 1500
-        batches = registry.histogram("ship.batch_bytes", SIZE_BUCKETS)
-        assert batches.count == 1
+        shipped = registry.histogram("ship.seconds")
+        assert shipped.count == 2
+        assert shipped.total == pytest.approx(0.3)
+
+    def test_observe_join_counts_sides_and_strategies(self):
+        registry = MetricsRegistry()
+        observe_report(registry, _report())
+        assert registry.counter("join.strategy.hash").value == 1
+        assert registry.counter("join.strategy.aligned").value == 1
+        assert registry.counter("join.build_rows").value == 60
+        assert registry.counter("join.probe_rows").value == 120
+        assert registry.counter("join.hash_table_rows").value == 40
+        for phase, seconds in (("build", 0.25), ("probe", 0.5)):
+            histogram = registry.histogram(f"join.{phase}_seconds")
+            assert (histogram.count, histogram.total) == (2, seconds)
 
     def test_none_registry_is_noop(self):
-        observe_operation(None, "scan", 0.1, 1)
-        observe_shipment(None, 10, 0.1)
+        observe_report(None, _report())
 
 
 class TestTimer:
-    def test_feeds_bound_histogram(self):
-        registry = MetricsRegistry()
-        with Timer(registry, "publish.seconds") as timer:
-            time.sleep(0.005)
-        assert timer.seconds >= 0.004
-        histogram = registry.histogram("publish.seconds")
-        assert histogram.count == 1
-        assert histogram.total == timer.seconds
-
     def test_unbound_timer_just_measures(self):
         with Timer() as timer:
             pass

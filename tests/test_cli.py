@@ -313,8 +313,8 @@ class TestServiceTier:
         ["--plan-cache"],
     ])
     def test_drift_rejects_brokered_sessions(self, brokered):
-        # Brokered sessions trace their own programs into one tracer,
-        # so the drift report has no single program to price.
+        # Drift prices the CLI's own program; without a cache each
+        # brokered session negotiates a program of its own.
         with pytest.raises(SystemExit) as exit_info:
             main(["exchange", "MF", "LF", "--size", "1.0",
                   "--scale", "0.02", "--drift", *brokered],
